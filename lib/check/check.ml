@@ -19,6 +19,7 @@ module Sim = Vliw_sim.Sim
 module Trace = Vliw_trace.Trace
 module V = Vliw_verify.Verify
 module Diag = Vliw_util.Diag
+module Dec = Vliw_util.Dec
 module Diff = Vliw_fuzz.Diff
 module Gen = Vliw_fuzz.Gen
 module Oracle = Vliw_fuzz.Oracle
@@ -94,7 +95,9 @@ let explore ~lowered ~graph ~schedule ~layout ?trip ~jitter ~expected
     ~certified ?(config = default_config) () =
   (* visited key -> the draw prefix that first reached it *)
   let visited : (string, int list) Hashtbl.t = Hashtbl.create 1024 in
-  let stack = ref [ [] ] in
+  (* pending draw prefixes, each with the state string of the cycle that
+     holds its last draw (unused for the empty root prefix) *)
+  let stack = ref [ ([], "") ] in
   let frontier = ref 1 in
   let frontier_max = ref 1 in
   let states = ref 0 and pruned = ref 0 and leaves = ref 0 in
@@ -112,21 +115,27 @@ let explore ~lowered ~graph ~schedule ~layout ?trip ~jitter ~expected
      leaf. Key = the canonical pre-network state of the draw's cycle
      plus the values drawn earlier in the same cycle: within a cycle the
      set of draw sites is fixed before any value is drawn, so this pair
-     identifies the branch point exactly. *)
-  let run_prefix prefix =
+     identifies the branch point exactly.
+     The state is encoded only once the whole prefix has been consumed:
+     a fresh draw can fall no earlier than the cycle of the prefix's last
+     draw, and until a later cycle notes, that cycle's state is exactly
+     [prefix_state], the string the run that pushed this prefix held when
+     it drew there (the run replayed the same earlier draws, and the
+     state is taken before any draw of its cycle). *)
+  let run_prefix (prefix, prefix_state) =
     let script = Array.of_list prefix in
     let n_prefix = Array.length script in
     let depth = ref 0 in
     let draws_rev = ref [] in
-    let last_state = ref "" in
+    let last_state = ref prefix_state in
     let intra = Buffer.create 16 in
     let chooser =
       {
         Sim.ch_jitter = jitter;
         ch_note_state =
           Some
-            (fun s ->
-              last_state := s;
+            (fun encode ->
+              if !depth >= n_prefix then last_state := encode ();
               Buffer.clear intra);
         ch_draw =
           (fun ~bound ->
@@ -150,7 +159,7 @@ let explore ~lowered ~graph ~schedule ~layout ?trip ~jitter ~expected
                 Hashtbl.add visited key below;
                 incr states;
                 for v = bound - 1 downto 1 do
-                  stack := (below @ [ v ]) :: !stack;
+                  stack := (below @ [ v ], !last_state) :: !stack;
                   incr frontier
                 done;
                 frontier_max := max !frontier_max !frontier;
@@ -159,7 +168,7 @@ let explore ~lowered ~graph ~schedule ~layout ?trip ~jitter ~expected
             in
             incr depth;
             draws_rev := v :: !draws_rev;
-            Buffer.add_string intra (string_of_int v);
+            Dec.add_int intra v;
             Buffer.add_char intra ',';
             v);
       }

@@ -26,6 +26,7 @@
    check every transition is legal and chains correctly. *)
 
 module M = Vliw_arch.Machine
+module Dec = Vliw_util.Dec
 
 type state = I | S | E | M_
 
@@ -262,13 +263,16 @@ let encode_state t buf =
     Array.iteri
       (fun subblock r ->
         if Array.length r > 0 && Array.exists (fun s -> s <> I) r then begin
-          Buffer.add_string buf (string_of_int subblock);
+          Dec.add_int buf subblock;
           Buffer.add_char buf ':';
           Array.iter (fun s -> Buffer.add_string buf (state_name s)) r;
           Buffer.add_char buf ';'
         end)
       t.lines;
-    Buffer.add_string buf
-      (Printf.sprintf "#%d,%d,%d" t.ctr.invalidations t.ctr.upgrades
-         t.ctr.exclusive_hits)
+    Buffer.add_char buf '#';
+    Dec.add_int buf t.ctr.invalidations;
+    Buffer.add_char buf ',';
+    Dec.add_int buf t.ctr.upgrades;
+    Buffer.add_char buf ',';
+    Dec.add_int buf t.ctr.exclusive_hits
   end

@@ -3,6 +3,7 @@
    and reference engines agree bit-for-bit by construction. *)
 
 module M = Vliw_arch.Machine
+module Dec = Vliw_util.Dec
 
 type source_order = Global_fifo | Per_link_fifo | Unordered
 
@@ -120,13 +121,13 @@ module Bus = struct
     Buffer.add_char buf 'B';
     Array.iter
       (fun f ->
-        Buffer.add_string buf (string_of_int (max 0 (f - now)));
+        Dec.add_int buf (max 0 (f - now));
         Buffer.add_char buf ',')
       t.bus_free;
     Buffer.add_char buf '|';
     for i = 0 to t.len - 1 do
       let j = (t.head + i) mod t.cap in
-      Buffer.add_string buf (string_of_int (payload t.q_payload.(j)));
+      Dec.add_int buf (payload t.q_payload.(j));
       Buffer.add_char buf ','
     done
 
@@ -322,29 +323,30 @@ module Directory = struct
      The traffic counters are included because they surface in the final
      run stats. *)
   let encode_state t ~now ~payload buf =
+    let int v = Dec.add_int buf v in
+    let field v =
+      int v;
+      Buffer.add_char buf ','
+    in
+    let pair tag a b =
+      Buffer.add_char buf tag;
+      int a;
+      Buffer.add_char buf '.';
+      int b
+    in
     Buffer.add_char buf 'D';
-    Array.iter
-      (fun f ->
-        Buffer.add_string buf (string_of_int (max 0 (f - now)));
-        Buffer.add_char buf ',')
-      t.link_free;
+    Array.iter (fun f -> field (max 0 (f - now))) t.link_free;
     Buffer.add_char buf '|';
-    Array.iter
-      (fun f ->
-        Buffer.add_string buf (string_of_int (max 0 (f - now)));
-        Buffer.add_char buf ',')
-      t.link_last;
+    Array.iter (fun f -> field (max 0 (f - now))) t.link_last;
     let add_delivery = function
       | Request x ->
         Buffer.add_char buf 'R';
-        Buffer.add_string buf (string_of_int (payload x))
+        int (payload x)
       | Response x ->
         Buffer.add_char buf 'r';
-        Buffer.add_string buf (string_of_int (payload x))
-      | Invalidate { subblock; home } ->
-        Buffer.add_string buf (Printf.sprintf "I%d.%d" subblock home)
-      | Writeback_ack { subblock; from } ->
-        Buffer.add_string buf (Printf.sprintf "W%d.%d" subblock from)
+        int (payload x)
+      | Invalidate { subblock; home } -> pair 'I' subblock home
+      | Writeback_ack { subblock; from } -> pair 'W' subblock from
     in
     let cycles =
       Hashtbl.fold (fun c _ acc -> c :: acc) t.buckets []
@@ -353,12 +355,17 @@ module Directory = struct
     List.iter
       (fun c ->
         let l = Hashtbl.find t.buckets c in
-        Buffer.add_string buf (Printf.sprintf "|@%d:" (c - now));
+        Buffer.add_string buf "|@";
+        int (c - now);
+        Buffer.add_char buf ':';
         List.iter
           (fun p ->
-            Buffer.add_string buf
-              (Printf.sprintf "(%d,%d,%d,%b," p.p_dst p.p_dir p.p_at
-                 p.p_arrived);
+            Buffer.add_char buf '(';
+            field p.p_dst;
+            field p.p_dir;
+            field p.p_at;
+            Dec.add_bool buf p.p_arrived;
+            Buffer.add_char buf ',';
             add_delivery p.p_payload;
             Buffer.add_char buf ')')
           (List.rev !l))
@@ -373,12 +380,18 @@ module Directory = struct
     Buffer.add_char buf '|';
     List.iter
       (fun (sb, e) ->
-        Buffer.add_string buf
-          (Printf.sprintf "e%d:%d,%b;" sb e.e_mask e.e_dirty))
+        Buffer.add_char buf 'e';
+        int sb;
+        Buffer.add_char buf ':';
+        field e.e_mask;
+        Dec.add_bool buf e.e_dirty;
+        Buffer.add_char buf ';')
       entries;
-    Buffer.add_string buf
-      (Printf.sprintf "|%d,%d,%d,%d" t.lookups t.invalidates t.writebacks
-         t.hops)
+    Buffer.add_char buf '|';
+    field t.lookups;
+    field t.invalidates;
+    field t.writebacks;
+    int t.hops
 
   let step t ~now ~jit ~emit_hop ~deliver =
     match Hashtbl.find_opt t.buckets now with

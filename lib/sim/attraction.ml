@@ -1,4 +1,5 @@
 module M = Vliw_arch.Machine
+module Dec = Vliw_util.Dec
 
 type entry = {
   mutable subblock : int;
@@ -198,7 +199,9 @@ let sync_seq t ~subblock =
 (* Canonical serialization for model-checking state keys. Entries are
    encoded in way-index order (install prefers the first invalid way by
    index, so positions are observable), with each way's LRU stamp reduced
-   to its rank within the set (absolute stamp/clock values are not).
+   to its rank within the set, the count of more recent ways (absolute
+   stamp/clock values are not observable; stamps within a set are
+   pairwise distinct, so ranks are too).
    Entry data is included even for invalid ways: [install] reuses the
    buffer and only blits the in-image prefix of each chunk, so stale bytes
    of a previous occupant can survive into a live entry and — because
@@ -206,19 +209,26 @@ let sync_seq t ~subblock =
    Including them over-distinguishes harmlessly; excluding them could
    merge states with different observable futures. *)
 let encode_state t buf =
-  let order = Array.init t.assoc (fun w -> w) in
+  let field add v =
+    add buf v;
+    Buffer.add_char buf ','
+  in
   for s = 0 to t.sets - 1 do
     let base = s * t.assoc in
-    let rank = Array.make t.assoc 0 in
-    let a = Array.copy order in
-    Array.sort (fun w1 w2 -> compare t.stamp.(base + w2) t.stamp.(base + w1)) a;
-    Array.iteri (fun r w -> rank.(w) <- r) a;
     Buffer.add_char buf 'S';
     for w = 0 to t.assoc - 1 do
       let e = t.entries.(s).(w) in
-      Buffer.add_string buf
-        (Printf.sprintf "%d,%d,%d,%b,%b,%d|" e.subblock e.base e.sync
-           e.written e.valid rank.(w));
+      let rank = ref 0 in
+      for v = base to base + t.assoc - 1 do
+        if t.stamp.(v) > t.stamp.(base + w) then incr rank
+      done;
+      field Dec.add_int e.subblock;
+      field Dec.add_int e.base;
+      field Dec.add_int e.sync;
+      field Dec.add_bool e.written;
+      field Dec.add_bool e.valid;
+      Dec.add_int buf !rank;
+      Buffer.add_char buf '|';
       Buffer.add_bytes buf e.data;
       Buffer.add_char buf ';'
     done

@@ -1,4 +1,5 @@
 module M = Vliw_arch.Machine
+module Dec = Vliw_util.Dec
 
 type t = {
   machine : M.t;
@@ -90,35 +91,44 @@ let install t ~subblock =
     evicted
   end
 
-(* Canonical serialization for model-checking state keys: per set, the
-   valid subblocks in most-recently-used-first order plus the count of
-   invalid ways. Absolute stamp/clock values are erased — only the LRU
-   order affects future behavior (install fills any invalid way first,
-   otherwise evicts the minimum stamp, and a filled way's stamp is always
-   refreshed), so two modules with equal encodings are behaviorally
-   identical. Stamps within a set are pairwise distinct (seeded
-   descending, bumped from a monotonic clock), so the order is unique. *)
+(* Canonical serialization for model-checking state keys: only the sets
+   holding a valid line, each as its index and then its valid subblocks in
+   most-recently-used-first order; a '/' closes the module. Absolute
+   stamp/clock values are erased — only the LRU order affects future
+   behavior (install fills any invalid way first, otherwise evicts the
+   minimum stamp, and a filled way's stamp is always refreshed), so two
+   modules with equal encodings are behaviorally identical. Stamps within
+   a set are pairwise distinct (seeded descending, bumped from a monotonic
+   clock), so the order is unique: it is produced by selecting, [valid]
+   times, the largest stamp below the previous pick. *)
 let encode_state t buf =
-  let order = Array.init t.assoc (fun w -> w) in
   for s = 0 to t.sets - 1 do
     let base = s * t.assoc in
-    let a = Array.copy order in
-    Array.sort (fun w1 w2 -> compare t.stamp.(base + w2) t.stamp.(base + w1)) a;
-    Buffer.add_char buf 's';
-    let invalid = ref 0 in
-    Array.iter
-      (fun w ->
-        let sb = t.ways.(base + w) in
-        if sb = -1 then incr invalid
-        else begin
-          Buffer.add_string buf (string_of_int sb);
-          Buffer.add_char buf ','
-        end)
-      a;
-    Buffer.add_char buf '/';
-    Buffer.add_string buf (string_of_int !invalid);
-    Buffer.add_char buf ';'
-  done
+    let valid = ref 0 in
+    for w = base to base + t.assoc - 1 do
+      if t.ways.(w) <> -1 then incr valid
+    done;
+    if !valid > 0 then begin
+      Dec.add_int buf s;
+      Buffer.add_char buf ':';
+      let below = ref max_int in
+      for _ = 1 to !valid do
+        let pick = ref (-1) in
+        for w = base to base + t.assoc - 1 do
+          let st = t.stamp.(w) in
+          if
+            t.ways.(w) <> -1 && st < !below
+            && (!pick < 0 || st > t.stamp.(!pick))
+          then pick := w
+        done;
+        Dec.add_int buf t.ways.(!pick);
+        Buffer.add_char buf ',';
+        below := t.stamp.(!pick)
+      done;
+      Buffer.add_char buf ';'
+    end
+  done;
+  Buffer.add_char buf '/'
 
 let invalidate_all t = Array.fill t.ways 0 (Array.length t.ways) (-1)
 

@@ -24,7 +24,9 @@ val valid_lines : t -> int
 
 val encode_state : t -> Buffer.t -> unit
 (** Append a canonical serialization of the module's replacement state for
-    model-checking state keys: per set, the valid subblocks in
-    most-recently-used-first order plus the invalid-way count. Absolute
-    LRU stamp values are erased — only their order is observable — so two
-    modules with equal encodings are behaviorally identical. *)
+    model-checking state keys: only the sets holding a valid line, each as
+    its index and its valid subblocks in most-recently-used-first order,
+    then a module terminator. Absolute LRU stamp values are erased — only
+    their order is observable — so two modules with equal encodings are
+    behaviorally identical, and a module whose lines were all invalidated
+    encodes like a fresh one. Allocates nothing beyond the buffer. *)

@@ -34,6 +34,7 @@ module Ir = Vliw_ir
 module Tr = Vliw_trace.Trace
 module Icn = Vliw_interconnect.Interconnect
 module C = Vliw_coherence.Coherence
+module Dec = Vliw_util.Dec
 open Sim_types
 
 (* ----- node kinds (kindv) ----- *)
@@ -1146,15 +1147,17 @@ let run ~lowered ~graph ~schedule ~layout ?trip ?(mode = Execution) ?jitter
      later), LRU stamps are reduced to ranks inside the component
      encoders, and trace-only fields (transaction ids, bus indices on
      in-flight arrivals, module-queue enqueue stamps, queue wait stamps)
-     are excluded — see DESIGN §13 for the field-by-field argument. *)
+     are excluded — see DESIGN §13 for the field-by-field argument.
+     One buffer serves every encoding of the run. *)
+  let buf = Buffer.create 16 in
   let canonical_state () =
-    let buf = Buffer.create 1024 in
+    Buffer.clear buf;
     let int v =
-      Buffer.add_string buf (string_of_int v);
+      Dec.add_int buf v;
       Buffer.add_char buf ','
     in
     let i64 v =
-      Buffer.add_string buf (Int64.to_string v);
+      Dec.add_int64 buf v;
       Buffer.add_char buf ','
     in
     let rel v = int (if v > !now then v - !now else 0) in
@@ -1304,20 +1307,20 @@ let run ~lowered ~graph ~schedule ~layout ?trip ?(mode = Execution) ?jitter
        end
      end);
     (* 2. network: bus arbitration or ring/directory stepping. When an
-       external chooser is observing, serialize the canonical state first
-       — eagerly, before the network mutates anything — in every cycle
-       whose network phase may consume a draw (a sound
-       over-approximation: queued-but-ungranted cycles note too). Within
-       one cycle the *set* of draws is independent of the values drawn
-       (bus grants are bounded by free buses, ring departures by
-       link-entry serialization fixed before the draw), so this one note
-       plus the count of draws since it identifies every branch point of
-       the cycle. *)
+       external chooser is observing, offer it the canonical-state encoder
+       first — before the network mutates anything — in every cycle whose
+       network phase may consume a draw (a sound over-approximation:
+       queued-but-ungranted cycles note too). The chooser encodes only if
+       it needs the key. Within one cycle the *set* of draws is
+       independent of the values drawn (bus grants are bounded by free
+       buses, ring departures by link-entry serialization fixed before the
+       draw), so this one note plus the count of draws since it identifies
+       every branch point of the cycle. *)
     (match note_state with
     | Some note
       when if dir_mode then Icn.Directory.due dir ~now:!now
            else Icn.Bus.pending bus ->
-      note (canonical_state ())
+      note canonical_state
     | _ -> ());
     dispatch_network ();
     (* 3. cache modules: one service per cluster per cycle *)

@@ -33,7 +33,7 @@ type engine = [ `Wheel | `Reference ]
 type chooser = Sim_types.chooser = {
   ch_jitter : int;
   ch_draw : bound:int -> int;
-  ch_note_state : (string -> unit) option;
+  ch_note_state : ((unit -> string) -> unit) option;
 }
 
 let accesses_total = Sim_types.accesses_total

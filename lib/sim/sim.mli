@@ -100,14 +100,17 @@ type chooser = Sim_types.chooser = {
           alternatives, the returned value must lie in [0, bound). Called at
           exactly the sites where a PRNG-driven run would call
           [Prng.int]: once per bus grant, once per ring-packet hop. *)
-  ch_note_state : (string -> unit) option;
-      (** wheel engine only: receives a canonical serialization of the
-          complete simulator state at the start of every cycle whose network
-          phase may consume a draw (the queue/bucket occupancy check is a
-          sound over-approximation). Two runs noting equal strings are in
-          behaviorally identical states: every extension by the same future
-          draws yields byte-identical final stats. The reference engine
-          never calls it. *)
+  ch_note_state : ((unit -> string) -> unit) option;
+      (** wheel engine only: called at the start of every cycle whose
+          network phase may consume a draw (the queue/bucket occupancy check
+          is a sound over-approximation) with the encoder of a canonical
+          serialization of the complete simulator state. The encoder reads
+          the state as it is during the call, before the network phase
+          runs, so a chooser that wants the string must call it inside the
+          callback; one that does not pays nothing. Two runs encoding equal
+          strings are in behaviorally identical states: every extension by
+          the same future draws yields byte-identical final stats. The
+          reference engine never calls it. *)
 }
 (** Externalized nondeterminism for bounded model checking: the engine asks
     the chooser for every jitter draw instead of a PRNG, so a driver

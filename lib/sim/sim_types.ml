@@ -5,7 +5,7 @@ type mode = Oracle of Vliw_ir.Interp.result | Execution
 
 (* Externalized nondeterminism: instead of drawing bus/ring jitter from a
    PRNG, an engine can be handed a [chooser] that resolves every draw and
-   (on the wheel engine) observes a canonical serialization of the
+   (on the wheel engine) is offered a canonical serialization of the
    simulator state at the start of each cycle whose network phase may
    draw. This is the transition-point API the bounded model checker
    ({!Vliw_check.Check}) explores. *)
@@ -14,9 +14,10 @@ type chooser = {
       (* declared jitter bound: every draw returns a value in [0, ch_jitter] *)
   ch_draw : bound:int -> int;
       (* resolve the next draw; [bound] = ch_jitter + 1 alternatives *)
-  ch_note_state : (string -> unit) option;
-      (* wheel engine only: canonical pre-network state, once per cycle in
-         which the network phase may consume a draw *)
+  ch_note_state : ((unit -> string) -> unit) option;
+      (* wheel engine only: once per cycle in which the network phase may
+         consume a draw, handed the encoder of the canonical pre-network
+         state; valid only inside the callback *)
 }
 
 type stats = {

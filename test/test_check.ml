@@ -287,6 +287,51 @@ let test_chooser_exclusive_with_jitter () =
              ~jitter:(Vliw_util.Prng.create 7, 1)
              ~choices ()))
 
+(* --- chooser contract: the state encoder only reads. A run that calls
+   it at every note (twice, to see it is stable) and one that never calls
+   it follow the same draw script to byte-identical stats --- *)
+
+let test_encoder_reads_only () =
+  List.iter
+    (fun name ->
+      let case = load (Filename.concat litmus_dir name) in
+      match Diff.compile case Diff.Free with
+      | Error e -> Alcotest.failf "%s: free unschedulable: %s" name e
+      | Ok a ->
+        let script = [| 1; 0; 1; 1; 0; 1; 0; 1 |] in
+        let run note =
+          let depth = ref 0 in
+          let choices =
+            {
+              Sim.ch_jitter = 1;
+              ch_draw =
+                (fun ~bound:_ ->
+                  let v =
+                    if !depth < Array.length script then script.(!depth) else 0
+                  in
+                  incr depth;
+                  v);
+              ch_note_state = Some note;
+            }
+          in
+          Sim.run ~lowered:a.Diff.a_lowered ~graph:a.Diff.a_graph
+            ~schedule:a.Diff.a_schedule ~layout:a.Diff.a_layout
+            ~mode:Sim.Execution ~choices ()
+        in
+        let encodes = ref 0 in
+        let encoding =
+          run (fun encode ->
+              incr encodes;
+              let s = encode () in
+              Alcotest.(check string) (name ^ " stable encoding") s (encode ()))
+        in
+        let silent = run (fun _ -> ()) in
+        Alcotest.(check bool) (name ^ " noted") true (!encodes > 0);
+        Alcotest.(check bool)
+          (name ^ " encoding changes nothing") true
+          (Check.stats_equal encoding silent))
+    [ "mf_dist1.lk"; "mf_dist1_dir.lk" ]
+
 let () =
   Alcotest.run "check"
     [
@@ -319,5 +364,7 @@ let () =
         [
           Alcotest.test_case "jitter and choices are exclusive" `Quick
             test_chooser_exclusive_with_jitter;
+          Alcotest.test_case "encoder reads state only" `Quick
+            test_encoder_reads_only;
         ] );
     ]

@@ -85,6 +85,114 @@ let test_cachemod_rejects_foreign_subblock () =
     (Invalid_argument "Cachemod.install: subblock belongs to another cluster")
     (fun () -> ignore (Cachemod.install cm ~subblock:foreign))
 
+(* --- cachemod state encoding --- *)
+
+(* cluster 0's subblock of the [tag]-th block that maps to [set] *)
+let cm_sb m ~set ~tag = m.M.clusters * (set + (tag * M.module_sets m))
+
+let cm_encoding cm =
+  let b = Buffer.create 64 in
+  Cachemod.encode_state cm b;
+  Buffer.contents b
+
+let cm_fill cm l = List.iter (fun x -> ignore (Cachemod.install cm ~subblock:x)) l
+
+let test_cachemod_encode_history_independent () =
+  let m = M.table2 in
+  let sb set tag = cm_sb m ~set ~tag in
+  let a = Cachemod.create m ~cluster:0 in
+  cm_fill a [ sb 0 0; sb 0 1; sb 3 2 ];
+  (* the same lines in the same recency order, reached through a flush and
+     an eviction, with set 0's lines in the opposite ways *)
+  let b = Cachemod.create m ~cluster:0 in
+  cm_fill b [ sb 5 0; sb 3 1 ];
+  Cachemod.invalidate_all b;
+  cm_fill b [ sb 0 2; sb 0 0 ];
+  Alcotest.(check (option int)) "evicts the LRU line" (Some (sb 0 2))
+    (Cachemod.install b ~subblock:(sb 0 1));
+  cm_fill b [ sb 3 2 ];
+  Alcotest.(check string) "same lines and order encode equal" (cm_encoding a)
+    (cm_encoding b);
+  Alcotest.(check bool) "sparse: under one byte per set" true
+    (String.length (cm_encoding a) < M.module_sets m)
+
+let test_cachemod_encode_distinguishes () =
+  let m = M.table2 in
+  let sb set tag = cm_sb m ~set ~tag in
+  let a = Cachemod.create m ~cluster:0 in
+  cm_fill a [ sb 0 0; sb 0 1 ];
+  let swapped = Cachemod.create m ~cluster:0 in
+  cm_fill swapped [ sb 0 0; sb 0 1 ];
+  Cachemod.touch swapped ~subblock:(sb 0 0);
+  Alcotest.(check bool) "recency swap encodes differently" false
+    (cm_encoding a = cm_encoding swapped);
+  let moved = Cachemod.create m ~cluster:0 in
+  cm_fill moved [ sb 0 0; sb 1 1 ];
+  Alcotest.(check bool) "line in another set encodes differently" false
+    (cm_encoding a = cm_encoding moved)
+
+let test_cachemod_encode_invalidated_is_fresh () =
+  let m = M.table2 in
+  let cm = Cachemod.create m ~cluster:0 in
+  cm_fill cm (List.init 6 (fun i -> cm_sb m ~set:(i mod 3) ~tag:i));
+  Cachemod.invalidate_all cm;
+  Alcotest.(check string) "all-invalid = fresh"
+    (cm_encoding (Cachemod.create m ~cluster:0))
+    (cm_encoding cm)
+
+(* Reference model of one module: per set, its valid subblocks most
+   recently used first — the module's whole observable state. Over random
+   install/touch/flush histories, two modules encode equal exactly when
+   their models are equal, and every install evicts what the model
+   predicts. *)
+let prop_cachemod_encoding_is_lru_state =
+  let m = M.table2 in
+  let assoc = m.M.cache.M.assoc and nsets = 2 in
+  let op = QCheck.Gen.(triple (int_bound 6) (int_bound (nsets - 1)) (int_bound 2)) in
+  let history = QCheck.Gen.(list_size (int_range 0 12) op) in
+  QCheck.Test.make ~name:"cachemod encoding identifies the LRU state" ~count:50
+    (QCheck.make QCheck.Gen.(list_size (int_range 1 60) history))
+    (fun histories ->
+      let by_enc = Hashtbl.create 16 and by_model = Hashtbl.create 16 in
+      let agrees tbl k v =
+        match Hashtbl.find_opt tbl k with
+        | Some v' -> v' = v
+        | None ->
+          Hashtbl.add tbl k v;
+          true
+      in
+      List.for_all
+        (fun ops ->
+          let cm = Cachemod.create m ~cluster:0 in
+          let model = Array.make nsets [] in
+          let evictions_agree =
+            List.for_all
+              (fun (k, set, tag) ->
+                let x = cm_sb m ~set ~tag in
+                let rest = List.filter (( <> ) x) model.(set) in
+                match k with
+                | 0 ->
+                  Cachemod.invalidate_all cm;
+                  Array.fill model 0 nsets [];
+                  true
+                | 1 | 2 ->
+                  Cachemod.touch cm ~subblock:x;
+                  if List.mem x model.(set) then model.(set) <- x :: rest;
+                  true
+                | _ ->
+                  let expected =
+                    if List.mem x model.(set) || List.length rest < assoc then None
+                    else Some (List.nth rest (assoc - 1))
+                  in
+                  model.(set) <-
+                    x :: List.filter (fun y -> Some y <> expected) rest;
+                  Cachemod.install cm ~subblock:x = expected)
+              ops
+          in
+          let state = Array.to_list model and enc = cm_encoding cm in
+          evictions_agree && agrees by_enc enc state && agrees by_model state enc)
+        histories)
+
 (* --- attraction buffer unit tests --- *)
 
 let ab_machine = M.with_attraction M.table2 (Some M.default_attraction)
@@ -735,6 +843,13 @@ let () =
           Alcotest.test_case "lru eviction" `Quick test_cachemod_lru_eviction;
           Alcotest.test_case "foreign subblock" `Quick
             test_cachemod_rejects_foreign_subblock;
+          Alcotest.test_case "encoding ignores history" `Quick
+            test_cachemod_encode_history_independent;
+          Alcotest.test_case "encoding distinguishes" `Quick
+            test_cachemod_encode_distinguishes;
+          Alcotest.test_case "invalidated encodes fresh" `Quick
+            test_cachemod_encode_invalidated_is_fresh;
+          QCheck_alcotest.to_alcotest prop_cachemod_encoding_is_lru_state;
         ] );
       ( "attraction",
         [

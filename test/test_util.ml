@@ -380,6 +380,65 @@ let test_json_accessors () =
   Alcotest.(check (option int)) "missing member" None
     (Option.bind (Json.member "zzz" v) Json.to_int_opt)
 
+(* --- Dec --- *)
+
+let dec_ints = [ 0; 1; -1; 9; -9; 10; -10; 99; -99; max_int; min_int ]
+
+(* every int, plus the int64 extremes and the values just outside the
+   63-bit range, where the writer leaves its [int] fast path *)
+let dec_int64s =
+  List.map Int64.of_int dec_ints
+  @ [
+      Int64.max_int;
+      Int64.min_int;
+      Int64.succ (Int64.of_int max_int);
+      Int64.pred (Int64.of_int min_int);
+    ]
+
+(* what the writer appends after existing content *)
+let written f v =
+  let b = Buffer.create 8 in
+  Buffer.add_string b "x=";
+  f b v;
+  Buffer.sub b 2 (Buffer.length b - 2)
+
+let test_dec_matches_stdlib () =
+  List.iter
+    (fun v ->
+      Alcotest.(check string)
+        (string_of_int v) (string_of_int v) (written Dec.add_int v))
+    dec_ints;
+  List.iter
+    (fun v ->
+      Alcotest.(check string)
+        (Int64.to_string v) (Int64.to_string v) (written Dec.add_int64 v))
+    dec_int64s;
+  List.iter
+    (fun v ->
+      Alcotest.(check string)
+        (string_of_bool v) (string_of_bool v) (written Dec.add_bool v))
+    [ true; false ]
+
+let test_dec_allocation_free () =
+  let ints = Array.of_list dec_ints and i64s = Array.of_list dec_int64s in
+  let b = Buffer.create 4096 in
+  let write () =
+    Buffer.clear b;
+    for i = 0 to Array.length ints - 1 do
+      Dec.add_int b ints.(i)
+    done;
+    for i = 0 to Array.length i64s - 1 do
+      Dec.add_int64 b i64s.(i)
+    done;
+    Dec.add_bool b true
+  in
+  write ();
+  let before = Gc.minor_words () in
+  for _ = 1 to 100 do
+    write ()
+  done;
+  Alcotest.(check (float 0.)) "minor words" 0. (Gc.minor_words () -. before)
+
 (* --- QCheck properties --- *)
 
 let prop_bar_never_exceeds_width =
@@ -405,6 +464,13 @@ let prop_shuffle_preserves_multiset =
       let arr = Array.of_list xs in
       Prng.shuffle t arr;
       List.sort compare (Array.to_list arr) = List.sort compare xs)
+
+let prop_dec_matches_stdlib =
+  QCheck.Test.make ~name:"dec writes the stdlib's bytes" ~count:500
+    QCheck.(pair int int64)
+    (fun (i, l) ->
+      written Dec.add_int i = string_of_int i
+      && written Dec.add_int64 l = Int64.to_string l)
 
 let () =
   Alcotest.run "util"
@@ -476,11 +542,17 @@ let () =
             test_json_emit_parse_roundtrip;
           Alcotest.test_case "accessors" `Quick test_json_accessors;
         ] );
+      ( "dec",
+        [
+          Alcotest.test_case "matches stdlib" `Quick test_dec_matches_stdlib;
+          Alcotest.test_case "allocation-free" `Quick test_dec_allocation_free;
+        ] );
       ( "properties",
         List.map QCheck_alcotest.to_alcotest
           [
             prop_bar_never_exceeds_width;
             prop_geomean_between_minmax;
             prop_shuffle_preserves_multiset;
+            prop_dec_matches_stdlib;
           ] );
     ]
