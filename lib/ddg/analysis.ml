@@ -109,9 +109,10 @@ let topo_order g =
   List.rev !order
 
 (* Bellman-Ford longest paths on the reversed graph: height.(v) = max over
-   edges v->w of weight(e) + height(w), iterated to fixpoint. At a feasible
-   II no positive cycle exists, so the fixpoint is reached within |V|
-   rounds. *)
+   edges v->w of weight(e) + height(w), iterated to fixpoint. Without a
+   positive cycle the fixpoint is reached within |V| rounds; with one some
+   height grows in every round, so a change in the last round means one
+   exists. *)
 let longest_path_lengths g ~ii ~edge_lat =
   let h = Hashtbl.create 32 in
   let ns = Graph.nodes g in
@@ -134,7 +135,7 @@ let longest_path_lengths g ~ii ~edge_lat =
           (Graph.succs g n.n_id))
       ns
   done;
-  fun id -> Hashtbl.find h id
+  if !changed then None else Some (fun id -> Hashtbl.find h id)
 
 let longest_path_depths g ~ii ~edge_lat =
   let d = Hashtbl.create 32 in

@@ -22,17 +22,20 @@ val topo_order : Graph.t -> int list
     passes {!Graph.validate}). *)
 
 val longest_path_lengths :
-  Graph.t -> ii:int -> edge_lat:(Graph.edge -> int) -> (int -> int)
+  Graph.t -> ii:int -> edge_lat:(Graph.edge -> int) -> (int -> int) option
 (** Height of each node: the longest weighted path from the node to any
     sink, where an edge weighs [edge_lat e - ii * dist]. Heights are the
-    classic modulo-scheduling priority. Requires that no cycle has positive
-    weight at this [ii] (guaranteed for [ii >= rec_mii]). *)
+    classic modulo-scheduling priority. [None] when some cycle has positive
+    weight at this [ii]: then no heights exist, and no schedule at this
+    [ii] satisfies every edge. [Some] whenever [ii >= rec_mii] for the
+    same [edge_lat]. *)
 
 val longest_path_depths :
   Graph.t -> ii:int -> edge_lat:(Graph.edge -> int) -> (int -> int)
 (** Dual of {!longest_path_lengths}: the longest weighted path {e into}
     each node from any source (its ASAP time at this II, up to an additive
-    constant). Same feasibility requirement. *)
+    constant). Requires that no cycle has positive weight at this [ii]
+    ({!longest_path_lengths} returns [Some]). *)
 
 val rec_mii : Graph.t -> edge_lat:(Graph.edge -> int) -> int
 (** Smallest II at which no dependence cycle has positive weight

@@ -71,15 +71,6 @@ let mii machine g req =
 
 (* MinComs post-pass: permute clusters to maximise profiled local
    accesses. *)
-let rec permutations = function
-  | [] -> [ [] ]
-  | l ->
-    List.concat_map
-      (fun x ->
-        List.map (fun p -> x :: p)
-          (permutations (List.filter (( <> ) x) l)))
-      l
-
 let postpass req g (s : Schedule.t) =
   let n = req.machine.M.clusters in
   let mems = G.mem_refs g in
@@ -105,16 +96,27 @@ let postpass req g (s : Schedule.t) =
   in
   let identity = Array.init n Fun.id in
   let best = ref identity and best_score = ref (score identity) in
-  (if n <= 8 then
-     (* exhaustive n! search: exact, and cheap up to 8! = 40320 *)
-     List.iter
-       (fun p ->
-         let perm = Array.of_list p in
-         let sc = score perm in
+  (if n <= 8 then begin
+     (* exhaustive n! search: exact, and cheap up to 8! = 40320. Depth
+        [cl] picks perm.(cl) in ascending order, so leaves come in
+        lexicographic order and the first strict improvement wins ties. *)
+     let perm = Array.make n 0 and used = Array.make n false in
+     let rec dfs cl sc =
+       if cl = n then (
          if sc > !best_score then (
-           best := perm;
+           best := Array.copy perm;
            best_score := sc))
-       (permutations (List.init n Fun.id))
+       else
+         for ph = 0 to n - 1 do
+           if not used.(ph) then (
+             used.(ph) <- true;
+             perm.(cl) <- ph;
+             dfs (cl + 1) (sc + weight.(cl).(ph));
+             used.(ph) <- false)
+         done
+     in
+     dfs 0 0
+   end
    else begin
      (* scaled machines: n! is unusable at 16+, so solve the linear
         assignment greedily — highest-weight (cl, phys) pair first, ties

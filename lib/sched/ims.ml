@@ -14,6 +14,11 @@ type ctx = {
   assumed : (int, int) Hashtbl.t;
 }
 
+(* A recurrence whose latency exceeds II times its distance: every schedule
+   at this II violates one of its edges, so the attempt fails before
+   placing anything. *)
+exception Positive_recurrence
+
 (* The inner loop probes placements thousands of times per attempt, so the
    per-node facts (latency under the current assumption, height, FU kind,
    adjacency) are snapshotted into dense arrays up front and the mutable
@@ -22,7 +27,7 @@ type ctx = {
    iteration order picks force_place victims and it is the [Schedule.place]
    the caller receives, so every replace/remove happens exactly as before —
    the arrays only accelerate reads. *)
-let attempt ctx g ~ii =
+let place_all ctx g ~ii =
   let m = ctx.machine in
   let nclusters = m.M.clusters in
   let buslat = m.M.reg_buses.M.bus_latency in
@@ -58,7 +63,11 @@ let attempt ctx g ~ii =
       fukindv.(n.G.n_id) <- G.fu_kind n;
       memv.(n.G.n_id) <- G.mem_node g n.G.n_id)
     ns;
-  let height = A.longest_path_lengths g ~ii ~edge_lat:elat in
+  let height =
+    match A.longest_path_lengths g ~ii ~edge_lat:elat with
+    | Some h -> h
+    | None -> raise_notrace Positive_recurrence
+  in
   let heightv = Array.make nmax 0 in
   List.iter (fun (n : G.node) -> heightv.(n.G.n_id) <- height n.G.n_id) ns;
   (* Swing-style order: start from the least-mobile node, then grow the
@@ -186,35 +195,43 @@ let attempt ctx g ~ii =
     !acc
   in
 
-  let comm_cost id c =
-    let cost = ref 0 in
-    let count other (e : G.edge) =
-      if e.e_kind = G.RF then
-        let cl = place_c.(other) in
-        if cl >= 0 && cl <> c then incr cost
-    in
-    Array.iter (fun (e : G.edge) -> count e.e_src e) preds_arr.(id);
-    Array.iter (fun (e : G.edge) -> count e.e_dst e) succs_arr.(id);
-    !cost
+  (* clusters in ascending (key, index) order *)
+  let by_key key =
+    List.sort
+      (fun a b ->
+        let d = Int.compare key.(a) key.(b) in
+        if d <> 0 then d else Int.compare a b)
+      (List.init nclusters Fun.id)
   in
-
+  let rf_in = Array.make nclusters 0 in
   let candidates (n : G.node) =
     match pin_of n with
     | Some c -> [ c ]
     | None ->
-      let all = List.init nclusters Fun.id in
+      (* key = 10 * cross-cluster RF edges to placed neighbours + FU load.
+         One pass counts the placed RF neighbours per cluster; each of
+         them costs every other cluster one copy. *)
       let by_cost () =
-        List.stable_sort
-          (fun a b ->
-            compare
-              ((10 * comm_cost n.n_id a) + Mrt.fu_load mrt ~cluster:a, a)
-              ((10 * comm_cost n.n_id b) + Mrt.fu_load mrt ~cluster:b, b))
-          all
+        Array.fill rf_in 0 nclusters 0;
+        let placed = ref 0 in
+        let count cl =
+          if cl >= 0 then (
+            incr placed;
+            rf_in.(cl) <- rf_in.(cl) + 1)
+        in
+        Array.iter
+          (fun (e : G.edge) -> if e.e_kind = G.RF then count place_c.(e.e_src))
+          preds_arr.(n.n_id);
+        Array.iter
+          (fun (e : G.edge) -> if e.e_kind = G.RF then count place_c.(e.e_dst))
+          succs_arr.(n.n_id);
+        by_key
+          (Array.init nclusters (fun c ->
+               (10 * (!placed - rf_in.(c))) + Mrt.fu_load mrt ~cluster:c))
       in
       if ctx.heuristic = Schedule.Pref_clus && memv.(n.n_id) then
         match ctx.pref n.n_id with
-        | Some h when Array.length h = nclusters ->
-          List.stable_sort (fun a b -> compare (-h.(a), a) (-h.(b), b)) all
+        | Some h when Array.length h = nclusters -> by_key (Array.map ( ~- ) h)
         | _ -> by_cost ()
       else by_cost ()
   in
@@ -239,68 +256,78 @@ let attempt ctx g ~ii =
     !ok
   in
 
+  let add_copy (e : G.edge) ~from ~to_ ~cycle ~bus =
+    Hashtbl.replace copies
+      (e.e_src, e.e_dst, e.e_dist)
+      {
+        Schedule.cp_src = e.e_src;
+        cp_dst = e.e_dst;
+        cp_dist = e.e_dist;
+        cp_from = from;
+        cp_to = to_;
+        cp_cycle = cycle;
+        cp_bus = bus;
+      }
+  in
+
   (* Try to place node n at cycle t in cluster c. On success, commits the FU
      slot, any needed copies (bus slots), and the placement. *)
   let try_place (n : G.node) t c =
     let kind = fukindv.(n.n_id) in
-    if t < 0 || not (Mrt.fu_free mrt ~cycle:t ~cluster:c kind) then false
+    (* [check] sees each placed neighbour's edge, preds then succs, as the
+       producer's issue cycle, the neighbour's cluster and the consumer's
+       issue deadline; the scan stops at the first false *)
+    let neighbours_ok check =
+      all_ok
+        (fun (e : G.edge) ->
+          let ts = place_t.(e.e_src) in
+          ts < 0
+          || check e ~src_cycle:ts ~other:place_c.(e.e_src)
+               ~deadline:(t + (ii * e.e_dist)))
+        preds_arr.(n.n_id)
+      && all_ok
+           (fun (e : G.edge) ->
+             let td = place_t.(e.e_dst) in
+             td < 0
+             || check e ~src_cycle:t ~other:place_c.(e.e_dst)
+                  ~deadline:(td + (ii * e.e_dist)))
+           succs_arr.(n.n_id)
+    in
+    let cross (e : G.edge) other = e.e_kind = G.RF && other <> c in
+    (* a cross-cluster RF edge's copy leaves once the value is ready and
+       arrives by the consumer's issue: ready + bus_latency <= deadline,
+       which Mrt.bus_find requires of any window it returns *)
+    let fits e ~src_cycle ~other ~deadline =
+      src_cycle + elat e + (if cross e other then buslat else 0) <= deadline
+    in
+    (* every timing first: a placement some edge rules out fails without
+       reserving, and rolling back, any bus *)
+    if
+      t < 0
+      || (not (Mrt.fu_free mrt ~cycle:t ~cluster:c kind))
+      || not (neighbours_ok fits)
+    then false
     else (
-      let taken_buses = ref [] in
       let new_copies = ref [] in
-      let rollback () =
-        List.iter
-          (fun (cycle, bus) -> Mrt.bus_release mrt ~cycle ~bus)
-          !taken_buses
-      in
-      let need_copy (e : G.edge) ~src_cycle ~dst_issue_deadline =
-        let lo = src_cycle + elat e in
+      let copied e ~src_cycle ~other ~deadline =
+        (not (cross e other))
+        ||
         (* the transfer's last busy slot must precede the consumer's issue:
            arrival = start + bus_latency <= deadline *)
-        match Mrt.bus_find mrt ~lo ~hi:(dst_issue_deadline - 1) with
+        match Mrt.bus_find mrt ~lo:(src_cycle + elat e) ~hi:(deadline - 1) with
         | None -> false
         | Some (cycle, bus) ->
           Mrt.bus_take mrt ~cycle ~bus;
-          taken_buses := (cycle, bus) :: !taken_buses;
           new_copies := (e, cycle, bus) :: !new_copies;
           true
       in
-      let pred_ok (e : G.edge) =
-        let ts = place_t.(e.e_src) in
-        if ts < 0 then true
-        else
-          let cs = place_c.(e.e_src) in
-          let deadline = t + (ii * e.e_dist) in
-          if e.e_kind <> G.RF || cs = c then ts + elat e <= deadline
-          else need_copy e ~src_cycle:ts ~dst_issue_deadline:deadline
-      in
-      let succ_ok (e : G.edge) =
-        let td = place_t.(e.e_dst) in
-        if td < 0 then true
-        else
-          let cd = place_c.(e.e_dst) in
-          let deadline = td + (ii * e.e_dist) in
-          if e.e_kind <> G.RF || cd = c then t + elat e <= deadline
-          else need_copy e ~src_cycle:t ~dst_issue_deadline:deadline
-      in
-      if all_ok pred_ok preds_arr.(n.n_id) && all_ok succ_ok succs_arr.(n.n_id)
-      then (
+      if neighbours_ok copied then (
         Mrt.fu_take mrt ~cycle:t ~cluster:c kind;
         do_place n.n_id t c;
         List.iter
           (fun ((e : G.edge), cycle, bus) ->
-            let cs = place_c.(e.e_src) in
-            let cd = place_c.(e.e_dst) in
-            Hashtbl.replace copies
-              (e.e_src, e.e_dst, e.e_dist)
-              {
-                Schedule.cp_src = e.e_src;
-                cp_dst = e.e_dst;
-                cp_dist = e.e_dist;
-                cp_from = cs;
-                cp_to = cd;
-                cp_cycle = cycle;
-                cp_bus = bus;
-              })
+            add_copy e ~from:place_c.(e.e_src) ~to_:place_c.(e.e_dst) ~cycle
+              ~bus)
           !new_copies;
         (match Hashtbl.find_opt group_of n.n_id with
         | Some gi when not (Hashtbl.mem group_pin gi) ->
@@ -308,7 +335,9 @@ let attempt ctx g ~ii =
         | _ -> ());
         true)
       else (
-        rollback ();
+        List.iter
+          (fun (_, cycle, bus) -> Mrt.bus_release mrt ~cycle ~bus)
+          !new_copies;
         false))
   in
 
@@ -380,17 +409,7 @@ let attempt ctx g ~ii =
               | None -> false
               | Some (cycle, bus) ->
                 Mrt.bus_take mrt ~cycle ~bus;
-                Hashtbl.replace copies
-                  (e.e_src, e.e_dst, e.e_dist)
-                  {
-                    Schedule.cp_src = e.e_src;
-                    cp_dst = e.e_dst;
-                    cp_dist = e.e_dist;
-                    cp_from = c;
-                    cp_to = co;
-                    cp_cycle = cycle;
-                    cp_bus = bus;
-                  };
+                add_copy e ~from:c ~to_:co ~cycle ~bus;
                 true
           else
             let deadline = t + (ii * e.e_dist) in
@@ -400,17 +419,7 @@ let attempt ctx g ~ii =
               | None -> false
               | Some (cycle, bus) ->
                 Mrt.bus_take mrt ~cycle ~bus;
-                Hashtbl.replace copies
-                  (e.e_src, e.e_dst, e.e_dist)
-                  {
-                    Schedule.cp_src = e.e_src;
-                    cp_dst = e.e_dst;
-                    cp_dist = e.e_dist;
-                    cp_from = co;
-                    cp_to = c;
-                    cp_cycle = cycle;
-                    cp_bus = bus;
-                  };
+                add_copy e ~from:co ~to_:c ~cycle ~bus;
                 true
         in
         if not ok then eject other)
@@ -472,8 +481,11 @@ let attempt ctx g ~ii =
                   decr t
                 done)
               else
+                (* past [latest] some placed successor's edge fails in
+                   every cluster, so the scan stops there *)
                 let t = ref e0 in
-                while (not !placed) && !t <= e0 + span do
+                let stop = min (e0 + span) latest in
+                while (not !placed) && !t <= stop do
                   if try_place n !t c then placed := true;
                   incr t
                 done)
@@ -504,3 +516,6 @@ let attempt ctx g ~ii =
         copies = Hashtbl.fold (fun _ c acc -> c :: acc) copies [];
         length;
       })
+
+let attempt ctx g ~ii =
+  try place_all ctx g ~ii with Positive_recurrence -> None

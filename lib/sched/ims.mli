@@ -38,4 +38,6 @@ type ctx = {
 }
 
 val attempt : ctx -> Vliw_ddg.Graph.t -> ii:int -> Schedule.t option
-(** One scheduling attempt at the given II. [None] on budget exhaustion. *)
+(** One scheduling attempt at the given II. [None] on budget exhaustion,
+    and at once, before placing anything, when a recurrence is positive at
+    this II under the assumed latencies (no valid schedule exists). *)

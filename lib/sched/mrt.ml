@@ -13,16 +13,24 @@ type t = {
   cap : int array; (* per FU-kind capacity per cluster *)
   fu : int array; (* (slot * nclusters + cluster) * 3 + kind -> count *)
   bus : int array; (* slot * nbuses + bus -> reservation count *)
+  busy : int array; (* slot -> bit b set iff bus b's count there is > 0 *)
   cluster_load : int array;
 }
 
 let kindex = function M.Int_fu -> 0 | M.Fp_fu -> 1 | M.Mem_fu -> 2
 let kinds = [| M.Int_fu; M.Fp_fu; M.Mem_fu |]
 
+(* one bit per bus in a non-negative int *)
+let max_buses = Sys.int_size - 1
+
 let create machine ~ii =
   if ii <= 0 then invalid_arg "Mrt.create: non-positive II";
   let nclusters = machine.M.clusters in
   let nbuses = machine.M.reg_buses.M.bus_count in
+  if nbuses > max_buses then
+    invalid_arg
+      (Printf.sprintf "Mrt.create: %d register buses exceed the %d-bit mask"
+         nbuses max_buses);
   {
     ii;
     nclusters;
@@ -35,10 +43,12 @@ let create machine ~ii =
             ~default:0);
     fu = Array.make (ii * nclusters * 3) 0;
     bus = Array.make (ii * nbuses) 0;
+    busy = Array.make ii 0;
     cluster_load = Array.make nclusters 0;
   }
 
 let slot t cycle = ((cycle mod t.ii) + t.ii) mod t.ii
+let next_slot t s = if s + 1 = t.ii then 0 else s + 1
 let fu_idx t ~slot ~cluster k = ((slot * t.nclusters) + cluster) * 3 + k
 
 let fu_free t ~cycle ~cluster kind =
@@ -60,34 +70,44 @@ let fu_release t ~cycle ~cluster kind =
 
 let fu_load t ~cluster = t.cluster_load.(cluster)
 
-let bus_slots_free t ~cycle ~bus =
-  let ok = ref true in
-  for k = 0 to t.buslat - 1 do
-    if t.bus.((slot t (cycle + k) * t.nbuses) + bus) > 0 then ok := false
-  done;
-  !ok
-
+(* For each start cycle, OR the busy masks of the [buslat] slots it would
+   hold and take the lowest clear bit: the same (cycle, bus) as scanning
+   cycles outer and buses inner, slot by slot. *)
 let bus_find t ~lo ~hi =
   let hi_start = hi - t.buslat + 1 in
-  let last = min hi_start (lo + t.ii - 1) in
-  let rec go cycle =
-    if cycle > last then None
-    else
-      let rec try_bus b =
-        if b >= t.nbuses then None
-        else if bus_slots_free t ~cycle ~bus:b then Some (cycle, b)
-        else try_bus (b + 1)
-      in
-      match try_bus 0 with Some r -> Some r | None -> go (cycle + 1)
-  in
-  if lo > hi_start then None else go lo
+  if lo > hi_start then None
+  else
+    let last = min hi_start (lo + t.ii - 1) in
+    let full = (1 lsl t.nbuses) - 1 in
+    let rec go cycle s0 =
+      if cycle > last then None
+      else (
+        let mask = ref 0 and s = ref s0 in
+        for _ = 1 to t.buslat do
+          mask := !mask lor t.busy.(!s);
+          s := next_slot t !s
+        done;
+        let free = lnot !mask land full in
+        if free <> 0 then (
+          let b = ref 0 in
+          while free land (1 lsl !b) = 0 do
+            incr b
+          done;
+          Some (cycle, !b))
+        else go (cycle + 1) (next_slot t s0))
+    in
+    go lo (slot t lo)
 
-let bus_take t ~cycle ~bus =
-  for k = 0 to t.buslat - 1 do
-    bump t.bus ((slot t (cycle + k) * t.nbuses) + bus) 1
+let bus_update t ~cycle ~bus delta =
+  let bit = 1 lsl bus in
+  let s = ref (slot t cycle) in
+  for _ = 1 to t.buslat do
+    let i = (!s * t.nbuses) + bus in
+    bump t.bus i delta;
+    if t.bus.(i) = 0 then t.busy.(!s) <- t.busy.(!s) land lnot bit
+    else t.busy.(!s) <- t.busy.(!s) lor bit;
+    s := next_slot t !s
   done
 
-let bus_release t ~cycle ~bus =
-  for k = 0 to t.buslat - 1 do
-    bump t.bus ((slot t (cycle + k) * t.nbuses) + bus) (-1)
-  done
+let bus_take t ~cycle ~bus = bus_update t ~cycle ~bus 1
+let bus_release t ~cycle ~bus = bus_update t ~cycle ~bus (-1)

@@ -8,7 +8,13 @@
 
 type t
 
+val max_buses : int
+(** Widest register-bus pool the table represents: bus occupancy per slot
+    is one bit per bus in an [int]. *)
+
 val create : Vliw_arch.Machine.t -> ii:int -> t
+(** @raise Invalid_argument on a non-positive [ii] or more than
+    {!max_buses} register buses. *)
 
 val fu_free : t -> cycle:int -> cluster:int -> Vliw_arch.Machine.fu_kind -> bool
 val fu_take : t -> cycle:int -> cluster:int -> Vliw_arch.Machine.fu_kind -> unit
@@ -20,8 +26,9 @@ val fu_load : t -> cluster:int -> int
 
 val bus_find : t -> lo:int -> hi:int -> (int * int) option
 (** Earliest [(cycle, bus)] with [lo <= cycle] and [cycle + bus_latency - 1
-    <= hi] whose slots are all free. Scans at most II distinct start cycles
-    (occupancy is periodic). *)
+    <= hi] whose slots are all free, lowest-numbered bus first at that
+    cycle. Scans at most II distinct start cycles (occupancy is
+    periodic). *)
 
 val bus_take : t -> cycle:int -> bus:int -> unit
 val bus_release : t -> cycle:int -> bus:int -> unit

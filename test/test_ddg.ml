@@ -188,33 +188,53 @@ let test_rec_mii_acyclic () =
   Alcotest.(check int) "acyclic MII is 1" 1
     (A.rec_mii g ~edge_lat:(fun _ -> 1))
 
-let test_rec_mii_recurrence () =
-  (* cycle a -> b -> a with latencies 2 + 3 and total distance 1: RecMII 5 *)
+(* cycle a -> b -> a with latencies 2 + 3 and total distance [dist] *)
+let recurrence ~dist =
   let g = G.create () in
   let a = G.add_node g (arith ~lat:2 "a") in
   let b = G.add_node g (arith ~lat:3 "b") in
   G.add_edge g G.RF ~src:a.n_id ~dst:b.n_id;
-  G.add_edge g ~dist:1 G.RF ~src:b.n_id ~dst:a.n_id;
-  let edge_lat (e : G.edge) = if e.e_src = a.n_id then 2 else 3 in
+  G.add_edge g ~dist G.RF ~src:b.n_id ~dst:a.n_id;
+  (g, a, fun (e : G.edge) -> if e.e_src = a.n_id then 2 else 3)
+
+let test_rec_mii_recurrence () =
+  (* total distance 1: RecMII 5 *)
+  let g, _, edge_lat = recurrence ~dist:1 in
   Alcotest.(check int) "RecMII = 5" 5 (A.rec_mii g ~edge_lat)
 
 let test_rec_mii_distance_two () =
-  (* same cycle but distance 2: ceil(5/2) = 3 *)
-  let g = G.create () in
-  let a = G.add_node g (arith ~lat:2 "a") in
-  let b = G.add_node g (arith ~lat:3 "b") in
-  G.add_edge g G.RF ~src:a.n_id ~dst:b.n_id;
-  G.add_edge g ~dist:2 G.RF ~src:b.n_id ~dst:a.n_id;
-  let edge_lat (e : G.edge) = if e.e_src = a.n_id then 2 else 3 in
+  (* distance 2: ceil(5/2) = 3 *)
+  let g, _, edge_lat = recurrence ~dist:2 in
   Alcotest.(check int) "RecMII = 3" 3 (A.rec_mii g ~edge_lat)
 
 let test_longest_paths () =
   let g, a, b, c, d = diamond () in
-  let h = A.longest_path_lengths g ~ii:1 ~edge_lat:(fun _ -> 1) in
-  Alcotest.(check int) "sink height" 0 (h d.n_id);
-  Alcotest.(check int) "mid height" 1 (h b.n_id);
-  Alcotest.(check int) "mid height c" 1 (h c.n_id);
-  Alcotest.(check int) "source height" 2 (h a.n_id)
+  match A.longest_path_lengths g ~ii:1 ~edge_lat:(fun _ -> 1) with
+  | None -> Alcotest.fail "an acyclic graph has heights at any II"
+  | Some h ->
+    Alcotest.(check int) "sink height" 0 (h d.n_id);
+    Alcotest.(check int) "mid height" 1 (h b.n_id);
+    Alcotest.(check int) "mid height c" 1 (h c.n_id);
+    Alcotest.(check int) "source height" 2 (h a.n_id)
+
+(* heights exist exactly from RecMII up: one below it the recurrence is a
+   positive cycle *)
+let test_longest_paths_rec_mii () =
+  List.iter
+    (fun dist ->
+      let g, a, edge_lat = recurrence ~dist in
+      let r = A.rec_mii g ~edge_lat in
+      Alcotest.(check bool)
+        (Printf.sprintf "dist %d: none at II %d" dist (r - 1))
+        true
+        (Option.is_none (A.longest_path_lengths g ~ii:(r - 1) ~edge_lat));
+      match A.longest_path_lengths g ~ii:r ~edge_lat with
+      | None -> Alcotest.failf "dist %d: no heights at RecMII %d" dist r
+      | Some h ->
+        (* a -> b weighs 2 and the back edge is not positive at RecMII *)
+        Alcotest.(check int) (Printf.sprintf "dist %d: height of a" dist) 2
+          (h a.n_id))
+    [ 1; 2 ]
 
 let test_dot_output () =
   let g = G.create () in
@@ -307,6 +327,8 @@ let () =
           Alcotest.test_case "rec_mii cycle" `Quick test_rec_mii_recurrence;
           Alcotest.test_case "rec_mii distance 2" `Quick test_rec_mii_distance_two;
           Alcotest.test_case "longest paths" `Quick test_longest_paths;
+          Alcotest.test_case "longest paths from rec_mii" `Quick
+            test_longest_paths_rec_mii;
           Alcotest.test_case "dot output" `Quick test_dot_output;
         ] );
       ( "properties",

@@ -64,6 +64,122 @@ let test_mrt_bus_modulo_conflict () =
   Mrt.bus_release mrt ~cycle:0 ~bus:0;
   Alcotest.(check bool) "free again" true (Mrt.bus_find mrt ~lo:0 ~hi:20 <> None)
 
+let with_reg_buses ~count ~latency =
+  { M.table2 with M.reg_buses = { M.bus_count = count; bus_latency = latency } }
+
+let test_mrt_bus_mask_width () =
+  (* the widest representable pool still finds its top bus *)
+  let mrt = Mrt.create (with_reg_buses ~count:Mrt.max_buses ~latency:2) ~ii:1 in
+  for bus = 0 to Mrt.max_buses - 2 do
+    Mrt.bus_take mrt ~cycle:0 ~bus
+  done;
+  Alcotest.(check (option (pair int int))) "top bus" (Some (0, Mrt.max_buses - 1))
+    (Mrt.bus_find mrt ~lo:0 ~hi:5);
+  Mrt.bus_take mrt ~cycle:0 ~bus:(Mrt.max_buses - 1);
+  Alcotest.(check (option (pair int int))) "all taken" None
+    (Mrt.bus_find mrt ~lo:0 ~hi:5);
+  match Mrt.create (with_reg_buses ~count:(Mrt.max_buses + 1) ~latency:2) ~ii:1 with
+  | _ -> Alcotest.fail "a pool wider than the mask was accepted"
+  | exception Invalid_argument _ -> ()
+
+(* --- property: bus_find agrees with a slot-by-slot scan --- *)
+
+type bus_op =
+  | Take of int * int  (** reserve (cycle, bus), free or not *)
+  | Take_found of int * int  (** reserve what bus_find returns, as Ims does *)
+  | Release of int  (** release the i-th live reservation (mod count) *)
+  | Find of int * int
+
+let gen_bus_case =
+  QCheck.Gen.(
+    let* ii = int_range 1 12 in
+    let* buslat = int_range 1 5 in
+    let* nbuses = int_range 1 32 in
+    let window = pair (int_range 0 40) (int_range (-1) 24) in
+    let op =
+      frequency
+        [
+          (2, map2 (fun c b -> Take (c, b)) (int_range 0 40) (int_bound (nbuses - 1)));
+          (5, map (fun (lo, w) -> Take_found (lo, lo + w)) window);
+          (2, map (fun i -> Release i) (int_bound 1000));
+          (4, map (fun (lo, w) -> Find (lo, lo + w)) window);
+        ]
+    in
+    let* ops = list_size (int_range 1 120) op in
+    return (ii, buslat, nbuses, ops))
+
+let print_bus_case (ii, buslat, nbuses, ops) =
+  Printf.sprintf "ii=%d buslat=%d buses=%d: %s" ii buslat nbuses
+    (String.concat "; "
+       (List.map
+          (function
+            | Take (c, b) -> Printf.sprintf "take %d/%d" c b
+            | Take_found (lo, hi) -> Printf.sprintf "take-found [%d,%d]" lo hi
+            | Release i -> Printf.sprintf "release #%d" i
+            | Find (lo, hi) -> Printf.sprintf "find [%d,%d]" lo hi)
+          ops))
+
+let prop_bus_find_model =
+  QCheck.Test.make ~name:"bus_find matches a slot-by-slot reference scan"
+    ~count:500
+    (QCheck.make ~print:print_bus_case gen_bus_case)
+    (fun (ii, buslat, nbuses, ops) ->
+      let mrt = Mrt.create (with_reg_buses ~count:nbuses ~latency:buslat) ~ii in
+      (* shadow reservation counts per (slot, bus), and the live takes *)
+      let count = Array.make (ii * nbuses) 0 in
+      let live = ref [] in
+      let shadow ~cycle ~bus delta =
+        for k = 0 to buslat - 1 do
+          let i = ((cycle + k) mod ii * nbuses) + bus in
+          count.(i) <- count.(i) + delta
+        done
+      in
+      let take ~cycle ~bus =
+        Mrt.bus_take mrt ~cycle ~bus;
+        shadow ~cycle ~bus 1;
+        live := (cycle, bus) :: !live
+      in
+      let free ~cycle ~bus =
+        let ok = ref true in
+        for k = 0 to buslat - 1 do
+          if count.(((cycle + k) mod ii * nbuses) + bus) > 0 then ok := false
+        done;
+        !ok
+      in
+      (* cycles outer, buses inner, every slot of the window probed *)
+      let reference ~lo ~hi =
+        let last = min (hi - buslat + 1) (lo + ii - 1) in
+        let rec scan cycle bus =
+          if cycle > last then None
+          else if bus = nbuses then scan (cycle + 1) 0
+          else if free ~cycle ~bus then Some (cycle, bus)
+          else scan cycle (bus + 1)
+        in
+        scan lo 0
+      in
+      List.for_all
+        (function
+          | Take (cycle, bus) ->
+            take ~cycle ~bus;
+            true
+          | Take_found (lo, hi) ->
+            let r = Mrt.bus_find mrt ~lo ~hi in
+            let agree = r = reference ~lo ~hi in
+            Option.iter (fun (cycle, bus) -> take ~cycle ~bus) r;
+            agree
+          | Release i ->
+            (match !live with
+            | [] -> ()
+            | l ->
+              let j = i mod List.length l in
+              let cycle, bus = List.nth l j in
+              Mrt.bus_release mrt ~cycle ~bus;
+              shadow ~cycle ~bus (-1);
+              live := List.filteri (fun k _ -> k <> j) l);
+            true
+          | Find (lo, hi) -> Mrt.bus_find mrt ~lo ~hi = reference ~lo ~hi)
+        ops)
+
 (* --- basic scheduling --- *)
 
 let test_schedule_single_op () =
@@ -511,6 +627,8 @@ let () =
           Alcotest.test_case "fu capacity" `Quick test_mrt_fu_capacity;
           Alcotest.test_case "bus occupancy" `Quick test_mrt_bus_occupancy;
           Alcotest.test_case "bus modulo conflict" `Quick test_mrt_bus_modulo_conflict;
+          Alcotest.test_case "bus mask width" `Quick test_mrt_bus_mask_width;
+          QCheck_alcotest.to_alcotest prop_bus_find_model;
         ] );
       ( "basic",
         [
