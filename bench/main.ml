@@ -172,9 +172,7 @@ let serve_levels = [ (1, 1); (1, 2); (1, 4); (1, 8); (4, 1); (4, 2); (4, 4); (4,
 let serve_bench () =
   let module Sv = Vliw_serve in
   let kernels = Sv.Loadgen.synth_kernels 12 in
-  let techniques =
-    [ Sv.Engine.Free; Sv.Engine.Mdc; Sv.Engine.Ddgt; Sv.Engine.Hybrid ]
-  in
+  let techniques = Vliw_sched.Schedule.techniques in
   let count = 240 in
   let reqs = Sv.Loadgen.requests ~kernels ~techniques ~count () in
   let host_cores = Domain.recommended_domain_count () in
@@ -495,13 +493,17 @@ let run_bechamel () =
 
 (* ---- counter-drift self-check (--selfcheck) ----
 
-   Runs a pinned experiment subset and compares every non-timing counter
-   of the resulting runs against the committed baseline report. Exits 1 on
+   Runs every experiment that records runs (the sweep minus the static
+   t1/t2 tables and fuzz/litmus, which report in their own JSON sections)
+   and compares every non-timing counter of the resulting runs against
+   the committed baseline report. Exits 1 on
    drift; with --selfcheck-out DIR the diff report lands in
    DIR/selfcheck-diff.txt and every simulation's Chrome trace in
    DIR/traces (the CI artifacts). *)
 
-let selfcheck_keys = [ "fig6"; "fig7"; "t3"; "t4"; "t5"; "scale"; "protocol" ]
+let selfcheck_keys =
+  [ "fig6"; "fig7"; "t3"; "t4"; "nobal"; "fig9"; "t5"; "hybrid"; "scale";
+    "protocol"; "verify"; "ablations" ]
 let default_baseline = "BENCH_harness.json"
 
 let run_selfcheck ~baseline_path ~out_dir =
@@ -536,8 +538,10 @@ let usage () =
      known experiments: %s, all, bechamel\n\
      (\"serve\" is opt-in and excluded from \"all\": it benchmarks the\n\
      compile service rather than the paper reproduction)\n\
-     --selfcheck runs the pinned subset (%s), diffs all non-timing\n\
-     counters against the committed baseline and exits 1 on drift\n"
+     --selfcheck runs every experiment that records runs:\n\
+     %s\n\
+     diffs all non-timing counters against the committed baseline\n\
+     and exits 1 on drift\n"
     (String.concat " " (List.map (fun (k, _, _) -> k) experiments))
     (String.concat " " selfcheck_keys);
   exit 2

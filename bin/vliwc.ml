@@ -16,9 +16,6 @@ open Cmdliner
 
 module M = Vliw_arch.Machine
 module S = Vliw_sched.Schedule
-module Driver = Vliw_sched.Driver
-module Chains = Vliw_core.Chains
-module Ddgt = Vliw_core.Ddgt
 module Lower = Vliw_lower.Lower
 module Ir = Vliw_ir
 module Sim = Vliw_sim.Sim
@@ -39,7 +36,7 @@ let emit buf result =
   | Error None -> exit 1
 
 (* --compare: all four techniques side by side for one kernel *)
-let compare_kernel ~machine ~heuristic ~pad ~unroll kernel =
+let compare_kernel ~machine ~heuristic ~ordering ~pad ~unroll kernel =
   (match Ir.Typecheck.check kernel with
   | Ok _ -> ()
   | Error e ->
@@ -72,43 +69,17 @@ let compare_kernel ~machine ~heuristic ~pad ~unroll kernel =
     (* the four techniques are independent compile+simulate pipelines;
        rows come back in technique order regardless of pool width *)
     Vliw_util.Pool.map
-      (fun (name, technique) ->
-      let pref = Vliw_profile.Profile.node_pref prof low.Lower.graph in
+      (fun technique ->
+      let name = S.technique_name technique in
       let compiled =
-        match technique with
-        | E.Hybrid -> (
-          match
-            Vliw_sched.Hybrid.choose ~machine ~heuristic
-              ~pref_for:(Vliw_profile.Profile.node_pref prof)
-              ~trip:kernel.Ir.Ast.k_trip low.Lower.graph
-          with
-          | Ok h -> Some (h.Vliw_sched.Hybrid.graph, h.Vliw_sched.Hybrid.schedule)
-          | Error _ -> None)
-        | _ -> (
-          let graph, constraints =
-            match technique with
-            | E.Free | E.Hybrid -> (low.Lower.graph, Chains.no_constraints ())
-            | E.Mdc ->
-              ( low.Lower.graph,
-                (match heuristic with
-                | S.Pref_clus -> Chains.prefclus low.Lower.graph ~pref
-                | S.Min_coms -> Chains.mincoms low.Lower.graph) )
-            | E.Ddgt ->
-              ( (Ddgt.transform ~clusters:machine.M.clusters low.Lower.graph)
-                  .Ddgt.graph,
-                Chains.no_constraints () )
-          in
-          let pref_g = Vliw_profile.Profile.node_pref prof graph in
-          match
-            Driver.run (Driver.request ~heuristic ~constraints ~pref:pref_g machine)
-              graph
-          with
-          | Ok s -> Some (graph, s)
-          | Error _ -> None)
+        Result.to_option
+          (Vliw_sched.Hybrid.compile ~machine ~heuristic
+             ~pref_for:(Vliw_profile.Profile.node_pref prof)
+             ~trip:kernel.Ir.Ast.k_trip ~ordering technique low.Lower.graph)
       in
       match compiled with
       | None -> [ name; "-"; "(no schedule)" ]
-      | Some (graph, schedule) ->
+      | Some { Vliw_sched.Hybrid.c_graph = graph; c_schedule = schedule; _ } ->
         let st =
           Sim.run ~lowered:low ~graph ~schedule ~layout
             ~mode:(Sim.Oracle oracle) ~warm:true ()
@@ -126,7 +97,7 @@ let compare_kernel ~machine ~heuristic ~pad ~unroll kernel =
           string_of_int (S.comm_ops schedule);
           string_of_int (Array.fold_left max 0 ml);
         ])
-      [ ("free", E.Free); ("MDC", E.Mdc); ("DDGT", E.Ddgt); ("hybrid", E.Hybrid) ]
+      S.techniques
   in
   List.iter (T.add_row t) rows;
   T.print t
@@ -200,7 +171,7 @@ let main file workload technique heuristic ordering machine_name clusters icn
     exit 2
   | None -> ());
   (* fail fast on a bad machine name, before the file/workload check *)
-  (match E.machine_of_spec ~name:machine_name ~interleave:4 ~ab:false () with
+  (match M.of_spec ~name:machine_name ~interleave:4 ~ab:false () with
   | Ok _ -> ()
   | Error e ->
     Printf.eprintf "%s\n" e;
@@ -228,8 +199,7 @@ let main file workload technique heuristic ordering machine_name clusters icn
         Option.value (List.assoc_opt "protocol" dirs) ~default:"install-flush"
     in
     match
-      E.machine_of_spec ~clusters ~icn ~protocol ~name:machine_name ~interleave
-        ~ab ()
+      M.of_spec ~clusters ~icn ~protocol ~name:machine_name ~interleave ~ab ()
     with
     | Ok m -> m
     | Error e ->
@@ -281,7 +251,8 @@ let main file workload technique heuristic ordering machine_name clusters icn
     if compare then (
       try
         List.iter
-          (fun kernel -> compare_kernel ~machine ~heuristic ~pad ~unroll kernel)
+          (fun kernel ->
+            compare_kernel ~machine ~heuristic ~ordering ~pad ~unroll kernel)
           (Ir.Parser.parse_kernels src)
       with
       | Ir.Parser.Error (msg, pos) ->
@@ -317,7 +288,8 @@ let main file workload technique heuristic ordering machine_name clusters icn
       (fun (l : W.loop) ->
         Printf.printf "=== %s/%s ===\n" bench.W.b_name l.W.l_name;
         let kernel = W.parse_loop l ~seed:bench.W.b_exec_seed in
-        if compare then compare_kernel ~machine ~heuristic ~pad ~unroll kernel
+        if compare then
+          compare_kernel ~machine ~heuristic ~ordering ~pad ~unroll kernel
         else begin
           let buf = Buffer.create 4096 in
           emit buf (E.run_kernel ?artifacts ~buf ~machine ~opts kernel);
@@ -342,10 +314,12 @@ let workload =
 let technique =
   let tconv =
     Arg.enum
-      [ ("free", E.Free); ("mdc", E.Mdc); ("ddgt", E.Ddgt); ("hybrid", E.Hybrid) ]
+      (List.map
+         (fun t -> (String.lowercase_ascii (S.technique_name t), t))
+         S.techniques)
   in
   Arg.(
-    value & opt tconv E.Free
+    value & opt tconv S.Free
     & info [ "t"; "technique" ] ~docv:"TECH"
         ~doc:
           "Coherence technique: $(b,free) (unrestricted baseline), $(b,mdc), \

@@ -76,14 +76,24 @@ let run_cmd seed count budget jobs out no_shrink weaken =
   print_string (Fuzz.render s);
   if s.Fuzz.s_clean then 0 else 1
 
-let replay_cmd file weaken =
+(* A saved case names its machine in its header: reject a bad one with
+   one line before judging anything. *)
+let load file =
   let case = Gen.load file in
+  match Gen.machine case.Gen.g_mconf with
+  | _ -> case
+  | exception Failure e ->
+    Printf.eprintf "vliwfuzz: %s: %s\n" file e;
+    exit 2
+
+let replay_cmd file weaken =
+  let case = load file in
   let v = Diff.check ?verifier:(verifier_of weaken) case in
   print_verdict v;
   if v.Diff.v_failures = [] then 0 else 1
 
 let shrink_cmd file out weaken =
-  let case = Gen.load file in
+  let case = load file in
   let verifier = verifier_of weaken in
   if not (Diff.failing ?verifier case) then begin
     print_string "case does not fail: nothing to shrink\n";
@@ -179,7 +189,7 @@ let check_cmd files clusters icn jitter matrix max_states jobs out weaken =
   let work =
     List.concat_map
       (fun file ->
-        let case = Gen.load file in
+        let case = load file in
         List.map
           (fun (icn, clusters) ->
             ( file,

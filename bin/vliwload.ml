@@ -10,7 +10,7 @@
 
 open Cmdliner
 module Json = Vliw_util.Json
-module E = Vliw_serve.Engine
+module S = Vliw_sched.Schedule
 module Protocol = Vliw_serve.Protocol
 
 (* ---- req: turn kernel files into request JSONL ---- *)
@@ -205,17 +205,18 @@ let req_cmd =
   let technique =
     let tconv =
       Arg.enum
-        [ ("free", E.Free); ("mdc", E.Mdc); ("ddgt", E.Ddgt); ("hybrid", E.Hybrid) ]
+        (List.map
+           (fun t -> (String.lowercase_ascii (S.technique_name t), t))
+           S.techniques)
     in
-    Arg.(value & opt tconv E.Free & info [ "t"; "technique" ] ~docv:"TECH"
+    Arg.(value & opt tconv S.Free & info [ "t"; "technique" ] ~docv:"TECH"
          ~doc:"Coherence technique (as in vliwc).")
   in
   let heuristic =
     let hconv =
-      Arg.enum [ ("prefclus", Vliw_sched.Schedule.Pref_clus);
-                 ("mincoms", Vliw_sched.Schedule.Min_coms) ]
+      Arg.enum [ ("prefclus", S.Pref_clus); ("mincoms", S.Min_coms) ]
     in
-    Arg.(value & opt hconv Vliw_sched.Schedule.Min_coms
+    Arg.(value & opt hconv S.Min_coms
          & info [ "H"; "heuristic" ] ~docv:"HEUR" ~doc:"Cluster heuristic.")
   in
   let ordering =

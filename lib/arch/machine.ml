@@ -199,6 +199,42 @@ let validate t =
       err "attraction buffer entries must be divisible by associativity"
     | _ -> Ok ()
 
+let of_spec ?(clusters = 4) ?(icn = "bus") ?(protocol = "install-flush") ?membus
+    ~name ~interleave ~ab () =
+  let ( let* ) = Result.bind in
+  let* base =
+    match name with
+    | "bal" -> Ok table2
+    | "nobal-mem" -> Ok nobal_mem
+    | "nobal-reg" -> Ok nobal_reg
+    | other ->
+      Error (Printf.sprintf "unknown machine %S (bal, nobal-mem, nobal-reg)" other)
+  in
+  let* interconnect =
+    match interconnect_of_string icn with
+    | Some i -> Ok i
+    | None -> Error (Printf.sprintf "unknown interconnect %S (bus, directory)" icn)
+  in
+  let* protocol =
+    match protocol_of_string protocol with
+    | Some p -> Ok p
+    | None ->
+      Error
+        (Printf.sprintf "unknown protocol %S (install-flush, msi, mesi)" protocol)
+  in
+  let t = with_interconnect (scale_clusters base clusters) interconnect in
+  let t = if ab then with_attraction t (Some default_attraction) else t in
+  let t = with_interleave t interleave in
+  let t =
+    match membus with
+    | None -> t
+    | Some n -> { t with mem_buses = { t.mem_buses with bus_count = n } }
+  in
+  let t = with_protocol t protocol in
+  match validate t with
+  | Ok () -> Ok t
+  | Error e -> Error ("invalid machine configuration: " ^ e)
+
 let fu_name = function Int_fu -> "Int" | Fp_fu -> "FP" | Mem_fu -> "Mem"
 
 let describe t =

@@ -166,6 +166,25 @@ val validate : t -> (unit, string) result
 (** Structural sanity of a configuration (positive counts, power-of-two
     geometry where required, block divisible among clusters...). *)
 
+val of_spec :
+  ?clusters:int ->
+  ?icn:string ->
+  ?protocol:string ->
+  ?membus:int ->
+  name:string ->
+  interleave:int ->
+  ab:bool ->
+  unit ->
+  (t, string) result
+(** Build and validate a machine from its command-line spelling: a preset
+    [name] ([bal], [nobal-mem], [nobal-reg]), an interleave factor and
+    the AB flag. [clusters] (default 4) scales the preset with
+    {!scale_clusters}; [icn] (default ["bus"]) selects the interconnect
+    ([bus] or [directory]); [protocol] (default ["install-flush"]) the AB
+    coherence protocol ([msi] needs the bus, [mesi] the directory);
+    [membus] overrides the scaled memory-bus count. The error is one line
+    naming the bad field. *)
+
 val pp : Format.formatter -> t -> unit
 val describe : t -> (string * string) list
 (** Key/value rendering of the configuration (used to echo Table 2). *)

@@ -306,8 +306,7 @@ let run_case ?(verifier = Diff.default_verifier) ?(config = default_config)
       { t_technique = tech; t_status = Error e; t_refutation = None }
     | Ok a ->
       let report =
-        verifier ~machine:a.Diff.a_machine
-          ~technique:(Diff.verify_technique tech)
+        verifier ~machine:a.Diff.a_machine ~technique:tech
           ~base:a.Diff.a_lowered.Lower.graph ~layout:a.Diff.a_layout
           ~graph:a.Diff.a_graph ~schedule:a.Diff.a_schedule
       in

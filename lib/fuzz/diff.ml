@@ -1,9 +1,6 @@
 module M = Vliw_arch.Machine
 module G = Vliw_ddg.Graph
 module S = Vliw_sched.Schedule
-module Driver = Vliw_sched.Driver
-module Chains = Vliw_core.Chains
-module Ddgt = Vliw_core.Ddgt
 module Lower = Vliw_lower.Lower
 module Profile = Vliw_profile.Profile
 module Sim = Vliw_sim.Sim
@@ -14,15 +11,11 @@ module Layout = Vliw_ir.Layout
 module Interp = Vliw_ir.Interp
 module Prng = Vliw_util.Prng
 
-type technique = Free | Mdc | Ddgt | Hybrid
+type technique = S.technique = Free | Mdc | Ddgt | Hybrid
 
-let technique_name = function
-  | Free -> "free"
-  | Mdc -> "MDC"
-  | Ddgt -> "DDGT"
-  | Hybrid -> "hybrid"
-
-let techniques = [ Free; Mdc; Ddgt; Hybrid ]
+let technique_name = S.technique_name
+let techniques = S.techniques
+let verify_technique = Fun.id
 
 type verifier =
   machine:M.t ->
@@ -70,12 +63,6 @@ let failure_kinds =
     "audit-mismatch";
   ]
 
-let verify_technique = function
-  | Free -> V.Free
-  | Mdc -> V.Mdc
-  | Ddgt -> V.Ddgt
-  | Hybrid -> V.Hybrid
-
 (* the differential heuristic is itself a pure function of the case
    identity, so replays agree with the original sweep *)
 let heuristic_for (c : Gen.case) =
@@ -93,48 +80,6 @@ let jitter_stream (c : Gen.case) tech =
        "jitter")
     (technique_name tech)
 
-(* One technique's scheduling pipeline over an already-lowered case; the
-   single compile path shared by the differential check below and the
-   model checker (Vliw_check.Check), so both judge the exact same
-   artifacts. Crucially the driver is NOT gated by the verifier: the
-   verdict is collected after the fact and differenced against the
-   dynamic outcome, so a verifier that wrongly certifies is caught
-   instead of obeyed. *)
-let compile_with ~machine ~heuristic ~prof ~pref ~low ~trip tech =
-  match tech with
-  | Hybrid -> (
-    match
-      Vliw_sched.Hybrid.choose ~machine ~heuristic
-        ~pref_for:(Profile.node_pref prof) ~trip low.Lower.graph
-    with
-    | Ok h -> Ok (h.Vliw_sched.Hybrid.graph, h.Vliw_sched.Hybrid.schedule)
-    | Error e -> Error e)
-  | _ ->
-    let graph, constraints =
-      match tech with
-      | Free | Hybrid -> (low.Lower.graph, Chains.no_constraints ())
-      | Mdc ->
-        ( low.Lower.graph,
-          (match heuristic with
-          | S.Pref_clus -> Chains.prefclus low.Lower.graph ~pref
-          | S.Min_coms -> Chains.mincoms low.Lower.graph) )
-      | Ddgt ->
-        let r = Ddgt.transform ~clusters:machine.M.clusters low.Lower.graph in
-        (r.Ddgt.graph, Chains.no_constraints ())
-    in
-    let pref_g =
-      match tech with
-      | Ddgt -> Profile.node_pref prof graph
-      | Free | Mdc | Hybrid -> pref
-    in
-    (match
-       Driver.run
-         (Driver.request ~heuristic ~constraints ~pref:pref_g machine)
-         graph
-     with
-    | Ok s -> Ok (graph, s)
-    | Error e -> Error e)
-
 type artifacts = {
   a_machine : M.t;
   a_layout : Layout.t;
@@ -151,22 +96,17 @@ let compile (c : Gen.case) tech =
   let heuristic = heuristic_for c in
   let low = Lower.lower k in
   let prof = Profile.run ~machine ~layout k in
-  let pref = Profile.node_pref prof low.Lower.graph in
-  match
-    compile_with ~machine ~heuristic ~prof ~pref ~low ~trip:k.Vliw_ir.Ast.k_trip
-      tech
-  with
-  | Error e -> Error e
-  | Ok (graph, schedule) ->
-    Ok
-      {
-        a_machine = machine;
-        a_layout = layout;
-        a_heuristic = heuristic;
-        a_lowered = low;
-        a_graph = graph;
-        a_schedule = schedule;
-      }
+  Vliw_sched.Hybrid.compile ~machine ~heuristic ~pref_for:(Profile.node_pref prof)
+    ~trip:k.Vliw_ir.Ast.k_trip tech low.Lower.graph
+  |> Result.map (fun (c : Vliw_sched.Hybrid.compiled) ->
+         {
+           a_machine = machine;
+           a_layout = layout;
+           a_heuristic = heuristic;
+           a_lowered = low;
+           a_graph = c.c_graph;
+           a_schedule = c.c_schedule;
+         })
 
 let check ?(verifier = default_verifier) (c : Gen.case) =
   let k = c.Gen.g_kernel in
@@ -186,10 +126,16 @@ let check ?(verifier = default_verifier) (c : Gen.case) =
   | Error e -> fail "oracle-diverged" "reference" e);
   let low = Lower.lower k in
   let prof = Profile.run ~machine ~layout k in
-  let pref = Profile.node_pref prof low.Lower.graph in
+  (* the same call as [compile] above, so the model checker
+     (Vliw_check.Check) explores the very artifacts judged here.
+     Crucially the driver is NOT gated by the verifier: the verdict is
+     collected after the fact and differenced against the dynamic
+     outcome, so a verifier that wrongly certifies is caught instead of
+     obeyed. *)
   let compile tech =
-    compile_with ~machine ~heuristic ~prof ~pref ~low
-      ~trip:k.Vliw_ir.Ast.k_trip tech
+    Vliw_sched.Hybrid.compile ~machine ~heuristic
+      ~pref_for:(Profile.node_pref prof) ~trip:k.Vliw_ir.Ast.k_trip tech
+      low.Lower.graph
   in
   let simulate tech tag ?jitter graph schedule =
     let sink = Trace.create () in
@@ -226,10 +172,10 @@ let check ?(verifier = default_verifier) (c : Gen.case) =
     let status =
       match compile tech with
       | Error e -> Unschedulable e
-      | Ok (graph, schedule) ->
+      | Ok { Vliw_sched.Hybrid.c_graph = graph; c_schedule = schedule; _ } ->
         let report =
-          verifier ~machine ~technique:(verify_technique tech)
-            ~base:low.Lower.graph ~layout ~graph ~schedule
+          verifier ~machine ~technique:tech ~base:low.Lower.graph ~layout ~graph
+            ~schedule
         in
         let nominal = simulate tech "nominal" graph schedule in
         judge tech ~certified:report.V.r_verified "nominal" nominal;

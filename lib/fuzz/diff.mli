@@ -26,14 +26,17 @@
     harness uses, and the verifier itself is injectable ([?verifier]), so
     tests can weaken it and prove the predicate catches the lie. *)
 
-type technique = Free | Mdc | Ddgt | Hybrid
+type technique = Vliw_sched.Schedule.technique = Free | Mdc | Ddgt | Hybrid
 
 val technique_name : technique -> string
+(** {!Vliw_sched.Schedule.technique_name}. *)
 
 val techniques : technique list
-(** The four techniques every case is compiled under, in a fixed order. *)
+(** The four techniques every case is compiled under, in a fixed order
+    ({!Vliw_sched.Schedule.techniques}). *)
 
 val verify_technique : technique -> Vliw_verify.Verify.technique
+(** The identity: the verifier takes the same technique type. *)
 
 type verifier =
   machine:Vliw_arch.Machine.t ->

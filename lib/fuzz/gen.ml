@@ -26,35 +26,13 @@ let stream ~seed ~index =
   Prng.derive (Prng.derive_named (Prng.create seed) "fuzz") index
 
 let machine mc =
-  let base =
-    match mc.mc_base with
-    | "nobal-mem" -> M.nobal_mem
-    | "nobal-reg" -> M.nobal_reg
-    | _ -> M.table2
-  in
-  let base = M.scale_clusters base mc.mc_clusters in
-  let base =
-    match M.interconnect_of_string mc.mc_icn with
-    | Some icn -> M.with_interconnect base icn
-    | None -> failwith ("fuzz generator: unknown interconnect " ^ mc.mc_icn)
-  in
-  let m = M.with_interleave base mc.mc_interleave in
-  let m =
-    { m with M.mem_buses = { m.M.mem_buses with M.bus_count = mc.mc_membus } }
-  in
-  let m =
-    M.with_attraction m
-      (if mc.mc_ab then Some M.default_attraction else None)
-  in
-  let m =
-    match M.protocol_of_string mc.mc_protocol with
-    | Some p -> M.with_protocol m p
-    | None -> failwith ("fuzz generator: unknown protocol " ^ mc.mc_protocol)
-  in
-  (match M.validate m with
-  | Ok () -> ()
-  | Error e -> failwith ("fuzz generator built an invalid machine: " ^ e));
-  m
+  match
+    M.of_spec ~clusters:mc.mc_clusters ~icn:mc.mc_icn ~protocol:mc.mc_protocol
+      ~membus:mc.mc_membus ~name:mc.mc_base ~interleave:mc.mc_interleave
+      ~ab:mc.mc_ab ()
+  with
+  | Ok m -> m
+  | Error e -> failwith e
 
 (* ---- kernel motifs: one per entry of the memory-dependence taxonomy ---- *)
 

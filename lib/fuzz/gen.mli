@@ -50,7 +50,9 @@ val stream : seed:int -> index:int -> Vliw_util.Prng.t
 (** The derived Prng stream case [(seed, index)] is generated from. *)
 
 val machine : mconf -> Vliw_arch.Machine.t
-(** Concrete (validated) machine for a case's configuration. *)
+(** Concrete (validated) machine for a case's configuration
+    ({!Vliw_arch.Machine.of_spec}). Raises [Failure] with its one-line
+    error on a configuration it rejects, e.g. an unknown machine name. *)
 
 val generate : seed:int -> budget:int -> int -> case
 (** [generate ~seed ~budget index] builds case [index]. [budget] scales

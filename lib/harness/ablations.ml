@@ -64,19 +64,9 @@ let hybrid ?obs () =
       let norm = if base.R.br_cycles = 0. then 1. else base.R.br_cycles in
       let total scheme = (Experiments.run ~machine ?obs scheme b).R.br_cycles /. norm in
       let choices =
-        let m = R.machine_for machine b in
-        List.map
-          (fun (l : W.loop) ->
-            let st = Memo.stages ~machine:m ~bench:b l in
-            match
-              Hybrid.choose ~machine:m ~heuristic:S.Pref_clus
-                ~pref_for:(Vliw_profile.Profile.node_pref st.Memo.prof)
-                ~trip:st.Memo.kernel_exec.Ir.Ast.k_trip
-                st.Memo.lowered.Vliw_lower.Lower.graph
-            with
-            | Ok h -> Hybrid.choice_name h.Hybrid.choice
-            | Error _ -> "?")
-          b.W.b_loops
+        (Experiments.run ~machine ?obs (R.Hybrid, S.Pref_clus) b).R.br_loops
+        |> List.map (fun (lr : R.loop_run) ->
+               Option.fold ~none:"?" ~some:Hybrid.choice_name lr.R.lr_choice)
         |> String.concat ","
       in
       {

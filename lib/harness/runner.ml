@@ -2,8 +2,8 @@ module M = Vliw_arch.Machine
 module G = Vliw_ddg.Graph
 module S = Vliw_sched.Schedule
 module Driver = Vliw_sched.Driver
+module Hybrid = Vliw_sched.Hybrid
 module Chains = Vliw_core.Chains
-module Ddgt = Vliw_core.Ddgt
 module Lower = Vliw_lower.Lower
 module Profile = Vliw_profile.Profile
 module Sim = Vliw_sim.Sim
@@ -14,24 +14,15 @@ module Audit = Vliw_trace.Audit
 module Chrome = Vliw_trace.Chrome
 module V = Vliw_verify.Verify
 
-type technique = Free | Mdc | Ddgt | Hybrid
+type technique = S.technique = Free | Mdc | Ddgt | Hybrid
 
-let technique_name = function
-  | Free -> "free"
-  | Mdc -> "MDC"
-  | Ddgt -> "DDGT"
-  | Hybrid -> "hybrid"
-
-let verify_technique = function
-  | Free -> V.Free
-  | Mdc -> V.Mdc
-  | Ddgt -> V.Ddgt
-  | Hybrid -> V.Hybrid
+let technique_name = S.technique_name
 
 type loop_run = {
   lr_loop : W.loop;
   lr_graph : G.t;
   lr_schedule : S.t;
+  lr_choice : Hybrid.choice option;
   lr_stats : Sim.stats;
   lr_verify : V.report;
   lr_mem_ops : int;
@@ -110,68 +101,34 @@ let run_loop ~machine ?(obs = obs_none) ?(lat_policy = Driver.Cache_sensitive)
   let layout = stages.Memo.layout in
   let prof = stages.Memo.prof in
   let low = stages.Memo.lowered in
-  let pref = Profile.node_pref prof low.Lower.graph in
   let fail e =
     failwith
       (Printf.sprintf "%s/%s: cannot schedule (%s, %s): %s" bench.b_name
          loop.l_name (technique_name technique) (S.heuristic_name heuristic) e)
   in
-  let graph, schedule =
+  (* MDC and DDGT promise coherence by construction: make the driver
+     prove it, failing the compilation rather than emitting an unsafe
+     schedule (free and hybrid are verified after the fact — free is the
+     paper's unsafe baseline) *)
+  let check =
     match technique with
-    | Hybrid -> (
-      match
-        Vliw_sched.Hybrid.choose ~machine ~heuristic
-          ~pref_for:(Profile.node_pref prof)
-          ~trip:k_exec.Ir.Ast.k_trip low.Lower.graph
-      with
-      | Ok h -> (h.Vliw_sched.Hybrid.graph, h.Vliw_sched.Hybrid.schedule)
-      | Error e -> fail e)
-    | _ ->
-      let graph, constraints =
-        match technique with
-        | Free | Hybrid -> (low.Lower.graph, Chains.no_constraints ())
-        | Mdc ->
-          ( low.Lower.graph,
-            (match heuristic with
-            | S.Pref_clus -> Chains.prefclus low.Lower.graph ~pref
-            | S.Min_coms -> Chains.mincoms low.Lower.graph) )
-        | Ddgt ->
-          let r = Ddgt.transform ~clusters:machine.M.clusters low.Lower.graph in
-          (r.Ddgt.graph, Chains.no_constraints ())
-      in
-      (* only DDGT changes the graph; for Free/Mdc the pre-transform
-         closure already covers it *)
-      let pref_g =
-        match technique with
-        | Ddgt -> Profile.node_pref prof graph
-        | Free | Mdc | Hybrid -> pref
-      in
-      (* MDC and DDGT promise coherence by construction: make the driver
-         prove it, failing the compilation rather than emitting an unsafe
-         schedule (free stays ungated — it is the paper's unsafe baseline) *)
-      let check =
-        match technique with
-        | Mdc | Ddgt ->
-          V.gate ~machine ~technique:(verify_technique technique)
-            ~base:low.Lower.graph ~layout ()
-        | Free | Hybrid -> fun _ _ -> Ok ()
-      in
-      let schedule =
-        match
-          Driver.run
-            (Driver.request ~heuristic ~constraints ~pref:pref_g ~lat_policy
-               ~ordering ~check machine)
-            graph
-        with
-        | Ok s -> s
-        | Error e -> fail e
-      in
-      (graph, schedule)
+    | Mdc | Ddgt ->
+      Some (V.gate ~machine ~technique ~base:low.Lower.graph ~layout ())
+    | Free | Hybrid -> None
   in
+  let compiled =
+    match
+      Hybrid.compile ~machine ~heuristic ~pref_for:(Profile.node_pref prof)
+        ~trip:k_exec.Ir.Ast.k_trip ~lat_policy ~ordering ?check technique
+        low.Lower.graph
+    with
+    | Ok c -> c
+    | Error e -> fail e
+  in
+  let graph = compiled.Hybrid.c_graph in
+  let schedule = compiled.Hybrid.c_schedule in
   let verify =
-    V.check ~machine
-      ~technique:(verify_technique technique)
-      ~base:low.Lower.graph ~layout ~graph ~schedule ()
+    V.check ~machine ~technique ~base:low.Lower.graph ~layout ~graph ~schedule ()
   in
   let oracle = stages.Memo.oracle in
   let sink =
@@ -223,6 +180,7 @@ let run_loop ~machine ?(obs = obs_none) ?(lat_policy = Driver.Cache_sensitive)
     lr_loop = loop;
     lr_graph = graph;
     lr_schedule = schedule;
+    lr_choice = Option.map (fun h -> h.Hybrid.choice) compiled.Hybrid.c_hybrid;
     lr_stats = stats;
     lr_verify = verify;
     lr_mem_ops = List.length (G.mem_refs low.Lower.graph);

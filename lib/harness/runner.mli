@@ -6,10 +6,12 @@
     + lay out memory, interpret the profile kernel and collect
       preferred-cluster histograms ({!Vliw_profile.Profile});
     + lower the execution kernel to a DDG;
-    + apply the requested coherence technique: none (the paper's optimistic
-      {e free} baseline), MDC chain constraints, or the DDGT transform;
-    + modulo-schedule with the requested heuristic on the requested machine
-      (with the benchmark's interleaving factor applied);
+    + apply the requested coherence technique — none (the paper's
+      optimistic {e free} baseline), MDC chain constraints, the DDGT
+      transform, or the per-loop hybrid — and modulo-schedule with the
+      requested heuristic on the requested machine (with the benchmark's
+      interleaving factor applied), through {!Vliw_sched.Hybrid.compile},
+      the step every tool shares;
     + simulate trace-driven (oracle mode, like the paper's simulator), the
       oracle being the interpreter run on the execution input.
 
@@ -19,20 +21,18 @@
     identical to a sequential, uncached run: the shared stages are pure
     and every consumer treats them as read-only. *)
 
-type technique =
-  | Free
-  | Mdc
-  | Ddgt
-  | Hybrid
-      (** Section 6's per-loop compile-time choice between MDC and DDGT
-          ({!Vliw_sched.Hybrid}) *)
+type technique = Vliw_sched.Schedule.technique = Free | Mdc | Ddgt | Hybrid
 
 val technique_name : technique -> string
+(** {!Vliw_sched.Schedule.technique_name}. *)
 
 type loop_run = {
   lr_loop : Vliw_workloads.Workloads.loop;
   lr_graph : Vliw_ddg.Graph.t;  (** the graph actually scheduled (post-transform) *)
   lr_schedule : Vliw_sched.Schedule.t;
+  lr_choice : Vliw_sched.Hybrid.choice option;
+      (** hybrid runs only: the technique the loop chose (not in the JSON
+          report) *)
   lr_stats : Vliw_sim.Sim.stats;
   lr_verify : Vliw_verify.Verify.report;
       (** static coherence verdict on the schedule that ran *)

@@ -46,42 +46,69 @@ let estimate ~machine ~pref ~trip g (s : Schedule.t) =
   + (s.Schedule.ii * (trip - 1))
   + int_of_float (expected_stall *. float_of_int trip)
 
-let choose ~machine ~heuristic ~pref_for ~trip g =
-  let pref = pref_for g in
-  let mdc_candidate () =
+type compiled = {
+  c_graph : G.t;
+  c_constraints : Chains.constraints;
+  c_schedule : Schedule.t;
+  c_hybrid : result option;
+}
+
+let rec compile ~machine ~heuristic ~pref_for ~trip ?lat_policy ?ordering ?check
+    technique g =
+  let run graph constraints pref =
+    Driver.run
+      (Driver.request ~heuristic ~constraints ~pref ?lat_policy ?ordering ?check
+         machine)
+      graph
+    |> Result.map (fun s ->
+           { c_graph = graph; c_constraints = constraints; c_schedule = s;
+             c_hybrid = None })
+  in
+  match technique with
+  | Schedule.Free -> run g (Chains.no_constraints ()) (pref_for g)
+  | Schedule.Mdc ->
+    let pref = pref_for g in
     let constraints =
       match heuristic with
       | Schedule.Pref_clus -> Chains.prefclus g ~pref
       | Schedule.Min_coms -> Chains.mincoms g
     in
-    match Driver.run (Driver.request ~heuristic ~constraints ~pref machine) g with
-    | Ok s -> Some (g, constraints, s)
-    | Error _ -> None
+    run g constraints pref
+  | Schedule.Ddgt ->
+    (* the profile is asked about the transformed graph, whose replicas
+       and fake consumers the input graph lacks *)
+    let t = (Ddgt.transform ~clusters:machine.M.clusters g).Ddgt.graph in
+    run t (Chains.no_constraints ()) (pref_for t)
+  | Schedule.Hybrid ->
+    choose_with ~machine ~heuristic ~pref_for ~trip ?lat_policy ?ordering ?check g
+    |> Result.map (fun h ->
+           { c_graph = h.graph; c_constraints = h.constraints;
+             c_schedule = h.schedule; c_hybrid = Some h })
+
+(* Section 6's choice, its two candidates built by [compile]'s MDC and
+   DDGT arms *)
+and choose_with ~machine ~heuristic ~pref_for ~trip ?lat_policy ?ordering ?check g =
+  let candidate tech =
+    Result.to_option
+      (compile ~machine ~heuristic ~pref_for ~trip ?lat_policy ?ordering ?check
+         tech g)
   in
-  let ddgt_candidate () =
-    let r = Ddgt.transform ~clusters:machine.M.clusters g in
-    let pref_t = pref_for r.Ddgt.graph in
-    match
-      Driver.run (Driver.request ~heuristic ~pref:pref_t machine) r.Ddgt.graph
-    with
-    | Ok s -> Some (r.Ddgt.graph, Chains.no_constraints (), s, pref_t)
-    | Error _ -> None
+  let est c =
+    estimate ~machine ~pref:(pref_for c.c_graph) ~trip c.c_graph c.c_schedule
   in
-  match (mdc_candidate (), ddgt_candidate ()) with
+  let chose choice c ~mdc_estimate ~ddgt_estimate =
+    Ok
+      { graph = c.c_graph; constraints = c.c_constraints; schedule = c.c_schedule;
+        choice; mdc_estimate; ddgt_estimate }
+  in
+  match (candidate Schedule.Mdc, candidate Schedule.Ddgt) with
   | None, None -> Error "hybrid: neither MDC nor DDGT schedules"
-  | Some (g', c, s), None ->
-    Ok { graph = g'; constraints = c; schedule = s; choice = Chose_mdc;
-         mdc_estimate = estimate ~machine ~pref ~trip g' s; ddgt_estimate = max_int }
-  | None, Some (g', c, s, pref_t) ->
-    Ok { graph = g'; constraints = c; schedule = s; choice = Chose_ddgt;
-         mdc_estimate = max_int;
-         ddgt_estimate = estimate ~machine ~pref:pref_t ~trip g' s }
-  | Some (gm, cm, sm), Some (gd, cd, sd, pref_t) ->
-    let em = estimate ~machine ~pref ~trip gm sm in
-    let ed = estimate ~machine ~pref:pref_t ~trip gd sd in
-    if em <= ed then
-      Ok { graph = gm; constraints = cm; schedule = sm; choice = Chose_mdc;
-           mdc_estimate = em; ddgt_estimate = ed }
-    else
-      Ok { graph = gd; constraints = cd; schedule = sd; choice = Chose_ddgt;
-           mdc_estimate = em; ddgt_estimate = ed }
+  | Some m, None -> chose Chose_mdc m ~mdc_estimate:(est m) ~ddgt_estimate:max_int
+  | None, Some d -> chose Chose_ddgt d ~mdc_estimate:max_int ~ddgt_estimate:(est d)
+  | Some m, Some d ->
+    let em = est m and ed = est d in
+    if em <= ed then chose Chose_mdc m ~mdc_estimate:em ~ddgt_estimate:ed
+    else chose Chose_ddgt d ~mdc_estimate:em ~ddgt_estimate:ed
+
+let choose ~machine ~heuristic ~pref_for ~trip g =
+  choose_with ~machine ~heuristic ~pref_for ~trip g

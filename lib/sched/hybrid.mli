@@ -46,7 +46,41 @@ val choose :
   trip:int ->
   Vliw_ddg.Graph.t ->
   (result, string) Stdlib.result
-(** Build both candidate compilations of the loop (MDC constraints on the
-    original graph; the DDGT transform), schedule each with [heuristic],
-    estimate both, and keep the cheaper one. Errors only if {e both}
-    candidates fail to schedule. *)
+(** Build both candidate compilations of the loop with {!compile}'s MDC
+    and DDGT arms, estimate both, and keep the cheaper one. Errors only
+    if {e both} candidates fail to schedule. *)
+
+(** {1 The technique→schedule step} *)
+
+type compiled = {
+  c_graph : Vliw_ddg.Graph.t;
+      (** the graph as scheduled: the DDGT transform's for DDGT (and for a
+          hybrid that chose it), else the input graph *)
+  c_constraints : Vliw_core.Chains.constraints;
+  c_schedule : Schedule.t;
+  c_hybrid : result option;  (** [Hybrid] only: the choice and estimates *)
+}
+
+val compile :
+  machine:Vliw_arch.Machine.t ->
+  heuristic:Schedule.heuristic ->
+  pref_for:(Vliw_ddg.Graph.t -> int -> int array option) ->
+  trip:int ->
+  ?lat_policy:Driver.lat_policy ->
+  ?ordering:Ims.ordering ->
+  ?check:(Vliw_ddg.Graph.t -> Schedule.t -> (unit, string) Stdlib.result) ->
+  Schedule.technique ->
+  Vliw_ddg.Graph.t ->
+  (compiled, string) Stdlib.result
+(** Schedule a lowered loop under one technique — the one step every
+    tool shares. [Free] schedules the graph unconstrained; [Mdc] pins its
+    memory dependent chains ({!Vliw_core.Chains.prefclus} or
+    {!Vliw_core.Chains.mincoms}, after [heuristic]); [Ddgt] schedules
+    {!Vliw_core.Ddgt.transform}'s graph, profiled through [pref_for] of
+    that graph; [Hybrid] is {!choose}, its candidates built with the same
+    options. [lat_policy], [ordering] and [check] go to every
+    {!Driver.request} made ([check] is how callers gate on the static
+    verifier); [trip] only matters to [Hybrid]. The MinComs post-pass may
+    rewrite replica pins of [c_graph] ({!Driver.run}), so read the graph
+    after this returns. [Error] is the driver's reason, or the hybrid's
+    when neither candidate schedules. *)

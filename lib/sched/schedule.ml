@@ -5,6 +5,19 @@ type heuristic = Pref_clus | Min_coms
 
 let heuristic_name = function Pref_clus -> "PrefClus" | Min_coms -> "MinComs"
 
+type technique = Free | Mdc | Ddgt | Hybrid
+
+let techniques = [ Free; Mdc; Ddgt; Hybrid ]
+
+let technique_name = function
+  | Free -> "free"
+  | Mdc -> "MDC"
+  | Ddgt -> "DDGT"
+  | Hybrid -> "hybrid"
+
+let technique_of_name s =
+  List.find_opt (fun t -> String.lowercase_ascii (technique_name t) = s) techniques
+
 type copy = {
   cp_src : int;
   cp_dst : int;

@@ -13,6 +13,20 @@ type heuristic = Pref_clus | Min_coms
 
 val heuristic_name : heuristic -> string
 
+type technique = Free | Mdc | Ddgt | Hybrid
+(** The ways the evaluation schedules a loop: the unsafe free baseline,
+    MDC chain constraints (Section 3.1), the DDGT transform (Section 3.2)
+    and Section 6's per-loop choice between the two ({!Hybrid}). *)
+
+val techniques : technique list
+(** All four, in the order reports list them. *)
+
+val technique_name : technique -> string
+(** ["free" | "MDC" | "DDGT" | "hybrid"], as reports and tables print it. *)
+
+val technique_of_name : string -> technique option
+(** The command-line spelling: {!technique_name} in lowercase. *)
+
 type copy = {
   cp_src : int;  (** producer node whose value is copied *)
   cp_dst : int;  (** consumer node the copy feeds *)

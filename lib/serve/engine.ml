@@ -1,38 +1,16 @@
 module M = Vliw_arch.Machine
 module G = Vliw_ddg.Graph
 module S = Vliw_sched.Schedule
-module Driver = Vliw_sched.Driver
+module Hybrid = Vliw_sched.Hybrid
 module Chains = Vliw_core.Chains
-module Ddgt = Vliw_core.Ddgt
 module Lower = Vliw_lower.Lower
 module Ir = Vliw_ir
 module Sim = Vliw_sim.Sim
 module V = Vliw_verify.Verify
 module Diag = Vliw_util.Diag
 
-type technique = Free | Mdc | Ddgt | Hybrid
-
-let technique_name = function
-  | Free -> "free"
-  | Mdc -> "mdc"
-  | Ddgt -> "ddgt"
-  | Hybrid -> "hybrid"
-
-let technique_of_name = function
-  | "free" -> Some Free
-  | "mdc" -> Some Mdc
-  | "ddgt" -> Some Ddgt
-  | "hybrid" -> Some Hybrid
-  | _ -> None
-
-let verify_technique = function
-  | Free -> V.Free
-  | Mdc -> V.Mdc
-  | Ddgt -> V.Ddgt
-  | Hybrid -> V.Hybrid
-
 type opts = {
-  op_technique : technique;
+  op_technique : S.technique;
   op_heuristic : S.heuristic;
   op_ordering : Vliw_sched.Ims.ordering;
   op_pad : int;
@@ -50,7 +28,7 @@ type opts = {
 
 let default_opts =
   {
-    op_technique = Free;
+    op_technique = S.Free;
     op_heuristic = S.Min_coms;
     op_ordering = Vliw_sched.Ims.Height;
     op_pad = 0;
@@ -65,39 +43,6 @@ let default_opts =
     op_execution = false;
     op_trace_file = None;
   }
-
-let machine_of_spec ?(clusters = 4) ?(icn = "bus") ?(protocol = "install-flush")
-    ~name ~interleave ~ab () =
-  let base =
-    match name with
-    | "bal" -> Ok M.table2
-    | "nobal-mem" -> Ok M.nobal_mem
-    | "nobal-reg" -> Ok M.nobal_reg
-    | other ->
-      Error (Printf.sprintf "unknown machine %S (bal, nobal-mem, nobal-reg)" other)
-  in
-  match base with
-  | Error _ as e -> e
-  | Ok base -> (
-    match M.interconnect_of_string icn with
-    | None -> Error (Printf.sprintf "unknown interconnect %S (bus, directory)" icn)
-    | Some interconnect -> (
-      match M.protocol_of_string protocol with
-      | None ->
-        Error
-          (Printf.sprintf "unknown protocol %S (install-flush, msi, mesi)"
-             protocol)
-      | Some prot ->
-        let base = M.scale_clusters base clusters in
-        let base = M.with_interconnect base interconnect in
-        let base =
-          if ab then M.with_attraction base (Some M.default_attraction) else base
-        in
-        let base = M.with_interleave base interleave in
-        let machine = M.with_protocol base prot in
-        (match M.validate machine with
-        | Ok () -> Ok machine
-        | Error e -> Error (Printf.sprintf "invalid machine configuration: %s" e))))
 
 (* leading/interleaved '#' comment lines of a .lk source, as key=value
    directives (the same convention the fuzzer's repro files use) *)
@@ -196,164 +141,137 @@ let run_kernel ?artifacts ~buf ~machine ~opts kernel =
     let layout = Ir.Layout.make ~pad kernel in
     let low = Lower.lower kernel in
     let prof = Vliw_profile.Profile.run ~machine ~layout kernel in
-    let pref = Vliw_profile.Profile.node_pref prof low.Lower.graph in
-    let graph, constraints =
-      match technique with
-      | Free | Hybrid -> (low.Lower.graph, Chains.no_constraints ())
-      | Mdc ->
-        ( low.Lower.graph,
-          (match heuristic with
-          | S.Pref_clus -> Chains.prefclus low.Lower.graph ~pref
-          | S.Min_coms -> Chains.mincoms low.Lower.graph) )
-      | Ddgt ->
-        (Ddgt.transform ~clusters:machine.M.clusters low.Lower.graph).Ddgt.graph
-        |> fun g -> (g, Chains.no_constraints ())
+    let compiled =
+      match
+        Hybrid.compile ~machine ~heuristic
+          ~pref_for:(Vliw_profile.Profile.node_pref prof)
+          ~trip:kernel.Ir.Ast.k_trip ~ordering technique low.Lower.graph
+      with
+      | Ok c -> c
+      | Error e ->
+        let step =
+          match technique with S.Hybrid -> "hybrid selection" | _ -> "scheduling"
+        in
+        raise (Fail (Some (Printf.sprintf "%s failed: %s" step e)))
     in
-    (* the hybrid replaces graph/constraints wholesale with its choice *)
-    let hybrid_result =
-      match technique with
-      | Hybrid -> (
-        match
-          Vliw_sched.Hybrid.choose ~machine ~heuristic
-            ~pref_for:(Vliw_profile.Profile.node_pref prof)
-            ~trip:kernel.Ir.Ast.k_trip low.Lower.graph
-        with
-        | Ok h ->
-          Printf.bprintf buf
-            "hybrid choice: %s (estimates: MDC %d cycles, DDGT %d cycles)\n"
-            (Vliw_sched.Hybrid.choice_name h.Vliw_sched.Hybrid.choice)
-            h.Vliw_sched.Hybrid.mdc_estimate h.Vliw_sched.Hybrid.ddgt_estimate;
-          Some h
-        | Error e ->
-          raise (Fail (Some (Printf.sprintf "hybrid selection failed: %s" e))))
-      | _ -> None
-    in
-    let graph =
-      match hybrid_result with
-      | Some h -> h.Vliw_sched.Hybrid.graph
-      | None -> graph
-    in
+    Option.iter
+      (fun (h : Hybrid.result) ->
+        Printf.bprintf buf
+          "hybrid choice: %s (estimates: MDC %d cycles, DDGT %d cycles)\n"
+          (Hybrid.choice_name h.Hybrid.choice)
+          h.Hybrid.mdc_estimate h.Hybrid.ddgt_estimate)
+      compiled.Hybrid.c_hybrid;
+    let graph = compiled.Hybrid.c_graph in
+    let schedule = compiled.Hybrid.c_schedule in
+    (* dumped as scheduled: the MinComs post-pass rewrites replica pins *)
     if dump_ddg then Format.fprintf ppf "%a@." G.pp graph;
     (match dot with
     | Some path ->
       Vliw_ddg.Dot.write_file path graph;
       Printf.bprintf buf "wrote %s\n" path
     | None -> ());
-    let pref_g = Vliw_profile.Profile.node_pref prof graph in
-    let scheduled =
-      match hybrid_result with
-      | Some h -> Ok h.Vliw_sched.Hybrid.schedule
-      | None ->
-        Driver.run
-          (Driver.request ~heuristic ~constraints ~pref:pref_g ~ordering machine)
-          graph
+    if dump_sched then Format.fprintf ppf "%a@." S.pp schedule;
+    let chains = Chains.chains low.Lower.graph in
+    let biggest = List.length (Chains.biggest low.Lower.graph) in
+    Printf.bprintf buf
+      "kernel %s: %d ops, %d memory ops, %d chains (biggest %d)\n"
+      kernel.Ir.Ast.k_name
+      (G.node_count low.Lower.graph)
+      (List.length (G.mem_refs low.Lower.graph))
+      (List.length chains) biggest;
+    Printf.bprintf buf "schedule: II=%d length=%d stages=%d copies/iter=%d\n"
+      schedule.S.ii schedule.S.length (S.stage_count schedule)
+      (S.comm_ops schedule);
+    let ml = Vliw_sched.Regpressure.max_live graph schedule in
+    Printf.bprintf buf "register pressure (MaxLive per cluster): %s\n"
+      (String.concat " " (Array.to_list (Array.map string_of_int ml)));
+    let report = ref None in
+    (if verify then (
+       let r =
+         V.check ~machine ~technique ~base:low.Lower.graph ~layout ~graph
+           ~schedule ()
+       in
+       List.iter (fun d -> Format.fprintf ppf "%a@." Diag.pp d) r.V.r_diags;
+       Format.fprintf ppf "%a@." V.pp_report r;
+       report := Some r;
+       if not r.V.r_verified then raise (Fail None)));
+    let oracle = Ir.Interp.run ~layout kernel in
+    let mode = if execution then Sim.Execution else Sim.Oracle oracle in
+    let warm = not execution in
+    let sink =
+      match trace_file with
+      | Some _ -> Some (Vliw_trace.Trace.create ())
+      | None -> None
     in
-    match scheduled with
-    | Error e -> raise (Fail (Some (Printf.sprintf "scheduling failed: %s" e)))
-    | Ok schedule ->
-      if dump_sched then Format.fprintf ppf "%a@." S.pp schedule;
-      let chains = Chains.chains low.Lower.graph in
-      let biggest = List.length (Chains.biggest low.Lower.graph) in
-      Printf.bprintf buf
-        "kernel %s: %d ops, %d memory ops, %d chains (biggest %d)\n"
-        kernel.Ir.Ast.k_name
-        (G.node_count low.Lower.graph)
-        (List.length (G.mem_refs low.Lower.graph))
-        (List.length chains) biggest;
-      Printf.bprintf buf "schedule: II=%d length=%d stages=%d copies/iter=%d\n"
-        schedule.S.ii schedule.S.length (S.stage_count schedule)
-        (S.comm_ops schedule);
-      let ml = Vliw_sched.Regpressure.max_live graph schedule in
-      Printf.bprintf buf "register pressure (MaxLive per cluster): %s\n"
-        (String.concat " " (Array.to_list (Array.map string_of_int ml)));
-      let report = ref None in
-      (if verify then (
-         let r =
-           V.check ~machine
-             ~technique:(verify_technique technique)
-             ~base:low.Lower.graph ~layout ~graph ~schedule ()
-         in
-         List.iter (fun d -> Format.fprintf ppf "%a@." Diag.pp d) r.V.r_diags;
-         Format.fprintf ppf "%a@." V.pp_report r;
-         report := Some r;
-         if not r.V.r_verified then raise (Fail None)));
-      let oracle = Ir.Interp.run ~layout kernel in
-      let mode = if execution then Sim.Execution else Sim.Oracle oracle in
-      let warm = not execution in
-      let sink =
-        match trace_file with
-        | Some _ -> Some (Vliw_trace.Trace.create ())
-        | None -> None
-      in
-      let st =
-        Sim.run ~lowered:low ~graph ~schedule ~layout ~mode ~warm ?trace:sink ()
-      in
-      let total = max 1 (Sim.accesses_total st) in
-      let pct n = 100. *. float_of_int n /. float_of_int total in
-      Printf.bprintf buf "simulated %d iterations (%s, %s caches):\n"
-        kernel.Ir.Ast.k_trip
-        (if execution then "execution-driven" else "trace-driven")
-        (if warm then "warm" else "cold");
-      Printf.bprintf buf "  cycles %d = compute %d + stall %d\n"
-        st.Sim.total_cycles st.Sim.compute_cycles st.Sim.stall_cycles;
-      Printf.bprintf buf
-        "  accesses: %.1f%% local hit, %.1f%% remote hit, %.1f%% local miss, \
-         %.1f%% remote miss, %.1f%% combined\n"
-        (pct st.Sim.local_hits) (pct st.Sim.remote_hits)
-        (pct st.Sim.local_misses) (pct st.Sim.remote_misses)
-        (pct st.Sim.combined);
-      if st.Sim.ab_hits > 0 || machine.M.attraction <> None then
-        Printf.bprintf buf "  attraction buffers: %d hits, %d entries flushed\n"
-          st.Sim.ab_hits st.Sim.ab_flushed;
-      if st.Sim.nullified > 0 then
-        Printf.bprintf buf "  nullified store instances: %d\n" st.Sim.nullified;
-      Printf.bprintf buf "  coherence violations: %d\n" st.Sim.violations;
-      if execution then
-        if Bytes.equal st.Sim.memory oracle.Ir.Interp.memory then
-          Buffer.add_string buf "  final memory matches the reference interpreter\n"
-        else
-          Buffer.add_string buf
-            "  final memory CORRUPTED (differs from the reference)\n";
-      (match (trace_file, sink) with
-      | Some path, Some s ->
-        (* replay audit before exporting: the event stream must re-derive
-           the simulator's own coherence accounting *)
-        (match
-           Vliw_trace.Audit.check s ~protocol:machine.M.protocol
-             ~prot_invalidations:st.Sim.prot_invalidations
-             ~violations:st.Sim.violations ~nullified:st.Sim.nullified
-         with
-        | Ok r ->
-          Printf.bprintf buf
-            "  audit: %d applies replayed, %d violations, %d nullified (match)\n"
-            r.Vliw_trace.Audit.applies r.Vliw_trace.Audit.violations
-            r.Vliw_trace.Audit.nullified
-        | Error msg -> raise (Fail (Some (Printf.sprintf "audit FAILED: %s" msg))));
-        Vliw_trace.Chrome.write_file path s;
-        Printf.bprintf buf "wrote %s (%d events)\n" path
-          (Vliw_trace.Trace.length s);
+    let st =
+      Sim.run ~lowered:low ~graph ~schedule ~layout ~mode ~warm ?trace:sink ()
+    in
+    let total = max 1 (Sim.accesses_total st) in
+    let pct n = 100. *. float_of_int n /. float_of_int total in
+    Printf.bprintf buf "simulated %d iterations (%s, %s caches):\n"
+      kernel.Ir.Ast.k_trip
+      (if execution then "execution-driven" else "trace-driven")
+      (if warm then "warm" else "cold");
+    Printf.bprintf buf "  cycles %d = compute %d + stall %d\n"
+      st.Sim.total_cycles st.Sim.compute_cycles st.Sim.stall_cycles;
+    Printf.bprintf buf
+      "  accesses: %.1f%% local hit, %.1f%% remote hit, %.1f%% local miss, \
+       %.1f%% remote miss, %.1f%% combined\n"
+      (pct st.Sim.local_hits) (pct st.Sim.remote_hits)
+      (pct st.Sim.local_misses) (pct st.Sim.remote_misses)
+      (pct st.Sim.combined);
+    if st.Sim.ab_hits > 0 || machine.M.attraction <> None then
+      Printf.bprintf buf "  attraction buffers: %d hits, %d entries flushed\n"
+        st.Sim.ab_hits st.Sim.ab_flushed;
+    if st.Sim.nullified > 0 then
+      Printf.bprintf buf "  nullified store instances: %d\n" st.Sim.nullified;
+    Printf.bprintf buf "  coherence violations: %d\n" st.Sim.violations;
+    if execution then
+      if Bytes.equal st.Sim.memory oracle.Ir.Interp.memory then
+        Buffer.add_string buf "  final memory matches the reference interpreter\n"
+      else
         Buffer.add_string buf
-          (Vliw_harness.Render.trace_summary (Vliw_trace.Summary.of_sink s))
-      | _ -> ());
-      (match artifacts with
-      | Some f ->
-        f
-          {
-            a_kernel = kernel;
-            a_layout = layout;
-            a_lowered = low;
-            a_graph = graph;
-            a_schedule = schedule;
-            a_report = !report;
-          }
-      | None -> ());
-      Ok
+          "  final memory CORRUPTED (differs from the reference)\n";
+    (match (trace_file, sink) with
+    | Some path, Some s ->
+      (* replay audit before exporting: the event stream must re-derive
+         the simulator's own coherence accounting *)
+      (match
+         Vliw_trace.Audit.check s ~protocol:machine.M.protocol
+           ~prot_invalidations:st.Sim.prot_invalidations
+           ~violations:st.Sim.violations ~nullified:st.Sim.nullified
+       with
+      | Ok r ->
+        Printf.bprintf buf
+          "  audit: %d applies replayed, %d violations, %d nullified (match)\n"
+          r.Vliw_trace.Audit.applies r.Vliw_trace.Audit.violations
+          r.Vliw_trace.Audit.nullified
+      | Error msg -> raise (Fail (Some (Printf.sprintf "audit FAILED: %s" msg))));
+      Vliw_trace.Chrome.write_file path s;
+      Printf.bprintf buf "wrote %s (%d events)\n" path
+        (Vliw_trace.Trace.length s);
+      Buffer.add_string buf
+        (Vliw_harness.Render.trace_summary (Vliw_trace.Summary.of_sink s))
+    | _ -> ());
+    (match artifacts with
+    | Some f ->
+      f
         {
-          s_name = kernel.Ir.Ast.k_name;
-          s_digest = schedule_digest schedule;
-          s_report = !report;
-          s_stats = st;
+          a_kernel = kernel;
+          a_layout = layout;
+          a_lowered = low;
+          a_graph = graph;
+          a_schedule = schedule;
+          a_report = !report;
         }
+    | None -> ());
+    Ok
+      {
+        s_name = kernel.Ir.Ast.k_name;
+        s_digest = schedule_digest schedule;
+        s_report = !report;
+        s_stats = st;
+      }
   with Fail e -> Error e
 
 let run_source ?artifacts ~buf ~machine ~opts ~path src =

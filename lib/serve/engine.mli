@@ -7,15 +7,8 @@
     on stdout for the same inputs — the property the CI smoke job
     diffs. *)
 
-type technique = Free | Mdc | Ddgt | Hybrid
-
-val technique_name : technique -> string
-(** CLI spelling: ["free" | "mdc" | "ddgt" | "hybrid"]. *)
-
-val technique_of_name : string -> technique option
-
 type opts = {
-  op_technique : technique;
+  op_technique : Vliw_sched.Schedule.technique;
   op_heuristic : Vliw_sched.Schedule.heuristic;
   op_ordering : Vliw_sched.Ims.ordering;
   op_pad : int;
@@ -34,24 +27,6 @@ type opts = {
 val default_opts : opts
 (** Mirrors vliwc's flag defaults exactly (free technique, MinComs,
     height ordering, everything else off). *)
-
-val machine_of_spec :
-  ?clusters:int ->
-  ?icn:string ->
-  ?protocol:string ->
-  name:string ->
-  interleave:int ->
-  ab:bool ->
-  unit ->
-  (Vliw_arch.Machine.t, string) result
-(** Build and validate a machine from its CLI spelling ([bal],
-    [nobal-mem], [nobal-reg]), an interleave factor and the AB flag.
-    [clusters] (default 4) scales the preset keeping per-cluster
-    resources constant; [icn] (default ["bus"]) selects the interconnect
-    backend ([bus] or [directory]); [protocol] (default
-    ["install-flush"]) selects the AB coherence protocol ([msi] requires
-    the bus backend, [mesi] the directory). The error string is the
-    message vliwc prints before exiting 2. *)
 
 val source_directives : string -> (string * string) list
 (** [key=value] pairs found on ['#'] comment lines of a [.lk] source, in

@@ -12,7 +12,7 @@ val synth_kernels : int -> named_kernel list
 
 val requests :
   kernels:named_kernel list ->
-  techniques:Engine.technique list ->
+  techniques:Vliw_sched.Schedule.technique list ->
   ?verify:bool ->
   count:int ->
   unit ->

@@ -6,7 +6,7 @@ module V = Vliw_verify.Verify
 type request = {
   rq_id : int;
   rq_kernel : string;
-  rq_technique : Engine.technique;
+  rq_technique : S.technique;
   rq_heuristic : S.heuristic;
   rq_ordering : Vliw_sched.Ims.ordering;
   rq_machine : string;
@@ -20,7 +20,7 @@ type request = {
   rq_protocol : string;
 }
 
-let request ?(technique = Engine.Free) ?(heuristic = S.Min_coms)
+let request ?(technique = S.Free) ?(heuristic = S.Min_coms)
     ?(ordering = Vliw_sched.Ims.Height) ?(machine = "bal") ?(interleave = 4)
     ?(ab = false) ?(pad = 0) ?unroll ?(cse = false) ?(verify = false)
     ?(execution = false) ?(protocol = "install-flush") ~id kernel =
@@ -63,7 +63,8 @@ let ordering_cli_name = function
 let spec_fields r =
   [
     ("kernel", Json.String r.rq_kernel);
-    ("technique", Json.String (Engine.technique_name r.rq_technique));
+    ( "technique",
+      Json.String (String.lowercase_ascii (S.technique_name r.rq_technique)) );
     ("heuristic", Json.String (heuristic_cli_name r.rq_heuristic));
     ("ordering", Json.String (ordering_cli_name r.rq_ordering));
     ("machine", Json.String r.rq_machine);
@@ -119,7 +120,7 @@ let request_of_json j =
   | None -> Error "request is missing the \"kernel\" field"
   | Some kernel ->
     let* id = int_d "id" 0 in
-    let* technique = enum "technique" Engine.technique_of_name Engine.Free in
+    let* technique = enum "technique" S.technique_of_name S.Free in
     let* heuristic = enum "heuristic" heuristic_of_name S.Min_coms in
     let* ordering = enum "ordering" ordering_of_name Vliw_sched.Ims.Height in
     let machine = Option.value (str "machine") ~default:"bal" in

@@ -12,7 +12,7 @@
 type request = {
   rq_id : int;  (** echoed back; not part of {!key} *)
   rq_kernel : string;  (** [.lk] source, possibly several kernels *)
-  rq_technique : Engine.technique;
+  rq_technique : Vliw_sched.Schedule.technique;
   rq_heuristic : Vliw_sched.Schedule.heuristic;
   rq_ordering : Vliw_sched.Ims.ordering;
   rq_machine : string;  (** [bal | nobal-mem | nobal-reg] *)
@@ -27,7 +27,7 @@ type request = {
 }
 
 val request :
-  ?technique:Engine.technique ->
+  ?technique:Vliw_sched.Schedule.technique ->
   ?heuristic:Vliw_sched.Schedule.heuristic ->
   ?ordering:Vliw_sched.Ims.ordering ->
   ?machine:string ->

@@ -55,7 +55,7 @@ let queue_capacity t = Pool.Service.capacity t.sv_service
    same inputs, with stdout captured as the response body. *)
 let compile (rq : Protocol.request) : Protocol.outcome =
   match
-    Engine.machine_of_spec ~protocol:rq.Protocol.rq_protocol
+    Vliw_arch.Machine.of_spec ~protocol:rq.Protocol.rq_protocol
       ~name:rq.Protocol.rq_machine ~interleave:rq.Protocol.rq_interleave
       ~ab:rq.Protocol.rq_ab ()
   with

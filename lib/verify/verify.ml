@@ -6,13 +6,7 @@ module Json = Vliw_util.Json
 module L = Vliw_ir.Layout
 module Icn = Vliw_interconnect.Interconnect
 
-type technique = Free | Mdc | Ddgt | Hybrid
-
-let technique_name = function
-  | Free -> "free"
-  | Mdc -> "MDC"
-  | Ddgt -> "DDGT"
-  | Hybrid -> "hybrid"
+type technique = S.technique = Free | Mdc | Ddgt | Hybrid
 
 type report = {
   r_technique : technique;
@@ -349,14 +343,14 @@ let refutation r ~detail =
   in
   D.make
     ~context:
-      (("technique", technique_name r.r_technique)
+      (("technique", S.technique_name r.r_technique)
       :: ("pairs", string_of_int r.r_pairs)
       :: ("obligations", string_of_int r.r_obligations)
       :: List.map (fun (p, c) -> ("proof:" ^ p, string_of_int c)) r.r_proofs)
     D.Error ~code:"verify-refuted"
     "model checker refuted a %s certificate: %s; the certificate discharged %d \
      obligation%s via %s"
-    (technique_name r.r_technique)
+    (S.technique_name r.r_technique)
     detail r.r_obligations
     (if r.r_obligations = 1 then "" else "s")
     leaned
@@ -365,7 +359,7 @@ let pp_report ppf r =
   if r.r_verified then
     Format.fprintf ppf "coherence verification (%s): certified (%d aliased \
                         pairs, %d obligations%s)"
-      (technique_name r.r_technique)
+      (S.technique_name r.r_technique)
       r.r_pairs r.r_obligations
       (match r.r_proofs with
       | [] -> ""
@@ -377,7 +371,7 @@ let pp_report ppf r =
     Format.fprintf ppf
       "coherence verification (%s): REJECTED (%d error%s over %d aliased \
        pairs, %d obligations)"
-      (technique_name r.r_technique)
+      (S.technique_name r.r_technique)
       (List.length (D.errors r.r_diags))
       (if List.length (D.errors r.r_diags) = 1 then "" else "s")
       r.r_pairs r.r_obligations
@@ -385,7 +379,7 @@ let pp_report ppf r =
 let report_json r =
   Json.Obj
     [
-      ("technique", Json.String (technique_name r.r_technique));
+      ("technique", Json.String (S.technique_name r.r_technique));
       ("verified", Json.Bool r.r_verified);
       ("jitter_robust", Json.Bool r.r_jitter_robust);
       ("pairs", Json.Int r.r_pairs);

@@ -85,12 +85,10 @@
     [r_jitter_robust] degrades only when a needed source order does not
     survive jitter (the bus pool loses it, the directory ring keeps it). *)
 
-(** Mirrors the harness's technique choice; only [Mdc] and [Ddgt] switch on
-    technique-specific structural checks ([Free] and [Hybrid] run the
-    generic proof rules alone). *)
-type technique = Free | Mdc | Ddgt | Hybrid
-
-val technique_name : technique -> string
+(** The technique the schedule was built under; only [Mdc] and [Ddgt]
+    switch on technique-specific structural checks ([Free] and [Hybrid]
+    run the generic proof rules alone). *)
+type technique = Vliw_sched.Schedule.technique = Free | Mdc | Ddgt | Hybrid
 
 val proof_names : string list
 (** Every proof/vacuity label that can appear in [r_proofs], in the fixed

@@ -75,6 +75,45 @@ let test_interconnect_names () =
   Alcotest.(check bool) "unknown name" true
     (M.interconnect_of_string "mesh" = None)
 
+let test_of_spec () =
+  let spec ?clusters ?icn ?protocol ?membus name =
+    M.of_spec ?clusters ?icn ?protocol ?membus ~name ~interleave:2 ~ab:true ()
+  in
+  (match
+     spec ~clusters:8 ~icn:"directory" ~protocol:"mesi" ~membus:1 "nobal-reg"
+   with
+  | Error e -> Alcotest.fail e
+  | Ok m ->
+    let expected =
+      M.with_protocol
+        (M.with_interleave
+           (M.with_attraction
+              (M.with_interconnect (M.scale_clusters M.nobal_reg 8) M.Directory)
+              (Some M.default_attraction))
+           2)
+        M.Mesi
+    in
+    let expected =
+      { expected with M.mem_buses = { expected.M.mem_buses with M.bus_count = 1 } }
+    in
+    Alcotest.(check bool) "preset, scaled, then each field" true (m = expected));
+  List.iter
+    (fun (what, r, msg) ->
+      match r with
+      | Ok _ -> Alcotest.fail (what ^ " must be rejected")
+      | Error e -> Alcotest.(check string) what msg e)
+    [
+      ( "machine", spec "bogus",
+        "unknown machine \"bogus\" (bal, nobal-mem, nobal-reg)" );
+      ( "interconnect", spec ~icn:"mesh" "bal",
+        "unknown interconnect \"mesh\" (bus, directory)" );
+      ( "protocol", spec ~protocol:"moesi" "bal",
+        "unknown protocol \"moesi\" (install-flush, msi, mesi)" );
+      ( "pairing", spec ~icn:"directory" ~protocol:"msi" "bal",
+        "invalid machine configuration: protocol msi snoops the shared bus; it \
+         requires interconnect bus" );
+    ]
+
 let test_home_cluster_interleaving () =
   (* 4B interleave, 4 clusters: addresses 0..3 -> cl0, 4..7 -> cl1, ... *)
   Alcotest.(check int) "addr 0" 0 (M.home_cluster t2 ~addr:0);
@@ -175,6 +214,7 @@ let () =
             test_scale_clusters;
           Alcotest.test_case "interconnect names" `Quick
             test_interconnect_names;
+          Alcotest.test_case "of_spec" `Quick test_of_spec;
         ] );
       ( "geometry",
         [

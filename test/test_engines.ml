@@ -11,8 +11,8 @@ module M = Vliw_arch.Machine
 module G = Vliw_ddg.Graph
 module S = Vliw_sched.Schedule
 module Driver = Vliw_sched.Driver
+module Hybrid = Vliw_sched.Hybrid
 module Chains = Vliw_core.Chains
-module Ddgt = Vliw_core.Ddgt
 module Lower = Vliw_lower.Lower
 module Profile = Vliw_profile.Profile
 module Sim = Vliw_sim.Sim
@@ -29,29 +29,15 @@ let compile (c : Gen.case) =
   let layout = Ir.Layout.make k in
   let low = Lower.lower k in
   let prof = Profile.run ~machine ~layout k in
-  let pref = Profile.node_pref prof low.Lower.graph in
   let heuristic =
     if c.Gen.g_index mod 2 = 0 then S.Pref_clus else S.Min_coms
   in
-  let graph, constraints =
-    match c.Gen.g_index mod 3 with
-    | 0 -> (low.Lower.graph, Chains.no_constraints ())
-    | 1 ->
-      ( low.Lower.graph,
-        (match heuristic with
-        | S.Pref_clus -> Chains.prefclus low.Lower.graph ~pref
-        | S.Min_coms -> Chains.mincoms low.Lower.graph) )
-    | _ ->
-      let r = Ddgt.transform ~clusters:machine.M.clusters low.Lower.graph in
-      (r.Ddgt.graph, Chains.no_constraints ())
-  in
-  let pref_g =
-    if c.Gen.g_index mod 3 = 2 then Profile.node_pref prof graph else pref
-  in
+  let technique = List.nth [ S.Free; S.Mdc; S.Ddgt ] (c.Gen.g_index mod 3) in
   match
-    Driver.run (Driver.request ~heuristic ~constraints ~pref:pref_g machine) graph
+    Hybrid.compile ~machine ~heuristic ~pref_for:(Profile.node_pref prof)
+      ~trip:k.Ir.Ast.k_trip technique low.Lower.graph
   with
-  | Ok schedule -> Some (k, layout, low, graph, schedule)
+  | Ok cc -> Some (k, layout, low, cc.Hybrid.c_graph, cc.Hybrid.c_schedule)
   | Error _ -> None
 
 let check_stats_equal tag (a : Sim.stats) (b : Sim.stats) =

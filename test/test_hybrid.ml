@@ -90,6 +90,71 @@ let test_runner_hybrid_never_worse_than_both_on_suite () =
   Alcotest.(check bool) "hybrid beats the worse technique somewhere" true
     !strictly_better
 
+(* --- the shared technique->schedule step --- *)
+
+let src_chain_heavy =
+  "kernel k { array a : i32[532] = ramp(1,3) trip 128 body { let x = \
+   a[4*i] + a[4*i + 1] + a[4*i + 2] + a[4*i + 3] a[(x & 511) + 4] = x } }"
+
+let compile ?lat_policy src technique =
+  let k, low, pref_for = prep src in
+  match
+    Hybrid.compile ~machine:M.table2 ~heuristic:S.Pref_clus ~pref_for
+      ~trip:k.Ir.Ast.k_trip ?lat_policy technique low.Lower.graph
+  with
+  | Ok c -> (low, c)
+  | Error e -> Alcotest.fail e
+
+let test_compile_hybrid_is_choose () =
+  let h = choose src_chain_heavy in
+  let _, c = compile src_chain_heavy S.Hybrid in
+  match c.Hybrid.c_hybrid with
+  | None -> Alcotest.fail "hybrid compile carries no choice"
+  | Some h' ->
+    Alcotest.(check string) "choice" (Hybrid.choice_name h.Hybrid.choice)
+      (Hybrid.choice_name h'.Hybrid.choice);
+    Alcotest.(check (pair int int)) "estimates"
+      (h.Hybrid.mdc_estimate, h.Hybrid.ddgt_estimate)
+      (h'.Hybrid.mdc_estimate, h'.Hybrid.ddgt_estimate);
+    Alcotest.(check string) "schedule"
+      (Format.asprintf "%a" S.pp h.Hybrid.schedule)
+      (Format.asprintf "%a" S.pp c.Hybrid.c_schedule)
+
+let test_compile_graph_per_technique () =
+  List.iter
+    (fun (technique, same) ->
+      let low, c = compile src_chain_heavy technique in
+      Alcotest.(check bool)
+        (S.technique_name technique ^ " schedules the input graph")
+        same
+        (c.Hybrid.c_graph == low.Lower.graph);
+      Alcotest.(check bool)
+        (S.technique_name technique ^ " carries a choice")
+        (technique = S.Hybrid)
+        (c.Hybrid.c_hybrid <> None))
+    [ (S.Free, true); (S.Mdc, true); (S.Ddgt, false) ]
+
+let test_compile_lat_policy_reaches_hybrid () =
+  (* both candidates take the caller's policy: under always-remote-miss
+     every memory op of the chosen graph assumes a remote miss *)
+  let remote_miss = M.latency M.table2 M.Remote_miss in
+  let _, c = compile ~lat_policy:Driver.Fixed_max src_chain_heavy S.Hybrid in
+  G.mem_refs c.Hybrid.c_graph
+  |> List.iter (fun ((n : G.node), _) ->
+         Alcotest.(check int) "assumed = remote miss" remote_miss
+           (S.assumed_of c.Hybrid.c_schedule n.n_id))
+
+let test_technique_names () =
+  List.iter
+    (fun t ->
+      Alcotest.(check bool)
+        (S.technique_name t ^ " parses in lowercase")
+        true
+        (S.technique_of_name (String.lowercase_ascii (S.technique_name t)) = Some t))
+    S.techniques;
+  Alcotest.(check bool) "display spelling is not a flag" true
+    (S.technique_of_name "MDC" = None)
+
 (* --- latency policy ablation --- *)
 
 let sched_with policy src =
@@ -139,6 +204,15 @@ let () =
             test_chosen_schedule_validates;
           Alcotest.test_case "suite sanity" `Slow
             test_runner_hybrid_never_worse_than_both_on_suite;
+        ] );
+      ( "compile",
+        [
+          Alcotest.test_case "hybrid is choose" `Quick test_compile_hybrid_is_choose;
+          Alcotest.test_case "graph per technique" `Quick
+            test_compile_graph_per_technique;
+          Alcotest.test_case "lat policy reaches hybrid" `Quick
+            test_compile_lat_policy_reaches_hybrid;
+          Alcotest.test_case "technique names" `Quick test_technique_names;
         ] );
       ( "latency policy",
         [

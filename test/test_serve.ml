@@ -5,6 +5,7 @@ module Json = Vliw_util.Json
 module Service = Vliw_util.Pool.Service
 module Memo = Vliw_harness.Memo
 module Engine = Vliw_serve.Engine
+module S = Vliw_sched.Schedule
 module Protocol = Vliw_serve.Protocol
 module Cache = Vliw_serve.Cache
 module Server = Vliw_serve.Server
@@ -33,7 +34,7 @@ let slow_kernel name =
 
 let test_request_roundtrip () =
   let rq =
-    Protocol.request ~technique:Engine.Ddgt
+    Protocol.request ~technique:S.Ddgt
       ~heuristic:Vliw_sched.Schedule.Pref_clus ~ordering:Vliw_sched.Ims.Swing
       ~machine:"nobal-mem" ~interleave:8 ~ab:true ~pad:16 ~unroll:2 ~cse:true
       ~verify:true ~execution:true ~id:7 "kernel k { trip 1 body { } }"
@@ -51,7 +52,7 @@ let test_request_defaults_mirror_vliwc () =
   | Ok rq ->
     check "defaults equal the constructor's" true
       (rq = Protocol.request ~id:0 "k");
-    check "technique free" true (rq.Protocol.rq_technique = Engine.Free);
+    check "technique free" true (rq.Protocol.rq_technique = S.Free);
     check "heuristic mincoms" true
       (rq.Protocol.rq_heuristic = Vliw_sched.Schedule.Min_coms);
     check_int "interleave" 4 rq.Protocol.rq_interleave;
@@ -60,7 +61,7 @@ let test_request_defaults_mirror_vliwc () =
 let test_key_ignores_id () =
   let a = Protocol.request ~id:1 "k" and b = Protocol.request ~id:2 "k" in
   check_str "same spec, same key" (Protocol.key a) (Protocol.key b);
-  let c = Protocol.request ~id:1 ~technique:Engine.Mdc "k" in
+  let c = Protocol.request ~id:1 ~technique:S.Mdc "k" in
   check "different technique, different key" true
     (Protocol.key a <> Protocol.key c)
 
@@ -286,7 +287,7 @@ let test_server_backpressure_retry () =
    function of the spec, so any pool width serves identical bytes *)
 let test_server_determinism_across_widths () =
   let kernels = Loadgen.synth_kernels 6 in
-  let techniques = [ Engine.Free; Engine.Mdc; Engine.Ddgt; Engine.Hybrid ] in
+  let techniques = S.techniques in
   let reqs = Loadgen.requests ~kernels ~techniques ~count:100 () in
   let serve jobs =
     let server = Server.create ~jobs ~queue_capacity:64 () in
@@ -320,7 +321,7 @@ let test_server_determinism_across_widths () =
 
 let test_server_reply_matches_oneshot_compile () =
   let server = Server.create ~jobs:2 () in
-  let rq = Protocol.request ~id:0 ~technique:Engine.Mdc (slow_kernel "par") in
+  let rq = Protocol.request ~id:0 ~technique:S.Mdc (slow_kernel "par") in
   let direct = Server.compile rq in
   (match Server.call server rq with
   | Protocol.Done o ->
