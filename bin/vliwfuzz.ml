@@ -178,7 +178,7 @@ let check_cmd files clusters icn jitter matrix max_states jobs out weaken =
     match max_states with
     | None -> Check.default_config
     | Some n ->
-      { Check.default_config with Check.c_max_states = n; c_max_leaves = n }
+      { Check.c_max_states = n; c_max_leaves = n }
   in
   let configs =
     if matrix then

@@ -25,20 +25,16 @@ module Gen = Vliw_fuzz.Gen
 module Oracle = Vliw_fuzz.Oracle
 module Interp = Vliw_ir.Interp
 
-type config = {
-  c_max_states : int;
-  c_max_leaves : int;
-  c_reference_stride : int;
-  c_merge_samples : int;
-}
+type config = { c_max_states : int; c_max_leaves : int }
 
-let default_config =
-  {
-    c_max_states = 200_000;
-    c_max_leaves = 100_000;
-    c_reference_stride = 64;
-    c_merge_samples = 4;
-  }
+let default_config = { c_max_states = 200_000; c_max_leaves = 100_000 }
+
+(* every 64th leaf is replayed on the reference engine *)
+let reference_stride = 64
+
+(* (first visit, pruned) prefix pairs kept for the canonicalization
+   soundness property test *)
+let merge_samples_kept = 4
 
 type counterexample = {
   x_kind : string;
@@ -148,7 +144,7 @@ let explore ~lowered ~graph ~schedule ~layout ?trip ~jitter ~expected
                 | Some first ->
                   incr pruned;
                   incr merge_count;
-                  if List.length !merge_samples < config.c_merge_samples then
+                  if List.length !merge_samples < merge_samples_kept then
                     merge_samples := (first, below) :: !merge_samples;
                   raise Pruned
                 | None -> ());
@@ -201,10 +197,7 @@ let explore ~lowered ~graph ~schedule ~layout ?trip ~jitter ~expected
     (* wheel-vs-reference agreement on a sampled subset: the engines are
        pinned bit-identical including draw consumption, so replaying the
        same script must give byte-identical stats *)
-    if
-      config.c_reference_stride > 0
-      && (!leaves - 1) mod config.c_reference_stride = 0
-    then begin
+    if (!leaves - 1) mod reference_stride = 0 then begin
       incr agreement_checked;
       let rstats =
         replay ~lowered ~graph ~schedule ~layout ?trip ~jitter ~script

@@ -23,15 +23,12 @@
 type config = {
   c_max_states : int;  (** abort exploration past this many distinct states *)
   c_max_leaves : int;  (** abort past this many complete executions *)
-  c_reference_stride : int;
-      (** replay every Nth leaf on the reference engine (0 = never) *)
-  c_merge_samples : int;
-      (** retain up to this many (first visit, pruned) prefix pairs for
-          the canonicalization soundness property test *)
 }
 
 val default_config : config
-(** 200k states, 100k leaves, reference stride 64, 4 merge samples. *)
+(** 200k states, 100k leaves. Every 64th leaf is replayed on the reference
+    engine, and up to 4 (first visit, pruned) prefix pairs are kept for
+    the canonicalization soundness property test. *)
 
 type counterexample = {
   x_kind : string;

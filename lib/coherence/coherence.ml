@@ -10,8 +10,8 @@
      replicas of the written subblock drop to Invalid atomically with
      the store's execution.
 
-   - MESI over the directory backend: the directory's present-mask +
-     dirty bit generalize to per-(cluster, subblock) I/S/E/M states.  A
+   - MESI over the directory backend: the directory's present-mask
+     generalizes to per-(cluster, subblock) I/S/E/M states.  A
      fill that creates the only replica installs in Exclusive; a store
      that hits an Exclusive replica upgrades to Modified silently (no
      traffic — the counted "exclusive hit"); a remote read downgrades
@@ -19,11 +19,12 @@
      writeback.
 
    The protocol engine itself is a plain transition table plus a
-   [Tracker] that mirrors the simulator's replica population.  The sim
-   engines drive the tracker at their replica hook points (fill, store
-   execute, eviction, flush) and emit one trace event per returned
-   transition; [Trace.Audit] replays the event stream against [next] to
-   check every transition is legal and chains correctly. *)
+   [Tracker] that mirrors the simulator's replica population.  The
+   simulator's memory system ([Vliw_sim.Memsys]) drives the tracker at
+   its replica hook points (fill, store execute, eviction, flush) and
+   emits one trace event per returned transition; [Trace.Audit] replays
+   the event stream against [next] to check every transition is legal and
+   chains correctly. *)
 
 module M = Vliw_arch.Machine
 module Dec = Vliw_util.Dec

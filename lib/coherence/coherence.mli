@@ -5,9 +5,10 @@
     {!state} driven by the simulator's replica events.  {!next} is the
     bare transition table — shared with the audit replay so every traced
     transition is re-checked for legality — and {!t} is the mutable
-    tracker the sim engines drive.  Under [Machine.Install_flush] every
-    hook is a no-op returning [[]], which keeps the default sim path
-    byte-identical to the pre-protocol engine. *)
+    tracker the simulator's memory system drives.  Under
+    [Machine.Install_flush] every hook is a no-op returning [[]], which
+    keeps the default sim path byte-identical to the pre-protocol
+    engine. *)
 
 module M = Vliw_arch.Machine
 

@@ -162,10 +162,10 @@ end
 (* jitter cannot reorder same-link traffic.                           *)
 (*                                                                    *)
 (* The directory bank at each home cluster tracks, per subblock, the  *)
-(* present-bit mask of clusters holding an Attraction-Buffer replica  *)
-(* plus a dirty bit. A store at the home enqueues invalidates to      *)
-(* every other sharer; a sharer invalidating a locally-written        *)
-(* replica answers with a writeback acknowledgement.                  *)
+(* present-bit mask of clusters holding an Attraction-Buffer replica. *)
+(* A store at the home enqueues invalidates to every other sharer; a  *)
+(* sharer invalidating a locally-written replica answers with a       *)
+(* writeback acknowledgement.                                         *)
 (* ------------------------------------------------------------------ *)
 
 module Directory = struct
@@ -193,7 +193,7 @@ module Directory = struct
            than a departure attempt from [p_at] *)
   }
 
-  type dir_entry = { mutable e_mask : int; mutable e_dirty : bool }
+  type dir_entry = { mutable e_mask : int }
 
   type 'a t = {
     clusters : int;
@@ -211,7 +211,7 @@ module Directory = struct
     mutable hops : int;
   }
 
-  let create ~clusters ~hop_latency ~dummy:_ =
+  let create ~clusters ~hop_latency =
     {
       clusters;
       hop_latency;
@@ -271,7 +271,7 @@ module Directory = struct
     match Hashtbl.find_opt t.entries subblock with
     | Some e -> e
     | None ->
-      let e = { e_mask = 0; e_dirty = false } in
+      let e = { e_mask = 0 } in
       Hashtbl.add t.entries subblock e;
       e
 
@@ -286,7 +286,6 @@ module Directory = struct
     let keep = if requester >= 0 then 1 lsl requester else 0 in
     let sharers = e.e_mask land lnot keep in
     e.e_mask <- e.e_mask land keep;
-    e.e_dirty <- true;
     let sent = ref 0 in
     for c = 0 to t.clusters - 1 do
       if sharers land (1 lsl c) <> 0 then begin
@@ -299,8 +298,7 @@ module Directory = struct
 
   let confirm_install t ~cluster ~subblock =
     let e = entry t subblock in
-    e.e_mask <- e.e_mask lor (1 lsl cluster);
-    e.e_dirty <- false
+    e.e_mask <- e.e_mask lor (1 lsl cluster)
 
   let drop_replica t ~cluster ~subblock =
     match Hashtbl.find_opt t.entries subblock with
@@ -319,7 +317,7 @@ module Directory = struct
      packets within a bucket in processing (injection) order; transaction
      ids are trace-only and excluded. Directory entries are emitted in
      subblock order, skipping entries indistinguishable from an absent
-     one (empty mask, clean). [in_flight] is derivable from the buckets.
+     one (empty mask). [in_flight] is derivable from the buckets.
      The traffic counters are included because they surface in the final
      run stats. *)
   let encode_state t ~now ~payload buf =
@@ -373,7 +371,7 @@ module Directory = struct
     let entries =
       Hashtbl.fold
         (fun sb e acc ->
-          if e.e_mask = 0 && not e.e_dirty then acc else (sb, e) :: acc)
+          if e.e_mask = 0 then acc else (sb, e) :: acc)
         t.entries []
       |> List.sort compare
     in
@@ -384,7 +382,6 @@ module Directory = struct
         int sb;
         Buffer.add_char buf ':';
         field e.e_mask;
-        Dec.add_bool buf e.e_dirty;
         Buffer.add_char buf ';')
       entries;
     Buffer.add_char buf '|';

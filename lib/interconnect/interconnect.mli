@@ -4,9 +4,10 @@
 
     Both simulator engines ([Engine_reference] and [Engine_wheel]) drive
     these components through the same narrow interface — request, grant,
-    transfer — so the two engines stay bit-identical by construction:
-    every arbitration decision, PRNG draw and delivery order is made
-    inside this library, not in engine-specific code.
+    transfer — so every arbitration decision and delivery order is made
+    inside this library, not in engine-specific code. The directory's
+    sharer bookkeeping is driven by the simulator's shared memory-system
+    module ([Vliw_sim.Memsys]), never by an engine directly.
 
     {b Bus} is the paper's machine: a pool of shared memory buses
     draining one global FIFO request queue. Ordering guarantee: global
@@ -20,8 +21,8 @@
     a FIFO channel (packets cannot overtake on a link, even under
     jitter), but there is no global arbitration order across sources.
     The directory bank at each home cluster tracks, per subblock, a
-    present-bit mask of clusters holding an Attraction-Buffer replica
-    plus a dirty bit, and drives invalidate / fetch / writeback flows. *)
+    present-bit mask of clusters holding an Attraction-Buffer replica,
+    and drives invalidate / fetch / writeback flows. *)
 
 module M = Vliw_arch.Machine
 
@@ -121,7 +122,7 @@ module Directory : sig
     d_hops : int;  (** total link traversals of all packets *)
   }
 
-  val create : clusters:int -> hop_latency:int -> dummy:'a -> 'a t
+  val create : clusters:int -> hop_latency:int -> 'a t
 
   val pending : 'a t -> bool
   (** Packets still in flight (the engine main loops must keep running
@@ -136,7 +137,7 @@ module Directory : sig
   (** Append a canonical serialization of the ring + directory state for
       model-checking state keys: link horizons relativized to [now],
       buckets in ascending-cycle order with packets in processing order,
-      directory entries in subblock order (skipping empty clean ones),
+      directory entries in subblock order (skipping empty ones),
       and the traffic counters (they surface in the final stats).
       Transaction ids are trace-only and excluded. *)
 
@@ -147,18 +148,18 @@ module Directory : sig
 
   val lookup : 'a t -> home:int -> subblock:int -> int
   (** Record a directory-bank lookup at [home]; returns the current
-      sharer mask (for tracing). Called by the engines when a request is
-      first serviced at its home module (combined requests share the
+      sharer mask (for tracing). Called when a request is first
+      serviced at its home module (combined requests share the
       original's lookup). *)
 
   val store_apply : 'a t -> now:int -> home:int -> subblock:int -> requester:int -> int
   (** A store took effect at [home]: enqueue an invalidate packet to
-      every sharer except [requester], clear their present bits, set the
-      dirty bit. Returns the number of invalidates sent. *)
+      every sharer except [requester] and clear their present bits.
+      Returns the number of invalidates sent. *)
 
   val confirm_install : 'a t -> cluster:int -> subblock:int -> unit
   (** The requester accepted a fill into its Attraction Buffer: set its
-      present bit and clear the dirty bit. *)
+      present bit. *)
 
   val drop_replica : 'a t -> cluster:int -> subblock:int -> unit
   (** A replica was evicted (AB capacity victim): clear its present bit

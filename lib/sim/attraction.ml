@@ -139,7 +139,7 @@ let invalidate t ~subblock =
     r
   end
 
-let install_addrs t ~subblock ~(addrs : int array) ~mem ~sync =
+let install t ~subblock ~(addrs : int array) ~mem ~sync =
   let base = addrs.(0) in
   let s = set_of t subblock in
   let row = t.entries.(s) in
@@ -186,11 +186,6 @@ let install_addrs t ~subblock ~(addrs : int array) ~mem ~sync =
   done;
   bump t s way;
   evicted
-
-let install t ~machine ~subblock ~mem ~sync =
-  assert (machine == t.machine || machine = t.machine);
-  let addrs = Array.of_list (M.addrs_of_subblock machine ~subblock) in
-  install_addrs t ~subblock ~addrs ~mem ~sync
 
 let sync_seq t ~subblock =
   let w = find_way t subblock in

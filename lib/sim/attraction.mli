@@ -28,22 +28,13 @@ val invalidate : t -> subblock:int -> [ `Absent | `Clean | `Written ]
     backend owes the home bank a writeback acknowledgement. *)
 
 val install :
-  t ->
-  machine:Vliw_arch.Machine.t ->
-  subblock:int ->
-  mem:Bytes.t ->
-  sync:int ->
-  (int * bool) option
-(** Cache a remote subblock: copy its bytes out of [mem] (the state at
-    response time) and tag the entry with [sync]. Evicts LRU; returns the
-    evicted [(subblock, written)] if a valid different entry was displaced
-    (the directory backend must stop tracking that replica). *)
-
-val install_addrs :
   t -> subblock:int -> addrs:int array -> mem:Bytes.t -> sync:int -> (int * bool) option
-(** [install] with the subblock's member addresses precomputed
-    ({!Vliw_arch.Machine.addrs_of_subblock} in order): the allocation-free
-    fast path used by the event-wheel simulator engine. *)
+(** Cache a remote subblock: copy its bytes out of [mem] (the state at
+    response time) from its member addresses [addrs]
+    ({!Vliw_arch.Machine.addrs_of_subblock} in order) and tag the entry
+    with [sync]. Evicts LRU; returns the evicted [(subblock, written)] if a
+    valid different entry was displaced (the directory backend must stop
+    tracking that replica). Allocates nothing. *)
 
 val sync_seq : t -> subblock:int -> int option
 (** The entry's coherence high-water mark: every store with a smaller

@@ -1,8 +1,9 @@
-(* The pre-overhaul per-cycle simulator engine, kept verbatim as the
-   correctness oracle for the event-wheel engine (Sim.run ~engine:`Reference).
-   Closure-calendar based: a Hashtbl of cycle -> thunk list, functional maps
-   for per-instance state. Slow but obviously faithful to the prose spec in
-   sim.mli. *)
+(* The pre-overhaul per-cycle simulator engine, kept as the correctness
+   oracle for the event wheel's calendar and per-instance state
+   (Sim.run ~engine:`Reference). Closure-calendar based: a Hashtbl of
+   cycle -> thunk list, functional maps for per-instance state. Slow but
+   obviously faithful to the prose spec in sim.mli. The memory system's
+   rules live in [Memsys], shared with the wheel. *)
 
 module G = Vliw_ddg.Graph
 module M = Vliw_arch.Machine
@@ -11,10 +12,7 @@ module L = Vliw_lower.Lower
 module Ir = Vliw_ir
 module Tr = Vliw_trace.Trace
 module Icn = Vliw_interconnect.Interconnect
-module C = Vliw_coherence.Coherence
 open Sim_types
-
-let ty_of_mr = Sim_types.ty_of_mr
 
 type waiter = {
   w_seq : int;
@@ -23,7 +21,6 @@ type waiter = {
   w_addr : int;
   w_size : int;
   w_value : int64;
-  w_site : int;
   w_iter : int;
   w_respond : int64 -> int -> unit;  (* value, ready time *)
   w_local : bool;
@@ -69,120 +66,12 @@ let run ~lowered ~graph ~schedule ~layout ?trip ?(mode = Execution) ?jitter
     match trace with Some s -> Tr.emit s ~cycle:!now ~cluster p | None -> ()
   in
 
-  (* ----- memory + coherence-order state ----- *)
   let mem = Ir.Interp.init_memory layout kernel in
   let msize = Bytes.length mem in
-  let last_store_seq = Array.make msize (-1) in
-  let last_any_seq = Array.make msize (-1) in
-  let violations = ref 0 in
   let nsites = Array.length lowered.L.site_node in
   let seq_of ~site ~iter = (iter * nsites) + site in
-  let oracle = match mode with Oracle r -> Some r | Execution -> None in
-  let oracle_value ~site ~iter =
-    Option.map
-      (fun (r : Ir.Interp.result) -> r.events.((iter * nsites) + site).ev_value)
-      oracle
-  in
-
-  (* Apply an access at its home module: coherence-order bookkeeping plus
-     the actual data effect, at the time the access takes effect. *)
-  let apply_access ~seq ~is_store ~addr ~size ~value ~site ~iter ~ty =
-    if tracing then
-      emit
-        ~cluster:(M.home_cluster machine ~addr)
-        (Tr.Apply { seq; addr; size; store = is_store });
-    let lastb = min (addr + size - 1) (msize - 1) in
-    let bad = ref false in
-    for b = addr to lastb do
-      if is_store then (if last_any_seq.(b) > seq then bad := true)
-      else if last_store_seq.(b) > seq then bad := true
-    done;
-    if !bad then incr violations;
-    if is_store && addr + size <= msize then
-      Ir.Sem.store_bytes mem addr ty (Ir.Sem.truncate ty value);
-    for b = addr to lastb do
-      if is_store then last_store_seq.(b) <- max last_store_seq.(b) seq;
-      last_any_seq.(b) <- max last_any_seq.(b) seq
-    done;
-    if is_store then 0L
-    else
-      match oracle_value ~site ~iter with
-      | Some v -> v
-      | None -> if addr + size <= msize then Ir.Sem.load_bytes mem addr ty else 0L
-  in
-
-  (* Under MSI/MESI a store's memory effect lands at execute time, so an
-     older load whose service is still in flight would otherwise read the
-     younger store's value. At each store's execute, every pending older
-     load overlapping its bytes latches its value right now — the
-     coherence point orders the outstanding read before the upgrade —
-     and service later returns the latched value. *)
-  let prot_pending : waiter list ref = ref [] in
-  let prot_done : (int, unit) Hashtbl.t = Hashtbl.create 64 in
-  let prot_lval : (int, int64) Hashtbl.t = Hashtbl.create 64 in
-  let waiter_ty (w : waiter) =
-    match w.w_size with
-    | 1 -> Ir.Ast.I8
-    | 2 -> Ir.Ast.I16
-    | 4 -> Ir.Ast.I32
-    | _ -> Ir.Ast.I64
-  in
-  let prot_latch_older ~seq ~addr ~size =
-    let last = addr + size - 1 in
-    let hit, rest =
-      List.partition
-        (fun (w : waiter) ->
-          (not (Hashtbl.mem prot_done w.w_seq))
-          && w.w_seq < seq
-          && w.w_addr <= last
-          && w.w_addr + w.w_size - 1 >= addr)
-        !prot_pending
-    in
-    prot_pending :=
-      List.filter (fun (w : waiter) -> not (Hashtbl.mem prot_done w.w_seq)) rest;
-    List.iter
-      (fun (w : waiter) ->
-        Hashtbl.replace prot_lval w.w_seq
-          (apply_access ~seq:w.w_seq ~is_store:false ~addr:w.w_addr
-             ~size:w.w_size ~value:w.w_value ~site:w.w_site ~iter:w.w_iter
-             ~ty:(waiter_ty w));
-        Hashtbl.replace prot_done w.w_seq ())
-      (List.sort (fun (a : waiter) b -> compare a.w_seq b.w_seq) hit)
-  in
-  let prot_load_value (w : waiter) ~ty =
-    match Hashtbl.find_opt prot_lval w.w_seq with
-    | Some v -> v
-    | None ->
-      Hashtbl.replace prot_done w.w_seq ();
-      apply_access ~seq:w.w_seq ~is_store:false ~addr:w.w_addr ~size:w.w_size
-        ~value:w.w_value ~site:w.w_site ~iter:w.w_iter ~ty
-  in
 
   (* ----- interconnect: shared-bus pool or directory-tracked ring ----- *)
-  let jit =
-    (* [ch_note_state] is intentionally ignored here: the closure calendar
-       has no canonical serialization, so exploration runs on the wheel
-       engine and this engine only replays recorded draw scripts. The
-       Choice trace emission matches the wheel engine site for site, so
-       trace streams stay bit-identical under a shared script. *)
-    match (choices : Sim_types.chooser option) with
-    | None ->
-      fun () ->
-        (match jitter with
-        | None -> 0
-        | Some (p, j) -> Vliw_util.Prng.int p (j + 1))
-    | Some c ->
-      let bound = c.Sim_types.ch_jitter + 1 in
-      let draw_ix = ref 0 in
-      fun () ->
-        let v = c.Sim_types.ch_draw ~bound in
-        if v < 0 || v >= bound then
-          invalid_arg "Sim.run: chooser draw out of bounds";
-        if tracing then
-          emit (Tr.Choice { index = !draw_ix; bound; chosen = v });
-        incr draw_ix;
-        v
-  in
   let dir_mode = machine.M.interconnect = M.Directory in
   let bus : (int -> unit) Icn.Bus.t =
     Icn.Bus.create ~buses:machine.M.mem_buses.M.bus_count ~latency:mem_buslat
@@ -190,8 +79,20 @@ let run ~lowered ~graph ~schedule ~layout ?trip ?(mode = Execution) ?jitter
   in
   let dir : (int -> unit) Icn.Directory.t =
     Icn.Directory.create ~clusters:nclusters ~hop_latency:(max 1 mem_buslat)
-      ~dummy:(fun (_ : int) -> ())
   in
+  (* [ch_note_state] is intentionally ignored here: the closure calendar
+     has no canonical serialization, so exploration runs on the wheel
+     engine and this engine only replays recorded draw scripts. *)
+  let ms =
+    Memsys.create ~machine ~mem ~sites:nsites ~trip ~mode ~warm ?jitter ?choices
+      ~trace ~now ~dir
+      ~home_of:(fun addr -> M.home_cluster machine ~addr)
+      ~subblock_of:(fun addr -> M.subblock_id machine ~addr)
+      ~addrs_of:(fun subblock ->
+        Array.of_list (M.addrs_of_subblock machine ~subblock))
+      ()
+  in
+  let jit = Memsys.jit ms in
   let send_bus ~cluster action =
     let txn = Icn.Bus.request bus ~now:!now action in
     if tracing then emit ~cluster (Tr.Bus_request { txn; cluster })
@@ -205,113 +106,6 @@ let run ~lowered ~graph ~schedule ~layout ?trip ?(mode = Execution) ?jitter
     if tracing then emit ~cluster:src (Tr.Bus_request { txn; cluster = src })
   in
 
-  (* ----- next memory level: ported, fixed total service ----- *)
-  let l2_free = Array.make machine.M.l2_ports 0 in
-  let l2_fetch t fill =
-    let port = ref 0 in
-    Array.iteri (fun p f -> if f < l2_free.(!port) then port := p) l2_free;
-    let start = max t l2_free.(!port) in
-    l2_free.(!port) <- start + 2;
-    at (start + machine.M.l2_latency) (fun () -> fill (start + machine.M.l2_latency))
-  in
-
-  (* ----- cache modules, MSHRs, attraction buffers ----- *)
-  let modules = Array.init nclusters (fun c -> Cachemod.create machine ~cluster:c) in
-  let abs =
-    match machine.M.attraction with
-    | None -> [||]
-    | Some _ -> Array.init nclusters (fun _ -> Attraction.create machine)
-  in
-  (* per-cluster, per-byte: the newest store sequence number this cluster
-     has *executed* (address resolved), applied at home or not. A store
-     instance freshens a buffered copy only if the copy exists when it
-     executes; a fill arriving later could otherwise install a home
-     snapshot that predates the store's apply, leaving a provably-stale
-     copy no update can ever repair. The cluster knows its own executed
-     writes, so it refuses such fills (see [ab_fill_fresh]). *)
-  let ab_exec_seq =
-    Array.init (Array.length abs) (fun _ -> Array.make msize (-1))
-  in
-  let ab_note_store ~own ~addr ~size ~seq =
-    if Array.length abs > 0 then
-      for b = addr to min (addr + size - 1) (msize - 1) do
-        if seq > ab_exec_seq.(own).(b) then ab_exec_seq.(own).(b) <- seq
-      done
-  in
-  (* accept a fill only when every byte's home-applied high-water covers
-     the stores this cluster already executed there *)
-  let ab_fill_fresh ~own ~subblock =
-    List.for_all
-      (fun a ->
-        let lastb = min (a + machine.M.interleave_bytes - 1) (msize - 1) in
-        let ok = ref true in
-        for b = a to lastb do
-          if ab_exec_seq.(own).(b) > last_store_seq.(b) then ok := false
-        done;
-        !ok)
-      (M.addrs_of_subblock machine ~subblock)
-  in
-  (* ----- coherence protocol (MSI/MESI) tracker + hooks, mirrored
-     site-for-site against the wheel engine ----- *)
-  let prot_on = machine.M.protocol <> M.Install_flush in
-  let coh = C.create ~protocol:machine.M.protocol ~clusters:nclusters in
-  let emit_transitions trs =
-    List.iter
-      (fun (tr : C.transition) ->
-        if tracing then
-          emit ~cluster:tr.C.t_cluster
-            (Tr.Prot_transition
-               {
-                 cluster = tr.C.t_cluster;
-                 subblock = tr.C.t_subblock;
-                 from_state = tr.C.t_from;
-                 to_state = tr.C.t_to;
-                 cause = tr.C.t_cause;
-               });
-        match tr with
-        | { C.t_from = C.M_; t_to = C.S; t_cause = C.Remote_read; _ }
-          when dir_mode ->
-          Icn.Directory.writeback dir ~now:!now ~src:tr.C.t_cluster
-            ~home:(tr.C.t_subblock mod nclusters) ~subblock:tr.C.t_subblock
-        | _ -> ())
-      trs
-  in
-  let prot_store_execute ~replicated ~own ~addr ~size ~present =
-    let il = machine.M.interleave_bytes in
-    let last = addr + size - 1 in
-    let b = ref addr in
-    while !b <= last do
-      let sb = M.subblock_id machine ~addr:!b in
-      let own_present =
-        Array.length abs > 0
-        && Attraction.sync_seq abs.(own) ~subblock:sb <> None
-      in
-      let own_upgraded = own_present && !b = addr && present in
-      if own_present && not own_upgraded then begin
-        ignore (Attraction.invalidate abs.(own) ~subblock:sb);
-        if dir_mode then
-          Icn.Directory.drop_replica dir ~cluster:own ~subblock:sb;
-        emit_transitions (C.note_evict coh ~cluster:own ~subblock:sb)
-      end;
-      if not replicated then
-        for c = 0 to nclusters - 1 do
-          if c <> own && Array.length abs > 0 then
-            match Attraction.invalidate abs.(c) ~subblock:sb with
-            | `Absent -> ()
-            | (`Clean | `Written) as r ->
-              if dir_mode then begin
-                Icn.Directory.drop_replica dir ~cluster:c ~subblock:sb;
-                if r = `Written then
-                  Icn.Directory.writeback dir ~now:!now ~src:c
-                    ~home:(sb mod nclusters) ~subblock:sb
-              end
-        done;
-      emit_transitions
-        (C.note_store coh ~writer:own ~subblock:sb ~present:own_upgraded
-           ~replicated);
-      b := ((!b / il) + 1) * il
-    done
-  in
   let mshr : (int, waiter list ref) Hashtbl.t = Hashtbl.create 32 in
   let modq : (int * waiter) Queue.t array =
     Array.init nclusters (fun _ -> Queue.create ())
@@ -320,131 +114,40 @@ let run ~lowered ~graph ~schedule ~layout ?trip ?(mode = Execution) ?jitter
   let track_load (w : waiter) phase =
     if not w.w_store then Hashtbl.replace load_phase (w.w_node, w.w_iter) phase
   in
-  (* cache warm-up: replay the reference address trace into the modules *)
-  (if warm then
-     match oracle with
-     | None -> invalid_arg "Sim.run: warm requires Oracle mode"
-     | Some r ->
-       Array.iter
-         (fun (ev : Ir.Interp.event) ->
-           let sb = M.subblock_id machine ~addr:ev.ev_addr in
-           let home = M.home_cluster machine ~addr:ev.ev_addr in
-           ignore (Cachemod.install modules.(home) ~subblock:sb))
-         r.events);
-
-  let local_hits = ref 0 and remote_hits = ref 0 in
-  let local_misses = ref 0 and remote_misses = ref 0 in
-  let combined = ref 0 and ab_hits = ref 0 and nullified = ref 0 in
-
   let cluster_of id = S.cluster_of schedule id in
 
   let service cluster (w : waiter) =
     let sb = M.subblock_id machine ~addr:w.w_addr in
-    let ty =
-      (* the ty only matters for data width/extension; requester passes the
-         right extension through w_respond, so use a raw read of w_size *)
-      match (w.w_size, false) with
-      | 1, _ -> Ir.Ast.I8
-      | 2, _ -> Ir.Ast.I16
-      | 4, _ -> Ir.Ast.I32
-      | _ -> Ir.Ast.I64
+    (* the access takes effect at its home module *)
+    let complete (w : waiter) =
+      Memsys.complete ms ~cluster ~subblock:sb ~seq:w.w_seq ~store:w.w_store
+        ~addr:w.w_addr ~size:w.w_size ~value:w.w_value
+        ~requester:(cluster_of w.w_node)
     in
     match Hashtbl.find_opt mshr sb with
     | Some waiters ->
-      incr combined;
-      if tracing then
-        emit ~cluster (Tr.Mshr_combine { cluster; subblock = sb; seq = w.w_seq });
+      Memsys.combine ms ~cluster ~subblock:sb ~seq:w.w_seq;
       track_load w In_mshr;
       waiters := w :: !waiters
     | None ->
-      (* the home directory bank is consulted once per non-combined
-         access (combined requests share the original's lookup) *)
-      if dir_mode then begin
-        let sharers = Icn.Directory.lookup dir ~home:cluster ~subblock:sb in
-        if tracing then
-          emit ~cluster
-            (Tr.Dir_lookup { cluster; subblock = sb; store = w.w_store; sharers })
-      end;
-      if Cachemod.present modules.(cluster) ~subblock:sb then (
-        Cachemod.touch modules.(cluster) ~subblock:sb;
-        if w.w_local then incr local_hits else incr remote_hits;
-        if tracing then
-          emit ~cluster
-            (Tr.Mod_service
-               {
-                 cluster;
-                 seq = w.w_seq;
-                 addr = w.w_addr;
-                 size = w.w_size;
-                 store = w.w_store;
-                 local = w.w_local;
-                 hit = true;
-               });
-        (* protocol stores already applied their memory effect at
-           execute (see [initiate]); re-applying here would clobber
-           younger protocol stores *)
-        let v =
-          if prot_on then (if w.w_store then 0L else prot_load_value w ~ty)
-          else
-            apply_access ~seq:w.w_seq ~is_store:w.w_store ~addr:w.w_addr
-              ~size:w.w_size ~value:w.w_value ~site:w.w_site ~iter:w.w_iter ~ty
-        in
-        if dir_mode && w.w_store then
-          ignore
-            (Icn.Directory.store_apply dir ~now:!now ~home:cluster ~subblock:sb
-               ~requester:(cluster_of w.w_node));
-        w.w_respond v (!now + hit_lat))
-      else (
-        if w.w_local then incr local_misses else incr remote_misses;
-        if tracing then (
-          emit ~cluster
-            (Tr.Mod_service
-               {
-                 cluster;
-                 seq = w.w_seq;
-                 addr = w.w_addr;
-                 size = w.w_size;
-                 store = w.w_store;
-                 local = w.w_local;
-                 hit = false;
-               });
-          emit ~cluster (Tr.Mshr_alloc { cluster; subblock = sb }));
+      if
+        Memsys.lookup ms ~cluster ~subblock:sb ~seq:w.w_seq ~store:w.w_store
+          ~addr:w.w_addr ~size:w.w_size ~local:w.w_local
+      then w.w_respond (complete w) (!now + hit_lat)
+      else begin
         track_load w In_mshr;
         Hashtbl.replace mshr sb (ref [ w ]);
-        l2_fetch !now (fun tf ->
-            ignore (Cachemod.install modules.(cluster) ~subblock:sb);
+        let tf = Memsys.l2_fetch ms in
+        at tf (fun () ->
             let ws =
               match Hashtbl.find_opt mshr sb with
               | Some l -> List.rev !l
               | None -> []
             in
             Hashtbl.remove mshr sb;
-            if tracing then
-              emit ~cluster
-                (Tr.Mshr_fill { cluster; subblock = sb; waiters = List.length ws });
-            List.iter
-              (fun w ->
-                let ty =
-                  match w.w_size with
-                  | 1 -> Ir.Ast.I8
-                  | 2 -> Ir.Ast.I16
-                  | 4 -> Ir.Ast.I32
-                  | _ -> Ir.Ast.I64
-                in
-                let v =
-                  if prot_on then
-                    if w.w_store then 0L else prot_load_value w ~ty
-                  else
-                    apply_access ~seq:w.w_seq ~is_store:w.w_store ~addr:w.w_addr
-                      ~size:w.w_size ~value:w.w_value ~site:w.w_site
-                      ~iter:w.w_iter ~ty
-                in
-                if dir_mode && w.w_store then
-                  ignore
-                    (Icn.Directory.store_apply dir ~now:!now ~home:cluster
-                       ~subblock:sb ~requester:(cluster_of w.w_node));
-                w.w_respond v (tf + hit_lat))
-              ws))
+            Memsys.fill ms ~cluster ~subblock:sb ~waiters:(List.length ws);
+            List.iter (fun w -> w.w_respond (complete w) (tf + hit_lat)) ws)
+      end
   in
 
   (* ----- network phase: bus arbitration or ring/directory stepping ----- *)
@@ -452,25 +155,9 @@ let run ~lowered ~graph ~schedule ~layout ?trip ?(mode = Execution) ?jitter
     match payload with
     | Icn.Directory.Request f | Icn.Directory.Response f -> f !now
     | Icn.Directory.Invalidate { subblock; home } ->
-      if Array.length abs > 0 then (
-        match Attraction.invalidate abs.(dst) ~subblock with
-        | `Absent -> ()
-        | `Clean ->
-          if tracing then
-            emit ~cluster:dst
-              (Tr.Dir_invalidate { cluster = dst; subblock; written = false });
-          if prot_on then
-            emit_transitions (C.note_remote_invalidate coh ~cluster:dst ~subblock)
-        | `Written ->
-          if tracing then
-            emit ~cluster:dst
-              (Tr.Dir_invalidate { cluster = dst; subblock; written = true });
-          if prot_on then
-            emit_transitions (C.note_remote_invalidate coh ~cluster:dst ~subblock);
-          Icn.Directory.writeback dir ~now:!now ~src:dst ~home ~subblock)
+      Memsys.invalidate ms ~cluster:dst ~subblock ~home
     | Icn.Directory.Writeback_ack { subblock; from = _ } ->
-      if tracing then
-        emit ~cluster:dst (Tr.Dir_writeback { cluster = dst; subblock })
+      Memsys.writeback_ack ms ~cluster:dst ~subblock
   in
   let dispatch_network () =
     if dir_mode then
@@ -512,126 +199,40 @@ let run ~lowered ~graph ~schedule ~layout ?trip ?(mode = Execution) ?jitter
   (* ----- access initiation (at issue time) ----- *)
   let sign_extend ty v = Ir.Sem.truncate ty v in
   let initiate ~(node : G.node) ~(mr : G.mem_ref) ~iter ~is_store ~addr ~value =
-    let site = mr.mr_site in
-    let seq = seq_of ~site ~iter in
+    let seq = seq_of ~site:mr.mr_site ~iter in
     let size = mr.mr_bytes in
     let ty = ty_of_mr mr in
     let own = cluster_of node.n_id in
     let home = M.home_cluster machine ~addr in
     let local = home = own in
     let key = (node.n_id, iter) in
-    (* stores keep any attraction-buffer copy in their own cluster fresh *)
-    let ab_written =
-      if is_store && Array.length abs > 0 then (
-        ab_note_store ~own ~addr ~size ~seq;
-        let present =
-          Attraction.write_if_present abs.(own)
-            ~subblock:(M.subblock_id machine ~addr)
-            ~addr ~size (Ir.Sem.truncate ty value) ~sync:seq
-        in
-        if present && tracing then
-          emit ~cluster:own (Tr.Ab_update { cluster = own; addr; size; seq });
-        present)
-      else false
-    in
-    (* MSI/MESI: the store's memory effect and its invalidation of remote
-       replicas happen at execute time — the upgrade wins the
-       interconnect before any data moves. The transaction below still
-       travels to the home module for timing and bandwidth, but its
-       arrival no longer applies anything. *)
-    if is_store && prot_on then begin
-      prot_latch_older ~seq ~addr ~size;
-      prot_store_execute
-        ~replicated:(node.G.n_replica <> None)
-        ~own ~addr ~size ~present:ab_written;
-      ignore
-        (apply_access ~seq ~is_store:true ~addr ~size ~value ~site ~iter ~ty)
-    end;
+    if is_store then
+      Memsys.store ms ~own ~seq ~addr ~size ~value
+        ~replicated:(node.G.n_replica <> None);
     let respond =
       if is_store then fun _ _ -> ()
       else if local then fun v t ->
         Hashtbl.remove load_phase key;
         set_reg node.n_id iter ~ready:t ~value:(sign_extend ty v)
       else fun v t ->
-        (* response travels back over the interconnect; install the
-           subblock into the requester's attraction buffer on arrival *)
+        (* the response travels back over the interconnect and installs
+           into the requester's Attraction Buffer on arrival *)
         at t (fun () ->
             Hashtbl.replace load_phase key Resp_bus;
             let fill arrival =
               Hashtbl.remove load_phase key;
-              (if Array.length abs > 0 && ab_fill_fresh ~own ~subblock:(M.subblock_id machine ~addr)
-               then (
-                 let sb = M.subblock_id machine ~addr in
-                 let sync =
-                   List.fold_left
-                     (fun acc a ->
-                       let lastb = min (a + machine.M.interleave_bytes - 1) (msize - 1) in
-                       let s = ref acc in
-                       for b = a to lastb do
-                         s := max !s last_store_seq.(b)
-                       done;
-                       !s)
-                     (-1)
-                     (M.addrs_of_subblock machine
-                        ~subblock:sb)
-                 in
-                 (match Attraction.install abs.(own) ~machine ~subblock:sb ~mem ~sync with
-                 | Some (evicted, _) ->
-                   if dir_mode then
-                     Icn.Directory.drop_replica dir ~cluster:own
-                       ~subblock:evicted;
-                   if prot_on then
-                     emit_transitions
-                       (C.note_evict coh ~cluster:own ~subblock:evicted)
-                 | None -> ());
-                 if dir_mode then
-                   Icn.Directory.confirm_install dir ~cluster:own ~subblock:sb;
-                 if prot_on then
-                   emit_transitions (C.note_fill coh ~cluster:own ~subblock:sb);
-                 if tracing then
-                   emit ~cluster:own
-                     (Tr.Ab_install { cluster = own; subblock = sb; sync })));
+              Memsys.ab_fill ms ~own ~addr;
               set_reg node.n_id iter ~ready:arrival ~value:(sign_extend ty v)
             in
             if dir_mode then send_response ~src:home ~dst:own fill
             else send_bus ~cluster:own fill)
     in
-    (* attraction buffer lookup for remote loads *)
-    let ab_satisfied =
-      (not is_store) && (not local) && Array.length abs > 0
-      &&
-      let sb = M.subblock_id machine ~addr in
-      match Attraction.read abs.(own) ~subblock:sb ~addr ~size with
-      | None -> false
-      | Some raw ->
-        incr local_hits;
-        incr ab_hits;
-        (* staleness: a store ordered before this load but newer than the
-           buffered copy makes the copy provably stale *)
-        (match Attraction.sync_seq abs.(own) ~subblock:sb with
-        | Some sync ->
-          let lastb = min (addr + size - 1) (msize - 1) in
-          let stale = ref false in
-          for b = addr to lastb do
-            if last_store_seq.(b) > sync && last_store_seq.(b) < seq then
-              stale := true
-          done;
-          if !stale then incr violations;
-          if tracing then
-            emit ~cluster:own (Tr.Ab_hit { cluster = own; seq; addr; size; sync })
-        | None ->
-          if tracing then
-            emit ~cluster:own
-              (Tr.Ab_hit { cluster = own; seq; addr; size; sync = max_int }));
-        let v =
-          match oracle_value ~site ~iter with
-          | Some ov -> ov
-          | None -> sign_extend ty raw
-        in
-        set_reg node.n_id iter ~ready:(!now + hit_lat) ~value:v;
-        true
-    in
-    if not ab_satisfied then (
+    match
+      if is_store || local then None
+      else Memsys.ab_read ms ~own ~seq ~addr ~size ~ty
+    with
+    | Some v -> set_reg node.n_id iter ~ready:(!now + hit_lat) ~value:v
+    | None ->
       let w =
         {
           w_seq = seq;
@@ -640,13 +241,12 @@ let run ~lowered ~graph ~schedule ~layout ?trip ?(mode = Execution) ?jitter
           w_addr = addr;
           w_size = size;
           w_value = value;
-          w_site = site;
           w_iter = iter;
           w_respond = respond;
           w_local = local;
         }
       in
-      if prot_on && not is_store then prot_pending := w :: !prot_pending;
+      if not is_store then Memsys.track_load ms ~seq ~addr ~size;
       if local then (
         track_load w At_module;
         Queue.add (!now, w) modq.(home))
@@ -657,7 +257,7 @@ let run ~lowered ~graph ~schedule ~layout ?trip ?(mode = Execution) ?jitter
           Queue.add (!now, w) modq.(home)
         in
         if dir_mode then send_request ~src:own ~dst:home to_module
-        else send_bus ~cluster:own to_module))
+        else send_bus ~cluster:own to_module)
   in
 
   (* ----- issue ----- *)
@@ -762,38 +362,9 @@ let run ~lowered ~graph ~schedule ~layout ?trip ?(mode = Execution) ?jitter
         in
         if executing then
           initiate ~node:n ~mr ~iter:kiter ~is_store:true ~addr ~value
-        else (
-          incr nullified;
-          let own = cluster_of n.n_id in
-          if tracing then
-            emit ~cluster:own
-              (Tr.Nullify { cluster = own; site = mr.mr_site; iter = kiter });
-          (* a nullified instance still refreshes its cluster's attraction
-             buffer copy (Section 5.3) *)
-          let present =
-            if Array.length abs > 0 then (
-              let ty = ty_of_mr mr in
-              let seq = seq_of ~site:mr.mr_site ~iter:kiter in
-              ab_note_store ~own ~addr ~size:mr.mr_bytes ~seq;
-              let present =
-                Attraction.write_if_present
-                  abs.(own)
-                  ~subblock:(M.subblock_id machine ~addr)
-                  ~addr ~size:mr.mr_bytes
-                  (Ir.Sem.truncate ty value)
-                  ~sync:seq
-              in
-              if present && tracing then
-                emit ~cluster:own
-                  (Tr.Ab_update { cluster = own; addr; size = mr.mr_bytes; seq });
-              present)
-            else false
-          in
-          (* a nullified replica broadcasts into its own copy only; the
-             executing replica owns the upgrade and the memory effect *)
-          if prot_on then
-            prot_store_execute ~replicated:true ~own ~addr ~size:mr.mr_bytes
-              ~present))
+        else
+          Memsys.nullify ms ~own:(cluster_of n.n_id) ~site:mr.mr_site
+            ~iter:kiter ~addr ~size:mr.mr_bytes ~value)
   in
 
   (* ----- issue buckets ----- *)
@@ -899,41 +470,6 @@ let run ~lowered ~graph ~schedule ~layout ?trip ?(mode = Execution) ?jitter
     incr now
   done;
 
-  let ab_flushed = ref 0 in
-  Array.iteri
-    (fun c ab ->
-      let n = Attraction.flush ab in
-      ab_flushed := !ab_flushed + n;
-      if tracing then emit ~cluster:c (Tr.Ab_flush { cluster = c; entries = n }))
-    abs;
-  let total = !now in
-  let compute = vspan in
-  let stall = max 0 (total - compute) in
-  let dstats = Icn.Directory.stats dir in
-  {
-    total_cycles = total;
-    compute_cycles = compute;
-    stall_cycles = stall;
-    stall_load_cycles = !stall_load;
-    stall_copy_cycles = !stall_copy;
-    stall_bus_cycles = !stall_bus;
-    stall_drain_cycles = stall - !stall_load - !stall_copy - !stall_bus;
-    local_hits = !local_hits;
-    remote_hits = !remote_hits;
-    local_misses = !local_misses;
-    remote_misses = !remote_misses;
-    combined = !combined;
-    ab_hits = !ab_hits;
-    ab_flushed = !ab_flushed;
-    violations = !violations;
-    nullified = !nullified;
-    comm_ops = List.length schedule.S.copies * trip;
-    dir_lookups = dstats.Icn.Directory.d_lookups;
-    dir_invalidates = dstats.Icn.Directory.d_invalidates;
-    dir_writebacks = dstats.Icn.Directory.d_writebacks;
-    packet_hops = dstats.Icn.Directory.d_hops;
-    prot_invalidations = (C.counters coh).C.invalidations;
-    prot_upgrades = (C.counters coh).C.upgrades;
-    prot_exclusive_hits = (C.counters coh).C.exclusive_hits;
-    memory = mem;
-  }
+  Memsys.finish ms ~compute:vspan ~stall_load:!stall_load
+    ~stall_copy:!stall_copy ~stall_bus:!stall_bus
+    ~comm_ops:(List.length schedule.S.copies * trip)

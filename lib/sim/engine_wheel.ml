@@ -1,8 +1,10 @@
 (* Event-wheel simulator engine: the default hot path behind [Sim.run].
 
-   Produces bit-identical results to [Engine_reference] (same stats, same
-   memory image, same trace event stream, same PRNG consumption) while
-   replacing every allocating structure on the per-cycle path:
+   Both engines run the memory system's rules through [Memsys]; this one
+   stores time and per-instance state without allocating on the
+   per-cycle path, and produces bit-identical results to
+   [Engine_reference] (same stats, same memory image, same trace event
+   stream, same PRNG consumption):
 
    - the closure calendar (Hashtbl of cycle -> thunk list) becomes an
      indexed event wheel: per-absolute-cycle intrusive lists of
@@ -19,7 +21,7 @@
      shifts and masks when the geometry is a power of two, and each static
      memory op's base address / stride are resolved once at setup;
    - the subblock -> member-addresses list is materialised once per
-     subblock, making attraction-buffer installs allocation-free.
+     subblock, making Attraction Buffer installs allocation-free.
 
    Event insertion order per cycle, bus-grant order, PRNG call sites, and
    the phase order within a cycle (events, buses, modules, issue) all
@@ -33,7 +35,6 @@ module L = Vliw_lower.Lower
 module Ir = Vliw_ir
 module Tr = Vliw_trace.Trace
 module Icn = Vliw_interconnect.Interconnect
-module C = Vliw_coherence.Coherence
 module Dec = Vliw_util.Dec
 open Sim_types
 
@@ -54,12 +55,6 @@ let ph_resp_bus = 4
 let ev_arrive = 0 (* bus arrival: a = leg (0 req / 1 resp), b = inst, c = txn, d = bus *)
 let ev_resp_send = 1 (* remote load data ready at home: b = inst *)
 let ev_mshr_fill = 2 (* next-level fill done: b = subblock, c = cluster *)
-
-let size_ty = function
-  | 1 -> Ir.Ast.I8
-  | 2 -> Ir.Ast.I16
-  | 4 -> Ir.Ast.I32
-  | _ -> Ir.Ast.I64
 
 let ilog2 v =
   let r = ref 0 in
@@ -303,14 +298,9 @@ let run ~lowered ~graph ~schedule ~layout ?trip ?(mode = Execution) ?jitter
     done
   done;
 
-  (* ----- memory + coherence-order state ----- *)
   let mem = Ir.Interp.init_memory layout kernel in
   let msize = Bytes.length mem in
-  let last_store_seq = Array.make msize (-1) in
-  let last_any_seq = Array.make msize (-1) in
-  let violations = ref 0 in
   let nsites = Array.length lowered.L.site_node in
-  let oracle = match mode with Oracle r -> Some r | Execution -> None in
 
   (* ----- clock + tracing ----- *)
   let now = ref 0 in
@@ -376,83 +366,16 @@ let run ~lowered ~graph ~schedule ~layout ?trip ?(mode = Execution) ?jitter
   (* ----- interconnect: shared-bus pool or directory-tracked ring -----
      The payload threaded through [Icn.Bus] / [Icn.Directory] packs
      (inst, leg) into one int: [(inst lsl 1) lor leg]. *)
-  let jit =
-    match (choices : Sim_types.chooser option) with
-    | None ->
-      fun () ->
-        (match jitter with
-        | None -> 0
-        | Some (p, j) -> Vliw_util.Prng.int p (j + 1))
-    | Some c ->
-      let bound = c.Sim_types.ch_jitter + 1 in
-      let draw_ix = ref 0 in
-      fun () ->
-        let v = c.Sim_types.ch_draw ~bound in
-        if v < 0 || v >= bound then
-          invalid_arg "Sim.run: chooser draw out of bounds";
-        if tracing then
-          emit (Tr.Choice { index = !draw_ix; bound; chosen = v });
-        incr draw_ix;
-        v
-  in
   let dir_mode = machine.M.interconnect = M.Directory in
-  (* coherence protocol (MSI/MESI): tracker mirroring the AB replica
-     population. Under the default install/flush every hook is a no-op,
-     keeping that path byte-identical to the pre-protocol engine. *)
-  let prot_on = machine.M.protocol <> M.Install_flush in
-  let coh = C.create ~protocol:machine.M.protocol ~clusters:nclusters in
   let bus : int Icn.Bus.t =
     Icn.Bus.create ~buses:nbuses ~latency:mem_buslat ~dummy:0
   in
   let dir : int Icn.Directory.t =
     Icn.Directory.create ~clusters:nclusters ~hop_latency:(max 1 mem_buslat)
-      ~dummy:0
-  in
-  let send_bus ~cluster ~leg ~inst =
-    let txn = Icn.Bus.request bus ~now:!now ((inst lsl 1) lor leg) in
-    if tracing then emit ~cluster (Tr.Bus_request { txn; cluster })
-  in
-  let send_dir_request ~src ~dst ~inst =
-    let txn = Icn.Directory.send_request dir ~now:!now ~src ~dst inst in
-    if tracing then emit ~cluster:src (Tr.Bus_request { txn; cluster = src })
-  in
-  let send_dir_response ~src ~dst ~inst =
-    let txn = Icn.Directory.send_response dir ~now:!now ~src ~dst inst in
-    if tracing then emit ~cluster:src (Tr.Bus_request { txn; cluster = src })
-  in
-  let dispatch_buses () =
-    Icn.Bus.dispatch bus ~now:!now ~jit
-      ~grant:(fun ~txn ~bus:b ~wait ~lat ~arrival payload ->
-        if tracing then emit (Tr.Bus_grant { txn; bus = b; wait; lat });
-        schedule_event arrival ev_arrive (payload land 1) (payload lsr 1) txn b)
   in
 
-  (* ----- next memory level: ported, fixed total service ----- *)
-  let l2_free = Array.make machine.M.l2_ports 0 in
-  let l2_fetch t sb cluster =
-    let port = ref 0 in
-    Array.iteri (fun p f -> if f < l2_free.(!port) then port := p) l2_free;
-    let start = max t l2_free.(!port) in
-    l2_free.(!port) <- start + 2;
-    schedule_event (start + machine.M.l2_latency) ev_mshr_fill 0 sb cluster 0
-  in
-
-  (* ----- cache modules, MSHRs, attraction buffers ----- *)
-  let modules = Array.init nclusters (fun c -> Cachemod.create machine ~cluster:c) in
-  let abs =
-    match machine.M.attraction with
-    | None -> [||]
-    | Some _ -> Array.init nclusters (fun _ -> Attraction.create machine)
-  in
-  let nabs = Array.length abs in
-  let ab_exec_seq = Array.init nabs (fun _ -> Array.make msize (-1)) in
-  let ab_note_store ~own ~addr ~size ~seq =
-    if nabs > 0 then
-      for b = addr to min (addr + size - 1) (msize - 1) do
-        if seq > ab_exec_seq.(own).(b) then ab_exec_seq.(own).(b) <- seq
-      done
-  in
-  (* subblock -> member addresses, materialised once per subblock *)
+  (* ----- subblock tables: member addresses (materialised once per
+     subblock) and MSHR waiter lists ----- *)
   let nsb = ref (if msize = 0 then 1 else sb_of (msize - 1) + nclusters) in
   let no_addrs : int array = [||] in
   let sb_addrs = ref (Array.make !nsb no_addrs) in
@@ -476,6 +399,7 @@ let run ~lowered ~graph ~schedule ~layout ?trip ?(mode = Execution) ?jitter
     end
   in
   let addrs_of_sb sb =
+    ensure_sb sb;
     let a = !sb_addrs.(sb) in
     if a != no_addrs then a
     else begin
@@ -484,103 +408,29 @@ let run ~lowered ~graph ~schedule ~layout ?trip ?(mode = Execution) ?jitter
       a
     end
   in
-  let ab_fill_fresh ~own ~sb =
-    let addrs = addrs_of_sb sb in
-    let ok = ref true in
-    for i = 0 to Array.length addrs - 1 do
-      let a = addrs.(i) in
-      let lastb = min (a + il - 1) (msize - 1) in
-      for b = a to lastb do
-        if ab_exec_seq.(own).(b) > last_store_seq.(b) then ok := false
-      done
-    done;
-    !ok
-  in
-  let ab_sync_of sb =
-    let addrs = addrs_of_sb sb in
-    let s = ref (-1) in
-    for i = 0 to Array.length addrs - 1 do
-      let a = addrs.(i) in
-      let lastb = min (a + il - 1) (msize - 1) in
-      for b = a to lastb do
-        if last_store_seq.(b) > !s then s := last_store_seq.(b)
-      done
-    done;
-    !s
-  in
   let mshr_next = Array.make ninst (-1) in
-
-  (* ----- protocol transition plumbing ----- *)
-  (* Emit one trace event per tracker transition; a Modified owner
-     downgraded by a remote read (MESI ownership handoff) additionally
-     pays a writeback to the line's home bank. *)
-  let emit_transitions trs =
-    List.iter
-      (fun (tr : C.transition) ->
-        if tracing then
-          emit ~cluster:tr.C.t_cluster
-            (Tr.Prot_transition
-               {
-                 cluster = tr.C.t_cluster;
-                 subblock = tr.C.t_subblock;
-                 from_state = tr.C.t_from;
-                 to_state = tr.C.t_to;
-                 cause = tr.C.t_cause;
-               });
-        match tr with
-        | { C.t_from = C.M_; t_to = C.S; t_cause = C.Remote_read; _ }
-          when dir_mode ->
-          Icn.Directory.writeback dir ~now:!now ~src:tr.C.t_cluster
-            ~home:(tr.C.t_subblock mod nclusters) ~subblock:tr.C.t_subblock
-        | _ -> ())
-      trs
+  let ms =
+    Memsys.create ~machine ~mem ~sites:nsites ~trip ~mode ~warm ?jitter ?choices
+      ~trace ~now ~dir ~home_of ~subblock_of:sb_of ~addrs_of:addrs_of_sb ()
   in
-  (* A store executed under MSI/MESI: its upgrade wins the interconnect
-     atomically with execution, so every remote AB replica of each
-     touched subblock drops to Invalid here and now. The writer's own
-     replica upgrades to M when the write landed in it ([present]); a
-     copy the write could not be packed into (an access straddling its
-     interleave chunk) is dropped instead of left stale. Replicated
-     (DDGT) stores broadcast the write into sibling replicas, so they
-     invalidate nothing. On the directory backend the dropped replicas
-     leave the present-mask immediately — the store's later apply-time
-     [store_apply] then finds no residual sharers to invalidate — and a
-     dropped Modified copy pays a writeback. *)
-  let prot_store_execute ~n ~own ~addr ~present =
-    let size = mbytes.(n) in
-    let last = addr + size - 1 in
-    let replicated = m_replica.(n) in
-    let b = ref addr in
-    while !b <= last do
-      let sb = sb_of !b in
-      let own_present =
-        nabs > 0 && Attraction.sync_seq abs.(own) ~subblock:sb <> None
-      in
-      let own_upgraded = own_present && !b = addr && present in
-      if own_present && not own_upgraded then begin
-        ignore (Attraction.invalidate abs.(own) ~subblock:sb);
-        if dir_mode then
-          Icn.Directory.drop_replica dir ~cluster:own ~subblock:sb;
-        emit_transitions (C.note_evict coh ~cluster:own ~subblock:sb)
-      end;
-      if not replicated then
-        for c = 0 to nclusters - 1 do
-          if c <> own && nabs > 0 then
-            match Attraction.invalidate abs.(c) ~subblock:sb with
-            | `Absent -> ()
-            | (`Clean | `Written) as r ->
-              if dir_mode then begin
-                Icn.Directory.drop_replica dir ~cluster:c ~subblock:sb;
-                if r = `Written then
-                  Icn.Directory.writeback dir ~now:!now ~src:c
-                    ~home:(sb mod nclusters) ~subblock:sb
-              end
-        done;
-      emit_transitions
-        (C.note_store coh ~writer:own ~subblock:sb ~present:own_upgraded
-           ~replicated);
-      b := ((!b / il) + 1) * il
-    done
+  let jit = Memsys.jit ms in
+  let send_bus ~cluster ~leg ~inst =
+    let txn = Icn.Bus.request bus ~now:!now ((inst lsl 1) lor leg) in
+    if tracing then emit ~cluster (Tr.Bus_request { txn; cluster })
+  in
+  let send_dir_request ~src ~dst ~inst =
+    let txn = Icn.Directory.send_request dir ~now:!now ~src ~dst inst in
+    if tracing then emit ~cluster:src (Tr.Bus_request { txn; cluster = src })
+  in
+  let send_dir_response ~src ~dst ~inst =
+    let txn = Icn.Directory.send_response dir ~now:!now ~src ~dst inst in
+    if tracing then emit ~cluster:src (Tr.Bus_request { txn; cluster = src })
+  in
+  let dispatch_buses () =
+    Icn.Bus.dispatch bus ~now:!now ~jit
+      ~grant:(fun ~txn ~bus:b ~wait ~lat ~arrival payload ->
+        if tracing then emit (Tr.Bus_grant { txn; bus = b; wait; lat });
+        schedule_event arrival ev_arrive (payload land 1) (payload lsr 1) txn b)
   in
 
   (* ----- per-cluster module queues: int rings ----- *)
@@ -620,97 +470,9 @@ let run ~lowered ~graph ~schedule ~layout ?trip ?(mode = Execution) ?jitter
   let inst_addr = Array.make ninst 0 in
   let inst_home = Array.make ninst 0 in
   let inst_val = Array.make ninst 0L in
-  (* MSI/MESI anti-dependence ordering: loads still in the memory system
-     when a younger store to the same bytes executes (protocol stores
-     apply at execute time) *)
-  let prot_pending = ref [] in
-  let prot_done = Array.make ninst false in
-  let prot_latched = Array.make ninst false in
-  let prot_lval = Array.make ninst 0L in
-
-  (* cache warm-up: replay the reference address trace into the modules *)
-  (if warm then
-     match oracle with
-     | None -> invalid_arg "Sim.run: warm requires Oracle mode"
-     | Some r ->
-       Array.iter
-         (fun (ev : Ir.Interp.event) ->
-           let sb = sb_of ev.ev_addr in
-           let home = home_of ev.ev_addr in
-           ignore (Cachemod.install modules.(home) ~subblock:sb))
-         r.events);
-
-  let local_hits = ref 0 and remote_hits = ref 0 in
-  let local_misses = ref 0 and remote_misses = ref 0 in
-  let combined = ref 0 and ab_hits = ref 0 and nullified = ref 0 in
 
   (* ----- the access path ----- *)
   let sign_extend ty v = Ir.Sem.truncate ty v in
-  let apply_access inst =
-    let n = inst / trip in
-    let k = inst - (n * trip) in
-    let is_store = kindv.(n) = k_store in
-    let addr = inst_addr.(inst) in
-    let size = mbytes.(n) in
-    let seq = (k * nsites) + msite.(n) in
-    let ty = size_ty size in
-    if tracing then
-      emit ~cluster:(home_of addr) (Tr.Apply { seq; addr; size; store = is_store });
-    let lastb = min (addr + size - 1) (msize - 1) in
-    let bad = ref false in
-    for b = addr to lastb do
-      if is_store then (if last_any_seq.(b) > seq then bad := true)
-      else if last_store_seq.(b) > seq then bad := true
-    done;
-    if !bad then incr violations;
-    if is_store && addr + size <= msize then
-      Ir.Sem.store_bytes mem addr ty (Ir.Sem.truncate ty inst_val.(inst));
-    for b = addr to lastb do
-      if is_store then last_store_seq.(b) <- max last_store_seq.(b) seq;
-      last_any_seq.(b) <- max last_any_seq.(b) seq
-    done;
-    if is_store then 0L
-    else
-      match oracle with
-      | Some r -> r.events.(seq).ev_value
-      | None -> if addr + size <= msize then Ir.Sem.load_bytes mem addr ty else 0L
-  in
-  (* Under MSI/MESI a store's memory effect lands at execute time, so an
-     older load whose service is still in flight would otherwise read the
-     younger store's value. At each store's execute, every pending older
-     load overlapping its bytes latches its value right now — the
-     coherence point orders the outstanding read before the upgrade —
-     and service later returns the latched value. *)
-  let seq_of inst =
-    let n = inst / trip in
-    ((inst - (n * trip)) * nsites) + msite.(n)
-  in
-  let prot_latch_older ~seq ~addr ~size =
-    let last = addr + size - 1 in
-    let hit, rest =
-      List.partition
-        (fun i ->
-          (not prot_done.(i))
-          && seq_of i < seq
-          && inst_addr.(i) <= last
-          && inst_addr.(i) + mbytes.(i / trip) - 1 >= addr)
-        !prot_pending
-    in
-    prot_pending := List.filter (fun i -> not prot_done.(i)) rest;
-    List.iter
-      (fun i ->
-        prot_lval.(i) <- apply_access i;
-        prot_latched.(i) <- true;
-        prot_done.(i) <- true)
-      (List.sort (fun a b -> compare (seq_of a) (seq_of b)) hit)
-  in
-  let prot_load_value inst =
-    if prot_latched.(inst) then prot_lval.(inst)
-    else begin
-      prot_done.(inst) <- true;
-      apply_access inst
-    end
-  in
   (* deliver a serviced value: stores are done; local loads retire at [t];
      remote loads ride a response bus leg back and install into the AB *)
   let respond inst v t =
@@ -728,84 +490,41 @@ let run ~lowered ~graph ~schedule ~layout ?trip ?(mode = Execution) ?jitter
       end
     end
   in
+  let seq_of inst =
+    let n = inst / trip in
+    ((inst - (n * trip)) * nsites) + msite.(n)
+  in
+  (* the access takes effect at home module [c] *)
+  let complete c sb inst =
+    let n = inst / trip in
+    Memsys.complete ms ~cluster:c ~subblock:sb ~seq:(seq_of inst)
+      ~store:(kindv.(n) = k_store) ~addr:inst_addr.(inst) ~size:mbytes.(n)
+      ~value:inst_val.(inst) ~requester:clusterv.(n)
+  in
   let service c inst =
     let n = inst / trip in
-    let k = inst - (n * trip) in
+    let seq = seq_of inst in
     let addr = inst_addr.(inst) in
     let sb = sb_of addr in
     ensure_sb sb;
     let is_store = kindv.(n) = k_store in
-    let local = inst_home.(inst) = clusterv.(n) in
     if !mshr_head.(sb) >= 0 then begin
-      incr combined;
-      if tracing then
-        emit ~cluster:c
-          (Tr.Mshr_combine
-             { cluster = c; subblock = sb; seq = (k * nsites) + msite.(n) });
+      Memsys.combine ms ~cluster:c ~subblock:sb ~seq;
       if not is_store then phase.(inst) <- ph_in_mshr;
       mshr_next.(inst) <- -1;
       mshr_next.(!mshr_tail.(sb)) <- inst;
       !mshr_tail.(sb) <- inst
     end
+    else if
+      Memsys.lookup ms ~cluster:c ~subblock:sb ~seq ~store:is_store ~addr
+        ~size:mbytes.(n) ~local:(inst_home.(inst) = clusterv.(n))
+    then respond inst (complete c sb inst) (!now + hit_lat)
     else begin
-      (* the home directory bank is consulted once per non-combined
-         access (combined requests share the original's lookup) *)
-      if dir_mode then begin
-        let sharers = Icn.Directory.lookup dir ~home:c ~subblock:sb in
-        if tracing then
-          emit ~cluster:c
-            (Tr.Dir_lookup
-               { cluster = c; subblock = sb; store = is_store; sharers })
-      end;
-      if Cachemod.present modules.(c) ~subblock:sb then begin
-        Cachemod.touch modules.(c) ~subblock:sb;
-        if local then incr local_hits else incr remote_hits;
-        if tracing then
-          emit ~cluster:c
-            (Tr.Mod_service
-               {
-                 cluster = c;
-                 seq = (k * nsites) + msite.(n);
-                 addr;
-                 size = mbytes.(n);
-                 store = is_store;
-                 local;
-                 hit = true;
-               });
-        (* protocol stores applied (and invalidated) at execute; their
-           home arrival is timing/bandwidth only *)
-        let v =
-          if prot_on then (if is_store then 0L else prot_load_value inst)
-          else apply_access inst
-        in
-        if dir_mode && is_store then
-          ignore
-            (Icn.Directory.store_apply dir ~now:!now ~home:c ~subblock:sb
-               ~requester:clusterv.(n));
-        respond inst v (!now + hit_lat)
-      end
-      else begin
-        if local then incr local_misses else incr remote_misses;
-        if tracing then begin
-          emit ~cluster:c
-            (Tr.Mod_service
-               {
-                 cluster = c;
-                 seq = (k * nsites) + msite.(n);
-                 addr;
-                 size = mbytes.(n);
-                 store = is_store;
-                 local;
-                 hit = false;
-               });
-          emit ~cluster:c (Tr.Mshr_alloc { cluster = c; subblock = sb })
-        end;
-        if not is_store then phase.(inst) <- ph_in_mshr;
-        mshr_next.(inst) <- -1;
-        !mshr_head.(sb) <- inst;
-        !mshr_tail.(sb) <- inst;
-        l2_fetch !now sb c
-      end
+      if not is_store then phase.(inst) <- ph_in_mshr;
+      mshr_next.(inst) <- -1;
+      !mshr_head.(sb) <- inst;
+      !mshr_tail.(sb) <- inst;
+      schedule_event (Memsys.l2_fetch ms) ev_mshr_fill 0 sb c 0
     end
   in
 
@@ -851,78 +570,24 @@ let run ~lowered ~graph ~schedule ~layout ?trip ?(mode = Execution) ?jitter
   let initiate n k ~is_store ~addr ~value =
     let seq = (k * nsites) + msite.(n) in
     let size = mbytes.(n) in
-    let ty = mty.(n) in
     let own = clusterv.(n) in
     let home = home_of addr in
     let local = home = own in
     let inst = (n * trip) + k in
-    let ab_written =
-      if is_store && nabs > 0 then begin
-        ab_note_store ~own ~addr ~size ~seq;
-        let present =
-          Attraction.write_if_present abs.(own) ~subblock:(sb_of addr) ~addr
-            ~size
-            (Ir.Sem.truncate ty value)
-            ~sync:seq
-        in
-        if present && tracing then
-          emit ~cluster:own (Tr.Ab_update { cluster = own; addr; size; seq });
-        present
-      end
-      else false
-    in
-    (* MSI/MESI: the store's memory effect and its invalidation of remote
-       replicas happen at execute time — the upgrade wins the
-       interconnect before any data moves. The transaction below still
-       travels to the home module for timing and bandwidth, but its
-       arrival no longer applies anything. *)
-    if is_store && prot_on then begin
+    if is_store then
+      Memsys.store ms ~own ~seq ~addr ~size ~value ~replicated:m_replica.(n);
+    match
+      if is_store || local then None
+      else Memsys.ab_read ms ~own ~seq ~addr ~size ~ty:mty.(n)
+    with
+    | Some v ->
+      reg_ready_at.(inst) <- !now + hit_lat;
+      reg_val.(inst) <- v
+    | None ->
       inst_addr.(inst) <- addr;
       inst_home.(inst) <- home;
       inst_val.(inst) <- value;
-      prot_latch_older ~seq ~addr ~size;
-      prot_store_execute ~n ~own ~addr ~present:ab_written;
-      ignore (apply_access inst)
-    end;
-    let ab_satisfied =
-      (not is_store) && (not local) && nabs > 0
-      &&
-      let sb = sb_of addr in
-      match Attraction.read abs.(own) ~subblock:sb ~addr ~size with
-      | None -> false
-      | Some raw ->
-        incr local_hits;
-        incr ab_hits;
-        (match Attraction.sync_seq abs.(own) ~subblock:sb with
-        | Some sync ->
-          let lastb = min (addr + size - 1) (msize - 1) in
-          let stale = ref false in
-          for b = addr to lastb do
-            if last_store_seq.(b) > sync && last_store_seq.(b) < seq then
-              stale := true
-          done;
-          if !stale then incr violations;
-          if tracing then
-            emit ~cluster:own (Tr.Ab_hit { cluster = own; seq; addr; size; sync })
-        | None ->
-          if tracing then
-            emit ~cluster:own
-              (Tr.Ab_hit { cluster = own; seq; addr; size; sync = max_int }));
-        let v =
-          match oracle with
-          | Some r -> r.events.(seq).ev_value
-          | None -> sign_extend ty raw
-        in
-        reg_ready_at.(inst) <- !now + hit_lat;
-        reg_val.(inst) <- v;
-        true
-    in
-    if not ab_satisfied then begin
-      inst_addr.(inst) <- addr;
-      inst_home.(inst) <- home;
-      inst_val.(inst) <- value;
-      if prot_on && not is_store then
-        prot_pending := inst :: !prot_pending;
+      if not is_store then Memsys.track_load ms ~seq ~addr ~size;
       if local then begin
         if not is_store then phase.(inst) <- ph_at_module;
         modq_push home inst
@@ -932,7 +597,6 @@ let run ~lowered ~graph ~schedule ~layout ?trip ?(mode = Execution) ?jitter
         if dir_mode then send_dir_request ~src:own ~dst:home ~inst
         else send_bus ~cluster:own ~leg:0 ~inst
       end
-    end
   in
 
   (* ----- arrival handlers, shared by bus events and directory
@@ -948,30 +612,7 @@ let run ~lowered ~graph ~schedule ~layout ?trip ?(mode = Execution) ?jitter
     let n = inst / trip in
     let own = clusterv.(n) in
     phase.(inst) <- ph_none;
-    let addr = inst_addr.(inst) in
-    (if nabs > 0 then begin
-       let sb = sb_of addr in
-       ensure_sb sb;
-       if ab_fill_fresh ~own ~sb then begin
-         let sync = ab_sync_of sb in
-         (match
-            Attraction.install_addrs abs.(own) ~subblock:sb
-              ~addrs:(addrs_of_sb sb) ~mem ~sync
-          with
-         | Some (evicted, _) ->
-           if dir_mode then
-             Icn.Directory.drop_replica dir ~cluster:own ~subblock:evicted;
-           if prot_on then
-             emit_transitions (C.note_evict coh ~cluster:own ~subblock:evicted)
-         | None -> ());
-         if dir_mode then
-           Icn.Directory.confirm_install dir ~cluster:own ~subblock:sb;
-         if prot_on then
-           emit_transitions (C.note_fill coh ~cluster:own ~subblock:sb);
-         if tracing then
-           emit ~cluster:own (Tr.Ab_install { cluster = own; subblock = sb; sync })
-       end
-     end);
+    Memsys.ab_fill ms ~own ~addr:inst_addr.(inst);
     reg_ready_at.(inst) <- !now;
     reg_val.(inst) <- sign_extend mty.(n) inst_val.(inst)
   in
@@ -981,27 +622,9 @@ let run ~lowered ~graph ~schedule ~layout ?trip ?(mode = Execution) ?jitter
     | Icn.Directory.Request inst -> request_arrive inst
     | Icn.Directory.Response inst -> response_arrive inst
     | Icn.Directory.Invalidate { subblock; home } ->
-      if nabs > 0 then (
-        match Attraction.invalidate abs.(dst) ~subblock with
-        | `Absent -> ()
-        | `Clean ->
-          if tracing then
-            emit ~cluster:dst
-              (Tr.Dir_invalidate { cluster = dst; subblock; written = false });
-          if prot_on then
-            emit_transitions
-              (C.note_remote_invalidate coh ~cluster:dst ~subblock)
-        | `Written ->
-          if tracing then
-            emit ~cluster:dst
-              (Tr.Dir_invalidate { cluster = dst; subblock; written = true });
-          if prot_on then
-            emit_transitions
-              (C.note_remote_invalidate coh ~cluster:dst ~subblock);
-          Icn.Directory.writeback dir ~now:!now ~src:dst ~home ~subblock)
+      Memsys.invalidate ms ~cluster:dst ~subblock ~home
     | Icn.Directory.Writeback_ack { subblock; from = _ } ->
-      if tracing then
-        emit ~cluster:dst (Tr.Dir_writeback { cluster = dst; subblock })
+      Memsys.writeback_ack ms ~cluster:dst ~subblock
   in
   let dispatch_network () =
     if dir_mode then
@@ -1032,32 +655,19 @@ let run ~lowered ~graph ~schedule ~layout ?trip ?(mode = Execution) ?jitter
     | _ ->
       (* ev_mshr_fill *)
       let sb = !ev_b.(e) and c = !ev_c.(e) in
-      ignore (Cachemod.install modules.(c) ~subblock:sb);
-      let tf = !now in
       let head = !mshr_head.(sb) in
       !mshr_head.(sb) <- -1;
       !mshr_tail.(sb) <- -1;
-      if tracing then begin
-        let cnt = ref 0 and w = ref head in
-        while !w >= 0 do
-          incr cnt;
-          w := mshr_next.(!w)
-        done;
-        emit ~cluster:c (Tr.Mshr_fill { cluster = c; subblock = sb; waiters = !cnt })
-      end;
+      let cnt = ref 0 and w = ref head in
+      while !w >= 0 do
+        incr cnt;
+        w := mshr_next.(!w)
+      done;
+      Memsys.fill ms ~cluster:c ~subblock:sb ~waiters:!cnt;
       let w = ref head in
       while !w >= 0 do
         let nxt = mshr_next.(!w) in
-        let w_store = kindv.(!w / trip) = k_store in
-        let v =
-          if prot_on then (if w_store then 0L else prot_load_value !w)
-          else apply_access !w
-        in
-        if dir_mode && w_store then
-          ignore
-            (Icn.Directory.store_apply dir ~now:!now ~home:c ~subblock:sb
-               ~requester:clusterv.(!w / trip));
-        respond !w v (tf + hit_lat);
+        respond !w (complete c sb !w) (!now + hit_lat);
         w := nxt
       done
   in
@@ -1087,34 +697,9 @@ let run ~lowered ~graph ~schedule ~layout ?trip ?(mode = Execution) ?jitter
           (not m_replica.(n)) || home_of addr = clusterv.(n)
         in
         if executing then initiate n k ~is_store:true ~addr ~value
-        else begin
-          incr nullified;
-          let own = clusterv.(n) in
-          if tracing then
-            emit ~cluster:own
-              (Tr.Nullify { cluster = own; site = msite.(n); iter = k });
-          let present =
-            if nabs > 0 then begin
-              let ty = mty.(n) in
-              let seq = (k * nsites) + msite.(n) in
-              ab_note_store ~own ~addr ~size:mbytes.(n) ~seq;
-              let present =
-                Attraction.write_if_present abs.(own) ~subblock:(sb_of addr)
-                  ~addr ~size:mbytes.(n)
-                  (Ir.Sem.truncate ty value)
-                  ~sync:seq
-              in
-              if present && tracing then
-                emit ~cluster:own
-                  (Tr.Ab_update { cluster = own; addr; size = mbytes.(n); seq });
-              present
-            end
-            else false
-          in
-          (* a nullified replica broadcasts into its own copy only; the
-             executing replica owns the upgrade and the memory effect *)
-          if prot_on then prot_store_execute ~n ~own ~addr ~present
-        end
+        else
+          Memsys.nullify ms ~own:clusterv.(n) ~site:msite.(n) ~iter:k ~addr
+            ~size:mbytes.(n) ~value
     end
   in
 
@@ -1165,30 +750,13 @@ let run ~lowered ~graph ~schedule ~layout ?trip ?(mode = Execution) ?jitter
     let sep c = Buffer.add_char buf c in
     int !now;
     int !vnow;
-    int !local_hits;
-    int !remote_hits;
-    int !local_misses;
-    int !remote_misses;
-    int !combined;
-    int !ab_hits;
-    int !nullified;
-    int !violations;
+    Memsys.encode_counters ms buf;
     int !stall_load;
     int !stall_copy;
     int !stall_bus;
     int (if !stall_open >= 0 then !now - !stall_open else -1);
     sep '#';
-    Buffer.add_bytes buf mem;
-    sep '#';
-    Array.iter int last_store_seq;
-    sep '#';
-    Array.iter int last_any_seq;
-    sep '#';
-    Array.iter
-      (fun a ->
-        Array.iter int a;
-        sep ';')
-      ab_exec_seq;
+    Memsys.encode_memory ms buf;
     sep '#';
     Array.iter rel_max reg_ready_at;
     sep '#';
@@ -1229,11 +797,7 @@ let run ~lowered ~graph ~schedule ~layout ?trip ?(mode = Execution) ?jitter
       sep ';'
     done;
     sep '#';
-    (* L2 ports: busy horizons as a sorted multiset — the port pick is an
-       argmin, so port identity is interchangeable *)
-    let l2 = Array.map (fun v -> if v > !now then v - !now else 0) l2_free in
-    Array.sort compare l2;
-    Array.iter int l2;
+    Memsys.encode_l2 ms buf;
     sep '#';
     (* pending wheel events: slots ascending, insertion order within a
        slot (execution order); all pending slots are > now here. Arrival
@@ -1266,17 +830,12 @@ let run ~lowered ~graph ~schedule ~layout ?trip ?(mode = Execution) ?jitter
        incr t
      done);
     sep '#';
-    Array.iter (fun m -> Cachemod.encode_state m buf) modules;
-    sep '#';
-    Array.iter (fun a -> Attraction.encode_state a buf) abs;
+    Memsys.encode_caches ms buf;
     sep '#';
     if dir_mode then
       Icn.Directory.encode_state dir ~now:!now ~payload:(fun x -> x) buf
     else Icn.Bus.encode_state bus ~now:!now ~payload:(fun x -> x) buf;
-    if prot_on then begin
-      sep '#';
-      C.encode_state coh buf
-    end;
+    Memsys.encode_protocol ms buf;
     Buffer.contents buf
   in
   let note_state =
@@ -1415,41 +974,5 @@ let run ~lowered ~graph ~schedule ~layout ?trip ?(mode = Execution) ?jitter
     incr now
   done;
 
-  let ab_flushed = ref 0 in
-  Array.iteri
-    (fun c ab ->
-      let n = Attraction.flush ab in
-      ab_flushed := !ab_flushed + n;
-      if tracing then emit ~cluster:c (Tr.Ab_flush { cluster = c; entries = n }))
-    abs;
-  let total = !now in
-  let compute = vspan in
-  let stall = max 0 (total - compute) in
-  let dstats = Icn.Directory.stats dir in
-  {
-    total_cycles = total;
-    compute_cycles = compute;
-    stall_cycles = stall;
-    stall_load_cycles = !stall_load;
-    stall_copy_cycles = !stall_copy;
-    stall_bus_cycles = !stall_bus;
-    stall_drain_cycles = stall - !stall_load - !stall_copy - !stall_bus;
-    local_hits = !local_hits;
-    remote_hits = !remote_hits;
-    local_misses = !local_misses;
-    remote_misses = !remote_misses;
-    combined = !combined;
-    ab_hits = !ab_hits;
-    ab_flushed = !ab_flushed;
-    violations = !violations;
-    nullified = !nullified;
-    comm_ops = ncopies * trip;
-    dir_lookups = dstats.Icn.Directory.d_lookups;
-    dir_invalidates = dstats.Icn.Directory.d_invalidates;
-    dir_writebacks = dstats.Icn.Directory.d_writebacks;
-    packet_hops = dstats.Icn.Directory.d_hops;
-    prot_invalidations = (C.counters coh).C.invalidations;
-    prot_upgrades = (C.counters coh).C.upgrades;
-    prot_exclusive_hits = (C.counters coh).C.exclusive_hits;
-    memory = mem;
-  }
+  Memsys.finish ms ~compute:vspan ~stall_load:!stall_load
+    ~stall_copy:!stall_copy ~stall_bus:!stall_bus ~comm_ops:(ncopies * trip)

@@ -1,0 +1,563 @@
+(* The simulator's memory system, written once for both engines: the
+   coherence-order apply, the cache modules, the Attraction Buffers, the
+   MSI/MESI tracker, the directory's sharer bookkeeping, the next level's
+   ports, the jitter draws, warm-up and the final stats. An engine keeps
+   only how it stores time and per-instance state, and calls in here at
+   the points where the memory system decides something. Accesses are
+   named by their coherence sequence number [seq = iter * sites + site],
+   which is program order and unique per load (only stores replicate). *)
+
+module M = Vliw_arch.Machine
+module Ir = Vliw_ir
+module Tr = Vliw_trace.Trace
+module Icn = Vliw_interconnect.Interconnect
+module C = Vliw_coherence.Coherence
+module Dec = Vliw_util.Dec
+open Sim_types
+
+type 'a t = {
+  machine : M.t;
+  sites : int;
+  now : int ref;
+  trace : Tr.sink option;
+  tracing : bool;
+  home_of : int -> int;
+  subblock_of : int -> int;
+  addrs_of : int -> int array;
+  dir_mode : bool;
+  prot_on : bool;
+  dir : 'a Icn.Directory.t;
+  jit : unit -> int;
+  (* memory image and coherence order: per byte, the newest store and the
+     newest access applied at home *)
+  mem : Bytes.t;
+  last_store_seq : int array;
+  last_any_seq : int array;
+  oracle : Ir.Interp.result option;
+  modules : Cachemod.t array;
+  abs : Attraction.t array;
+  (* per cluster and byte: the newest store this cluster has executed,
+     applied at home or not (see [ab_fill]) *)
+  ab_exec_seq : int array array;
+  coh : C.t;
+  l2_free : int array;
+  (* MSI/MESI loads still in the memory system, indexed by seq *)
+  mutable pending : int list;
+  p_addr : int array;
+  p_size : int array;
+  p_done : bool array;
+  p_latched : bool array;
+  p_lval : int64 array;
+  mutable local_hits : int;
+  mutable remote_hits : int;
+  mutable local_misses : int;
+  mutable remote_misses : int;
+  mutable combined : int;
+  mutable ab_hits : int;
+  mutable nullified : int;
+  mutable violations : int;
+}
+
+let emit t ~cluster p =
+  match t.trace with
+  | Some s -> Tr.emit s ~cycle:!(t.now) ~cluster p
+  | None -> ()
+
+let size_ty = function
+  | 1 -> Ir.Ast.I8
+  | 2 -> Ir.Ast.I16
+  | 4 -> Ir.Ast.I32
+  | _ -> Ir.Ast.I64
+
+(* One draw per bus grant or ring hop: a PRNG in [0, j], or an external
+   chooser whose every answer is traced as a [Choice]. *)
+let make_jit ~trace ~now ?jitter ?choices () =
+  match (choices, jitter) with
+  | None, None -> fun () -> 0
+  | None, Some (p, j) -> fun () -> Vliw_util.Prng.int p (j + 1)
+  | Some c, _ ->
+    let bound = c.ch_jitter + 1 in
+    let draw_ix = ref 0 in
+    fun () ->
+      let v = c.ch_draw ~bound in
+      if v < 0 || v >= bound then
+        invalid_arg "Sim.run: chooser draw out of bounds";
+      (match trace with
+      | Some s ->
+        Tr.emit s ~cycle:!now ~cluster:(-1)
+          (Tr.Choice { index = !draw_ix; bound; chosen = v })
+      | None -> ());
+      incr draw_ix;
+      v
+
+let create ~machine ~mem ~sites ~trip ~mode ~warm ?jitter ?choices ~trace ~now
+    ~dir ~home_of ~subblock_of ~addrs_of () =
+  let nclusters = machine.M.clusters in
+  let msize = Bytes.length mem in
+  let oracle = match mode with Oracle r -> Some r | Execution -> None in
+  let modules =
+    Array.init nclusters (fun c -> Cachemod.create machine ~cluster:c)
+  in
+  (* warm-up: replay the reference address trace into the modules *)
+  (if warm then
+     match oracle with
+     | None -> invalid_arg "Sim.run: warm requires Oracle mode"
+     | Some r ->
+       Array.iter
+         (fun (ev : Ir.Interp.event) ->
+           ignore
+             (Cachemod.install
+                modules.(home_of ev.ev_addr)
+                ~subblock:(subblock_of ev.ev_addr)))
+         r.events);
+  let abs =
+    match machine.M.attraction with
+    | None -> [||]
+    | Some _ -> Array.init nclusters (fun _ -> Attraction.create machine)
+  in
+  let prot_on = machine.M.protocol <> M.Install_flush in
+  let nseq = if prot_on then trip * sites else 0 in
+  {
+    machine;
+    sites;
+    now;
+    trace;
+    tracing = trace <> None;
+    home_of;
+    subblock_of;
+    addrs_of;
+    dir_mode = machine.M.interconnect = M.Directory;
+    prot_on;
+    dir;
+    jit = make_jit ~trace ~now ?jitter ?choices ();
+    mem;
+    last_store_seq = Array.make msize (-1);
+    last_any_seq = Array.make msize (-1);
+    oracle;
+    modules;
+    abs;
+    ab_exec_seq = Array.map (fun _ -> Array.make msize (-1)) abs;
+    coh = C.create ~protocol:machine.M.protocol ~clusters:nclusters;
+    l2_free = Array.make machine.M.l2_ports 0;
+    pending = [];
+    p_addr = Array.make nseq 0;
+    p_size = Array.make nseq 0;
+    p_done = Array.make nseq false;
+    p_latched = Array.make nseq false;
+    p_lval = Array.make nseq 0L;
+    local_hits = 0; remote_hits = 0; local_misses = 0; remote_misses = 0;
+    combined = 0; ab_hits = 0; nullified = 0; violations = 0;
+  }
+
+let jit t = t.jit
+
+(* ----- coherence order ----- *)
+
+(* Apply an access at its home module: count a violation when it lands
+   against program order on any byte, take the data effect, and return
+   what a load observes (the reference trace's value in [Oracle] mode). *)
+let apply t ~seq ~store ~addr ~size ~value =
+  if t.tracing then
+    emit t ~cluster:(t.home_of addr) (Tr.Apply { seq; addr; size; store });
+  let msize = Bytes.length t.mem in
+  let lastb = min (addr + size - 1) (msize - 1) in
+  let bad = ref false in
+  for b = addr to lastb do
+    if store then (if t.last_any_seq.(b) > seq then bad := true)
+    else if t.last_store_seq.(b) > seq then bad := true
+  done;
+  if !bad then t.violations <- t.violations + 1;
+  let ty = size_ty size in
+  if store && addr + size <= msize then Ir.Sem.store_bytes t.mem addr ty value;
+  for b = addr to lastb do
+    if store && seq > t.last_store_seq.(b) then t.last_store_seq.(b) <- seq;
+    if seq > t.last_any_seq.(b) then t.last_any_seq.(b) <- seq
+  done;
+  if store then 0L
+  else
+    match t.oracle with
+    | Some r -> r.events.(seq).ev_value
+    | None -> if addr + size <= msize then Ir.Sem.load_bytes t.mem addr ty else 0L
+
+(* Under MSI/MESI a store's memory effect lands at execute time, so an
+   older load whose service is still in flight would otherwise read the
+   younger store's value. At each store's execute, every pending older
+   load overlapping its bytes latches its value right now — the coherence
+   point orders the outstanding read before the upgrade — and service
+   later returns the latched value. *)
+let track_load t ~seq ~addr ~size =
+  if t.prot_on then begin
+    t.p_addr.(seq) <- addr;
+    t.p_size.(seq) <- size;
+    t.pending <- seq :: t.pending
+  end
+
+let latch_older t ~seq ~addr ~size =
+  let last = addr + size - 1 in
+  let hit, rest =
+    List.partition
+      (fun s ->
+        (not t.p_done.(s))
+        && s < seq
+        && t.p_addr.(s) <= last
+        && t.p_addr.(s) + t.p_size.(s) - 1 >= addr)
+      t.pending
+  in
+  t.pending <- List.filter (fun s -> not t.p_done.(s)) rest;
+  List.iter
+    (fun s ->
+      t.p_lval.(s) <-
+        apply t ~seq:s ~store:false ~addr:t.p_addr.(s) ~size:t.p_size.(s)
+          ~value:0L;
+      t.p_latched.(s) <- true;
+      t.p_done.(s) <- true)
+    (List.sort compare hit)
+
+(* ----- protocol transitions ----- *)
+
+(* One trace event per tracker transition; a Modified owner downgraded by
+   a remote read (MESI ownership handoff) also pays a writeback to the
+   line's home bank. *)
+let emit_transitions t trs =
+  List.iter
+    (fun (tr : C.transition) ->
+      if t.tracing then
+        emit t ~cluster:tr.t_cluster
+          (Tr.Prot_transition
+             {
+               cluster = tr.t_cluster;
+               subblock = tr.t_subblock;
+               from_state = tr.t_from;
+               to_state = tr.t_to;
+               cause = tr.t_cause;
+             });
+      match tr with
+      | { C.t_from = C.M_; t_to = C.S; t_cause = C.Remote_read; _ }
+        when t.dir_mode ->
+        Icn.Directory.writeback t.dir ~now:!(t.now) ~src:tr.t_cluster
+          ~home:(tr.t_subblock mod t.machine.M.clusters)
+          ~subblock:tr.t_subblock
+      | _ -> ())
+    trs
+
+(* A store executed under MSI/MESI: its upgrade wins the interconnect
+   atomically with execution, so every remote AB replica of each touched
+   subblock drops to Invalid here and now. The writer's own replica
+   upgrades to M when the write landed in it ([present]); a copy the write
+   could not be packed into (an access straddling its interleave chunk) is
+   dropped instead of left stale. Replicated (DDGT) stores broadcast the
+   write into sibling replicas, so they invalidate nothing. On the
+   directory backend the dropped replicas leave the present-mask
+   immediately — the store's later apply-time [store_apply] then finds no
+   residual sharers to invalidate — and a dropped written copy pays a
+   writeback. *)
+let protocol_store t ~replicated ~own ~addr ~size ~present =
+  let il = t.machine.M.interleave_bytes in
+  let nabs = Array.length t.abs in
+  let last = addr + size - 1 in
+  let b = ref addr in
+  while !b <= last do
+    let sb = t.subblock_of !b in
+    let own_present =
+      nabs > 0 && Attraction.sync_seq t.abs.(own) ~subblock:sb <> None
+    in
+    let own_upgraded = own_present && !b = addr && present in
+    if own_present && not own_upgraded then begin
+      ignore (Attraction.invalidate t.abs.(own) ~subblock:sb);
+      if t.dir_mode then Icn.Directory.drop_replica t.dir ~cluster:own ~subblock:sb;
+      emit_transitions t (C.note_evict t.coh ~cluster:own ~subblock:sb)
+    end;
+    if not replicated then
+      for c = 0 to nabs - 1 do
+        if c <> own then
+          match Attraction.invalidate t.abs.(c) ~subblock:sb with
+          | `Absent -> ()
+          | (`Clean | `Written) as r ->
+            if t.dir_mode then begin
+              Icn.Directory.drop_replica t.dir ~cluster:c ~subblock:sb;
+              if r = `Written then
+                Icn.Directory.writeback t.dir ~now:!(t.now) ~src:c
+                  ~home:(sb mod t.machine.M.clusters) ~subblock:sb
+            end
+      done;
+    emit_transitions t
+      (C.note_store t.coh ~writer:own ~subblock:sb ~present:own_upgraded
+         ~replicated);
+    b := ((!b / il) + 1) * il
+  done
+
+(* ----- issue ----- *)
+
+(* Every store instance, executing or nullified, keeps any Attraction
+   Buffer copy in its own cluster fresh and records that it executed;
+   returns whether the copy was present. *)
+let freshen t ~own ~seq ~addr ~size ~value =
+  Array.length t.abs > 0
+  && begin
+       let exec = t.ab_exec_seq.(own) in
+       for b = addr to min (addr + size - 1) (Bytes.length t.mem - 1) do
+         if seq > exec.(b) then exec.(b) <- seq
+       done;
+       let present =
+         Attraction.write_if_present t.abs.(own)
+           ~subblock:(t.subblock_of addr) ~addr ~size value ~sync:seq
+       in
+       if present && t.tracing then
+         emit t ~cluster:own (Tr.Ab_update { cluster = own; addr; size; seq });
+       present
+     end
+
+let store t ~own ~seq ~addr ~size ~value ~replicated =
+  let present = freshen t ~own ~seq ~addr ~size ~value in
+  (* MSI/MESI: the memory effect and the invalidation of remote replicas
+     happen at execute time — the upgrade wins the interconnect before any
+     data moves. The transaction still travels to the home module for
+     timing and bandwidth, but its arrival applies nothing. *)
+  if t.prot_on then begin
+    latch_older t ~seq ~addr ~size;
+    protocol_store t ~replicated ~own ~addr ~size ~present;
+    ignore (apply t ~seq ~store:true ~addr ~size ~value)
+  end
+
+let nullify t ~own ~site ~iter ~addr ~size ~value =
+  t.nullified <- t.nullified + 1;
+  if t.tracing then emit t ~cluster:own (Tr.Nullify { cluster = own; site; iter });
+  let present =
+    freshen t ~own ~seq:((iter * t.sites) + site) ~addr ~size ~value
+  in
+  (* a nullified replica broadcasts into its own copy only; the executing
+     replica owns the upgrade and the memory effect *)
+  if t.prot_on then protocol_store t ~replicated:true ~own ~addr ~size ~present
+
+let ab_read t ~own ~seq ~addr ~size ~ty =
+  if Array.length t.abs = 0 then None
+  else
+    let sb = t.subblock_of addr in
+    match Attraction.read t.abs.(own) ~subblock:sb ~addr ~size with
+    | None -> None
+    | Some raw ->
+      t.local_hits <- t.local_hits + 1;
+      t.ab_hits <- t.ab_hits + 1;
+      (* staleness: a store ordered before this load but newer than the
+         buffered copy makes the copy provably stale *)
+      let sync =
+        match Attraction.sync_seq t.abs.(own) ~subblock:sb with
+        | Some sync ->
+          let stale = ref false in
+          for b = addr to min (addr + size - 1) (Bytes.length t.mem - 1) do
+            let s = t.last_store_seq.(b) in
+            if s > sync && s < seq then stale := true
+          done;
+          if !stale then t.violations <- t.violations + 1;
+          sync
+        | None -> max_int
+      in
+      if t.tracing then
+        emit t ~cluster:own (Tr.Ab_hit { cluster = own; seq; addr; size; sync });
+      Some
+        (match t.oracle with
+        | Some r -> r.events.(seq).ev_value
+        | None -> Ir.Sem.truncate ty raw)
+
+(* ----- home module ----- *)
+
+let combine t ~cluster ~subblock ~seq =
+  t.combined <- t.combined + 1;
+  if t.tracing then emit t ~cluster (Tr.Mshr_combine { cluster; subblock; seq })
+
+let lookup t ~cluster ~subblock ~seq ~store ~addr ~size ~local =
+  (* the home directory bank is consulted once per non-combined access
+     (combined requests share the original's lookup) *)
+  if t.dir_mode then begin
+    let sharers = Icn.Directory.lookup t.dir ~home:cluster ~subblock in
+    if t.tracing then
+      emit t ~cluster (Tr.Dir_lookup { cluster; subblock; store; sharers })
+  end;
+  let m = t.modules.(cluster) in
+  let hit = Cachemod.present m ~subblock in
+  if hit then begin
+    Cachemod.touch m ~subblock;
+    if local then t.local_hits <- t.local_hits + 1
+    else t.remote_hits <- t.remote_hits + 1
+  end
+  else if local then t.local_misses <- t.local_misses + 1
+  else t.remote_misses <- t.remote_misses + 1;
+  if t.tracing then begin
+    emit t ~cluster (Tr.Mod_service { cluster; seq; addr; size; store; local; hit });
+    if not hit then emit t ~cluster (Tr.Mshr_alloc { cluster; subblock })
+  end;
+  hit
+
+let complete t ~cluster ~subblock ~seq ~store ~addr ~size ~value ~requester =
+  (* protocol stores applied (and invalidated) at execute; their home
+     arrival is timing and bandwidth only, and re-applying here would
+     clobber younger protocol stores *)
+  let v =
+    if not t.prot_on then apply t ~seq ~store ~addr ~size ~value
+    else if store then 0L
+    else if t.p_latched.(seq) then t.p_lval.(seq)
+    else begin
+      t.p_done.(seq) <- true;
+      apply t ~seq ~store ~addr ~size ~value
+    end
+  in
+  if t.dir_mode && store then
+    ignore
+      (Icn.Directory.store_apply t.dir ~now:!(t.now) ~home:cluster ~subblock
+         ~requester);
+  v
+
+let l2_fetch t =
+  let port = ref 0 in
+  Array.iteri (fun p f -> if f < t.l2_free.(!port) then port := p) t.l2_free;
+  let start = max !(t.now) t.l2_free.(!port) in
+  t.l2_free.(!port) <- start + 2;
+  start + t.machine.M.l2_latency
+
+let fill t ~cluster ~subblock ~waiters =
+  ignore (Cachemod.install t.modules.(cluster) ~subblock);
+  if t.tracing then emit t ~cluster (Tr.Mshr_fill { cluster; subblock; waiters })
+
+(* ----- responses and directory deliveries ----- *)
+
+(* A remote load's response reached [own]: install the subblock in its
+   Attraction Buffer, tagged with the newest store applied at home to any
+   of its bytes — unless [own] already executed a store there that home
+   has not applied yet: that snapshot would be a provably-stale copy no
+   later update could repair. *)
+let ab_fill t ~own ~addr =
+  if Array.length t.abs > 0 then begin
+    let sb = t.subblock_of addr and il = t.machine.M.interleave_bytes in
+    let addrs = t.addrs_of sb and exec = t.ab_exec_seq.(own) in
+    let fresh = ref true and sync = ref (-1) in
+    for i = 0 to Array.length addrs - 1 do
+      for b = addrs.(i) to min (addrs.(i) + il - 1) (Bytes.length t.mem - 1) do
+        let s = t.last_store_seq.(b) in
+        if exec.(b) > s then fresh := false;
+        if s > !sync then sync := s
+      done
+    done;
+    if !fresh then begin
+      let sync = !sync in
+      (match
+         Attraction.install t.abs.(own) ~subblock:sb ~addrs ~mem:t.mem ~sync
+       with
+      | Some (evicted, _) ->
+        if t.dir_mode then
+          Icn.Directory.drop_replica t.dir ~cluster:own ~subblock:evicted;
+        if t.prot_on then
+          emit_transitions t (C.note_evict t.coh ~cluster:own ~subblock:evicted)
+      | None -> ());
+      if t.dir_mode then Icn.Directory.confirm_install t.dir ~cluster:own ~subblock:sb;
+      if t.prot_on then
+        emit_transitions t (C.note_fill t.coh ~cluster:own ~subblock:sb);
+      if t.tracing then
+        emit t ~cluster:own (Tr.Ab_install { cluster = own; subblock = sb; sync })
+    end
+  end
+
+let invalidate t ~cluster ~subblock ~home =
+  if Array.length t.abs > 0 then
+    match Attraction.invalidate t.abs.(cluster) ~subblock with
+    | `Absent -> ()
+    | (`Clean | `Written) as r ->
+      let written = r = `Written in
+      if t.tracing then
+        emit t ~cluster (Tr.Dir_invalidate { cluster; subblock; written });
+      if t.prot_on then
+        emit_transitions t (C.note_remote_invalidate t.coh ~cluster ~subblock);
+      if written then
+        Icn.Directory.writeback t.dir ~now:!(t.now) ~src:cluster ~home ~subblock
+
+let writeback_ack t ~cluster ~subblock =
+  if t.tracing then emit t ~cluster (Tr.Dir_writeback { cluster; subblock })
+
+(* ----- end of run ----- *)
+
+let finish t ~compute ~stall_load ~stall_copy ~stall_bus ~comm_ops =
+  (* the end-of-loop flush that restores inter-loop coherence (Section 5.2) *)
+  let ab_flushed = ref 0 in
+  Array.iteri
+    (fun c ab ->
+      let n = Attraction.flush ab in
+      ab_flushed := !ab_flushed + n;
+      if t.tracing then emit t ~cluster:c (Tr.Ab_flush { cluster = c; entries = n }))
+    t.abs;
+  let total = !(t.now) in
+  let stall = max 0 (total - compute) in
+  let d = Icn.Directory.stats t.dir and p = C.counters t.coh in
+  {
+    total_cycles = total;
+    compute_cycles = compute;
+    stall_cycles = stall;
+    stall_load_cycles = stall_load;
+    stall_copy_cycles = stall_copy;
+    stall_bus_cycles = stall_bus;
+    stall_drain_cycles = stall - stall_load - stall_copy - stall_bus;
+    local_hits = t.local_hits;
+    remote_hits = t.remote_hits;
+    local_misses = t.local_misses;
+    remote_misses = t.remote_misses;
+    combined = t.combined;
+    ab_hits = t.ab_hits;
+    ab_flushed = !ab_flushed;
+    violations = t.violations;
+    nullified = t.nullified;
+    comm_ops;
+    dir_lookups = d.Icn.Directory.d_lookups;
+    dir_invalidates = d.Icn.Directory.d_invalidates;
+    dir_writebacks = d.Icn.Directory.d_writebacks;
+    packet_hops = d.Icn.Directory.d_hops;
+    prot_invalidations = p.C.invalidations;
+    prot_upgrades = p.C.upgrades;
+    prot_exclusive_hits = p.C.exclusive_hits;
+    memory = t.mem;
+  }
+
+(* ----- canonical state-key segments (the wheel engine's key) ----- *)
+
+let int buf v =
+  Dec.add_int buf v;
+  Buffer.add_char buf ','
+
+let encode_counters t buf =
+  int buf t.local_hits;
+  int buf t.remote_hits;
+  int buf t.local_misses;
+  int buf t.remote_misses;
+  int buf t.combined;
+  int buf t.ab_hits;
+  int buf t.nullified;
+  int buf t.violations
+
+let encode_memory t buf =
+  Buffer.add_bytes buf t.mem;
+  Buffer.add_char buf '#';
+  Array.iter (int buf) t.last_store_seq;
+  Buffer.add_char buf '#';
+  Array.iter (int buf) t.last_any_seq;
+  Buffer.add_char buf '#';
+  Array.iter
+    (fun a ->
+      Array.iter (int buf) a;
+      Buffer.add_char buf ';')
+    t.ab_exec_seq
+
+(* busy horizons as a sorted multiset: the port pick is an argmin, so port
+   identity is interchangeable *)
+let encode_l2 t buf =
+  let now = !(t.now) in
+  let l2 = Array.map (fun v -> if v > now then v - now else 0) t.l2_free in
+  Array.sort compare l2;
+  Array.iter (int buf) l2
+
+let encode_caches t buf =
+  Array.iter (fun m -> Cachemod.encode_state m buf) t.modules;
+  Buffer.add_char buf '#';
+  Array.iter (fun a -> Attraction.encode_state a buf) t.abs
+
+let encode_protocol t buf =
+  if t.prot_on then begin
+    Buffer.add_char buf '#';
+    C.encode_state t.coh buf
+  end

@@ -88,9 +88,11 @@ type engine = [ `Wheel | `Reference ]
 (** [`Wheel] (the default) is the event-wheel engine: an indexed calendar of
     int-encoded events plus flat preallocated per-instance state arrays —
     the fast path. [`Reference] is the pre-overhaul closure-calendar
-    engine, kept verbatim as the correctness oracle; the two produce
-    bit-identical stats, memory images, trace event streams and PRNG
-    consumption for identical inputs (pinned by test/test_engines.ml). *)
+    engine, kept as the correctness oracle for how the wheel stores time
+    and per-instance state. Both run the same memory system ([Memsys]);
+    the two produce bit-identical stats, memory images, trace event
+    streams and PRNG consumption for identical inputs (pinned by
+    test/test_engines.ml). *)
 
 type chooser = Sim_types.chooser = {
   ch_jitter : int;

@@ -242,7 +242,7 @@ let test_weakened_verifier_refuted () =
 let test_state_limit_not_refuting () =
   let case = load (Filename.concat litmus_dir "mf_same_iter.lk") in
   let config =
-    { Check.default_config with Check.c_max_states = 2; c_max_leaves = 2 }
+    { Check.c_max_states = 2; c_max_leaves = 2 }
   in
   let r = Check.run_case ~config case in
   let kinds = List.map fst r.Check.co_failures in

@@ -2,8 +2,10 @@
    the pre-overhaul per-cycle engine (`Reference) must produce identical
    stats, final memory images and trace event streams — over hundreds of
    fuzzer-generated cases, at several jitter seeds, in both data modes,
-   warm and cold. Also pins the wheel engine's allocation behaviour: with
-   tracing disabled it must allocate far less than the reference. *)
+   warm and cold. Both engines share one memory system, so the sweep's
+   results are also pinned to digests recorded before it was shared. Also
+   pins the wheel engine's allocation behaviour: with tracing disabled it
+   must allocate far less than the reference. *)
 
 module Gen = Vliw_fuzz.Gen
 module Ir = Vliw_ir
@@ -104,6 +106,127 @@ let diff_engines tag ?mode ?jseed ?warm (k, layout, low, graph, schedule) =
 
 let ncases =
   try int_of_string (Sys.getenv "VLIW_ENGINE_CASES") with Not_found -> 300
+
+(* ----- frozen memory semantics -----
+   Both engines run one shared memory-system module, so comparing them
+   cannot see a change inside it. engine_digests.txt freezes the sweep's
+   results as they were before that module existed: one MD5 per case over
+   its three jitter runs, each run contributing every stats field, the
+   final memory image and every trace event in emission order. *)
+
+let add_stats buf (s : Sim.stats) =
+  List.iter
+    (fun v -> Printf.bprintf buf "%d," v)
+    [
+      s.total_cycles; s.compute_cycles; s.stall_cycles; s.stall_load_cycles;
+      s.stall_copy_cycles; s.stall_bus_cycles; s.stall_drain_cycles;
+      s.local_hits; s.remote_hits; s.local_misses; s.remote_misses;
+      s.combined; s.ab_hits; s.ab_flushed; s.violations; s.nullified;
+      s.comm_ops; s.dir_lookups; s.dir_invalidates; s.dir_writebacks;
+      s.packet_hops; s.prot_invalidations; s.prot_upgrades;
+      s.prot_exclusive_hits;
+    ];
+  Buffer.add_bytes buf s.memory;
+  Buffer.add_char buf '\n'
+
+let add_event buf (e : Trace.event) =
+  let module C = Vliw_coherence.Coherence in
+  let b v = if v then 1 else 0 in
+  let tag, fields =
+    match e.ev_payload with
+    | Meta { clusters; mem_buses; msize; ii; vspan; trip } ->
+      ("meta", [ clusters; mem_buses; msize; ii; vspan; trip ])
+    | Issue { vcycle; ops; copies } -> ("issue", [ vcycle; ops; copies ])
+    | Stall_begin { vcycle; cause } ->
+      ("stall_begin " ^ Trace.stall_cause_name cause, [ vcycle ])
+    | Stall_end { vcycle; cycles } -> ("stall_end", [ vcycle; cycles ])
+    | Bus_request { txn; cluster } -> ("bus_request", [ txn; cluster ])
+    | Bus_grant { txn; bus; wait; lat } -> ("bus_grant", [ txn; bus; wait; lat ])
+    | Bus_transfer { txn; bus } -> ("bus_transfer", [ txn; bus ])
+    | Mod_service { cluster; seq; addr; size; store; local; hit } ->
+      ("mod_service", [ cluster; seq; addr; size; b store; b local; b hit ])
+    | Mshr_alloc { cluster; subblock } -> ("mshr_alloc", [ cluster; subblock ])
+    | Mshr_combine { cluster; subblock; seq } ->
+      ("mshr_combine", [ cluster; subblock; seq ])
+    | Mshr_fill { cluster; subblock; waiters } ->
+      ("mshr_fill", [ cluster; subblock; waiters ])
+    | Apply { seq; addr; size; store } -> ("apply", [ seq; addr; size; b store ])
+    | Ab_hit { cluster; seq; addr; size; sync } ->
+      ("ab_hit", [ cluster; seq; addr; size; sync ])
+    | Ab_update { cluster; addr; size; seq } ->
+      ("ab_update", [ cluster; addr; size; seq ])
+    | Ab_install { cluster; subblock; sync } ->
+      ("ab_install", [ cluster; subblock; sync ])
+    | Ab_flush { cluster; entries } -> ("ab_flush", [ cluster; entries ])
+    | Nullify { cluster; site; iter } -> ("nullify", [ cluster; site; iter ])
+    | Packet_hop { txn; from_node; to_node } ->
+      ("packet_hop", [ txn; from_node; to_node ])
+    | Dir_lookup { cluster; subblock; store; sharers } ->
+      ("dir_lookup", [ cluster; subblock; b store; sharers ])
+    | Dir_invalidate { cluster; subblock; written } ->
+      ("dir_invalidate", [ cluster; subblock; b written ])
+    | Dir_writeback { cluster; subblock } -> ("dir_writeback", [ cluster; subblock ])
+    | Prot_transition { cluster; subblock; from_state; to_state; cause } ->
+      ( Printf.sprintf "prot %s %s %s" (C.state_name from_state)
+          (C.state_name to_state) (C.cause_name cause),
+        [ cluster; subblock ] )
+    | Choice { index; bound; chosen } -> ("choice", [ index; bound; chosen ])
+  in
+  Printf.bprintf buf "%d %d %d %s" e.ev_seq e.ev_cycle e.ev_cluster tag;
+  List.iter (Printf.bprintf buf " %d") fields;
+  Buffer.add_char buf '\n'
+
+(* the digest of one case's three sweep runs on [engine], or None when the
+   case does not compile *)
+let case_digest engine i =
+  match compile (Gen.generate ~seed:1 ~budget:24 i) with
+  | None -> None
+  | Some (_, layout, low, graph, schedule) ->
+    let buf = Buffer.create 4096 in
+    List.iter
+      (fun jseed ->
+        let sink = Trace.create () in
+        let jitter =
+          Option.map
+            (fun s -> (Prng.derive_named (Prng.create s) "engines", 3))
+            jseed
+        in
+        let stats =
+          Sim.run ~lowered:low ~graph ~schedule ~layout ?jitter ~trace:sink
+            ~engine ()
+        in
+        add_stats buf stats;
+        Trace.iter sink (add_event buf))
+      [ None; Some 7; Some 23 ];
+    Some (Digest.to_hex (Digest.string (Buffer.contents buf)))
+
+let golden_digests () =
+  let ic = open_in "engine_digests.txt" in
+  let rec read acc =
+    match input_line ic with
+    | line -> read (Scanf.sscanf line "case %d %s" (fun i d -> (i, d)) :: acc)
+    | exception End_of_file ->
+      close_in ic;
+      List.rev acc
+  in
+  read []
+
+let test_golden_digests () =
+  let golden = golden_digests () in
+  Alcotest.(check int) "one digest per sweep case" 300 (List.length golden);
+  List.iter
+    (fun (i, expected) ->
+      if i < ncases then
+        List.iter
+          (fun (engine, name) ->
+            match case_digest engine i with
+            | None -> Alcotest.failf "case %d no longer compiles" i
+            | Some d ->
+              Alcotest.(check string)
+                (Printf.sprintf "case %d on the %s engine" i name)
+                expected d)
+          [ (`Wheel, "wheel"); (`Reference, "reference") ])
+    golden
 
 let test_fuzz_sweep () =
   let compiled = ref 0 in
@@ -265,6 +388,11 @@ let () =
             test_workloads_oracle_warm;
           Alcotest.test_case "directory backend at 4/8/16/32 clusters" `Quick
             test_directory_parity;
+        ] );
+      ( "frozen digests",
+        [
+          Alcotest.test_case "sweep digests recorded before the shared module"
+            `Slow test_golden_digests;
         ] );
       ( "bus extraction",
         [

@@ -197,6 +197,11 @@ let prop_cachemod_encoding_is_lru_state =
 
 let ab_machine = M.with_attraction M.table2 (Some M.default_attraction)
 
+(* install a subblock from its member addresses under machine [m] *)
+let ab_install ?(m = ab_machine) ab ~subblock ~mem ~sync =
+  let addrs = Array.of_list (M.addrs_of_subblock m ~subblock) in
+  ignore (Attraction.install ab ~subblock ~addrs ~mem ~sync)
+
 let test_ab_install_read () =
   let ab = Attraction.create ab_machine in
   let mem = Bytes.make 64 '\000' in
@@ -204,7 +209,7 @@ let test_ab_install_read () =
   Bytes.set mem 16 'B';
   let sb = M.subblock_id ab_machine ~addr:0 in
   Alcotest.(check bool) "absent" false (Attraction.lookup ab ~subblock:sb);
-  ignore (Attraction.install ab ~machine:ab_machine ~subblock:sb ~mem ~sync:7);
+  ab_install ab ~subblock:sb ~mem ~sync:7;
   Alcotest.(check bool) "present" true (Attraction.lookup ab ~subblock:sb);
   Alcotest.(check (option int64)) "reads word 0" (Some 65L)
     (Attraction.read ab ~subblock:sb ~addr:0 ~size:1);
@@ -216,7 +221,7 @@ let test_ab_write_updates_copy () =
   let ab = Attraction.create ab_machine in
   let mem = Bytes.make 64 '\000' in
   let sb = M.subblock_id ab_machine ~addr:0 in
-  ignore (Attraction.install ab ~machine:ab_machine ~subblock:sb ~mem ~sync:1);
+  ab_install ab ~subblock:sb ~mem ~sync:1;
   Alcotest.(check bool) "write hits" true
     (Attraction.write_if_present ab ~subblock:sb ~addr:0 ~size:4 0xDEADL ~sync:9);
   Alcotest.(check (option int64)) "fresh value" (Some 0xDEADL)
@@ -230,7 +235,7 @@ let test_ab_straddling_access_bypasses () =
   let ab = Attraction.create m in
   let mem = Bytes.make 64 '\000' in
   let sb = M.subblock_id m ~addr:0 in
-  ignore (Attraction.install ab ~machine:m ~subblock:sb ~mem ~sync:0);
+  ab_install ~m ab ~subblock:sb ~mem ~sync:0;
   Alcotest.(check (option int64)) "2-byte ok" (Some 0L)
     (Attraction.read ab ~subblock:sb ~addr:0 ~size:2);
   Alcotest.(check (option int64)) "4-byte bypasses" None
@@ -239,12 +244,8 @@ let test_ab_straddling_access_bypasses () =
 let test_ab_flush_counts () =
   let ab = Attraction.create ab_machine in
   let mem = Bytes.make 128 '\000' in
-  ignore
-    (Attraction.install ab ~machine:ab_machine
-       ~subblock:(M.subblock_id ab_machine ~addr:0) ~mem ~sync:0);
-  ignore
-    (Attraction.install ab ~machine:ab_machine
-       ~subblock:(M.subblock_id ab_machine ~addr:32) ~mem ~sync:0);
+  ab_install ab ~subblock:(M.subblock_id ab_machine ~addr:0) ~mem ~sync:0;
+  ab_install ab ~subblock:(M.subblock_id ab_machine ~addr:32) ~mem ~sync:0;
   Alcotest.(check int) "two entries flushed" 2 (Attraction.flush ab);
   Alcotest.(check int) "now empty" 0 (Attraction.flush ab)
 
