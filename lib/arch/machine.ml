@@ -189,7 +189,7 @@ let validate t =
     err "protocol msi snoops the shared bus; it requires interconnect bus"
   else if t.protocol = Mesi && t.interconnect <> Directory then
     err
-      "protocol mesi generalizes the directory's present/dirty state; it \
+      "protocol mesi routes ownership handoffs through the directory; it \
        requires interconnect directory"
   else
     match t.attraction with

@@ -36,7 +36,7 @@ type attraction = {
     machine: all remote traffic shares a pool of snooping-style memory
     buses draining one global FIFO queue. [Directory] replaces the buses
     with a packet-switched ring and a distributed directory sharded by
-    home cluster (per-subblock present bits + dirty bit driving
+    home cluster (per-subblock present bits driving
     invalidate/fetch/writeback flows); each link is FIFO but there is no
     global arbitration order. *)
 type interconnect = Shared_bus | Directory
@@ -52,8 +52,9 @@ val interconnect_of_string : string -> interconnect option
     invalidates every remote replica of the subblock at execute time, so
     ordered store→load / store→store pairs become protocol-guaranteed.
     [Mesi] adds an Exclusive ownership state over the directory backend
-    (present-mask generalized to I/S/E/M; silent E→M upgrades, ownership
-    handoff on remote read). [validate] enforces the pairing: [Msi]
+    (each replica carries I/S/E/M next to the directory's present bits;
+    silent E→M upgrades, ownership handoff on remote read, its writeback
+    routed through the directory). [validate] enforces the pairing: [Msi]
     requires [Shared_bus], [Mesi] requires [Directory]. *)
 type protocol = Install_flush | Msi | Mesi
 

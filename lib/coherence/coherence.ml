@@ -10,42 +10,36 @@
      replicas of the written subblock drop to Invalid atomically with
      the store's execution.
 
-   - MESI over the directory backend: the directory's present-mask
-     generalizes to per-(cluster, subblock) I/S/E/M states.  A
-     fill that creates the only replica installs in Exclusive; a store
-     that hits an Exclusive replica upgrades to Modified silently (no
-     traffic — the counted "exclusive hit"); a remote read downgrades
-     the owner to Shared, a Modified owner additionally paying a
-     writeback.
+   - MESI over the directory backend: each replica carries an I/S/E/M
+     state next to the directory's present mask.  A fill that creates
+     the only replica installs in Exclusive; a store that hits an
+     Exclusive replica upgrades to Modified silently (no traffic — the
+     counted "exclusive hit"); a remote read downgrades the owner to
+     Shared, a Modified owner additionally paying a writeback.
 
-   The protocol engine itself is a plain transition table plus a
-   [Tracker] that mirrors the simulator's replica population.  The
-   simulator's memory system ([Vliw_sim.Memsys]) drives the tracker at
-   its replica hook points (fill, store execute, eviction, flush) and
-   emits one trace event per returned transition; [Trace.Audit] replays
-   the event stream against [next] to check every transition is legal and
-   chains correctly. *)
+   Everything here is pure: a transition table plus one function per
+   replica event (fill, store execute, directed invalidate, eviction)
+   that maps a subblock's current per-cluster states to the transitions
+   the event causes.  The states themselves live on the Attraction
+   Buffer lines; the simulator's memory system ([Vliw_sim.Memsys])
+   reads them, applies the returned transitions and emits one trace
+   event per transition; [Trace.Audit] replays the event stream against
+   [next] to check every transition is legal and chains correctly. *)
 
 module M = Vliw_arch.Machine
-module Dec = Vliw_util.Dec
 
 type state = I | S | E | M_
 
 let state_name = function I -> "I" | S -> "S" | E -> "E" | M_ -> "M"
-
-let state_of_string = function
-  | "I" -> Some I
-  | "S" -> Some S
-  | "E" -> Some E
-  | "M" -> Some M_
-  | _ -> None
 
 type cause =
   | Fill  (** a fill response installed a replica in this cluster *)
   | Store  (** a local store hit this cluster's replica at execute *)
   | Remote_store  (** a remote cluster's store invalidated this replica *)
   | Remote_read  (** a remote fill downgraded this owner (MESI) *)
-  | Evict  (** capacity eviction or violation flush dropped the replica *)
+  | Evict
+      (** a capacity eviction dropped the replica, or a local store
+          dropped a copy it could not write into *)
 
 let cause_name = function
   | Fill -> "fill"
@@ -53,14 +47,6 @@ let cause_name = function
   | Remote_store -> "remote-store"
   | Remote_read -> "remote-read"
   | Evict -> "evict"
-
-let cause_of_string = function
-  | "fill" -> Some Fill
-  | "store" -> Some Store
-  | "remote-store" -> Some Remote_store
-  | "remote-read" -> Some Remote_read
-  | "evict" -> Some Evict
-  | _ -> None
 
 (* The transition table.  [None] = illegal under that protocol: the
    audit replay rejects any traced transition this function refuses.
@@ -79,7 +65,7 @@ let next protocol from cause =
     | _ -> None)
   | M.Mesi -> (
     match (from, cause) with
-    | I, Fill -> Some S (* the tracker promotes sole fills to E itself *)
+    | I, Fill -> Some S (* [fill] promotes sole fills to E itself *)
     | (S | E | M_), Fill -> Some S
     | S, Store -> Some M_ (* upgrade: directory invalidates sharers *)
     | E, Store -> Some M_ (* silent upgrade — no traffic *)
@@ -97,113 +83,49 @@ type transition = {
   t_cause : cause;
 }
 
-type counters = {
-  mutable invalidations : int;
-      (** replicas dropped to I by a remote store's upgrade *)
-  mutable upgrades : int;  (** S -> M upgrades (bus / directory traffic) *)
-  mutable exclusive_hits : int;  (** silent E -> M upgrades (MESI only) *)
-}
-
-type t = {
-  protocol : M.protocol;
-  clusters : int;
-  mutable lines : state array array;  (** [subblock].[cluster], grown lazily *)
-  ctr : counters;
-}
-
-let create ~protocol ~clusters =
-  {
-    protocol;
-    clusters;
-    lines = [||];
-    ctr = { invalidations = 0; upgrades = 0; exclusive_hits = 0 };
-  }
-
-let counters t = t.ctr
-let enabled t = t.protocol <> M.Install_flush
-
-let row t subblock =
-  let n = Array.length t.lines in
-  if subblock >= n then begin
-    let bigger = Array.make (subblock + 8) [||] in
-    Array.blit t.lines 0 bigger 0 n;
-    t.lines <- bigger
-  end;
-  if Array.length t.lines.(subblock) = 0 then
-    t.lines.(subblock) <- Array.make t.clusters I;
-  t.lines.(subblock)
-
-let state t ~cluster ~subblock =
-  if subblock >= Array.length t.lines || Array.length t.lines.(subblock) = 0
-  then I
-  else t.lines.(subblock).(cluster)
-
-(* Apply one legal transition, bumping the traffic counters.  Same-state
+(* One legal edge of [cluster]'s line, pushed onto [acc].  Same-state
    "transitions" are dropped so the trace only carries real edges. *)
-let apply t row ~cluster ~subblock ~cause acc =
-  let from = row.(cluster) in
-  match next t.protocol from cause with
+let edge protocol ~cluster ~subblock from cause acc =
+  match next protocol from cause with
   | None ->
     invalid_arg
       (Printf.sprintf "Coherence: illegal %s from %s under %s"
-         (cause_name cause) (state_name from)
-         (M.protocol_name t.protocol))
+         (cause_name cause) (state_name from) (M.protocol_name protocol))
   | Some to_ ->
     if to_ = from then acc
-    else begin
-      row.(cluster) <- to_;
-      (match (from, to_, cause) with
-      | _, I, Remote_store -> t.ctr.invalidations <- t.ctr.invalidations + 1
-      | S, M_, Store -> t.ctr.upgrades <- t.ctr.upgrades + 1
-      | E, M_, Store -> t.ctr.exclusive_hits <- t.ctr.exclusive_hits + 1
-      | _ -> ());
+    else
       { t_cluster = cluster; t_subblock = subblock; t_from = from; t_to = to_;
         t_cause = cause }
       :: acc
-    end
 
 (* A fill response installed [subblock] in [cluster]'s AB.  Under MESI a
    pre-existing owner is downgraded first (E->S silently, M->S paying a
-   writeback — the caller routes the returned [`Writeback] transition to
-   the directory's writeback flow), then the filling cluster installs in
-   E when it ends up the sole sharer, S otherwise.  Transitions are
-   returned in application order. *)
-let note_fill t ~cluster ~subblock =
-  if not (enabled t) then []
+   writeback — the caller routes that transition to the directory's
+   writeback flow), then the filling cluster installs in E when it is
+   the sole sharer, S otherwise.  The table lands fills in S; a sole
+   fill from I is promoted so the traced edge reads I->E directly.  A
+   refill by the current exclusive owner (E or M) is absorbed: the table
+   would demote it to S and the promotion put it straight back, so the
+   owner keeps its state and no edge is traced (the audit rightly
+   rejects E->E / M->E as non-edges). *)
+let fill protocol ~cluster ~subblock states =
+  if protocol = M.Install_flush then []
   else begin
-    let r = row t subblock in
-    let acc = ref [] in
-    if t.protocol = M.Mesi then
-      for c = 0 to t.clusters - 1 do
-        if c <> cluster && (r.(c) = E || r.(c) = M_) then
-          acc := apply t r ~cluster:c ~subblock ~cause:Remote_read !acc
-      done;
-    let sole =
-      t.protocol = M.Mesi
-      &&
-      let others = ref false in
-      for c = 0 to t.clusters - 1 do
-        if c <> cluster && r.(c) <> I then others := true
-      done;
-      not !others
-    in
-    acc := apply t r ~cluster ~subblock ~cause:Fill !acc;
-    (* the table lands fills in S; promote a sole MESI fill to E in
-       place so the traced edge reads I->E directly.  A refill by the
-       current exclusive owner (E or M) is absorbed: the table demotes
-       it to S and the promotion would put it straight back, so the
-       owner keeps its state and no edge is traced (the audit rightly
-       rejects E->E / M->E as non-edges). *)
-    (match !acc with
-    | { t_from = (E | M_) as f; t_to = S; t_cause = Fill; _ } :: rest
-      when sole ->
-      r.(cluster) <- f;
-      acc := rest
-    | ({ t_to = S; t_cause = Fill; _ } as tr) :: rest when sole ->
-      r.(cluster) <- E;
-      acc := { tr with t_to = E } :: rest
-    | _ -> ());
-    List.rev !acc
+    let mesi = protocol = M.Mesi in
+    let acc = ref [] and others = ref false in
+    Array.iteri
+      (fun c s ->
+        if c <> cluster && s <> I then begin
+          others := true;
+          if mesi && (s = E || s = M_) then
+            acc := edge protocol ~cluster:c ~subblock s Remote_read !acc
+        end)
+      states;
+    let own = states.(cluster) in
+    match edge protocol ~cluster ~subblock own Fill [] with
+    | [ tr ] when mesi && not !others ->
+      if own = I then [ { tr with t_to = E } ] else []
+    | fill -> List.rev_append !acc fill
   end
 
 (* A store by [writer] to [subblock] executed.  Every remote replica is
@@ -212,68 +134,26 @@ let note_fill t ~cluster ~subblock =
    replicated stores, which broadcast the write into every sibling copy —
    invalidating them would destroy the replication, so only the writer's
    upgrade is recorded. *)
-let note_store t ~writer ~subblock ~present ~replicated =
-  if not (enabled t) then []
+let store protocol ~writer ~subblock ~present ~replicated states =
+  if protocol = M.Install_flush then []
   else begin
-    let r = row t subblock in
     let acc = ref [] in
     if not replicated then
-      for c = 0 to t.clusters - 1 do
-        if c <> writer && r.(c) <> I then
-          acc := apply t r ~cluster:c ~subblock ~cause:Remote_store !acc
-      done;
-    if present then acc := apply t r ~cluster:writer ~subblock ~cause:Store !acc;
+      Array.iteri
+        (fun c s ->
+          if c <> writer && s <> I then
+            acc := edge protocol ~cluster:c ~subblock s Remote_store !acc)
+        states;
+    if present then
+      acc := edge protocol ~cluster:writer ~subblock states.(writer) Store !acc;
     List.rev !acc
   end
 
-(* A directed invalidate packet (directory apply-time residual sharer)
-   reached [cluster].  Already-dropped lines yield no transition. *)
-let note_remote_invalidate t ~cluster ~subblock =
-  if (not (enabled t)) || state t ~cluster ~subblock = I then []
-  else
-    List.rev
-      (apply t (row t subblock) ~cluster ~subblock ~cause:Remote_store [])
+(* [cluster]'s line, in state [s], leaves its buffer: one edge to I,
+   none if it was already Invalid. *)
+let drop cause protocol ~cluster ~subblock s =
+  if protocol = M.Install_flush || s = I then []
+  else edge protocol ~cluster ~subblock s cause []
 
-(* Capacity eviction (or any engine-initiated drop) of one replica. *)
-let note_evict t ~cluster ~subblock =
-  if (not (enabled t)) || state t ~cluster ~subblock = I then []
-  else List.rev (apply t (row t subblock) ~cluster ~subblock ~cause:Evict [])
-
-(* Violation flush: every replica the cluster holds drops to I. *)
-let note_flush t ~cluster =
-  if not (enabled t) then []
-  else begin
-    let acc = ref [] in
-    Array.iteri
-      (fun subblock r ->
-        if Array.length r > 0 && r.(cluster) <> I then
-          acc := apply t r ~cluster ~subblock ~cause:Evict !acc)
-      t.lines;
-    List.rev !acc
-  end
-
-(* Canonical serialization for model-checking state keys.  Only non-I
-   lines are emitted (in subblock order), so logically equal populations
-   reached by different paths encode identically.  The traffic counters
-   are included deliberately: leaf statistics are part of the checker's
-   certificate comparison, so states differing only in counters must not
-   be merged. *)
-let encode_state t buf =
-  if enabled t then begin
-    Buffer.add_char buf 'P';
-    Array.iteri
-      (fun subblock r ->
-        if Array.length r > 0 && Array.exists (fun s -> s <> I) r then begin
-          Dec.add_int buf subblock;
-          Buffer.add_char buf ':';
-          Array.iter (fun s -> Buffer.add_string buf (state_name s)) r;
-          Buffer.add_char buf ';'
-        end)
-      t.lines;
-    Buffer.add_char buf '#';
-    Dec.add_int buf t.ctr.invalidations;
-    Buffer.add_char buf ',';
-    Dec.add_int buf t.ctr.upgrades;
-    Buffer.add_char buf ',';
-    Dec.add_int buf t.ctr.exclusive_hits
-  end
+let remote_invalidate = drop Remote_store
+let evict = drop Evict

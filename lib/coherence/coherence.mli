@@ -1,12 +1,16 @@
 (** Invalidation-based coherence protocols (MSI / MESI) for
-    Attraction-Buffer replicas.
+    Attraction-Buffer replicas, as pure decisions.
 
     The protocol is a per-(cluster, subblock) state machine over
-    {!state} driven by the simulator's replica events.  {!next} is the
-    bare transition table — shared with the audit replay so every traced
-    transition is re-checked for legality — and {!t} is the mutable
-    tracker the simulator's memory system drives.  Under
-    [Machine.Install_flush] every hook is a no-op returning [[]], which
+    {!state}. The state lives on the replica itself: each Attraction
+    Buffer line carries it ([Vliw_sim.Attraction]), with [I] meaning the
+    line is invalid. The event functions below take a subblock's current
+    states, read from the buffers, and return the transitions the event
+    causes; the simulator's memory system ([Vliw_sim.Memsys]) applies
+    them to its buffer lines, counts them and traces each one. {!next}
+    is the bare transition table, shared with the audit replay so every
+    traced transition is re-checked for legality. Under
+    [Machine.Install_flush] every event function returns [[]], which
     keeps the default sim path byte-identical to the pre-protocol
     engine. *)
 
@@ -18,7 +22,6 @@ module M = Vliw_arch.Machine
 type state = I | S | E | M_
 
 val state_name : state -> string
-val state_of_string : string -> state option
 
 (** What drove a transition. *)
 type cause =
@@ -26,10 +29,11 @@ type cause =
   | Store  (** a local store hit this cluster's replica at execute *)
   | Remote_store  (** a remote cluster's store invalidated this replica *)
   | Remote_read  (** a remote fill downgraded this owner (MESI) *)
-  | Evict  (** capacity eviction or violation flush dropped the replica *)
+  | Evict
+      (** a capacity eviction dropped the replica, or a local store
+          dropped a copy it could not write into *)
 
 val cause_name : cause -> string
-val cause_of_string : string -> cause option
 
 val next : M.protocol -> state -> cause -> state option
 (** The transition table; [None] = illegal under that protocol (always
@@ -43,46 +47,34 @@ type transition = {
   t_cause : cause;
 }
 
-type counters = {
-  mutable invalidations : int;
-      (** replicas dropped to I by a remote store's upgrade *)
-  mutable upgrades : int;  (** S -> M upgrades (bus / directory traffic) *)
-  mutable exclusive_hits : int;  (** silent E -> M upgrades (MESI only) *)
-}
+(** {1 Events}
 
-type t
-(** A tracker mirroring the simulator's replica population. *)
+    [states.(c)] is cluster [c]'s current state of the subblock.
+    Transitions come back in application order; a cause that would not
+    change a line's state yields no transition. *)
 
-val create : protocol:M.protocol -> clusters:int -> t
-val enabled : t -> bool
-val counters : t -> counters
-val state : t -> cluster:int -> subblock:int -> state
-
-val note_fill : t -> cluster:int -> subblock:int -> transition list
-(** A fill response installed [subblock] in [cluster].  Under MESI any
-    pre-existing E/M owner is downgraded to S first (the M case is the
+val fill :
+  M.protocol -> cluster:int -> subblock:int -> state array -> transition list
+(** A fill response installs [subblock] in [cluster].  Under MESI any
+    other E/M owner is downgraded to S first (the M case is the
     ownership handoff — the caller pays the writeback), and the fill
-    lands in E when the filling cluster ends up the sole sharer. *)
+    lands in E when the filling cluster ends up the sole sharer.  A
+    refill by the sole E/M owner is absorbed: the owner keeps its state
+    and nothing is traced. *)
 
-val note_store :
-  t -> writer:int -> subblock:int -> present:bool -> replicated:bool ->
-  transition list
+val store :
+  M.protocol -> writer:int -> subblock:int -> present:bool ->
+  replicated:bool -> state array -> transition list
 (** A store by [writer] executed: remote replicas drop to I, the
     writer's own replica (when [present]) upgrades to M.  [replicated]
     stores (DDGT) broadcast the write into sibling replicas instead of
     invalidating them, so only the writer's upgrade is recorded. *)
 
-val note_remote_invalidate : t -> cluster:int -> subblock:int -> transition list
+val remote_invalidate :
+  M.protocol -> cluster:int -> subblock:int -> state -> transition list
 (** A directed invalidate (directory apply-time residual sharer) reached
-    [cluster]; no transition if the line is already Invalid. *)
+    [cluster], whose line is in the given state; no transition if the
+    line is already Invalid. *)
 
-val note_evict : t -> cluster:int -> subblock:int -> transition list
-(** Capacity eviction of one replica. *)
-
-val note_flush : t -> cluster:int -> transition list
-(** Violation flush: every replica [cluster] holds drops to I. *)
-
-val encode_state : t -> Buffer.t -> unit
-(** Canonical serialization for {!Vliw_check.Check} state keys: non-I
-    lines in subblock order plus the traffic counters.  Emits nothing
-    under [Install_flush]. *)
+val evict : M.protocol -> cluster:int -> subblock:int -> state -> transition list
+(** [cluster] dropped its replica, which was in the given state. *)

@@ -336,7 +336,7 @@ type prot_row = {
 }
 
 (* the protocol/backend pairings Machine.validate accepts: MSI snoops the
-   shared buses, MESI generalizes the directory's state *)
+   shared buses, MESI routes ownership handoffs through the directory *)
 let protocol_grid =
   List.concat_map
     (fun n ->

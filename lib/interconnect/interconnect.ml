@@ -41,38 +41,37 @@ let guarantees (m : M.t) =
 (* Extracted verbatim from the engines' previous inline bus logic:    *)
 (* grants scan buses in index order, the queue head is popped when a  *)
 (* bus is free, and the jitter draw happens once per grant after the  *)
-(* pop. The queue is a growable ring over plain int arrays plus one   *)
-(* payload array, so the simulation hot path allocates nothing.       *)
+(* pop. The queue is a growable ring over plain int arrays (the       *)
+(* payloads are the engines' int transaction keys), so the            *)
+(* simulation hot path allocates nothing.                             *)
 (* ------------------------------------------------------------------ *)
 
 module Bus = struct
-  type 'a t = {
+  type t = {
     latency : int;
     bus_free : int array;
-    dummy : 'a;
     mutable cap : int;
     mutable head : int;
     mutable len : int;
     mutable q_ready : int array;
     mutable q_req : int array;
     mutable q_txn : int array;
-    mutable q_payload : 'a array;
+    mutable q_payload : int array;
     mutable txn_counter : int;
   }
 
-  let create ~buses ~latency ~dummy =
+  let create ~buses ~latency =
     let cap = 256 in
     {
       latency;
       bus_free = Array.make buses 0;
-      dummy;
       cap;
       head = 0;
       len = 0;
       q_ready = Array.make cap 0;
       q_req = Array.make cap 0;
       q_txn = Array.make cap 0;
-      q_payload = Array.make cap dummy;
+      q_payload = Array.make cap 0;
       txn_counter = 0;
     }
 
@@ -85,14 +84,10 @@ module Bus = struct
       done;
       a
     in
-    let p = Array.make cap' t.dummy in
-    for i = 0 to t.len - 1 do
-      p.(i) <- t.q_payload.((t.head + i) mod t.cap)
-    done;
     t.q_ready <- regrow_int t.q_ready;
     t.q_req <- regrow_int t.q_req;
     t.q_txn <- regrow_int t.q_txn;
-    t.q_payload <- p;
+    t.q_payload <- regrow_int t.q_payload;
     t.head <- 0;
     t.cap <- cap'
 
@@ -117,7 +112,7 @@ module Bus = struct
      only feed the [Bus_grant] trace fields, never arbitration, and
      [q_ready] always equals its request cycle, which is [<= now] by the
      time any dispatch can observe it. *)
-  let encode_state t ~now ~payload buf =
+  let encode_state t ~now buf =
     Buffer.add_char buf 'B';
     Array.iter
       (fun f ->
@@ -127,7 +122,7 @@ module Bus = struct
     Buffer.add_char buf '|';
     for i = 0 to t.len - 1 do
       let j = (t.head + i) mod t.cap in
-      Dec.add_int buf (payload t.q_payload.(j));
+      Dec.add_int buf t.q_payload.(j);
       Buffer.add_char buf ','
     done
 
@@ -141,11 +136,9 @@ module Bus = struct
           t.len <- t.len - 1;
           let lat = t.latency + jit () in
           t.bus_free.(b) <- now + lat;
-          let payload = t.q_payload.(h) in
-          t.q_payload.(h) <- t.dummy;
           grant ~txn:t.q_txn.(h) ~bus:b
             ~wait:(now - t.q_req.(h))
-            ~lat ~arrival:(now + lat) payload
+            ~lat ~arrival:(now + lat) t.q_payload.(h)
         end
       end
     done
@@ -162,16 +155,20 @@ end
 (* jitter cannot reorder same-link traffic.                           *)
 (*                                                                    *)
 (* The directory bank at each home cluster tracks, per subblock, the  *)
-(* present-bit mask of clusters holding an Attraction-Buffer replica. *)
-(* A store at the home enqueues invalidates to every other sharer; a  *)
-(* sharer invalidating a locally-written replica answers with a       *)
-(* writeback acknowledgement.                                         *)
+(* present-bit mask of clusters it believes hold an Attraction-Buffer *)
+(* replica. A store at the home clears every other sharer's bit and   *)
+(* enqueues an invalidate to each; a sharer invalidating a            *)
+(* locally-written replica answers with a writeback acknowledgement.  *)
+(* The mask is the directory's own lagging belief, not a view of the  *)
+(* buffers: a copy whose invalidate is in flight has no bit, and a    *)
+(* fill confirmed before that invalidate lands keeps a bit for a copy *)
+(* the invalidate then kills.                                         *)
 (* ------------------------------------------------------------------ *)
 
 module Directory = struct
-  type 'a delivery =
-    | Request of 'a
-    | Response of 'a
+  type delivery =
+    | Request of int
+    | Response of int
     | Invalidate of { subblock : int; home : int }
     | Writeback_ack of { subblock : int; from : int }
 
@@ -182,9 +179,9 @@ module Directory = struct
     d_hops : int;
   }
 
-  type 'a packet = {
+  type packet = {
     p_txn : int;
-    p_payload : 'a delivery;
+    p_payload : delivery;
     p_dst : int;
     p_dir : int; (* +1 clockwise / -1 counter-clockwise *)
     mutable p_at : int; (* current node *)
@@ -195,13 +192,13 @@ module Directory = struct
 
   type dir_entry = { mutable e_mask : int }
 
-  type 'a t = {
+  type t = {
     clusters : int;
     hop_latency : int;
     (* directed link u->u+1 has id 2u, link u->u-1 has id 2u+1 *)
     link_free : int array; (* next cycle the link entry accepts a packet *)
     link_last : int array; (* arrival time of the link's last traversal *)
-    buckets : (int, 'a packet list ref) Hashtbl.t; (* cycle -> rev list *)
+    buckets : (int, packet list ref) Hashtbl.t; (* cycle -> rev list *)
     entries : (int, dir_entry) Hashtbl.t; (* subblock -> sharers *)
     mutable txn_counter : int;
     mutable in_flight : int;
@@ -275,7 +272,7 @@ module Directory = struct
       Hashtbl.add t.entries subblock e;
       e
 
-  let lookup t ~home:_ ~subblock =
+  let lookup t ~subblock =
     t.lookups <- t.lookups + 1;
     match Hashtbl.find_opt t.entries subblock with
     | Some e -> e.e_mask
@@ -320,7 +317,7 @@ module Directory = struct
      one (empty mask). [in_flight] is derivable from the buckets.
      The traffic counters are included because they surface in the final
      run stats. *)
-  let encode_state t ~now ~payload buf =
+  let encode_state t ~now buf =
     let int v = Dec.add_int buf v in
     let field v =
       int v;
@@ -339,10 +336,10 @@ module Directory = struct
     let add_delivery = function
       | Request x ->
         Buffer.add_char buf 'R';
-        int (payload x)
+        int x
       | Response x ->
         Buffer.add_char buf 'r';
-        int (payload x)
+        int x
       | Invalidate { subblock; home } -> pair 'I' subblock home
       | Writeback_ack { subblock; from } -> pair 'W' subblock from
     in

@@ -21,8 +21,15 @@
     a FIFO channel (packets cannot overtake on a link, even under
     jitter), but there is no global arbitration order across sources.
     The directory bank at each home cluster tracks, per subblock, a
-    present-bit mask of clusters holding an Attraction-Buffer replica,
-    and drives invalidate / fetch / writeback flows. *)
+    present-bit mask of clusters it believes hold an Attraction-Buffer
+    replica, and drives invalidate / fetch / writeback flows. The mask
+    is the directory's own lagging belief, not a view of the buffers:
+    {!Directory.store_apply} clears bits while their invalidates are
+    still in flight, and a fill confirmed before such an invalidate
+    lands keeps its bit after the invalidate kills the copy.
+
+    Both backends carry [int] payloads: the engine's key for the
+    transaction, which the backend never looks inside. *)
 
 module M = Vliw_arch.Machine
 
@@ -63,22 +70,20 @@ val guarantees : M.t -> guarantees
 (** {1 Bus: shared memory buses over one global FIFO queue} *)
 
 module Bus : sig
-  type 'a t
-  (** ['a] is the engine's payload: an int-encoded transaction for the
-      wheel engine, a continuation for the reference engine. *)
+  type t
 
-  val create : buses:int -> latency:int -> dummy:'a -> 'a t
-  (** [dummy] initialises internal storage and is never delivered. *)
+  val create : buses:int -> latency:int -> t
 
-  val request : 'a t -> now:int -> 'a -> int
-  (** Enqueue a transaction; returns its fresh transaction id. *)
+  val request : t -> now:int -> int -> int
+  (** Enqueue a transaction with the engine's payload; returns its fresh
+      transaction id. *)
 
-  val pending : 'a t -> bool
+  val pending : t -> bool
   (** Requests queued but not yet granted. A dispatch round can only
       consume a jitter draw when this is true, so it doubles as the model
       checker's "may the network branch this cycle" predicate. *)
 
-  val encode_state : 'a t -> now:int -> payload:('a -> int) -> Buffer.t -> unit
+  val encode_state : t -> now:int -> Buffer.t -> unit
   (** Append a canonical serialization of the bus state (busy horizons
       relativized to [now], queue payloads in FIFO order) for
       model-checking state keys. Transaction ids and request stamps are
@@ -87,11 +92,11 @@ module Bus : sig
       draws. *)
 
   val dispatch :
-    'a t ->
+    t ->
     now:int ->
     jit:(unit -> int) ->
     grant:
-      (txn:int -> bus:int -> wait:int -> lat:int -> arrival:int -> 'a -> unit) ->
+      (txn:int -> bus:int -> wait:int -> lat:int -> arrival:int -> int -> unit) ->
     unit
   (** One arbitration round: every free bus grants the queue head, in
       bus-index order. [jit] is drawn exactly once per grant, after the
@@ -103,12 +108,12 @@ end
 (** {1 Directory: packet-switched ring + distributed directory} *)
 
 module Directory : sig
-  type 'a t
+  type t
 
   (** What arrives at a cluster when a packet completes its last hop. *)
-  type 'a delivery =
-    | Request of 'a  (** a remote access reaching its home module *)
-    | Response of 'a  (** fill data reaching the requesting cluster *)
+  type delivery =
+    | Request of int  (** a remote access reaching its home module *)
+    | Response of int  (** fill data reaching the requesting cluster *)
     | Invalidate of { subblock : int; home : int }
         (** directory orders this cluster to drop its replica *)
     | Writeback_ack of { subblock : int; from : int }
@@ -122,18 +127,18 @@ module Directory : sig
     d_hops : int;  (** total link traversals of all packets *)
   }
 
-  val create : clusters:int -> hop_latency:int -> 'a t
+  val create : clusters:int -> hop_latency:int -> t
 
-  val pending : 'a t -> bool
+  val pending : t -> bool
   (** Packets still in flight (the engine main loops must keep running
       until the network drains). *)
 
-  val due : 'a t -> now:int -> bool
+  val due : t -> now:int -> bool
   (** Packets scheduled for this cycle — a sound over-approximation of
       "the coming [step] may consume a jitter draw" (only departures
       draw; arrivals do not). *)
 
-  val encode_state : 'a t -> now:int -> payload:('a -> int) -> Buffer.t -> unit
+  val encode_state : t -> now:int -> Buffer.t -> unit
   (** Append a canonical serialization of the ring + directory state for
       model-checking state keys: link horizons relativized to [now],
       buckets in ascending-cycle order with packets in processing order,
@@ -141,40 +146,46 @@ module Directory : sig
       and the traffic counters (they surface in the final stats).
       Transaction ids are trace-only and excluded. *)
 
-  val send_request : 'a t -> now:int -> src:int -> dst:int -> 'a -> int
-  (** Inject a request packet; returns its transaction id. *)
+  val send_request : t -> now:int -> src:int -> dst:int -> int -> int
+  (** Inject a request packet carrying the engine's payload; returns its
+      transaction id. *)
 
-  val send_response : 'a t -> now:int -> src:int -> dst:int -> 'a -> int
+  val send_response : t -> now:int -> src:int -> dst:int -> int -> int
 
-  val lookup : 'a t -> home:int -> subblock:int -> int
-  (** Record a directory-bank lookup at [home]; returns the current
-      sharer mask (for tracing). Called when a request is first
+  val lookup : t -> subblock:int -> int
+  (** Record a lookup at [subblock]'s home directory bank; returns the
+      current sharer mask (for tracing). Called when a request is first
       serviced at its home module (combined requests share the
       original's lookup). *)
 
-  val store_apply : 'a t -> now:int -> home:int -> subblock:int -> requester:int -> int
+  val store_apply : t -> now:int -> home:int -> subblock:int -> requester:int -> int
   (** A store took effect at [home]: enqueue an invalidate packet to
-      every sharer except [requester] and clear their present bits.
-      Returns the number of invalidates sent. *)
+      every sharer except [requester] and clear their present bits now,
+      before the invalidates arrive. Returns the number of invalidates
+      sent. *)
 
-  val confirm_install : 'a t -> cluster:int -> subblock:int -> unit
+  val confirm_install : t -> cluster:int -> subblock:int -> unit
   (** The requester accepted a fill into its Attraction Buffer: set its
-      present bit. *)
+      present bit. A delivered invalidate does not clear it, so a fill
+      confirmed while an invalidate to the same cluster is in flight
+      leaves the bit set after that invalidate kills the copy; the next
+      {!store_apply} invalidates the cluster again. *)
 
-  val drop_replica : 'a t -> cluster:int -> subblock:int -> unit
-  (** A replica was evicted (AB capacity victim): clear its present bit
-      so the directory stops tracking it. *)
+  val drop_replica : t -> cluster:int -> subblock:int -> unit
+  (** A replica left its buffer outside the invalidate flow (an AB
+      capacity victim, or a copy a protocol store dropped at execute):
+      clear its present bit so the directory stops tracking it. *)
 
-  val writeback : 'a t -> now:int -> src:int -> home:int -> subblock:int -> unit
+  val writeback : t -> now:int -> src:int -> home:int -> subblock:int -> unit
   (** A sharer invalidated a locally-written replica: send the
       writeback acknowledgement packet back to the home bank. *)
 
   val step :
-    'a t ->
+    t ->
     now:int ->
     jit:(unit -> int) ->
     emit_hop:(txn:int -> src:int -> dst:int -> unit) ->
-    deliver:(dst:int -> txn:int -> 'a delivery -> unit) ->
+    deliver:(dst:int -> txn:int -> delivery -> unit) ->
     unit
   (** Advance every packet due this cycle by one hop, in deterministic
       (scheduling) order. [jit] is drawn once per hop; a jittered hop
@@ -182,5 +193,5 @@ module Directory : sig
       [emit_hop] fires for every link traversal; [deliver] fires when a
       packet completes its final hop. *)
 
-  val stats : 'a t -> stats
+  val stats : t -> stats
 end

@@ -1,11 +1,12 @@
 module M = Vliw_arch.Machine
+module C = Vliw_coherence.Coherence
 module Dec = Vliw_util.Dec
 
 type entry = {
   mutable subblock : int;
   mutable data : Bytes.t;
   mutable base : int;  (** first byte address covered *)
-  mutable valid : bool;
+  mutable state : C.state;  (** protocol state; [I] = invalid way *)
   mutable sync : int;
   mutable written : bool;  (** a store freshened this copy since install *)
 }
@@ -42,7 +43,7 @@ let create machine =
         Array.init sets (fun _ ->
             Array.init a.M.ab_assoc (fun _ ->
                 { subblock = -1; data = Bytes.create sb; base = 0;
-                  valid = false; sync = -1; written = false }));
+                  state = C.I; sync = -1; written = false }));
       stamp;
       clock = 1;
     }
@@ -57,7 +58,7 @@ let find_way t subblock =
   let w = ref 0 in
   while !r < 0 && !w < t.assoc do
     let e = row.(!w) in
-    if e.valid && e.subblock = subblock then r := !w;
+    if e.state <> C.I && e.subblock = subblock then r := !w;
     incr w
   done;
   !r
@@ -133,7 +134,7 @@ let invalidate t ~subblock =
   if w < 0 then `Absent
   else begin
     let e = t.entries.(set_of t subblock).(w) in
-    e.valid <- false;
+    e.state <- C.I;
     let r = if e.written then `Written else `Clean in
     e.written <- false;
     r
@@ -151,7 +152,7 @@ let install t ~subblock ~(addrs : int array) ~mem ~sync =
       let free = ref (-1) in
       let w = ref 0 in
       while !free < 0 && !w < t.assoc do
-        if not row.(!w).valid then free := !w;
+        if row.(!w).state = C.I then free := !w;
         incr w
       done;
       if !free >= 0 then !free
@@ -167,12 +168,13 @@ let install t ~subblock ~(addrs : int array) ~mem ~sync =
   in
   let e = row.(way) in
   let evicted =
-    if e.valid && e.subblock <> subblock then Some (e.subblock, e.written)
+    if e.state <> C.I && e.subblock <> subblock then Some (e.subblock, e.state)
     else None
   in
+  (* a refill keeps the line's state; a new line lands in S *)
+  if e.subblock <> subblock || e.state = C.I then e.state <- C.S;
   e.subblock <- subblock;
   e.base <- base;
-  e.valid <- true;
   e.sync <- sync;
   e.written <- false;
   let i = t.machine.M.interleave_bytes in
@@ -190,6 +192,16 @@ let install t ~subblock ~(addrs : int array) ~mem ~sync =
 let sync_seq t ~subblock =
   let w = find_way t subblock in
   if w < 0 then None else Some t.entries.(set_of t subblock).(w).sync
+
+let line_state t ~subblock =
+  let w = find_way t subblock in
+  if w < 0 then C.I else t.entries.(set_of t subblock).(w).state
+
+let set_line_state t ~subblock state =
+  let w = find_way t subblock in
+  if w < 0 || state = C.I then
+    invalid_arg "Attraction.set_line_state: no valid line to move";
+  t.entries.(set_of t subblock).(w).state <- state
 
 (* Canonical serialization for model-checking state keys. Entries are
    encoded in way-index order (install prefers the first invalid way by
@@ -221,7 +233,7 @@ let encode_state t buf =
       field Dec.add_int e.base;
       field Dec.add_int e.sync;
       field Dec.add_bool e.written;
-      field Dec.add_bool e.valid;
+      field Buffer.add_string (C.state_name e.state);
       Dec.add_int buf !rank;
       Buffer.add_char buf '|';
       Buffer.add_bytes buf e.data;
@@ -235,8 +247,8 @@ let flush t =
     (fun set ->
       Array.iter
         (fun e ->
-          if e.valid then incr n;
-          e.valid <- false)
+          if e.state <> C.I then incr n;
+          e.state <- C.I)
         set)
     t.entries;
   !n

@@ -71,14 +71,26 @@ let run ~lowered ~graph ~schedule ~layout ?trip ?(mode = Execution) ?jitter
   let nsites = Array.length lowered.L.site_node in
   let seq_of ~site ~iter = (iter * nsites) + site in
 
-  (* ----- interconnect: shared-bus pool or directory-tracked ring ----- *)
+  (* ----- interconnect: shared-bus pool or directory-tracked ring -----
+     The interconnect carries int payloads; this engine's are keys into
+     its table of parked continuations, each run once on delivery. *)
   let dir_mode = machine.M.interconnect = M.Directory in
-  let bus : (int -> unit) Icn.Bus.t =
+  let bus =
     Icn.Bus.create ~buses:machine.M.mem_buses.M.bus_count ~latency:mem_buslat
-      ~dummy:(fun (_ : int) -> ())
   in
-  let dir : (int -> unit) Icn.Directory.t =
-    Icn.Directory.create ~clusters:nclusters ~hop_latency:(max 1 mem_buslat)
+  let dir = Icn.Directory.create ~clusters:nclusters ~hop_latency:(max 1 mem_buslat) in
+  let parked : (int, int -> unit) Hashtbl.t = Hashtbl.create 64 in
+  let next_key = ref 0 in
+  let park action =
+    let k = !next_key in
+    incr next_key;
+    Hashtbl.add parked k action;
+    k
+  in
+  let unpark k =
+    let action = Hashtbl.find parked k in
+    Hashtbl.remove parked k;
+    action
   in
   (* [ch_note_state] is intentionally ignored here: the closure calendar
      has no canonical serialization, so exploration runs on the wheel
@@ -94,15 +106,15 @@ let run ~lowered ~graph ~schedule ~layout ?trip ?(mode = Execution) ?jitter
   in
   let jit = Memsys.jit ms in
   let send_bus ~cluster action =
-    let txn = Icn.Bus.request bus ~now:!now action in
+    let txn = Icn.Bus.request bus ~now:!now (park action) in
     if tracing then emit ~cluster (Tr.Bus_request { txn; cluster })
   in
   let send_request ~src ~dst action =
-    let txn = Icn.Directory.send_request dir ~now:!now ~src ~dst action in
+    let txn = Icn.Directory.send_request dir ~now:!now ~src ~dst (park action) in
     if tracing then emit ~cluster:src (Tr.Bus_request { txn; cluster = src })
   in
   let send_response ~src ~dst action =
-    let txn = Icn.Directory.send_response dir ~now:!now ~src ~dst action in
+    let txn = Icn.Directory.send_response dir ~now:!now ~src ~dst (park action) in
     if tracing then emit ~cluster:src (Tr.Bus_request { txn; cluster = src })
   in
 
@@ -153,7 +165,7 @@ let run ~lowered ~graph ~schedule ~layout ?trip ?(mode = Execution) ?jitter
   (* ----- network phase: bus arbitration or ring/directory stepping ----- *)
   let deliver ~dst ~txn:_ payload =
     match payload with
-    | Icn.Directory.Request f | Icn.Directory.Response f -> f !now
+    | Icn.Directory.Request k | Icn.Directory.Response k -> unpark k !now
     | Icn.Directory.Invalidate { subblock; home } ->
       Memsys.invalidate ms ~cluster:dst ~subblock ~home
     | Icn.Directory.Writeback_ack { subblock; from = _ } ->
@@ -168,8 +180,9 @@ let run ~lowered ~graph ~schedule ~layout ?trip ?(mode = Execution) ?jitter
         ~deliver
     else
       Icn.Bus.dispatch bus ~now:!now ~jit
-        ~grant:(fun ~txn ~bus:b ~wait ~lat ~arrival action ->
+        ~grant:(fun ~txn ~bus:b ~wait ~lat ~arrival k ->
           if tracing then emit (Tr.Bus_grant { txn; bus = b; wait; lat });
+          let action = unpark k in
           at arrival (fun () ->
               if tracing then emit (Tr.Bus_transfer { txn; bus = b });
               action arrival))

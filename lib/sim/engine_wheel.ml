@@ -367,12 +367,8 @@ let run ~lowered ~graph ~schedule ~layout ?trip ?(mode = Execution) ?jitter
      The payload threaded through [Icn.Bus] / [Icn.Directory] packs
      (inst, leg) into one int: [(inst lsl 1) lor leg]. *)
   let dir_mode = machine.M.interconnect = M.Directory in
-  let bus : int Icn.Bus.t =
-    Icn.Bus.create ~buses:nbuses ~latency:mem_buslat ~dummy:0
-  in
-  let dir : int Icn.Directory.t =
-    Icn.Directory.create ~clusters:nclusters ~hop_latency:(max 1 mem_buslat)
-  in
+  let bus = Icn.Bus.create ~buses:nbuses ~latency:mem_buslat in
+  let dir = Icn.Directory.create ~clusters:nclusters ~hop_latency:(max 1 mem_buslat) in
 
   (* ----- subblock tables: member addresses (materialised once per
      subblock) and MSHR waiter lists ----- *)
@@ -832,10 +828,8 @@ let run ~lowered ~graph ~schedule ~layout ?trip ?(mode = Execution) ?jitter
     sep '#';
     Memsys.encode_caches ms buf;
     sep '#';
-    if dir_mode then
-      Icn.Directory.encode_state dir ~now:!now ~payload:(fun x -> x) buf
-    else Icn.Bus.encode_state bus ~now:!now ~payload:(fun x -> x) buf;
-    Memsys.encode_protocol ms buf;
+    if dir_mode then Icn.Directory.encode_state dir ~now:!now buf
+    else Icn.Bus.encode_state bus ~now:!now buf;
     Buffer.contents buf
   in
   let note_state =

@@ -1,11 +1,12 @@
 (* The simulator's memory system, written once for both engines: the
-   coherence-order apply, the cache modules, the Attraction Buffers, the
-   MSI/MESI tracker, the directory's sharer bookkeeping, the next level's
-   ports, the jitter draws, warm-up and the final stats. An engine keeps
-   only how it stores time and per-instance state, and calls in here at
-   the points where the memory system decides something. Accesses are
-   named by their coherence sequence number [seq = iter * sites + site],
-   which is program order and unique per load (only stores replicate). *)
+   coherence-order apply, the cache modules, the Attraction Buffers and
+   their MSI/MESI line states, the directory's sharer bookkeeping, the
+   next level's ports, the jitter draws, warm-up and the final stats. An
+   engine keeps only how it stores time and per-instance state, and calls
+   in here at the points where the memory system decides something.
+   Accesses are named by their coherence sequence number
+   [seq = iter * sites + site], which is program order and unique per
+   load (only stores replicate). *)
 
 module M = Vliw_arch.Machine
 module Ir = Vliw_ir
@@ -15,7 +16,7 @@ module C = Vliw_coherence.Coherence
 module Dec = Vliw_util.Dec
 open Sim_types
 
-type 'a t = {
+type t = {
   machine : M.t;
   sites : int;
   now : int ref;
@@ -26,7 +27,7 @@ type 'a t = {
   addrs_of : int -> int array;
   dir_mode : bool;
   prot_on : bool;
-  dir : 'a Icn.Directory.t;
+  dir : Icn.Directory.t;
   jit : unit -> int;
   (* memory image and coherence order: per byte, the newest store and the
      newest access applied at home *)
@@ -35,11 +36,10 @@ type 'a t = {
   last_any_seq : int array;
   oracle : Ir.Interp.result option;
   modules : Cachemod.t array;
-  abs : Attraction.t array;
+  abs : Attraction.t array;  (* the only record of replicas and their states *)
   (* per cluster and byte: the newest store this cluster has executed,
      applied at home or not (see [ab_fill]) *)
   ab_exec_seq : int array array;
-  coh : C.t;
   l2_free : int array;
   (* MSI/MESI loads still in the memory system, indexed by seq *)
   mutable pending : int list;
@@ -56,6 +56,10 @@ type 'a t = {
   mutable ab_hits : int;
   mutable nullified : int;
   mutable violations : int;
+  (* protocol traffic *)
+  mutable invalidations : int;  (* replicas dropped to I by a remote store *)
+  mutable upgrades : int;  (* S -> M upgrades (bus / directory traffic) *)
+  mutable exclusive_hits : int;  (* silent E -> M upgrades (MESI only) *)
 }
 
 let emit t ~cluster p =
@@ -137,7 +141,6 @@ let create ~machine ~mem ~sites ~trip ~mode ~warm ?jitter ?choices ~trace ~now
     modules;
     abs;
     ab_exec_seq = Array.map (fun _ -> Array.make msize (-1)) abs;
-    coh = C.create ~protocol:machine.M.protocol ~clusters:nclusters;
     l2_free = Array.make machine.M.l2_ports 0;
     pending = [];
     p_addr = Array.make nseq 0;
@@ -147,6 +150,7 @@ let create ~machine ~mem ~sites ~trip ~mode ~warm ?jitter ?choices ~trace ~now
     p_lval = Array.make nseq 0L;
     local_hits = 0; remote_hits = 0; local_misses = 0; remote_misses = 0;
     combined = 0; ab_hits = 0; nullified = 0; violations = 0;
+    invalidations = 0; upgrades = 0; exclusive_hits = 0;
   }
 
 let jit t = t.jit
@@ -215,30 +219,50 @@ let latch_older t ~seq ~addr ~size =
 
 (* ----- protocol transitions ----- *)
 
-(* One trace event per tracker transition; a Modified owner downgraded by
-   a remote read (MESI ownership handoff) also pays a writeback to the
-   line's home bank. *)
-let emit_transitions t trs =
-  List.iter
-    (fun (tr : C.transition) ->
-      if t.tracing then
-        emit t ~cluster:tr.t_cluster
-          (Tr.Prot_transition
-             {
-               cluster = tr.t_cluster;
-               subblock = tr.t_subblock;
-               from_state = tr.t_from;
-               to_state = tr.t_to;
-               cause = tr.t_cause;
-             });
-      match tr with
-      | { C.t_from = C.M_; t_to = C.S; t_cause = C.Remote_read; _ }
-        when t.dir_mode ->
-        Icn.Directory.writeback t.dir ~now:!(t.now) ~src:tr.t_cluster
-          ~home:(tr.t_subblock mod t.machine.M.clusters)
-          ~subblock:tr.t_subblock
-      | _ -> ())
-    trs
+(* A subblock's line state in every cluster's buffer. *)
+let states t sb = Array.map (fun ab -> Attraction.line_state ab ~subblock:sb) t.abs
+
+(* A written replica died, or a Modified owner was downgraded: the
+   acknowledgement travels to the subblock's home bank. *)
+let writeback t ~src ~subblock =
+  Icn.Directory.writeback t.dir ~now:!(t.now) ~src
+    ~home:(subblock mod t.machine.M.clusters) ~subblock
+
+(* Apply one protocol transition: a line that stays valid takes its new
+   state (the caller has already invalidated a line dropped to I), the
+   traffic counters move and the transition is traced. A Modified owner
+   downgraded by a remote read (MESI ownership handoff) also pays a
+   writeback to the line's home bank. *)
+let apply_transition t (tr : C.transition) =
+  let c = tr.t_cluster and sb = tr.t_subblock in
+  if tr.t_to <> C.I then Attraction.set_line_state t.abs.(c) ~subblock:sb tr.t_to;
+  if t.tracing then
+    emit t ~cluster:c
+      (Tr.Prot_transition
+         {
+           cluster = c;
+           subblock = sb;
+           from_state = tr.t_from;
+           to_state = tr.t_to;
+           cause = tr.t_cause;
+         });
+  match (tr.t_from, tr.t_to, tr.t_cause) with
+  | _, C.I, C.Remote_store -> t.invalidations <- t.invalidations + 1
+  | C.S, C.M_, C.Store -> t.upgrades <- t.upgrades + 1
+  | C.E, C.M_, C.Store -> t.exclusive_hits <- t.exclusive_hits + 1
+  | C.M_, C.S, C.Remote_read when t.dir_mode -> writeback t ~src:c ~subblock:sb
+  | _ -> ()
+
+(* Invalidate a line the [writer]'s protocol store drops at execute. On
+   the directory backend it leaves the present-mask immediately — the
+   store's later apply-time [store_apply] then finds no residual sharer
+   to invalidate — and a remote sharer's written copy pays a writeback. *)
+let drop t ~writer ~cluster ~subblock =
+  let written = Attraction.invalidate t.abs.(cluster) ~subblock = `Written in
+  if t.dir_mode then begin
+    Icn.Directory.drop_replica t.dir ~cluster ~subblock;
+    if written && cluster <> writer then writeback t ~src:cluster ~subblock
+  end
 
 (* A store executed under MSI/MESI: its upgrade wins the interconnect
    atomically with execution, so every remote AB replica of each touched
@@ -246,43 +270,26 @@ let emit_transitions t trs =
    upgrades to M when the write landed in it ([present]); a copy the write
    could not be packed into (an access straddling its interleave chunk) is
    dropped instead of left stale. Replicated (DDGT) stores broadcast the
-   write into sibling replicas, so they invalidate nothing. On the
-   directory backend the dropped replicas leave the present-mask
-   immediately — the store's later apply-time [store_apply] then finds no
-   residual sharers to invalidate — and a dropped written copy pays a
-   writeback. *)
+   write into sibling replicas, so they invalidate nothing. *)
 let protocol_store t ~replicated ~own ~addr ~size ~present =
-  let il = t.machine.M.interleave_bytes in
-  let nabs = Array.length t.abs in
+  let il = t.machine.M.interleave_bytes and p = t.machine.M.protocol in
   let last = addr + size - 1 in
   let b = ref addr in
   while !b <= last do
     let sb = t.subblock_of !b in
-    let own_present =
-      nabs > 0 && Attraction.sync_seq t.abs.(own) ~subblock:sb <> None
-    in
+    let st = states t sb in
+    let own_present = Array.length st > 0 && st.(own) <> C.I in
     let own_upgraded = own_present && !b = addr && present in
     if own_present && not own_upgraded then begin
-      ignore (Attraction.invalidate t.abs.(own) ~subblock:sb);
-      if t.dir_mode then Icn.Directory.drop_replica t.dir ~cluster:own ~subblock:sb;
-      emit_transitions t (C.note_evict t.coh ~cluster:own ~subblock:sb)
+      drop t ~writer:own ~cluster:own ~subblock:sb;
+      List.iter (apply_transition t)
+        (C.evict p ~cluster:own ~subblock:sb st.(own))
     end;
-    if not replicated then
-      for c = 0 to nabs - 1 do
-        if c <> own then
-          match Attraction.invalidate t.abs.(c) ~subblock:sb with
-          | `Absent -> ()
-          | (`Clean | `Written) as r ->
-            if t.dir_mode then begin
-              Icn.Directory.drop_replica t.dir ~cluster:c ~subblock:sb;
-              if r = `Written then
-                Icn.Directory.writeback t.dir ~now:!(t.now) ~src:c
-                  ~home:(sb mod t.machine.M.clusters) ~subblock:sb
-            end
-      done;
-    emit_transitions t
-      (C.note_store t.coh ~writer:own ~subblock:sb ~present:own_upgraded
-         ~replicated);
+    List.iter
+      (fun (tr : C.transition) ->
+        if tr.t_to = C.I then drop t ~writer:own ~cluster:tr.t_cluster ~subblock:sb;
+        apply_transition t tr)
+      (C.store p ~writer:own ~subblock:sb ~present:own_upgraded ~replicated st);
     b := ((!b / il) + 1) * il
   done
 
@@ -369,7 +376,7 @@ let lookup t ~cluster ~subblock ~seq ~store ~addr ~size ~local =
   (* the home directory bank is consulted once per non-combined access
      (combined requests share the original's lookup) *)
   if t.dir_mode then begin
-    let sharers = Icn.Directory.lookup t.dir ~home:cluster ~subblock in
+    let sharers = Icn.Directory.lookup t.dir ~subblock in
     if t.tracing then
       emit t ~cluster (Tr.Dir_lookup { cluster; subblock; store; sharers })
   end;
@@ -428,6 +435,7 @@ let fill t ~cluster ~subblock ~waiters =
 let ab_fill t ~own ~addr =
   if Array.length t.abs > 0 then begin
     let sb = t.subblock_of addr and il = t.machine.M.interleave_bytes in
+    let p = t.machine.M.protocol in
     let addrs = t.addrs_of sb and exec = t.ab_exec_seq.(own) in
     let fresh = ref true and sync = ref (-1) in
     for i = 0 to Array.length addrs - 1 do
@@ -439,33 +447,40 @@ let ab_fill t ~own ~addr =
     done;
     if !fresh then begin
       let sync = !sync in
+      (* the fill's transitions read the states before the install *)
+      let fill =
+        if t.prot_on then C.fill p ~cluster:own ~subblock:sb (states t sb) else []
+      in
       (match
          Attraction.install t.abs.(own) ~subblock:sb ~addrs ~mem:t.mem ~sync
        with
-      | Some (evicted, _) ->
+      | Some (evicted, s) ->
         if t.dir_mode then
           Icn.Directory.drop_replica t.dir ~cluster:own ~subblock:evicted;
-        if t.prot_on then
-          emit_transitions t (C.note_evict t.coh ~cluster:own ~subblock:evicted)
+        List.iter (apply_transition t) (C.evict p ~cluster:own ~subblock:evicted s)
       | None -> ());
       if t.dir_mode then Icn.Directory.confirm_install t.dir ~cluster:own ~subblock:sb;
-      if t.prot_on then
-        emit_transitions t (C.note_fill t.coh ~cluster:own ~subblock:sb);
+      List.iter (apply_transition t) fill;
       if t.tracing then
         emit t ~cluster:own (Tr.Ab_install { cluster = own; subblock = sb; sync })
     end
   end
 
+(* The cluster's present bit is left alone: the bank cleared it when it
+   sent this invalidate, so a set bit belongs to a fill confirmed since,
+   whose copy this invalidate still kills (the mask's lag, DESIGN §12). *)
 let invalidate t ~cluster ~subblock ~home =
   if Array.length t.abs > 0 then
-    match Attraction.invalidate t.abs.(cluster) ~subblock with
+    let ab = t.abs.(cluster) in
+    let s = Attraction.line_state ab ~subblock in
+    match Attraction.invalidate ab ~subblock with
     | `Absent -> ()
     | (`Clean | `Written) as r ->
       let written = r = `Written in
       if t.tracing then
         emit t ~cluster (Tr.Dir_invalidate { cluster; subblock; written });
-      if t.prot_on then
-        emit_transitions t (C.note_remote_invalidate t.coh ~cluster ~subblock);
+      List.iter (apply_transition t)
+        (C.remote_invalidate t.machine.M.protocol ~cluster ~subblock s);
       if written then
         Icn.Directory.writeback t.dir ~now:!(t.now) ~src:cluster ~home ~subblock
 
@@ -485,7 +500,7 @@ let finish t ~compute ~stall_load ~stall_copy ~stall_bus ~comm_ops =
     t.abs;
   let total = !(t.now) in
   let stall = max 0 (total - compute) in
-  let d = Icn.Directory.stats t.dir and p = C.counters t.coh in
+  let d = Icn.Directory.stats t.dir in
   {
     total_cycles = total;
     compute_cycles = compute;
@@ -508,9 +523,9 @@ let finish t ~compute ~stall_load ~stall_copy ~stall_bus ~comm_ops =
     dir_invalidates = d.Icn.Directory.d_invalidates;
     dir_writebacks = d.Icn.Directory.d_writebacks;
     packet_hops = d.Icn.Directory.d_hops;
-    prot_invalidations = p.C.invalidations;
-    prot_upgrades = p.C.upgrades;
-    prot_exclusive_hits = p.C.exclusive_hits;
+    prot_invalidations = t.invalidations;
+    prot_upgrades = t.upgrades;
+    prot_exclusive_hits = t.exclusive_hits;
     memory = t.mem;
   }
 
@@ -528,7 +543,10 @@ let encode_counters t buf =
   int buf t.combined;
   int buf t.ab_hits;
   int buf t.nullified;
-  int buf t.violations
+  int buf t.violations;
+  int buf t.invalidations;
+  int buf t.upgrades;
+  int buf t.exclusive_hits
 
 let encode_memory t buf =
   Buffer.add_bytes buf t.mem;
@@ -555,9 +573,3 @@ let encode_caches t buf =
   Array.iter (fun m -> Cachemod.encode_state m buf) t.modules;
   Buffer.add_char buf '#';
   Array.iter (fun a -> Attraction.encode_state a buf) t.abs
-
-let encode_protocol t buf =
-  if t.prot_on then begin
-    Buffer.add_char buf '#';
-    C.encode_state t.coh buf
-  end

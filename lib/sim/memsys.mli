@@ -8,10 +8,20 @@
     engine supplies its own address→home, address→subblock and
     subblock→addresses mappings, so the wheel engine's strength-reduced
     geometry stays under the equivalence test. Accesses are named by
-    their coherence sequence number [seq = iter * sites + site]. *)
+    their coherence sequence number [seq = iter * sites + site].
 
-type 'a t
-(** ['a] is the engine's directory payload. *)
+    Replica state has one owner: the Attraction Buffer lines, each
+    carrying its MSI/MESI state. Under a protocol this module reads a
+    subblock's states from the buffers, asks
+    {!Vliw_coherence.Coherence} for the transitions an event causes,
+    and applies them — line state, traffic counters and one
+    [Prot_transition] trace event each. The directory's present mask
+    stays a separate, lagging fact (see
+    {!Vliw_interconnect.Interconnect.Directory.store_apply}), as does
+    each line's [written] bit: an owner's refill keeps [M] but resets
+    it. *)
+
+type t
 
 val create :
   machine:Vliw_arch.Machine.t ->
@@ -24,99 +34,99 @@ val create :
   ?choices:Sim_types.chooser ->
   trace:Vliw_trace.Trace.sink option ->
   now:int ref ->
-  dir:'a Vliw_interconnect.Interconnect.Directory.t ->
+  dir:Vliw_interconnect.Interconnect.Directory.t ->
   home_of:(int -> int) ->
   subblock_of:(int -> int) ->
   addrs_of:(int -> int array) ->
   unit ->
-  'a t
+  t
 (** [mem] is the initial image, updated in place; [now] the engine's
     clock. [warm] replays the oracle's address trace into the cache
     modules. @raise Invalid_argument if [warm] is set outside [Oracle]
     mode. *)
 
-val jit : 'a t -> unit -> int
+val jit : t -> unit -> int
 (** The draw for one bus grant or ring hop: 0, a PRNG value in [0, j]
     under [?jitter], or the chooser's answer (traced as a [Choice]). *)
 
 (** {1 Issue} *)
 
 val store :
-  'a t -> own:int -> seq:int -> addr:int -> size:int -> value:int64 ->
+  t -> own:int -> seq:int -> addr:int -> size:int -> value:int64 ->
   replicated:bool -> unit
 (** An executing store: freshen the own cluster's Attraction Buffer copy;
     under MSI/MESI also latch older pending loads, invalidate remote
     replicas and apply the store now. *)
 
 val nullify :
-  'a t -> own:int -> site:int -> iter:int -> addr:int -> size:int ->
+  t -> own:int -> site:int -> iter:int -> addr:int -> size:int ->
   value:int64 -> unit
 (** A replicated store instance whose address is not homed at its own
     cluster (Section 5.3): it only freshens its own buffered copy. *)
 
 val ab_read :
-  'a t -> own:int -> seq:int -> addr:int -> size:int -> ty:Vliw_ir.Ast.ty ->
+  t -> own:int -> seq:int -> addr:int -> size:int -> ty:Vliw_ir.Ast.ty ->
   int64 option
 (** A remote load tries its cluster's Attraction Buffer: on a hit, count
     it (and a violation if the copy is provably stale) and return the
     value. *)
 
-val track_load : 'a t -> seq:int -> addr:int -> size:int -> unit
+val track_load : t -> seq:int -> addr:int -> size:int -> unit
 (** A load left for its home module (MSI/MESI latch bookkeeping). *)
 
 (** {1 Home module} *)
 
-val combine : 'a t -> cluster:int -> subblock:int -> seq:int -> unit
+val combine : t -> cluster:int -> subblock:int -> seq:int -> unit
 (** The access joined a pending MSHR for its subblock. *)
 
 val lookup :
-  'a t -> cluster:int -> subblock:int -> seq:int -> store:bool -> addr:int ->
+  t -> cluster:int -> subblock:int -> seq:int -> store:bool -> addr:int ->
   size:int -> local:bool -> bool
 (** Classify a non-combined access at its home module: hit ([true]) or
     miss, with the directory lookup, counters and events. A miss needs an
     MSHR and an {!l2_fetch}. *)
 
 val complete :
-  'a t -> cluster:int -> subblock:int -> seq:int -> store:bool -> addr:int ->
+  t -> cluster:int -> subblock:int -> seq:int -> store:bool -> addr:int ->
   size:int -> value:int64 -> requester:int -> int64
 (** The access takes effect at its home module (a hit, or a waiter of a
     filled MSHR): returns what a load observes. *)
 
-val l2_fetch : 'a t -> int
+val l2_fetch : t -> int
 (** Claim a next-level port for a miss issued now; returns the fill cycle. *)
 
-val fill : 'a t -> cluster:int -> subblock:int -> waiters:int -> unit
+val fill : t -> cluster:int -> subblock:int -> waiters:int -> unit
 (** The next level filled [subblock] into its module, for [waiters]
     MSHR waiters. *)
 
 (** {1 Responses and the directory} *)
 
-val ab_fill : 'a t -> own:int -> addr:int -> unit
+val ab_fill : t -> own:int -> addr:int -> unit
 (** A remote load's response reached [own]: install the subblock in its
     Attraction Buffer unless that would make a stale copy. *)
 
-val invalidate : 'a t -> cluster:int -> subblock:int -> home:int -> unit
+val invalidate : t -> cluster:int -> subblock:int -> home:int -> unit
 (** A directory invalidate reached [cluster]. *)
 
-val writeback_ack : 'a t -> cluster:int -> subblock:int -> unit
+val writeback_ack : t -> cluster:int -> subblock:int -> unit
 (** A writeback acknowledgement reached its home bank. *)
 
 (** {1 End of run} *)
 
 val finish :
-  'a t -> compute:int -> stall_load:int -> stall_copy:int -> stall_bus:int ->
+  t -> compute:int -> stall_load:int -> stall_copy:int -> stall_bus:int ->
   comm_ops:int -> Sim_types.stats
 (** Flush the Attraction Buffers and build the run's stats; the total is
     the clock's current value. *)
 
 (** {1 State-key segments}
 
-    The wheel engine's canonical state key, in its order: counters;
-    memory, coherence order and executed stores; next-level ports; cache
-    modules and buffers; protocol lines (nothing under install/flush). *)
+    The wheel engine's canonical state key, in its order: counters
+    (protocol traffic included); memory, coherence order and executed
+    stores; next-level ports; cache modules and buffers (their lines'
+    protocol states included). *)
 
-val encode_counters : 'a t -> Buffer.t -> unit
-val encode_memory : 'a t -> Buffer.t -> unit
-val encode_l2 : 'a t -> Buffer.t -> unit
-val encode_caches : 'a t -> Buffer.t -> unit
-val encode_protocol : 'a t -> Buffer.t -> unit
+val encode_counters : t -> Buffer.t -> unit
+val encode_memory : t -> Buffer.t -> unit
+val encode_l2 : t -> Buffer.t -> unit
+val encode_caches : t -> Buffer.t -> unit

@@ -112,6 +112,9 @@ let test_of_spec () =
       ( "pairing", spec ~icn:"directory" ~protocol:"msi" "bal",
         "invalid machine configuration: protocol msi snoops the shared bus; it \
          requires interconnect bus" );
+      ( "mesi pairing", spec ~protocol:"mesi" "bal",
+        "invalid machine configuration: protocol mesi routes ownership \
+         handoffs through the directory; it requires interconnect directory" );
     ]
 
 let test_home_cluster_interleaving () =

@@ -249,6 +249,88 @@ let test_ab_flush_counts () =
   Alcotest.(check int) "two entries flushed" 2 (Attraction.flush ab);
   Alcotest.(check int) "now empty" 0 (Attraction.flush ab)
 
+let test_ab_line_states () =
+  (* each line carries its protocol state: a new line lands in S, a
+     refill keeps the state, an eviction reports the victim's, and a
+     dropped line reads I *)
+  let module C = Vliw_coherence.Coherence in
+  let ab = Attraction.create ab_machine in
+  let mem = Bytes.make 64 '\000' in
+  let install sb =
+    Attraction.install ab ~subblock:sb
+      ~addrs:(Array.of_list (M.addrs_of_subblock ab_machine ~subblock:sb))
+      ~mem ~sync:0
+  in
+  let state what sb s =
+    Alcotest.(check string) what (C.state_name s)
+      (C.state_name (Attraction.line_state ab ~subblock:sb))
+  in
+  let victim =
+    Alcotest.(option (pair int (of_pp (fun f s -> Format.pp_print_string f (C.state_name s)))))
+  in
+  (* subblocks [0], [sets] and [2 * sets] share set 0 of a 2-way buffer *)
+  let sets = M.default_attraction.M.ab_entries / M.default_attraction.M.ab_assoc in
+  state "absent" 0 C.I;
+  Alcotest.check victim "free way" None (install 0);
+  state "new line" 0 C.S;
+  Attraction.set_line_state ab ~subblock:0 C.M_;
+  Alcotest.check victim "refill" None (install 0);
+  state "refill keeps M" 0 C.M_;
+  ignore (install sets);
+  Alcotest.check victim "LRU victim and its state" (Some (0, C.M_)) (install (2 * sets));
+  state "evicted" 0 C.I;
+  ignore (Attraction.invalidate ab ~subblock:sets);
+  state "invalidated" sets C.I;
+  Alcotest.check_raises "no line to move"
+    (Invalid_argument "Attraction.set_line_state: no valid line to move")
+    (fun () -> Attraction.set_line_state ab ~subblock:sets C.S)
+
+(* --- directory sharer bookkeeping --- *)
+
+(* Step the ring until it drains; returns the delivered invalidates as
+   (destination, subblock) in delivery order. *)
+let drain_invalidates dir ~from =
+  let module D = Vliw_interconnect.Interconnect.Directory in
+  let got = ref [] and now = ref from in
+  while D.pending dir do
+    D.step dir ~now:!now ~jit:(fun () -> 0)
+      ~emit_hop:(fun ~txn:_ ~src:_ ~dst:_ -> ())
+      ~deliver:(fun ~dst ~txn:_ -> function
+        | D.Invalidate { subblock; _ } -> got := (dst, subblock) :: !got
+        | _ -> Alcotest.fail "only invalidates were sent");
+    incr now
+  done;
+  (List.rev !got, !now)
+
+let test_directory_sharer_mask () =
+  (* the present mask is the directory's own belief and lags the
+     buffers: store_apply clears bits before the invalidates land, and a
+     fill confirmed before its cluster's invalidate keeps a bit for a
+     copy that invalidate then kills *)
+  let module D = Vliw_interconnect.Interconnect.Directory in
+  let dir = D.create ~clusters:4 ~hop_latency:1 in
+  let sb = 5 and home = 1 in
+  List.iter (fun c -> D.confirm_install dir ~cluster:c ~subblock:sb) [ 0; 2; 3 ];
+  Alcotest.(check int) "three sharers" 0b1101 (D.lookup dir ~subblock:sb);
+  Alcotest.(check int) "one invalidate per cleared bit" 2
+    (D.store_apply dir ~now:0 ~home ~subblock:sb ~requester:2);
+  Alcotest.(check int) "only the requester's bit left" 0b0100
+    (D.lookup dir ~subblock:sb);
+  (* cluster 0 refills before its invalidate arrives *)
+  D.confirm_install dir ~cluster:0 ~subblock:sb;
+  let got, now = drain_invalidates dir ~from:0 in
+  Alcotest.(check (list (pair int int))) "invalidates delivered"
+    [ (0, sb); (3, sb) ] (List.sort compare got);
+  Alcotest.(check int) "cluster 0's bit survives its invalidate" 0b0101
+    (D.lookup dir ~subblock:sb);
+  Alcotest.(check int) "the next store invalidates it again" 1
+    (D.store_apply dir ~now ~home ~subblock:sb ~requester:2);
+  let got, _ = drain_invalidates dir ~from:now in
+  Alcotest.(check (list (pair int int))) "to cluster 0" [ (0, sb) ] got;
+  let st = D.stats dir in
+  Alcotest.(check (pair int int)) "lookups, invalidates" (3, 3)
+    (st.D.d_lookups, st.D.d_invalidates)
+
 (* --- simulator timing and classification --- *)
 
 let test_sim_all_local_hits_no_stall () =
@@ -859,7 +941,10 @@ let () =
           Alcotest.test_case "straddling bypass" `Quick
             test_ab_straddling_access_bypasses;
           Alcotest.test_case "flush counts" `Quick test_ab_flush_counts;
+          Alcotest.test_case "line states" `Quick test_ab_line_states;
         ] );
+      ( "directory",
+        [ Alcotest.test_case "sharer mask lags" `Quick test_directory_sharer_mask ] );
       ( "timing",
         [
           Alcotest.test_case "local hits" `Quick test_sim_all_local_hits_no_stall;
