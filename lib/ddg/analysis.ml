@@ -108,99 +108,87 @@ let topo_order g =
   done;
   List.rev !order
 
+(* The successor edges of every node, flattened in node-id order and then
+   [Graph.succs] order, with [edge_lat] read once per edge. Every
+   relaxation round below visits them in that order; [test_ddg] checks the
+   results against per-node hashtable rounds over the same order. *)
+type flat = {
+  nv : int;  (** node count *)
+  nmax : int;  (** 1 + largest node id: the value arrays' length *)
+  src : int array;
+  dst : int array;
+  lat : int array;
+  dist : int array;
+}
+
+let flatten g ~edge_lat =
+  let ns = Graph.nodes g in
+  let es =
+    Array.of_list (List.concat_map (fun (n : Graph.node) -> Graph.succs g n.n_id) ns)
+  in
+  {
+    nv = List.length ns;
+    nmax = List.fold_left (fun acc (n : Graph.node) -> max acc (n.n_id + 1)) 0 ns;
+    src = Array.map (fun (e : Graph.edge) -> e.e_src) es;
+    dst = Array.map (fun (e : Graph.edge) -> e.e_dst) es;
+    lat = Array.map edge_lat es;
+    dist = Array.map (fun (e : Graph.edge) -> e.e_dist) es;
+  }
+
+(* Run [round] until it changes nothing or [rounds] rounds have run;
+   [true] iff the last round run still changed a value. *)
+let relax_rounds ~rounds round =
+  let changed = ref true and i = ref 0 in
+  while !changed && !i < rounds do
+    changed := round ();
+    incr i
+  done;
+  !changed
+
+(* One round raising [v] along every edge at [ii]: edge [i] raises
+   [v.(into.(i))] to [v.(from.(i))] plus its weight. [from]/[into] are
+   [src]/[dst] for depths and the reverse for heights. *)
+let relax f v ~ii ~from ~into () =
+  let changed = ref false in
+  for i = 0 to Array.length from - 1 do
+    let cand = v.(from.(i)) + f.lat.(i) - (ii * f.dist.(i)) in
+    if cand > v.(into.(i)) then (
+      v.(into.(i)) <- cand;
+      changed := true)
+  done;
+  !changed
+
 (* Bellman-Ford longest paths on the reversed graph: height.(v) = max over
    edges v->w of weight(e) + height(w), iterated to fixpoint. Without a
    positive cycle the fixpoint is reached within |V| rounds; with one some
    height grows in every round, so a change in the last round means one
    exists. *)
 let longest_path_lengths g ~ii ~edge_lat =
-  let h = Hashtbl.create 32 in
-  let ns = Graph.nodes g in
-  List.iter (fun (n : Graph.node) -> Hashtbl.replace h n.n_id 0) ns;
-  let nv = List.length ns in
-  let changed = ref true in
-  let rounds = ref 0 in
-  while !changed && !rounds <= nv + 1 do
-    changed := false;
-    incr rounds;
-    List.iter
-      (fun (n : Graph.node) ->
-        List.iter
-          (fun (e : Graph.edge) ->
-            let w = edge_lat e - (ii * e.e_dist) in
-            let cand = w + Hashtbl.find h e.e_dst in
-            if cand > Hashtbl.find h n.n_id then (
-              Hashtbl.replace h n.n_id cand;
-              changed := true))
-          (Graph.succs g n.n_id))
-      ns
-  done;
-  if !changed then None else Some (fun id -> Hashtbl.find h id)
+  let f = flatten g ~edge_lat in
+  let h = Array.make f.nmax 0 in
+  if relax_rounds ~rounds:(f.nv + 2) (relax f h ~ii ~from:f.dst ~into:f.src) then None
+  else Some (fun id -> h.(id))
 
 let longest_path_depths g ~ii ~edge_lat =
-  let d = Hashtbl.create 32 in
-  let ns = Graph.nodes g in
-  List.iter (fun (n : Graph.node) -> Hashtbl.replace d n.n_id 0) ns;
-  let nv = List.length ns in
-  let changed = ref true in
-  let rounds = ref 0 in
-  while !changed && !rounds <= nv + 1 do
-    changed := false;
-    incr rounds;
-    List.iter
-      (fun (n : Graph.node) ->
-        List.iter
-          (fun (e : Graph.edge) ->
-            let w = edge_lat e - (ii * e.e_dist) in
-            let cand = Hashtbl.find d e.e_src + w in
-            if cand > Hashtbl.find d e.e_dst then (
-              Hashtbl.replace d e.e_dst cand;
-              changed := true))
-          (Graph.succs g n.n_id))
-      ns
-  done;
-  fun id -> Hashtbl.find d id
+  let f = flatten g ~edge_lat in
+  let d = Array.make f.nmax 0 in
+  ignore (relax_rounds ~rounds:(f.nv + 2) (relax f d ~ii ~from:f.src ~into:f.dst));
+  fun id -> d.(id)
 
 (* A cycle has positive weight at ii iff sum(lat) - ii * sum(dist) > 0.
    Scan ii upward from 1; detect positive cycles with Bellman-Ford over
-   -weights (negative cycle detection). Loop recurrences are short, so the
-   scan terminates quickly; the upper bound is sum of all latencies. *)
-let has_positive_cycle g ~ii ~edge_lat =
-  let dist = Hashtbl.create 32 in
-  let ns = Graph.nodes g in
-  List.iter (fun (n : Graph.node) -> Hashtbl.replace dist n.n_id 0) ns;
-  let nv = List.length ns in
-  let relax () =
-    let changed = ref false in
-    List.iter
-      (fun (n : Graph.node) ->
-        List.iter
-          (fun (e : Graph.edge) ->
-            let w = edge_lat e - (ii * e.e_dist) in
-            let cand = Hashtbl.find dist n.n_id + w in
-            if cand > Hashtbl.find dist e.e_dst then (
-              Hashtbl.replace dist e.e_dst cand;
-              changed := true))
-          (Graph.succs g n.n_id))
-      ns;
-    !changed
-  in
-  let changed = ref true in
-  let i = ref 0 in
-  while !changed && !i < nv do
-    changed := relax ();
-    incr i
-  done;
-  (* If still relaxable after |V| rounds, a positive cycle exists. *)
-  !changed && relax ()
-
+   -weights (negative cycle detection): still relaxable after |V| rounds
+   means one exists. Loop recurrences are short, so the scan terminates
+   quickly; the upper bound is sum of all latencies. *)
 let rec_mii g ~edge_lat =
-  let ub =
-    1 + List.fold_left (fun acc e -> acc + max 1 (edge_lat e)) 0 (Graph.edges g)
+  let f = flatten g ~edge_lat in
+  let ub = 1 + Array.fold_left (fun acc l -> acc + max 1 l) 0 f.lat in
+  let dist = Array.make f.nmax 0 in
+  let has_positive_cycle ii =
+    Array.fill dist 0 f.nmax 0;
+    relax_rounds ~rounds:(f.nv + 1) (relax f dist ~ii ~from:f.src ~into:f.dst)
   in
   let rec go ii =
-    if ii >= ub then ub
-    else if has_positive_cycle g ~ii ~edge_lat then go (ii + 1)
-    else ii
+    if ii >= ub then ub else if has_positive_cycle ii then go (ii + 1) else ii
   in
   go 1

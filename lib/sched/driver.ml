@@ -69,24 +69,8 @@ let mii machine g req =
   max (res_mii machine g req)
     (A.rec_mii g ~edge_lat:(base_edge_lat machine g))
 
-(* MinComs post-pass: permute clusters to maximise profiled local
-   accesses. *)
-let postpass req g (s : Schedule.t) =
-  let n = req.machine.M.clusters in
-  let mems = G.mem_refs g in
-  (* weight.(cl).(phys): profiled local-access score of mapping virtual
-     cluster [cl] onto physical cluster [phys]; any permutation's score is
-     the sum of its n picks, so the search only needs this matrix *)
-  let weight = Array.make_matrix n n 0 in
-  List.iter
-    (fun ((nd : G.node), _) ->
-      match (Hashtbl.find_opt s.place nd.n_id, req.pref nd.n_id) with
-      | Some (_, cl), Some h when Array.length h = n ->
-        for phys = 0 to n - 1 do
-          weight.(cl).(phys) <- weight.(cl).(phys) + h.(phys)
-        done
-      | _ -> ())
-    mems;
+let best_permutation weight =
+  let n = Array.length weight in
   let score perm =
     let acc = ref 0 in
     for cl = 0 to n - 1 do
@@ -99,21 +83,28 @@ let postpass req g (s : Schedule.t) =
   (if n <= 8 then begin
      (* exhaustive n! search: exact, and cheap up to 8! = 40320. Depth
         [cl] picks perm.(cl) in ascending order, so leaves come in
-        lexicographic order and the first strict improvement wins ties. *)
+        lexicographic order and the first strict improvement wins ties.
+        [bound.(cl)] sums the row maxima of rows [cl..n-1]: a subtree
+        whose partial score plus that cannot strictly beat the best holds
+        no leaf that would replace it, so it is skipped. *)
+     let bound = Array.make (n + 1) 0 in
+     for cl = n - 1 downto 0 do
+       bound.(cl) <- bound.(cl + 1) + Array.fold_left max min_int weight.(cl)
+     done;
      let perm = Array.make n 0 and used = Array.make n false in
      let rec dfs cl sc =
-       if cl = n then (
-         if sc > !best_score then (
+       if sc + bound.(cl) > !best_score then
+         if cl = n then (
            best := Array.copy perm;
-           best_score := sc))
-       else
-         for ph = 0 to n - 1 do
-           if not used.(ph) then (
-             used.(ph) <- true;
-             perm.(cl) <- ph;
-             dfs (cl + 1) (sc + weight.(cl).(ph));
-             used.(ph) <- false)
-         done
+           best_score := sc)
+         else
+           for ph = 0 to n - 1 do
+             if not used.(ph) then (
+               used.(ph) <- true;
+               perm.(cl) <- ph;
+               dfs (cl + 1) (sc + weight.(cl).(ph));
+               used.(ph) <- false)
+           done
      in
      dfs 0 0
    end
@@ -148,8 +139,28 @@ let postpass req g (s : Schedule.t) =
        best := perm;
        best_score := sc)
    end);
-  let perm = !best in
-  if perm = identity then s
+  !best
+
+(* MinComs post-pass: permute clusters to maximise profiled local
+   accesses. *)
+let postpass req g (s : Schedule.t) =
+  let n = req.machine.M.clusters in
+  let mems = G.mem_refs g in
+  (* weight.(cl).(phys): profiled local-access score of mapping virtual
+     cluster [cl] onto physical cluster [phys]; any permutation's score is
+     the sum of its n picks, so the search only needs this matrix *)
+  let weight = Array.make_matrix n n 0 in
+  List.iter
+    (fun ((nd : G.node), _) ->
+      match (Hashtbl.find_opt s.place nd.n_id, req.pref nd.n_id) with
+      | Some (_, cl), Some h when Array.length h = n ->
+        for phys = 0 to n - 1 do
+          weight.(cl).(phys) <- weight.(cl).(phys) + h.(phys)
+        done
+      | _ -> ())
+    mems;
+  let perm = best_permutation weight in
+  if perm = Array.init n Fun.id then s
   else (
     let place' = Hashtbl.create (Hashtbl.length s.place) in
     Hashtbl.iter (fun id (t, c) -> Hashtbl.replace place' id (t, perm.(c))) s.place;
@@ -172,24 +183,23 @@ let postpass req g (s : Schedule.t) =
 
 let run req g =
   let machine = req.machine in
+  let pinned = req.constraints.C.pinned and grouped = req.constraints.C.grouped in
   let ctx assumed =
     {
       Ims.machine;
       heuristic = req.heuristic;
       ordering = req.ordering;
-      pinned = req.constraints.C.pinned;
-      grouped = req.constraints.C.grouped;
+      pinned;
+      grouped;
       pref = req.pref;
       assumed;
     }
   in
-  let valid s =
-    match
-      Schedule.validate g ~pinned:req.constraints.C.pinned
-        ~grouped:req.constraints.C.grouped s
-    with
-    | Ok () -> true
-    | Error _ -> false
+  (* one staged validator for every attempt: [g] does not change until the
+     post-pass *)
+  let valid =
+    let check = Schedule.validator g ~pinned ~grouped in
+    fun s -> Result.is_ok (check s)
   in
   (* Phase 1: find the II. Cache-sensitive and Fixed_min start from
      local-hit latencies; Fixed_max assumes remote misses from the start
@@ -223,11 +233,21 @@ let run req g =
     if req.lat_policy = Cache_sensitive then
       List.iter
         (fun ((nd : G.node), _) ->
+          (* Ims reads a node's latency only through RF edges out of it,
+             and [assumed] now reads as it did for the attempt that built
+             [!best]. So for a node that sources no RF edge (every store)
+             the attempt would rebuild [!best], placement for placement,
+             under the raised latency; take that result without it. *)
+          let attempt =
+            if List.exists (fun (e : G.edge) -> e.e_kind = G.RF) (G.succs g nd.n_id)
+            then fun () -> Ims.attempt (ctx assumed) g ~ii:ii0
+            else fun () -> Some { !best with assumed = Hashtbl.copy assumed }
+          in
           let rec try_cands = function
             | [] -> ()
             | lat :: rest -> (
               Hashtbl.replace assumed nd.n_id lat;
-              match Ims.attempt (ctx assumed) g ~ii:ii0 with
+              match attempt () with
               | Some s when valid s -> best := s
               | _ ->
                 Hashtbl.remove assumed nd.n_id;
@@ -239,7 +259,9 @@ let run req g =
     let s =
       if req.heuristic = Schedule.Min_coms then postpass req g !best else !best
     in
-    if not (valid s) then
+    (* the post-pass may have relabelled replica pins in [g], which
+       [valid]'s staged node list predates, so this check stages afresh *)
+    if Result.is_error (Schedule.validate g ~pinned ~grouped s) then
       (* the permuted schedule re-validates by construction; failure here is
          a bug worth surfacing loudly *)
       Error "internal: post-pass produced an invalid schedule"

@@ -8,7 +8,13 @@
     every memory operation at local-hit latency, fixing the II; it then
     greedily raises each memory operation to the largest of
     {remote miss, local miss, remote hit} that still schedules at the same
-    II, keeping the compromise between compute time and stall time.
+    II, keeping the compromise between compute time and stall time. A
+    memory operation that sources no register-flow edge (every store, and
+    a load whose value nothing reads) gets the largest of them without a
+    scheduling attempt: the scheduler reads a node's latency only through
+    its outgoing register-flow edges, so the attempt would rebuild the
+    schedule already held, placement for placement. That schedule, with
+    the raised latency recorded, is still validated before it is kept.
 
     MinComs post-pass (Section 2.2): clusters used during scheduling are
     treated as virtual; the one-to-one virtual-to-physical mapping that
@@ -64,6 +70,15 @@ val res_mii : Vliw_arch.Machine.t -> Vliw_ddg.Graph.t -> request -> int
 
 val mii : Vliw_arch.Machine.t -> Vliw_ddg.Graph.t -> request -> int
 (** [max res_mii rec_mii] (recurrences computed at local-hit latency). *)
+
+val best_permutation : int array array -> int array
+(** The MinComs post-pass's search. [weight.(v).(p)] scores mapping
+    virtual cluster [v] onto physical cluster [p]; the result maps each
+    [v] to its [p] and a mapping scores the sum of its picks. Up to 8
+    clusters it is exact: the lexicographically first mapping of maximum
+    score (the identity when that scores the maximum). Above 8 it is a
+    greedy assignment, highest weight first, kept only if it beats the
+    identity. *)
 
 val run : request -> Vliw_ddg.Graph.t -> (Schedule.t, string) result
 (** Schedule the graph. May rewrite replica pin labels on [g] (see the

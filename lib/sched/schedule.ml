@@ -64,10 +64,10 @@ let find_copy t (e : G.edge) =
     (fun c -> c.cp_src = e.e_src && c.cp_dst = e.e_dst && c.cp_dist = e.e_dist)
     t.copies
 
-let validate g ?(pinned = Hashtbl.create 0) ?(grouped = []) t =
+(* The checks, given [g]'s node and edge lists in sorted order. *)
+let check g ~nodes ~edges ~pinned ~grouped t =
   let err fmt = Printf.ksprintf (fun s -> Error s) fmt in
   let m = t.machine in
-  let nodes = G.nodes g in
   let rec first_err = function
     | [] -> Ok ()
     | f :: rest -> ( match f () with Ok () -> first_err rest | e -> e)
@@ -151,25 +151,25 @@ let validate g ?(pinned = Hashtbl.create 0) ?(grouped = []) t =
   in
   let check_buses () =
     (* each copy occupies its bus for bus_latency consecutive cycles,
-       modulo ii *)
+       modulo ii; the first bad copy, in list order, is the error *)
     let usage = Hashtbl.create 64 in
-    let bad = ref None in
-    List.iter
-      (fun c ->
-        if c.cp_bus < 0 || c.cp_bus >= m.M.reg_buses.M.bus_count then
-          bad := Some (Printf.sprintf "copy uses invalid bus %d" c.cp_bus)
-        else
-          for k = 0 to m.M.reg_buses.M.bus_latency - 1 do
-            let key = ((c.cp_cycle + k) mod t.ii, c.cp_bus) in
-            if Hashtbl.mem usage key then
-              bad :=
-                Some
-                  (Printf.sprintf "register bus %d double-booked in slot %d"
-                     c.cp_bus (fst key))
-            else Hashtbl.replace usage key ()
-          done)
-      t.copies;
-    match !bad with Some msg -> Error msg | None -> Ok ()
+    let rec hold c k =
+      if k = m.M.reg_buses.M.bus_latency then Ok ()
+      else
+        let key = ((c.cp_cycle + k) mod t.ii, c.cp_bus) in
+        if Hashtbl.mem usage key then
+          err "register bus %d double-booked in slot %d" c.cp_bus (fst key)
+        else (
+          Hashtbl.replace usage key ();
+          hold c (k + 1))
+    in
+    first_err
+      (List.map
+         (fun c () ->
+           if c.cp_bus < 0 || c.cp_bus >= m.M.reg_buses.M.bus_count then
+             err "copy uses invalid bus %d" c.cp_bus
+           else hold c 0)
+         t.copies)
   in
   let check_edges () =
     let buslat = m.M.reg_buses.M.bus_latency in
@@ -202,13 +202,21 @@ let validate g ?(pinned = Hashtbl.create 0) ?(grouped = []) t =
                  e.e_src (G.edge_kind_name e.e_kind) e.e_dist e.e_dst tsrc lat
                  tdst t.ii
              else Ok ())
-         (G.edges g))
+         edges)
   in
   if t.ii <= 0 then err "non-positive II"
   else
     first_err
       [ check_placed; check_pins; check_explicit_pins; check_groups; check_fus;
         check_buses; check_edges ]
+
+(* Staged: sorting the graph's nodes and edges is the part of a check that
+   does not depend on the schedule. *)
+let validator g ~pinned ~grouped =
+  check g ~nodes:(G.nodes g) ~edges:(G.edges g) ~pinned ~grouped
+
+let validate g ?(pinned = Hashtbl.create 0) ?(grouped = []) t =
+  validator g ~pinned ~grouped t
 
 let pp ppf t =
   Format.fprintf ppf "II=%d length=%d stages=%d copies=%d@." t.ii t.length

@@ -82,6 +82,21 @@ val validate :
     nodes in their clusters; every [grouped] chain in a single cluster;
     per-slot FU capacity and per-slot register-bus capacity respected
     (modulo [ii]); every dependence edge satisfied, with cross-cluster RF
-    edges covered by a copy that fits its producer/consumer window. *)
+    edges covered by a copy that fits its producer/consumer window. The
+    error is the first problem found, checks running in that order.
+    [pinned] defaults to none and [grouped] to [[]]; this is
+    {!validator} applied at once. *)
+
+val validator :
+  Vliw_ddg.Graph.t ->
+  pinned:(int, int) Hashtbl.t ->
+  grouped:int list list ->
+  t ->
+  (unit, string) result
+(** [validator g ~pinned ~grouped] sorts [g]'s nodes and edges once and
+    returns a checker that answers exactly as {!validate} does, for
+    checking many schedules of one graph. The nodes are read when it is
+    staged, so stage a fresh one after rewriting any node of [g], as the
+    MinComs post-pass does to replica pins ({!Driver.run}). *)
 
 val pp : Format.formatter -> t -> unit

@@ -301,6 +301,157 @@ let prop_validate_random_dags =
     (QCheck.make gen_dag)
     (fun spec -> G.validate (build_dag spec) = Ok ())
 
+(* --- QCheck: Bellman-Ford against the hashtable reference --- *)
+
+(* The hashtable relaxations the array ones in [Analysis] replaced, kept
+   verbatim as the reference model. *)
+module Reference = struct
+  let longest_path_lengths g ~ii ~edge_lat =
+    let h = Hashtbl.create 32 in
+    let ns = G.nodes g in
+    List.iter (fun (n : G.node) -> Hashtbl.replace h n.n_id 0) ns;
+    let nv = List.length ns in
+    let changed = ref true in
+    let rounds = ref 0 in
+    while !changed && !rounds <= nv + 1 do
+      changed := false;
+      incr rounds;
+      List.iter
+        (fun (n : G.node) ->
+          List.iter
+            (fun (e : G.edge) ->
+              let w = edge_lat e - (ii * e.e_dist) in
+              let cand = w + Hashtbl.find h e.e_dst in
+              if cand > Hashtbl.find h n.n_id then (
+                Hashtbl.replace h n.n_id cand;
+                changed := true))
+            (G.succs g n.n_id))
+        ns
+    done;
+    if !changed then None else Some (fun id -> Hashtbl.find h id)
+
+  let longest_path_depths g ~ii ~edge_lat =
+    let d = Hashtbl.create 32 in
+    let ns = G.nodes g in
+    List.iter (fun (n : G.node) -> Hashtbl.replace d n.n_id 0) ns;
+    let nv = List.length ns in
+    let changed = ref true in
+    let rounds = ref 0 in
+    while !changed && !rounds <= nv + 1 do
+      changed := false;
+      incr rounds;
+      List.iter
+        (fun (n : G.node) ->
+          List.iter
+            (fun (e : G.edge) ->
+              let w = edge_lat e - (ii * e.e_dist) in
+              let cand = Hashtbl.find d e.e_src + w in
+              if cand > Hashtbl.find d e.e_dst then (
+                Hashtbl.replace d e.e_dst cand;
+                changed := true))
+            (G.succs g n.n_id))
+        ns
+    done;
+    fun id -> Hashtbl.find d id
+
+  let has_positive_cycle g ~ii ~edge_lat =
+    let dist = Hashtbl.create 32 in
+    let ns = G.nodes g in
+    List.iter (fun (n : G.node) -> Hashtbl.replace dist n.n_id 0) ns;
+    let nv = List.length ns in
+    let relax () =
+      let changed = ref false in
+      List.iter
+        (fun (n : G.node) ->
+          List.iter
+            (fun (e : G.edge) ->
+              let w = edge_lat e - (ii * e.e_dist) in
+              let cand = Hashtbl.find dist n.n_id + w in
+              if cand > Hashtbl.find dist e.e_dst then (
+                Hashtbl.replace dist e.e_dst cand;
+                changed := true))
+            (G.succs g n.n_id))
+        ns;
+      !changed
+    in
+    let changed = ref true in
+    let i = ref 0 in
+    while !changed && !i < nv do
+      changed := relax ();
+      incr i
+    done;
+    !changed && relax ()
+
+  let rec_mii g ~edge_lat =
+    let ub =
+      1 + List.fold_left (fun acc e -> acc + max 1 (edge_lat e)) 0 (G.edges g)
+    in
+    let rec go ii =
+      if ii >= ub then ub
+      else if has_positive_cycle g ~ii ~edge_lat then go (ii + 1)
+      else ii
+    in
+    go 1
+end
+
+(* 1-12 nodes; edges of every kind between any two nodes, self-edges
+   included, at distance 0-3 with latency 0-12 (so positive cycles, even
+   at distance 0, are drawn too); an II of 1-20 *)
+let gen_weighted =
+  QCheck.Gen.(
+    let* n = int_range 1 12 in
+    let edge =
+      let* src = int_bound (n - 1) and* dst = int_bound (n - 1) in
+      let* kind = oneofl [ G.RF; G.MF; G.MA; G.MO; G.SYNC ] in
+      let* dist = int_range 0 3 and* lat = int_range 0 12 in
+      return (src, dst, kind, dist, lat)
+    in
+    let* edges = list_size (int_range 0 (2 * n)) edge in
+    let* ii = int_range 1 20 in
+    return (n, edges, ii))
+
+let print_weighted (n, edges, ii) =
+  Printf.sprintf "%d nodes, ii=%d: %s" n ii
+    (String.concat "; "
+       (List.map
+          (fun (s, d, k, dist, lat) ->
+            Printf.sprintf "%d-%s(d=%d,lat=%d)->%d" s (G.edge_kind_name k) dist lat d)
+          edges))
+
+(* the graph and its edge latencies; a repeated edge keeps its last draw *)
+let build_weighted (n, edges, _) =
+  let g = G.create () in
+  for k = 0 to n - 1 do
+    ignore (G.add_node g (arith (Printf.sprintf "n%d" k)))
+  done;
+  let lat = Hashtbl.create 16 in
+  List.iter
+    (fun (src, dst, kind, dist, l) ->
+      G.add_edge g ~dist kind ~src ~dst;
+      Hashtbl.replace lat { G.e_src = src; e_dst = dst; e_kind = kind; e_dist = dist } l)
+    edges;
+  (g, fun e -> Hashtbl.find lat e)
+
+let prop_bellman_ford_model =
+  QCheck.Test.make ~name:"Bellman-Ford matches the hashtable reference" ~count:500
+    (QCheck.make ~print:print_weighted gen_weighted)
+    (fun ((n, _, ii) as spec) ->
+      let g, edge_lat = build_weighted spec in
+      let ids = List.init n Fun.id in
+      let same f f' = List.for_all (fun id -> f id = f' id) ids in
+      (match
+         ( A.longest_path_lengths g ~ii ~edge_lat,
+           Reference.longest_path_lengths g ~ii ~edge_lat )
+       with
+      | None, None -> true
+      | Some h, Some h' ->
+        same h h'
+        && same
+             (A.longest_path_depths g ~ii ~edge_lat)
+             (Reference.longest_path_depths g ~ii ~edge_lat)
+      | _ -> false)
+      && A.rec_mii g ~edge_lat = Reference.rec_mii g ~edge_lat)
+
 let () =
   Alcotest.run "ddg"
     [
@@ -333,5 +484,10 @@ let () =
         ] );
       ( "properties",
         List.map QCheck_alcotest.to_alcotest
-          [ prop_topo_respects_edges; prop_sccs_partition; prop_validate_random_dags ] );
+          [
+            prop_topo_respects_edges;
+            prop_sccs_partition;
+            prop_validate_random_dags;
+            prop_bellman_ford_model;
+          ] );
     ]

@@ -6,6 +6,9 @@ module Mrt = Vliw_sched.Mrt
 module Chains = Vliw_core.Chains
 module Ddgt = Vliw_core.Ddgt
 module Lower = Vliw_lower.Lower
+module Ims = Vliw_sched.Ims
+module Hybrid = Vliw_sched.Hybrid
+module W = Vliw_workloads.Workloads
 
 let mr ?affine ?(bytes = 4) ?(site = 0) arr =
   { G.mr_array = arr; mr_affine = affine; mr_bytes = bytes; mr_float = false;
@@ -543,7 +546,8 @@ let test_validate_rejects_tampered_cycle () =
   Hashtbl.replace s.S.place b.n_id (S.cycle_of s a.n_id, S.cluster_of s a.n_id);
   expect_invalid "latency" g s
 
-let test_validate_rejects_missing_copy () =
+(* a -> b pinned to clusters 0 and 3: a schedule with one copy *)
+let cross_cluster_pair () =
   let g = G.create () in
   let a = G.add_node g (arith "a") in
   let b = G.add_node g (arith "b") in
@@ -553,8 +557,21 @@ let test_validate_rejects_missing_copy () =
   Hashtbl.replace pinned b.n_id 3;
   let s = sched ~constraints:{ Chains.pinned; grouped = [] } g in
   assert_valid g s;
+  (g, s)
+
+let test_validate_rejects_missing_copy () =
+  let g, s = cross_cluster_pair () in
   let s' = { s with S.copies = [] } in
   expect_invalid "missing copy" g s'
+
+(* the bus check stops at the first bad copy, as every other check does:
+   the invalid bus, not the double booking two copies later *)
+let test_validate_reports_first_bus_problem () =
+  let g, s = cross_cluster_pair () in
+  let c = match s.S.copies with [ c ] -> c | _ -> Alcotest.fail "one copy" in
+  Alcotest.(check (result unit string))
+    "first problem" (Error "copy uses invalid bus 99")
+    (S.validate g { s with S.copies = [ { c with S.cp_bus = 99 }; c; c ] })
 
 let test_validate_rejects_fu_oversubscription () =
   let g = G.create () in
@@ -574,6 +591,143 @@ let test_validate_rejects_moved_replica () =
   assert_valid g s;
   Hashtbl.replace s.S.place st.n_id (S.cycle_of s st.n_id, 1);
   expect_invalid "replica pin" g s
+
+(* --- phase 2 and memory nodes that source no RF edge --- *)
+
+(* Every workload loop under MDC and DDGT on the balanced and NOBAL+MEM
+   machines, as [Hybrid.compile] builds it (MinComs, no profile). *)
+let workload_compiles () =
+  List.concat_map
+    (fun (b : W.benchmark) ->
+      List.concat_map
+        (fun (l : W.loop) ->
+          let low = Lower.lower (W.parse_loop l ~seed:b.W.b_exec_seed) in
+          List.concat_map
+            (fun (mname, machine) ->
+              let machine = M.with_interleave machine b.W.b_interleave in
+              List.map
+                (fun technique ->
+                  let label =
+                    Printf.sprintf "%s/%s/%s/%s" b.W.b_name l.W.l_name mname
+                      (S.technique_name technique)
+                  in
+                  match
+                    Hybrid.compile ~machine ~heuristic:S.Min_coms
+                      ~pref_for:(fun _ _ -> None) ~trip:1 technique
+                      (G.copy low.Lower.graph)
+                  with
+                  | Ok c -> (label, machine, c)
+                  | Error e -> Alcotest.failf "%s: %s" label e)
+                [ S.Mdc; S.Ddgt ])
+            [ ("table2", M.table2); ("nobal-mem", M.nobal_mem) ])
+        b.W.b_loops)
+    W.all
+
+let sources_no_rf g id =
+  not (List.exists (fun (e : G.edge) -> e.e_kind = G.RF) (G.succs g id))
+
+(* the candidates phase 2 tries, largest first *)
+let raised_latencies machine =
+  List.sort_uniq (fun a b -> compare b a) (M.all_assumable_latencies machine)
+  |> List.filter (fun l -> l > M.latency machine M.Local_hit)
+
+(* Driver.run skips the attempt for such a node because the attempt would
+   rebuild the schedule it holds: Ims reads a latency only through RF edges
+   out of its node. Check that premise attempt by attempt, and that every
+   such node ends at the largest candidate, as the attempts gave it. *)
+let test_phase2_skip_premise () =
+  let checked = ref 0 in
+  List.iter
+    (fun (label, machine, (c : Hybrid.compiled)) ->
+      let g = c.Hybrid.c_graph and s = c.Hybrid.c_schedule in
+      let ctx assumed =
+        {
+          Ims.machine;
+          heuristic = S.Min_coms;
+          ordering = Ims.Height;
+          pinned = c.Hybrid.c_constraints.Chains.pinned;
+          grouped = c.Hybrid.c_constraints.Chains.grouped;
+          pref = (fun _ -> None);
+          assumed;
+        }
+      in
+      (* the place bindings in fold order, the copies and the length *)
+      let attempt assumed =
+        Ims.attempt (ctx assumed) g ~ii:s.S.ii
+        |> Option.map (fun (r : S.t) ->
+               ( Hashtbl.fold (fun id p acc -> (id, p) :: acc) r.S.place [],
+                 r.S.copies,
+                 r.S.length ))
+      in
+      let cands = raised_latencies machine in
+      List.iter
+        (fun ((nd : G.node), _) ->
+          if sources_no_rf g nd.n_id then (
+            incr checked;
+            Alcotest.(check int)
+              (Printf.sprintf "%s: n%d assumed" label nd.n_id)
+              (List.hd cands) (S.assumed_of s nd.n_id);
+            let without = Hashtbl.copy s.S.assumed in
+            Hashtbl.remove without nd.n_id;
+            let base = attempt without in
+            List.iter
+              (fun lat ->
+                let raised = Hashtbl.copy without in
+                Hashtbl.replace raised nd.n_id lat;
+                if attempt raised <> base then
+                  Alcotest.failf "%s: raising n%d to %d moved the attempt" label
+                    nd.n_id lat)
+              cands))
+        (G.mem_refs g))
+    (workload_compiles ());
+  Alcotest.(check bool) "some nodes checked" true (!checked > 0)
+
+(* --- the MinComs search against every permutation --- *)
+
+(* all n! permutations in lexicographic order, keeping the first strict
+   improvement on the identity *)
+let scan_permutations weight =
+  let n = Array.length weight in
+  let score p =
+    let acc = ref 0 in
+    Array.iteri (fun cl ph -> acc := !acc + weight.(cl).(ph)) p;
+    !acc
+  in
+  let best = ref (Array.init n Fun.id) in
+  let best_score = ref (score !best) in
+  let rec visit prefix = function
+    | [] ->
+      let p = Array.of_list (List.rev prefix) in
+      let sc = score p in
+      if sc > !best_score then (
+        best := p;
+        best_score := sc)
+    | rest ->
+      List.iter (fun ph -> visit (ph :: prefix) (List.filter (( <> ) ph) rest)) rest
+  in
+  visit [] (List.init n Fun.id);
+  !best
+
+(* n = 1-8: all-zero matrices, heavily tied ones (entries 0-2) and
+   random ones *)
+let gen_weights =
+  QCheck.Gen.(
+    let* n = int_range 1 8 in
+    let* entry = oneofl [ return 0; int_range 0 2; int_range 0 999 ] in
+    array_repeat n (array_repeat n entry))
+
+let print_weights w =
+  String.concat " | "
+    (Array.to_list
+       (Array.map
+          (fun row -> String.concat " " (Array.to_list (Array.map string_of_int row)))
+          w))
+
+let prop_best_permutation_model =
+  QCheck.Test.make ~name:"MinComs search matches a scan of all n! permutations"
+    ~count:300
+    (QCheck.make ~print:print_weights gen_weights)
+    (fun w -> Driver.best_permutation w = scan_permutations w)
 
 (* --- swing ordering --- *)
 
@@ -651,6 +805,7 @@ let () =
           Alcotest.test_case "prefclus" `Quick test_schedule_prefclus_places_mem_in_pref;
           Alcotest.test_case "mincoms postpass" `Quick
             test_schedule_mincoms_postpass_local_accesses;
+          QCheck_alcotest.to_alcotest prop_best_permutation_model;
         ] );
       ( "validator negatives",
         [
@@ -659,6 +814,8 @@ let () =
           Alcotest.test_case "fu oversubscription" `Quick
             test_validate_rejects_fu_oversubscription;
           Alcotest.test_case "moved replica" `Quick test_validate_rejects_moved_replica;
+          Alcotest.test_case "first bus problem" `Quick
+            test_validate_reports_first_bus_problem;
         ] );
       ( "swing ordering",
         [
@@ -680,6 +837,8 @@ let () =
             test_latency_assignment_stretches_free_slack;
           Alcotest.test_case "respects recurrence" `Quick
             test_latency_assignment_respects_recurrence;
+          Alcotest.test_case "no-RF-source skip premise" `Slow
+            test_phase2_skip_premise;
         ] );
       ( "end to end",
         [
