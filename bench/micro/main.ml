@@ -10,6 +10,12 @@
    - audit/replay                 the replay coherence auditor over a
                                   recorded event trace
    - verify/discharge             the static verifier proving one schedule
+   - sched/attempt-{fail,ok}      one modulo-scheduling attempt on the DDGT
+                                  graph of an epicdec loop on NOBAL-mem
+                                  under PrefClus: at its MII, where the
+                                  attempt exhausts its ejection budget, and
+                                  at the II the driver settles on, where it
+                                  succeeds
 
    Usage: bench/micro/main.exe *)
 
@@ -17,6 +23,8 @@ module M = Vliw_arch.Machine
 module Ir = Vliw_ir
 module S = Vliw_sched.Schedule
 module Driver = Vliw_sched.Driver
+module Hybrid = Vliw_sched.Hybrid
+module Ims = Vliw_sched.Ims
 module Chains = Vliw_core.Chains
 module Lower = Vliw_lower.Lower
 module Profile = Vliw_profile.Profile
@@ -56,6 +64,51 @@ let compile machine =
       a_oracle = Ir.Interp.run ~layout k;
     }
 
+(* a phase-1 attempt that fails and one that succeeds: the first epicdec
+   loop whose attempt at its MII fails, with its context, graph, MII and
+   the II the driver settled on *)
+let attempts () =
+  let b = W.find "epicdec" in
+  let machine = M.with_interleave M.nobal_mem b.W.b_interleave in
+  let pick (l : W.loop) =
+    let k = W.parse_loop l ~seed:b.W.b_exec_seed in
+    let layout = Ir.Layout.make k in
+    let low = Lower.lower k in
+    let prof = Profile.run ~machine ~layout k in
+    match
+      Hybrid.compile ~machine ~heuristic:S.Pref_clus
+        ~pref_for:(Profile.node_pref prof) ~trip:k.Ir.Ast.k_trip S.Ddgt
+        low.Lower.graph
+    with
+    | Error _ -> None
+    | Ok c ->
+      let g = c.Hybrid.c_graph in
+      let pref = Profile.node_pref prof g in
+      let constraints = c.Hybrid.c_constraints in
+      let ctx =
+        {
+          Ims.machine;
+          heuristic = S.Pref_clus;
+          ordering = Ims.Height;
+          pinned = constraints.Chains.pinned;
+          grouped = constraints.Chains.grouped;
+          pref;
+          assumed = Hashtbl.create 16;
+        }
+      in
+      let mii =
+        Driver.mii machine g
+          (Driver.request ~heuristic:S.Pref_clus ~constraints ~pref machine)
+      in
+      let ii = c.Hybrid.c_schedule.S.ii in
+      if Ims.attempt ctx g ~ii:mii = None && Ims.attempt ctx g ~ii <> None then
+        Some (l.W.l_name, ctx, g, mii, ii)
+      else None
+  in
+  match List.find_map pick b.W.b_loops with
+  | Some a -> a
+  | None -> failwith "micro: no epicdec loop fails at its MII"
+
 let simulate ?trace a engine =
   Sim.run ~lowered:a.a_low ~graph:a.a_low.Lower.graph ~schedule:a.a_schedule
     ~layout:a.a_layout ~mode:(Sim.Oracle a.a_oracle) ?trace ~engine ()
@@ -71,6 +124,16 @@ let () =
   let traced = Trace.create () in
   ignore (simulate ~trace:traced nominal `Wheel);
   let verify_args = (nominal.a_low.Lower.graph, nominal.a_schedule) in
+  let loop, ctx, graph, mii, ii = attempts () in
+  Printf.printf
+    "sched/attempt-*: epicdec/%s, NOBAL-mem, DDGT, PrefClus: II %d (MII) \
+     fails, II %d succeeds\n"
+    loop mii ii;
+  let attempt_test name ii =
+    Test.make ~name
+      (Staged.stage (fun () ->
+           ignore (Sys.opaque_identity (Ims.attempt ctx graph ~ii))))
+  in
   let sim_test name art engine =
     Test.make ~name
       (Staged.stage (fun () -> ignore (Sys.opaque_identity (simulate art engine))))
@@ -94,6 +157,8 @@ let () =
               (Staged.stage (fun () ->
                    ignore (Sys.opaque_identity (Audit.run traced))));
           ];
+        Test.make_grouped ~name:"sched"
+          [ attempt_test "attempt-fail" mii; attempt_test "attempt-ok" ii ];
         Test.make_grouped ~name:"verify"
           [
             Test.make ~name:"discharge"

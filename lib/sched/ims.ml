@@ -134,28 +134,42 @@ let place_all ctx g ~ii =
   let place_c = Array.make nmax (-1) in
   let unschedv = Array.make nmax false in
   let copies : (int * int * int, Schedule.copy) Hashtbl.t = Hashtbl.create 16 in
-  let group_of : (int, int) Hashtbl.t = Hashtbl.create 16 in
+  (* the keys of [copies] by endpoint: each added copy's key goes on both
+     its endpoints' lists, and an entry whose copy is gone is skipped *)
+  let copies_at = Array.make nmax [] in
+  (* a node's pin that does not move during the attempt (its replica
+     instance's cluster, else its hard pin), its chain, and each chain's
+     cluster once its first member is placed; -1 = none *)
+  let fixed_pin = Array.make nmax (-1) in
+  List.iter
+    (fun (n : G.node) ->
+      fixed_pin.(n.G.n_id) <-
+        (match n.n_replica with
+        | Some c -> c
+        | None -> Option.value (Hashtbl.find_opt ctx.pinned n.n_id) ~default:(-1)))
+    ns;
+  let group_of = Array.make nmax (-1) in
   List.iteri
-    (fun gi chain -> List.iter (fun id -> Hashtbl.replace group_of id gi) chain)
+    (fun gi chain ->
+      List.iter (fun id -> if id >= 0 && id < nmax then group_of.(id) <- gi) chain)
     ctx.grouped;
-  let group_pin : (int, int) Hashtbl.t = Hashtbl.create 8 in
-  let pin_of (n : G.node) =
-    match n.n_replica with
-    | Some c -> Some c
-    | None -> (
-      match Hashtbl.find_opt ctx.pinned n.n_id with
-      | Some c -> Some c
-      | None ->
-        Option.bind (Hashtbl.find_opt group_of n.n_id)
-          (Hashtbl.find_opt group_pin))
+  let group_pin = Array.make (List.length ctx.grouped) (-1) in
+  let pin id =
+    if fixed_pin.(id) >= 0 then fixed_pin.(id)
+    else if group_of.(id) >= 0 then group_pin.(group_of.(id))
+    else -1
+  in
+  let pin_group id c =
+    let gi = group_of.(id) in
+    if gi >= 0 && group_pin.(gi) < 0 then group_pin.(gi) <- c
   in
   List.iter (fun (n : G.node) -> unschedv.(n.G.n_id) <- true) ns;
-  let last_forced : (int, int) Hashtbl.t = Hashtbl.create 16 in
+  let last_forced = Array.make nmax (-1) in
   let budget = ref (12 * G.node_count g) in
 
-  (* argmax / argmin over the unscheduled set; the keys are unique (they
-     embed the node id) so a plain ascending scan finds the same node the
-     old hashtable folds did *)
+  (* argmax / argmin over the unscheduled set, or -1; the keys are unique
+     (they embed the node id) so a plain ascending scan finds the same node
+     the old hashtable folds did *)
   let pick () =
     match swing_rank with
     | Some rankv ->
@@ -165,7 +179,7 @@ let place_all ctx g ~ii =
           best := id;
           br := rankv.(id))
       done;
-      if !best < 0 then None else Some !best
+      !best
     | None ->
       let best = ref (-1) and bh = ref min_int and bs = ref min_int in
       for id = 0 to nmax - 1 do
@@ -179,7 +193,7 @@ let place_all ctx g ~ii =
             bh := h;
             bs := s))
       done;
-      if !best < 0 then None else Some !best
+      !best
   in
 
   (* Earliest start assuming same-cluster placement relative to scheduled
@@ -195,45 +209,58 @@ let place_all ctx g ~ii =
     !acc
   in
 
-  (* clusters in ascending (key, index) order *)
-  let by_key key =
-    List.sort
-      (fun a b ->
-        let d = Int.compare key.(a) key.(b) in
-        if d <> 0 then d else Int.compare a b)
-      (List.init nclusters Fun.id)
+  (* [cand.(0 .. !ncand - 1)]: the clusters to try, in ascending (key,
+     index) order of [keyv]; an insertion sort that shifts only strictly
+     larger keys keeps equal keys in index order *)
+  let cand = Array.make nclusters 0 and ncand = ref 0 in
+  let keyv = Array.make nclusters 0 in
+  let sort_by_key () =
+    for c = 0 to nclusters - 1 do
+      let k = keyv.(c) in
+      let j = ref c in
+      while !j > 0 && keyv.(cand.(!j - 1)) > k do
+        cand.(!j) <- cand.(!j - 1);
+        decr j
+      done;
+      cand.(!j) <- c
+    done;
+    ncand := nclusters
   in
+  (* key = 10 * cross-cluster RF edges to placed neighbours + FU load. One
+     pass counts the placed RF neighbours per cluster; each of them costs
+     every other cluster one copy. *)
   let rf_in = Array.make nclusters 0 in
-  let candidates (n : G.node) =
-    match pin_of n with
-    | Some c -> [ c ]
-    | None ->
-      (* key = 10 * cross-cluster RF edges to placed neighbours + FU load.
-         One pass counts the placed RF neighbours per cluster; each of
-         them costs every other cluster one copy. *)
-      let by_cost () =
-        Array.fill rf_in 0 nclusters 0;
-        let placed = ref 0 in
-        let count cl =
-          if cl >= 0 then (
-            incr placed;
-            rf_in.(cl) <- rf_in.(cl) + 1)
-        in
-        Array.iter
-          (fun (e : G.edge) -> if e.e_kind = G.RF then count place_c.(e.e_src))
-          preds_arr.(n.n_id);
-        Array.iter
-          (fun (e : G.edge) -> if e.e_kind = G.RF then count place_c.(e.e_dst))
-          succs_arr.(n.n_id);
-        by_key
-          (Array.init nclusters (fun c ->
-               (10 * (!placed - rf_in.(c))) + Mrt.fu_load mrt ~cluster:c))
-      in
-      if ctx.heuristic = Schedule.Pref_clus && memv.(n.n_id) then
-        match ctx.pref n.n_id with
-        | Some h when Array.length h = nclusters -> by_key (Array.map ( ~- ) h)
-        | _ -> by_cost ()
-      else by_cost ()
+  let tally cl = if cl >= 0 then rf_in.(cl) <- rf_in.(cl) + 1 in
+  let cost_keys id =
+    Array.fill rf_in 0 nclusters 0;
+    let es = preds_arr.(id) in
+    for i = 0 to Array.length es - 1 do
+      if es.(i).G.e_kind = G.RF then tally place_c.(es.(i).G.e_src)
+    done;
+    let es = succs_arr.(id) in
+    for i = 0 to Array.length es - 1 do
+      if es.(i).G.e_kind = G.RF then tally place_c.(es.(i).G.e_dst)
+    done;
+    let placed = Array.fold_left ( + ) 0 rf_in in
+    for c = 0 to nclusters - 1 do
+      keyv.(c) <- (10 * (placed - rf_in.(c))) + Mrt.fu_load mrt ~cluster:c
+    done
+  in
+  let candidates id =
+    let p = pin id in
+    if p >= 0 then (
+      cand.(0) <- p;
+      ncand := 1)
+    else (
+      (if ctx.heuristic = Schedule.Pref_clus && memv.(id) then
+         match ctx.pref id with
+         | Some h when Array.length h = nclusters ->
+           for c = 0 to nclusters - 1 do
+             keyv.(c) <- -h.(c)
+           done
+         | _ -> cost_keys id
+       else cost_keys id);
+      sort_by_key ())
   in
 
   let do_place id t c =
@@ -243,22 +270,9 @@ let place_all ctx g ~ii =
     unschedv.(id) <- false
   in
 
-  (* short-circuiting left-to-right scan, same visit order as the old
-     List.for_all over the adjacency lists *)
-  let all_ok f (es : G.edge array) =
-    let ok = ref true in
-    let i = ref 0 in
-    let len = Array.length es in
-    while !ok && !i < len do
-      if not (f es.(!i)) then ok := false;
-      incr i
-    done;
-    !ok
-  in
-
   let add_copy (e : G.edge) ~from ~to_ ~cycle ~bus =
-    Hashtbl.replace copies
-      (e.e_src, e.e_dst, e.e_dist)
+    let key = (e.e_src, e.e_dst, e.e_dist) in
+    Hashtbl.replace copies key
       {
         Schedule.cp_src = e.e_src;
         cp_dst = e.e_dst;
@@ -267,80 +281,149 @@ let place_all ctx g ~ii =
         cp_to = to_;
         cp_cycle = cycle;
         cp_bus = bus;
-      }
+      };
+    copies_at.(e.e_src) <- key :: copies_at.(e.e_src);
+    copies_at.(e.e_dst) <- key :: copies_at.(e.e_dst)
   in
 
-  (* Try to place node n at cycle t in cluster c. On success, commits the FU
-     slot, any needed copies (bus slots), and the placement. *)
-  let try_place (n : G.node) t c =
-    let kind = fukindv.(n.n_id) in
-    (* [check] sees each placed neighbour's edge, preds then succs, as the
-       producer's issue cycle, the neighbour's cluster and the consumer's
-       issue deadline; the scan stops at the first false *)
-    let neighbours_ok check =
-      all_ok
-        (fun (e : G.edge) ->
-          let ts = place_t.(e.e_src) in
-          ts < 0
-          || check e ~src_cycle:ts ~other:place_c.(e.e_src)
-               ~deadline:(t + (ii * e.e_dist)))
-        preds_arr.(n.n_id)
-      && all_ok
-           (fun (e : G.edge) ->
-             let td = place_t.(e.e_dst) in
-             td < 0
-             || check e ~src_cycle:t ~other:place_c.(e.e_dst)
-                  ~deadline:(td + (ii * e.e_dist)))
-           succs_arr.(n.n_id)
-    in
-    let cross (e : G.edge) other = e.e_kind = G.RF && other <> c in
-    (* a cross-cluster RF edge's copy leaves once the value is ready and
-       arrives by the consumer's issue: ready + bus_latency <= deadline,
-       which Mrt.bus_find requires of any window it returns *)
-    let fits e ~src_cycle ~other ~deadline =
-      src_cycle + elat e + (if cross e other then buslat else 0) <= deadline
-    in
-    (* every timing first: a placement some edge rules out fails without
-       reserving, and rolling back, any bus *)
-    if
-      t < 0
-      || (not (Mrt.fu_free mrt ~cycle:t ~cluster:c kind))
-      || not (neighbours_ok fits)
-    then false
+  (* A scan tries one node at successive cycles of one cluster. A failed
+     probe reserves nothing, so the table is the same at every probe of a
+     scan, and what a failure proves about the node's edges holds at the
+     scan's other cycles too: every cycle below [lo_b] or above [hi_b]
+     fails. The scan jumps past those cycles instead of probing them. *)
+  let lo_b = ref 0 and hi_b = ref 0 in
+  let raise_lo b = if b > !lo_b then lo_b := b in
+  let lower_hi b = if b < !hi_b then hi_b := b in
+  (* the copies a probe has reserved, in reservation order *)
+  let maxdeg =
+    Array.fold_left max 0
+      (Array.init nmax (fun id ->
+           Array.length preds_arr.(id) + Array.length succs_arr.(id)))
+  in
+  let taken_e =
+    Array.make maxdeg { G.e_src = 0; e_dst = 0; e_kind = G.SYNC; e_dist = 0 }
+  in
+  let taken_cycle = Array.make maxdeg 0 and taken_bus = Array.make maxdeg 0 in
+  let ntaken = ref 0 in
+  let take e cycle =
+    let bus = Mrt.bus_lowest mrt ~cycle in
+    Mrt.bus_take mrt ~cycle ~bus;
+    taken_e.(!ntaken) <- e;
+    taken_cycle.(!ntaken) <- cycle;
+    taken_bus.(!ntaken) <- bus;
+    incr ntaken
+  in
+  (* a cross-cluster RF edge's copy leaves once the value is ready and
+     arrives by the consumer's issue: ready + bus_latency <= deadline,
+     which Mrt.bus_find requires of any window it returns *)
+  let bus_extra (e : G.edge) other c =
+    if e.e_kind = G.RF && other <> c then buslat else 0
+  in
+
+  (* Try to place node [id] at cycle t in cluster c. On success, commits the
+     FU slot, any needed copies (bus slots), and the placement. *)
+  let try_place id t c =
+    let kind = fukindv.(id) in
+    let preds = preds_arr.(id) and succs = succs_arr.(id) in
+    (* every timing first, placed predecessors then successors: a
+       placement some edge rules out fails without reserving, and rolling
+       back, any bus. A predecessor's edge fails below its bound at every
+       cycle, a successor's above its bound. *)
+    let ok = ref (t >= 0 && Mrt.fu_free mrt ~cycle:t ~cluster:c kind) in
+    let i = ref 0 in
+    while !ok && !i < Array.length preds do
+      let e = preds.(!i) in
+      let ts = place_t.(e.e_src) in
+      if ts >= 0 then (
+        let need =
+          ts + elat e + bus_extra e place_c.(e.e_src) c - (ii * e.e_dist)
+        in
+        if t < need then (
+          ok := false;
+          raise_lo need));
+      incr i
+    done;
+    i := 0;
+    while !ok && !i < Array.length succs do
+      let e = succs.(!i) in
+      let td = place_t.(e.e_dst) in
+      if td >= 0 then (
+        let bound =
+          td + (ii * e.e_dist) - elat e - bus_extra e place_c.(e.e_dst) c
+        in
+        if t > bound then (
+          ok := false;
+          lower_hi bound));
+      incr i
+    done;
+    if not !ok then false
     else (
-      let new_copies = ref [] in
-      let copied e ~src_cycle ~other ~deadline =
-        (not (cross e other))
-        ||
-        (* the transfer's last busy slot must precede the consumer's issue:
-           arrival = start + bus_latency <= deadline *)
-        match Mrt.bus_find mrt ~lo:(src_cycle + elat e) ~hi:(deadline - 1) with
-        | None -> false
-        | Some (cycle, bus) ->
-          Mrt.bus_take mrt ~cycle ~bus;
-          new_copies := (e, cycle, bus) :: !new_copies;
-          true
-      in
-      if neighbours_ok copied then (
+      (* then the copies, in the same order. A predecessor's copy window
+         opens at a fixed cycle, so at every cycle of the scan the earlier
+         predecessor copies take the same (earliest) slots, and this one
+         fits iff its earliest free start, deadline ignored, arrives in
+         time. The first successor copy after them sees that same table
+         and a window that only shrinks as t grows: failing once, it fails
+         at every later cycle. *)
+      ntaken := 0;
+      i := 0;
+      while !ok && !i < Array.length preds do
+        let e = preds.(!i) in
+        let ts = place_t.(e.e_src) in
+        if ts >= 0 && bus_extra e place_c.(e.e_src) c > 0 then (
+          let s = Mrt.bus_earliest mrt ~lo:(ts + elat e) in
+          (* no start in the ring is free: nothing fits in this cluster *)
+          let need =
+            if s = max_int then max_int else s + buslat - (ii * e.e_dist)
+          in
+          if t < need then (
+            ok := false;
+            raise_lo need)
+          else take e s);
+        incr i
+      done;
+      let pred_copies = !ntaken in
+      i := 0;
+      while !ok && !i < Array.length succs do
+        let e = succs.(!i) in
+        let td = place_t.(e.e_dst) in
+        if td >= 0 && bus_extra e place_c.(e.e_dst) c > 0 then (
+          let s = Mrt.bus_earliest mrt ~lo:(t + elat e) in
+          if s = max_int || s + buslat > td + (ii * e.e_dist) then (
+            ok := false;
+            if !ntaken = pred_copies then lower_hi (t - 1))
+          else take e s);
+        incr i
+      done;
+      if !ok then (
         Mrt.fu_take mrt ~cycle:t ~cluster:c kind;
-        do_place n.n_id t c;
-        List.iter
-          (fun ((e : G.edge), cycle, bus) ->
-            add_copy e ~from:place_c.(e.e_src) ~to_:place_c.(e.e_dst) ~cycle
-              ~bus)
-          !new_copies;
-        (match Hashtbl.find_opt group_of n.n_id with
-        | Some gi when not (Hashtbl.mem group_pin gi) ->
-          Hashtbl.replace group_pin gi c
-        | _ -> ());
-        true)
-      else (
-        List.iter
-          (fun (_, cycle, bus) -> Mrt.bus_release mrt ~cycle ~bus)
-          !new_copies;
-        false))
+        do_place id t c;
+        (* copies enter the table latest reservation first, as the list the
+           probe used to build did *)
+        for k = !ntaken - 1 downto 0 do
+          let e = taken_e.(k) in
+          add_copy e ~from:place_c.(e.e_src) ~to_:place_c.(e.e_dst)
+            ~cycle:taken_cycle.(k) ~bus:taken_bus.(k)
+        done;
+        pin_group id c)
+      else
+        for k = 0 to !ntaken - 1 do
+          Mrt.bus_release mrt ~cycle:taken_cycle.(k) ~bus:taken_bus.(k)
+        done;
+      !ok)
   in
 
+  (* drop every copy whose key is listed; the order of removals does not
+     change the iteration order of the bindings that survive *)
+  let rec drop_copies = function
+    | [] -> ()
+    | key :: rest ->
+      if Hashtbl.mem copies key then (
+        let (cp : Schedule.copy) = Hashtbl.find copies key in
+        Mrt.bus_release mrt ~cycle:cp.cp_cycle ~bus:cp.cp_bus;
+        Hashtbl.remove copies key);
+      drop_copies rest
+  in
   let eject id =
     if place_t.(id) >= 0 then (
       let t = place_t.(id) and c = place_c.(id) in
@@ -349,35 +432,26 @@ let place_all ctx g ~ii =
       place_t.(id) <- -1;
       place_c.(id) <- -1;
       unschedv.(id) <- true;
-      let doomed =
-        Hashtbl.fold
-          (fun key (cp : Schedule.copy) acc ->
-            if cp.cp_src = id || cp.cp_dst = id then (key, cp) :: acc else acc)
-          copies []
-      in
-      List.iter
-        (fun (key, (cp : Schedule.copy)) ->
-          Mrt.bus_release mrt ~cycle:cp.cp_cycle ~bus:cp.cp_bus;
-          Hashtbl.remove copies key)
-        doomed;
+      drop_copies copies_at.(id);
+      copies_at.(id) <- [];
       decr budget)
   in
 
   (* Force-place n at cycle t cluster c, ejecting whatever stands in the
      way: FU conflictors in the same slot, then any placed neighbour whose
      dependence with n cannot be satisfied. *)
-  let force_place (n : G.node) t c =
-    let kind = fukindv.(n.n_id) in
+  let force_place id t c =
+    let kind = fukindv.(id) in
     (* eject FU conflictors *)
     while not (Mrt.fu_free mrt ~cycle:t ~cluster:c kind) do
       let victim =
         Hashtbl.fold
-          (fun id (tv, cv) acc ->
+          (fun v (tv, cv) acc ->
             if
-              acc = None && id <> n.n_id && cv = c
+              acc = None && v <> id && cv = c
               && tv mod ii = t mod ii
-              && fukindv.(id) = kind
-            then Some id
+              && fukindv.(v) = kind
+            then Some v
             else acc)
           place None
       in
@@ -386,15 +460,12 @@ let place_all ctx g ~ii =
       | None -> assert false (* slot busy implies a holder exists *)
     done;
     Mrt.fu_take mrt ~cycle:t ~cluster:c kind;
-    do_place n.n_id t c;
-    (match Hashtbl.find_opt group_of n.n_id with
-    | Some gi when not (Hashtbl.mem group_pin gi) ->
-      Hashtbl.replace group_pin gi c
-    | _ -> ());
+    do_place id t c;
+    pin_group id c;
     (* fix up edges to placed neighbours *)
     let fix_edge (e : G.edge) ~n_is_src =
       let other = if n_is_src then e.e_dst else e.e_src in
-      if other = n.n_id then (
+      if other = id then (
         (* self edge: check directly; ejecting n would not help *)
         let lat = elat e in
         if lat > ii * e.e_dist then decr budget)
@@ -424,8 +495,8 @@ let place_all ctx g ~ii =
         in
         if not ok then eject other)
     in
-    Array.iter (fun e -> fix_edge e ~n_is_src:false) preds_arr.(n.n_id);
-    Array.iter (fun e -> fix_edge e ~n_is_src:true) succs_arr.(n.n_id)
+    Array.iter (fun e -> fix_edge e ~n_is_src:false) preds_arr.(id);
+    Array.iter (fun e -> fix_edge e ~n_is_src:true) succs_arr.(id)
   in
 
   let ok = ref true in
@@ -435,72 +506,66 @@ let place_all ctx g ~ii =
       ok := false;
       continue_ := false)
     else
-      match pick () with
-      | None -> continue_ := false
-      | Some id ->
-        let n = node_arr.(id) in
+      let id = pick () in
+      if id < 0 then continue_ := false
+      else (
         let e0 = earliest id in
-        let cands = candidates n in
+        candidates id;
         let placed = ref false in
         (* memory operations try hard to stay in their first-choice cluster
            (their preferred one, or their chain's) before spilling over:
            locality is worth a few extra cycles of schedule space *)
         let is_mem = memv.(id) in
+        let preds = preds_arr.(id) and succs = succs_arr.(id) in
+        let any_pred = ref false and any_succ = ref false in
+        for i = 0 to Array.length preds - 1 do
+          if place_t.(preds.(i).G.e_src) >= 0 then any_pred := true
+        done;
+        (* [latest]: the tightest bound a placed successor sets *)
+        let latest = ref max_int in
+        for i = 0 to Array.length succs - 1 do
+          let e = succs.(i) in
+          let td = place_t.(e.G.e_dst) in
+          if td >= 0 then (
+            any_succ := true;
+            latest := min !latest (td + (ii * e.G.e_dist) - elat e))
+        done;
+        let latest = !latest in
         (* Swing placement: a node whose placed neighbours are all
            successors scans downward from its latest feasible cycle *)
-        let downward =
-          ctx.ordering = Swing
-          && (not
-                (Array.exists
-                   (fun (e : G.edge) -> place_t.(e.e_src) >= 0)
-                   preds_arr.(id)))
-          && Array.exists
-               (fun (e : G.edge) -> place_t.(e.e_dst) >= 0)
-               succs_arr.(id)
-        in
-        let latest =
-          let acc = ref max_int in
-          let es = succs_arr.(id) in
-          for i = 0 to Array.length es - 1 do
-            let e = es.(i) in
-            let td = place_t.(e.G.e_dst) in
-            if td >= 0 then acc := min !acc (td + (ii * e.G.e_dist) - elat e)
-          done;
-          !acc
-        in
-        List.iteri
-          (fun ci c ->
-            if not !placed then
-              let span =
-                if ci = 0 && is_mem then (3 * ii) + buslat else ii + buslat
-              in
-              if downward && latest < max_int then (
-                let t = ref latest in
-                while (not !placed) && !t >= max 0 (latest - span) do
-                  if try_place n !t c then placed := true;
-                  decr t
-                done)
-              else
-                (* past [latest] some placed successor's edge fails in
-                   every cluster, so the scan stops there *)
-                let t = ref e0 in
-                let stop = min (e0 + span) latest in
-                while (not !placed) && !t <= stop do
-                  if try_place n !t c then placed := true;
-                  incr t
-                done)
-          cands;
+        let downward = ctx.ordering = Swing && (not !any_pred) && !any_succ in
+        for ci = 0 to !ncand - 1 do
+          if not !placed then (
+            let c = cand.(ci) in
+            let span =
+              if ci = 0 && is_mem then (3 * ii) + buslat else ii + buslat
+            in
+            if downward then (
+              lo_b := max 0 (latest - span);
+              hi_b := latest;
+              let t = ref latest in
+              while (not !placed) && !t >= !lo_b do
+                if try_place id !t c then placed := true
+                else t := min (!t - 1) !hi_b
+              done)
+            else (
+              (* past [latest] some placed successor's edge fails in every
+                 cluster, so the scan stops there *)
+              lo_b := e0;
+              hi_b := min (e0 + span) latest;
+              let t = ref e0 in
+              while (not !placed) && !t <= !hi_b do
+                if try_place id !t c then placed := true
+                else t := max (!t + 1) !lo_b
+              done))
+        done;
         if not !placed then (
-          let c = List.hd cands in
-          let tf =
-            max e0
-              (match Hashtbl.find_opt last_forced id with
-              | Some prev -> prev + 1
-              | None -> e0)
-          in
-          Hashtbl.replace last_forced id tf;
+          let c = cand.(0) in
+          let prev = last_forced.(id) in
+          let tf = if prev >= 0 then max e0 (prev + 1) else e0 in
+          last_forced.(id) <- tf;
           decr budget;
-          force_place n tf c)
+          force_place id tf c))
   done;
   if not !ok then None
   else (

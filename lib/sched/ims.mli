@@ -16,7 +16,20 @@
       window; failure to find a bus slot fails the placement;
     - when no slot works, the operation is force-placed and conflicting
       operations are ejected, within a budget; budget exhaustion fails the
-      attempt and the driver retries at II + 1. *)
+      attempt and the driver retries at II + 1.
+
+    Placement scans one cluster at a time, cycle by cycle, and a failed
+    probe reserves nothing, so each failure proves something about the
+    scan's other cycles, over the same table: a placed predecessor's
+    timing bound (bus latency included across clusters) rules out every
+    earlier cycle, a placed successor's every later one; a predecessor's
+    copy that finds no bus in time rules out every cycle before its
+    earliest free start (deadline ignored) allows, or the whole cluster if
+    no start is free; the first successor copy that finds no bus rules out
+    every later cycle. The scan jumps past ruled-out cycles, upward or (a
+    Swing node with only placed successors) downward, so it makes the
+    same first successful probe as a cycle-by-cycle scan. A failed probe,
+    the sort of candidate clusters and an ejection allocate nothing. *)
 
 (** Node-ordering strategy. [Height] is classic IMS priority (longest path
     to a sink). [Swing] approximates Swing Modulo Scheduling (Llosa et

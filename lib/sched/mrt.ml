@@ -70,33 +70,44 @@ let fu_release t ~cycle ~cluster kind =
 
 let fu_load t ~cluster = t.cluster_load.(cluster)
 
-(* For each start cycle, OR the busy masks of the [buslat] slots it would
-   hold and take the lowest clear bit: the same (cycle, bus) as scanning
-   cycles outer and buses inner, slot by slot. *)
+(* The buses free for a transfer starting in slot [s0], as a mask: the
+   complement of the busy masks of the [buslat] slots it would hold. *)
+let free_from t s0 =
+  let mask = ref 0 and s = ref s0 in
+  for _ = 1 to t.buslat do
+    mask := !mask lor t.busy.(!s);
+    s := next_slot t !s
+  done;
+  lnot !mask land ((1 lsl t.nbuses) - 1)
+
+(* The first start in [lo, last] with a free bus, or [max_int]: the same
+   cycle as scanning cycles outer and buses inner, slot by slot. *)
+let first_start t ~lo ~last =
+  let cycle = ref lo and s0 = ref (slot t lo) in
+  while !cycle <= last && free_from t !s0 = 0 do
+    incr cycle;
+    s0 := next_slot t !s0
+  done;
+  if !cycle > last then max_int else !cycle
+
+let bus_earliest t ~lo = first_start t ~lo ~last:(lo + t.ii - 1)
+
+let bus_lowest t ~cycle =
+  let free = free_from t (slot t cycle) in
+  if free = 0 then -1
+  else (
+    let b = ref 0 in
+    while free land (1 lsl !b) = 0 do
+      incr b
+    done;
+    !b)
+
 let bus_find t ~lo ~hi =
   let hi_start = hi - t.buslat + 1 in
   if lo > hi_start then None
   else
-    let last = min hi_start (lo + t.ii - 1) in
-    let full = (1 lsl t.nbuses) - 1 in
-    let rec go cycle s0 =
-      if cycle > last then None
-      else (
-        let mask = ref 0 and s = ref s0 in
-        for _ = 1 to t.buslat do
-          mask := !mask lor t.busy.(!s);
-          s := next_slot t !s
-        done;
-        let free = lnot !mask land full in
-        if free <> 0 then (
-          let b = ref 0 in
-          while free land (1 lsl !b) = 0 do
-            incr b
-          done;
-          Some (cycle, !b))
-        else go (cycle + 1) (next_slot t s0))
-    in
-    go lo (slot t lo)
+    let cycle = first_start t ~lo ~last:(min hi_start (lo + t.ii - 1)) in
+    if cycle = max_int then None else Some (cycle, bus_lowest t ~cycle)
 
 let bus_update t ~cycle ~bus delta =
   let bit = 1 lsl bus in

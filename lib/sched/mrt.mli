@@ -30,5 +30,18 @@ val bus_find : t -> lo:int -> hi:int -> (int * int) option
     cycle. Scans at most II distinct start cycles (occupancy is
     periodic). *)
 
+val bus_earliest : t -> lo:int -> int
+(** The start cycle {!bus_find} returns, found with no deadline: the
+    earliest [cycle >= lo] at which some bus is free for all
+    [bus_latency] slots, or [max_int] when no start is free (occupancy is
+    periodic, so then none ever is). A successful [bus_find ~lo ~hi]
+    returns this cycle, and over one table it never decreases as [lo]
+    grows. *)
+
+val bus_lowest : t -> cycle:int -> int
+(** The lowest-numbered bus free for all [bus_latency] slots of a
+    transfer starting at [cycle] (the bus {!bus_find} pairs with that
+    cycle), or [-1] when none is. *)
+
 val bus_take : t -> cycle:int -> bus:int -> unit
 val bus_release : t -> cycle:int -> bus:int -> unit

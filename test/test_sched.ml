@@ -93,11 +93,12 @@ type bus_op =
   | Release of int  (** release the i-th live reservation (mod count) *)
   | Find of int * int
 
+(* II 1-16, 1-62 buses, bus latency 1-6 (also above II) *)
 let gen_bus_case =
   QCheck.Gen.(
-    let* ii = int_range 1 12 in
-    let* buslat = int_range 1 5 in
-    let* nbuses = int_range 1 32 in
+    let* ii = int_range 1 16 in
+    let* buslat = int_range 1 6 in
+    let* nbuses = int_range 1 Mrt.max_buses in
     let window = pair (int_range 0 40) (int_range (-1) 24) in
     let op =
       frequency
@@ -123,7 +124,8 @@ let print_bus_case (ii, buslat, nbuses, ops) =
           ops))
 
 let prop_bus_find_model =
-  QCheck.Test.make ~name:"bus_find matches a slot-by-slot reference scan"
+  QCheck.Test.make
+    ~name:"bus_find matches a slot-by-slot reference scan and bus_earliest"
     ~count:500
     (QCheck.make ~print:print_bus_case gen_bus_case)
     (fun (ii, buslat, nbuses, ops) ->
@@ -180,7 +182,18 @@ let prop_bus_find_model =
               shadow ~cycle ~bus (-1);
               live := List.filteri (fun k _ -> k <> j) l);
             true
-          | Find (lo, hi) -> Mrt.bus_find mrt ~lo ~hi = reference ~lo ~hi)
+          | Find (lo, hi) ->
+            (* the placement scan's skips rest on the last two: a
+               successful bus_find is the deadline-free lookup from lo,
+               with the lowest bus free there, and that lookup never
+               decreases as lo grows *)
+            let r = Mrt.bus_find mrt ~lo ~hi in
+            let s = Mrt.bus_earliest mrt ~lo in
+            r = reference ~lo ~hi
+            && r
+               = (if s = max_int || s + buslat - 1 > hi then None
+                  else Some (s, Mrt.bus_lowest mrt ~cycle:s))
+            && s <= Mrt.bus_earliest mrt ~lo:(lo + 1))
         ops)
 
 (* --- basic scheduling --- *)
@@ -682,6 +695,58 @@ let test_phase2_skip_premise () =
     (workload_compiles ());
   Alcotest.(check bool) "some nodes checked" true (!checked > 0)
 
+(* --- frozen schedules ---
+   sched_digests.txt freezes what Diff.compile schedules for seed-1 fuzz
+   cases 0-99 (the perfbench fuzz population) and case 186: one MD5 per
+   case over every technique's II, length, place bindings in fold order,
+   copies in list order and assumed latencies. The cram identity blocks
+   print no assumed latencies and cover neither PrefClus beyond 4 clusters
+   nor NOBAL-mem at 16 clusters (case 186). *)
+
+let schedule_digest i =
+  let case = Vliw_fuzz.Gen.generate ~seed:1 ~budget:30 i in
+  let buf = Buffer.create 4096 in
+  List.iter
+    (fun technique ->
+      Printf.bprintf buf "%s: " (S.technique_name technique);
+      match Vliw_fuzz.Diff.compile case technique with
+      | Error e -> Printf.bprintf buf "error %s\n" e
+      | Ok a ->
+        let s = a.Vliw_fuzz.Diff.a_schedule in
+        Printf.bprintf buf "ii %d length %d\n" s.S.ii s.S.length;
+        Hashtbl.iter
+          (fun id (t, c) -> Printf.bprintf buf "place %d %d %d\n" id t c)
+          s.S.place;
+        List.iter
+          (fun (cp : S.copy) ->
+            Printf.bprintf buf "copy %d %d %d %d %d %d %d\n" cp.cp_src cp.cp_dst
+              cp.cp_dist cp.cp_from cp.cp_to cp.cp_cycle cp.cp_bus)
+          s.S.copies;
+        List.iter
+          (fun (id, lat) -> Printf.bprintf buf "assumed %d %d\n" id lat)
+          (List.sort compare
+             (Hashtbl.fold (fun id lat acc -> (id, lat) :: acc) s.S.assumed [])))
+    Vliw_fuzz.Diff.techniques;
+  Digest.to_hex (Digest.string (Buffer.contents buf))
+
+let test_schedule_digests () =
+  let ic = open_in "sched_digests.txt" in
+  let rec read acc =
+    match input_line ic with
+    | line -> read (Scanf.sscanf line "case %d %s" (fun i d -> (i, d)) :: acc)
+    | exception End_of_file ->
+      close_in ic;
+      List.rev acc
+  in
+  let golden = read [] in
+  Alcotest.(check int) "one digest per frozen case" 101 (List.length golden);
+  List.iter
+    (fun (i, expected) ->
+      Alcotest.(check string)
+        (Printf.sprintf "case %d schedules" i)
+        expected (schedule_digest i))
+    golden
+
 (* --- the MinComs search against every permutation --- *)
 
 (* all n! permutations in lexicographic order, keeping the first strict
@@ -845,6 +910,7 @@ let () =
           Alcotest.test_case "figure 5 schedules" `Quick test_schedule_fig5_ddgt_graph;
           Alcotest.test_case "MDC raises II" `Quick test_schedule_mdc_vs_free_ii;
           Alcotest.test_case "lowered kernel" `Quick test_schedule_lowered_kernel;
+          Alcotest.test_case "frozen fuzz-case digests" `Slow test_schedule_digests;
         ] );
       ( "properties",
         List.map QCheck_alcotest.to_alcotest
