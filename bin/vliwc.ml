@@ -65,40 +65,53 @@ let compare_kernel ~machine ~heuristic ~ordering ~pad ~unroll kernel =
         ("compute", T.Right); ("stall", T.Right); ("local hit", T.Right);
         ("copies/iter", T.Right); ("MaxLive", T.Right) ]
   in
-  let rows =
-    (* the four techniques are independent compile+simulate pipelines;
-       rows come back in technique order regardless of pool width *)
+  let pref_for = Vliw_profile.Profile.node_pref prof in
+  let trip = kernel.Ir.Ast.k_trip in
+  let row name = function
+    | Error _ -> [ name; "-"; "(no schedule)" ]
+    | Ok { Vliw_sched.Hybrid.c_graph = graph; c_schedule = schedule; _ } ->
+      let st =
+        Sim.run ~lowered:low ~graph ~schedule ~layout ~mode:(Sim.Oracle oracle)
+          ~warm:true ()
+      in
+      let total = max 1 (Sim.accesses_total st) in
+      let ml = Vliw_sched.Regpressure.max_live graph schedule in
+      [
+        name;
+        string_of_int schedule.S.ii;
+        string_of_int st.Sim.total_cycles;
+        string_of_int st.Sim.compute_cycles;
+        string_of_int st.Sim.stall_cycles;
+        Printf.sprintf "%.1f%%"
+          (100. *. float_of_int st.Sim.local_hits /. float_of_int total);
+        string_of_int (S.comm_ops schedule);
+        string_of_int (Array.fold_left max 0 ml);
+      ]
+  in
+  let arms =
+    (* free, MDC and DDGT are independent compile+simulate pipelines;
+       results come back in technique order regardless of pool width *)
     Vliw_util.Pool.map
       (fun technique ->
-      let name = S.technique_name technique in
-      let compiled =
-        Result.to_option
-          (Vliw_sched.Hybrid.compile ~machine ~heuristic
-             ~pref_for:(Vliw_profile.Profile.node_pref prof)
-             ~trip:kernel.Ir.Ast.k_trip ~ordering technique low.Lower.graph)
-      in
-      match compiled with
-      | None -> [ name; "-"; "(no schedule)" ]
-      | Some { Vliw_sched.Hybrid.c_graph = graph; c_schedule = schedule; _ } ->
-        let st =
-          Sim.run ~lowered:low ~graph ~schedule ~layout
-            ~mode:(Sim.Oracle oracle) ~warm:true ()
+        let compiled =
+          Vliw_sched.Hybrid.compile ~machine ~heuristic ~pref_for ~trip ~ordering
+            technique low.Lower.graph
         in
-        let total = max 1 (Sim.accesses_total st) in
-        let ml = Vliw_sched.Regpressure.max_live graph schedule in
-        [
-          name;
-          string_of_int schedule.S.ii;
-          string_of_int st.Sim.total_cycles;
-          string_of_int st.Sim.compute_cycles;
-          string_of_int st.Sim.stall_cycles;
-          Printf.sprintf "%.1f%%"
-            (100. *. float_of_int st.Sim.local_hits /. float_of_int total);
-          string_of_int (S.comm_ops schedule);
-          string_of_int (Array.fold_left max 0 ml);
-        ])
-      S.techniques
+        (technique, (compiled, row (S.technique_name technique) compiled)))
+      [ S.Free; S.Mdc; S.Ddgt ]
   in
+  (* the hybrid is Section 6's choice between the MDC and DDGT schedules
+     in hand; its row is the chosen arm's, whose schedule it is *)
+  let hybrid_row =
+    let mdc, mdc_row = List.assoc S.Mdc arms in
+    let ddgt, ddgt_row = List.assoc S.Ddgt arms in
+    let name = S.technique_name S.Hybrid in
+    match Vliw_sched.Hybrid.choose_of ~machine ~pref_for ~trip mdc ddgt with
+    | Error e -> row name (Error e)
+    | Ok { Vliw_sched.Hybrid.choice = Chose_mdc; _ } -> name :: List.tl mdc_row
+    | Ok { Vliw_sched.Hybrid.choice = Chose_ddgt; _ } -> name :: List.tl ddgt_row
+  in
+  let rows = List.map (fun (_, (_, r)) -> r) arms @ [ hybrid_row ] in
   List.iter (T.add_row t) rows;
   T.print t
 

@@ -293,8 +293,11 @@ let run_case ?(verifier = Diff.default_verifier) ?(config = default_config)
   (match Oracle.compare_interp oracle (Interp.run ~layout:layout0 kernel) with
   | Ok () -> ()
   | Error e -> fail "oracle-diverged" ("reference: " ^ e));
-  let check_tech tech =
-    match Diff.compile c tech with
+  (* each exploration run, with the artifacts and certificate it ran
+     under *)
+  let explored = ref [] in
+  let check_tech (tech, compiled) =
+    match compiled with
     | Error e ->
       { t_technique = tech; t_status = Error e; t_refutation = None }
     | Ok a ->
@@ -308,10 +311,23 @@ let run_case ?(verifier = Diff.default_verifier) ?(config = default_config)
       let certified =
         report.V.r_verified && (jitter = 0 || report.V.r_jitter_robust)
       in
+      (* [explore] is a pure function of the artifacts, the certificate
+         and the oracle's memory. The hybrid's artifacts are its chosen
+         arm's own record, so under the arm's certificate its outcome is
+         the arm's, and the space is not enumerated twice *)
       let outcome =
-        explore ~lowered:a.Diff.a_lowered ~graph:a.Diff.a_graph
-          ~schedule:a.Diff.a_schedule ~layout:a.Diff.a_layout ~jitter
-          ~expected:oracle.Oracle.o_memory ~certified ~config ()
+        match
+          List.find_opt (fun (a', c', _) -> a' == a && c' = certified) !explored
+        with
+        | Some (_, _, o) -> o
+        | None ->
+          let o =
+            explore ~lowered:a.Diff.a_lowered ~graph:a.Diff.a_graph
+              ~schedule:a.Diff.a_schedule ~layout:a.Diff.a_layout ~jitter
+              ~expected:oracle.Oracle.o_memory ~certified ~config ()
+          in
+          explored := (a, certified, o) :: !explored;
+          o
       in
       let refutation =
         match outcome.k_counterexample with
@@ -351,7 +367,7 @@ let run_case ?(verifier = Diff.default_verifier) ?(config = default_config)
         t_refutation = refutation;
       }
   in
-  let techniques = List.map check_tech Diff.techniques in
+  let techniques = List.map check_tech (Diff.compile_all c) in
   {
     co_case = c;
     co_jitter = jitter;

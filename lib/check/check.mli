@@ -124,10 +124,17 @@ val run_case :
   Vliw_fuzz.Gen.case ->
   case_outcome
 (** Compile the case under every technique through the exact differential
-    pipeline ({!Vliw_fuzz.Diff.compile}), then {!explore} each schedule.
-    [jitter] defaults to the case's declared bound. The injectable
-    [verifier] is the soundness test hook: weaken it and the checker must
-    produce the counterexample the real verifier's rejection predicted. *)
+    pipeline ({!Vliw_fuzz.Diff.compile_all}: one front end, free, MDC and
+    DDGT compiled once each, the hybrid chosen between the two arms),
+    verify each schedule and {!explore} it. The hybrid's artifacts are
+    its chosen arm's, so when its certificate ([r_verified && (jitter = 0
+    || r_jitter_robust)]) equals the arm's, the arm's outcome is reused
+    rather than explored again: exploration depends on nothing else. The
+    hybrid still gets its own report, its own refutation and its own
+    failure lines. [jitter] defaults to the case's declared bound. The
+    injectable [verifier] (called once per technique) is the soundness
+    test hook: weaken it and the checker must produce the counterexample
+    the real verifier's rejection predicted. *)
 
 val case_refuted :
   ?verifier:Vliw_fuzz.Diff.verifier ->

@@ -10,6 +10,7 @@ module V = Vliw_verify.Verify
 module Layout = Vliw_ir.Layout
 module Interp = Vliw_ir.Interp
 module Prng = Vliw_util.Prng
+module Hybrid = Vliw_sched.Hybrid
 
 type technique = S.technique = Free | Mdc | Ddgt | Hybrid
 
@@ -89,30 +90,78 @@ type artifacts = {
   a_schedule : S.t;
 }
 
-let compile (c : Gen.case) tech =
+(* The case's front end (machine, layout, heuristic, lowering, profile),
+   built once and shared by every technique's compile *)
+type front = {
+  fe_machine : M.t;
+  fe_layout : Layout.t;
+  fe_heuristic : S.heuristic;
+  fe_lowered : Lower.t;
+  fe_pref_for : G.t -> int -> int array option;
+  fe_trip : int;
+}
+
+let front_end (c : Gen.case) =
   let k = c.Gen.g_kernel in
   let machine = Gen.machine c.Gen.g_mconf in
   let layout = Layout.make k in
-  let heuristic = heuristic_for c in
-  let low = Lower.lower k in
-  let prof = Profile.run ~machine ~layout k in
-  Vliw_sched.Hybrid.compile ~machine ~heuristic ~pref_for:(Profile.node_pref prof)
-    ~trip:k.Vliw_ir.Ast.k_trip tech low.Lower.graph
-  |> Result.map (fun (c : Vliw_sched.Hybrid.compiled) ->
-         {
-           a_machine = machine;
-           a_layout = layout;
-           a_heuristic = heuristic;
-           a_lowered = low;
-           a_graph = c.c_graph;
-           a_schedule = c.c_schedule;
-         })
+  {
+    fe_machine = machine;
+    fe_layout = layout;
+    fe_heuristic = heuristic_for c;
+    fe_lowered = Lower.lower k;
+    fe_pref_for = Profile.node_pref (Profile.run ~machine ~layout k);
+    fe_trip = k.Vliw_ir.Ast.k_trip;
+  }
+
+(* Crucially the driver is NOT gated by the verifier: the verdict is
+   collected after the fact and differenced against the dynamic outcome,
+   so a verifier that wrongly certifies is caught instead of obeyed. *)
+let compile_front fe tech =
+  Hybrid.compile ~machine:fe.fe_machine ~heuristic:fe.fe_heuristic
+    ~pref_for:fe.fe_pref_for ~trip:fe.fe_trip tech fe.fe_lowered.Lower.graph
+
+let artifacts fe (c : Hybrid.compiled) =
+  {
+    a_machine = fe.fe_machine;
+    a_layout = fe.fe_layout;
+    a_heuristic = fe.fe_heuristic;
+    a_lowered = fe.fe_lowered;
+    a_graph = c.c_graph;
+    a_schedule = c.c_schedule;
+  }
+
+let compile (c : Gen.case) tech =
+  let fe = front_end c in
+  compile_front fe tech |> Result.map (artifacts fe)
+
+(* free, MDC and DDGT compiled once each; the hybrid is Section 6's choice
+   between the two arms in hand, and its entry is the chosen arm's own
+   artifacts *)
+let compile_all_front fe =
+  let free = compile_front fe Free in
+  let mdc = compile_front fe Mdc in
+  let ddgt = compile_front fe Ddgt in
+  let arm = Result.map (artifacts fe) in
+  let mdc_a = arm mdc and ddgt_a = arm ddgt in
+  let hybrid =
+    match
+      Hybrid.choose_of ~machine:fe.fe_machine ~pref_for:fe.fe_pref_for
+        ~trip:fe.fe_trip mdc ddgt
+    with
+    | Error e -> Error e
+    | Ok { Hybrid.choice = Chose_mdc; _ } -> mdc_a
+    | Ok { Hybrid.choice = Chose_ddgt; _ } -> ddgt_a
+  in
+  [ (Free, arm free); (Mdc, mdc_a); (Ddgt, ddgt_a); (Hybrid, hybrid) ]
+
+let compile_all c = compile_all_front (front_end c)
 
 let check ?(verifier = default_verifier) (c : Gen.case) =
   let k = c.Gen.g_kernel in
-  let machine = Gen.machine c.Gen.g_mconf in
-  let layout = Layout.make k in
-  let heuristic = heuristic_for c in
+  let fe = front_end c in
+  let machine = fe.fe_machine and layout = fe.fe_layout in
+  let heuristic = fe.fe_heuristic and low = fe.fe_lowered in
   let failures = ref [] in
   let fail kind tech detail =
     failures := { f_kind = kind; f_technique = tech; f_detail = detail } :: !failures
@@ -124,19 +173,6 @@ let check ?(verifier = default_verifier) (c : Gen.case) =
   (match Oracle.compare_interp oracle interp with
   | Ok () -> ()
   | Error e -> fail "oracle-diverged" "reference" e);
-  let low = Lower.lower k in
-  let prof = Profile.run ~machine ~layout k in
-  (* the same call as [compile] above, so the model checker
-     (Vliw_check.Check) explores the very artifacts judged here.
-     Crucially the driver is NOT gated by the verifier: the verdict is
-     collected after the fact and differenced against the dynamic
-     outcome, so a verifier that wrongly certifies is caught instead of
-     obeyed. *)
-  let compile tech =
-    Vliw_sched.Hybrid.compile ~machine ~heuristic
-      ~pref_for:(Profile.node_pref prof) ~trip:k.Vliw_ir.Ast.k_trip tech
-      low.Lower.graph
-  in
   let simulate tech tag ?jitter graph schedule =
     let sink = Trace.create () in
     let stats =
@@ -168,11 +204,13 @@ let check ?(verifier = default_verifier) (c : Gen.case) =
         fail "certified-corruption" (technique_name tech)
           (tag ^ ": certified schedule corrupted memory (0 violations counted)")
   in
-  let run_one tech =
+  (* the same compiles as [compile_all], so the model checker
+     (Vliw_check.Check) explores the very artifacts judged here *)
+  let run_one (tech, compiled) =
     let status =
-      match compile tech with
+      match compiled with
       | Error e -> Unschedulable e
-      | Ok { Vliw_sched.Hybrid.c_graph = graph; c_schedule = schedule; _ } ->
+      | Ok { a_graph = graph; a_schedule = schedule; _ } ->
         let report =
           verifier ~machine ~technique:tech ~base:low.Lower.graph ~layout ~graph
             ~schedule
@@ -206,7 +244,7 @@ let check ?(verifier = default_verifier) (c : Gen.case) =
     in
     { d_technique = tech; d_heuristic = heuristic; d_status = status }
   in
-  let runs = List.map run_one techniques in
+  let runs = List.map run_one (compile_all_front fe) in
   {
     v_case = c;
     v_nodes = G.node_count low.Lower.graph;

@@ -143,9 +143,8 @@ let best_permutation weight =
 
 (* MinComs post-pass: permute clusters to maximise profiled local
    accesses. *)
-let postpass req g (s : Schedule.t) =
+let postpass req g ~mems (s : Schedule.t) =
   let n = req.machine.M.clusters in
-  let mems = G.mem_refs g in
   (* weight.(cl).(phys): profiled local-access score of mapping virtual
      cluster [cl] onto physical cluster [phys]; any permutation's score is
      the sum of its n picks, so the search only needs this matrix *)
@@ -181,7 +180,24 @@ let postpass req g (s : Schedule.t) =
           s.copies;
     })
 
+(* [pref] read once per memory node of [mems]: Ims asks it on every pick
+   of a memory node under PrefClus, where each call would repeat the
+   lookup and allocate its answer again *)
+let tabulate pref mems =
+  let nmax =
+    List.fold_left (fun acc ((nd : G.node), _) -> max acc (nd.n_id + 1)) 0 mems
+  in
+  let tab = Array.make nmax None and is_mem = Array.make nmax false in
+  List.iter
+    (fun ((nd : G.node), _) ->
+      tab.(nd.n_id) <- pref nd.n_id;
+      is_mem.(nd.n_id) <- true)
+    mems;
+  fun id -> if id < nmax && is_mem.(id) then tab.(id) else pref id
+
 let run req g =
+  let mems = G.mem_refs g in
+  let req = { req with pref = tabulate req.pref mems } in
   let machine = req.machine in
   let pinned = req.constraints.C.pinned and grouped = req.constraints.C.grouped in
   let ctx assumed =
@@ -210,7 +226,7 @@ let run req g =
      let l = M.latency machine M.Remote_miss in
      List.iter
        (fun ((nd : G.node), _) -> Hashtbl.replace assumed nd.n_id l)
-       (G.mem_refs g));
+       mems);
   let start = mii machine g req in
   let rec search ii =
     if ii > req.max_ii then Error (Printf.sprintf "no schedule up to II=%d" req.max_ii)
@@ -225,7 +241,6 @@ let run req g =
     let ii0 = s0.Schedule.ii in
     (* Phase 2: cache-sensitive latency assignment at fixed II. *)
     let best = ref s0 in
-    let mems = G.mem_refs g in
     let candidates =
       List.sort_uniq (fun a b -> compare b a) (M.all_assumable_latencies machine)
       |> List.filter (fun l -> l > M.latency machine M.Local_hit)
@@ -257,7 +272,7 @@ let run req g =
         mems;
     (* Phase 3: MinComs virtual->physical mapping. *)
     let s =
-      if req.heuristic = Schedule.Min_coms then postpass req g !best else !best
+      if req.heuristic = Schedule.Min_coms then postpass req g ~mems !best else !best
     in
     (* the post-pass may have relabelled replica pins in [g], which
        [valid]'s staged node list predates, so this check stages afresh *)

@@ -53,6 +53,25 @@ type compiled = {
   c_hybrid : result option;
 }
 
+(* Section 6's choice between two candidates already built *)
+let choose_of ~machine ~pref_for ~trip mdc ddgt =
+  let est c =
+    estimate ~machine ~pref:(pref_for c.c_graph) ~trip c.c_graph c.c_schedule
+  in
+  let chose choice c ~mdc_estimate ~ddgt_estimate =
+    Ok
+      { graph = c.c_graph; constraints = c.c_constraints; schedule = c.c_schedule;
+        choice; mdc_estimate; ddgt_estimate }
+  in
+  match (mdc, ddgt) with
+  | Error _, Error _ -> Error "hybrid: neither MDC nor DDGT schedules"
+  | Ok m, Error _ -> chose Chose_mdc m ~mdc_estimate:(est m) ~ddgt_estimate:max_int
+  | Error _, Ok d -> chose Chose_ddgt d ~mdc_estimate:max_int ~ddgt_estimate:(est d)
+  | Ok m, Ok d ->
+    let em = est m and ed = est d in
+    if em <= ed then chose Chose_mdc m ~mdc_estimate:em ~ddgt_estimate:ed
+    else chose Chose_ddgt d ~mdc_estimate:em ~ddgt_estimate:ed
+
 let rec compile ~machine ~heuristic ~pref_for ~trip ?lat_policy ?ordering ?check
     technique g =
   let run graph constraints pref =
@@ -88,27 +107,10 @@ let rec compile ~machine ~heuristic ~pref_for ~trip ?lat_policy ?ordering ?check
 (* Section 6's choice, its two candidates built by [compile]'s MDC and
    DDGT arms *)
 and choose_with ~machine ~heuristic ~pref_for ~trip ?lat_policy ?ordering ?check g =
-  let candidate tech =
-    Result.to_option
-      (compile ~machine ~heuristic ~pref_for ~trip ?lat_policy ?ordering ?check
-         tech g)
+  let arm tech =
+    compile ~machine ~heuristic ~pref_for ~trip ?lat_policy ?ordering ?check tech g
   in
-  let est c =
-    estimate ~machine ~pref:(pref_for c.c_graph) ~trip c.c_graph c.c_schedule
-  in
-  let chose choice c ~mdc_estimate ~ddgt_estimate =
-    Ok
-      { graph = c.c_graph; constraints = c.c_constraints; schedule = c.c_schedule;
-        choice; mdc_estimate; ddgt_estimate }
-  in
-  match (candidate Schedule.Mdc, candidate Schedule.Ddgt) with
-  | None, None -> Error "hybrid: neither MDC nor DDGT schedules"
-  | Some m, None -> chose Chose_mdc m ~mdc_estimate:(est m) ~ddgt_estimate:max_int
-  | None, Some d -> chose Chose_ddgt d ~mdc_estimate:max_int ~ddgt_estimate:(est d)
-  | Some m, Some d ->
-    let em = est m and ed = est d in
-    if em <= ed then chose Chose_mdc m ~mdc_estimate:em ~ddgt_estimate:ed
-    else chose Chose_ddgt d ~mdc_estimate:em ~ddgt_estimate:ed
+  choose_of ~machine ~pref_for ~trip (arm Schedule.Mdc) (arm Schedule.Ddgt)
 
 let choose ~machine ~heuristic ~pref_for ~trip g =
   choose_with ~machine ~heuristic ~pref_for ~trip g

@@ -47,8 +47,8 @@ val choose :
   Vliw_ddg.Graph.t ->
   (result, string) Stdlib.result
 (** Build both candidate compilations of the loop with {!compile}'s MDC
-    and DDGT arms, estimate both, and keep the cheaper one. Errors only
-    if {e both} candidates fail to schedule. *)
+    and DDGT arms and keep the cheaper by {!choose_of}. Errors only if
+    {e both} candidates fail to schedule. *)
 
 (** {1 The technique→schedule step} *)
 
@@ -77,10 +77,26 @@ val compile :
     memory dependent chains ({!Vliw_core.Chains.prefclus} or
     {!Vliw_core.Chains.mincoms}, after [heuristic]); [Ddgt] schedules
     {!Vliw_core.Ddgt.transform}'s graph, profiled through [pref_for] of
-    that graph; [Hybrid] is {!choose}, its candidates built with the same
-    options. [lat_policy], [ordering] and [check] go to every
+    that graph; [Hybrid] is {!choose_of} over this function's own [Mdc]
+    and [Ddgt] results, built with the same options. [lat_policy], [ordering] and [check] go to every
     {!Driver.request} made ([check] is how callers gate on the static
     verifier); [trip] only matters to [Hybrid]. The MinComs post-pass may
     rewrite replica pins of [c_graph] ({!Driver.run}), so read the graph
     after this returns. [Error] is the driver's reason, or the hybrid's
     when neither candidate schedules. *)
+
+val choose_of :
+  machine:Vliw_arch.Machine.t ->
+  pref_for:(Vliw_ddg.Graph.t -> int -> int array option) ->
+  trip:int ->
+  (compiled, string) Stdlib.result ->
+  (compiled, string) Stdlib.result ->
+  (result, string) Stdlib.result
+(** Section 6's choice between two candidates already built: [compile]'s
+    [Mdc] and [Ddgt] results for the same loop, in that order. Estimates
+    each candidate that scheduled and keeps the cheaper one, MDC on a
+    tie; the result's graph and schedule are the chosen candidate's own
+    values, not copies. Errors only if {e both} are errors. [Hybrid]
+    under {!compile} is this choice over two fresh candidates; a caller
+    that already holds both arms (the fuzzer, the model checker, [vliwc
+    --compare]) calls it directly instead of compiling them again. *)

@@ -35,6 +35,17 @@ let op_desc (nd : G.node) (mr : G.mem_ref) =
     mr.G.mr_array mr.G.mr_site
 
 let check ~machine ~technique ?guarantees ~base ?layout ~graph ~schedule () =
+  (* a hybrid schedule is one of its two arms' schedules: the
+     technique-specific rules follow the arm the scheduled graph shows,
+     DDGT's if it holds replica instances, MDC's otherwise *)
+  let rules =
+    match technique with
+    | Hybrid ->
+      if List.exists (fun (nd : G.node) -> nd.G.n_replica <> None) (G.nodes graph)
+      then Ddgt
+      else Mdc
+    | t -> t
+  in
   let n = machine.M.clusters in
   let il = machine.M.interleave_bytes in
   let ii = schedule.S.ii in
@@ -132,7 +143,7 @@ let check ~machine ~technique ?guarantees ~base ?layout ~graph ~schedule () =
     instances;
   (* structural (DDGT): a memory-dependent store left unreplicated would
      execute on a fixed cluster with no chain constraint protecting it *)
-  (if technique = Ddgt then
+  (if rules = Ddgt then
      List.iter
        (fun ((nd : G.node), mr) ->
          if G.is_store nd && G.has_mem_dep base nd.G.n_id then
@@ -270,7 +281,7 @@ let check ~machine ~technique ?guarantees ~base ?layout ~graph ~schedule () =
                       count "value-sync"
                     else
                       let code =
-                        if technique = Mdc && cx <> cy then "chain-split"
+                        if rules = Mdc && cx <> cy then "chain-split"
                         else "unordered-pair"
                       in
                       add

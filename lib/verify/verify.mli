@@ -86,8 +86,10 @@
     survive jitter (the bus pool loses it, the directory ring keeps it). *)
 
 (** The technique the schedule was built under; only [Mdc] and [Ddgt]
-    switch on technique-specific structural checks ([Free] and [Hybrid]
-    run the generic proof rules alone). *)
+    switch on technique-specific checks ([Free] runs the generic proof
+    rules alone). A [Hybrid] schedule is checked as the arm it is: DDGT's
+    rules when the scheduled graph holds replica instances, MDC's
+    otherwise; its report still names [Hybrid]. *)
 type technique = Vliw_sched.Schedule.technique = Free | Mdc | Ddgt | Hybrid
 
 val proof_names : string list

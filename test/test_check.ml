@@ -84,8 +84,8 @@ let merge_pair_stats file =
   let case = load file in
   let jitter = case.Gen.g_jitter in
   List.concat_map
-    (fun tech ->
-      match Diff.compile case tech with
+    (fun (_, compiled) ->
+      match compiled with
       | Error _ -> []
       | Ok a ->
         let o =
@@ -102,7 +102,7 @@ let merge_pair_stats file =
             in
             (run first, run pruned))
           o.Check.k_merge_samples)
-    Diff.techniques
+    (Diff.compile_all case)
 
 let test_merge_samples_stats_identical () =
   let pairs =

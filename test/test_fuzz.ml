@@ -119,6 +119,33 @@ let test_diff_deterministic () =
   Alcotest.(check string) "equal verdicts on equal cases"
     (render (Diff.check c)) (render (Diff.check c))
 
+(* Diff.check compiles each arm once and takes the hybrid from the MDC
+   and DDGT results in hand. What its verifier hook is shown must print
+   exactly as one-technique compiles do, the hybrid's own compile of both
+   arms included *)
+let test_shared_compiles_match_reference () =
+  let pp s = Format.asprintf "%a" Vliw_sched.Schedule.pp s in
+  for i = 0 to 99 do
+    let c = gen i in
+    let seen = ref [] in
+    let verifier ~machine ~technique ~base ~layout ~graph ~schedule =
+      seen := (Diff.technique_name technique, pp schedule) :: !seen;
+      Diff.default_verifier ~machine ~technique ~base ~layout ~graph ~schedule
+    in
+    ignore (Diff.check ~verifier c);
+    let reference =
+      List.filter_map
+        (fun tech ->
+          match Diff.compile c tech with
+          | Ok a -> Some (Diff.technique_name tech, pp a.Diff.a_schedule)
+          | Error _ -> None)
+        Diff.techniques
+    in
+    Alcotest.(check (list (pair string string)))
+      (Printf.sprintf "case %d schedules" i)
+      reference (List.rev !seen)
+  done
+
 (* a verifier that certifies everything: the differential predicate must
    expose the lie as certified-violation (the free baseline really does
    violate), and shrinking must cut the witness down to a tiny kernel *)
@@ -258,6 +285,8 @@ let () =
         [
           Alcotest.test_case "clean cases" `Slow test_diff_clean_cases;
           Alcotest.test_case "deterministic" `Quick test_diff_deterministic;
+          Alcotest.test_case "shared compiles match per-technique ones" `Slow
+            test_shared_compiles_match_reference;
           Alcotest.test_case "weakened verifier caught" `Slow
             test_weakened_verifier_caught;
         ] );

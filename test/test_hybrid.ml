@@ -120,6 +120,38 @@ let test_compile_hybrid_is_choose () =
       (Format.asprintf "%a" S.pp h.Hybrid.schedule)
       (Format.asprintf "%a" S.pp c.Hybrid.c_schedule)
 
+(* choose_of over arms already built: the same choice as choose, the
+   chosen arm's own schedule value, and a failed arm leaves the other *)
+let test_choose_of_built_arms () =
+  let k, low, pref_for = prep src_chain_heavy in
+  let trip = k.Ir.Ast.k_trip in
+  let arm technique =
+    Hybrid.compile ~machine:M.table2 ~heuristic:S.Pref_clus ~pref_for ~trip
+      technique low.Lower.graph
+  in
+  let mdc = arm S.Mdc and ddgt = arm S.Ddgt in
+  let choose_of = Hybrid.choose_of ~machine:M.table2 ~pref_for ~trip in
+  let h = Result.get_ok (choose_of mdc ddgt) and h' = choose src_chain_heavy in
+  Alcotest.(check string) "choice" (Hybrid.choice_name h'.Hybrid.choice)
+    (Hybrid.choice_name h.Hybrid.choice);
+  Alcotest.(check (pair int int)) "estimates"
+    (h'.Hybrid.mdc_estimate, h'.Hybrid.ddgt_estimate)
+    (h.Hybrid.mdc_estimate, h.Hybrid.ddgt_estimate);
+  let chosen =
+    Result.get_ok (match h.Hybrid.choice with Hybrid.Chose_mdc -> mdc | _ -> ddgt)
+  in
+  Alcotest.(check bool) "the arm's own schedule" true
+    (h.Hybrid.schedule == chosen.Hybrid.c_schedule);
+  (match choose_of (Error "no") ddgt with
+  | Ok only ->
+    Alcotest.(check string) "a failed MDC arm leaves DDGT" "DDGT"
+      (Hybrid.choice_name only.Hybrid.choice);
+    Alcotest.(check int) "no MDC estimate" max_int only.Hybrid.mdc_estimate
+  | Error e -> Alcotest.fail e);
+  Alcotest.(check (result reject string))
+    "both arms failed" (Error "hybrid: neither MDC nor DDGT schedules")
+    (Result.map ignore (choose_of (Error "no") (Error "no")))
+
 let test_compile_graph_per_technique () =
   List.iter
     (fun (technique, same) ->
@@ -208,6 +240,8 @@ let () =
       ( "compile",
         [
           Alcotest.test_case "hybrid is choose" `Quick test_compile_hybrid_is_choose;
+          Alcotest.test_case "choose_of over built arms" `Quick
+            test_choose_of_built_arms;
           Alcotest.test_case "graph per technique" `Quick
             test_compile_graph_per_technique;
           Alcotest.test_case "lat policy reaches hybrid" `Quick

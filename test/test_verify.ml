@@ -193,14 +193,21 @@ let test_ddgt_missing_replication () =
   let low = Lower.lower k in
   let tr = Ddgt.transform ~clusters:2 low.Lower.graph in
   let s = Driver.run_exn (Driver.request M.table2) tr.Ddgt.graph in
-  let r =
-    V.check ~machine:M.table2 ~technique:V.Ddgt ~base:low.Lower.graph
+  let check technique =
+    V.check ~machine:M.table2 ~technique ~base:low.Lower.graph
       ~graph:tr.Ddgt.graph ~schedule:s ()
   in
+  let r = check V.Ddgt in
   Alcotest.(check bool) "rejected" false r.V.r_verified;
   Alcotest.(check bool) "coverage or replication error" true
     (List.mem "replica-coverage" (codes r)
-    || List.mem "missing-replication" (codes r))
+    || List.mem "missing-replication" (codes r));
+  (* a hybrid that chose DDGT is held to DDGT's replication check *)
+  let h = check V.Hybrid in
+  Alcotest.(check bool) "hybrid rejected" false h.V.r_verified;
+  Alcotest.(check bool) "hybrid missing-replication reported" true
+    (List.mem "missing-replication" (codes h));
+  Alcotest.(check (list string)) "hybrid codes are DDGT's" (codes r) (codes h)
 
 let test_split_access () =
   (* mayoverlap arrays with different element widths wider than the
@@ -226,8 +233,8 @@ let test_tampered_schedule_rejected () =
   let low = Lower.lower k in
   let constraints = Chains.mincoms low.Lower.graph in
   let s = Driver.run_exn (Driver.request ~constraints M.table2) low.Lower.graph in
-  let check sched =
-    V.check ~machine:M.table2 ~technique:V.Mdc ~base:low.Lower.graph
+  let check ?(technique = V.Mdc) sched =
+    V.check ~machine:M.table2 ~technique ~base:low.Lower.graph
       ~graph:low.Lower.graph ~schedule:sched ()
   in
   Alcotest.(check bool) "pristine certified" true (check s).V.r_verified;
@@ -245,7 +252,13 @@ let test_tampered_schedule_rejected () =
   let r = check tampered in
   Alcotest.(check bool) "tampered schedule rejected" false r.V.r_verified;
   Alcotest.(check bool) "chain-split reported" true
-    (List.mem "chain-split" (codes r))
+    (List.mem "chain-split" (codes r));
+  (* a hybrid that chose MDC: its split chain is MDC's chain-split *)
+  let h = check ~technique:V.Hybrid tampered in
+  Alcotest.(check bool) "hybrid tampered schedule rejected" false h.V.r_verified;
+  Alcotest.(check bool) "hybrid chain-split reported" true
+    (List.mem "chain-split" (codes h));
+  Alcotest.(check (list string)) "hybrid codes are MDC's" (codes r) (codes h)
 
 let test_static_home_local_first () =
   (* stride N*I keeps the accessed addresses' home cluster constant: with
