@@ -10,11 +10,13 @@
      vliwc --workload gsmdec                 # run a built-in benchmark
 
    The per-kernel pipeline itself lives in Vliw_serve.Engine, shared byte
-   for byte with the vliwd compile service. *)
+   for byte with the vliwd compile service; a kernel file's '#' header
+   directives name its machine (Vliw_arch.Header), and flags win over
+   them. *)
 
 open Cmdliner
 
-module M = Vliw_arch.Machine
+module H = Vliw_arch.Header
 module S = Vliw_sched.Schedule
 module Lower = Vliw_lower.Lower
 module Ir = Vliw_ir
@@ -23,36 +25,24 @@ module W = Vliw_workloads.Workloads
 module E = Vliw_serve.Engine
 
 (* Flush the engine's buffered report to stdout and translate its result
-   into vliwc's historical exit behaviour: the stderr line (if any) then
-   exit 1. *)
+   into vliwc's exit behaviour: the stderr line (if any), then the exit
+   code (2 for a bad machine, 1 for the rest). *)
 let emit buf result =
   print_string (Buffer.contents buf);
+  Buffer.clear buf;
   match result with
-  | Ok _ -> ()
-  | Error (Some msg) ->
+  | Ok x -> x
+  | Error (code, msg) ->
     flush stdout;
-    Printf.eprintf "%s\n" msg;
-    exit 1
-  | Error None -> exit 1
+    Option.iter prerr_endline msg;
+    exit code
 
-(* --compare: all four techniques side by side for one kernel *)
-let compare_kernel ~machine ~heuristic ~ordering ~pad ~unroll kernel =
-  (match Ir.Typecheck.check kernel with
-  | Ok _ -> ()
-  | Error e ->
-    Printf.eprintf "type error: %s\n" e;
-    exit 1);
-  let kernel =
-    match unroll with
-    | None -> kernel
-    | Some 0 ->
-      let nxi = machine.M.clusters * machine.M.interleave_bytes in
-      Ir.Unroll.unroll
-        ~factor:(Lower.best_unroll_factor ~nxi_bytes:nxi ~max_factor:8 kernel)
-        kernel
-    | Some f -> Ir.Unroll.unroll ~factor:f kernel
-  in
-  let layout = Ir.Layout.make ~pad kernel in
+(* --compare: all four techniques side by side for one kernel, prepared
+   as the one-shot path prepares it *)
+let compare_kernel ~buf ~machine ~(opts : E.opts) kernel =
+  let kernel = emit buf (E.prepare ~buf ~machine ~opts kernel) in
+  let heuristic = opts.E.op_heuristic and ordering = opts.E.op_ordering in
+  let layout = Ir.Layout.make ~pad:opts.E.op_pad kernel in
   let low = Lower.lower kernel in
   let prof = Vliw_profile.Profile.run ~machine ~layout kernel in
   let oracle = Ir.Interp.run ~layout kernel in
@@ -115,19 +105,6 @@ let compare_kernel ~machine ~heuristic ~ordering ~pad ~unroll kernel =
   List.iter (T.add_row t) rows;
   T.print t
 
-let read_source path =
-  if path = "-" then In_channel.input_all stdin
-  else begin
-    if not (Sys.file_exists path) then begin
-      Printf.eprintf "vliwc: no such file %s\n" path;
-      exit 2
-    end;
-    let ic = open_in path in
-    Fun.protect
-      ~finally:(fun () -> close_in ic)
-      (fun () -> really_input_string ic (in_channel_length ic))
-  end
-
 (* --check: exhaustively enumerate the schedule's bounded interleaving
    space (see Vliw_check.Check) against the reference interpreter's
    memory and the verifier's certificate. Returns true when the kernel
@@ -136,11 +113,9 @@ let model_check ~jitter (a : E.artifacts) =
   let module Check = Vliw_check.Check in
   let oracle = Ir.Interp.run ~layout:a.E.a_layout a.E.a_kernel in
   let certified =
-    match a.E.a_report with
-    | Some r ->
-      r.Vliw_verify.Verify.r_verified
-      && (jitter = 0 || r.Vliw_verify.Verify.r_jitter_robust)
-    | None -> false
+    Option.fold ~none:false
+      ~some:(Vliw_verify.Verify.certifies ~jitter)
+      a.E.a_report
   in
   let o =
     Check.explore ~lowered:a.E.a_lowered ~graph:a.E.a_graph
@@ -183,41 +158,11 @@ let main file workload technique heuristic ordering machine_name clusters icn
     Printf.eprintf "--jobs expects a positive integer, got %d\n" n;
     exit 2
   | None -> ());
-  (* fail fast on a bad machine name, before the file/workload check *)
-  (match M.of_spec ~name:machine_name ~interleave:4 ~ab:false () with
-  | Ok _ -> ()
-  | Error e ->
-    Printf.eprintf "%s\n" e;
-    exit 2);
-  (* explicit flags win; otherwise '#' header directives of the source
-     (the fuzzer repro convention), then the 4-cluster bus default *)
-  let machine_for ?(dirs = []) interleave =
-    let clusters =
-      match clusters with
-      | Some n -> n
-      | None ->
-        Option.value
-          (Option.bind (List.assoc_opt "clusters" dirs) int_of_string_opt)
-          ~default:4
-    in
-    let icn =
-      match icn with
-      | Some s -> s
-      | None -> Option.value (List.assoc_opt "interconnect" dirs) ~default:"bus"
-    in
-    let protocol =
-      match protocol with
-      | Some s -> s
-      | None ->
-        Option.value (List.assoc_opt "protocol" dirs) ~default:"install-flush"
-    in
-    match
-      M.of_spec ~clusters ~icn ~protocol ~name:machine_name ~interleave ~ab ()
-    with
-    | Ok m -> m
-    | Error e ->
-      Printf.eprintf "%s\n" e;
-      exit 2
+  (* explicit flags win over what the source declares (Vliw_arch.Header) *)
+  let flags =
+    { H.none with machine = machine_name; clusters; interconnect = icn;
+      interleave; ab = (if ab then Some true else None); jitter = check_jitter;
+      protocol }
   in
   let opts =
     {
@@ -242,9 +187,10 @@ let main file workload technique heuristic ordering machine_name clusters icn
   let artifacts =
     if check then Some (fun a -> collected := a :: !collected) else None
   in
-  let run_checks ~jitter_default () =
+  (* --check-jitter, else the header's jitter=, else 1 *)
+  let run_checks (h : H.t) =
     if check then begin
-      let jitter = Option.value check_jitter ~default:jitter_default in
+      let jitter = Option.value h.H.jitter ~default:1 in
       let bad =
         List.fold_left
           (fun bad a -> model_check ~jitter a || bad)
@@ -254,40 +200,21 @@ let main file workload technique heuristic ordering machine_name clusters icn
       if bad then exit 1
     end
   in
+  let buf = Buffer.create 4096 in
   match (file, workload) with
   | None, None | Some _, Some _ ->
     Printf.eprintf "pass exactly one of a .lk FILE or --workload NAME\n";
     exit 2
+  | Some path, None when compare ->
+    let src = Flags.read_source ~tool:"vliwc" path in
+    let machine, kernels = emit buf (E.load_source ~flags ~path src) in
+    List.iter (compare_kernel ~buf ~machine ~opts) kernels
   | Some path, None ->
-    let src = read_source path in
-    let machine = machine_for ~dirs:(E.source_directives src) interleave in
-    if compare then (
-      try
-        List.iter
-          (fun kernel ->
-            compare_kernel ~machine ~heuristic ~ordering ~pad ~unroll kernel)
-          (Ir.Parser.parse_kernels src)
-      with
-      | Ir.Parser.Error (msg, pos) ->
-        Printf.eprintf "%s:%d:%d: %s\n" path pos.Ir.Lexer.line pos.Ir.Lexer.col
-          msg;
-        exit 1
-      | Ir.Lexer.Error (msg, pos) ->
-        Printf.eprintf "%s:%d:%d: %s\n" path pos.Ir.Lexer.line pos.Ir.Lexer.col
-          msg;
-        exit 1)
-    else begin
-      let buf = Buffer.create 4096 in
-      emit buf (E.run_source ?artifacts ~buf ~machine ~opts ~path src);
-      let jitter_default =
-        Option.value
-          (Option.bind
-             (List.assoc_opt "jitter" (E.source_directives src))
-             int_of_string_opt)
-          ~default:1
-      in
-      run_checks ~jitter_default ()
-    end
+    let src = Flags.read_source ~tool:"vliwc" path in
+    ignore (emit buf (E.run_source ?artifacts ~buf ~flags ~opts ~path src));
+    (* run_source accepted the header, so it reads back without error *)
+    let declared = H.of_directives (H.directives src) in
+    run_checks (H.over flags (Result.value declared ~default:H.none))
   | None, Some name ->
     let bench =
       try W.find name
@@ -296,17 +223,20 @@ let main file workload technique heuristic ordering machine_name clusters icn
           (String.concat " " (List.map (fun b -> b.W.b_name) W.all));
         exit 2
     in
-    let machine = machine_for bench.W.b_interleave in
+    (* a workload declares its own interleave, as a source header would *)
+    let declared = { H.none with interleave = Some bench.W.b_interleave } in
+    let machine =
+      emit buf
+        (Result.map_error (fun e -> (2, Some e)) (H.machine (H.over flags declared)))
+    in
     List.iter
       (fun (l : W.loop) ->
         Printf.printf "=== %s/%s ===\n" bench.W.b_name l.W.l_name;
         let kernel = W.parse_loop l ~seed:bench.W.b_exec_seed in
-        if compare then
-          compare_kernel ~machine ~heuristic ~ordering ~pad ~unroll kernel
+        if compare then compare_kernel ~buf ~machine ~opts kernel
         else begin
-          let buf = Buffer.create 4096 in
-          emit buf (E.run_kernel ?artifacts ~buf ~machine ~opts kernel);
-          run_checks ~jitter_default:1 ()
+          ignore (emit buf (E.run_kernel ?artifacts ~buf ~machine ~opts kernel));
+          run_checks flags
         end)
       bench.W.b_loops
 
@@ -323,33 +253,6 @@ let workload =
     value
     & opt (some string) None
     & info [ "w"; "workload" ] ~docv:"NAME" ~doc:"Run a built-in benchmark instead of a file.")
-
-let technique =
-  let tconv =
-    Arg.enum
-      (List.map
-         (fun t -> (String.lowercase_ascii (S.technique_name t), t))
-         S.techniques)
-  in
-  Arg.(
-    value & opt tconv S.Free
-    & info [ "t"; "technique" ] ~docv:"TECH"
-        ~doc:
-          "Coherence technique: $(b,free) (unrestricted baseline), $(b,mdc), \
-           $(b,ddgt) or $(b,hybrid) (per-loop compile-time choice).")
-
-let heuristic =
-  let hconv = Arg.enum [ ("prefclus", S.Pref_clus); ("mincoms", S.Min_coms) ] in
-  Arg.(
-    value & opt hconv S.Min_coms
-    & info [ "H"; "heuristic" ] ~docv:"HEUR"
-        ~doc:"Cluster assignment heuristic: $(b,prefclus) or $(b,mincoms).")
-
-let machine_name =
-  Arg.(
-    value & opt string "bal"
-    & info [ "machine" ] ~docv:"CONF"
-        ~doc:"Machine configuration: $(b,bal) (Table 2), $(b,nobal-mem) or $(b,nobal-reg).")
 
 let clusters =
   Arg.(
@@ -372,38 +275,6 @@ let icn =
            directory). Default: the kernel file's $(b,# interconnect=ICN) \
            header directive, else $(b,bus).")
 
-let protocol =
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "protocol" ] ~docv:"PROT"
-        ~doc:
-          "Attraction-Buffer coherence protocol: $(b,install-flush) (the \
-           paper's scheduler-enforced default), $(b,msi) (snooping; requires \
-           $(b,--interconnect bus)) or $(b,mesi) (Exclusive state; requires \
-           $(b,--interconnect directory)). Default: the kernel file's \
-           $(b,# protocol=PROT) header directive, else $(b,install-flush).")
-
-let interleave =
-  Arg.(
-    value & opt int 4
-    & info [ "interleave" ] ~docv:"BYTES" ~doc:"Cache interleaving factor in bytes.")
-
-let ab =
-  Arg.(value & flag & info [ "ab" ] ~doc:"Enable 16-entry 2-way Attraction Buffers.")
-
-let pad =
-  Arg.(value & opt int 0 & info [ "pad" ] ~docv:"BYTES" ~doc:"Inter-array padding.")
-
-let unroll =
-  Arg.(
-    value
-    & opt (some int) None
-    & info [ "unroll" ] ~docv:"N"
-        ~doc:
-          "Unroll each kernel by $(docv) before compiling (0 = pick the \
-           factor that maximizes NxI-strided accesses, Section 2.2).")
-
 let dump_ddg = Arg.(value & flag & info [ "dump-ddg" ] ~doc:"Print the (transformed) DDG.")
 
 let dot =
@@ -412,21 +283,6 @@ let dot =
     & info [ "dot" ] ~docv:"PATH" ~doc:"Write the (transformed) DDG as Graphviz.")
 
 let dump_sched = Arg.(value & flag & info [ "dump-schedule" ] ~doc:"Print the schedule.")
-
-let ordering =
-  let oconv =
-    Arg.enum
-      [ ("height", Vliw_sched.Ims.Height); ("swing", Vliw_sched.Ims.Swing) ]
-  in
-  Arg.(
-    value & opt oconv Vliw_sched.Ims.Height
-    & info [ "ordering" ] ~docv:"ORD"
-        ~doc:"Scheduler node ordering: $(b,height) (classic IMS) or $(b,swing).")
-
-let cse_flag =
-  Arg.(
-    value & flag
-    & info [ "cse" ] ~doc:"Eliminate redundant loads before compiling.")
 
 let lint_flag =
   Arg.(
@@ -439,15 +295,6 @@ let lint_error_flag =
         ~doc:
           "Lint with warnings promoted to errors; exit nonzero if any remain \
            (implies $(b,--lint)).")
-
-let verify_flag =
-  Arg.(
-    value & flag
-    & info [ "verify" ]
-        ~doc:
-          "Statically verify the schedule coherence-safe before simulating; \
-           print the certificate or the diagnostics and exit nonzero on \
-           rejection.")
 
 let check_flag =
   Arg.(
@@ -486,15 +333,6 @@ let jobs =
            $(b,--compare)'s four techniques). Default: $(b,VLIW_JOBS) or \
            the recommended domain count; 1 forces sequential execution.")
 
-let execution =
-  Arg.(
-    value & flag
-    & info [ "execution" ]
-        ~doc:
-          "Execution-driven simulation with cold caches (default: trace-driven \
-           with warm caches, like the paper's simulator). Detects actual data \
-           corruption.")
-
 let trace_file =
   Arg.(
     value
@@ -522,11 +360,11 @@ let cmd =
   Cmd.v
     (Cmd.info "vliwc" ~version:"1.0.0" ~doc ~man)
     Term.(
-      const main $ file $ workload $ technique $ heuristic $ ordering
-      $ machine_name $ clusters $ icn $ protocol $ interleave $ ab $ pad
-      $ unroll
-      $ cse_flag $ lint_flag $ lint_error_flag $ verify_flag $ check_flag
-      $ check_jitter $ dump_ddg $ dot $ dump_sched $ execution $ compare_flag
-      $ jobs $ trace_file)
+      const main $ file $ workload $ Flags.technique $ Flags.heuristic
+      $ Flags.ordering $ Flags.machine $ clusters $ icn $ Flags.protocol
+      $ Flags.interleave $ Flags.ab $ Flags.pad $ Flags.unroll $ Flags.cse
+      $ lint_flag $ lint_error_flag $ Flags.verify $ check_flag $ check_jitter
+      $ dump_ddg $ dot $ dump_sched $ Flags.execution $ compare_flag $ jobs
+      $ trace_file)
 
 let () = exit (Cmd.eval cmd)

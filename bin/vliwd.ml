@@ -24,15 +24,8 @@ let write_line out j =
   Mutex.unlock out.o_lock
 
 let error_line ~id msg =
-  Json.Obj
-    [
-      ("id", Json.Int id);
-      ("status", Json.String "error");
-      ("exit", Json.Int 2);
-      ("output", Json.String "");
-      ("message", Json.String msg);
-      ("kernels", Json.List []);
-    ]
+  Protocol.reply_to_json ~id
+    (Protocol.Done { o_output = ""; o_error = Some msg; o_exit = 2; o_kernels = [] })
 
 let id_of j =
   Option.value (Option.bind (Json.member "id" j) Json.to_int_opt) ~default:0

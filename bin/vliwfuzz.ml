@@ -76,13 +76,15 @@ let run_cmd seed count budget jobs out no_shrink weaken =
   print_string (Fuzz.render s);
   if s.Fuzz.s_clean then 0 else 1
 
-(* A saved case names its machine in its header: reject a bad one with
-   one line before judging anything. *)
-let load file =
-  let case = Gen.load file in
-  match Gen.machine case.Gen.g_mconf with
-  | _ -> case
-  | exception Failure e ->
+(* A saved case names its machine in its header: reject a bad one, or a
+   bad [conf] override of it, with one line before judging anything. *)
+let load ?(conf = Fun.id) file =
+  try
+    let case = Gen.load file in
+    let case = { case with Gen.g_mconf = conf case.Gen.g_mconf } in
+    ignore (Gen.machine case.Gen.g_mconf);
+    case
+  with Failure e ->
     Printf.eprintf "vliwfuzz: %s: %s\n" file e;
     exit 2
 
@@ -115,22 +117,15 @@ let shrink_cmd file out weaken =
 
 module Check = Vliw_check.Check
 
+(* --clusters/--icn over the case's own configuration; a protocol case
+   stays a protocol case, under the protocol the backend carries *)
 let mconf_with ~clusters ~icn (m : Gen.mconf) =
-  let m =
-    match clusters with Some c -> { m with Gen.mc_clusters = c } | None -> m
+  let mc_clusters = Option.value clusters ~default:m.Gen.mc_clusters
+  and mc_icn = Option.value icn ~default:m.Gen.mc_icn in
+  let mc_protocol =
+    Vliw_arch.Header.paired_protocol ~interconnect:mc_icn m.Gen.mc_protocol
   in
-  match icn with
-  | None -> m
-  | Some i ->
-    (* keep the protocol/backend pairing valid when the backend is
-       overridden: a protocol case stays a protocol case, under the
-       protocol that snoops the new backend *)
-    let protocol =
-      if m.Gen.mc_protocol = "install-flush" then m.Gen.mc_protocol
-      else if i = "bus" then "msi"
-      else "mesi"
-    in
-    { m with Gen.mc_icn = i; Gen.mc_protocol = protocol }
+  { m with mc_clusters; mc_icn; mc_protocol }
 
 let config_label (c : Gen.case) =
   Printf.sprintf "%s x%d%s" c.Gen.g_mconf.Gen.mc_icn
@@ -189,14 +184,8 @@ let check_cmd files clusters icn jitter matrix max_states jobs out weaken =
   let work =
     List.concat_map
       (fun file ->
-        let case = load file in
         List.map
-          (fun (icn, clusters) ->
-            ( file,
-              {
-                case with
-                Gen.g_mconf = mconf_with ~clusters ~icn case.Gen.g_mconf;
-              } ))
+          (fun (icn, clusters) -> (file, load ~conf:(mconf_with ~clusters ~icn) file))
           configs)
       files
   in
@@ -305,12 +294,8 @@ let no_shrink =
 
 let file = Arg.(required & pos 0 (some file) None & info [] ~docv:"FILE")
 
-let out_file =
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "out" ] ~docv:"PATH"
-        ~doc:"Where to write the minimized case (default: FILE.min).")
+let out_file doc =
+  Arg.(value & opt (some string) None & info [ "out" ] ~docv:"PATH" ~doc)
 
 let index = Arg.(required & pos 0 (some int) None & info [] ~docv:"INDEX")
 
@@ -357,7 +342,9 @@ let max_states =
 let gen_c =
   Cmd.v
     (Cmd.info "gen" ~doc:"Print (or save) one generated case by index.")
-    Term.(const gen_cmd $ seed $ budget $ index $ out_file)
+    Term.(
+      const gen_cmd $ seed $ budget $ index
+      $ out_file "Write the case to $(docv) instead of printing it.")
 
 let run_c =
   Cmd.v
@@ -373,7 +360,10 @@ let replay_c =
 let shrink_c =
   Cmd.v
     (Cmd.info "shrink" ~doc:"Minimize a failing saved case.")
-    Term.(const shrink_cmd $ file $ out_file $ weaken)
+    Term.(
+      const shrink_cmd $ file
+      $ out_file "Where to write the minimized case (default: FILE.min)."
+      $ weaken)
 
 let check_c =
   Cmd.v

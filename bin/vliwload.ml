@@ -10,23 +10,9 @@
 
 open Cmdliner
 module Json = Vliw_util.Json
-module S = Vliw_sched.Schedule
 module Protocol = Vliw_serve.Protocol
 
 (* ---- req: turn kernel files into request JSONL ---- *)
-
-let read_source path =
-  if path = "-" then In_channel.input_all stdin
-  else begin
-    if not (Sys.file_exists path) then begin
-      Printf.eprintf "vliwload: no such file %s\n" path;
-      exit 2
-    end;
-    let ic = open_in path in
-    Fun.protect
-      ~finally:(fun () -> close_in ic)
-      (fun () -> really_input_string ic (in_channel_length ic))
-  end
 
 let req_main files technique heuristic ordering machine interleave ab pad
     unroll cse verify execution protocol repeat =
@@ -34,14 +20,17 @@ let req_main files technique heuristic ordering machine interleave ab pad
     Printf.eprintf "vliwload req: pass at least one .lk FILE (- for stdin)\n";
     exit 2
   end;
-  let sources = List.map read_source files in
+  let sources = List.map (Flags.read_source ~tool:"vliwload") files in
   let id = ref 0 in
   for _ = 1 to max 1 repeat do
     List.iter
       (fun src ->
+        (* an unset machine flag is left out: vliwd then reads the
+           kernel's header directives, as vliwc does *)
         let rq =
-          Protocol.request ~technique ~heuristic ~ordering ~machine ~interleave
-            ~ab ~pad ?unroll ~cse ~verify ~execution ~protocol ~id:!id src
+          Protocol.request ~technique ~heuristic ~ordering ?machine ?interleave
+            ?ab:(if ab then Some true else None)
+            ~pad ?unroll ~cse ~verify ~execution ?protocol ~id:!id src
         in
         incr id;
         print_endline (Protocol.to_line (Protocol.request_to_json rq)))
@@ -202,58 +191,6 @@ let req_cmd =
       value & pos_all string []
       & info [] ~docv:"FILE" ~doc:".lk kernel files ($(b,-) reads stdin once)")
   in
-  let technique =
-    let tconv =
-      Arg.enum
-        (List.map
-           (fun t -> (String.lowercase_ascii (S.technique_name t), t))
-           S.techniques)
-    in
-    Arg.(value & opt tconv S.Free & info [ "t"; "technique" ] ~docv:"TECH"
-         ~doc:"Coherence technique (as in vliwc).")
-  in
-  let heuristic =
-    let hconv =
-      Arg.enum [ ("prefclus", S.Pref_clus); ("mincoms", S.Min_coms) ]
-    in
-    Arg.(value & opt hconv S.Min_coms
-         & info [ "H"; "heuristic" ] ~docv:"HEUR" ~doc:"Cluster heuristic.")
-  in
-  let ordering =
-    let oconv =
-      Arg.enum [ ("height", Vliw_sched.Ims.Height); ("swing", Vliw_sched.Ims.Swing) ]
-    in
-    Arg.(value & opt oconv Vliw_sched.Ims.Height
-         & info [ "ordering" ] ~docv:"ORD" ~doc:"Scheduler node ordering.")
-  in
-  let machine =
-    Arg.(value & opt string "bal"
-         & info [ "machine" ] ~docv:"CONF" ~doc:"Machine configuration.")
-  in
-  let interleave =
-    Arg.(value & opt int 4
-         & info [ "interleave" ] ~docv:"BYTES" ~doc:"Cache interleaving factor.")
-  in
-  let ab = Arg.(value & flag & info [ "ab" ] ~doc:"Attraction Buffers.") in
-  let pad =
-    Arg.(value & opt int 0 & info [ "pad" ] ~docv:"BYTES" ~doc:"Inter-array padding.")
-  in
-  let unroll =
-    Arg.(value & opt (some int) None
-         & info [ "unroll" ] ~docv:"N" ~doc:"Unroll factor (0 = automatic).")
-  in
-  let cse = Arg.(value & flag & info [ "cse" ] ~doc:"Eliminate redundant loads.") in
-  let verify =
-    Arg.(value & flag & info [ "verify" ] ~doc:"Statically verify the schedule.")
-  in
-  let execution =
-    Arg.(value & flag & info [ "execution" ] ~doc:"Execution-driven simulation.")
-  in
-  let protocol =
-    Arg.(value & opt string "install-flush"
-         & info [ "protocol" ] ~docv:"PROT"
-             ~doc:"Coherence protocol (install-flush, msi or mesi).")
-  in
   let repeat =
     Arg.(value & opt int 1
          & info [ "repeat" ] ~docv:"N"
@@ -263,9 +200,10 @@ let req_cmd =
   Cmd.v
     (Cmd.info "req" ~doc:"Emit compile requests as JSONL on stdout.")
     Term.(
-      const req_main $ files $ technique $ heuristic $ ordering $ machine
-      $ interleave $ ab $ pad $ unroll $ cse $ verify $ execution $ protocol
-      $ repeat)
+      const req_main $ files $ Flags.technique $ Flags.heuristic
+      $ Flags.ordering $ Flags.machine $ Flags.interleave $ Flags.ab $ Flags.pad
+      $ Flags.unroll $ Flags.cse $ Flags.verify $ Flags.execution
+      $ Flags.protocol $ repeat)
 
 let decode_cmd =
   Cmd.v

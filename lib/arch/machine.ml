@@ -226,9 +226,12 @@ let of_spec ?(clusters = 4) ?(icn = "bus") ?(protocol = "install-flush") ?membus
   let t = if ab then with_attraction t (Some default_attraction) else t in
   let t = with_interleave t interleave in
   let t =
+    (* an unchanged count keeps the preset's record, so a machine
+       marshals the same whether or not its spelling names the count *)
     match membus with
-    | None -> t
-    | Some n -> { t with mem_buses = { t.mem_buses with bus_count = n } }
+    | Some n when n <> t.mem_buses.bus_count ->
+      { t with mem_buses = { t.mem_buses with bus_count = n } }
+    | _ -> t
   in
   let t = with_protocol t protocol in
   match validate t with

@@ -184,7 +184,8 @@ val of_spec :
     ([bus] or [directory]); [protocol] (default ["install-flush"]) the AB
     coherence protocol ([msi] needs the bus, [mesi] the directory);
     [membus] overrides the scaled memory-bus count. The error is one line
-    naming the bad field. *)
+    naming the bad field. Kernel-file header directives and the tools'
+    flags reach it through {!Header}, which owns their defaults. *)
 
 val pp : Format.formatter -> t -> unit
 val describe : t -> (string * string) list

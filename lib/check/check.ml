@@ -306,11 +306,7 @@ let run_case ?(verifier = Diff.default_verifier) ?(config = default_config)
           ~base:a.Diff.a_lowered.Lower.graph ~layout:a.Diff.a_layout
           ~graph:a.Diff.a_graph ~schedule:a.Diff.a_schedule
       in
-      (* a plain certificate holds at nominal latencies only; with jitter
-         in play the schedule is held to it only when jitter-robust *)
-      let certified =
-        report.V.r_verified && (jitter = 0 || report.V.r_jitter_robust)
-      in
+      let certified = V.certifies report ~jitter in
       (* [explore] is a pure function of the artifacts, the certificate
          and the oracle's memory. The hybrid's artifacts are its chosen
          arm's own record, so under the arm's certificate its outcome is

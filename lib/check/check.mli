@@ -76,8 +76,8 @@ val explore :
     bounded by [jitter] ([jitter = 0] is the single nominal execution).
     [expected] is the golden oracle's final memory; [certified] is
     whether the leaves must uphold a verifier certificate — pass
-    [r_verified && (jitter = 0 || r_jitter_robust)], since a plain
-    certificate claims nothing about jittered latencies. *)
+    {!Vliw_verify.Verify.certifies}, since a plain certificate claims
+    nothing about jittered latencies. *)
 
 val replay :
   lowered:Vliw_lower.Lower.t ->
@@ -127,11 +127,11 @@ val run_case :
     pipeline ({!Vliw_fuzz.Diff.compile_all}: one front end, free, MDC and
     DDGT compiled once each, the hybrid chosen between the two arms),
     verify each schedule and {!explore} it. The hybrid's artifacts are
-    its chosen arm's, so when its certificate ([r_verified && (jitter = 0
-    || r_jitter_robust)]) equals the arm's, the arm's outcome is reused
-    rather than explored again: exploration depends on nothing else. The
-    hybrid still gets its own report, its own refutation and its own
-    failure lines. [jitter] defaults to the case's declared bound. The
+    its chosen arm's, so when its certificate
+    ({!Vliw_verify.Verify.certifies}) equals the arm's, the arm's outcome
+    is reused rather than explored again: exploration depends on nothing
+    else. The hybrid still gets its own report, its own refutation and
+    its own failure lines. [jitter] defaults to the case's declared bound. The
     injectable [verifier] (called once per technique) is the soundness
     test hook: weaken it and the checker must produce the counterexample
     the real verifier's rejection predicted. *)

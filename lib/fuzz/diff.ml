@@ -216,7 +216,7 @@ let check ?(verifier = default_verifier) (c : Gen.case) =
             ~schedule
         in
         let nominal = simulate tech "nominal" graph schedule in
-        judge tech ~certified:report.V.r_verified "nominal" nominal;
+        judge tech ~certified:(V.certifies report ~jitter:0) "nominal" nominal;
         let jittered =
           if c.Gen.g_jitter = 0 then None
           else begin
@@ -225,11 +225,8 @@ let check ?(verifier = default_verifier) (c : Gen.case) =
                 ~jitter:(jitter_stream c tech, c.Gen.g_jitter)
                 graph schedule
             in
-            (* only jitter-robust certificates claim anything about
-               jittered buses; plain certificates hold at nominal
-               latencies alone *)
             judge tech
-              ~certified:(report.V.r_verified && report.V.r_jitter_robust)
+              ~certified:(V.certifies report ~jitter:c.Gen.g_jitter)
               "jittered" obs;
             Some obs
           end

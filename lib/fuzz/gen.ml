@@ -1,6 +1,6 @@
 module Ast = Vliw_ir.Ast
 module Prng = Vliw_util.Prng
-module M = Vliw_arch.Machine
+module Header = Vliw_arch.Header
 
 type mconf = {
   mc_base : string;
@@ -25,14 +25,15 @@ type case = {
 let stream ~seed ~index =
   Prng.derive (Prng.derive_named (Prng.create seed) "fuzz") index
 
-let machine mc =
-  match
-    M.of_spec ~clusters:mc.mc_clusters ~icn:mc.mc_icn ~protocol:mc.mc_protocol
-      ~membus:mc.mc_membus ~name:mc.mc_base ~interleave:mc.mc_interleave
-      ~ab:mc.mc_ab ()
-  with
-  | Ok m -> m
-  | Error e -> failwith e
+(* the header directives a configuration writes, which name its machine *)
+let header ?jitter mc =
+  { Header.machine = Some mc.mc_base; clusters = Some mc.mc_clusters;
+    interconnect = Some mc.mc_icn; interleave = Some mc.mc_interleave;
+    membus = Some mc.mc_membus; ab = Some mc.mc_ab; jitter;
+    protocol = Some mc.mc_protocol }
+
+let ok = function Ok v -> v | Error e -> failwith e
+let machine mc = ok (Header.machine (header mc))
 
 (* ---- kernel motifs: one per entry of the memory-dependence taxonomy ---- *)
 
@@ -451,12 +452,11 @@ let generate ~seed ~budget index =
     let mc_interleave = Prng.choice rng [| 2; 4 |] in
     let mc_membus = Prng.int_in rng 1 4 in
     let mc_ab = Prng.bool rng in
-    (* the protocol draw is always consumed (stream stability), and the
-       sampled protocol is always valid for the sampled backend *)
+    (* the protocol draw is always consumed (stream stability), and an
+       invalidation protocol is the one the sampled backend carries *)
     let mc_protocol =
-      if Prng.int rng 2 = 0 then "install-flush"
-      else if mc_icn = "bus" then "msi"
-      else "mesi"
+      Header.paired_protocol ~interconnect:mc_icn
+        (if Prng.int rng 2 = 0 then "install-flush" else "msi")
     in
     { mc_base; mc_clusters; mc_icn; mc_interleave; mc_membus; mc_ab;
       mc_protocol }
@@ -476,77 +476,36 @@ let generate ~seed ~budget index =
    the whole file is also a valid .lk source ---- *)
 
 let to_file_string c =
-  Printf.sprintf
-    "# vliw-fuzz case\n\
-     # seed=%d index=%d budget=%d\n\
-     # machine=%s clusters=%d interconnect=%s interleave=%d membus=%d ab=%d \
-     jitter=%d protocol=%s\n\
-     # shapes=%s\n\
-     %s"
-    c.g_seed c.g_index c.g_budget c.g_mconf.mc_base c.g_mconf.mc_clusters
-    c.g_mconf.mc_icn c.g_mconf.mc_interleave c.g_mconf.mc_membus
-    (if c.g_mconf.mc_ab then 1 else 0)
-    c.g_jitter c.g_mconf.mc_protocol
+  Printf.sprintf "# vliw-fuzz case\n# seed=%d index=%d budget=%d\n%s# shapes=%s\n%s"
+    c.g_seed c.g_index c.g_budget
+    (Header.to_line (header ~jitter:c.g_jitter c.g_mconf))
     (String.concat "," c.g_shapes)
     (Vliw_ir.Pp.kernel_to_string c.g_kernel)
 
 let save path c =
-  let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () -> output_string oc (to_file_string c))
+  Out_channel.with_open_bin path (fun oc -> output_string oc (to_file_string c))
 
 let of_file_string src =
-  let kv = Hashtbl.create 8 in
-  String.split_on_char '\n' src
-  |> List.iter (fun line ->
-         let line = String.trim line in
-         if String.length line > 0 && line.[0] = '#' then
-           String.sub line 1 (String.length line - 1)
-           |> String.split_on_char ' '
-           |> List.iter (fun tok ->
-                  match String.index_opt tok '=' with
-                  | Some i ->
-                    Hashtbl.replace kv
-                      (String.sub tok 0 i)
-                      (String.sub tok (i + 1) (String.length tok - i - 1))
-                  | None -> ()));
-  let int_of key default =
-    match Hashtbl.find_opt kv key with
-    | Some v -> ( match int_of_string_opt v with Some n -> n | None -> default)
-    | None -> default
-  in
-  let str_of key default =
-    match Hashtbl.find_opt kv key with Some v -> v | None -> default
+  let kvs = Header.directives src and get = Option.get in
+  let h = ok (Header.resolve (ok (Header.of_directives kvs))) in
+  let label key =
+    Option.value (Option.bind (Header.find key kvs) int_of_string_opt) ~default:0
   in
   let kernel = Vliw_ir.Parser.parse_kernel src in
   {
-    g_seed = int_of "seed" 0;
-    g_index = int_of "index" 0;
-    g_budget = int_of "budget" 0;
-    g_jitter = int_of "jitter" 0;
+    g_seed = label "seed";
+    g_index = label "index";
+    g_budget = label "budget";
+    g_jitter = Option.value h.jitter ~default:0;
     g_mconf =
-      {
-        mc_base = str_of "machine" "bal";
-        mc_clusters = int_of "clusters" 4;
-        mc_icn = str_of "interconnect" "bus";
-        mc_interleave = int_of "interleave" 4;
-        mc_membus = int_of "membus" 4;
-        mc_ab = int_of "ab" 0 <> 0;
-        mc_protocol = str_of "protocol" "install-flush";
-      };
+      { mc_base = get h.machine; mc_clusters = get h.clusters;
+        mc_icn = get h.interconnect; mc_interleave = get h.interleave;
+        mc_membus = get h.membus; mc_ab = get h.ab; mc_protocol = get h.protocol };
     g_shapes =
-      (match str_of "shapes" "" with
-      | "" -> []
-      | s -> String.split_on_char ',' s);
+      (match Header.find "shapes" kvs with
+      | None | Some "" -> []
+      | Some s -> String.split_on_char ',' s);
     g_kernel = kernel;
   }
 
-let load path =
-  let ic = open_in_bin path in
-  let src =
-    Fun.protect
-      ~finally:(fun () -> close_in ic)
-      (fun () -> really_input_string ic (in_channel_length ic))
-  in
-  of_file_string src
+let load path = of_file_string (In_channel.with_open_bin path In_channel.input_all)

@@ -50,9 +50,10 @@ val stream : seed:int -> index:int -> Vliw_util.Prng.t
 (** The derived Prng stream case [(seed, index)] is generated from. *)
 
 val machine : mconf -> Vliw_arch.Machine.t
-(** Concrete (validated) machine for a case's configuration
-    ({!Vliw_arch.Machine.of_spec}). Raises [Failure] with its one-line
-    error on a configuration it rejects, e.g. an unknown machine name. *)
+(** Concrete (validated) machine for a case's configuration, built by
+    {!Vliw_arch.Header.machine} as vliwc and vliwd build a headed
+    source's. Raises [Failure] with its one-line error on a configuration
+    it rejects, e.g. an unknown machine name. *)
 
 val generate : seed:int -> budget:int -> int -> case
 (** [generate ~seed ~budget index] builds case [index]. [budget] scales
@@ -65,13 +66,15 @@ val shape_names : string list
 (** {1 Repro files}
 
     A case serializes to a single [.lk] file whose header is a block of
-    [# key=value] directives (seed, index, budget, machine, clusters,
-    interconnect, interleave, membus, ab, jitter, protocol, shapes)
-    followed by the
-    kernel in concrete syntax;
-    since [#] starts a comment, the whole file is also a valid kernel
-    source. Loading a plain kernel file with no directives yields a case
-    with default configuration, so hand-written kernels replay too. *)
+    [# key=value] directives (seed, index, budget, then the machine line
+    {!Vliw_arch.Header.to_line} writes, then shapes) followed by the
+    kernel in concrete syntax; since [#] starts a comment, the whole file
+    is also a valid kernel source. Loading reads the machine through
+    {!Vliw_arch.Header}, so vliwc and vliwd run a repro on the machine it
+    names: an unset key takes its default (a missing [membus] is the
+    preset's count scaled to [clusters]), so hand-written kernels replay
+    too, and a malformed value or a rejected machine raises [Failure]
+    with one line naming it. *)
 
 val to_file_string : case -> string
 val of_file_string : string -> case

@@ -72,10 +72,6 @@ let lat_policy_tag = function
   | Driver.Fixed_min -> "fmin"
   | Driver.Fixed_max -> "fmax"
 
-let ordering_tag = function
-  | Vliw_sched.Ims.Height -> "height"
-  | Vliw_sched.Ims.Swing -> "swing"
-
 (* Atomic write: racing pool workers may regenerate the same (identical)
    trace; temp-file + rename keeps the published file whole either way. *)
 let write_trace_file dir name sink =
@@ -172,7 +168,7 @@ let run_loop ~machine ?(obs = obs_none) ?(lat_policy = Driver.Cache_sensitive)
           (String.sub (Memo.fingerprint machine) 0 12)
           bench.b_name loop.l_name (technique_name technique)
           (S.heuristic_name heuristic) (lat_policy_tag lat_policy)
-          (ordering_tag ordering)
+          (Vliw_sched.Ims.ordering_name ordering)
       in
       write_trace_file dir name s
     | _ -> ()));

@@ -4,6 +4,10 @@ module M = Vliw_arch.Machine
 
 type ordering = Height | Swing
 
+let orderings = [ Height; Swing ]
+let ordering_name = function Height -> "height" | Swing -> "swing"
+let ordering_of_name s = List.find_opt (fun o -> ordering_name o = s) orderings
+
 type ctx = {
   machine : M.t;
   heuristic : Schedule.heuristic;

@@ -40,6 +40,15 @@
     and live ranges short. *)
 type ordering = Height | Swing
 
+val orderings : ordering list
+(** Both, in the order the command line lists them. *)
+
+val ordering_name : ordering -> string
+(** ["height" | "swing"]: the command-line, request and trace-file
+    spelling. *)
+
+val ordering_of_name : string -> ordering option
+
 type ctx = {
   machine : Vliw_arch.Machine.t;
   heuristic : Schedule.heuristic;

@@ -3,7 +3,11 @@ module M = Vliw_arch.Machine
 
 type heuristic = Pref_clus | Min_coms
 
+let heuristics = [ Pref_clus; Min_coms ]
 let heuristic_name = function Pref_clus -> "PrefClus" | Min_coms -> "MinComs"
+
+let heuristic_of_name s =
+  List.find_opt (fun h -> String.lowercase_ascii (heuristic_name h) = s) heuristics
 
 type technique = Free | Mdc | Ddgt | Hybrid
 

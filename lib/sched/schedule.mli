@@ -11,7 +11,15 @@
 type heuristic = Pref_clus | Min_coms
 (** The paper's two cluster-assignment heuristics (Section 2.2). *)
 
+val heuristics : heuristic list
+(** Both, in the order the command line lists them. *)
+
 val heuristic_name : heuristic -> string
+(** ["PrefClus" | "MinComs"], as reports and trace-file names print it. *)
+
+val heuristic_of_name : string -> heuristic option
+(** The command-line and request spelling: {!heuristic_name} in
+    lowercase. *)
 
 type technique = Free | Mdc | Ddgt | Hybrid
 (** The ways the evaluation schedules a loop: the unsafe free baseline,

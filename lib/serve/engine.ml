@@ -44,26 +44,6 @@ let default_opts =
     op_trace_file = None;
   }
 
-(* leading/interleaved '#' comment lines of a .lk source, as key=value
-   directives (the same convention the fuzzer's repro files use) *)
-let source_directives src =
-  let kv = ref [] in
-  String.split_on_char '\n' src
-  |> List.iter (fun line ->
-         let line = String.trim line in
-         if String.length line > 0 && line.[0] = '#' then
-           String.sub line 1 (String.length line - 1)
-           |> String.split_on_char ' '
-           |> List.iter (fun tok ->
-                  match String.index_opt tok '=' with
-                  | Some i ->
-                    kv :=
-                      ( String.sub tok 0 i,
-                        String.sub tok (i + 1) (String.length tok - i - 1) )
-                      :: !kv
-                  | None -> ()));
-  List.rev !kv
-
 type summary = {
   s_name : string;
   s_digest : string;
@@ -83,61 +63,53 @@ type artifacts = {
 let schedule_digest schedule =
   Digest.to_hex (Digest.string (Format.asprintf "%a" S.pp schedule))
 
+(* A failure: the message vliwc prints on stderr before exiting 1 ([None]
+   when the diagnostics, e.g. a lint or verification rejection, are
+   already in the buffer). *)
+exception Fail of string option
+
+let prepare_exn ~buf ~machine ~opts kernel =
+  (match Ir.Typecheck.check kernel with
+  | Ok _ -> ()
+  | Error e -> raise (Fail (Some (Printf.sprintf "type error: %s" e))));
+  (if opts.op_lint || opts.op_lint_error then (
+     let ds = Vliw_lower.Lint.check kernel in
+     let ds = if opts.op_lint_error then Diag.promote_warnings ds else ds in
+     let ppf = Format.formatter_of_buffer buf in
+     List.iter (fun d -> Format.fprintf ppf "%a@." Vliw_lower.Lint.pp d) ds;
+     if Diag.has_errors ds then raise (Fail None)));
+  let kernel =
+    if opts.op_cse then (
+      let kernel', removed = Ir.Cse.eliminate kernel in
+      if removed > 0 then
+        Printf.bprintf buf "cse: %d redundant loads removed\n" removed;
+      kernel')
+    else kernel
+  in
+  match opts.op_unroll with
+  | None -> kernel
+  | Some 0 ->
+    (* auto: the Section 2.2 objective *)
+    let nxi = machine.M.clusters * machine.M.interleave_bytes in
+    let f = Lower.best_unroll_factor ~nxi_bytes:nxi ~max_factor:8 kernel in
+    if f > 1 then Printf.bprintf buf "unrolling by %d (NxI = %d bytes)\n" f nxi;
+    Ir.Unroll.unroll ~factor:f kernel
+  | Some f -> Ir.Unroll.unroll ~factor:f kernel
+
+let prepare ~buf ~machine ~opts kernel =
+  try Ok (prepare_exn ~buf ~machine ~opts kernel) with Fail e -> Error (1, e)
+
 (* The one-shot compile+verify+simulate pipeline, verbatim from vliwc.
    Human-readable output goes to [buf] (exactly the bytes vliwc prints on
-   stdout); a failure returns the message vliwc would print on stderr
-   before exiting 1 ([None] when vliwc exits silently, e.g. a lint or
-   verification rejection whose diagnostics are already in [buf]). *)
+   stdout). *)
 let run_kernel ?artifacts ~buf ~machine ~opts kernel =
-  let {
-    op_technique = technique;
-    op_heuristic = heuristic;
-    op_ordering = ordering;
-    op_pad = pad;
-    op_unroll = unroll;
-    op_cse = cse;
-    op_lint = lint;
-    op_lint_error = lint_error;
-    op_verify = verify;
-    op_dump_ddg = dump_ddg;
-    op_dot = dot;
-    op_dump_sched = dump_sched;
-    op_execution = execution;
-    op_trace_file = trace_file;
-  } =
-    opts
-  in
+  let { op_technique = technique; op_heuristic = heuristic; op_ordering = ordering;
+        op_pad = pad; op_verify = verify; op_dump_ddg = dump_ddg; op_dot = dot;
+        op_dump_sched = dump_sched; op_execution = execution;
+        op_trace_file = trace_file; _ } = opts in
   let ppf = Format.formatter_of_buffer buf in
-  let exception Fail of string option in
   try
-    (match Ir.Typecheck.check kernel with
-    | Ok _ -> ()
-    | Error e -> raise (Fail (Some (Printf.sprintf "type error: %s" e))));
-    (if lint || lint_error then (
-       let ds = Vliw_lower.Lint.check kernel in
-       let ds = if lint_error then Diag.promote_warnings ds else ds in
-       List.iter (fun d -> Format.fprintf ppf "%a@." Vliw_lower.Lint.pp d) ds;
-       if Diag.has_errors ds then raise (Fail None)));
-    let kernel =
-      if cse then (
-        let kernel', removed = Ir.Cse.eliminate kernel in
-        if removed > 0 then
-          Printf.bprintf buf "cse: %d redundant loads removed\n" removed;
-        kernel')
-      else kernel
-    in
-    let kernel =
-      match unroll with
-      | None -> kernel
-      | Some 0 ->
-        (* auto: the Section 2.2 objective *)
-        let nxi = machine.M.clusters * machine.M.interleave_bytes in
-        let f = Lower.best_unroll_factor ~nxi_bytes:nxi ~max_factor:8 kernel in
-        if f > 1 then
-          Printf.bprintf buf "unrolling by %d (NxI = %d bytes)\n" f nxi;
-        Ir.Unroll.unroll ~factor:f kernel
-      | Some f -> Ir.Unroll.unroll ~factor:f kernel
-    in
+    let kernel = prepare_exn ~buf ~machine ~opts kernel in
     let layout = Ir.Layout.make ~pad kernel in
     let low = Lower.lower kernel in
     let prof = Vliw_profile.Profile.run ~machine ~layout kernel in
@@ -272,26 +244,29 @@ let run_kernel ?artifacts ~buf ~machine ~opts kernel =
         s_report = !report;
         s_stats = st;
       }
-  with Fail e -> Error e
+  with Fail e -> Error (1, e)
 
-let run_source ?artifacts ~buf ~machine ~opts ~path src =
-  match Ir.Parser.parse_kernels src with
-  | exception Ir.Parser.Error (msg, pos) ->
-    Error
-      (Some
-         (Printf.sprintf "%s:%d:%d: %s" path pos.Ir.Lexer.line pos.Ir.Lexer.col
-            msg))
-  | exception Ir.Lexer.Error (msg, pos) ->
-    Error
-      (Some
-         (Printf.sprintf "%s:%d:%d: %s" path pos.Ir.Lexer.line pos.Ir.Lexer.col
-            msg))
-  | kernels ->
-    let rec go acc = function
-      | [] -> Ok (List.rev acc)
-      | k :: rest -> (
-        match run_kernel ?artifacts ~buf ~machine ~opts k with
-        | Ok s -> go (s :: acc) rest
-        | Error _ as e -> e)
-    in
-    go [] kernels
+let load_source ~flags ~path src =
+  let parse_error msg (pos : Ir.Lexer.pos) =
+    Error (1, Some (Printf.sprintf "%s:%d:%d: %s" path pos.line pos.col msg))
+  in
+  let module H = Vliw_arch.Header in
+  let declared = H.of_directives (H.directives src) in
+  match Result.bind declared (fun h -> H.machine (H.over flags h)) with
+  | Error e -> Error (2, Some e)
+  | Ok machine -> (
+    match Ir.Parser.parse_kernels src with
+    | kernels -> Ok (machine, kernels)
+    | exception (Ir.Parser.Error (msg, pos) | Ir.Lexer.Error (msg, pos)) ->
+      parse_error msg pos)
+
+let run_source ?artifacts ~buf ~flags ~opts ~path src =
+  Result.bind (load_source ~flags ~path src) (fun (machine, kernels) ->
+      let rec go acc = function
+        | [] -> Ok (List.rev acc)
+        | k :: rest -> (
+          match run_kernel ?artifacts ~buf ~machine ~opts k with
+          | Ok s -> go (s :: acc) rest
+          | Error _ as e -> e)
+      in
+      go [] kernels)

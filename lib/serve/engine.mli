@@ -1,11 +1,12 @@
 (** The one-shot compile→verify→simulate pipeline as a library.
 
     This is vliwc's kernel path factored out so the CLI and the
-    compilation service ({!Server}) share a single ingest: both render
-    their human-readable report into a caller-supplied [Buffer], and the
-    service's response bodies are byte-identical to what [vliwc] prints
-    on stdout for the same inputs — the property the CI smoke job
-    diffs. *)
+    compilation service ({!Server}) share a single ingest: both resolve
+    a source's machine through {!load_source} (flags over its header
+    directives) and render their human-readable report into a
+    caller-supplied [Buffer], so the service's response bodies are
+    byte-identical to what [vliwc] prints on stdout for the same inputs —
+    the property [test/cli/vliwd.t] and the CI smoke job diff. *)
 
 type opts = {
   op_technique : Vliw_sched.Schedule.technique;
@@ -28,11 +29,6 @@ val default_opts : opts
 (** Mirrors vliwc's flag defaults exactly (free technique, MinComs,
     height ordering, everything else off). *)
 
-val source_directives : string -> (string * string) list
-(** [key=value] pairs found on ['#'] comment lines of a [.lk] source, in
-    order — the header-directive convention shared with the fuzzer's
-    repro files (e.g. [# clusters=8 interconnect=directory]). *)
-
 type summary = {
   s_name : string;  (** kernel name *)
   s_digest : string;  (** hex digest of the rendered schedule *)
@@ -54,30 +50,52 @@ type artifacts = {
     [?artifacts] callback — what [vliwc --check] hands to the model
     checker without re-deriving the pipeline. *)
 
+val prepare :
+  buf:Buffer.t ->
+  machine:Vliw_arch.Machine.t ->
+  opts:opts ->
+  Vliw_ir.Ast.kernel ->
+  (Vliw_ir.Ast.kernel, int * string option) result
+(** Typecheck, lint ([op_lint], [op_lint_error]), eliminate redundant
+    loads ([op_cse]) and unroll ([op_unroll]): the kernel as
+    {!run_kernel} schedules it, and as [vliwc --compare] tabulates it.
+    The diagnostics and the CSE/unroll notes go to [buf]; errors are as
+    in {!run_kernel}. *)
+
 val run_kernel :
   ?artifacts:(artifacts -> unit) ->
   buf:Buffer.t ->
   machine:Vliw_arch.Machine.t ->
   opts:opts ->
   Vliw_ir.Ast.kernel ->
-  (summary, string option) result
+  (summary, int * string option) result
 (** Compile, optionally verify, and simulate one kernel. Appends to
-    [buf] exactly the bytes vliwc prints on stdout. [Error msg] means
-    vliwc would exit 1, after printing [msg] on stderr ([None] when the
-    failure's diagnostics — lint, verification — are already in
+    [buf] exactly the bytes vliwc prints on stdout. [Error (1, msg)]
+    means vliwc would exit 1, after printing [msg] on stderr ([None]
+    when the failure's diagnostics — lint, verification — are already in
     [buf]). [artifacts] fires once per successful kernel, after
     verification and simulation, with the exact pipeline state the run
     used; no callback, no behavior change. *)
 
+val load_source :
+  flags:Vliw_arch.Header.t ->
+  path:string ->
+  string ->
+  (Vliw_arch.Machine.t * Vliw_ir.Ast.kernel list, int * string option) result
+(** The machine — explicit [flags] over the source's header directives
+    over the preset ({!Vliw_arch.Header}) — and the source's kernels.
+    [Error (code, msg)] is vliwc's exit code and stderr line: 2 for a
+    machine the header or [flags] get wrong, 1 for a parse error
+    (prefixed by [path]). *)
+
 val run_source :
   ?artifacts:(artifacts -> unit) ->
   buf:Buffer.t ->
-  machine:Vliw_arch.Machine.t ->
+  flags:Vliw_arch.Header.t ->
   opts:opts ->
   path:string ->
   string ->
-  (summary list, string option) result
-(** Parse a [.lk] source (possibly several kernels) and run each in
-    order, stopping at the first failure; [path] only prefixes parse
-    error positions. [artifacts] is passed through to each kernel's
+  (summary list, int * string option) result
+(** {!load_source}, then run each kernel in order, stopping at the first
+    failure. [artifacts] is passed through to each kernel's
     {!run_kernel}. *)

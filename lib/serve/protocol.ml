@@ -9,21 +9,21 @@ type request = {
   rq_technique : S.technique;
   rq_heuristic : S.heuristic;
   rq_ordering : Vliw_sched.Ims.ordering;
-  rq_machine : string;
-  rq_interleave : int;
-  rq_ab : bool;
+  rq_machine : string option;
+  rq_interleave : int option;
+  rq_ab : bool option;
   rq_pad : int;
   rq_unroll : int option;
   rq_cse : bool;
   rq_verify : bool;
   rq_execution : bool;
-  rq_protocol : string;
+  rq_protocol : string option;
 }
 
 let request ?(technique = S.Free) ?(heuristic = S.Min_coms)
-    ?(ordering = Vliw_sched.Ims.Height) ?(machine = "bal") ?(interleave = 4)
-    ?(ab = false) ?(pad = 0) ?unroll ?(cse = false) ?(verify = false)
-    ?(execution = false) ?(protocol = "install-flush") ~id kernel =
+    ?(ordering = Vliw_sched.Ims.Height) ?machine ?interleave ?ab ?(pad = 0)
+    ?unroll ?(cse = false) ?(verify = false) ?(execution = false) ?protocol
+    ~id kernel =
   {
     rq_id = id;
     rq_kernel = kernel;
@@ -41,43 +41,31 @@ let request ?(technique = S.Free) ?(heuristic = S.Min_coms)
     rq_protocol = protocol;
   }
 
-let heuristic_of_name = function
-  | "prefclus" -> Some S.Pref_clus
-  | "mincoms" -> Some S.Min_coms
-  | _ -> None
-
-let heuristic_cli_name = function
-  | S.Pref_clus -> "prefclus"
-  | S.Min_coms -> "mincoms"
-
-let ordering_of_name = function
-  | "height" -> Some Vliw_sched.Ims.Height
-  | "swing" -> Some Vliw_sched.Ims.Swing
-  | _ -> None
-
-let ordering_cli_name = function
-  | Vliw_sched.Ims.Height -> "height"
-  | Vliw_sched.Ims.Swing -> "swing"
-
-(* Canonical field order; [key] depends on it, so keep it stable. *)
+(* Canonical field order; [key] depends on it, so keep it stable. The
+   machine fields appear only when set: absent, the kernel's header
+   directives decide. *)
 let spec_fields r =
+  let given k f = Option.fold ~none:[] ~some:(fun v -> [ (k, f v) ]) in
   [
     ("kernel", Json.String r.rq_kernel);
     ( "technique",
       Json.String (String.lowercase_ascii (S.technique_name r.rq_technique)) );
-    ("heuristic", Json.String (heuristic_cli_name r.rq_heuristic));
-    ("ordering", Json.String (ordering_cli_name r.rq_ordering));
-    ("machine", Json.String r.rq_machine);
-    ("interleave", Json.Int r.rq_interleave);
-    ("ab", Json.Bool r.rq_ab);
-    ("pad", Json.Int r.rq_pad);
-    ( "unroll",
-      match r.rq_unroll with None -> Json.Null | Some f -> Json.Int f );
-    ("cse", Json.Bool r.rq_cse);
-    ("verify", Json.Bool r.rq_verify);
-    ("execution", Json.Bool r.rq_execution);
-    ("protocol", Json.String r.rq_protocol);
+    ( "heuristic",
+      Json.String (String.lowercase_ascii (S.heuristic_name r.rq_heuristic)) );
+    ("ordering", Json.String (Vliw_sched.Ims.ordering_name r.rq_ordering));
   ]
+  @ given "machine" (fun v -> Json.String v) r.rq_machine
+  @ given "interleave" (fun v -> Json.Int v) r.rq_interleave
+  @ given "ab" (fun v -> Json.Bool v) r.rq_ab
+  @ [
+      ("pad", Json.Int r.rq_pad);
+      ( "unroll",
+        match r.rq_unroll with None -> Json.Null | Some f -> Json.Int f );
+      ("cse", Json.Bool r.rq_cse);
+      ("verify", Json.Bool r.rq_verify);
+      ("execution", Json.Bool r.rq_execution);
+    ]
+  @ given "protocol" (fun v -> Json.String v) r.rq_protocol
 
 let request_to_json r = Json.Obj (("id", Json.Int r.rq_id) :: spec_fields r)
 
@@ -86,89 +74,57 @@ let key r =
     (Digest.string (Json.to_string ~indent:0 (Json.Obj (spec_fields r))))
 
 let request_of_json j =
-  let mem k = Json.member k j in
-  let str k = Option.bind (mem k) Json.to_string_opt in
-  let int_d k d =
-    match mem k with
-    | None | Some Json.Null -> Ok d
-    | Some v -> (
-      match Json.to_int_opt v with
-      | Some i -> Ok i
-      | None -> Error (Printf.sprintf "field %S must be an integer" k))
-  in
-  let bool_d k d =
-    match mem k with
-    | None | Some Json.Null -> Ok d
-    | Some v -> (
-      match Json.to_bool_opt v with
-      | Some b -> Ok b
-      | None -> Error (Printf.sprintf "field %S must be a boolean" k))
-  in
-  let enum k of_name d =
-    match str k with
-    | None -> (
-      match mem k with
-      | None | Some Json.Null -> Ok d
-      | Some _ -> Error (Printf.sprintf "field %S must be a string" k))
-    | Some s -> (
-      match of_name s with
-      | Some v -> Ok v
-      | None -> Error (Printf.sprintf "unknown %s %S" k s))
-  in
   let ( let* ) = Result.bind in
-  match str "kernel" with
+  (* every field but the kernel is optional: absent or null is [None],
+     which {!request} defaults *)
+  let opt k what conv =
+    match Json.member k j with
+    | None | Some Json.Null -> Ok None
+    | Some v -> (
+      match conv v with
+      | Some x -> Ok (Some x)
+      | None -> Error (Printf.sprintf "field %S must be %s" k what))
+  in
+  let int k = opt k "an integer" Json.to_int_opt
+  and bool k = opt k "a boolean" Json.to_bool_opt
+  and str k = opt k "a string" Json.to_string_opt in
+  let named k of_name =
+    let* s = str k in
+    match Option.map (fun s -> (s, of_name s)) s with
+    | Some (s, None) -> Error (Printf.sprintf "unknown %s %S" k s)
+    | v -> Ok (Option.bind v snd)
+  in
+  match Option.bind (Json.member "kernel" j) Json.to_string_opt with
   | None -> Error "request is missing the \"kernel\" field"
   | Some kernel ->
-    let* id = int_d "id" 0 in
-    let* technique = enum "technique" S.technique_of_name S.Free in
-    let* heuristic = enum "heuristic" heuristic_of_name S.Min_coms in
-    let* ordering = enum "ordering" ordering_of_name Vliw_sched.Ims.Height in
-    let machine = Option.value (str "machine") ~default:"bal" in
-    let* interleave = int_d "interleave" 4 in
-    let* ab = bool_d "ab" false in
-    let* pad = int_d "pad" 0 in
-    let* unroll =
-      match mem "unroll" with
-      | None | Some Json.Null -> Ok None
-      | Some v -> (
-        match Json.to_int_opt v with
-        | Some f -> Ok (Some f)
-        | None -> Error "field \"unroll\" must be an integer")
-    in
-    let* cse = bool_d "cse" false in
-    let* verify = bool_d "verify" false in
-    let* execution = bool_d "execution" false in
-    let protocol = Option.value (str "protocol") ~default:"install-flush" in
+    let* id = int "id" in
+    let* technique = named "technique" S.technique_of_name in
+    let* heuristic = named "heuristic" S.heuristic_of_name in
+    let* ordering = named "ordering" Vliw_sched.Ims.ordering_of_name in
+    let* machine = str "machine" in
+    let* interleave = int "interleave" in
+    let* ab = bool "ab" in
+    let* pad = int "pad" in
+    let* unroll = int "unroll" in
+    let* cse = bool "cse" in
+    let* verify = bool "verify" in
+    let* execution = bool "execution" in
+    let* protocol = str "protocol" in
     (* model checking enumerates interleavings for minutes at a time —
        refuse it here rather than wedge a shared service worker on one
        request; vliwc --check is the supported path *)
-    let* check = bool_d "check" false in
-    let* () =
-      if check then
-        Error
-          (Format.asprintf "%a" Vliw_util.Diag.pp
-             (Vliw_util.Diag.make Vliw_util.Diag.Error ~code:"check-unsupported"
-                "model checking is not served: run vliwc --check on the kernel \
-                 instead"))
-      else Ok ()
-    in
-    Ok
-      {
-        rq_id = id;
-        rq_kernel = kernel;
-        rq_technique = technique;
-        rq_heuristic = heuristic;
-        rq_ordering = ordering;
-        rq_machine = machine;
-        rq_interleave = interleave;
-        rq_ab = ab;
-        rq_pad = pad;
-        rq_unroll = unroll;
-        rq_cse = cse;
-        rq_verify = verify;
-        rq_execution = execution;
-        rq_protocol = protocol;
-      }
+    let* check = bool "check" in
+    if check = Some true then
+      Error
+        (Format.asprintf "%a" Vliw_util.Diag.pp
+           (Vliw_util.Diag.make Vliw_util.Diag.Error ~code:"check-unsupported"
+              "model checking is not served: run vliwc --check on the kernel \
+               instead"))
+    else
+      Ok
+        (request ?technique ?heuristic ?ordering ?machine ?interleave ?ab ?pad
+           ?unroll ?cse ?verify ?execution ?protocol
+           ~id:(Option.value id ~default:0) kernel)
 
 (* ---- responses ---- *)
 

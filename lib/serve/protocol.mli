@@ -3,7 +3,9 @@
 
     A request carries a [.lk] kernel source plus the machine and compile
     options, each field mirroring the corresponding vliwc flag with the
-    same spelling and the same default — so a response's [output] field is
+    same spelling and the same default — an absent machine field, like an
+    absent flag, leaves the machine to the kernel's header directives
+    ({!Vliw_arch.Header}) — so a response's [output] field is
     byte-identical to the stdout of the equivalent one-shot [vliwc]
     invocation. Responses are a pure function of the spec fields (never of
     the [id], arrival order or pool width); the server deduplicates
@@ -15,15 +17,15 @@ type request = {
   rq_technique : Vliw_sched.Schedule.technique;
   rq_heuristic : Vliw_sched.Schedule.heuristic;
   rq_ordering : Vliw_sched.Ims.ordering;
-  rq_machine : string;  (** [bal | nobal-mem | nobal-reg] *)
-  rq_interleave : int;
-  rq_ab : bool;
+  rq_machine : string option;  (** [bal | nobal-mem | nobal-reg] *)
+  rq_interleave : int option;
+  rq_ab : bool option;
   rq_pad : int;
   rq_unroll : int option;
   rq_cse : bool;
   rq_verify : bool;
   rq_execution : bool;
-  rq_protocol : string;  (** [install-flush | msi | mesi] *)
+  rq_protocol : string option;  (** [install-flush | msi | mesi] *)
 }
 
 val request :
@@ -43,20 +45,17 @@ val request :
   string ->
   request
 (** Build a request for a kernel source; every default equals the
-    corresponding vliwc flag default. *)
+    corresponding vliwc flag default, and an omitted machine field stays
+    unset. *)
 
 val key : request -> string
 (** Dedup/cache fingerprint: a digest over every field except [rq_id]. *)
 
-val heuristic_of_name : string -> Vliw_sched.Schedule.heuristic option
-val heuristic_cli_name : Vliw_sched.Schedule.heuristic -> string
-val ordering_of_name : string -> Vliw_sched.Ims.ordering option
-val ordering_cli_name : Vliw_sched.Ims.ordering -> string
-
 val request_to_json : request -> Vliw_util.Json.t
 val request_of_json : Vliw_util.Json.t -> (request, string) result
-(** Missing optional fields take their defaults; only ["kernel"] is
-    required. *)
+(** Missing optional fields take their defaults (machine fields stay
+    unset); only ["kernel"] is required. {!request_to_json} writes a
+    machine field only when it is set. *)
 
 type outcome = {
   o_output : string;  (** vliwc's stdout, byte for byte *)

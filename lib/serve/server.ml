@@ -54,45 +54,39 @@ let queue_capacity t = Pool.Service.capacity t.sv_service
 (* The pure one-shot serving function: exactly what vliwc does for the
    same inputs, with stdout captured as the response body. *)
 let compile (rq : Protocol.request) : Protocol.outcome =
-  match
-    Vliw_arch.Machine.of_spec ~protocol:rq.Protocol.rq_protocol
-      ~name:rq.Protocol.rq_machine ~interleave:rq.Protocol.rq_interleave
-      ~ab:rq.Protocol.rq_ab ()
-  with
-  | Error e ->
-    { Protocol.o_output = ""; o_error = Some e; o_exit = 2; o_kernels = [] }
-  | Ok machine ->
-    let opts =
-      {
-        Engine.default_opts with
-        Engine.op_technique = rq.Protocol.rq_technique;
-        op_heuristic = rq.Protocol.rq_heuristic;
-        op_ordering = rq.Protocol.rq_ordering;
-        op_pad = rq.Protocol.rq_pad;
-        op_unroll = rq.Protocol.rq_unroll;
-        op_cse = rq.Protocol.rq_cse;
-        op_verify = rq.Protocol.rq_verify;
-        op_execution = rq.Protocol.rq_execution;
-      }
-    in
-    let buf = Buffer.create 1024 in
-    (match
-       Engine.run_source ~buf ~machine ~opts ~path:"-" rq.Protocol.rq_kernel
-     with
-    | Ok summaries ->
-      {
-        Protocol.o_output = Buffer.contents buf;
-        o_error = None;
-        o_exit = 0;
-        o_kernels = List.map Protocol.summary_json summaries;
-      }
-    | Error msg ->
-      {
-        Protocol.o_output = Buffer.contents buf;
-        o_error = msg;
-        o_exit = 1;
-        o_kernels = [];
-      })
+  let flags =
+    { Vliw_arch.Header.none with machine = rq.Protocol.rq_machine;
+      interleave = rq.Protocol.rq_interleave; ab = rq.Protocol.rq_ab;
+      protocol = rq.Protocol.rq_protocol }
+  in
+  let opts =
+    {
+      Engine.default_opts with
+      Engine.op_technique = rq.Protocol.rq_technique;
+      op_heuristic = rq.Protocol.rq_heuristic;
+      op_ordering = rq.Protocol.rq_ordering;
+      op_pad = rq.Protocol.rq_pad;
+      op_unroll = rq.Protocol.rq_unroll;
+      op_cse = rq.Protocol.rq_cse;
+      op_verify = rq.Protocol.rq_verify;
+      op_execution = rq.Protocol.rq_execution;
+    }
+  in
+  let buf = Buffer.create 1024 in
+  let result =
+    Engine.run_source ~buf ~flags ~opts ~path:"-" rq.Protocol.rq_kernel
+  in
+  let o_output = Buffer.contents buf in
+  match result with
+  | Ok summaries ->
+    {
+      Protocol.o_output;
+      o_error = None;
+      o_exit = 0;
+      o_kernels = List.map Protocol.summary_json summaries;
+    }
+  | Error (o_exit, o_error) ->
+    { Protocol.o_output; o_error; o_exit; o_kernels = [] }
 
 let record_span t span =
   Mutex.lock t.sv_spans_lock;

@@ -338,6 +338,8 @@ let gate ~machine ~technique ~base ?layout () g s =
             (fun d -> Format.asprintf "%a" D.pp d)
             (D.errors r.r_diags)))
 
+let certifies r ~jitter = r.r_verified && (jitter = 0 || r.r_jitter_robust)
+
 (* A dynamic counterexample against a certificate this module issued: the
    model checker found a reachable execution of a certified schedule that
    violates coherence or corrupts memory. The diagnostic names the proof

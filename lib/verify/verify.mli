@@ -117,6 +117,12 @@ type report = {
           only means the jitter-free argument was needed somewhere. *)
 }
 
+val certifies : report -> jitter:int -> bool
+(** Whether the certificate covers executions whose transfers jitter by
+    up to [jitter] cycles: [r_verified && (jitter = 0 ||
+    r_jitter_robust)], since a plain certificate holds at nominal
+    latencies only. *)
+
 val check :
   machine:Vliw_arch.Machine.t ->
   technique:technique ->

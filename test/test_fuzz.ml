@@ -56,24 +56,87 @@ let test_gen_budget_scales () =
   Alcotest.(check bool) "larger budget, at least as many motifs" true
     (List.length large.Gen.g_shapes >= List.length small.Gen.g_shapes)
 
+(* The machine vliwc and vliwd build from a source's header must be the
+   one the fuzzer's loaded case names, field for field *)
+let check_same_machine what src (c : Gen.case) =
+  let module H = Vliw_arch.Header in
+  match Result.bind (H.of_directives (H.directives src)) H.machine with
+  | Error e -> Alcotest.failf "%s: %s" what e
+  | Ok m ->
+    Alcotest.(check bool)
+      (what ^ ": one machine for every tool")
+      true
+      (Marshal.to_string m [] = Marshal.to_string (Gen.machine c.Gen.g_mconf) [])
+
+let litmus_dir =
+  if Sys.file_exists "litmus" then "litmus" else Filename.concat "test" "litmus"
+
+(* Repro bytes are pinned by one MD5 per corpus, recorded before the
+   header codec was shared: seed-1 cases 0-199, and every litmus kernel
+   loaded and written back *)
 let test_case_roundtrip () =
-  for i = 0 to 9 do
-    let c = gen i in
-    let c' = Gen.of_file_string (Gen.to_file_string c) in
+  let all = Buffer.create 65536 in
+  for i = 0 to 199 do
+    let src = Gen.to_file_string (gen i) in
+    Buffer.add_string all src;
+    let c' = Gen.of_file_string src in
     Alcotest.(check string)
       (Printf.sprintf "case %d survives serialization" i)
-      (Gen.to_file_string c) (Gen.to_file_string c')
-  done
+      src (Gen.to_file_string c');
+    check_same_machine (Printf.sprintf "case %d" i) src c'
+  done;
+  Alcotest.(check string) "generated bytes as recorded"
+    "6c4b3de6357da5e4d7ed11ae37838906"
+    (Digest.to_hex (Digest.string (Buffer.contents all)));
+  let litmus =
+    Sys.readdir litmus_dir |> Array.to_list
+    |> List.filter (fun f -> Filename.check_suffix f ".lk")
+    |> List.sort compare
+  in
+  Buffer.clear all;
+  List.iter
+    (fun f ->
+      let path = Filename.concat litmus_dir f in
+      let c = Gen.load path in
+      Buffer.add_string all (Gen.to_file_string c);
+      check_same_machine f (In_channel.with_open_bin path In_channel.input_all) c)
+    litmus;
+  Alcotest.(check string) "litmus bytes as recorded"
+    "5324e2940ac29f986551adcfdfac0203"
+    (Digest.to_hex (Digest.string (Buffer.contents all)))
 
 let test_plain_kernel_loads () =
   (* a hand-written kernel with no directives replays under defaults *)
-  let c =
-    Gen.of_file_string
-      "kernel hand { array a : i32[64] = zero trip 8 body { a[i] = i } }"
-  in
+  let body = "kernel hand { array a : i32[64] = zero trip 8 body { a[i] = i } }" in
+  let c = Gen.of_file_string body in
   Alcotest.(check string) "default machine" "bal" c.Gen.g_mconf.Gen.mc_base;
   Alcotest.(check int) "no jitter" 0 c.Gen.g_jitter;
-  Alcotest.(check string) "kernel kept" "hand" c.Gen.g_kernel.Ir.Ast.k_name
+  Alcotest.(check string) "kernel kept" "hand" c.Gen.g_kernel.Ir.Ast.k_name;
+  let load header = Gen.of_file_string (header ^ "\n" ^ body) in
+  (* a missing membus is the preset's count scaled to the cluster count *)
+  List.iter
+    (fun (header, membus) ->
+      let c = load header in
+      Alcotest.(check int) (header ^ ": membus") membus c.Gen.g_mconf.Gen.mc_membus;
+      check_same_machine header (header ^ "\n" ^ body) c)
+    [ ("", 4); ("# machine=nobal-reg", 2); ("# clusters=8", 8);
+      ("# machine=nobal-reg clusters=16", 8); ("# membus=1", 1) ];
+  (* a repeated key takes its last value, in every reader *)
+  let twice = "# clusters=4 interleave=2\n# clusters=8" in
+  Alcotest.(check int) "last clusters= wins" 8 (load twice).Gen.g_mconf.Gen.mc_clusters;
+  check_same_machine "repeated key" (twice ^ "\n" ^ body) (load twice);
+  (* a malformed value is one line naming the key *)
+  List.iter
+    (fun (header, msg) ->
+      match load header with
+      | _ -> Alcotest.failf "%s must be refused" header
+      | exception Failure e -> Alcotest.(check string) header msg e)
+    [
+      ("# clusters=abc", "header directive clusters=abc: expected a positive integer");
+      ("# ab=yes", "header directive ab=yes: expected 0 or 1");
+      ("# membus=0", "header directive membus=0: expected a positive integer");
+      ("# jitter=-1", "header directive jitter=-1: expected a non-negative integer");
+    ]
 
 (* --- oracle --- *)
 

@@ -55,7 +55,13 @@ let test_request_defaults_mirror_vliwc () =
     check "technique free" true (rq.Protocol.rq_technique = S.Free);
     check "heuristic mincoms" true
       (rq.Protocol.rq_heuristic = Vliw_sched.Schedule.Min_coms);
-    check_int "interleave" 4 rq.Protocol.rq_interleave;
+    (* an absent machine field leaves the machine to the kernel's header
+       directives, as an absent vliwc flag does, and is not written back *)
+    check "interleave unset" true (rq.Protocol.rq_interleave = None);
+    check "machine fields not written" true
+      (List.for_all
+         (fun k -> Json.member k (Protocol.request_to_json rq) = None)
+         [ "machine"; "interleave"; "ab"; "protocol" ]);
     check "verify off" false rq.Protocol.rq_verify
 
 let test_key_ignores_id () =
