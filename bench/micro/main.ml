@@ -16,8 +16,16 @@
                                   attempt exhausts its ejection budget, and
                                   at the II the driver settles on, where it
                                   succeeds
+   - check/replay-{fresh,prepared} one all-zero-draw replay of the MDC
+                                  schedule of test/litmus/carried.lk at
+                                  directory x4 (the model checker's unit of
+                                  work): through Sim.run, which builds an
+                                  engine, and through Sim.exec on one
+                                  prepared engine
+   - check/explore-carried        the whole Check.explore of that schedule
+                                  at the kernel's jitter
 
-   Usage: bench/micro/main.exe *)
+   Usage: bench/micro/main.exe (from the project root) *)
 
 module M = Vliw_arch.Machine
 module Ir = Vliw_ir
@@ -33,6 +41,9 @@ module Trace = Vliw_trace.Trace
 module Audit = Vliw_trace.Audit
 module Verify = Vliw_verify.Verify
 module W = Vliw_workloads.Workloads
+module Gen = Vliw_fuzz.Gen
+module Diff = Vliw_fuzz.Diff
+module Check = Vliw_check.Check
 
 type artifact = {
   a_layout : Ir.Layout.t;
@@ -109,6 +120,19 @@ let attempts () =
   | Some a -> a
   | None -> failwith "micro: no epicdec loop fails at its MII"
 
+(* test/litmus/carried.lk moved to directory x4, and its MDC compile *)
+let carried () =
+  let case = Gen.load (Filename.concat "test" (Filename.concat "litmus" "carried.lk")) in
+  let case =
+    {
+      case with
+      Gen.g_mconf = Gen.mconf_with ~icn:"directory" ~clusters:4 case.Gen.g_mconf;
+    }
+  in
+  match Diff.compile case Diff.Mdc with
+  | Ok a -> (case.Gen.g_jitter, a)
+  | Error e -> failwith ("micro: carried does not schedule: " ^ e)
+
 let simulate ?trace a engine =
   Sim.run ~lowered:a.a_low ~graph:a.a_low.Lower.graph ~schedule:a.a_schedule
     ~layout:a.a_layout ~mode:(Sim.Oracle a.a_oracle) ?trace ~engine ()
@@ -125,6 +149,14 @@ let () =
   ignore (simulate ~trace:traced nominal `Wheel);
   let verify_args = (nominal.a_low.Lower.graph, nominal.a_schedule) in
   let loop, ctx, graph, mii, ii = attempts () in
+  let jitter, (c : Diff.artifacts) = carried () in
+  let zeros =
+    { Sim.ch_jitter = jitter; ch_draw = (fun ~bound:_ -> 0); ch_note_state = None }
+  in
+  let prepared =
+    Sim.prepare ~lowered:c.a_lowered ~graph:c.a_graph ~schedule:c.a_schedule
+      ~layout:c.a_layout ()
+  in
   Printf.printf
     "sched/attempt-*: epicdec/%s, NOBAL-mem, DDGT, PrefClus: II %d (MII) \
      fails, II %d succeeds\n"
@@ -159,6 +191,26 @@ let () =
           ];
         Test.make_grouped ~name:"sched"
           [ attempt_test "attempt-fail" mii; attempt_test "attempt-ok" ii ];
+        Test.make_grouped ~name:"check"
+          [
+            Test.make ~name:"replay-fresh"
+              (Staged.stage (fun () ->
+                   ignore
+                     (Sys.opaque_identity
+                        (Sim.run ~lowered:c.a_lowered ~graph:c.a_graph
+                           ~schedule:c.a_schedule ~layout:c.a_layout
+                           ~choices:zeros ()))));
+            Test.make ~name:"replay-prepared"
+              (Staged.stage (fun () ->
+                   ignore (Sys.opaque_identity (Sim.exec prepared ~choices:zeros ()))));
+            Test.make ~name:"explore-carried"
+              (Staged.stage (fun () ->
+                   ignore
+                     (Sys.opaque_identity
+                        (Check.explore ~lowered:c.a_lowered ~graph:c.a_graph
+                           ~schedule:c.a_schedule ~layout:c.a_layout ~jitter
+                           ~expected:Bytes.empty ~certified:false ()))));
+          ];
         Test.make_grouped ~name:"verify"
           [
             Test.make ~name:"discharge"

@@ -117,16 +117,6 @@ let shrink_cmd file out weaken =
 
 module Check = Vliw_check.Check
 
-(* --clusters/--icn over the case's own configuration; a protocol case
-   stays a protocol case, under the protocol the backend carries *)
-let mconf_with ~clusters ~icn (m : Gen.mconf) =
-  let mc_clusters = Option.value clusters ~default:m.Gen.mc_clusters
-  and mc_icn = Option.value icn ~default:m.Gen.mc_icn in
-  let mc_protocol =
-    Vliw_arch.Header.paired_protocol ~interconnect:mc_icn m.Gen.mc_protocol
-  in
-  { m with mc_clusters; mc_icn; mc_protocol }
-
 let config_label (c : Gen.case) =
   Printf.sprintf "%s x%d%s" c.Gen.g_mconf.Gen.mc_icn
     c.Gen.g_mconf.Gen.mc_clusters
@@ -185,7 +175,7 @@ let check_cmd files clusters icn jitter matrix max_states jobs out weaken =
     List.concat_map
       (fun file ->
         List.map
-          (fun (icn, clusters) -> (file, load ~conf:(mconf_with ~clusters ~icn) file))
+          (fun (icn, clusters) -> (file, load ~conf:(Gen.mconf_with ?clusters ?icn) file))
           configs)
       files
   in

@@ -29,15 +29,23 @@ let directives src =
 let find key kvs =
   List.fold_left (fun acc (k, v) -> if k = key then Some v else acc) None kvs
 
+let malformed key v expected =
+  Printf.sprintf "header directive %s=%s: expected %s" key v expected
+
+let label key kvs =
+  match find key kvs with
+  | None -> Ok None
+  | Some v -> (
+    match int_of_string_opt v with
+    | Some n -> Ok (Some n)
+    | None -> Error (malformed key v "an integer"))
+
 let of_directives kvs =
   let exception Bad of string in
   let value key expected parse =
     Option.map
       (fun v ->
-        match parse v with
-        | Some x -> x
-        | None ->
-          raise (Bad (Printf.sprintf "header directive %s=%s: expected %s" key v expected)))
+        match parse v with Some x -> x | None -> raise (Bad (malformed key v expected)))
       (find key kvs)
   in
   let at_least lo v =

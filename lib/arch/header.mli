@@ -41,6 +41,13 @@ val directives : string -> (string * string) list
 val find : string -> (string * string) list -> string option
 (** The last value given for a key. *)
 
+val label : string -> (string * string) list -> (int option, string) result
+(** An integer a source labels itself with besides its machine (the
+    fuzzer's [seed=], [index=], [budget=]): [None] when absent, and a
+    malformed value is an error of one line naming the key, as
+    {!of_directives} reports, e.g. [header directive seed=abc: expected
+    an integer]. *)
+
 val of_directives : (string * string) list -> (t, string) result
 (** The machine keys and [jitter] a source's {!directives} declare. A
     malformed value is an error of one line naming the key, e.g. [header

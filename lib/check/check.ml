@@ -4,12 +4,13 @@
    or ring hop, so enumerating draw scripts (branching factor jitter+1)
    enumerates every reachable execution. Exploration is stateless /
    replay-based in the spirit of Qadeer's SC-verification work: a branch
-   is revisited by re-running the simulator under a forced draw prefix,
-   and cross-branch pruning is justified by the engine's canonical state
-   serialization — a pruned prefix has reached a (pre-network state,
-   intra-cycle draw offset) pair some earlier run already expanded, and
-   equal keys imply byte-identical final stats under equal future draws,
-   so its whole subtree is a duplicate. *)
+   is revisited by re-running the simulator from cycle 0 under a forced
+   draw prefix (on one engine prepared per schedule and reset in place
+   per run), and cross-branch pruning is justified by the engine's
+   canonical state serialization — a pruned prefix has reached a
+   (pre-network state, intra-cycle draw offset) pair some earlier run
+   already expanded, and equal keys imply byte-identical final stats
+   under equal future draws, so its whole subtree is a duplicate. *)
 
 module G = Vliw_ddg.Graph
 module S = Vliw_sched.Schedule
@@ -103,6 +104,11 @@ let explore ~lowered ~graph ~schedule ~layout ?trip ~jitter ~expected
   let merge_samples = ref [] and merge_count = ref 0 in
   let counterexample = ref None in
   let capped = ref false in
+  (* one engine for the whole exploration: every run resets it in place
+     and replays from cycle 0, so replay stays stateless *)
+  let engine =
+    Sim.prepare ~lowered ~graph ~schedule ~layout ?trip ~mode:Sim.Execution ()
+  in
   (* Run the simulator with the draw prefix [script] forced; the first
      draw past the prefix is a fresh branch point: its state key is
      looked up in [visited] (prune on hit — the subtree is a duplicate),
@@ -169,10 +175,7 @@ let explore ~lowered ~graph ~schedule ~layout ?trip ~jitter ~expected
             v);
       }
     in
-    match
-      Sim.run ~lowered ~graph ~schedule ~layout ?trip ~mode:Sim.Execution
-        ~choices:chooser ()
-    with
+    match Sim.exec engine ~choices:chooser () with
     | stats -> Some (stats, List.rev !draws_rev)
     | exception Pruned -> None
   in

@@ -162,70 +162,83 @@ let check ?(verifier = default_verifier) (c : Gen.case) =
   let fe = front_end c in
   let machine = fe.fe_machine and layout = fe.fe_layout in
   let heuristic = fe.fe_heuristic and low = fe.fe_lowered in
-  let failures = ref [] in
-  let fail kind tech detail =
-    failures := { f_kind = kind; f_technique = tech; f_detail = detail } :: !failures
+  let failure tech kind detail =
+    { f_kind = kind; f_technique = tech; f_detail = detail }
   in
   (* two independent reference executors must tell the same story before
      any simulated run is judged against them *)
   let interp = Interp.run ~layout k in
   let oracle = Oracle.run ~layout k in
-  (match Oracle.compare_interp oracle interp with
-  | Ok () -> ()
-  | Error e -> fail "oracle-diverged" "reference" e);
-  let simulate tech tag ?jitter graph schedule =
-    let sink = Trace.create () in
-    let stats =
-      Sim.run ~lowered:low ~graph ~schedule ~layout ~mode:Sim.Execution ?jitter
-        ~trace:sink ()
+  let reference =
+    match Oracle.compare_interp oracle interp with
+    | Ok () -> []
+    | Error e -> [ failure "reference" "oracle-diverged" e ]
+  in
+  (* one prepared engine, for the artifact simulated last: its nominal
+     and jittered runs share it. The previous one is dropped before the
+     next is built, so only one is ever alive *)
+  let last = ref None in
+  let engine_for a =
+    match !last with
+    | Some (a', e) when a' == a -> e
+    | _ ->
+      last := None;
+      let e =
+        Sim.prepare ~lowered:low ~graph:a.a_graph ~schedule:a.a_schedule ~layout
+          ~mode:Sim.Execution ()
+      in
+      last := Some (a, e);
+      e
+  in
+  (* one technique's runs and the failures they raise *)
+  let run_one (tech, verified) =
+    let failures = ref [] in
+    let fail kind detail =
+      failures := failure (technique_name tech) kind detail :: !failures
     in
-    (* the event stream must independently re-derive the simulator's own
-       coherence accounting, on every run, jittered or not *)
-    (match
-       Audit.check sink ~protocol:machine.M.protocol
-         ~prot_invalidations:stats.Sim.prot_invalidations
-         ~violations:stats.Sim.violations ~nullified:stats.Sim.nullified
-     with
-    | Ok _ -> ()
-    | Error msg ->
-      fail "audit-mismatch" (technique_name tech) (tag ^ ": " ^ msg));
-    {
-      so_violations = stats.Sim.violations;
-      so_memory_ok = Bytes.equal stats.Sim.memory oracle.o_memory;
-    }
-  in
-  let judge tech ~certified tag (obs : sim_obs) =
-    if certified then
-      if obs.so_violations > 0 then
-        fail "certified-violation" (technique_name tech)
-          (Printf.sprintf "%s: certified schedule ran with %d coherence violations"
-             tag obs.so_violations)
-      else if not obs.so_memory_ok then
-        fail "certified-corruption" (technique_name tech)
-          (tag ^ ": certified schedule corrupted memory (0 violations counted)")
-  in
-  (* the same compiles as [compile_all], so the model checker
-     (Vliw_check.Check) explores the very artifacts judged here *)
-  let run_one (tech, compiled) =
+    let simulate tag ?jitter engine =
+      let sink = Trace.create () in
+      let stats = Sim.exec engine ?jitter ~trace:sink () in
+      (* the event stream must independently re-derive the simulator's own
+         coherence accounting, on every run, jittered or not *)
+      (match
+         Audit.check sink ~protocol:machine.M.protocol
+           ~prot_invalidations:stats.Sim.prot_invalidations
+           ~violations:stats.Sim.violations ~nullified:stats.Sim.nullified
+       with
+      | Ok _ -> ()
+      | Error msg -> fail "audit-mismatch" (tag ^ ": " ^ msg));
+      {
+        so_violations = stats.Sim.violations;
+        so_memory_ok = Bytes.equal stats.Sim.memory oracle.o_memory;
+      }
+    in
+    let judge ~certified tag (obs : sim_obs) =
+      if certified then
+        if obs.so_violations > 0 then
+          fail "certified-violation"
+            (Printf.sprintf "%s: certified schedule ran with %d coherence violations"
+               tag obs.so_violations)
+        else if not obs.so_memory_ok then
+          fail "certified-corruption"
+            (tag ^ ": certified schedule corrupted memory (0 violations counted)")
+    in
     let status =
-      match compiled with
+      match verified with
       | Error e -> Unschedulable e
-      | Ok { a_graph = graph; a_schedule = schedule; _ } ->
-        let report =
-          verifier ~machine ~technique:tech ~base:low.Lower.graph ~layout ~graph
-            ~schedule
-        in
-        let nominal = simulate tech "nominal" graph schedule in
-        judge tech ~certified:(V.certifies report ~jitter:0) "nominal" nominal;
+      | Ok (a, report) ->
+        let engine = engine_for a in
+        let nominal = simulate "nominal" engine in
+        judge ~certified:(V.certifies report ~jitter:0) "nominal" nominal;
         let jittered =
           if c.Gen.g_jitter = 0 then None
           else begin
             let obs =
-              simulate tech "jittered"
+              simulate "jittered"
                 ~jitter:(jitter_stream c tech, c.Gen.g_jitter)
-                graph schedule
+                engine
             in
-            judge tech
+            judge
               ~certified:(V.certifies report ~jitter:c.Gen.g_jitter)
               "jittered" obs;
             Some obs
@@ -239,15 +252,46 @@ let check ?(verifier = default_verifier) (c : Gen.case) =
             r_jittered = jittered;
           }
     in
-    { d_technique = tech; d_heuristic = heuristic; d_status = status }
+    ( { d_technique = tech; d_heuristic = heuristic; d_status = status },
+      List.rev !failures )
   in
-  let runs = List.map run_one (compile_all_front fe) in
+  (* the same compiles as [compile_all], so the model checker
+     (Vliw_check.Check) explores the very artifacts judged here, each
+     verified in technique order *)
+  let verified =
+    List.map
+      (fun (tech, compiled) ->
+        ( tech,
+          Result.map
+            (fun a ->
+              ( a,
+                verifier ~machine ~technique:tech ~base:low.Lower.graph ~layout
+                  ~graph:a.a_graph ~schedule:a.a_schedule ))
+            compiled ))
+      (compile_all_front fe)
+  in
+  (* The hybrid's artifacts are its chosen arm's own record, so it runs
+     right after that arm, on the arm's engine: one engine is alive at a
+     time. Runs and failures are still reported in technique order *)
+  let hybrid = List.assq Hybrid verified in
+  let order =
+    List.concat_map
+      (fun (tech, v) ->
+        match (tech, v, hybrid) with
+        | Hybrid, _, Ok _ -> []
+        | _, Ok (a, _), Ok (h, _) when a == h ->
+          [ (tech, v); (Hybrid, hybrid) ]
+        | _ -> [ (tech, v) ])
+      verified
+  in
+  let results = List.map (fun ((tech, _) as e) -> (tech, run_one e)) order in
+  let results = List.map (fun (tech, _) -> List.assq tech results) verified in
   {
     v_case = c;
     v_nodes = G.node_count low.Lower.graph;
     v_heuristic = heuristic;
-    v_runs = runs;
-    v_failures = List.rev !failures;
+    v_runs = List.map fst results;
+    v_failures = reference @ List.concat_map snd results;
   }
 
 let failing ?verifier c = (check ?verifier c).v_failures <> []

@@ -35,6 +35,12 @@ let header ?jitter mc =
 let ok = function Ok v -> v | Error e -> failwith e
 let machine mc = ok (Header.machine (header mc))
 
+let mconf_with ?clusters ?icn m =
+  let mc_clusters = Option.value clusters ~default:m.mc_clusters
+  and mc_icn = Option.value icn ~default:m.mc_icn in
+  let mc_protocol = Header.paired_protocol ~interconnect:mc_icn m.mc_protocol in
+  { m with mc_clusters; mc_icn; mc_protocol }
+
 (* ---- kernel motifs: one per entry of the memory-dependence taxonomy ---- *)
 
 (* everything a motif contributes to the kernel under construction *)
@@ -488,9 +494,8 @@ let save path c =
 let of_file_string src =
   let kvs = Header.directives src and get = Option.get in
   let h = ok (Header.resolve (ok (Header.of_directives kvs))) in
-  let label key =
-    Option.value (Option.bind (Header.find key kvs) int_of_string_opt) ~default:0
-  in
+  (* litmus kernels carry no labels: an absent one reads as 0 *)
+  let label key = Option.value (ok (Header.label key kvs)) ~default:0 in
   let kernel = Vliw_ir.Parser.parse_kernel src in
   {
     g_seed = label "seed";

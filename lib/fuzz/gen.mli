@@ -55,6 +55,12 @@ val machine : mconf -> Vliw_arch.Machine.t
     source's. Raises [Failure] with its one-line error on a configuration
     it rejects, e.g. an unknown machine name. *)
 
+val mconf_with : ?clusters:int -> ?icn:string -> mconf -> mconf
+(** The configuration moved to another cluster count and backend, each
+    defaulting to its own: a protocol case stays a protocol case, under
+    the protocol the new backend carries
+    ({!Vliw_arch.Header.paired_protocol}). *)
+
 val generate : seed:int -> budget:int -> int -> case
 (** [generate ~seed ~budget index] builds case [index]. [budget] scales
     the number of motifs (roughly one motif per 8 budget points, 1..6). *)
@@ -74,7 +80,9 @@ val shape_names : string list
     names: an unset key takes its default (a missing [membus] is the
     preset's count scaled to [clusters]), so hand-written kernels replay
     too, and a malformed value or a rejected machine raises [Failure]
-    with one line naming it. *)
+    with one line naming it. The [seed], [index] and [budget] labels are
+    read through {!Vliw_arch.Header.label}: absent (as in litmus
+    kernels) they are 0, malformed they raise [Failure] the same way. *)
 
 val to_file_string : case -> string
 val of_file_string : string -> case

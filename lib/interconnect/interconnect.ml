@@ -75,6 +75,14 @@ module Bus = struct
       txn_counter = 0;
     }
 
+  (* Back to [create]'s state: an empty queue (which keeps the capacity
+     it grew to), idle buses, transaction ids from 0 *)
+  let reset t =
+    Array.fill t.bus_free 0 (Array.length t.bus_free) 0;
+    t.head <- 0;
+    t.len <- 0;
+    t.txn_counter <- 0
+
   let grow t =
     let cap' = t.cap * 2 in
     let regrow_int r =
@@ -104,6 +112,13 @@ module Bus = struct
     txn
 
   let pending t = t.len > 0
+
+  (* [dispatch]'s grant condition, read before it runs: a free bus and a
+     ready queue head *)
+  let draws t ~now =
+    t.len > 0
+    && t.q_ready.(t.head) <= now
+    && Array.exists (fun f -> f <= now) t.bus_free
 
   (* Canonical serialization for model-checking state keys: per-bus busy
      horizons relativized to [now] (all past values behave identically —
@@ -224,6 +239,21 @@ module Directory = struct
       hops = 0;
     }
 
+  (* Back to [create]'s state: idle links, no packet in flight, no
+     sharer recorded, counters and transaction ids from 0.
+     [Hashtbl.clear] keeps the tables' grown bucket arrays. *)
+  let reset t =
+    Array.fill t.link_free 0 (Array.length t.link_free) 0;
+    Array.fill t.link_last 0 (Array.length t.link_last) 0;
+    Hashtbl.clear t.buckets;
+    Hashtbl.clear t.entries;
+    t.txn_counter <- 0;
+    t.in_flight <- 0;
+    t.lookups <- 0;
+    t.invalidates <- 0;
+    t.writebacks <- 0;
+    t.hops <- 0
+
   let pending t = t.in_flight > 0
 
   let schedule t cycle p =
@@ -305,7 +335,19 @@ module Directory = struct
   let writeback t ~now ~src ~home ~subblock =
     ignore (inject t ~now ~src ~dst:home (Writeback_ack { subblock; from = src }))
 
-  let due t ~now = Hashtbl.mem t.buckets now
+  let link_of p = (2 * p.p_at) + if p.p_dir > 0 then 0 else 1
+
+  (* [step]'s departure condition, read before it runs: a packet due now
+     that is not at its destination and whose link is open. Deliveries
+     earlier in the same step move no link horizon, so the first such
+     packet of each open link departs and draws. *)
+  let draws t ~now =
+    match Hashtbl.find_opt t.buckets now with
+    | None -> false
+    | Some l ->
+      List.exists
+        (fun p -> p.p_at <> p.p_dst && t.link_free.(link_of p) <= now)
+        !l
 
   (* Canonical serialization for model-checking state keys. Link horizons
      are relativized to [now]: [link_free <= now] means "open" and
@@ -404,7 +446,7 @@ module Directory = struct
           else begin
             (* departure attempt from p_at in direction p_dir *)
             let u = p.p_at in
-            let link = (2 * u) + if p.p_dir > 0 then 0 else 1 in
+            let link = link_of p in
             let free = t.link_free.(link) in
             if free > now then (
               (* link entry busy this cycle: retry when it opens *)

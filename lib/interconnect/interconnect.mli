@@ -74,14 +74,23 @@ module Bus : sig
 
   val create : buses:int -> latency:int -> t
 
+  val reset : t -> unit
+  (** Back to the state {!create} returned: idle buses, an empty queue,
+      transaction ids from 0. Allocates nothing. *)
+
   val request : t -> now:int -> int -> int
   (** Enqueue a transaction with the engine's payload; returns its fresh
       transaction id. *)
 
   val pending : t -> bool
-  (** Requests queued but not yet granted. A dispatch round can only
-      consume a jitter draw when this is true, so it doubles as the model
-      checker's "may the network branch this cycle" predicate. *)
+  (** Requests queued but not yet granted (the engine main loops must
+      keep running until the queue drains). *)
+
+  val draws : t -> now:int -> bool
+  (** The coming {!dispatch} round at [now] consumes at least one jitter
+      draw: a request is queued and a bus is free. It consumes none
+      otherwise — the model checker's "does the network branch this
+      cycle" predicate. *)
 
   val encode_state : t -> now:int -> Buffer.t -> unit
   (** Append a canonical serialization of the bus state (busy horizons
@@ -129,14 +138,21 @@ module Directory : sig
 
   val create : clusters:int -> hop_latency:int -> t
 
+  val reset : t -> unit
+  (** Back to the state {!create} returned: idle links, no packet in
+      flight, no sharer recorded, traffic counters and transaction ids
+      from 0. Allocates nothing. *)
+
   val pending : t -> bool
   (** Packets still in flight (the engine main loops must keep running
       until the network drains). *)
 
-  val due : t -> now:int -> bool
-  (** Packets scheduled for this cycle — a sound over-approximation of
-      "the coming [step] may consume a jitter draw" (only departures
-      draw; arrivals do not). *)
+  val draws : t -> now:int -> bool
+  (** The coming {!step} at [now] consumes at least one jitter draw: a
+      packet due now is not at its destination and its link is open.
+      It consumes none otherwise (arrivals and retries behind a busy
+      link do not draw) — the model checker's "does the network branch
+      this cycle" predicate. *)
 
   val encode_state : t -> now:int -> Buffer.t -> unit
   (** Append a canonical serialization of the ring + directory state for

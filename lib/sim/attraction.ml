@@ -23,30 +23,46 @@ type t = {
   mutable clock : int;
 }
 
+(* Every way invalid with zeroed data, stamps seeded, clock at 1: the
+   state [create] returns. The data is zeroed because an invalid way's
+   bytes are observable (see [encode_state]). *)
+let reset t =
+  for s = 0 to t.sets - 1 do
+    for w = 0 to t.assoc - 1 do
+      let e = t.entries.(s).(w) in
+      e.subblock <- -1;
+      Bytes.fill e.data 0 (Bytes.length e.data) '\000';
+      e.base <- 0;
+      e.state <- C.I;
+      e.sync <- -1;
+      e.written <- false;
+      t.stamp.((s * t.assoc) + w) <- -w
+    done
+  done;
+  t.clock <- 1
+
 let create machine =
   match machine.M.attraction with
   | None -> invalid_arg "Attraction.create: machine has no attraction buffers"
   | Some a ->
     let sets = a.M.ab_entries / a.M.ab_assoc in
     let sb = M.subblock_bytes machine in
-    let stamp = Array.make (sets * a.M.ab_assoc) 0 in
-    for s = 0 to sets - 1 do
-      for w = 0 to a.M.ab_assoc - 1 do
-        stamp.((s * a.M.ab_assoc) + w) <- -w
-      done
-    done;
-    {
-      machine;
-      sets;
-      assoc = a.M.ab_assoc;
-      entries =
-        Array.init sets (fun _ ->
-            Array.init a.M.ab_assoc (fun _ ->
-                { subblock = -1; data = Bytes.create sb; base = 0;
-                  state = C.I; sync = -1; written = false }));
-      stamp;
-      clock = 1;
-    }
+    let t =
+      {
+        machine;
+        sets;
+        assoc = a.M.ab_assoc;
+        entries =
+          Array.init sets (fun _ ->
+              Array.init a.M.ab_assoc (fun _ ->
+                  { subblock = -1; data = Bytes.create sb; base = 0;
+                    state = C.I; sync = -1; written = false }));
+        stamp = Array.make (sets * a.M.ab_assoc) 0;
+        clock = 1;
+      }
+    in
+    reset t;
+    t
 
 let set_of t subblock = subblock mod t.sets
 

@@ -15,8 +15,12 @@
 type t
 
 val create : Vliw_arch.Machine.t -> t
-(** Uses the machine's [attraction] geometry.
+(** Uses the machine's [attraction] geometry; every way starts invalid
+    with zeroed data.
     @raise Invalid_argument if the machine has no Attraction Buffers. *)
+
+val reset : t -> unit
+(** Back to the state {!create} returned. Allocates nothing. *)
 
 val lookup : t -> subblock:int -> bool
 (** Presence test + LRU bump. *)

@@ -15,24 +15,33 @@ type t = {
   mutable clock : int;
 }
 
+(* Every way invalid, stamps seeded, clock at 1: the state [create]
+   returns *)
+let reset t =
+  Array.fill t.ways 0 (Array.length t.ways) (-1);
+  for s = 0 to t.sets - 1 do
+    for w = 0 to t.assoc - 1 do
+      t.stamp.((s * t.assoc) + w) <- -w
+    done
+  done;
+  t.clock <- 1
+
 let create machine ~cluster =
   let sets = M.module_sets machine in
   let assoc = machine.M.cache.M.assoc in
-  let stamp = Array.make (sets * assoc) 0 in
-  for s = 0 to sets - 1 do
-    for w = 0 to assoc - 1 do
-      stamp.((s * assoc) + w) <- -w
-    done
-  done;
-  {
-    machine;
-    cluster;
-    sets;
-    assoc;
-    ways = Array.make (sets * assoc) (-1);
-    stamp;
-    clock = 1;
-  }
+  let t =
+    {
+      machine;
+      cluster;
+      sets;
+      assoc;
+      ways = Array.make (sets * assoc) (-1);
+      stamp = Array.make (sets * assoc) 0;
+      clock = 1;
+    }
+  in
+  reset t;
+  t
 
 let set_of t subblock =
   let block = subblock / t.machine.M.clusters in

@@ -8,6 +8,10 @@ type t
 
 val create : Vliw_arch.Machine.t -> cluster:int -> t
 
+val reset : t -> unit
+(** Back to the state {!create} returned: every line invalid, LRU order
+    as seeded. Allocates nothing. *)
+
 val present : t -> subblock:int -> bool
 
 val touch : t -> subblock:int -> unit

@@ -96,14 +96,14 @@ let run ~lowered ~graph ~schedule ~layout ?trip ?(mode = Execution) ?jitter
      has no canonical serialization, so exploration runs on the wheel
      engine and this engine only replays recorded draw scripts. *)
   let ms =
-    Memsys.create ~machine ~mem ~sites:nsites ~trip ~mode ~warm ?jitter ?choices
-      ~trace ~now ~dir
+    Memsys.create ~machine ~mem ~sites:nsites ~trip ~mode ~warm ~now ~bus ~dir
       ~home_of:(fun addr -> M.home_cluster machine ~addr)
       ~subblock_of:(fun addr -> M.subblock_id machine ~addr)
       ~addrs_of:(fun subblock ->
         Array.of_list (M.addrs_of_subblock machine ~subblock))
       ()
   in
+  Memsys.reset ms ?jitter ?choices ~trace ();
   let jit = Memsys.jit ms in
   let send_bus ~cluster action =
     let txn = Icn.Bus.request bus ~now:!now (park action) in

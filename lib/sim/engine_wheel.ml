@@ -26,7 +26,15 @@
    Event insertion order per cycle, bus-grant order, PRNG call sites, and
    the phase order within a cycle (events, buses, modules, issue) all
    mirror the reference engine exactly; see test/test_engines.ml for the
-   property test that pins the equivalence. *)
+   property test that pins the equivalence.
+
+   The engine is built in two steps. [prepare] derives everything that
+   depends only on the compiled loop (the tables above, the initial
+   memory image) and allocates every mutable array once; [exec] resets
+   that state in place and runs one simulation under its own draws and
+   trace sink. A model checker replaying one schedule thousands of times
+   pays for its simulated cycles, not for a new engine each time.
+   test/test_engines.ml pins every reused run to a fresh one. *)
 
 module G = Vliw_ddg.Graph
 module M = Vliw_arch.Machine
@@ -65,8 +73,15 @@ let ilog2 v =
 
 let is_pow2 v = v > 0 && v land (v - 1) = 0
 
-let run ~lowered ~graph ~schedule ~layout ?trip ?(mode = Execution) ?jitter
-    ?choices ?(warm = false) ?trace () =
+(* a prepared engine: one run per call *)
+type t =
+  jitter:(Vliw_util.Prng.t * int) option ->
+  choices:chooser option ->
+  trace:Tr.sink option ->
+  stats
+
+let prepare ~lowered ~graph ~schedule ~layout ?trip ?(mode = Execution)
+    ?(warm = false) () =
   let machine = schedule.S.machine in
   let kernel = lowered.L.kernel in
   let trip = Option.value trip ~default:kernel.Ir.Ast.k_trip in
@@ -302,11 +317,11 @@ let run ~lowered ~graph ~schedule ~layout ?trip ?(mode = Execution) ?jitter
   let msize = Bytes.length mem in
   let nsites = Array.length lowered.L.site_node in
 
-  (* ----- clock + tracing ----- *)
+  (* ----- clock + tracing (the current run's sink) ----- *)
   let now = ref 0 in
-  let tracing = trace <> None in
+  let trace = ref None and tracing = ref false in
   let emit ?(cluster = -1) p =
-    match trace with Some s -> Tr.emit s ~cycle:!now ~cluster p | None -> ()
+    match !trace with Some s -> Tr.emit s ~cycle:!now ~cluster p | None -> ()
   in
 
   (* ----- event wheel ----- *)
@@ -406,26 +421,26 @@ let run ~lowered ~graph ~schedule ~layout ?trip ?(mode = Execution) ?jitter
   in
   let mshr_next = Array.make ninst (-1) in
   let ms =
-    Memsys.create ~machine ~mem ~sites:nsites ~trip ~mode ~warm ?jitter ?choices
-      ~trace ~now ~dir ~home_of ~subblock_of:sb_of ~addrs_of:addrs_of_sb ()
+    Memsys.create ~machine ~mem ~sites:nsites ~trip ~mode ~warm ~now ~bus ~dir
+      ~home_of ~subblock_of:sb_of ~addrs_of:addrs_of_sb ()
   in
   let jit = Memsys.jit ms in
   let send_bus ~cluster ~leg ~inst =
     let txn = Icn.Bus.request bus ~now:!now ((inst lsl 1) lor leg) in
-    if tracing then emit ~cluster (Tr.Bus_request { txn; cluster })
+    if !tracing then emit ~cluster (Tr.Bus_request { txn; cluster })
   in
   let send_dir_request ~src ~dst ~inst =
     let txn = Icn.Directory.send_request dir ~now:!now ~src ~dst inst in
-    if tracing then emit ~cluster:src (Tr.Bus_request { txn; cluster = src })
+    if !tracing then emit ~cluster:src (Tr.Bus_request { txn; cluster = src })
   in
   let send_dir_response ~src ~dst ~inst =
     let txn = Icn.Directory.send_response dir ~now:!now ~src ~dst inst in
-    if tracing then emit ~cluster:src (Tr.Bus_request { txn; cluster = src })
+    if !tracing then emit ~cluster:src (Tr.Bus_request { txn; cluster = src })
   in
   let dispatch_buses () =
     Icn.Bus.dispatch bus ~now:!now ~jit
       ~grant:(fun ~txn ~bus:b ~wait ~lat ~arrival payload ->
-        if tracing then emit (Tr.Bus_grant { txn; bus = b; wait; lat });
+        if !tracing then emit (Tr.Bus_grant { txn; bus = b; wait; lat });
         schedule_event arrival ev_arrive (payload land 1) (payload lsr 1) txn b)
   in
 
@@ -626,7 +641,7 @@ let run ~lowered ~graph ~schedule ~layout ?trip ?(mode = Execution) ?jitter
     if dir_mode then
       Icn.Directory.step dir ~now:!now ~jit
         ~emit_hop:(fun ~txn ~src ~dst ->
-          if tracing then
+          if !tracing then
             emit (Tr.Packet_hop { txn; from_node = src; to_node = dst }))
         ~deliver
     else dispatch_buses ()
@@ -637,7 +652,7 @@ let run ~lowered ~graph ~schedule ~layout ?trip ?(mode = Execution) ?jitter
     match !ev_kind.(e) with
     | k when k = ev_arrive ->
       let leg = !ev_a.(e) and inst = !ev_b.(e) in
-      if tracing then
+      if !tracing then
         emit (Tr.Bus_transfer { txn = !ev_c.(e); bus = !ev_d.(e) });
       if leg = 0 then request_arrive inst
       else response_arrive inst
@@ -698,18 +713,6 @@ let run ~lowered ~graph ~schedule ~layout ?trip ?(mode = Execution) ?jitter
             ~size:mbytes.(n) ~value
     end
   in
-
-  if tracing then
-    emit
-      (Tr.Meta
-         {
-           clusters = nclusters;
-           mem_buses = nbuses;
-           msize;
-           ii;
-           vspan;
-           trip;
-         });
 
   (* ----- main loop ----- *)
   let vnow = ref 0 in
@@ -832,141 +835,189 @@ let run ~lowered ~graph ~schedule ~layout ?trip ?(mode = Execution) ?jitter
     else Icn.Bus.encode_state bus ~now:!now buf;
     Buffer.contents buf
   in
-  let note_state =
-    match (choices : Sim_types.chooser option) with
-    | Some { Sim_types.ch_note_state = Some f; _ } -> Some f
-    | _ -> None
-  in
+  let note_state = ref None in
 
+  (* ----- one run: reset in place, then simulate -----
+     Everything a run reads before writing goes back to its initial value
+     here: the wheel and the instance, MSHR and queue state, and, through
+     [Memsys.reset], the memory system and the interconnect. A fresh
+     engine is already in that state, so its first run skips the fills.
+     The payload arrays ([ev_*], [mq_inst], [mq_enq], [mshr_next]) and
+     [wh_tail] / [mshr_tail] are written before they are read, and the
+     grown capacities of every array are kept. *)
   let hard_limit = 50_000_000 in
-  while
-    !vnow < vspan || !pending_events > 0 || Icn.Bus.pending bus
-    || Icn.Directory.pending dir || !modq_total > 0
-  do
-    if !now > hard_limit then failwith "Sim.run: cycle limit exceeded (wedged)";
-    (* 1. events due this cycle, in insertion order *)
-    (if !now < !wheel_len then begin
-       let h = !wh_head.(!now) in
-       if h >= 0 then begin
-         !wh_head.(!now) <- -1;
-         !wh_tail.(!now) <- -1;
-         let e = ref h in
-         while !e >= 0 do
-           let nxt = !ev_next.(!e) in
-           decr pending_events;
-           run_event !e;
-           e := nxt
-         done
-       end
-     end);
-    (* 2. network: bus arbitration or ring/directory stepping. When an
-       external chooser is observing, offer it the canonical-state encoder
-       first — before the network mutates anything — in every cycle whose
-       network phase may consume a draw (a sound over-approximation:
-       queued-but-ungranted cycles note too). The chooser encodes only if
-       it needs the key. Within one cycle the *set* of draws is
-       independent of the values drawn (bus grants are bounded by free
-       buses, ring departures by link-entry serialization fixed before the
-       draw), so this one note plus the count of draws since it identifies
-       every branch point of the cycle. *)
-    (match note_state with
-    | Some note
-      when if dir_mode then Icn.Directory.due dir ~now:!now
-           else Icn.Bus.pending bus ->
-      note canonical_state
-    | _ -> ());
-    dispatch_network ();
-    (* 3. cache modules: one service per cluster per cycle *)
-    for c = 0 to nclusters - 1 do
-      if mq_count.(c) > 0 then begin
-        let h = mq_head.(c) in
-        if mq_enq.(c).(h) <= !now then begin
-          let inst = mq_inst.(c).(h) in
-          mq_head.(c) <- (h + 1) mod mq_cap.(c);
-          mq_count.(c) <- mq_count.(c) - 1;
-          decr modq_total;
-          service inst_home.(inst) inst
-        end
-      end
-    done;
-    (* 4. issue or stall *)
-    (if !vnow < vspan then begin
-       let lo = bucket_off.(!vnow) and hi = bucket_off.(!vnow + 1) in
-       (* blocker scan: 0 = clear, 1 = copy in flight, 2 = producer *)
-       let blk = ref 0 and blk_inst = ref (-1) in
-       let i = ref lo in
-       while !blk = 0 && !i < hi do
-         let tag = bk_tag.(!i) and k = bk_k.(!i) in
-         (if tag land 1 = 0 then begin
-            let n = tag lsr 1 in
-            let j = ref dep_off.(n) and dend = dep_off.(n + 1) in
-            while !blk = 0 && !j < dend do
-              let dist = dep_dist.(!j) in
-              (if k >= dist then begin
-                 let src_iter = k - dist in
-                 let cp = dep_copy.(!j) in
-                 if cp = -1 then begin
-                   let p = dep_src.(!j) in
-                   if reg_ready_at.((p * trip) + src_iter) > !now then begin
-                     blk := 2;
-                     blk_inst := (p * trip) + src_iter
-                   end
-                 end
-                 else if cp = -2 then blk := 1
-                 else if copy_ready_at.((cp * trip) + src_iter) > !now then
-                   blk := 1
-               end);
-              incr j
-            done
-          end
-          else begin
-            let p = copy_srcv.(tag lsr 1) in
-            if reg_ready_at.((p * trip) + k) > !now then begin
-              blk := 2;
-              blk_inst := (p * trip) + k
-            end
-          end);
-         incr i
-       done;
-       if !blk = 0 then begin
-         (if !stall_open >= 0 then begin
-            let started = !stall_open in
-            stall_open := -1;
-            if tracing then
-              emit (Tr.Stall_end { vcycle = !vnow; cycles = !now - started })
-          end);
-         if tracing then begin
-           let nops = ref 0 and ncps = ref 0 in
-           for t = lo to hi - 1 do
-             if bk_tag.(t) land 1 = 0 then incr nops else incr ncps
-           done;
-           emit (Tr.Issue { vcycle = !vnow; ops = !nops; copies = !ncps })
-         end;
-         for t = lo to hi - 1 do
-           issue_item bk_tag.(t) bk_k.(t)
-         done;
-         incr vnow
-       end
-       else begin
-         let cause =
-           if !blk = 1 then Tr.Copy_in_flight
-           else
-             match phase.(!blk_inst) with
-             | p when p = ph_on_bus || p = ph_resp_bus -> Tr.Bus_queue
-             | _ -> Tr.Load_in_flight
-         in
-         (match cause with
-         | Tr.Load_in_flight -> incr stall_load
-         | Tr.Copy_in_flight -> incr stall_copy
-         | Tr.Bus_queue -> incr stall_bus);
-         if !stall_open < 0 then begin
-           stall_open := !now;
-           if tracing then emit (Tr.Stall_begin { vcycle = !vnow; cause })
+  let used = ref false in
+  let exec ~jitter ~choices ~trace:sink =
+    trace := sink;
+    tracing := sink <> None;
+    note_state :=
+      (match (choices : chooser option) with
+      | Some { ch_note_state = Some f; _ } -> Some f
+      | _ -> None);
+    if !used then begin
+      now := 0;
+      pending_events := 0;
+      ev_n := 0;
+      Array.fill !wh_head 0 !wheel_len (-1);
+      Array.fill !mshr_head 0 !nsb (-1);
+      modq_total := 0;
+      Array.fill mq_head 0 nclusters 0;
+      Array.fill mq_count 0 nclusters 0;
+      Array.fill reg_ready_at 0 ninst max_int;
+      Array.fill reg_val 0 ninst 0L;
+      Array.fill copy_ready_at 0 (Array.length copy_ready_at) max_int;
+      Array.fill phase 0 ninst ph_none;
+      Array.fill inst_addr 0 ninst 0;
+      Array.fill inst_home 0 ninst 0;
+      Array.fill inst_val 0 ninst 0L;
+      vnow := 0;
+      stall_load := 0;
+      stall_copy := 0;
+      stall_bus := 0;
+      stall_open := -1
+    end;
+    used := true;
+    Memsys.reset ms ?jitter ?choices ~trace:sink ();
+    if !tracing then
+      emit
+        (Tr.Meta
+           {
+             clusters = nclusters;
+             mem_buses = nbuses;
+             msize;
+             ii;
+             vspan;
+             trip;
+           });
+    while
+      !vnow < vspan || !pending_events > 0 || Icn.Bus.pending bus
+      || Icn.Directory.pending dir || !modq_total > 0
+    do
+      if !now > hard_limit then failwith "Sim.run: cycle limit exceeded (wedged)";
+      (* 1. events due this cycle, in insertion order *)
+      (if !now < !wheel_len then begin
+         let h = !wh_head.(!now) in
+         if h >= 0 then begin
+           !wh_head.(!now) <- -1;
+           !wh_tail.(!now) <- -1;
+           let e = ref h in
+           while !e >= 0 do
+             let nxt = !ev_next.(!e) in
+             decr pending_events;
+             run_event !e;
+             e := nxt
+           done
          end
-       end
-     end);
-    incr now
-  done;
-
-  Memsys.finish ms ~compute:vspan ~stall_load:!stall_load
-    ~stall_copy:!stall_copy ~stall_bus:!stall_bus ~comm_ops:(ncopies * trip)
+       end);
+      (* 2. network: bus arbitration or ring/directory stepping. When an
+         external chooser is observing, offer it the canonical-state encoder
+         first — before the network mutates anything — in exactly the
+         cycles whose network phase consumes a draw ([draws] reads the
+         grant / departure condition the phase is about to test). The
+         chooser encodes only if it needs the key. Within one cycle the
+         *set* of draws is independent of the values drawn (bus grants are
+         bounded by free buses, ring departures by link-entry serialization
+         fixed before the draw), so this one note plus the count of draws
+         since it identifies every branch point of the cycle. *)
+      (match !note_state with
+      | Some note
+        when if dir_mode then Icn.Directory.draws dir ~now:!now
+             else Icn.Bus.draws bus ~now:!now ->
+        note canonical_state
+      | _ -> ());
+      dispatch_network ();
+      (* 3. cache modules: one service per cluster per cycle *)
+      for c = 0 to nclusters - 1 do
+        if mq_count.(c) > 0 then begin
+          let h = mq_head.(c) in
+          if mq_enq.(c).(h) <= !now then begin
+            let inst = mq_inst.(c).(h) in
+            mq_head.(c) <- (h + 1) mod mq_cap.(c);
+            mq_count.(c) <- mq_count.(c) - 1;
+            decr modq_total;
+            service inst_home.(inst) inst
+          end
+        end
+      done;
+      (* 4. issue or stall *)
+      (if !vnow < vspan then begin
+         let lo = bucket_off.(!vnow) and hi = bucket_off.(!vnow + 1) in
+         (* blocker scan: 0 = clear, 1 = copy in flight, 2 = producer *)
+         let blk = ref 0 and blk_inst = ref (-1) in
+         let i = ref lo in
+         while !blk = 0 && !i < hi do
+           let tag = bk_tag.(!i) and k = bk_k.(!i) in
+           (if tag land 1 = 0 then begin
+              let n = tag lsr 1 in
+              let j = ref dep_off.(n) and dend = dep_off.(n + 1) in
+              while !blk = 0 && !j < dend do
+                let dist = dep_dist.(!j) in
+                (if k >= dist then begin
+                   let src_iter = k - dist in
+                   let cp = dep_copy.(!j) in
+                   if cp = -1 then begin
+                     let p = dep_src.(!j) in
+                     if reg_ready_at.((p * trip) + src_iter) > !now then begin
+                       blk := 2;
+                       blk_inst := (p * trip) + src_iter
+                     end
+                   end
+                   else if cp = -2 then blk := 1
+                   else if copy_ready_at.((cp * trip) + src_iter) > !now then
+                     blk := 1
+                 end);
+                incr j
+              done
+            end
+            else begin
+              let p = copy_srcv.(tag lsr 1) in
+              if reg_ready_at.((p * trip) + k) > !now then begin
+                blk := 2;
+                blk_inst := (p * trip) + k
+              end
+            end);
+           incr i
+         done;
+         if !blk = 0 then begin
+           (if !stall_open >= 0 then begin
+              let started = !stall_open in
+              stall_open := -1;
+              if !tracing then
+                emit (Tr.Stall_end { vcycle = !vnow; cycles = !now - started })
+            end);
+           if !tracing then begin
+             let nops = ref 0 and ncps = ref 0 in
+             for t = lo to hi - 1 do
+               if bk_tag.(t) land 1 = 0 then incr nops else incr ncps
+             done;
+             emit (Tr.Issue { vcycle = !vnow; ops = !nops; copies = !ncps })
+           end;
+           for t = lo to hi - 1 do
+             issue_item bk_tag.(t) bk_k.(t)
+           done;
+           incr vnow
+         end
+         else begin
+           let cause =
+             if !blk = 1 then Tr.Copy_in_flight
+             else
+               match phase.(!blk_inst) with
+               | p when p = ph_on_bus || p = ph_resp_bus -> Tr.Bus_queue
+               | _ -> Tr.Load_in_flight
+           in
+           (match cause with
+           | Tr.Load_in_flight -> incr stall_load
+           | Tr.Copy_in_flight -> incr stall_copy
+           | Tr.Bus_queue -> incr stall_bus);
+           if !stall_open < 0 then begin
+             stall_open := !now;
+             if !tracing then emit (Tr.Stall_begin { vcycle = !vnow; cause })
+           end
+         end
+       end);
+      incr now
+    done;
+    Memsys.finish ms ~compute:vspan ~stall_load:!stall_load
+      ~stall_copy:!stall_copy ~stall_bus:!stall_bus ~comm_ops:(ncopies * trip)
+  in
+  (exec : t)

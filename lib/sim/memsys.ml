@@ -20,21 +20,26 @@ type t = {
   machine : M.t;
   sites : int;
   now : int ref;
-  trace : Tr.sink option;
-  tracing : bool;
+  (* the current run's sink and draws, set by [reset] *)
+  mutable trace : Tr.sink option;
+  mutable tracing : bool;
+  mutable draw : unit -> int;
   home_of : int -> int;
   subblock_of : int -> int;
   addrs_of : int -> int array;
   dir_mode : bool;
   prot_on : bool;
+  bus : Icn.Bus.t;
   dir : Icn.Directory.t;
-  jit : unit -> int;
-  (* memory image and coherence order: per byte, the newest store and the
+  (* memory image (each run works on its own copy of [init], which it
+     returns) and coherence order: per byte, the newest store and the
      newest access applied at home *)
-  mem : Bytes.t;
+  init : Bytes.t;
+  mutable mem : Bytes.t;
   last_store_seq : int array;
   last_any_seq : int array;
   oracle : Ir.Interp.result option;
+  warm : bool;
   modules : Cachemod.t array;
   abs : Attraction.t array;  (* the only record of replicas and their states *)
   (* per cluster and byte: the newest store this cluster has executed,
@@ -60,6 +65,7 @@ type t = {
   mutable invalidations : int;  (* replicas dropped to I by a remote store *)
   mutable upgrades : int;  (* S -> M upgrades (bus / directory traffic) *)
   mutable exclusive_hits : int;  (* silent E -> M upgrades (MESI only) *)
+  mutable used : bool;  (* a run started since [create] *)
 }
 
 let emit t ~cluster p =
@@ -94,26 +100,12 @@ let make_jit ~trace ~now ?jitter ?choices () =
       incr draw_ix;
       v
 
-let create ~machine ~mem ~sites ~trip ~mode ~warm ?jitter ?choices ~trace ~now
-    ~dir ~home_of ~subblock_of ~addrs_of () =
+let create ~machine ~mem ~sites ~trip ~mode ~warm ~now ~bus ~dir ~home_of
+    ~subblock_of ~addrs_of () =
   let nclusters = machine.M.clusters in
   let msize = Bytes.length mem in
   let oracle = match mode with Oracle r -> Some r | Execution -> None in
-  let modules =
-    Array.init nclusters (fun c -> Cachemod.create machine ~cluster:c)
-  in
-  (* warm-up: replay the reference address trace into the modules *)
-  (if warm then
-     match oracle with
-     | None -> invalid_arg "Sim.run: warm requires Oracle mode"
-     | Some r ->
-       Array.iter
-         (fun (ev : Ir.Interp.event) ->
-           ignore
-             (Cachemod.install
-                modules.(home_of ev.ev_addr)
-                ~subblock:(subblock_of ev.ev_addr)))
-         r.events);
+  if warm && oracle = None then invalid_arg "Sim.run: warm requires Oracle mode";
   let abs =
     match machine.M.attraction with
     | None -> [||]
@@ -125,20 +117,23 @@ let create ~machine ~mem ~sites ~trip ~mode ~warm ?jitter ?choices ~trace ~now
     machine;
     sites;
     now;
-    trace;
-    tracing = trace <> None;
+    trace = None;
+    tracing = false;
+    draw = (fun () -> 0);
     home_of;
     subblock_of;
     addrs_of;
     dir_mode = machine.M.interconnect = M.Directory;
     prot_on;
+    bus;
     dir;
-    jit = make_jit ~trace ~now ?jitter ?choices ();
-    mem;
+    init = mem;
+    mem = Bytes.empty;
     last_store_seq = Array.make msize (-1);
     last_any_seq = Array.make msize (-1);
     oracle;
-    modules;
+    warm;
+    modules = Array.init nclusters (fun c -> Cachemod.create machine ~cluster:c);
     abs;
     ab_exec_seq = Array.map (fun _ -> Array.make msize (-1)) abs;
     l2_free = Array.make machine.M.l2_ports 0;
@@ -151,9 +146,54 @@ let create ~machine ~mem ~sites ~trip ~mode ~warm ?jitter ?choices ~trace ~now
     local_hits = 0; remote_hits = 0; local_misses = 0; remote_misses = 0;
     combined = 0; ab_hits = 0; nullified = 0; violations = 0;
     invalidations = 0; upgrades = 0; exclusive_hits = 0;
+    used = false;
   }
 
-let jit t = t.jit
+let reset t ?jitter ?choices ~trace () =
+  t.trace <- trace;
+  t.tracing <- trace <> None;
+  t.draw <- make_jit ~trace ~now:t.now ?jitter ?choices ();
+  t.mem <- Bytes.copy t.init;
+  (* a memory system fresh from [create] is already in this state *)
+  if t.used then begin
+    Icn.Bus.reset t.bus;
+    Icn.Directory.reset t.dir;
+    Array.fill t.last_store_seq 0 (Array.length t.last_store_seq) (-1);
+    Array.fill t.last_any_seq 0 (Array.length t.last_any_seq) (-1);
+    Array.iter Cachemod.reset t.modules;
+    Array.iter Attraction.reset t.abs;
+    Array.iter (fun a -> Array.fill a 0 (Array.length a) (-1)) t.ab_exec_seq;
+    Array.fill t.l2_free 0 (Array.length t.l2_free) 0;
+    (* [p_addr], [p_size] and [p_lval] are written before they are read *)
+    t.pending <- [];
+    Array.fill t.p_done 0 (Array.length t.p_done) false;
+    Array.fill t.p_latched 0 (Array.length t.p_latched) false;
+    t.local_hits <- 0;
+    t.remote_hits <- 0;
+    t.local_misses <- 0;
+    t.remote_misses <- 0;
+    t.combined <- 0;
+    t.ab_hits <- 0;
+    t.nullified <- 0;
+    t.violations <- 0;
+    t.invalidations <- 0;
+    t.upgrades <- 0;
+    t.exclusive_hits <- 0
+  end;
+  t.used <- true;
+  (* warm-up: replay the reference address trace into the modules *)
+  match t.oracle with
+  | Some r when t.warm ->
+    Array.iter
+      (fun (ev : Ir.Interp.event) ->
+        ignore
+          (Cachemod.install
+             t.modules.(t.home_of ev.ev_addr)
+             ~subblock:(t.subblock_of ev.ev_addr)))
+      r.events
+  | _ -> ()
+
+let jit t () = t.draw ()
 
 (* ----- coherence order ----- *)
 

@@ -30,20 +30,36 @@ val create :
   trip:int ->
   mode:Sim_types.mode ->
   warm:bool ->
-  ?jitter:Vliw_util.Prng.t * int ->
-  ?choices:Sim_types.chooser ->
-  trace:Vliw_trace.Trace.sink option ->
   now:int ref ->
+  bus:Vliw_interconnect.Interconnect.Bus.t ->
   dir:Vliw_interconnect.Interconnect.Directory.t ->
   home_of:(int -> int) ->
   subblock_of:(int -> int) ->
   addrs_of:(int -> int array) ->
   unit ->
   t
-(** [mem] is the initial image, updated in place; [now] the engine's
-    clock. [warm] replays the oracle's address trace into the cache
-    modules. @raise Invalid_argument if [warm] is set outside [Oracle]
-    mode. *)
+(** [mem] is the initial image, which every run starts from (the
+    memory system keeps it, and each run works on its own copy); [now] the
+    engine's clock; [bus] and [dir] the engine's interconnect, fresh
+    from their [create], which {!reset} resets from the second run on.
+    Call {!reset} before each run. [warm] replays the oracle's address
+    trace into the cache modules at each reset.
+    @raise Invalid_argument if [warm] is set outside [Oracle] mode. *)
+
+val reset :
+  t ->
+  ?jitter:Vliw_util.Prng.t * int ->
+  ?choices:Sim_types.chooser ->
+  trace:Vliw_trace.Trace.sink option ->
+  unit ->
+  unit
+(** Start a run: the memory image, coherence order, cache modules,
+    Attraction Buffers, next-level ports, protocol latches, counters,
+    bus and directory (traffic counters and transaction ids included)
+    go back to the state {!create} left them in (a first run finds them
+    there), and the run takes its draws from [jitter] or [choices] and
+    traces into [trace]. A run abandoned partway (an exception from a
+    chooser) leaves nothing that survives this. *)
 
 val jit : t -> unit -> int
 (** The draw for one bus grant or ring hop: 0, a PRNG value in [0, j]
@@ -116,8 +132,9 @@ val writeback_ack : t -> cluster:int -> subblock:int -> unit
 val finish :
   t -> compute:int -> stall_load:int -> stall_copy:int -> stall_bus:int ->
   comm_ops:int -> Sim_types.stats
-(** Flush the Attraction Buffers and build the run's stats; the total is
-    the clock's current value. *)
+(** Flush the Attraction Buffers and build the run's stats, with the
+    run's own memory image, which no later run touches; the total is the
+    clock's current value. *)
 
 (** {1 State-key segments}
 

@@ -38,16 +38,28 @@ type chooser = Sim_types.chooser = {
 
 let accesses_total = Sim_types.accesses_total
 
+type prepared = Engine_wheel.t
+
+let exclusive what jitter choices =
+  match (jitter, choices) with
+  | Some _, Some _ ->
+    invalid_arg (what ^ ": ?jitter and ?choices are mutually exclusive")
+  | _ -> ()
+
+let prepare = Engine_wheel.prepare
+
+let exec (p : prepared) ?jitter ?choices ?trace () =
+  exclusive "Sim.exec" jitter choices;
+  p ~jitter ~choices ~trace
+
 let run ~lowered ~graph ~schedule ~layout ?trip ?mode ?jitter ?choices ?warm
     ?trace ?(engine = `Wheel) () =
-  (match (jitter, choices) with
-  | Some _, Some _ ->
-    invalid_arg "Sim.run: ?jitter and ?choices are mutually exclusive"
-  | _ -> ());
+  exclusive "Sim.run" jitter choices;
   match engine with
   | `Wheel ->
-    Engine_wheel.run ~lowered ~graph ~schedule ~layout ?trip ?mode ?jitter
-      ?choices ?warm ?trace ()
+    exec
+      (prepare ~lowered ~graph ~schedule ~layout ?trip ?mode ?warm ())
+      ?jitter ?choices ?trace ()
   | `Reference ->
     Engine_reference.run ~lowered ~graph ~schedule ~layout ?trip ?mode ?jitter
       ?choices ?warm ?trace ()

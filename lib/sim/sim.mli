@@ -104,12 +104,13 @@ type chooser = Sim_types.chooser = {
           [Prng.int]: once per bus grant, once per ring-packet hop. *)
   ch_note_state : ((unit -> string) -> unit) option;
       (** wheel engine only: called at the start of every cycle whose
-          network phase may consume a draw (the queue/bucket occupancy check
-          is a sound over-approximation) with the encoder of a canonical
-          serialization of the complete simulator state. The encoder reads
-          the state as it is during the call, before the network phase
-          runs, so a chooser that wants the string must call it inside the
-          callback; one that does not pays nothing. Two runs encoding equal
+          network phase will consume at least one draw (a bus is free for
+          a queued request, or a due packet's link is open), and of no
+          other cycle, with the encoder of a canonical serialization of
+          the complete simulator state. The encoder reads the state as it
+          is during the call, before the network phase runs, so a chooser
+          that wants the string must call it inside the callback; one
+          that does not pays nothing. Two runs encoding equal
           strings are in behaviorally identical states: every extension by
           the same future draws yields byte-identical final stats. The
           reference engine never calls it. *)
@@ -155,4 +156,46 @@ val run :
     flush, and store-replica nullification. With no sink the recording code
     costs one predictable branch per site. The emitted stream is exactly
     reproducible for identical inputs, and {!Vliw_trace.Audit} can re-derive
-    [violations] and [nullified] from it independently. *)
+    [violations] and [nullified] from it independently.
+
+    On the wheel engine this is [exec (prepare ...) ...]. *)
+
+(** {1 Reusing one engine}
+
+    A caller that simulates one compiled loop many times (the model
+    checker replays a schedule once per explored state; the fuzzer runs
+    each schedule nominally and jittered) prepares the wheel engine once
+    and executes it per run. *)
+
+type prepared
+(** A wheel engine built for one compiled loop: its static tables, the
+    initial memory image and every mutable array. It belongs to the
+    caller that prepared it: runs on it must not overlap (not from two
+    domains, and not from inside a chooser callback of its own run). *)
+
+val prepare :
+  lowered:Vliw_lower.Lower.t ->
+  graph:Vliw_ddg.Graph.t ->
+  schedule:Vliw_sched.Schedule.t ->
+  layout:Vliw_ir.Layout.t ->
+  ?trip:int ->
+  ?mode:mode ->
+  ?warm:bool ->
+  unit ->
+  prepared
+(** Build the wheel engine for the arguments {!run} takes, with the same
+    defaults and the same [Invalid_argument]s. *)
+
+val exec :
+  prepared ->
+  ?jitter:Vliw_util.Prng.t * int ->
+  ?choices:chooser ->
+  ?trace:Vliw_trace.Trace.sink ->
+  unit ->
+  stats
+(** One simulation on a prepared engine, from cycle 0: the engine's
+    state is reset in place first, so the result is byte-identical to a
+    fresh {!run} with the same arguments (stats, memory, trace events
+    and transaction ids, draw consumption), whatever ran on the engine
+    before — including a run abandoned by an exception from a chooser.
+    The returned memory image is the caller's own copy. *)

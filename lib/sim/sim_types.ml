@@ -6,7 +6,7 @@ type mode = Oracle of Vliw_ir.Interp.result | Execution
 (* Externalized nondeterminism: instead of drawing bus/ring jitter from a
    PRNG, an engine can be handed a [chooser] that resolves every draw and
    (on the wheel engine) is offered a canonical serialization of the
-   simulator state at the start of each cycle whose network phase may
+   simulator state at the start of each cycle whose network phase will
    draw. This is the transition-point API the bounded model checker
    ({!Vliw_check.Check}) explores. *)
 type chooser = {
@@ -15,9 +15,9 @@ type chooser = {
   ch_draw : bound:int -> int;
       (* resolve the next draw; [bound] = ch_jitter + 1 alternatives *)
   ch_note_state : ((unit -> string) -> unit) option;
-      (* wheel engine only: once per cycle in which the network phase may
-         consume a draw, handed the encoder of the canonical pre-network
-         state; valid only inside the callback *)
+      (* wheel engine only: once per cycle in which the network phase will
+         consume at least one draw, handed the encoder of the canonical
+         pre-network state; valid only inside the callback *)
 }
 
 type stats = {

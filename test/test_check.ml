@@ -332,6 +332,60 @@ let test_encoder_reads_only () =
           (Check.stats_equal encoding silent))
     [ "mf_dist1.lk"; "mf_dist1_dir.lk" ]
 
+(* --- chooser contract: a note comes only in a cycle that draws. Over
+   every litmus kernel and compiled schedule at bus x4 and directory x4,
+   at least one draw separates each note from the next, and follows the
+   last --- *)
+
+let test_notes_draw () =
+  let notes_total = ref 0 in
+  List.iter
+    (fun file ->
+      List.iter
+        (fun icn ->
+          let case = load file in
+          let case =
+            { case with Gen.g_mconf = Gen.mconf_with ~icn ~clusters:4 case.Gen.g_mconf }
+          in
+          List.iter
+            (fun (tech, compiled) ->
+              match compiled with
+              | Error _ -> ()
+              | Ok a ->
+                let tag =
+                  Printf.sprintf "%s at %s x4, %s" file icn
+                    (Diff.technique_name tech)
+                in
+                (* draws since the last note; -1 before the first note *)
+                let since = ref (-1) and draws = ref 0 in
+                let choices =
+                  {
+                    Sim.ch_jitter = 1;
+                    ch_note_state =
+                      Some
+                        (fun _ ->
+                          if !since = 0 then
+                            Alcotest.failf "%s: note %d after no draw" tag
+                              !notes_total;
+                          incr notes_total;
+                          since := 0);
+                    ch_draw =
+                      (fun ~bound:_ ->
+                        incr draws;
+                        if !since >= 0 then incr since;
+                        !draws land 1);
+                  }
+                in
+                ignore
+                  (Sim.run ~lowered:a.Diff.a_lowered ~graph:a.Diff.a_graph
+                     ~schedule:a.Diff.a_schedule ~layout:a.Diff.a_layout
+                     ~choices ());
+                if !since = 0 then Alcotest.failf "%s: last note drew nothing" tag)
+            (Diff.compile_all case))
+        [ "bus"; "directory" ])
+    (litmus_files ());
+  Alcotest.(check bool) "notes seen" true (!notes_total > 0)
+
 let () =
   Alcotest.run "check"
     [
@@ -366,5 +420,7 @@ let () =
             test_chooser_exclusive_with_jitter;
           Alcotest.test_case "encoder reads state only" `Quick
             test_encoder_reads_only;
+          Alcotest.test_case "every note is followed by a draw" `Quick
+            test_notes_draw;
         ] );
     ]

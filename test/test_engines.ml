@@ -377,6 +377,142 @@ let test_allocation_budget () =
         "wheel engine allocates too much: %.0f minor words vs reference %.0f"
         wheel reference
 
+(* ----- a prepared engine reused across runs -----
+   Sim.exec resets the engine in place; every completed run on a reused
+   engine must equal a fresh Sim.run byte for byte, whatever ran on it
+   before — including a run a chooser abandoned partway — and so must
+   every canonical state key it notes. *)
+
+exception Abandon
+
+(* draws 1 twice, then abandons the run at its third draw *)
+let abandoning () =
+  let n = ref 0 in
+  {
+    Sim.ch_jitter = 1;
+    ch_note_state = None;
+    ch_draw =
+      (fun ~bound:_ ->
+        incr n;
+        if !n > 2 then raise Abandon;
+        1);
+  }
+
+let stats_string s =
+  let buf = Buffer.create 256 in
+  add_stats buf s;
+  Buffer.contents buf
+
+(* a run under alternating draws that encodes the state at its first 16
+   notes: its stats and those keys in note order *)
+let noted run =
+  let keys = ref [] and notes = ref 0 and n = ref 0 in
+  let st =
+    run
+      {
+        Sim.ch_jitter = 1;
+        ch_note_state =
+          Some
+            (fun encode ->
+              incr notes;
+              if !notes <= 16 then keys := encode () :: !keys);
+        ch_draw =
+          (fun ~bound:_ ->
+            incr n;
+            !n land 1);
+      }
+  in
+  (stats_string st, List.rev !keys)
+
+let test_prepared_reuse () =
+  let abandoned = ref 0 and cases = ref 0 in
+  for i = 0 to 99 do
+    match compile (Gen.generate ~seed:1 ~budget:30 i) with
+    | None -> ()
+    | Some (_, layout, low, graph, schedule) ->
+      incr cases;
+      let engine = Sim.prepare ~lowered:low ~graph ~schedule ~layout () in
+      let reused ~jitter ~choices ~trace =
+        Sim.exec engine ?jitter ?choices ?trace ()
+      and fresh ~jitter ~choices ~trace =
+        Sim.run ~lowered:low ~graph ~schedule ~layout ?jitter ?choices ?trace ()
+      in
+      let same tag ?(traced = false) ?jseed ?(abandon = false) () =
+        let tag = Printf.sprintf "case %d %s" i tag in
+        (* every run gets its own jitter stream, chooser and sink *)
+        let go run =
+          let trace = if traced then Some (Trace.create ()) else None in
+          let jitter =
+            Option.map
+              (fun s -> (Prng.derive_named (Prng.create s) "engines", 3))
+              jseed
+          in
+          let choices = if abandon then Some (abandoning ()) else None in
+          (run ~jitter ~choices ~trace, trace)
+        in
+        match go reused with
+        | exception Abandon -> incr abandoned
+        | r, tr ->
+          let f, tf = go fresh in
+          Alcotest.(check string) (tag ^ ": stats and memory") (stats_string f)
+            (stats_string r);
+          Option.iter (fun tr -> check_traces_equal tag tr (Option.get tf)) tr
+      in
+      same "nominal" ();
+      same "jitter 7" ~jseed:7 ();
+      same "jitter 23" ~jseed:23 ();
+      same "jitter 41" ~jseed:41 ();
+      same "traced" ~traced:true ~jseed:7 ();
+      same "abandoned" ~abandon:true ();
+      (let run r choices = r ~jitter:None ~choices:(Some choices) ~trace:None in
+       let fs, fk = noted (run fresh) and rs, rk = noted (run reused) in
+       Alcotest.(check string)
+         (Printf.sprintf "case %d noted: stats and memory" i)
+         fs rs;
+       Alcotest.(check int)
+         (Printf.sprintf "case %d noted: keys" i)
+         (List.length fk) (List.length rk);
+       List.iteri
+         (fun n (f, r) ->
+           if f <> r then Alcotest.failf "case %d noted: state key %d differs" i n)
+         (List.combine fk rk));
+      same "nominal again" ~traced:true ()
+  done;
+  if !cases < 50 || !abandoned < !cases / 2 then
+    Alcotest.failf "sweep too weak: %d cases compiled, %d runs abandoned" !cases
+      !abandoned
+
+let litmus_dir =
+  if Sys.file_exists "litmus" then "litmus" else Filename.concat "test" "litmus"
+
+(* after its first run, a prepared engine's runs allocate nothing
+   directly in the major heap: prepare allocated every array, and the
+   first run grew any that needed it *)
+let test_prepared_major_heap () =
+  let case = Gen.load (Filename.concat litmus_dir "carried.lk") in
+  let case =
+    {
+      case with
+      Gen.g_mconf = Gen.mconf_with ~icn:"directory" ~clusters:4 case.Gen.g_mconf;
+    }
+  in
+  match Vliw_fuzz.Diff.compile case Vliw_fuzz.Diff.Mdc with
+  | Error e -> Alcotest.failf "carried does not schedule: %s" e
+  | Ok a ->
+    let engine =
+      Sim.prepare ~lowered:a.Vliw_fuzz.Diff.a_lowered ~graph:a.a_graph
+        ~schedule:a.a_schedule ~layout:a.a_layout ()
+    in
+    ignore (Sim.exec engine ());
+    let direct () =
+      let _, promoted, major = Gc.counters () in
+      major -. promoted
+    in
+    let before = direct () in
+    ignore (Sys.opaque_identity (Sim.exec engine ()));
+    Alcotest.(check (float 0.)) "words allocated directly in the major heap" 0.
+      (direct () -. before)
+
 let () =
   Alcotest.run "engines"
     [
@@ -400,5 +536,14 @@ let () =
             test_bus_extraction_regression;
         ] );
       ( "allocation",
-        [ Alcotest.test_case "traced-off wheel budget" `Quick test_allocation_budget ] );
+        [
+          Alcotest.test_case "traced-off wheel budget" `Quick test_allocation_budget;
+          Alcotest.test_case "prepared engine: no major-heap words per run" `Quick
+            test_prepared_major_heap;
+        ] );
+      ( "reuse",
+        [
+          Alcotest.test_case "prepared engine equals fresh runs, cases 0-99" `Slow
+            test_prepared_reuse;
+        ] );
     ]
