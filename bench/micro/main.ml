@@ -22,6 +22,13 @@
                                   work): through Sim.run, which builds an
                                   engine, and through Sim.exec on one
                                   prepared engine
+   - check/encode-carried         the prepared replay again, encoding the
+                                  state key at every note (less
+                                  replay-prepared: the encodes' cost)
+   - check/resume-carried         Sim.resume of that engine from the
+                                  checkpoint of the replay's middle note:
+                                  the checker's cost per sibling, against
+                                  replay-prepared's from cycle 0
    - check/explore-carried        the whole Check.explore of that schedule
                                   at the kernel's jitter
 
@@ -157,6 +164,21 @@ let () =
     Sim.prepare ~lowered:c.a_lowered ~graph:c.a_graph ~schedule:c.a_schedule
       ~layout:c.a_layout ()
   in
+  let noting note = { zeros with Sim.ch_note_state = Some note } in
+  let encoding = noting (fun encode -> ignore (Sys.opaque_identity (encode ()))) in
+  let middle =
+    let notes = ref 0 in
+    ignore (Sim.exec prepared ~choices:(noting (fun _ -> incr notes)) ());
+    let seen = ref 0 and k = ref None in
+    ignore
+      (Sim.exec prepared
+         ~choices:
+           (noting (fun _ ->
+                incr seen;
+                if !seen = (!notes + 1) / 2 then k := Some (Sim.checkpoint prepared)))
+         ());
+    Option.get !k
+  in
   Printf.printf
     "sched/attempt-*: epicdec/%s, NOBAL-mem, DDGT, PrefClus: II %d (MII) \
      fails, II %d succeeds\n"
@@ -203,6 +225,13 @@ let () =
             Test.make ~name:"replay-prepared"
               (Staged.stage (fun () ->
                    ignore (Sys.opaque_identity (Sim.exec prepared ~choices:zeros ()))));
+            Test.make ~name:"encode-carried"
+              (Staged.stage (fun () ->
+                   ignore (Sys.opaque_identity (Sim.exec prepared ~choices:encoding ()))));
+            Test.make ~name:"resume-carried"
+              (Staged.stage (fun () ->
+                   ignore
+                     (Sys.opaque_identity (Sim.resume prepared middle ~choices:zeros ()))));
             Test.make ~name:"explore-carried"
               (Staged.stage (fun () ->
                    ignore

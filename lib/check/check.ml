@@ -2,15 +2,17 @@
    nondeterminism space of a compiled kernel. Every source of
    nondeterminism in a run funnels through one jitter draw per bus grant
    or ring hop, so enumerating draw scripts (branching factor jitter+1)
-   enumerates every reachable execution. Exploration is stateless /
-   replay-based in the spirit of Qadeer's SC-verification work: a branch
-   is revisited by re-running the simulator from cycle 0 under a forced
-   draw prefix (on one engine prepared per schedule and reset in place
-   per run), and cross-branch pruning is justified by the engine's
-   canonical state serialization — a pruned prefix has reached a
-   (pre-network state, intra-cycle draw offset) pair some earlier run
-   already expanded, and equal keys imply byte-identical final stats
-   under equal future draws, so its whole subtree is a duplicate. *)
+   enumerates every reachable execution, in the spirit of Qadeer's
+   SC-verification work. A branch is revisited by resuming the simulator
+   from a checkpoint of the cycle it branches in (on one engine prepared
+   per schedule) and replaying only that cycle's earlier draws; the
+   sampled reference-engine leaves and the merge-sample property still
+   replay whole scripts from cycle 0 on fresh engines. Cross-branch
+   pruning is justified by the engine's canonical state serialization —
+   a pruned prefix has reached a (pre-network state, intra-cycle draws)
+   pair some earlier run already expanded, and equal keys imply
+   byte-identical final stats under equal future draws, so its whole
+   subtree is a duplicate. *)
 
 module G = Vliw_ddg.Graph
 module S = Vliw_sched.Schedule
@@ -20,7 +22,7 @@ module Sim = Vliw_sim.Sim
 module Trace = Vliw_trace.Trace
 module V = Vliw_verify.Verify
 module Diag = Vliw_util.Diag
-module Dec = Vliw_util.Dec
+module Codec = Vliw_util.Codec
 module Diff = Vliw_fuzz.Diff
 module Gen = Vliw_fuzz.Gen
 module Oracle = Vliw_fuzz.Oracle
@@ -88,13 +90,37 @@ let replay ~lowered ~graph ~schedule ~layout ?trip ~jitter ~script
   Sim.run ~lowered ~graph ~schedule ~layout ?trip ~mode:Sim.Execution
     ~choices:chooser ?trace ~engine ()
 
+(* A visited key: the canonical state of a branch point's cycle and the
+   draws made earlier in that cycle, kept apart. *)
+module Key = struct
+  type t = { state : string; intra : string }
+
+  let equal a b = String.equal a.state b.state && String.equal a.intra b.intra
+  let hash k = Hashtbl.seeded_hash (Hashtbl.hash k.intra) k.state
+end
+
+module Visited = Hashtbl.Make (Key)
+
+(* A pending sibling: its whole draw prefix from cycle 0, newest draw (the
+   branch) first, and where to resume it — the state key and the
+   checkpoint of the cycle holding that draw, and how many draws came
+   before that cycle. The root has no checkpoint and runs from cycle 0.
+   Prefixes are kept newest first so that the prefixes one run pushes and
+   records share their common tail. *)
+type branch = {
+  b_prefix_rev : int list;
+  b_state : string;
+  b_from : Sim.checkpoint option;
+  b_skip : int;
+}
+
 let explore ~lowered ~graph ~schedule ~layout ?trip ~jitter ~expected
     ~certified ?(config = default_config) () =
-  (* visited key -> the draw prefix that first reached it *)
-  let visited : (string, int list) Hashtbl.t = Hashtbl.create 1024 in
-  (* pending draw prefixes, each with the state string of the cycle that
-     holds its last draw (unused for the empty root prefix) *)
-  let stack = ref [ ([], "") ] in
+  (* visited key -> the draw prefix that first reached it, newest first *)
+  let visited : int list Visited.t = Visited.create 1024 in
+  let stack =
+    ref [ { b_prefix_rev = []; b_state = ""; b_from = None; b_skip = 0 } ]
+  in
   let frontier = ref 1 in
   let frontier_max = ref 1 in
   let states = ref 0 and pruned = ref 0 and leaves = ref 0 in
@@ -104,64 +130,86 @@ let explore ~lowered ~graph ~schedule ~layout ?trip ~jitter ~expected
   let merge_samples = ref [] and merge_count = ref 0 in
   let counterexample = ref None in
   let capped = ref false in
-  (* one engine for the whole exploration: every run resets it in place
-     and replays from cycle 0, so replay stays stateless *)
+  (* one engine for the whole exploration *)
   let engine =
     Sim.prepare ~lowered ~graph ~schedule ~layout ?trip ~mode:Sim.Execution ()
   in
-  (* Run the simulator with the draw prefix [script] forced; the first
-     draw past the prefix is a fresh branch point: its state key is
-     looked up in [visited] (prune on hit — the subtree is a duplicate),
-     its siblings (values 1..bound-1) are pushed, and the run continues
-     down the 0 branch, repeating at each further fresh draw until a
-     leaf. Key = the canonical pre-network state of the draw's cycle
-     plus the values drawn earlier in the same cycle: within a cycle the
-     set of draw sites is fixed before any value is drawn, so this pair
+  let intra = Codec.create 16 in
+  (* Run one branch: resume its cycle's checkpoint (the root runs from
+     cycle 0), replay that cycle's draws up to the branch, then continue.
+     Each draw past the prefix is a fresh branch point: its key is looked
+     up in [visited] (prune on hit — the subtree is a duplicate), its
+     siblings (values 1..bound-1) are pushed, and the run continues down
+     the 0 branch, repeating at each further fresh draw until a leaf.
+     Key = the canonical pre-network state of the draw's cycle plus the
+     values drawn earlier in the same cycle: within a cycle the set of
+     draw sites is fixed before any value is drawn, so this pair
      identifies the branch point exactly.
-     The state is encoded only once the whole prefix has been consumed:
-     a fresh draw can fall no earlier than the cycle of the prefix's last
-     draw, and until a later cycle notes, that cycle's state is exactly
-     [prefix_state], the string the run that pushed this prefix held when
-     it drew there (the run replayed the same earlier draws, and the
-     state is taken before any draw of its cycle). *)
-  let run_prefix (prefix, prefix_state) =
-    let script = Array.of_list prefix in
+     Every note of a run comes after its prefix: the prefix ends in the
+     cycle the run resumes in, which is not noted again. Until the next
+     note, that cycle's state is [b_state], the key the run that pushed
+     this branch held when it drew there. At a note whose first draw
+     will register a new state (its key with no earlier draw in the
+     cycle is new), the run takes the cycle's checkpoint for the
+     siblings it is about to push; a cycle whose first draw is pruned or
+     capped ends the run before any push. *)
+  let run_branch b =
+    let script = Array.of_list (List.rev b.b_prefix_rev) in
     let n_prefix = Array.length script in
-    let depth = ref 0 in
-    let draws_rev = ref [] in
-    let last_state = ref prefix_state in
-    let intra = Buffer.create 16 in
+    let depth = ref b.b_skip in
+    (* the draws before the resumed cycle *)
+    let rec drop n l = if n = 0 then l else drop (n - 1) (List.tl l) in
+    let draws_rev = ref (drop (n_prefix - b.b_skip) b.b_prefix_rev) in
+    let last_state = ref b.b_state in
+    let cycle_from = ref b.b_from and cycle_skip = ref b.b_skip in
+    Codec.clear intra;
     let chooser =
       {
         Sim.ch_jitter = jitter;
         ch_note_state =
           Some
             (fun encode ->
-              if !depth >= n_prefix then last_state := encode ();
-              Buffer.clear intra);
+              let state = encode () in
+              last_state := state;
+              cycle_skip := !depth;
+              cycle_from :=
+                if
+                  jitter > 0
+                  && !states < config.c_max_states
+                  && not (Visited.mem visited { Key.state; intra = "" })
+                then Some (Sim.checkpoint engine)
+                else None;
+              Codec.clear intra);
         ch_draw =
           (fun ~bound ->
             let v =
               if !depth < n_prefix then script.(!depth)
               else begin
-                let key = !last_state ^ "\x00" ^ Buffer.contents intra in
-                let below = List.rev !draws_rev in
-                (match Hashtbl.find_opt visited key with
+                let key = { Key.state = !last_state; intra = Codec.contents intra } in
+                (match Visited.find_opt visited key with
                 | Some first ->
                   incr pruned;
                   incr merge_count;
                   if List.length !merge_samples < merge_samples_kept then
-                    merge_samples := (first, below) :: !merge_samples;
+                    merge_samples :=
+                      (List.rev first, List.rev !draws_rev) :: !merge_samples;
                   raise Pruned
                 | None -> ());
                 if !states >= config.c_max_states then begin
                   capped := true;
                   raise Capped
                 end;
-                Hashtbl.add visited key below;
+                Visited.add visited key !draws_rev;
                 incr states;
                 for v = bound - 1 downto 1 do
-                  stack := (below @ [ v ], !last_state) :: !stack;
+                  stack :=
+                    {
+                      b_prefix_rev = v :: !draws_rev;
+                      b_state = !last_state;
+                      b_from = !cycle_from;
+                      b_skip = !cycle_skip;
+                    }
+                    :: !stack;
                   incr frontier
                 done;
                 frontier_max := max !frontier_max !frontier;
@@ -170,12 +218,15 @@ let explore ~lowered ~graph ~schedule ~layout ?trip ~jitter ~expected
             in
             incr depth;
             draws_rev := v :: !draws_rev;
-            Dec.add_int intra v;
-            Buffer.add_char intra ',';
+            Codec.int intra v;
             v);
       }
     in
-    match Sim.exec engine ~choices:chooser () with
+    match
+      match b.b_from with
+      | None -> Sim.exec engine ~choices:chooser ()
+      | Some k -> Sim.resume engine k ~choices:chooser ()
+    with
     | stats -> Some (stats, List.rev !draws_rev)
     | exception Pruned -> None
   in
@@ -232,7 +283,7 @@ let explore ~lowered ~graph ~schedule ~layout ?trip ~jitter ~expected
        | p :: rest ->
          stack := rest;
          decr frontier;
-         (match run_prefix p with
+         (match run_branch p with
          | Some (stats, script) -> handle_leaf stats script
          | None -> ())
      done

@@ -18,7 +18,12 @@
     memory; any counterexample carries its draw script (replayable with
     {!replay}) and is cross-referenced to the proof rules it defeats
     ({!Vliw_verify.Verify.refutation}). A sampled subset of leaves is
-    re-run on the reference engine, which must agree byte-for-byte. *)
+    re-run on the reference engine, which must agree byte-for-byte.
+
+    Each explored branch resumes from a checkpoint of the cycle it
+    branches in ({!Vliw_sim.Sim.resume}) and replays only that cycle's
+    earlier draws; those sampled reference-engine leaves, like
+    {!replay}, run whole scripts from cycle 0 on fresh engines. *)
 
 type config = {
   c_max_states : int;  (** abort exploration past this many distinct states *)

@@ -3,7 +3,7 @@
    and reference engines agree bit-for-bit by construction. *)
 
 module M = Vliw_arch.Machine
-module Dec = Vliw_util.Dec
+module Codec = Vliw_util.Codec
 
 type source_order = Global_fifo | Per_link_fifo | Unordered
 
@@ -75,14 +75,6 @@ module Bus = struct
       txn_counter = 0;
     }
 
-  (* Back to [create]'s state: an empty queue (which keeps the capacity
-     it grew to), idle buses, transaction ids from 0 *)
-  let reset t =
-    Array.fill t.bus_free 0 (Array.length t.bus_free) 0;
-    t.head <- 0;
-    t.len <- 0;
-    t.txn_counter <- 0
-
   let grow t =
     let cap' = t.cap * 2 in
     let regrow_int r =
@@ -127,18 +119,11 @@ module Bus = struct
      only feed the [Bus_grant] trace fields, never arbitration, and
      [q_ready] always equals its request cycle, which is [<= now] by the
      time any dispatch can observe it. *)
-  let encode_state t ~now buf =
-    Buffer.add_char buf 'B';
-    Array.iter
-      (fun f ->
-        Dec.add_int buf (max 0 (f - now));
-        Buffer.add_char buf ',')
-      t.bus_free;
-    Buffer.add_char buf '|';
+  let encode_state t ~now c =
+    Array.iter (fun f -> Codec.int c (max 0 (f - now))) t.bus_free;
+    Codec.int c t.len;
     for i = 0 to t.len - 1 do
-      let j = (t.head + i) mod t.cap in
-      Dec.add_int buf t.q_payload.(j);
-      Buffer.add_char buf ','
+      Codec.int c t.q_payload.((t.head + i) mod t.cap)
     done
 
   let dispatch t ~now ~jit ~grant =
@@ -157,6 +142,38 @@ module Bus = struct
         end
       end
     done
+
+  (* checkpoints: the busy horizons, the queue in FIFO order (four ints
+     per entry) and the next transaction id *)
+  type snapshot = { k_bus_free : int array; k_queue : int array; k_txn : int }
+
+  let capture t =
+    let q = Array.make (4 * t.len) 0 in
+    for i = 0 to t.len - 1 do
+      let j = (t.head + i) mod t.cap in
+      q.(4 * i) <- t.q_ready.(j);
+      q.((4 * i) + 1) <- t.q_req.(j);
+      q.((4 * i) + 2) <- t.q_txn.(j);
+      q.((4 * i) + 3) <- t.q_payload.(j)
+    done;
+    { k_bus_free = Array.copy t.bus_free; k_queue = q; k_txn = t.txn_counter }
+
+  let restore t k =
+    let n = Array.length k.k_queue / 4 in
+    t.head <- 0;
+    t.len <- 0;
+    while t.cap < n do
+      grow t
+    done;
+    for i = 0 to n - 1 do
+      t.q_ready.(i) <- k.k_queue.(4 * i);
+      t.q_req.(i) <- k.k_queue.((4 * i) + 1);
+      t.q_txn.(i) <- k.k_queue.((4 * i) + 2);
+      t.q_payload.(i) <- k.k_queue.((4 * i) + 3)
+    done;
+    t.len <- n;
+    Array.blit k.k_bus_free 0 t.bus_free 0 (Array.length t.bus_free);
+    t.txn_counter <- k.k_txn
 end
 
 (* ------------------------------------------------------------------ *)
@@ -229,8 +246,8 @@ module Directory = struct
       hop_latency;
       link_free = Array.make (2 * clusters) 0;
       link_last = Array.make (2 * clusters) 0;
-      buckets = Hashtbl.create 64;
-      entries = Hashtbl.create 512;
+      buckets = Hashtbl.create 16;
+      entries = Hashtbl.create 16;
       txn_counter = 0;
       in_flight = 0;
       lookups = 0;
@@ -238,21 +255,6 @@ module Directory = struct
       writebacks = 0;
       hops = 0;
     }
-
-  (* Back to [create]'s state: idle links, no packet in flight, no
-     sharer recorded, counters and transaction ids from 0.
-     [Hashtbl.clear] keeps the tables' grown bucket arrays. *)
-  let reset t =
-    Array.fill t.link_free 0 (Array.length t.link_free) 0;
-    Array.fill t.link_last 0 (Array.length t.link_last) 0;
-    Hashtbl.clear t.buckets;
-    Hashtbl.clear t.entries;
-    t.txn_counter <- 0;
-    t.in_flight <- 0;
-    t.lookups <- 0;
-    t.invalidates <- 0;
-    t.writebacks <- 0;
-    t.hops <- 0
 
   let pending t = t.in_flight > 0
 
@@ -359,75 +361,59 @@ module Directory = struct
      one (empty mask). [in_flight] is derivable from the buckets.
      The traffic counters are included because they surface in the final
      run stats. *)
-  let encode_state t ~now buf =
-    let int v = Dec.add_int buf v in
-    let field v =
-      int v;
-      Buffer.add_char buf ','
-    in
-    let pair tag a b =
-      Buffer.add_char buf tag;
-      int a;
-      Buffer.add_char buf '.';
-      int b
-    in
-    Buffer.add_char buf 'D';
-    Array.iter (fun f -> field (max 0 (f - now))) t.link_free;
-    Buffer.add_char buf '|';
-    Array.iter (fun f -> field (max 0 (f - now))) t.link_last;
-    let add_delivery = function
+  let encode_state t ~now c =
+    Array.iter (fun f -> Codec.int c (max 0 (f - now))) t.link_free;
+    Array.iter (fun f -> Codec.int c (max 0 (f - now))) t.link_last;
+    let delivery = function
       | Request x ->
-        Buffer.add_char buf 'R';
-        int x
+        Codec.byte c 0;
+        Codec.int c x
       | Response x ->
-        Buffer.add_char buf 'r';
-        int x
-      | Invalidate { subblock; home } -> pair 'I' subblock home
-      | Writeback_ack { subblock; from } -> pair 'W' subblock from
+        Codec.byte c 1;
+        Codec.int c x
+      | Invalidate { subblock; home } ->
+        Codec.byte c 2;
+        Codec.int c subblock;
+        Codec.int c home
+      | Writeback_ack { subblock; from } ->
+        Codec.byte c 3;
+        Codec.int c subblock;
+        Codec.int c from
     in
     let cycles =
-      Hashtbl.fold (fun c _ acc -> c :: acc) t.buckets []
-      |> List.sort compare
+      Hashtbl.fold (fun c _ acc -> c :: acc) t.buckets [] |> List.sort Int.compare
     in
+    Codec.int c (List.length cycles);
     List.iter
-      (fun c ->
-        let l = Hashtbl.find t.buckets c in
-        Buffer.add_string buf "|@";
-        int (c - now);
-        Buffer.add_char buf ':';
+      (fun cy ->
+        let l = List.rev !(Hashtbl.find t.buckets cy) in
+        Codec.int c (cy - now);
+        Codec.int c (List.length l);
         List.iter
           (fun p ->
-            Buffer.add_char buf '(';
-            field p.p_dst;
-            field p.p_dir;
-            field p.p_at;
-            Dec.add_bool buf p.p_arrived;
-            Buffer.add_char buf ',';
-            add_delivery p.p_payload;
-            Buffer.add_char buf ')')
-          (List.rev !l))
+            Codec.int c p.p_dst;
+            Codec.int c p.p_dir;
+            Codec.int c p.p_at;
+            Codec.bool c p.p_arrived;
+            delivery p.p_payload)
+          l)
       cycles;
     let entries =
       Hashtbl.fold
-        (fun sb e acc ->
-          if e.e_mask = 0 then acc else (sb, e) :: acc)
+        (fun sb e acc -> if e.e_mask = 0 then acc else (sb, e.e_mask) :: acc)
         t.entries []
-      |> List.sort compare
+      |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
     in
-    Buffer.add_char buf '|';
+    Codec.int c (List.length entries);
     List.iter
-      (fun (sb, e) ->
-        Buffer.add_char buf 'e';
-        int sb;
-        Buffer.add_char buf ':';
-        field e.e_mask;
-        Buffer.add_char buf ';')
+      (fun (sb, mask) ->
+        Codec.int c sb;
+        Codec.int c mask)
       entries;
-    Buffer.add_char buf '|';
-    field t.lookups;
-    field t.invalidates;
-    field t.writebacks;
-    int t.hops
+    Codec.int c t.lookups;
+    Codec.int c t.invalidates;
+    Codec.int c t.writebacks;
+    Codec.int c t.hops
 
   let step t ~now ~jit ~emit_hop ~deliver =
     match Hashtbl.find_opt t.buckets now with
@@ -475,4 +461,52 @@ module Directory = struct
       d_writebacks = t.writebacks;
       d_hops = t.hops;
     }
+
+  (* checkpoints: the link horizons, copies of the packets in flight per
+     bucket (a packet's position moves as it hops), every directory
+     entry, the counters and the next transaction id *)
+  type snapshot = {
+    k_link_free : int array;
+    k_link_last : int array;
+    k_buckets : (int * packet list) list;
+    k_entries : (int * int) list;
+    k_txn : int;
+    k_in_flight : int;
+    k_lookups : int;
+    k_invalidates : int;
+    k_writebacks : int;
+    k_hops : int;
+  }
+
+  let copy_packets l = List.map (fun p -> { p with p_txn = p.p_txn }) l
+
+  let capture t =
+    {
+      k_link_free = Array.copy t.link_free;
+      k_link_last = Array.copy t.link_last;
+      k_buckets =
+        Hashtbl.fold (fun cy l acc -> (cy, copy_packets !l) :: acc) t.buckets [];
+      k_entries = Hashtbl.fold (fun sb e acc -> (sb, e.e_mask) :: acc) t.entries [];
+      k_txn = t.txn_counter;
+      k_in_flight = t.in_flight;
+      k_lookups = t.lookups;
+      k_invalidates = t.invalidates;
+      k_writebacks = t.writebacks;
+      k_hops = t.hops;
+    }
+
+  (* [Hashtbl.clear] keeps the tables' grown bucket arrays *)
+  let restore t k =
+    Array.blit k.k_link_free 0 t.link_free 0 (Array.length t.link_free);
+    Array.blit k.k_link_last 0 t.link_last 0 (Array.length t.link_last);
+    Hashtbl.clear t.buckets;
+    List.iter (fun (cy, l) -> Hashtbl.add t.buckets cy (ref (copy_packets l))) k.k_buckets;
+    Hashtbl.clear t.entries;
+    List.iter (fun (sb, mask) -> Hashtbl.add t.entries sb { e_mask = mask }) k.k_entries;
+    t.txn_counter <- k.k_txn;
+    t.in_flight <- k.k_in_flight;
+    t.lookups <- k.k_lookups;
+    t.invalidates <- k.k_invalidates;
+    t.writebacks <- k.k_writebacks;
+    t.hops <- k.k_hops
 end

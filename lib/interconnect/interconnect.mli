@@ -74,10 +74,6 @@ module Bus : sig
 
   val create : buses:int -> latency:int -> t
 
-  val reset : t -> unit
-  (** Back to the state {!create} returned: idle buses, an empty queue,
-      transaction ids from 0. Allocates nothing. *)
-
   val request : t -> now:int -> int -> int
   (** Enqueue a transaction with the engine's payload; returns its fresh
       transaction id. *)
@@ -92,7 +88,7 @@ module Bus : sig
       otherwise — the model checker's "does the network branch this
       cycle" predicate. *)
 
-  val encode_state : t -> now:int -> Buffer.t -> unit
+  val encode_state : t -> now:int -> Vliw_util.Codec.t -> unit
   (** Append a canonical serialization of the bus state (busy horizons
       relativized to [now], queue payloads in FIFO order) for
       model-checking state keys. Transaction ids and request stamps are
@@ -112,6 +108,15 @@ module Bus : sig
       pop — the call site the engines' PRNG streams are pinned to.
       [lat] is the full transfer latency ([latency + jit ()]) and
       [arrival = now + lat]. *)
+
+  type snapshot
+  (** Busy horizons, the queued requests and the next transaction id. *)
+
+  val capture : t -> snapshot
+
+  val restore : t -> snapshot -> unit
+  (** Put the pool back in the captured state exactly; the queue keeps
+      the capacity it grew to. *)
 end
 
 (** {1 Directory: packet-switched ring + distributed directory} *)
@@ -138,11 +143,6 @@ module Directory : sig
 
   val create : clusters:int -> hop_latency:int -> t
 
-  val reset : t -> unit
-  (** Back to the state {!create} returned: idle links, no packet in
-      flight, no sharer recorded, traffic counters and transaction ids
-      from 0. Allocates nothing. *)
-
   val pending : t -> bool
   (** Packets still in flight (the engine main loops must keep running
       until the network drains). *)
@@ -154,7 +154,7 @@ module Directory : sig
       link do not draw) — the model checker's "does the network branch
       this cycle" predicate. *)
 
-  val encode_state : t -> now:int -> Buffer.t -> unit
+  val encode_state : t -> now:int -> Vliw_util.Codec.t -> unit
   (** Append a canonical serialization of the ring + directory state for
       model-checking state keys: link horizons relativized to [now],
       buckets in ascending-cycle order with packets in processing order,
@@ -210,4 +210,14 @@ module Directory : sig
       packet completes its final hop. *)
 
   val stats : t -> stats
+
+  type snapshot
+  (** Link horizons, the packets in flight, every directory entry, the
+      traffic counters and the next transaction id. *)
+
+  val capture : t -> snapshot
+
+  val restore : t -> snapshot -> unit
+  (** Put the ring and the directory back in the captured state exactly.
+      Allocates the restored packets and entries. *)
 end

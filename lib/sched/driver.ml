@@ -252,10 +252,15 @@ let run req g =
              and [assumed] now reads as it did for the attempt that built
              [!best]. So for a node that sources no RF edge (every store)
              the attempt would rebuild [!best], placement for placement,
-             under the raised latency; take that result without it. *)
+             under the raised latency; take that result without it. It
+             needs no validation either: validation reads the latency
+             through the same RF edges, and [!best] passed it. *)
           let attempt =
             if List.exists (fun (e : G.edge) -> e.e_kind = G.RF) (G.succs g nd.n_id)
-            then fun () -> Ims.attempt (ctx assumed) g ~ii:ii0
+            then fun () ->
+              match Ims.attempt (ctx assumed) g ~ii:ii0 with
+              | Some s when valid s -> Some s
+              | _ -> None
             else fun () -> Some { !best with assumed = Hashtbl.copy assumed }
           in
           let rec try_cands = function
@@ -263,8 +268,8 @@ let run req g =
             | lat :: rest -> (
               Hashtbl.replace assumed nd.n_id lat;
               match attempt () with
-              | Some s when valid s -> best := s
-              | _ ->
+              | Some s -> best := s
+              | None ->
                 Hashtbl.remove assumed nd.n_id;
                 try_cands rest)
           in

@@ -177,6 +177,14 @@ let check g ~nodes ~edges ~pinned ~grouped t =
   in
   let check_edges () =
     let buslat = m.M.reg_buses.M.bus_latency in
+    (* each edge's copy by endpoints and distance; the first in list order
+       wins, as [find_copy]'s does *)
+    let copy_of = Hashtbl.create 16 in
+    List.iter
+      (fun c ->
+        let k = (c.cp_src, c.cp_dst, c.cp_dist) in
+        if not (Hashtbl.mem copy_of k) then Hashtbl.add copy_of k c)
+      t.copies;
     first_err
       (List.map
          (fun (e : G.edge) () ->
@@ -186,7 +194,7 @@ let check g ~nodes ~edges ~pinned ~grouped t =
            let deadline = tdst + (t.ii * e.e_dist) in
            match e.e_kind with
            | G.RF when csrc <> cdst -> (
-             match find_copy t e with
+             match Hashtbl.find_opt copy_of (e.e_src, e.e_dst, e.e_dist) with
              | None ->
                err "cross-cluster RF edge %d->%d has no copy" e.e_src e.e_dst
              | Some c ->

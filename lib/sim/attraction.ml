@@ -1,6 +1,6 @@
 module M = Vliw_arch.Machine
 module C = Vliw_coherence.Coherence
-module Dec = Vliw_util.Dec
+module Codec = Vliw_util.Codec
 
 type entry = {
   mutable subblock : int;
@@ -23,46 +23,26 @@ type t = {
   mutable clock : int;
 }
 
-(* Every way invalid with zeroed data, stamps seeded, clock at 1: the
-   state [create] returns. The data is zeroed because an invalid way's
-   bytes are observable (see [encode_state]). *)
-let reset t =
-  for s = 0 to t.sets - 1 do
-    for w = 0 to t.assoc - 1 do
-      let e = t.entries.(s).(w) in
-      e.subblock <- -1;
-      Bytes.fill e.data 0 (Bytes.length e.data) '\000';
-      e.base <- 0;
-      e.state <- C.I;
-      e.sync <- -1;
-      e.written <- false;
-      t.stamp.((s * t.assoc) + w) <- -w
-    done
-  done;
-  t.clock <- 1
-
 let create machine =
   match machine.M.attraction with
   | None -> invalid_arg "Attraction.create: machine has no attraction buffers"
   | Some a ->
-    let sets = a.M.ab_entries / a.M.ab_assoc in
+    let sets = a.M.ab_entries / a.M.ab_assoc and assoc = a.M.ab_assoc in
     let sb = M.subblock_bytes machine in
-    let t =
-      {
-        machine;
-        sets;
-        assoc = a.M.ab_assoc;
-        entries =
-          Array.init sets (fun _ ->
-              Array.init a.M.ab_assoc (fun _ ->
-                  { subblock = -1; data = Bytes.create sb; base = 0;
-                    state = C.I; sync = -1; written = false }));
-        stamp = Array.make (sets * a.M.ab_assoc) 0;
-        clock = 1;
-      }
-    in
-    reset t;
-    t
+    (* every way invalid with zeroed data: an invalid way's bytes are
+       observable (see [encode_state]) *)
+    {
+      machine;
+      sets;
+      assoc;
+      entries =
+        Array.init sets (fun _ ->
+            Array.init assoc (fun _ ->
+                { subblock = -1; data = Bytes.make sb '\000'; base = 0;
+                  state = C.I; sync = -1; written = false }));
+      stamp = Array.init (sets * assoc) (fun i -> -(i mod assoc));
+      clock = 1;
+    }
 
 let set_of t subblock = subblock mod t.sets
 
@@ -219,6 +199,8 @@ let set_line_state t ~subblock state =
     invalid_arg "Attraction.set_line_state: no valid line to move";
   t.entries.(set_of t subblock).(w).state <- state
 
+let state_code = function C.I -> 0 | C.S -> 1 | C.E -> 2 | C.M_ -> 3
+
 (* Canonical serialization for model-checking state keys. Entries are
    encoded in way-index order (install prefers the first invalid way by
    index, so positions are observable), with each way's LRU stamp reduced
@@ -231,29 +213,22 @@ let set_line_state t ~subblock state =
    {!read} does not bounds-check against the image — be served to a load.
    Including them over-distinguishes harmlessly; excluding them could
    merge states with different observable futures. *)
-let encode_state t buf =
-  let field add v =
-    add buf v;
-    Buffer.add_char buf ','
-  in
+let encode_state t c =
   for s = 0 to t.sets - 1 do
     let base = s * t.assoc in
-    Buffer.add_char buf 'S';
     for w = 0 to t.assoc - 1 do
       let e = t.entries.(s).(w) in
       let rank = ref 0 in
       for v = base to base + t.assoc - 1 do
         if t.stamp.(v) > t.stamp.(base + w) then incr rank
       done;
-      field Dec.add_int e.subblock;
-      field Dec.add_int e.base;
-      field Dec.add_int e.sync;
-      field Dec.add_bool e.written;
-      field Buffer.add_string (C.state_name e.state);
-      Dec.add_int buf !rank;
-      Buffer.add_char buf '|';
-      Buffer.add_bytes buf e.data;
-      Buffer.add_char buf ';'
+      Codec.int c e.subblock;
+      Codec.int c e.base;
+      Codec.int c e.sync;
+      Codec.bool c e.written;
+      Codec.byte c (state_code e.state);
+      Codec.int c !rank;
+      Codec.bytes c e.data
     done
   done
 
@@ -268,3 +243,51 @@ let flush t =
         set)
     t.entries;
   !n
+
+(* ----- checkpoints: every way's fields and bytes, the stamps and the
+   clock ----- *)
+
+type snapshot = {
+  k_subblock : int array;
+  k_base : int array;
+  k_state : C.state array;
+  k_sync : int array;
+  k_written : bool array;
+  k_data : Bytes.t;
+  k_stamp : int array;
+  k_clock : int;
+}
+
+let ways t = t.sets * t.assoc
+let entry t i = t.entries.(i / t.assoc).(i mod t.assoc)
+
+let capture t =
+  let n = ways t and sb = Bytes.length t.entries.(0).(0).data in
+  let data = Bytes.create (n * sb) in
+  for i = 0 to n - 1 do
+    Bytes.blit (entry t i).data 0 data (i * sb) sb
+  done;
+  {
+    k_subblock = Array.init n (fun i -> (entry t i).subblock);
+    k_base = Array.init n (fun i -> (entry t i).base);
+    k_state = Array.init n (fun i -> (entry t i).state);
+    k_sync = Array.init n (fun i -> (entry t i).sync);
+    k_written = Array.init n (fun i -> (entry t i).written);
+    k_data = data;
+    k_stamp = Array.copy t.stamp;
+    k_clock = t.clock;
+  }
+
+let restore t k =
+  let sb = Bytes.length t.entries.(0).(0).data in
+  for i = 0 to ways t - 1 do
+    let e = entry t i in
+    e.subblock <- k.k_subblock.(i);
+    e.base <- k.k_base.(i);
+    e.state <- k.k_state.(i);
+    e.sync <- k.k_sync.(i);
+    e.written <- k.k_written.(i);
+    Bytes.blit k.k_data (i * sb) e.data 0 sb
+  done;
+  Array.blit k.k_stamp 0 t.stamp 0 (ways t);
+  t.clock <- k.k_clock

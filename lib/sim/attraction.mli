@@ -19,9 +19,6 @@ val create : Vliw_arch.Machine.t -> t
     with zeroed data.
     @raise Invalid_argument if the machine has no Attraction Buffers. *)
 
-val reset : t -> unit
-(** Back to the state {!create} returned. Allocates nothing. *)
-
 val lookup : t -> subblock:int -> bool
 (** Presence test + LRU bump. *)
 
@@ -65,7 +62,19 @@ val flush : t -> int
 (** Invalidate everything; returns the number of valid entries dropped
     (the flush work between loops). *)
 
-val encode_state : t -> Buffer.t -> unit
+val encode_state : t -> Vliw_util.Codec.t -> unit
 (** Append a canonical serialization of the buffer's complete state
     (entries in way order with their line states, LRU stamps reduced to
     ranks, data bytes included) for model-checking state keys. *)
+
+(** {1 Checkpoints} *)
+
+type snapshot
+(** Every way's tag, base, line state, sync mark, written bit and bytes,
+    the LRU stamps and the clock. *)
+
+val capture : t -> snapshot
+
+val restore : t -> snapshot -> unit
+(** Put the buffer back in the captured state exactly. Allocates
+    nothing. *)

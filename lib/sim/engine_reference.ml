@@ -103,7 +103,7 @@ let run ~lowered ~graph ~schedule ~layout ?trip ?(mode = Execution) ?jitter
         Array.of_list (M.addrs_of_subblock machine ~subblock))
       ()
   in
-  Memsys.reset ms ?jitter ?choices ~trace ();
+  Memsys.start ms ?jitter ?choices ~trace ();
   let jit = Memsys.jit ms in
   let send_bus ~cluster action =
     let txn = Icn.Bus.request bus ~now:!now (park action) in

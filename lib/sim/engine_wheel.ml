@@ -30,11 +30,14 @@
 
    The engine is built in two steps. [prepare] derives everything that
    depends only on the compiled loop (the tables above, the initial
-   memory image) and allocates every mutable array once; [exec] resets
-   that state in place and runs one simulation under its own draws and
-   trace sink. A model checker replaying one schedule thousands of times
-   pays for its simulated cycles, not for a new engine each time.
-   test/test_engines.ml pins every reused run to a fresh one. *)
+   memory image), allocates every mutable array once and takes a
+   checkpoint of that initial state; [exec] restores it in place and
+   runs one simulation under its own draws and trace sink. A checkpoint
+   taken at a note can be resumed the same way, from the network phase
+   of its cycle: a model checker exploring one schedule thousands of
+   times pays for the cycles after each branch, not for a new engine or
+   a replay of the prefix. test/test_engines.ml pins every reused and
+   every resumed run to a run from cycle 0. *)
 
 module G = Vliw_ddg.Graph
 module M = Vliw_arch.Machine
@@ -43,7 +46,7 @@ module L = Vliw_lower.Lower
 module Ir = Vliw_ir
 module Tr = Vliw_trace.Trace
 module Icn = Vliw_interconnect.Interconnect
-module Dec = Vliw_util.Dec
+module Codec = Vliw_util.Codec
 open Sim_types
 
 (* ----- node kinds (kindv) ----- *)
@@ -73,15 +76,54 @@ let ilog2 v =
 
 let is_pow2 v = v > 0 && v land (v - 1) = 0
 
-(* a prepared engine: one run per call *)
-type t =
-  jitter:(Vliw_util.Prng.t * int) option ->
-  choices:chooser option ->
-  trace:Tr.sink option ->
-  stats
+(* The engine's mutable state at a note (or fresh from [prepare]): what a
+   resumed run needs to continue from there exactly as the original run
+   did. The pending wheel events, the MSHR chains and the module queues
+   are kept as their live entries; an instance array holding one value
+   throughout is kept as that value ([Saved]). *)
+type checkpoint = {
+  c_engine : int;  (* the id of the engine that took it *)
+  c_now : int;
+  c_vnow : int;
+  c_stall_load : int;
+  c_stall_copy : int;
+  c_stall_bus : int;
+  c_stall_open : int;
+  c_events : int array;
+      (* pending events in execution order, six ints each: slot, kind,
+         a, b, c, d *)
+  c_mshr : int array;
+      (* per subblock with waiters: subblock, count, waiters in order *)
+  c_modq : int array;
+      (* per cluster: count, then (instance, enqueue cycle) pairs in FIFO
+         order *)
+  c_reg_ready_at : int Saved.t;
+  c_reg_val : int64 Saved.t;
+  c_copy_ready_at : int Saved.t;
+  c_phase : int Saved.t;
+  c_inst_addr : int Saved.t;
+  c_inst_home : int Saved.t;
+  c_inst_val : int64 Saved.t;
+  c_mem : Memsys.snapshot;
+}
 
-let prepare ~lowered ~graph ~schedule ~layout ?trip ?(mode = Execution)
-    ?(warm = false) () =
+(* a prepared engine *)
+type t = {
+  exec :
+    jitter:(Vliw_util.Prng.t * int) option ->
+    choices:chooser option ->
+    trace:Tr.sink option ->
+    stats;
+  capture : unit -> checkpoint;
+  resume : checkpoint -> choices:chooser option -> stats;
+}
+
+let next_id = Atomic.make 0
+
+(* [reusable:false] builds an engine for one run, which needs no
+   checkpoint of its initial state *)
+let prepare ?(reusable = true) ~lowered ~graph ~schedule ~layout ?trip
+    ?(mode = Execution) ?(warm = false) () =
   let machine = schedule.S.machine in
   let kernel = lowered.L.kernel in
   let trip = Option.value trip ~default:kernel.Ir.Ast.k_trip in
@@ -732,152 +774,413 @@ let prepare ~lowered ~graph ~schedule ~layout ?trip ?(mode = Execution)
      encoders, and trace-only fields (transaction ids, bus indices on
      in-flight arrivals, module-queue enqueue stamps, queue wait stamps)
      are excluded — see DESIGN §13 for the field-by-field argument.
-     One buffer serves every encoding of the run. *)
-  let buf = Buffer.create 16 in
+     Fields are written with [Codec]: fixed-length arrays as their
+     elements, variable ones with a count, a [-1] terminator or as a
+     length-prefixed section. One writer serves every encoding of the
+     run. *)
+  let codec = Codec.create 256 in
+  (* the relativized horizons, built only by an engine that encodes *)
+  let rel_reg = lazy (Array.make ninst 0)
+  and rel_copy = lazy (Array.make (Array.length copy_ready_at) 0) in
   let canonical_state () =
-    Buffer.clear buf;
-    let int v =
-      Dec.add_int buf v;
-      Buffer.add_char buf ','
+    let c = codec in
+    Codec.clear c;
+    let rel v = if v > !now then v - !now else 0 in
+    (* a never-ready horizon is -1, which no relative time is *)
+    let rel_max a scratch =
+      let r = Lazy.force scratch in
+      for i = 0 to Array.length a - 1 do
+        let v = Array.unsafe_get a i in
+        Array.unsafe_set r i (if v = max_int then -1 else rel v)
+      done;
+      Codec.ints c r
     in
-    let i64 v =
-      Dec.add_int64 buf v;
-      Buffer.add_char buf ','
-    in
-    let rel v = int (if v > !now then v - !now else 0) in
-    let rel_max v = if v = max_int then Buffer.add_string buf "M," else rel v in
-    let sep c = Buffer.add_char buf c in
-    int !now;
-    int !vnow;
-    Memsys.encode_counters ms buf;
-    int !stall_load;
-    int !stall_copy;
-    int !stall_bus;
-    int (if !stall_open >= 0 then !now - !stall_open else -1);
-    sep '#';
-    Memsys.encode_memory ms buf;
-    sep '#';
-    Array.iter rel_max reg_ready_at;
-    sep '#';
-    Array.iter i64 reg_val;
-    sep '#';
-    Array.iter rel_max copy_ready_at;
-    sep '#';
-    Array.iter int phase;
-    sep '#';
-    Array.iter int inst_addr;
-    sep '#';
-    Array.iter int inst_home;
-    sep '#';
-    Array.iter i64 inst_val;
-    sep '#';
-    (* MSHR waiter chains, per allocated subblock *)
+    Codec.int c !now;
+    Codec.int c !vnow;
+    Memsys.encode_counters ms c;
+    Codec.int c !stall_load;
+    Codec.int c !stall_copy;
+    Codec.int c !stall_bus;
+    Codec.int c (if !stall_open >= 0 then !now - !stall_open else -1);
+    Memsys.encode_memory ms c;
+    rel_max reg_ready_at rel_reg;
+    Codec.int64s c reg_val;
+    rel_max copy_ready_at rel_copy;
+    Codec.ints c phase;
+    Codec.ints c inst_addr;
+    Codec.ints c inst_home;
+    Codec.int64s c inst_val;
+    (* MSHR waiter chains, per allocated subblock, each closed by -1 *)
+    let sec = Codec.open_section c in
     for sb = 0 to !nsb - 1 do
       let h = !mshr_head.(sb) in
       if h >= 0 then begin
-        int sb;
-        sep ':';
+        Codec.int c sb;
         let w = ref h in
         while !w >= 0 do
-          int !w;
+          Codec.int c !w;
           w := mshr_next.(!w)
         done;
-        sep ';'
+        Codec.int c (-1)
       end
     done;
-    sep '#';
+    Codec.close_section c sec;
     (* module queues: pending instances in FIFO order. Enqueue stamps are
        always <= now and the service gate only compares them against now,
        so they carry no information. *)
-    for c = 0 to nclusters - 1 do
-      for i = 0 to mq_count.(c) - 1 do
-        int mq_inst.(c).((mq_head.(c) + i) mod mq_cap.(c))
-      done;
-      sep ';'
+    for cl = 0 to nclusters - 1 do
+      Codec.int c mq_count.(cl);
+      for i = 0 to mq_count.(cl) - 1 do
+        Codec.int c mq_inst.(cl).((mq_head.(cl) + i) mod mq_cap.(cl))
+      done
     done;
-    sep '#';
-    Memsys.encode_l2 ms buf;
-    sep '#';
+    Memsys.encode_l2 ms c;
     (* pending wheel events: slots ascending, insertion order within a
-       slot (execution order); all pending slots are > now here. Arrival
-       events carry their transaction id and bus index only for tracing —
-       both excluded. *)
+       slot (execution order), each slot closed by -1; all pending slots
+       are > now here. Arrival events carry their transaction id and bus
+       index only for tracing — both excluded. *)
+    Codec.int c !pending_events;
     (let remaining = ref !pending_events in
      let t = ref (!now + 1) in
      while !remaining > 0 && !t < !wheel_len do
        let e = ref !wh_head.(!t) in
        if !e >= 0 then begin
-         int (!t - !now);
-         sep ':';
+         Codec.int c (!t - !now);
          while !e >= 0 do
            decr remaining;
            let k = !ev_kind.(!e) in
-           int k;
+           Codec.int c k;
            if k = ev_arrive then begin
-             int !ev_a.(!e);
-             int !ev_b.(!e)
+             Codec.int c !ev_a.(!e);
+             Codec.int c !ev_b.(!e)
            end
-           else if k = ev_resp_send then int !ev_b.(!e)
+           else if k = ev_resp_send then Codec.int c !ev_b.(!e)
            else begin
-             int !ev_b.(!e);
-             int !ev_c.(!e)
+             Codec.int c !ev_b.(!e);
+             Codec.int c !ev_c.(!e)
            end;
-           sep ';';
            e := !ev_next.(!e)
-         done
+         done;
+         Codec.int c (-1)
        end;
        incr t
      done);
-    sep '#';
-    Memsys.encode_caches ms buf;
-    sep '#';
-    if dir_mode then Icn.Directory.encode_state dir ~now:!now buf
-    else Icn.Bus.encode_state bus ~now:!now buf;
-    Buffer.contents buf
+    Memsys.encode_caches ms c;
+    if dir_mode then Icn.Directory.encode_state dir ~now:!now c
+    else Icn.Bus.encode_state bus ~now:!now c;
+    Codec.contents c
   in
-  let note_state = ref None in
+  let note_state = ref None and at_note = ref false in
 
-  (* ----- one run: reset in place, then simulate -----
-     Everything a run reads before writing goes back to its initial value
-     here: the wheel and the instance, MSHR and queue state, and, through
-     [Memsys.reset], the memory system and the interconnect. A fresh
-     engine is already in that state, so its first run skips the fills.
-     The payload arrays ([ev_*], [mq_inst], [mq_enq], [mshr_next]) and
-     [wh_tail] / [mshr_tail] are written before they are read, and the
-     grown capacities of every array are kept. *)
+  (* ----- checkpoints: the engine's mutable state, listed once -----
+     The payload arrays ([ev_*], [mq_inst], [mq_enq], [mshr_next]) are
+     captured only where live, and [wh_tail] / [mshr_tail] are rebuilt
+     with their heads; restoring keeps the grown capacities of every
+     array. *)
+  let id = Atomic.fetch_and_add next_id 1 in
+  let snapshot () =
+    let events = Array.make (6 * !pending_events) 0 in
+    (let n = ref 0 and t = ref !now in
+     while !n < !pending_events && !t < !wheel_len do
+       let e = ref !wh_head.(!t) in
+       while !e >= 0 do
+         let o = 6 * !n in
+         events.(o) <- !t;
+         events.(o + 1) <- !ev_kind.(!e);
+         events.(o + 2) <- !ev_a.(!e);
+         events.(o + 3) <- !ev_b.(!e);
+         events.(o + 4) <- !ev_c.(!e);
+         events.(o + 5) <- !ev_d.(!e);
+         incr n;
+         e := !ev_next.(!e)
+       done;
+       incr t
+     done);
+    let mshr =
+      let len = ref 0 in
+      for sb = 0 to !nsb - 1 do
+        let w = ref !mshr_head.(sb) in
+        if !w >= 0 then len := !len + 2;
+        while !w >= 0 do
+          incr len;
+          w := mshr_next.(!w)
+        done
+      done;
+      let a = Array.make !len 0 and o = ref 0 in
+      for sb = 0 to !nsb - 1 do
+        if !mshr_head.(sb) >= 0 then begin
+          let at = !o in
+          a.(at) <- sb;
+          o := at + 2;
+          let w = ref !mshr_head.(sb) in
+          while !w >= 0 do
+            a.(!o) <- !w;
+            incr o;
+            w := mshr_next.(!w)
+          done;
+          a.(at + 1) <- !o - at - 2
+        end
+      done;
+      a
+    in
+    let modq = Array.make (nclusters + (2 * !modq_total)) 0 in
+    (let o = ref 0 in
+     for cl = 0 to nclusters - 1 do
+       modq.(!o) <- mq_count.(cl);
+       incr o;
+       for i = 0 to mq_count.(cl) - 1 do
+         let j = (mq_head.(cl) + i) mod mq_cap.(cl) in
+         modq.(!o) <- mq_inst.(cl).(j);
+         modq.(!o + 1) <- mq_enq.(cl).(j);
+         o := !o + 2
+       done
+     done);
+    {
+      c_engine = id;
+      c_now = !now;
+      c_vnow = !vnow;
+      c_stall_load = !stall_load;
+      c_stall_copy = !stall_copy;
+      c_stall_bus = !stall_bus;
+      c_stall_open = !stall_open;
+      c_events = events;
+      c_mshr = mshr;
+      c_modq = modq;
+      c_reg_ready_at = Saved.ints reg_ready_at;
+      c_reg_val = Saved.int64s reg_val;
+      c_copy_ready_at = Saved.ints copy_ready_at;
+      c_phase = Saved.ints phase;
+      c_inst_addr = Saved.ints inst_addr;
+      c_inst_home = Saved.ints inst_home;
+      c_inst_val = Saved.int64s inst_val;
+      c_mem = Memsys.capture ms;
+    }
+  in
+  let restore k =
+    now := k.c_now;
+    vnow := k.c_vnow;
+    stall_load := k.c_stall_load;
+    stall_copy := k.c_stall_copy;
+    stall_bus := k.c_stall_bus;
+    stall_open := k.c_stall_open;
+    Array.fill !wh_head 0 !wheel_len (-1);
+    ev_n := 0;
+    pending_events := 0;
+    let ev = k.c_events in
+    for i = 0 to (Array.length ev / 6) - 1 do
+      let o = 6 * i in
+      schedule_event ev.(o) ev.(o + 1) ev.(o + 2) ev.(o + 3) ev.(o + 4) ev.(o + 5)
+    done;
+    Array.fill !mshr_head 0 !nsb (-1);
+    (let m = k.c_mshr and o = ref 0 in
+     while !o < Array.length m do
+       let sb = m.(!o) and n = m.(!o + 1) in
+       let first = !o + 2 in
+       !mshr_head.(sb) <- m.(first);
+       !mshr_tail.(sb) <- m.(first + n - 1);
+       for i = first to first + n - 1 do
+         mshr_next.(m.(i)) <- (if i + 1 < first + n then m.(i + 1) else -1)
+       done;
+       o := first + n
+     done);
+    (let q = k.c_modq and o = ref 0 in
+     modq_total := 0;
+     for cl = 0 to nclusters - 1 do
+       let n = q.(!o) in
+       incr o;
+       mq_head.(cl) <- 0;
+       mq_count.(cl) <- n;
+       modq_total := !modq_total + n;
+       for i = 0 to n - 1 do
+         mq_inst.(cl).(i) <- q.(!o);
+         mq_enq.(cl).(i) <- q.(!o + 1);
+         o := !o + 2
+       done
+     done);
+    Saved.restore k.c_reg_ready_at reg_ready_at;
+    Saved.restore k.c_reg_val reg_val;
+    Saved.restore k.c_copy_ready_at copy_ready_at;
+    Saved.restore k.c_phase phase;
+    Saved.restore k.c_inst_addr inst_addr;
+    Saved.restore k.c_inst_home inst_home;
+    Saved.restore k.c_inst_val inst_val;
+    Memsys.restore ms k.c_mem
+  in
+  (* the state every run starts from *)
+  let initial = if reusable then Some (snapshot ()) else None in
+
+  (* ----- one cycle, in two halves: a resumed run enters at the second,
+     the network phase of the cycle whose note took its checkpoint ----- *)
   let hard_limit = 50_000_000 in
-  let used = ref false in
-  let exec ~jitter ~choices ~trace:sink =
+  let first_half () =
+    if !now > hard_limit then failwith "Sim.run: cycle limit exceeded (wedged)";
+    (* 1. events due this cycle, in insertion order *)
+    (if !now < !wheel_len then begin
+       let h = !wh_head.(!now) in
+       if h >= 0 then begin
+         !wh_head.(!now) <- -1;
+         !wh_tail.(!now) <- -1;
+         let e = ref h in
+         while !e >= 0 do
+           let nxt = !ev_next.(!e) in
+           decr pending_events;
+           run_event !e;
+           e := nxt
+         done
+       end
+     end);
+    (* 2. network: bus arbitration or ring/directory stepping. When an
+       external chooser is observing, offer it the canonical-state encoder
+       first — before the network mutates anything — in exactly the
+       cycles whose network phase consumes a draw ([draws] reads the
+       grant / departure condition the phase is about to test). The
+       chooser encodes, or takes a checkpoint, only if it needs to.
+       Within one cycle the *set* of draws is independent of the values
+       drawn (bus grants are bounded by free buses, ring departures by
+       link-entry serialization fixed before the draw), so this one note
+       plus the count of draws since it identifies every branch point of
+       the cycle. *)
+    match !note_state with
+    | Some note
+      when if dir_mode then Icn.Directory.draws dir ~now:!now
+           else Icn.Bus.draws bus ~now:!now ->
+      at_note := true;
+      note canonical_state;
+      at_note := false
+    | _ -> ()
+  in
+  let second_half () =
+    dispatch_network ();
+    (* 3. cache modules: one service per cluster per cycle *)
+    for c = 0 to nclusters - 1 do
+      if mq_count.(c) > 0 then begin
+        let h = mq_head.(c) in
+        if mq_enq.(c).(h) <= !now then begin
+          let inst = mq_inst.(c).(h) in
+          mq_head.(c) <- (h + 1) mod mq_cap.(c);
+          mq_count.(c) <- mq_count.(c) - 1;
+          decr modq_total;
+          service inst_home.(inst) inst
+        end
+      end
+    done;
+    (* 4. issue or stall *)
+    (if !vnow < vspan then begin
+       let lo = bucket_off.(!vnow) and hi = bucket_off.(!vnow + 1) in
+       (* blocker scan: 0 = clear, 1 = copy in flight, 2 = producer *)
+       let blk = ref 0 and blk_inst = ref (-1) in
+       let i = ref lo in
+       while !blk = 0 && !i < hi do
+         let tag = bk_tag.(!i) and k = bk_k.(!i) in
+         (if tag land 1 = 0 then begin
+            let n = tag lsr 1 in
+            let j = ref dep_off.(n) and dend = dep_off.(n + 1) in
+            while !blk = 0 && !j < dend do
+              let dist = dep_dist.(!j) in
+              (if k >= dist then begin
+                 let src_iter = k - dist in
+                 let cp = dep_copy.(!j) in
+                 if cp = -1 then begin
+                   let p = dep_src.(!j) in
+                   if reg_ready_at.((p * trip) + src_iter) > !now then begin
+                     blk := 2;
+                     blk_inst := (p * trip) + src_iter
+                   end
+                 end
+                 else if cp = -2 then blk := 1
+                 else if copy_ready_at.((cp * trip) + src_iter) > !now then
+                   blk := 1
+               end);
+              incr j
+            done
+          end
+          else begin
+            let p = copy_srcv.(tag lsr 1) in
+            if reg_ready_at.((p * trip) + k) > !now then begin
+              blk := 2;
+              blk_inst := (p * trip) + k
+            end
+          end);
+         incr i
+       done;
+       if !blk = 0 then begin
+         (if !stall_open >= 0 then begin
+            let started = !stall_open in
+            stall_open := -1;
+            if !tracing then
+              emit (Tr.Stall_end { vcycle = !vnow; cycles = !now - started })
+          end);
+         if !tracing then begin
+           let nops = ref 0 and ncps = ref 0 in
+           for t = lo to hi - 1 do
+             if bk_tag.(t) land 1 = 0 then incr nops else incr ncps
+           done;
+           emit (Tr.Issue { vcycle = !vnow; ops = !nops; copies = !ncps })
+         end;
+         for t = lo to hi - 1 do
+           issue_item bk_tag.(t) bk_k.(t)
+         done;
+         incr vnow
+       end
+       else begin
+         let cause =
+           if !blk = 1 then Tr.Copy_in_flight
+           else
+             match phase.(!blk_inst) with
+             | p when p = ph_on_bus || p = ph_resp_bus -> Tr.Bus_queue
+             | _ -> Tr.Load_in_flight
+         in
+         (match cause with
+         | Tr.Load_in_flight -> incr stall_load
+         | Tr.Copy_in_flight -> incr stall_copy
+         | Tr.Bus_queue -> incr stall_bus);
+         if !stall_open < 0 then begin
+           stall_open := !now;
+           if !tracing then emit (Tr.Stall_begin { vcycle = !vnow; cause })
+         end
+       end
+     end);
+    incr now
+  in
+  (* the rest of the run; a finished run leaves no boxed value behind *)
+  let finish_run () =
+    while
+      !vnow < vspan || !pending_events > 0 || Icn.Bus.pending bus
+      || Icn.Directory.pending dir || !modq_total > 0
+    do
+      first_half ();
+      second_half ()
+    done;
+    let stats =
+      Memsys.finish ms ~compute:vspan ~stall_load:!stall_load
+        ~stall_copy:!stall_copy ~stall_bus:!stall_bus ~comm_ops:(ncopies * trip)
+    in
+    Array.fill reg_val 0 ninst 0L;
+    Array.fill inst_val 0 ninst 0L;
+    stats
+  in
+  (* [at_note] is cleared here too: a note's callback may have raised *)
+  let configure ~jitter ~choices ~trace:sink =
+    at_note := false;
     trace := sink;
     tracing := sink <> None;
     note_state :=
       (match (choices : chooser option) with
       | Some { ch_note_state = Some f; _ } -> Some f
       | _ -> None);
-    if !used then begin
-      now := 0;
-      pending_events := 0;
-      ev_n := 0;
-      Array.fill !wh_head 0 !wheel_len (-1);
-      Array.fill !mshr_head 0 !nsb (-1);
-      modq_total := 0;
-      Array.fill mq_head 0 nclusters 0;
-      Array.fill mq_count 0 nclusters 0;
-      Array.fill reg_ready_at 0 ninst max_int;
-      Array.fill reg_val 0 ninst 0L;
-      Array.fill copy_ready_at 0 (Array.length copy_ready_at) max_int;
-      Array.fill phase 0 ninst ph_none;
-      Array.fill inst_addr 0 ninst 0;
-      Array.fill inst_home 0 ninst 0;
-      Array.fill inst_val 0 ninst 0L;
-      vnow := 0;
-      stall_load := 0;
-      stall_copy := 0;
-      stall_bus := 0;
-      stall_open := -1
-    end;
-    used := true;
-    Memsys.reset ms ?jitter ?choices ~trace:sink ();
+    Memsys.start ms ?jitter ?choices ~trace:sink ()
+  in
+
+  (* ----- one run: restore the initial state, then simulate -----
+     A fresh engine is already in that state, so its first run skips the
+     restore. *)
+  let dirty = ref false in
+  let exec ~jitter ~choices ~trace:sink =
+    (match initial with
+    | Some k -> if !dirty then restore k
+    | None -> if !dirty then invalid_arg "Sim.exec: a one-run engine ran");
+    dirty := true;
+    configure ~jitter ~choices ~trace:sink;
     if !tracing then
       emit
         (Tr.Meta
@@ -889,135 +1192,20 @@ let prepare ~lowered ~graph ~schedule ~layout ?trip ?(mode = Execution)
              vspan;
              trip;
            });
-    while
-      !vnow < vspan || !pending_events > 0 || Icn.Bus.pending bus
-      || Icn.Directory.pending dir || !modq_total > 0
-    do
-      if !now > hard_limit then failwith "Sim.run: cycle limit exceeded (wedged)";
-      (* 1. events due this cycle, in insertion order *)
-      (if !now < !wheel_len then begin
-         let h = !wh_head.(!now) in
-         if h >= 0 then begin
-           !wh_head.(!now) <- -1;
-           !wh_tail.(!now) <- -1;
-           let e = ref h in
-           while !e >= 0 do
-             let nxt = !ev_next.(!e) in
-             decr pending_events;
-             run_event !e;
-             e := nxt
-           done
-         end
-       end);
-      (* 2. network: bus arbitration or ring/directory stepping. When an
-         external chooser is observing, offer it the canonical-state encoder
-         first — before the network mutates anything — in exactly the
-         cycles whose network phase consumes a draw ([draws] reads the
-         grant / departure condition the phase is about to test). The
-         chooser encodes only if it needs the key. Within one cycle the
-         *set* of draws is independent of the values drawn (bus grants are
-         bounded by free buses, ring departures by link-entry serialization
-         fixed before the draw), so this one note plus the count of draws
-         since it identifies every branch point of the cycle. *)
-      (match !note_state with
-      | Some note
-        when if dir_mode then Icn.Directory.draws dir ~now:!now
-             else Icn.Bus.draws bus ~now:!now ->
-        note canonical_state
-      | _ -> ());
-      dispatch_network ();
-      (* 3. cache modules: one service per cluster per cycle *)
-      for c = 0 to nclusters - 1 do
-        if mq_count.(c) > 0 then begin
-          let h = mq_head.(c) in
-          if mq_enq.(c).(h) <= !now then begin
-            let inst = mq_inst.(c).(h) in
-            mq_head.(c) <- (h + 1) mod mq_cap.(c);
-            mq_count.(c) <- mq_count.(c) - 1;
-            decr modq_total;
-            service inst_home.(inst) inst
-          end
-        end
-      done;
-      (* 4. issue or stall *)
-      (if !vnow < vspan then begin
-         let lo = bucket_off.(!vnow) and hi = bucket_off.(!vnow + 1) in
-         (* blocker scan: 0 = clear, 1 = copy in flight, 2 = producer *)
-         let blk = ref 0 and blk_inst = ref (-1) in
-         let i = ref lo in
-         while !blk = 0 && !i < hi do
-           let tag = bk_tag.(!i) and k = bk_k.(!i) in
-           (if tag land 1 = 0 then begin
-              let n = tag lsr 1 in
-              let j = ref dep_off.(n) and dend = dep_off.(n + 1) in
-              while !blk = 0 && !j < dend do
-                let dist = dep_dist.(!j) in
-                (if k >= dist then begin
-                   let src_iter = k - dist in
-                   let cp = dep_copy.(!j) in
-                   if cp = -1 then begin
-                     let p = dep_src.(!j) in
-                     if reg_ready_at.((p * trip) + src_iter) > !now then begin
-                       blk := 2;
-                       blk_inst := (p * trip) + src_iter
-                     end
-                   end
-                   else if cp = -2 then blk := 1
-                   else if copy_ready_at.((cp * trip) + src_iter) > !now then
-                     blk := 1
-                 end);
-                incr j
-              done
-            end
-            else begin
-              let p = copy_srcv.(tag lsr 1) in
-              if reg_ready_at.((p * trip) + k) > !now then begin
-                blk := 2;
-                blk_inst := (p * trip) + k
-              end
-            end);
-           incr i
-         done;
-         if !blk = 0 then begin
-           (if !stall_open >= 0 then begin
-              let started = !stall_open in
-              stall_open := -1;
-              if !tracing then
-                emit (Tr.Stall_end { vcycle = !vnow; cycles = !now - started })
-            end);
-           if !tracing then begin
-             let nops = ref 0 and ncps = ref 0 in
-             for t = lo to hi - 1 do
-               if bk_tag.(t) land 1 = 0 then incr nops else incr ncps
-             done;
-             emit (Tr.Issue { vcycle = !vnow; ops = !nops; copies = !ncps })
-           end;
-           for t = lo to hi - 1 do
-             issue_item bk_tag.(t) bk_k.(t)
-           done;
-           incr vnow
-         end
-         else begin
-           let cause =
-             if !blk = 1 then Tr.Copy_in_flight
-             else
-               match phase.(!blk_inst) with
-               | p when p = ph_on_bus || p = ph_resp_bus -> Tr.Bus_queue
-               | _ -> Tr.Load_in_flight
-           in
-           (match cause with
-           | Tr.Load_in_flight -> incr stall_load
-           | Tr.Copy_in_flight -> incr stall_copy
-           | Tr.Bus_queue -> incr stall_bus);
-           if !stall_open < 0 then begin
-             stall_open := !now;
-             if !tracing then emit (Tr.Stall_begin { vcycle = !vnow; cause })
-           end
-         end
-       end);
-      incr now
-    done;
-    Memsys.finish ms ~compute:vspan ~stall_load:!stall_load
-      ~stall_copy:!stall_copy ~stall_bus:!stall_bus ~comm_ops:(ncopies * trip)
+    finish_run ()
   in
-  (exec : t)
+  let capture () =
+    if not !at_note then
+      invalid_arg "Sim.checkpoint: not inside a ch_note_state callback";
+    snapshot ()
+  in
+  let resume k ~choices =
+    if k.c_engine <> id then
+      invalid_arg "Sim.resume: checkpoint taken on another engine";
+    restore k;
+    dirty := true;
+    configure ~jitter:None ~choices ~trace:None;
+    second_half ();
+    finish_run ()
+  in
+  { exec; capture; resume }

@@ -13,17 +13,18 @@ module Ir = Vliw_ir
 module Tr = Vliw_trace.Trace
 module Icn = Vliw_interconnect.Interconnect
 module C = Vliw_coherence.Coherence
-module Dec = Vliw_util.Dec
+module Codec = Vliw_util.Codec
 open Sim_types
 
 type t = {
   machine : M.t;
   sites : int;
   now : int ref;
-  (* the current run's sink and draws, set by [reset] *)
+  (* the current run's sink and draws, set by [start] *)
   mutable trace : Tr.sink option;
   mutable tracing : bool;
   mutable draw : unit -> int;
+  mutable draws : int;  (* draws taken so far in the run *)
   home_of : int -> int;
   subblock_of : int -> int;
   addrs_of : int -> int array;
@@ -31,21 +32,20 @@ type t = {
   prot_on : bool;
   bus : Icn.Bus.t;
   dir : Icn.Directory.t;
-  (* memory image (each run works on its own copy of [init], which it
-     returns) and coherence order: per byte, the newest store and the
-     newest access applied at home *)
-  init : Bytes.t;
+  (* memory image (each run works on its own copy, which it returns) and
+     coherence order: per byte, the newest store and the newest access
+     applied at home *)
   mutable mem : Bytes.t;
   last_store_seq : int array;
   last_any_seq : int array;
   oracle : Ir.Interp.result option;
-  warm : bool;
   modules : Cachemod.t array;
   abs : Attraction.t array;  (* the only record of replicas and their states *)
   (* per cluster and byte: the newest store this cluster has executed,
      applied at home or not (see [ab_fill]) *)
   ab_exec_seq : int array array;
   l2_free : int array;
+  l2_sorted : int array;  (* [encode_l2]'s scratch *)
   (* MSI/MESI loads still in the memory system, indexed by seq *)
   mutable pending : int list;
   p_addr : int array;
@@ -65,7 +65,6 @@ type t = {
   mutable invalidations : int;  (* replicas dropped to I by a remote store *)
   mutable upgrades : int;  (* S -> M upgrades (bus / directory traffic) *)
   mutable exclusive_hits : int;  (* silent E -> M upgrades (MESI only) *)
-  mutable used : bool;  (* a run started since [create] *)
 }
 
 let emit t ~cluster p =
@@ -80,24 +79,24 @@ let size_ty = function
   | _ -> Ir.Ast.I64
 
 (* One draw per bus grant or ring hop: a PRNG in [0, j], or an external
-   chooser whose every answer is traced as a [Choice]. *)
-let make_jit ~trace ~now ?jitter ?choices () =
+   chooser whose every answer is traced as a [Choice] numbered by the
+   run's draw count. *)
+let make_jit t ?jitter ?choices () =
   match (choices, jitter) with
   | None, None -> fun () -> 0
   | None, Some (p, j) -> fun () -> Vliw_util.Prng.int p (j + 1)
   | Some c, _ ->
     let bound = c.ch_jitter + 1 in
-    let draw_ix = ref 0 in
     fun () ->
       let v = c.ch_draw ~bound in
       if v < 0 || v >= bound then
         invalid_arg "Sim.run: chooser draw out of bounds";
-      (match trace with
+      (match t.trace with
       | Some s ->
-        Tr.emit s ~cycle:!now ~cluster:(-1)
-          (Tr.Choice { index = !draw_ix; bound; chosen = v })
+        Tr.emit s ~cycle:!(t.now) ~cluster:(-1)
+          (Tr.Choice { index = t.draws; bound; chosen = v })
       | None -> ());
-      incr draw_ix;
+      t.draws <- t.draws + 1;
       v
 
 let create ~machine ~mem ~sites ~trip ~mode ~warm ~now ~bus ~dir ~home_of
@@ -113,85 +112,142 @@ let create ~machine ~mem ~sites ~trip ~mode ~warm ~now ~bus ~dir ~home_of
   in
   let prot_on = machine.M.protocol <> M.Install_flush in
   let nseq = if prot_on then trip * sites else 0 in
-  {
-    machine;
-    sites;
-    now;
-    trace = None;
-    tracing = false;
-    draw = (fun () -> 0);
-    home_of;
-    subblock_of;
-    addrs_of;
-    dir_mode = machine.M.interconnect = M.Directory;
-    prot_on;
-    bus;
-    dir;
-    init = mem;
-    mem = Bytes.empty;
-    last_store_seq = Array.make msize (-1);
-    last_any_seq = Array.make msize (-1);
-    oracle;
-    warm;
-    modules = Array.init nclusters (fun c -> Cachemod.create machine ~cluster:c);
-    abs;
-    ab_exec_seq = Array.map (fun _ -> Array.make msize (-1)) abs;
-    l2_free = Array.make machine.M.l2_ports 0;
-    pending = [];
-    p_addr = Array.make nseq 0;
-    p_size = Array.make nseq 0;
-    p_done = Array.make nseq false;
-    p_latched = Array.make nseq false;
-    p_lval = Array.make nseq 0L;
-    local_hits = 0; remote_hits = 0; local_misses = 0; remote_misses = 0;
-    combined = 0; ab_hits = 0; nullified = 0; violations = 0;
-    invalidations = 0; upgrades = 0; exclusive_hits = 0;
-    used = false;
-  }
-
-let reset t ?jitter ?choices ~trace () =
-  t.trace <- trace;
-  t.tracing <- trace <> None;
-  t.draw <- make_jit ~trace ~now:t.now ?jitter ?choices ();
-  t.mem <- Bytes.copy t.init;
-  (* a memory system fresh from [create] is already in this state *)
-  if t.used then begin
-    Icn.Bus.reset t.bus;
-    Icn.Directory.reset t.dir;
-    Array.fill t.last_store_seq 0 (Array.length t.last_store_seq) (-1);
-    Array.fill t.last_any_seq 0 (Array.length t.last_any_seq) (-1);
-    Array.iter Cachemod.reset t.modules;
-    Array.iter Attraction.reset t.abs;
-    Array.iter (fun a -> Array.fill a 0 (Array.length a) (-1)) t.ab_exec_seq;
-    Array.fill t.l2_free 0 (Array.length t.l2_free) 0;
-    (* [p_addr], [p_size] and [p_lval] are written before they are read *)
-    t.pending <- [];
-    Array.fill t.p_done 0 (Array.length t.p_done) false;
-    Array.fill t.p_latched 0 (Array.length t.p_latched) false;
-    t.local_hits <- 0;
-    t.remote_hits <- 0;
-    t.local_misses <- 0;
-    t.remote_misses <- 0;
-    t.combined <- 0;
-    t.ab_hits <- 0;
-    t.nullified <- 0;
-    t.violations <- 0;
-    t.invalidations <- 0;
-    t.upgrades <- 0;
-    t.exclusive_hits <- 0
-  end;
-  t.used <- true;
+  let t =
+    {
+      machine;
+      sites;
+      now;
+      trace = None;
+      tracing = false;
+      draw = (fun () -> 0);
+      draws = 0;
+      home_of;
+      subblock_of;
+      addrs_of;
+      dir_mode = machine.M.interconnect = M.Directory;
+      prot_on;
+      bus;
+      dir;
+      mem = Bytes.copy mem;
+      last_store_seq = Array.make msize (-1);
+      last_any_seq = Array.make msize (-1);
+      oracle;
+      modules = Array.init nclusters (fun c -> Cachemod.create machine ~cluster:c);
+      abs;
+      ab_exec_seq = Array.map (fun _ -> Array.make msize (-1)) abs;
+      l2_free = Array.make machine.M.l2_ports 0;
+      l2_sorted = Array.make machine.M.l2_ports 0;
+      pending = [];
+      p_addr = Array.make nseq 0;
+      p_size = Array.make nseq 0;
+      p_done = Array.make nseq false;
+      p_latched = Array.make nseq false;
+      p_lval = Array.make nseq 0L;
+      local_hits = 0; remote_hits = 0; local_misses = 0; remote_misses = 0;
+      combined = 0; ab_hits = 0; nullified = 0; violations = 0;
+      invalidations = 0; upgrades = 0; exclusive_hits = 0;
+    }
+  in
   (* warm-up: replay the reference address trace into the modules *)
-  match t.oracle with
-  | Some r when t.warm ->
+  (match oracle with
+  | Some r when warm ->
     Array.iter
       (fun (ev : Ir.Interp.event) ->
         ignore
           (Cachemod.install
-             t.modules.(t.home_of ev.ev_addr)
-             ~subblock:(t.subblock_of ev.ev_addr)))
+             t.modules.(home_of ev.ev_addr)
+             ~subblock:(subblock_of ev.ev_addr)))
       r.events
-  | _ -> ()
+  | _ -> ());
+  t
+
+let start t ?jitter ?choices ~trace () =
+  t.trace <- trace;
+  t.tracing <- trace <> None;
+  t.draw <- make_jit t ?jitter ?choices ()
+
+(* ----- checkpoints: everything a run mutates, listed once ----- *)
+
+type net = Bus_net of Icn.Bus.snapshot | Dir_net of Icn.Directory.snapshot
+
+type snapshot = {
+  k_mem : Bytes.t;
+  k_last_store_seq : int Saved.t;
+  k_last_any_seq : int Saved.t;
+  k_modules : Cachemod.snapshot array;
+  k_abs : Attraction.snapshot array;
+  k_ab_exec_seq : int Saved.t array;
+  k_l2_free : int array;
+  k_pending : int list;
+  k_p_addr : int Saved.t;
+  k_p_size : int Saved.t;
+  k_p_done : bool Saved.t;
+  k_p_latched : bool Saved.t;
+  k_p_lval : int64 Saved.t;
+  k_counters : int array;
+  k_draws : int;
+  k_net : net;
+}
+
+let capture t =
+  {
+    k_mem = Bytes.copy t.mem;
+    k_last_store_seq = Saved.ints t.last_store_seq;
+    k_last_any_seq = Saved.ints t.last_any_seq;
+    k_modules = Array.map Cachemod.capture t.modules;
+    k_abs = Array.map Attraction.capture t.abs;
+    k_ab_exec_seq = Array.map Saved.ints t.ab_exec_seq;
+    k_l2_free = Array.copy t.l2_free;
+    k_pending = t.pending;
+    k_p_addr = Saved.ints t.p_addr;
+    k_p_size = Saved.ints t.p_size;
+    k_p_done = Saved.bools t.p_done;
+    k_p_latched = Saved.bools t.p_latched;
+    k_p_lval = Saved.int64s t.p_lval;
+    k_counters =
+      [|
+        t.local_hits; t.remote_hits; t.local_misses; t.remote_misses;
+        t.combined; t.ab_hits; t.nullified; t.violations; t.invalidations;
+        t.upgrades; t.exclusive_hits;
+      |];
+    k_draws = t.draws;
+    k_net =
+      (if t.dir_mode then Dir_net (Icn.Directory.capture t.dir)
+       else Bus_net (Icn.Bus.capture t.bus));
+  }
+
+(* The run gets its own copy of the image: the last run's went out with
+   its stats. *)
+let restore t k =
+  t.mem <- Bytes.copy k.k_mem;
+  Saved.restore k.k_last_store_seq t.last_store_seq;
+  Saved.restore k.k_last_any_seq t.last_any_seq;
+  Array.iteri (fun c m -> Cachemod.restore m k.k_modules.(c)) t.modules;
+  Array.iteri (fun c ab -> Attraction.restore ab k.k_abs.(c)) t.abs;
+  Array.iteri (fun c a -> Saved.restore k.k_ab_exec_seq.(c) a) t.ab_exec_seq;
+  Array.blit k.k_l2_free 0 t.l2_free 0 (Array.length t.l2_free);
+  t.pending <- k.k_pending;
+  Saved.restore k.k_p_addr t.p_addr;
+  Saved.restore k.k_p_size t.p_size;
+  Saved.restore k.k_p_done t.p_done;
+  Saved.restore k.k_p_latched t.p_latched;
+  Saved.restore k.k_p_lval t.p_lval;
+  let c = k.k_counters in
+  t.local_hits <- c.(0);
+  t.remote_hits <- c.(1);
+  t.local_misses <- c.(2);
+  t.remote_misses <- c.(3);
+  t.combined <- c.(4);
+  t.ab_hits <- c.(5);
+  t.nullified <- c.(6);
+  t.violations <- c.(7);
+  t.invalidations <- c.(8);
+  t.upgrades <- c.(9);
+  t.exclusive_hits <- c.(10);
+  t.draws <- k.k_draws;
+  match k.k_net with
+  | Bus_net b -> Icn.Bus.restore t.bus b
+  | Dir_net d -> Icn.Directory.restore t.dir d
 
 let jit t () = t.draw ()
 
@@ -541,75 +597,77 @@ let finish t ~compute ~stall_load ~stall_copy ~stall_bus ~comm_ops =
   let total = !(t.now) in
   let stall = max 0 (total - compute) in
   let d = Icn.Directory.stats t.dir in
-  {
-    total_cycles = total;
-    compute_cycles = compute;
-    stall_cycles = stall;
-    stall_load_cycles = stall_load;
-    stall_copy_cycles = stall_copy;
-    stall_bus_cycles = stall_bus;
-    stall_drain_cycles = stall - stall_load - stall_copy - stall_bus;
-    local_hits = t.local_hits;
-    remote_hits = t.remote_hits;
-    local_misses = t.local_misses;
-    remote_misses = t.remote_misses;
-    combined = t.combined;
-    ab_hits = t.ab_hits;
-    ab_flushed = !ab_flushed;
-    violations = t.violations;
-    nullified = t.nullified;
-    comm_ops;
-    dir_lookups = d.Icn.Directory.d_lookups;
-    dir_invalidates = d.Icn.Directory.d_invalidates;
-    dir_writebacks = d.Icn.Directory.d_writebacks;
-    packet_hops = d.Icn.Directory.d_hops;
-    prot_invalidations = t.invalidations;
-    prot_upgrades = t.upgrades;
-    prot_exclusive_hits = t.exclusive_hits;
-    memory = t.mem;
-  }
+  let stats =
+    {
+      total_cycles = total;
+      compute_cycles = compute;
+      stall_cycles = stall;
+      stall_load_cycles = stall_load;
+      stall_copy_cycles = stall_copy;
+      stall_bus_cycles = stall_bus;
+      stall_drain_cycles = stall - stall_load - stall_copy - stall_bus;
+      local_hits = t.local_hits;
+      remote_hits = t.remote_hits;
+      local_misses = t.local_misses;
+      remote_misses = t.remote_misses;
+      combined = t.combined;
+      ab_hits = t.ab_hits;
+      ab_flushed = !ab_flushed;
+      violations = t.violations;
+      nullified = t.nullified;
+      comm_ops;
+      dir_lookups = d.Icn.Directory.d_lookups;
+      dir_invalidates = d.Icn.Directory.d_invalidates;
+      dir_writebacks = d.Icn.Directory.d_writebacks;
+      packet_hops = d.Icn.Directory.d_hops;
+      prot_invalidations = t.invalidations;
+      prot_upgrades = t.upgrades;
+      prot_exclusive_hits = t.exclusive_hits;
+      memory = t.mem;
+    }
+  in
+  (* the image is the caller's now; the memory system keeps no reference *)
+  t.mem <- Bytes.empty;
+  stats
 
 (* ----- canonical state-key segments (the wheel engine's key) ----- *)
 
-let int buf v =
-  Dec.add_int buf v;
-  Buffer.add_char buf ','
+let encode_counters t c =
+  Codec.int c t.local_hits;
+  Codec.int c t.remote_hits;
+  Codec.int c t.local_misses;
+  Codec.int c t.remote_misses;
+  Codec.int c t.combined;
+  Codec.int c t.ab_hits;
+  Codec.int c t.nullified;
+  Codec.int c t.violations;
+  Codec.int c t.invalidations;
+  Codec.int c t.upgrades;
+  Codec.int c t.exclusive_hits
 
-let encode_counters t buf =
-  int buf t.local_hits;
-  int buf t.remote_hits;
-  int buf t.local_misses;
-  int buf t.remote_misses;
-  int buf t.combined;
-  int buf t.ab_hits;
-  int buf t.nullified;
-  int buf t.violations;
-  int buf t.invalidations;
-  int buf t.upgrades;
-  int buf t.exclusive_hits
-
-let encode_memory t buf =
-  Buffer.add_bytes buf t.mem;
-  Buffer.add_char buf '#';
-  Array.iter (int buf) t.last_store_seq;
-  Buffer.add_char buf '#';
-  Array.iter (int buf) t.last_any_seq;
-  Buffer.add_char buf '#';
-  Array.iter
-    (fun a ->
-      Array.iter (int buf) a;
-      Buffer.add_char buf ';')
-    t.ab_exec_seq
+let encode_memory t c =
+  Codec.bytes c t.mem;
+  Codec.ints c t.last_store_seq;
+  Codec.ints c t.last_any_seq;
+  Array.iter (Codec.ints c) t.ab_exec_seq
 
 (* busy horizons as a sorted multiset: the port pick is an argmin, so port
-   identity is interchangeable *)
-let encode_l2 t buf =
+   identity is interchangeable. An insertion sort of the few ports. *)
+let encode_l2 t c =
   let now = !(t.now) in
-  let l2 = Array.map (fun v -> if v > now then v - now else 0) t.l2_free in
-  Array.sort compare l2;
-  Array.iter (int buf) l2
+  let a = t.l2_sorted in
+  for i = 0 to Array.length a - 1 do
+    let v = t.l2_free.(i) in
+    let v = if v > now then v - now else 0 in
+    let j = ref (i - 1) in
+    while !j >= 0 && a.(!j) > v do
+      a.(!j + 1) <- a.(!j);
+      decr j
+    done;
+    a.(!j + 1) <- v
+  done;
+  Array.iter (Codec.int c) a
 
-let encode_caches t buf =
-  Array.iter (fun m -> Cachemod.encode_state m buf) t.modules;
-  Buffer.add_char buf '#';
-  Array.iter (fun a -> Attraction.encode_state a buf) t.abs
+let encode_caches t c =
+  Array.iter (fun m -> Cachemod.encode_state m c) t.modules;
+  Array.iter (fun a -> Attraction.encode_state a c) t.abs

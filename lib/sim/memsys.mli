@@ -38,28 +38,39 @@ val create :
   addrs_of:(int -> int array) ->
   unit ->
   t
-(** [mem] is the initial image, which every run starts from (the
-    memory system keeps it, and each run works on its own copy); [now] the
-    engine's clock; [bus] and [dir] the engine's interconnect, fresh
-    from their [create], which {!reset} resets from the second run on.
-    Call {!reset} before each run. [warm] replays the oracle's address
-    trace into the cache modules at each reset.
+(** [mem] is the initial image (the memory system works on its own
+    copy); [now] the engine's clock; [bus] and [dir] the engine's
+    interconnect, fresh from their [create]. [warm] replays the
+    oracle's address trace into the cache modules once, here: a
+    checkpoint {!capture}d right after [create] is the state every run
+    starts from. Call {!start} before each run.
     @raise Invalid_argument if [warm] is set outside [Oracle] mode. *)
 
-val reset :
+val start :
   t ->
   ?jitter:Vliw_util.Prng.t * int ->
   ?choices:Sim_types.chooser ->
   trace:Vliw_trace.Trace.sink option ->
   unit ->
   unit
-(** Start a run: the memory image, coherence order, cache modules,
-    Attraction Buffers, next-level ports, protocol latches, counters,
-    bus and directory (traffic counters and transaction ids included)
-    go back to the state {!create} left them in (a first run finds them
-    there), and the run takes its draws from [jitter] or [choices] and
-    traces into [trace]. A run abandoned partway (an exception from a
-    chooser) leaves nothing that survives this. *)
+(** Start a run, or resume one: it takes its draws from [jitter] or
+    [choices] and traces into [trace]. The state is left as it is. *)
+
+(** {1 Checkpoints} *)
+
+type snapshot
+(** Everything a run mutates, listed once: the memory image, coherence
+    order, cache modules (their occupied sets), Attraction Buffers,
+    executed-store marks, next-level ports, protocol latches, counters,
+    the draw count and the active interconnect (traffic counters and
+    transaction ids included). *)
+
+val capture : t -> snapshot
+
+val restore : t -> snapshot -> unit
+(** Put the memory system back in the captured state, with a fresh copy
+    of the captured image for the run to own. A run abandoned partway
+    (an exception from a chooser) leaves nothing that survives this. *)
 
 val jit : t -> unit -> int
 (** The draw for one bus grant or ring hop: 0, a PRNG value in [0, j]
@@ -133,8 +144,9 @@ val finish :
   t -> compute:int -> stall_load:int -> stall_copy:int -> stall_bus:int ->
   comm_ops:int -> Sim_types.stats
 (** Flush the Attraction Buffers and build the run's stats, with the
-    run's own memory image, which no later run touches; the total is the
-    clock's current value. *)
+    run's own memory image, which no later run touches and the memory
+    system no longer references; the total is the clock's current
+    value. *)
 
 (** {1 State-key segments}
 
@@ -143,7 +155,7 @@ val finish :
     stores; next-level ports; cache modules and buffers (their lines'
     protocol states included). *)
 
-val encode_counters : t -> Buffer.t -> unit
-val encode_memory : t -> Buffer.t -> unit
-val encode_l2 : t -> Buffer.t -> unit
-val encode_caches : t -> Buffer.t -> unit
+val encode_counters : t -> Vliw_util.Codec.t -> unit
+val encode_memory : t -> Vliw_util.Codec.t -> unit
+val encode_l2 : t -> Vliw_util.Codec.t -> unit
+val encode_caches : t -> Vliw_util.Codec.t -> unit

@@ -46,11 +46,16 @@ let exclusive what jitter choices =
     invalid_arg (what ^ ": ?jitter and ?choices are mutually exclusive")
   | _ -> ()
 
-let prepare = Engine_wheel.prepare
+let prepare = Engine_wheel.prepare ~reusable:true
 
 let exec (p : prepared) ?jitter ?choices ?trace () =
   exclusive "Sim.exec" jitter choices;
-  p ~jitter ~choices ~trace
+  p.Engine_wheel.exec ~jitter ~choices ~trace
+
+type checkpoint = Engine_wheel.checkpoint
+
+let checkpoint (p : prepared) = p.Engine_wheel.capture ()
+let resume (p : prepared) k ?choices () = p.Engine_wheel.resume k ~choices
 
 let run ~lowered ~graph ~schedule ~layout ?trip ?mode ?jitter ?choices ?warm
     ?trace ?(engine = `Wheel) () =
@@ -58,7 +63,8 @@ let run ~lowered ~graph ~schedule ~layout ?trip ?mode ?jitter ?choices ?warm
   match engine with
   | `Wheel ->
     exec
-      (prepare ~lowered ~graph ~schedule ~layout ?trip ?mode ?warm ())
+      (Engine_wheel.prepare ~reusable:false ~lowered ~graph ~schedule ~layout
+         ?trip ?mode ?warm ())
       ?jitter ?choices ?trace ()
   | `Reference ->
     Engine_reference.run ~lowered ~graph ~schedule ~layout ?trip ?mode ?jitter

@@ -110,10 +110,14 @@ type chooser = Sim_types.chooser = {
           the complete simulator state. The encoder reads the state as it
           is during the call, before the network phase runs, so a chooser
           that wants the string must call it inside the callback; one
-          that does not pays nothing. Two runs encoding equal
-          strings are in behaviorally identical states: every extension by
-          the same future draws yields byte-identical final stats. The
-          reference engine never calls it. *)
+          that does not pays nothing. The string is binary
+          ({!Vliw_util.Codec}); two runs of one prepared schedule encoding
+          equal strings are in behaviorally identical states: every
+          extension by the same future draws yields byte-identical final
+          stats. Inside the callback a chooser of a run on a prepared
+          engine may also take a {!checkpoint} of that state. A run
+          {!resume}d from a checkpoint does not note the cycle it resumes
+          in again. The reference engine never calls it. *)
 }
 (** Externalized nondeterminism for bounded model checking: the engine asks
     the chooser for every jitter draw instead of a PRNG, so a driver
@@ -158,20 +162,23 @@ val run :
     reproducible for identical inputs, and {!Vliw_trace.Audit} can re-derive
     [violations] and [nullified] from it independently.
 
-    On the wheel engine this is [exec (prepare ...) ...]. *)
+    On the wheel engine this is [exec (prepare ...) ...] on an engine
+    built for this one run, which therefore takes no checkpoint of its
+    initial state. *)
 
 (** {1 Reusing one engine}
 
     A caller that simulates one compiled loop many times (the model
-    checker replays a schedule once per explored state; the fuzzer runs
+    checker runs a schedule once per explored branch; the fuzzer runs
     each schedule nominally and jittered) prepares the wheel engine once
-    and executes it per run. *)
+    and executes it per run, or resumes it from a checkpoint. *)
 
 type prepared
-(** A wheel engine built for one compiled loop: its static tables, the
-    initial memory image and every mutable array. It belongs to the
-    caller that prepared it: runs on it must not overlap (not from two
-    domains, and not from inside a chooser callback of its own run). *)
+(** A wheel engine built for one compiled loop: its static tables, every
+    mutable array and a checkpoint of the state each run starts from. It
+    belongs to the caller that prepared it: runs on it must not overlap
+    (not from two domains, and not from inside a chooser callback of its
+    own run). *)
 
 val prepare :
   lowered:Vliw_lower.Lower.t ->
@@ -193,9 +200,37 @@ val exec :
   ?trace:Vliw_trace.Trace.sink ->
   unit ->
   stats
-(** One simulation on a prepared engine, from cycle 0: the engine's
-    state is reset in place first, so the result is byte-identical to a
-    fresh {!run} with the same arguments (stats, memory, trace events
+(** One simulation on a prepared engine, from cycle 0: the engine first
+    restores, in place, the checkpoint {!prepare} took of its initial
+    state (a fresh engine skips that), so the result is byte-identical to
+    a fresh {!run} with the same arguments (stats, memory, trace events
     and transaction ids, draw consumption), whatever ran on the engine
     before — including a run abandoned by an exception from a chooser.
-    The returned memory image is the caller's own copy. *)
+    The returned memory image is the caller's own copy; a finished run
+    leaves no reference to it, nor to any value it computed, in the
+    engine. *)
+
+type checkpoint
+(** A prepared engine's complete mutable state at one note: the engine's
+    clock, event wheel, instance arrays, MSHR chains and module queues,
+    and the memory system's image, coherence order, occupied cache sets,
+    Attraction Buffers, counters, draw count and bus or directory. It
+    holds copies, so later runs do not change it, and it can be resumed
+    any number of times. *)
+
+val checkpoint : prepared -> checkpoint
+(** The state of the run in progress, as the encoder of the current
+    note reads it.
+    @raise Invalid_argument outside a [ch_note_state] callback of a run
+    on this engine. *)
+
+val resume : prepared -> checkpoint -> ?choices:chooser -> unit -> stats
+(** Continue from a checkpoint of this engine: restore it in place and
+    run from the network phase of its cycle, taking that phase's draws
+    and every later one from [choices] (all 0 without one) and noting
+    later cycles as {!exec} does. The result is byte-identical, in every
+    stats field and the memory image, to a run from cycle 0 that makes
+    the draws the checkpointed run made before its cycle, then the same
+    draws as this one; so is every state key noted after the cycle.
+    Untraced.
+    @raise Invalid_argument if another engine took the checkpoint. *)

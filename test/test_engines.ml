@@ -485,6 +485,145 @@ let test_prepared_reuse () =
 let litmus_dir =
   if Sys.file_exists "litmus" then "litmus" else Filename.concat "test" "litmus"
 
+(* ----- a run resumed from a checkpoint -----
+   Sim.resume continues a run from any note's checkpoint. Over an
+   alternating-draw run, a checkpoint taken at each note and resumed
+   under the complementary draws must give what a run from cycle 0 gives
+   with the alternating draws up to that cycle and the complementary ones
+   after it: every stats field, the memory and the state keys noted after
+   the checkpoint's cycle. On the litmus kernels every later key is
+   compared; on the fuzz cases, whose runs note up to ~330 times, the
+   first 4 (a fault in what a checkpoint holds shows in the first key
+   after it; the final stats and memory cover the rest of the run). *)
+
+(* draw [i]: alternating before draw [from], complementary from it on *)
+let switched ~from i = if i < from then i land 1 else 1 - (i land 1)
+
+(* a chooser drawing [switched ~from] from draw [start] on, recording the
+   keys of at most [keys] notes after the first [skip] *)
+let switching ~from ~start ~skip ~keys:limit =
+  let n = ref start and notes = ref 0 and keys = ref [] in
+  ( {
+      Sim.ch_jitter = 1;
+      ch_draw =
+        (fun ~bound:_ ->
+          let v = switched ~from !n in
+          incr n;
+          v);
+      ch_note_state =
+        Some
+          (fun encode ->
+            incr notes;
+            if !notes > skip && !notes - skip <= limit then keys := encode () :: !keys);
+    },
+    keys )
+
+(* returns the number of checkpoints resumed *)
+let check_resumes tag ~keys ~lowered ~graph ~schedule ~layout =
+  let engine = Sim.prepare ~lowered ~graph ~schedule ~layout () in
+  let taken = ref [] and n = ref 0 in
+  ignore
+    (Sim.exec engine
+       ~choices:
+         {
+           Sim.ch_jitter = 1;
+           ch_draw =
+             (fun ~bound:_ ->
+               let v = !n land 1 in
+               incr n;
+               v);
+           ch_note_state = Some (fun _ -> taken := (Sim.checkpoint engine, !n) :: !taken);
+         }
+       ());
+  List.iteri
+    (fun m (k, from) ->
+      let choices, resumed_keys = switching ~from ~start:from ~skip:0 ~keys in
+      let resumed = Sim.resume engine k ~choices () in
+      let choices, replayed_keys = switching ~from ~start:0 ~skip:(m + 1) ~keys in
+      let replayed = Sim.run ~lowered ~graph ~schedule ~layout ~choices () in
+      let tag = Printf.sprintf "%s, checkpoint %d" tag m in
+      Alcotest.(check string) (tag ^ ": stats and memory") (stats_string replayed)
+        (stats_string resumed);
+      Alcotest.(check int) (tag ^ ": later notes") (List.length !replayed_keys)
+        (List.length !resumed_keys);
+      List.iteri
+        (fun i (a, b) -> if a <> b then Alcotest.failf "%s: later key %d differs" tag i)
+        (List.combine !replayed_keys !resumed_keys))
+    (List.rev !taken);
+  List.length !taken
+
+let test_resume_equivalence () =
+  let resumed = ref 0 in
+  for i = 0 to 99 do
+    match compile (Gen.generate ~seed:1 ~budget:30 i) with
+    | None -> ()
+    | Some (_, layout, lowered, graph, schedule) ->
+      resumed :=
+        !resumed
+        + check_resumes (Printf.sprintf "case %d" i) ~keys:4 ~lowered ~graph
+            ~schedule ~layout
+  done;
+  Array.iter
+    (fun file ->
+      if Filename.check_suffix file ".lk" then
+        List.iter
+          (fun icn ->
+            let case = Gen.load (Filename.concat litmus_dir file) in
+            let case =
+              {
+                case with
+                Gen.g_mconf = Gen.mconf_with ~icn ~clusters:4 case.Gen.g_mconf;
+              }
+            in
+            List.iter
+              (fun (tech, compiled) ->
+                match compiled with
+                | Error _ -> ()
+                | Ok (a : Vliw_fuzz.Diff.artifacts) ->
+                  resumed :=
+                    !resumed
+                    + check_resumes
+                        (Printf.sprintf "%s at %s x4, %s" file icn
+                           (Vliw_fuzz.Diff.technique_name tech))
+                        ~keys:max_int ~lowered:a.a_lowered ~graph:a.a_graph
+                        ~schedule:a.a_schedule ~layout:a.a_layout)
+              (Vliw_fuzz.Diff.compile_all case))
+          [ "bus"; "directory" ])
+    (Sys.readdir litmus_dir);
+  if !resumed < 10_000 then
+    Alcotest.failf "sweep too weak: %d checkpoints resumed" !resumed
+
+(* a checkpoint is taken only at a note, and resumed only where taken *)
+let test_checkpoint_misuse () =
+  let case = Gen.load (Filename.concat litmus_dir "carried.lk") in
+  match Vliw_fuzz.Diff.compile case Vliw_fuzz.Diff.Mdc with
+  | Error e -> Alcotest.failf "carried does not schedule: %s" e
+  | Ok a ->
+    let prepare () =
+      Sim.prepare ~lowered:a.Vliw_fuzz.Diff.a_lowered ~graph:a.a_graph
+        ~schedule:a.a_schedule ~layout:a.a_layout ()
+    in
+    let engine = prepare () in
+    Alcotest.check_raises "outside a note"
+      (Invalid_argument "Sim.checkpoint: not inside a ch_note_state callback")
+      (fun () -> ignore (Sim.checkpoint engine));
+    let k = ref None in
+    ignore
+      (Sim.exec engine
+         ~choices:
+           {
+             Sim.ch_jitter = 1;
+             ch_draw = (fun ~bound:_ -> 0);
+             ch_note_state = Some (fun _ -> if !k = None then k := Some (Sim.checkpoint engine));
+           }
+         ());
+    match !k with
+    | None -> Alcotest.fail "carried never notes"
+    | Some k ->
+      Alcotest.check_raises "another engine"
+        (Invalid_argument "Sim.resume: checkpoint taken on another engine")
+        (fun () -> ignore (Sim.resume (prepare ()) k ()))
+
 (* after its first run, a prepared engine's runs allocate nothing
    directly in the major heap: prepare allocated every array, and the
    first run grew any that needed it *)
@@ -545,5 +684,12 @@ let () =
         [
           Alcotest.test_case "prepared engine equals fresh runs, cases 0-99" `Slow
             test_prepared_reuse;
+        ] );
+      ( "resume",
+        [
+          Alcotest.test_case "resumed runs equal runs from cycle 0" `Slow
+            test_resume_equivalence;
+          Alcotest.test_case "checkpoints stay with their note and engine" `Quick
+            test_checkpoint_misuse;
         ] );
     ]

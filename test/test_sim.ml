@@ -91,9 +91,9 @@ let test_cachemod_rejects_foreign_subblock () =
 let cm_sb m ~set ~tag = m.M.clusters * (set + (tag * M.module_sets m))
 
 let cm_encoding cm =
-  let b = Buffer.create 64 in
-  Cachemod.encode_state cm b;
-  Buffer.contents b
+  let c = Vliw_util.Codec.create 64 in
+  Cachemod.encode_state cm c;
+  Vliw_util.Codec.contents c
 
 let cm_fill cm l = List.iter (fun x -> ignore (Cachemod.install cm ~subblock:x)) l
 
@@ -192,6 +192,61 @@ let prop_cachemod_encoding_is_lru_state =
           let state = Array.to_list model and enc = cm_encoding cm in
           evictions_agree && agrees by_enc enc state && agrees by_model state enc)
         histories)
+
+(* The module encodes only the sets its index says are occupied. Over
+   random histories of installs, touches, flushes, checkpoints and
+   restores across every set, that must give the bytes a test-local scan
+   of every set gives — so the index holds exactly the occupied sets, in
+   order — and a restored module must encode as it did when captured. *)
+let prop_cachemod_index_is_full_scan =
+  let m = M.table2 in
+  let nsets = M.module_sets m in
+  (* half the sets drawn from the first four, so sets fill and evict *)
+  let op =
+    QCheck.Gen.(
+      triple (int_bound 19)
+        (oneof [ int_bound 3; int_bound (nsets - 1) ])
+        (int_bound 3))
+  in
+  let full_scan cm =
+    let c = Vliw_util.Codec.create 64 in
+    let sec = Vliw_util.Codec.open_section c in
+    for s = 0 to nsets - 1 do
+      Cachemod.encode_set cm c s
+    done;
+    Vliw_util.Codec.close_section c sec;
+    Vliw_util.Codec.contents c
+  in
+  QCheck.Test.make ~name:"cachemod indexed encoding equals a full-set scan"
+    ~count:200
+    (QCheck.make QCheck.Gen.(list_size (int_range 0 120) op))
+    (fun ops ->
+      let cm = Cachemod.create m ~cluster:0 in
+      let saved = ref (Cachemod.capture cm, cm_encoding cm) in
+      List.for_all
+        (fun (k, set, tag) ->
+          let x = cm_sb m ~set ~tag in
+          let restored_ok =
+            match k with
+            | 0 ->
+              Cachemod.invalidate_all cm;
+              true
+            | 1 | 2 ->
+              Cachemod.touch cm ~subblock:x;
+              true
+            | 3 ->
+              saved := (Cachemod.capture cm, cm_encoding cm);
+              true
+            | 4 ->
+              let snap, enc = !saved in
+              Cachemod.restore cm snap;
+              cm_encoding cm = enc
+            | _ ->
+              ignore (Cachemod.install cm ~subblock:x);
+              true
+          in
+          restored_ok && cm_encoding cm = full_scan cm)
+        ops)
 
 (* --- attraction buffer unit tests --- *)
 
@@ -933,6 +988,7 @@ let () =
           Alcotest.test_case "invalidated encodes fresh" `Quick
             test_cachemod_encode_invalidated_is_fresh;
           QCheck_alcotest.to_alcotest prop_cachemod_encoding_is_lru_state;
+          QCheck_alcotest.to_alcotest prop_cachemod_index_is_full_scan;
         ] );
       ( "attraction",
         [

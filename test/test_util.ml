@@ -380,14 +380,15 @@ let test_json_accessors () =
   Alcotest.(check (option int)) "missing member" None
     (Option.bind (Json.member "zzz" v) Json.to_int_opt)
 
-(* --- Dec --- *)
+(* --- Codec --- *)
 
-let dec_ints = [ 0; 1; -1; 9; -9; 10; -10; 99; -99; max_int; min_int ]
+let codec_ints =
+  [ 0; 1; -1; 63; -64; 64; -65; 8191; -8192; 8192; max_int; min_int ]
 
 (* every int, plus the int64 extremes and the values just outside the
-   63-bit range, where the writer leaves its [int] fast path *)
-let dec_int64s =
-  List.map Int64.of_int dec_ints
+   63-bit range *)
+let codec_int64s =
+  List.map Int64.of_int codec_ints
   @ [
       Int64.max_int;
       Int64.min_int;
@@ -395,42 +396,131 @@ let dec_int64s =
       Int64.pred (Int64.of_int min_int);
     ]
 
-(* what the writer appends after existing content *)
+(* a test-local reader of the writer's format: unsigned LEB128, then
+   zigzag *)
+let read_varint64 s pos =
+  let rec go acc shift pos =
+    let b = Char.code s.[pos] in
+    let acc = Int64.logor acc (Int64.shift_left (Int64.of_int (b land 0x7f)) shift) in
+    if b land 0x80 = 0 then (acc, pos + 1) else go acc (shift + 7) (pos + 1)
+  in
+  let z, pos = go 0L 0 pos in
+  (Int64.logxor (Int64.shift_right_logical z 1) (Int64.neg (Int64.logand z 1L)), pos)
+
+let read_int s pos =
+  let rec go acc shift pos =
+    let b = Char.code s.[pos] in
+    let acc = acc lor ((b land 0x7f) lsl shift) in
+    if b land 0x80 = 0 then (acc, pos + 1) else go acc (shift + 7) (pos + 1)
+  in
+  let z, pos = go 0 0 pos in
+  ((z lsr 1) lxor -(z land 1), pos)
+
+let read_nat s pos =
+  let rec go acc shift pos =
+    let b = Char.code s.[pos] in
+    let acc = acc lor ((b land 0x7f) lsl shift) in
+    if b land 0x80 = 0 then (acc, pos + 1) else go acc (shift + 7) (pos + 1)
+  in
+  go 0 0 pos
+
+(* an array: its length, then groups whose header is [count lsl 1 lor
+   kind], kind 1 standing for a run of one element *)
+let read_array read s pos =
+  let n, pos = read_nat s pos in
+  let out = ref [] and pos = ref pos and got = ref 0 in
+  while !got < n do
+    let h, p = read_nat s !pos in
+    let count = h lsr 1 in
+    pos := p;
+    if h land 1 = 1 then begin
+      let v, p = read s !pos in
+      pos := p;
+      for _ = 1 to count do
+        out := v :: !out
+      done
+    end
+    else
+      for _ = 1 to count do
+        let v, p = read s !pos in
+        pos := p;
+        out := v :: !out
+      done;
+    got := !got + count
+  done;
+  (Array.of_list (List.rev !out), !pos)
+
+let read_ints = read_array read_int
+let read_int64s = read_array read_varint64
+
 let written f v =
-  let b = Buffer.create 8 in
-  Buffer.add_string b "x=";
-  f b v;
-  Buffer.sub b 2 (Buffer.length b - 2)
+  let c = Codec.create 4 in
+  f c v;
+  Codec.contents c
 
-let test_dec_matches_stdlib () =
+let test_codec_round_trips () =
   List.iter
     (fun v ->
-      Alcotest.(check string)
-        (string_of_int v) (string_of_int v) (written Dec.add_int v))
-    dec_ints;
+      let s = written Codec.int v in
+      Alcotest.(check (pair int int)) (string_of_int v) (v, String.length s)
+        (read_int s 0))
+    codec_ints;
   List.iter
     (fun v ->
-      Alcotest.(check string)
-        (Int64.to_string v) (Int64.to_string v) (written Dec.add_int64 v))
-    dec_int64s;
-  List.iter
-    (fun v ->
-      Alcotest.(check string)
-        (string_of_bool v) (string_of_bool v) (written Dec.add_bool v))
-    [ true; false ]
+      let s = written Codec.int64 v in
+      Alcotest.(check (pair int64 int)) (Int64.to_string v) (v, String.length s)
+        (read_varint64 s 0))
+    codec_int64s;
+  Alcotest.(check int) "small magnitudes take one byte" 1
+    (String.length (written Codec.int (-64)));
+  (* a run is one group however long; runs shorter than three stay
+     literal *)
+  let runs = [| 7; 7; 7; 7; 1; 2; 2; 9; 9; 9 |] in
+  Alcotest.(check (pair (array int) int)) "runs round-trip"
+    (runs, String.length (written Codec.ints runs))
+    (read_ints (written Codec.ints runs) 0);
+  Alcotest.(check int) "a run of 1000 takes five bytes" 5
+    (String.length (written Codec.ints (Array.make 1000 (-1))));
+  (* arrays, byte strings and sections carry their lengths *)
+  let c = Codec.create 4 in
+  Codec.ints c [| 5; -1; 300 |];
+  Codec.bytes c (Bytes.of_string "ab");
+  let sec = Codec.open_section c in
+  Codec.int c 7;
+  Codec.bool c true;
+  Codec.close_section c sec;
+  Codec.byte c 0x1ff;
+  let s = Codec.contents c in
+  let a, p = read_ints s 0 in
+  Alcotest.(check (array int)) "ints" [| 5; -1; 300 |] a;
+  let n, p = read_nat s p in
+  Alcotest.(check string) "bytes" "ab" (String.sub s p n);
+  let p = p + n in
+  Alcotest.(check int32) "section length" 2l (String.get_int32_le s p);
+  Alcotest.(check (pair int int)) "section body" (7, p + 5) (read_int s (p + 4));
+  Alcotest.(check int) "bool" 1 (Char.code s.[p + 5]);
+  Alcotest.(check int) "byte keeps the low 8 bits" 0xff (Char.code s.[p + 6]);
+  Alcotest.(check int) "length" (p + 7) (String.length s)
 
-let test_dec_allocation_free () =
-  let ints = Array.of_list dec_ints and i64s = Array.of_list dec_int64s in
-  let b = Buffer.create 4096 in
+let test_codec_allocation_free () =
+  let ints = Array.of_list codec_ints and i64s = Array.of_list codec_int64s in
+  let data = Bytes.make 40 'x' in
+  let c = Codec.create 4096 in
   let write () =
-    Buffer.clear b;
+    Codec.clear c;
     for i = 0 to Array.length ints - 1 do
-      Dec.add_int b ints.(i)
+      Codec.int c ints.(i)
     done;
     for i = 0 to Array.length i64s - 1 do
-      Dec.add_int64 b i64s.(i)
+      Codec.int64 c i64s.(i)
     done;
-    Dec.add_bool b true
+    Codec.ints c ints;
+    Codec.int64s c i64s;
+    Codec.bytes c data;
+    let sec = Codec.open_section c in
+    Codec.bool c true;
+    Codec.byte c 3;
+    Codec.close_section c sec
   in
   write ();
   let before = Gc.minor_words () in
@@ -465,12 +555,21 @@ let prop_shuffle_preserves_multiset =
       Prng.shuffle t arr;
       List.sort compare (Array.to_list arr) = List.sort compare xs)
 
-let prop_dec_matches_stdlib =
-  QCheck.Test.make ~name:"dec writes the stdlib's bytes" ~count:500
-    QCheck.(pair int int64)
-    (fun (i, l) ->
-      written Dec.add_int i = string_of_int i
-      && written Dec.add_int64 l = Int64.to_string l)
+(* arrays drawn from few values, so runs of every length occur *)
+let prop_codec_round_trips =
+  QCheck.Test.make ~name:"codec values and arrays round-trip"
+    ~count:500
+    QCheck.(
+      quad int int64
+        (array_of_size Gen.(int_bound 40) (oneofl [ 0; -1; 5; max_int ]))
+        (array_of_size Gen.(int_bound 40) (oneofl [ 0L; -1L; Int64.max_int ])))
+    (fun (i, l, a, b) ->
+      let si = written Codec.int i and sl = written Codec.int64 l in
+      let sa = written Codec.ints a and sb = written Codec.int64s b in
+      read_int si 0 = (i, String.length si)
+      && read_varint64 sl 0 = (l, String.length sl)
+      && read_ints sa 0 = (a, String.length sa)
+      && read_int64s sb 0 = (b, String.length sb))
 
 let () =
   Alcotest.run "util"
@@ -542,10 +641,10 @@ let () =
             test_json_emit_parse_roundtrip;
           Alcotest.test_case "accessors" `Quick test_json_accessors;
         ] );
-      ( "dec",
+      ( "codec",
         [
-          Alcotest.test_case "matches stdlib" `Quick test_dec_matches_stdlib;
-          Alcotest.test_case "allocation-free" `Quick test_dec_allocation_free;
+          Alcotest.test_case "round-trips" `Quick test_codec_round_trips;
+          Alcotest.test_case "allocation-free" `Quick test_codec_allocation_free;
         ] );
       ( "properties",
         List.map QCheck_alcotest.to_alcotest
@@ -553,6 +652,6 @@ let () =
             prop_bar_never_exceeds_width;
             prop_geomean_between_minmax;
             prop_shuffle_preserves_multiset;
-            prop_dec_matches_stdlib;
+            prop_codec_round_trips;
           ] );
     ]
