@@ -1,38 +1,19 @@
 type 'a t = Uniform of 'a | Copy of 'a array
 
-(* the length of [a]'s prefix equal to its first element *)
-let run_ints (a : int array) =
+let capture eq a =
   let n = Array.length a in
-  let i = ref 1 in
-  while !i < n && Array.unsafe_get a !i = Array.unsafe_get a 0 do
-    incr i
-  done;
-  !i
+  if n = 0 then Copy [||]
+  else begin
+    let i = ref 1 in
+    while !i < n && eq a.(!i) a.(0) do
+      incr i
+    done;
+    if !i = n then Uniform a.(0) else Copy (Array.copy a)
+  end
 
-let run_int64s (a : int64 array) =
-  let n = Array.length a in
-  let i = ref 1 in
-  while !i < n && Int64.equal (Array.unsafe_get a !i) (Array.unsafe_get a 0) do
-    incr i
-  done;
-  !i
-
-let run_bools (a : bool array) =
-  let n = Array.length a in
-  let i = ref 1 in
-  while !i < n && Array.unsafe_get a !i = Array.unsafe_get a 0 do
-    incr i
-  done;
-  !i
-
-let capture run a =
-  if Array.length a = 0 then Copy [||]
-  else if run a = Array.length a then Uniform a.(0)
-  else Copy (Array.copy a)
-
-let ints a = capture run_ints a
-let int64s a = capture run_int64s a
-let bools a = capture run_bools a
+let ints a = capture Int.equal a
+let int64s a = capture Int64.equal a
+let bools a = capture Bool.equal a
 
 let restore s a =
   match s with
