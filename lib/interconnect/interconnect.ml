@@ -53,7 +53,6 @@ module Bus = struct
     mutable cap : int;
     mutable head : int;
     mutable len : int;
-    mutable q_ready : int array;
     mutable q_req : int array;
     mutable q_txn : int array;
     mutable q_payload : int array;
@@ -68,7 +67,6 @@ module Bus = struct
       cap;
       head = 0;
       len = 0;
-      q_ready = Array.make cap 0;
       q_req = Array.make cap 0;
       q_txn = Array.make cap 0;
       q_payload = Array.make cap 0;
@@ -84,7 +82,6 @@ module Bus = struct
       done;
       a
     in
-    t.q_ready <- regrow_int t.q_ready;
     t.q_req <- regrow_int t.q_req;
     t.q_txn <- regrow_int t.q_txn;
     t.q_payload <- regrow_int t.q_payload;
@@ -97,7 +94,6 @@ module Bus = struct
     if t.len >= t.cap then grow t;
     let i = (t.head + t.len) mod t.cap in
     t.len <- t.len + 1;
-    t.q_ready.(i) <- now;
     t.q_req.(i) <- now;
     t.q_txn.(i) <- txn;
     t.q_payload.(i) <- payload;
@@ -105,20 +101,15 @@ module Bus = struct
 
   let pending t = t.len > 0
 
-  (* [dispatch]'s grant condition, read before it runs: a free bus and a
-     ready queue head *)
-  let draws t ~now =
-    t.len > 0
-    && t.q_ready.(t.head) <= now
-    && Array.exists (fun f -> f <= now) t.bus_free
+  (* [dispatch]'s grant condition, read before it runs: a queued request
+     and a free bus *)
+  let draws t ~now = t.len > 0 && Array.exists (fun f -> f <= now) t.bus_free
 
   (* Canonical serialization for model-checking state keys: per-bus busy
      horizons relativized to [now] (all past values behave identically —
      [dispatch] only compares them against [now]) plus the queued payloads
      in FIFO order. Transaction ids and request stamps are excluded: they
-     only feed the [Bus_grant] trace fields, never arbitration, and
-     [q_ready] always equals its request cycle, which is [<= now] by the
-     time any dispatch can observe it. *)
+     only feed the [Bus_grant] trace fields, never arbitration. *)
   let encode_state t ~now c =
     Array.iter (fun f -> Codec.int c (max 0 (f - now))) t.bus_free;
     Codec.int c t.len;
@@ -131,45 +122,41 @@ module Bus = struct
     for b = 0 to nbuses - 1 do
       if t.bus_free.(b) <= now && t.len > 0 then begin
         let h = t.head in
-        if t.q_ready.(h) <= now then begin
-          t.head <- (h + 1) mod t.cap;
-          t.len <- t.len - 1;
-          let lat = t.latency + jit () in
-          t.bus_free.(b) <- now + lat;
-          grant ~txn:t.q_txn.(h) ~bus:b
-            ~wait:(now - t.q_req.(h))
-            ~lat ~arrival:(now + lat) t.q_payload.(h)
-        end
+        t.head <- (h + 1) mod t.cap;
+        t.len <- t.len - 1;
+        let lat = t.latency + jit () in
+        t.bus_free.(b) <- now + lat;
+        grant ~txn:t.q_txn.(h) ~bus:b
+          ~wait:(now - t.q_req.(h))
+          ~lat ~arrival:(now + lat) t.q_payload.(h)
       end
     done
 
-  (* checkpoints: the busy horizons, the queue in FIFO order (four ints
+  (* checkpoints: the busy horizons, the queue in FIFO order (three ints
      per entry) and the next transaction id *)
   type snapshot = { k_bus_free : int array; k_queue : int array; k_txn : int }
 
   let capture t =
-    let q = Array.make (4 * t.len) 0 in
+    let q = Array.make (3 * t.len) 0 in
     for i = 0 to t.len - 1 do
       let j = (t.head + i) mod t.cap in
-      q.(4 * i) <- t.q_ready.(j);
-      q.((4 * i) + 1) <- t.q_req.(j);
-      q.((4 * i) + 2) <- t.q_txn.(j);
-      q.((4 * i) + 3) <- t.q_payload.(j)
+      q.(3 * i) <- t.q_req.(j);
+      q.((3 * i) + 1) <- t.q_txn.(j);
+      q.((3 * i) + 2) <- t.q_payload.(j)
     done;
     { k_bus_free = Array.copy t.bus_free; k_queue = q; k_txn = t.txn_counter }
 
   let restore t k =
-    let n = Array.length k.k_queue / 4 in
+    let n = Array.length k.k_queue / 3 in
     t.head <- 0;
     t.len <- 0;
     while t.cap < n do
       grow t
     done;
     for i = 0 to n - 1 do
-      t.q_ready.(i) <- k.k_queue.(4 * i);
-      t.q_req.(i) <- k.k_queue.((4 * i) + 1);
-      t.q_txn.(i) <- k.k_queue.((4 * i) + 2);
-      t.q_payload.(i) <- k.k_queue.((4 * i) + 3)
+      t.q_req.(i) <- k.k_queue.(3 * i);
+      t.q_txn.(i) <- k.k_queue.((3 * i) + 1);
+      t.q_payload.(i) <- k.k_queue.((3 * i) + 2)
     done;
     t.len <- n;
     Array.blit k.k_bus_free 0 t.bus_free 0 (Array.length t.bus_free);
@@ -211,18 +198,17 @@ module Directory = struct
     d_hops : int;
   }
 
+  (* A packet's scheduled entry is its arrival at [p_at] (deliver) when
+     [p_at = p_dst], a departure attempt from [p_at] otherwise. *)
   type packet = {
     p_txn : int;
     p_payload : delivery;
     p_dst : int;
     p_dir : int; (* +1 clockwise / -1 counter-clockwise *)
-    mutable p_at : int; (* current node *)
-    mutable p_arrived : bool;
-        (* scheduled entry is the arrival at [p_at] (deliver) rather
-           than a departure attempt from [p_at] *)
+    p_at : int; (* current node *)
   }
 
-  type dir_entry = { mutable e_mask : int }
+  module Int_map = Map.Make (Int)
 
   type t = {
     clusters : int;
@@ -230,10 +216,12 @@ module Directory = struct
     (* directed link u->u+1 has id 2u, link u->u-1 has id 2u+1 *)
     link_free : int array; (* next cycle the link entry accepts a packet *)
     link_last : int array; (* arrival time of the link's last traversal *)
-    buckets : (int, packet list ref) Hashtbl.t; (* cycle -> rev list *)
-    entries : (int, dir_entry) Hashtbl.t; (* subblock -> sharers *)
+    (* the calendar: (cycle, packets newest first) in ascending cycle
+       order. Every [schedule] targets a cycle after [now], so [step] and
+       [draws] find the current cycle at the head. *)
+    mutable due : (int * packet list) list;
+    mutable sharers : int Int_map.t; (* subblock -> nonzero mask *)
     mutable txn_counter : int;
-    mutable in_flight : int;
     mutable lookups : int;
     mutable invalidates : int;
     mutable writebacks : int;
@@ -246,22 +234,24 @@ module Directory = struct
       hop_latency;
       link_free = Array.make (2 * clusters) 0;
       link_last = Array.make (2 * clusters) 0;
-      buckets = Hashtbl.create 16;
-      entries = Hashtbl.create 16;
+      due = [];
+      sharers = Int_map.empty;
       txn_counter = 0;
-      in_flight = 0;
       lookups = 0;
       invalidates = 0;
       writebacks = 0;
       hops = 0;
     }
 
-  let pending t = t.in_flight > 0
+  let pending t = t.due <> []
 
   let schedule t cycle p =
-    match Hashtbl.find_opt t.buckets cycle with
-    | Some l -> l := p :: !l
-    | None -> Hashtbl.add t.buckets cycle (ref [ p ])
+    let rec insert = function
+      | (c, l) :: rest when c = cycle -> (c, p :: l) :: rest
+      | ((c, _) as b) :: rest when c < cycle -> b :: insert rest
+      | later -> (cycle, [ p ]) :: later
+    in
+    t.due <- insert t.due
 
   (* Shortest way around the ring; ties go clockwise. *)
   let direction t ~src ~dst =
@@ -271,23 +261,19 @@ module Directory = struct
 
   (* Injection takes effect next cycle: [step] for the current cycle may
      already have run when the engines inject (module service and issue
-     happen after the network phase), so a same-cycle bucket entry could
-     be silently skipped. *)
+     happen after the network phase), so a same-cycle calendar entry
+     would never be stepped. *)
   let inject t ~now ~src ~dst payload =
     let txn = t.txn_counter in
     t.txn_counter <- txn + 1;
-    let p =
+    schedule t (now + 1)
       {
         p_txn = txn;
         p_payload = payload;
         p_dst = dst;
         p_dir = direction t ~src ~dst;
         p_at = src;
-        p_arrived = src = dst;
-      }
-    in
-    t.in_flight <- t.in_flight + 1;
-    schedule t (now + 1) p;
+      };
     txn
 
   let send_request t ~now ~src ~dst payload =
@@ -296,25 +282,23 @@ module Directory = struct
   let send_response t ~now ~src ~dst payload =
     inject t ~now ~src ~dst (Response payload)
 
-  let entry t subblock =
-    match Hashtbl.find_opt t.entries subblock with
-    | Some e -> e
-    | None ->
-      let e = { e_mask = 0 } in
-      Hashtbl.add t.entries subblock e;
-      e
+  let mask t subblock =
+    Option.value (Int_map.find_opt subblock t.sharers) ~default:0
+
+  let set_mask t subblock m =
+    t.sharers <-
+      (if m = 0 then Int_map.remove subblock t.sharers
+       else Int_map.add subblock m t.sharers)
 
   let lookup t ~subblock =
     t.lookups <- t.lookups + 1;
-    match Hashtbl.find_opt t.entries subblock with
-    | Some e -> e.e_mask
-    | None -> 0
+    mask t subblock
 
   let store_apply t ~now ~home ~subblock ~requester =
-    let e = entry t subblock in
+    let m = mask t subblock in
     let keep = if requester >= 0 then 1 lsl requester else 0 in
-    let sharers = e.e_mask land lnot keep in
-    e.e_mask <- e.e_mask land keep;
+    let sharers = m land lnot keep in
+    set_mask t subblock (m land keep);
     let sent = ref 0 in
     for c = 0 to t.clusters - 1 do
       if sharers land (1 lsl c) <> 0 then begin
@@ -326,13 +310,10 @@ module Directory = struct
     !sent
 
   let confirm_install t ~cluster ~subblock =
-    let e = entry t subblock in
-    e.e_mask <- e.e_mask lor (1 lsl cluster)
+    set_mask t subblock (mask t subblock lor (1 lsl cluster))
 
   let drop_replica t ~cluster ~subblock =
-    match Hashtbl.find_opt t.entries subblock with
-    | Some e -> e.e_mask <- e.e_mask land lnot (1 lsl cluster)
-    | None -> ()
+    set_mask t subblock (mask t subblock land lnot (1 lsl cluster))
 
   let writeback t ~now ~src ~home ~subblock =
     ignore (inject t ~now ~src ~dst:home (Writeback_ack { subblock; from = src }))
@@ -344,23 +325,24 @@ module Directory = struct
      earlier in the same step move no link horizon, so the first such
      packet of each open link departs and draws. *)
   let draws t ~now =
-    match Hashtbl.find_opt t.buckets now with
-    | None -> false
-    | Some l ->
+    match t.due with
+    | (c, l) :: _ when c = now ->
       List.exists
         (fun p -> p.p_at <> p.p_dst && t.link_free.(link_of p) <= now)
-        !l
+        l
+    | _ -> false
 
   (* Canonical serialization for model-checking state keys. Link horizons
      are relativized to [now]: [link_free <= now] means "open" and
      [link_last <= now] cannot clamp an arrival (hop latency is >= 1), so
-     both collapse to 0. Buckets are emitted in ascending-cycle order,
-     packets within a bucket in processing (injection) order; transaction
-     ids are trace-only and excluded. Directory entries are emitted in
-     subblock order, skipping entries indistinguishable from an absent
-     one (empty mask). [in_flight] is derivable from the buckets.
-     The traffic counters are included because they surface in the final
-     run stats. *)
+     both collapse to 0. The calendar is emitted in its ascending-cycle
+     order, packets within a cycle in processing (injection) order, each
+     with a bool that is true when its entry is an arrival: [p_at] and
+     [p_dst] already say so, but the bool keeps keys byte-identical to
+     test/key_digests.txt. Transaction ids are trace-only and excluded.
+     The sharer map holds no empty mask, so it is emitted as it stands,
+     in subblock order. The traffic counters are included because they
+     surface in the final run stats. *)
   let encode_state t ~now c =
     Array.iter (fun f -> Codec.int c (max 0 (f - now))) t.link_free;
     Array.iter (fun f -> Codec.int c (max 0 (f - now))) t.link_last;
@@ -380,50 +362,42 @@ module Directory = struct
         Codec.int c subblock;
         Codec.int c from
     in
-    let cycles =
-      Hashtbl.fold (fun c _ acc -> c :: acc) t.buckets [] |> List.sort Int.compare
+    (* oldest first: the tail, then the head *)
+    let rec packets = function
+      | [] -> ()
+      | p :: older ->
+        packets older;
+        Codec.int c p.p_dst;
+        Codec.int c p.p_dir;
+        Codec.int c p.p_at;
+        Codec.bool c (p.p_at = p.p_dst);
+        delivery p.p_payload
     in
-    Codec.int c (List.length cycles);
+    Codec.int c (List.length t.due);
     List.iter
-      (fun cy ->
-        let l = List.rev !(Hashtbl.find t.buckets cy) in
+      (fun (cy, l) ->
         Codec.int c (cy - now);
         Codec.int c (List.length l);
-        List.iter
-          (fun p ->
-            Codec.int c p.p_dst;
-            Codec.int c p.p_dir;
-            Codec.int c p.p_at;
-            Codec.bool c p.p_arrived;
-            delivery p.p_payload)
-          l)
-      cycles;
-    let entries =
-      Hashtbl.fold
-        (fun sb e acc -> if e.e_mask = 0 then acc else (sb, e.e_mask) :: acc)
-        t.entries []
-      |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
-    in
-    Codec.int c (List.length entries);
-    List.iter
-      (fun (sb, mask) ->
+        packets l)
+      t.due;
+    Codec.int c (Int_map.cardinal t.sharers);
+    Int_map.iter
+      (fun sb m ->
         Codec.int c sb;
-        Codec.int c mask)
-      entries;
+        Codec.int c m)
+      t.sharers;
     Codec.int c t.lookups;
     Codec.int c t.invalidates;
     Codec.int c t.writebacks;
     Codec.int c t.hops
 
   let step t ~now ~jit ~emit_hop ~deliver =
-    match Hashtbl.find_opt t.buckets now with
-    | None -> ()
-    | Some l ->
-      Hashtbl.remove t.buckets now;
+    match t.due with
+    | (c, l) :: later when c = now ->
+      t.due <- later;
       List.iter
         (fun p ->
-          if p.p_arrived && p.p_at = p.p_dst then begin
-            t.in_flight <- t.in_flight - 1;
+          if p.p_at = p.p_dst then begin
             (match p.p_payload with
             | Writeback_ack _ -> t.writebacks <- t.writebacks + 1
             | _ -> ());
@@ -434,10 +408,9 @@ module Directory = struct
             let u = p.p_at in
             let link = link_of p in
             let free = t.link_free.(link) in
-            if free > now then (
+            if free > now then
               (* link entry busy this cycle: retry when it opens *)
-              p.p_arrived <- false;
-              schedule t free p)
+              schedule t free p
             else begin
               t.link_free.(link) <- now + 1;
               let v = (u + p.p_dir + t.clusters) mod t.clusters in
@@ -447,12 +420,11 @@ module Directory = struct
               t.link_last.(link) <- arrival;
               t.hops <- t.hops + 1;
               emit_hop ~txn:p.p_txn ~src:u ~dst:v;
-              p.p_at <- v;
-              p.p_arrived <- v = p.p_dst;
-              schedule t arrival p
+              schedule t arrival { p with p_at = v }
             end
           end)
-        (List.rev !l)
+        (List.rev l)
+    | _ -> ()
 
   let stats t =
     {
@@ -462,51 +434,26 @@ module Directory = struct
       d_hops = t.hops;
     }
 
-  (* checkpoints: the link horizons, copies of the packets in flight per
-     bucket (a packet's position moves as it hops), every directory
-     entry, the counters and the next transaction id *)
-  type snapshot = {
-    k_link_free : int array;
-    k_link_last : int array;
-    k_buckets : (int * packet list) list;
-    k_entries : (int * int) list;
-    k_txn : int;
-    k_in_flight : int;
-    k_lookups : int;
-    k_invalidates : int;
-    k_writebacks : int;
-    k_hops : int;
-  }
-
-  let copy_packets l = List.map (fun p -> { p with p_txn = p.p_txn }) l
+  (* checkpoints: copies of the two link arrays; the calendar, its
+     packets and the sharer map are immutable, so the snapshot shares
+     them, as it does the counters *)
+  type snapshot = t
 
   let capture t =
     {
-      k_link_free = Array.copy t.link_free;
-      k_link_last = Array.copy t.link_last;
-      k_buckets =
-        Hashtbl.fold (fun cy l acc -> (cy, copy_packets !l) :: acc) t.buckets [];
-      k_entries = Hashtbl.fold (fun sb e acc -> (sb, e.e_mask) :: acc) t.entries [];
-      k_txn = t.txn_counter;
-      k_in_flight = t.in_flight;
-      k_lookups = t.lookups;
-      k_invalidates = t.invalidates;
-      k_writebacks = t.writebacks;
-      k_hops = t.hops;
+      t with
+      link_free = Array.copy t.link_free;
+      link_last = Array.copy t.link_last;
     }
 
-  (* [Hashtbl.clear] keeps the tables' grown bucket arrays *)
   let restore t k =
-    Array.blit k.k_link_free 0 t.link_free 0 (Array.length t.link_free);
-    Array.blit k.k_link_last 0 t.link_last 0 (Array.length t.link_last);
-    Hashtbl.clear t.buckets;
-    List.iter (fun (cy, l) -> Hashtbl.add t.buckets cy (ref (copy_packets l))) k.k_buckets;
-    Hashtbl.clear t.entries;
-    List.iter (fun (sb, mask) -> Hashtbl.add t.entries sb { e_mask = mask }) k.k_entries;
-    t.txn_counter <- k.k_txn;
-    t.in_flight <- k.k_in_flight;
-    t.lookups <- k.k_lookups;
-    t.invalidates <- k.k_invalidates;
-    t.writebacks <- k.k_writebacks;
-    t.hops <- k.k_hops
+    Array.blit k.link_free 0 t.link_free 0 (Array.length t.link_free);
+    Array.blit k.link_last 0 t.link_last 0 (Array.length t.link_last);
+    t.due <- k.due;
+    t.sharers <- k.sharers;
+    t.txn_counter <- k.txn_counter;
+    t.lookups <- k.lookups;
+    t.invalidates <- k.invalidates;
+    t.writebacks <- k.writebacks;
+    t.hops <- k.hops
 end

@@ -156,11 +156,12 @@ module Directory : sig
 
   val encode_state : t -> now:int -> Vliw_util.Codec.t -> unit
   (** Append a canonical serialization of the ring + directory state for
-      model-checking state keys: link horizons relativized to [now],
-      buckets in ascending-cycle order with packets in processing order,
-      directory entries in subblock order (skipping empty ones),
-      and the traffic counters (they surface in the final stats).
-      Transaction ids are trace-only and excluded. *)
+      model-checking state keys: link horizons relativized to [now], the
+      calendar in ascending-cycle order with packets in processing order,
+      the sharer masks in subblock order (an empty mask is not kept), and
+      the traffic counters (they surface in the final stats). Transaction
+      ids are trace-only and excluded. Both structures are walked in the
+      order they are kept, with no sort. *)
 
   val send_request : t -> now:int -> src:int -> dst:int -> int -> int
   (** Inject a request packet carrying the engine's payload; returns its
@@ -212,12 +213,13 @@ module Directory : sig
   val stats : t -> stats
 
   type snapshot
-  (** Link horizons, the packets in flight, every directory entry, the
-      traffic counters and the next transaction id. *)
+  (** Copies of the link horizons, and the packets in flight, the sharer
+      masks, the traffic counters and the next transaction id, shared:
+      packets, calendar and masks are immutable values. *)
 
   val capture : t -> snapshot
 
   val restore : t -> snapshot -> unit
-  (** Put the ring and the directory back in the captured state exactly.
-      Allocates the restored packets and entries. *)
+  (** Put the ring and the directory back in the captured state exactly:
+      blits the link horizons, shares the rest. Allocates nothing. *)
 end

@@ -19,9 +19,6 @@ val create : Vliw_arch.Machine.t -> t
     with zeroed data.
     @raise Invalid_argument if the machine has no Attraction Buffers. *)
 
-val lookup : t -> subblock:int -> bool
-(** Presence test + LRU bump. *)
-
 val read : t -> subblock:int -> addr:int -> size:int -> int64 option
 (** Little-endian read from the buffered copy; [None] if absent. *)
 
@@ -64,17 +61,17 @@ val flush : t -> int
 
 val encode_state : t -> Vliw_util.Codec.t -> unit
 (** Append a canonical serialization of the buffer's complete state
-    (entries in way order with their line states, LRU stamps reduced to
+    (ways in index order with their line states, LRU stamps reduced to
     ranks, data bytes included) for model-checking state keys. *)
 
 (** {1 Checkpoints} *)
 
 type snapshot
-(** Every way's tag, base, line state, sync mark, written bit and bytes,
-    the LRU stamps and the clock. *)
+(** A copy of the buffer's per-way arrays (tag, base, line state, sync
+    mark, written bit, LRU stamp), its bytes and its clock. *)
 
 val capture : t -> snapshot
 
 val restore : t -> snapshot -> unit
-(** Put the buffer back in the captured state exactly. Allocates
-    nothing. *)
+(** Put the buffer back in the captured state exactly: array blits into
+    the buffer's own arrays. Allocates nothing. *)

@@ -118,9 +118,6 @@ let invalidate_all t =
   done;
   t.n_occ <- 0
 
-let valid_lines t =
-  Array.fold_left (fun a w -> if w = -1 then a else a + 1) 0 t.ways
-
 (* One set's record for model-checking state keys, nothing when it holds
    no valid line: its index, its valid-line count and its valid subblocks
    in most-recently-used-first order. Absolute stamp/clock values are

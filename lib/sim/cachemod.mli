@@ -21,7 +21,6 @@ val install : t -> subblock:int -> int option
     cluster. *)
 
 val invalidate_all : t -> unit
-val valid_lines : t -> int
 
 val encode_state : t -> Vliw_util.Codec.t -> unit
 (** Append a canonical serialization of the module's replacement state for

@@ -119,7 +119,7 @@ let run ~lowered ~graph ~schedule ~layout ?trip ?(mode = Execution) ?jitter
   in
 
   let mshr : (int, waiter list ref) Hashtbl.t = Hashtbl.create 32 in
-  let modq : (int * waiter) Queue.t array =
+  let modq : waiter Queue.t array =
     Array.init nclusters (fun _ -> Queue.create ())
   in
   let load_phase : (int * int, load_phase) Hashtbl.t = Hashtbl.create 64 in
@@ -262,12 +262,12 @@ let run ~lowered ~graph ~schedule ~layout ?trip ?(mode = Execution) ?jitter
       if not is_store then Memsys.track_load ms ~seq ~addr ~size;
       if local then (
         track_load w At_module;
-        Queue.add (!now, w) modq.(home))
+        Queue.add w modq.(home))
       else (
         track_load w On_bus;
         let to_module _arrival =
           track_load w At_module;
-          Queue.add (!now, w) modq.(home)
+          Queue.add w modq.(home)
         in
         if dir_mode then send_request ~src:own ~dst:home to_module
         else send_bus ~cluster:own to_module)
@@ -446,11 +446,9 @@ let run ~lowered ~graph ~schedule ~layout ?trip ?(mode = Execution) ?jitter
     dispatch_network ();
     Array.iter
       (fun q ->
-        if not (Queue.is_empty q) then (
-          let enq, _ = Queue.peek q in
-          if enq <= !now then
-            let _, w = Queue.pop q in
-            service (M.home_cluster machine ~addr:w.w_addr) w))
+        if not (Queue.is_empty q) then
+          let w = Queue.pop q in
+          service (M.home_cluster machine ~addr:w.w_addr) w)
       modq;
     (if !vnow < vspan then
        let bundle = buckets.(!vnow) in

@@ -94,9 +94,7 @@ type checkpoint = {
          a, b, c, d *)
   c_mshr : int array;
       (* per subblock with waiters: subblock, count, waiters in order *)
-  c_modq : int array;
-      (* per cluster: count, then (instance, enqueue cycle) pairs in FIFO
-         order *)
+  c_modq : int array;  (* per cluster: count, then instances in FIFO order *)
   c_reg_ready_at : int Saved.t;
   c_reg_val : int64 Saved.t;
   c_copy_ready_at : int Saved.t;
@@ -492,27 +490,21 @@ let prepare ?(reusable = true) ~lowered ~graph ~schedule ~layout ?trip
   let mq_head = Array.make nclusters 0 in
   let mq_count = Array.make nclusters 0 in
   let mq_inst = Array.init nclusters (fun c -> Array.make mq_cap.(c) 0) in
-  let mq_enq = Array.init nclusters (fun c -> Array.make mq_cap.(c) 0) in
   let modq_push c inst =
     (if mq_count.(c) >= mq_cap.(c) then begin
        let cap' = mq_cap.(c) * 2 in
-       let regrow a =
-         let a' = Array.make cap' 0 in
-         for i = 0 to mq_count.(c) - 1 do
-           a'.(i) <- a.((mq_head.(c) + i) mod mq_cap.(c))
-         done;
-         a'
-       in
-       mq_inst.(c) <- regrow mq_inst.(c);
-       mq_enq.(c) <- regrow mq_enq.(c);
+       let a = Array.make cap' 0 in
+       for i = 0 to mq_count.(c) - 1 do
+         a.(i) <- mq_inst.(c).((mq_head.(c) + i) mod mq_cap.(c))
+       done;
+       mq_inst.(c) <- a;
        mq_head.(c) <- 0;
        mq_cap.(c) <- cap'
      end);
     let i = (mq_head.(c) + mq_count.(c)) mod mq_cap.(c) in
     mq_count.(c) <- mq_count.(c) + 1;
     incr modq_total;
-    mq_inst.(c).(i) <- inst;
-    mq_enq.(c).(i) <- !now
+    mq_inst.(c).(i) <- inst
   in
 
   (* ----- per-instance dynamic state ----- *)
@@ -772,8 +764,8 @@ let prepare ?(reusable = true) ~lowered ~graph ~schedule ~layout ?trip
      horizons clamped to 0 (they are only ever compared against [now] or
      later), LRU stamps are reduced to ranks inside the component
      encoders, and trace-only fields (transaction ids, bus indices on
-     in-flight arrivals, module-queue enqueue stamps, queue wait stamps)
-     are excluded — see DESIGN §13 for the field-by-field argument.
+     in-flight arrivals, bus request stamps) are excluded — see DESIGN §13
+     for the field-by-field argument.
      Fields are written with [Codec]: fixed-length arrays as their
      elements, variable ones with a count, a [-1] terminator or as a
      length-prefixed section. One writer serves every encoding of the
@@ -825,9 +817,7 @@ let prepare ?(reusable = true) ~lowered ~graph ~schedule ~layout ?trip
       end
     done;
     Codec.close_section c sec;
-    (* module queues: pending instances in FIFO order. Enqueue stamps are
-       always <= now and the service gate only compares them against now,
-       so they carry no information. *)
+    (* module queues: pending instances in FIFO order *)
     for cl = 0 to nclusters - 1 do
       Codec.int c mq_count.(cl);
       for i = 0 to mq_count.(cl) - 1 do
@@ -873,7 +863,7 @@ let prepare ?(reusable = true) ~lowered ~graph ~schedule ~layout ?trip
   let note_state = ref None and at_note = ref false in
 
   (* ----- checkpoints: the engine's mutable state, listed once -----
-     The payload arrays ([ev_*], [mq_inst], [mq_enq], [mshr_next]) are
+     The payload arrays ([ev_*], [mq_inst], [mshr_next]) are
      captured only where live, and [wh_tail] / [mshr_tail] are rebuilt
      with their heads; restoring keeps the grown capacities of every
      array. *)
@@ -923,16 +913,14 @@ let prepare ?(reusable = true) ~lowered ~graph ~schedule ~layout ?trip
       done;
       a
     in
-    let modq = Array.make (nclusters + (2 * !modq_total)) 0 in
+    let modq = Array.make (nclusters + !modq_total) 0 in
     (let o = ref 0 in
      for cl = 0 to nclusters - 1 do
        modq.(!o) <- mq_count.(cl);
        incr o;
        for i = 0 to mq_count.(cl) - 1 do
-         let j = (mq_head.(cl) + i) mod mq_cap.(cl) in
-         modq.(!o) <- mq_inst.(cl).(j);
-         modq.(!o + 1) <- mq_enq.(cl).(j);
-         o := !o + 2
+         modq.(!o) <- mq_inst.(cl).((mq_head.(cl) + i) mod mq_cap.(cl));
+         incr o
        done
      done);
     {
@@ -991,11 +979,8 @@ let prepare ?(reusable = true) ~lowered ~graph ~schedule ~layout ?trip
        mq_head.(cl) <- 0;
        mq_count.(cl) <- n;
        modq_total := !modq_total + n;
-       for i = 0 to n - 1 do
-         mq_inst.(cl).(i) <- q.(!o);
-         mq_enq.(cl).(i) <- q.(!o + 1);
-         o := !o + 2
-       done
+       Array.blit q !o mq_inst.(cl) 0 n;
+       o := !o + n
      done);
     Saved.restore k.c_reg_ready_at reg_ready_at;
     Saved.restore k.c_reg_val reg_val;
@@ -1055,13 +1040,11 @@ let prepare ?(reusable = true) ~lowered ~graph ~schedule ~layout ?trip
     for c = 0 to nclusters - 1 do
       if mq_count.(c) > 0 then begin
         let h = mq_head.(c) in
-        if mq_enq.(c).(h) <= !now then begin
-          let inst = mq_inst.(c).(h) in
-          mq_head.(c) <- (h + 1) mod mq_cap.(c);
-          mq_count.(c) <- mq_count.(c) - 1;
-          decr modq_total;
-          service inst_home.(inst) inst
-        end
+        let inst = mq_inst.(c).(h) in
+        mq_head.(c) <- (h + 1) mod mq_cap.(c);
+        mq_count.(c) <- mq_count.(c) - 1;
+        decr modq_total;
+        service inst_home.(inst) inst
       end
     done;
     (* 4. issue or stall *)

@@ -131,12 +131,13 @@ let int64s t a =
   done;
   literal_int64s t a !lit n
 
-let bytes t s =
-  let n = Bytes.length s in
+let sub_bytes t s pos n =
   nat t n;
   reserve t n;
-  Bytes.blit s 0 t.buf t.pos n;
+  Bytes.blit s pos t.buf t.pos n;
   t.pos <- t.pos + n
+
+let bytes t s = sub_bytes t s 0 (Bytes.length s)
 
 (* A section's length is patched into a fixed four-byte slot when it
    closes, so its writer need not count its records first. *)

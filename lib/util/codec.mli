@@ -38,7 +38,9 @@ val int64s : t -> int64 array -> unit
 (** As {!ints}, with each element as {!int64}. *)
 
 val bytes : t -> Bytes.t -> unit
-(** The length, then the bytes as one blit. *)
+val sub_bytes : t -> Bytes.t -> int -> int -> unit
+(** The length, then the bytes as one blit: all of them, or [sub_bytes c
+    s pos len]'s [len] from [pos]. *)
 
 type section
 

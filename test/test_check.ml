@@ -386,6 +386,113 @@ let test_notes_draw () =
     (litmus_files ());
   Alcotest.(check bool) "notes seen" true (!notes_total > 0)
 
+(* --- frozen keys: key_digests.txt pins the state-key bytes. Every litmus
+   kernel at {bus, directory} x {4, 8} clusters, under every schedule
+   Diff.compile_all returns, runs three draw scripts (every draw 0, every
+   draw bound - 1, alternating) encoding a key at every note. One MD5 per
+   schedule covers the keys in order and each run's final stats, memory
+   included. A change to what a key holds fails here and names the
+   schedule --- *)
+
+let add_stats buf (s : Sim.stats) =
+  List.iter
+    (fun v -> Printf.bprintf buf "%d," v)
+    [
+      s.total_cycles; s.compute_cycles; s.stall_cycles; s.stall_load_cycles;
+      s.stall_copy_cycles; s.stall_bus_cycles; s.stall_drain_cycles;
+      s.local_hits; s.remote_hits; s.local_misses; s.remote_misses;
+      s.combined; s.ab_hits; s.ab_flushed; s.violations; s.nullified;
+      s.comm_ops; s.dir_lookups; s.dir_invalidates; s.dir_writebacks;
+      s.packet_hops; s.prot_invalidations; s.prot_upgrades;
+      s.prot_exclusive_hits;
+    ];
+  Buffer.add_bytes buf s.memory;
+  Buffer.add_char buf '\n'
+
+let key_digest ~jitter (a : Diff.artifacts) =
+  let buf = Buffer.create 4096 in
+  List.iter
+    (fun pick ->
+      let draws = ref 0 in
+      let choices =
+        {
+          Sim.ch_jitter = jitter;
+          ch_draw =
+            (fun ~bound ->
+              let v = pick !draws bound in
+              incr draws;
+              v);
+          ch_note_state =
+            Some
+              (fun encode ->
+                let k = encode () in
+                Printf.bprintf buf "%d:%s" (String.length k) k);
+        }
+      in
+      add_stats buf
+        (Sim.run ~lowered:a.Diff.a_lowered ~graph:a.Diff.a_graph
+           ~schedule:a.Diff.a_schedule ~layout:a.Diff.a_layout ~choices ()))
+    [
+      (fun _ _ -> 0);
+      (fun _ bound -> bound - 1);
+      (fun i bound -> if i land 1 = 0 then 0 else bound - 1);
+    ];
+  Digest.to_hex (Digest.string (Buffer.contents buf))
+
+(* one line per schedule: "<kernel> <icn> x<clusters> <technique> <md5>" *)
+let key_digest_lines () =
+  List.concat_map
+    (fun file ->
+      List.concat_map
+        (fun icn ->
+          List.concat_map
+            (fun clusters ->
+              let case = load file in
+              let case =
+                {
+                  case with
+                  Gen.g_mconf = Gen.mconf_with ~icn ~clusters case.Gen.g_mconf;
+                }
+              in
+              let jitter = max 1 case.Gen.g_jitter in
+              List.map
+                (fun (tech, compiled) ->
+                  let name =
+                    Printf.sprintf "%s %s x%d %s" (Filename.basename file) icn
+                      clusters (Diff.technique_name tech)
+                  in
+                  match compiled with
+                  | Error e -> Alcotest.failf "%s: unschedulable: %s" name e
+                  | Ok a -> (name, key_digest ~jitter a))
+                (Diff.compile_all case))
+            [ 4; 8 ])
+        [ "bus"; "directory" ])
+    (litmus_files ())
+
+let test_frozen_keys () =
+  let golden =
+    let file = Filename.concat (Filename.dirname litmus_dir) "key_digests.txt" in
+    let ic = open_in file in
+    let rec read acc =
+      match input_line ic with
+      | line ->
+        let i = String.rindex line ' ' in
+        let digest = String.sub line (i + 1) (String.length line - i - 1) in
+        read ((String.sub line 0 i, digest) :: acc)
+      | exception End_of_file ->
+        close_in ic;
+        List.rev acc
+    in
+    read []
+  in
+  let got = key_digest_lines () in
+  Alcotest.(check int) "one digest per schedule" 304 (List.length golden);
+  Alcotest.(check (list string)) "the same schedules" (List.map fst golden)
+    (List.map fst got);
+  List.iter2
+    (fun (name, expected) (_, d) -> Alcotest.(check string) name expected d)
+    golden got
+
 let () =
   Alcotest.run "check"
     [
@@ -402,6 +509,7 @@ let () =
             test_merge_samples_stats_identical;
           Alcotest.test_case "replay agrees across engines" `Quick
             test_replay_engines_agree;
+          Alcotest.test_case "frozen keys" `Quick test_frozen_keys;
         ] );
       ( "determinism",
         [ Alcotest.test_case "jobs 1 = jobs 4" `Quick test_jobs_invariant ] );
