@@ -1,6 +1,6 @@
-(* Command-line pieces vliwc and vliwload share: reading a kernel source,
-   and the compile and machine flags a vliwd request mirrors, each
-   spelled, defaulted and documented once. *)
+(* Command-line pieces the tools share: reading a kernel source, the
+   range check of a numeric flag, and the compile and machine flags a
+   vliwd request mirrors, each spelled, defaulted and documented once. *)
 
 open Cmdliner
 module S = Vliw_sched.Schedule
@@ -11,6 +11,13 @@ let read_source ~tool path =
   else if Sys.file_exists path then In_channel.with_open_bin path In_channel.input_all
   else (
     Printf.eprintf "%s: no such file %s\n" tool path;
+    exit 2)
+
+(* A numeric flag below its least value is refused before anything runs,
+   with one line naming it (exit 2), as a malformed header value is. *)
+let at_least ~tool ~flag least v =
+  if v < least then (
+    Printf.eprintf "%s: --%s must be at least %d, got %d\n" tool flag least v;
     exit 2)
 
 (* a command-line enum spelled by a name table, in lowercase *)

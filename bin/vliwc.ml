@@ -152,12 +152,9 @@ let model_check ~jitter (a : E.artifacts) =
 let main file workload technique heuristic ordering machine_name clusters icn
     protocol interleave ab pad unroll cse lint lint_error verify check
     check_jitter dump_ddg dot dump_sched execution compare jobs trace_file =
-  (match jobs with
-  | Some n when n >= 1 -> Vliw_util.Pool.set_jobs n
-  | Some n ->
-    Printf.eprintf "--jobs expects a positive integer, got %d\n" n;
-    exit 2
-  | None -> ());
+  Option.iter (Flags.at_least ~tool:"vliwc" ~flag:"check-jitter" 0) check_jitter;
+  Option.iter (Flags.at_least ~tool:"vliwc" ~flag:"jobs" 1) jobs;
+  Option.iter Vliw_util.Pool.set_jobs jobs;
   (* explicit flags win over what the source declares (Vliw_arch.Header) *)
   let flags =
     { H.none with machine = machine_name; clusters; interconnect = icn;

@@ -69,7 +69,11 @@ let print_verdict (v : Diff.verdict) =
 
 (* ---- subcommands ---- *)
 
+let at_least = Flags.at_least ~tool:"vliwfuzz"
+
 let run_cmd seed count budget jobs out no_shrink weaken =
+  at_least ~flag:"count" 0 count;
+  Option.iter (at_least ~flag:"jobs" 1) jobs;
   Option.iter Vliw_util.Pool.set_jobs jobs;
   let cfg = Fuzz.config ~seed ~count ~budget ?out ~shrink:(not no_shrink) () in
   let s = Fuzz.run ?verifier:(verifier_of weaken) cfg in
@@ -157,6 +161,8 @@ let render_case_outcome file (r : Check.case_outcome) =
   Buffer.contents b
 
 let check_cmd files clusters icn jitter matrix max_states jobs out weaken =
+  Option.iter (at_least ~flag:"jitter" 0) jitter;
+  Option.iter (at_least ~flag:"jobs" 1) jobs;
   Option.iter Vliw_util.Pool.set_jobs jobs;
   let verifier = verifier_of weaken in
   let config =

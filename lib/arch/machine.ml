@@ -124,8 +124,6 @@ let module_bytes t = t.cache.total_bytes / t.clusters
 let module_sets t =
   module_bytes t / (subblock_bytes t * t.cache.assoc)
 
-let module_set_index t ~addr = block_number t ~addr mod module_sets t
-
 let addrs_of_subblock t ~subblock =
   let blk = subblock / t.clusters and cl = subblock mod t.clusters in
   let base = blk * t.cache.block_bytes in
@@ -135,13 +133,6 @@ let addrs_of_subblock t ~subblock =
     (List.init (t.cache.block_bytes / i) (fun k -> base + (k * i)))
 
 type access_class = Local_hit | Remote_hit | Local_miss | Remote_miss | Combined
-
-let access_class_name = function
-  | Local_hit -> "local hit"
-  | Remote_hit -> "remote hit"
-  | Local_miss -> "local miss"
-  | Remote_miss -> "remote miss"
-  | Combined -> "combined"
 
 (* A remote access pays a request and a response trip on a memory bus; a miss
    additionally pays the (always-hit) next level. *)

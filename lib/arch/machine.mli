@@ -134,9 +134,6 @@ val subblock_id : t -> addr:int -> int
 val module_sets : t -> int
 (** Number of sets in one per-cluster cache module. *)
 
-val module_set_index : t -> addr:int -> int
-(** Set index of [addr] inside its home cluster's module. *)
-
 val addrs_of_subblock : t -> subblock:int -> int list
 (** The [interleave_bytes]-granular base addresses a subblock covers,
     in increasing order. *)
@@ -151,8 +148,6 @@ type access_class =
   | Combined
       (** second access to a subblock whose request is still pending; no new
           request is issued (Section 4.2, Figure 6) *)
-
-val access_class_name : access_class -> string
 
 val latency : t -> access_class -> int
 (** Nominal (contention-free) latency of each access class, used by the

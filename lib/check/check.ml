@@ -116,6 +116,7 @@ type branch = {
 
 let explore ~lowered ~graph ~schedule ~layout ?trip ~jitter ~expected
     ~certified ?(config = default_config) () =
+  if jitter < 0 then invalid_arg "Check.explore: negative jitter";
   (* visited key -> the draw prefix that first reached it, newest first *)
   let visited : int list Visited.t = Visited.create 1024 in
   let stack =

@@ -82,7 +82,8 @@ val explore :
     [expected] is the golden oracle's final memory; [certified] is
     whether the leaves must uphold a verifier certificate — pass
     {!Vliw_verify.Verify.certifies}, since a plain certificate claims
-    nothing about jittered latencies. *)
+    nothing about jittered latencies.
+    @raise Invalid_argument if [jitter] is negative. *)
 
 val replay :
   lowered:Vliw_lower.Lower.t ->

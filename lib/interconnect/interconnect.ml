@@ -1,6 +1,7 @@
-(* Interconnect engines shared by both simulator engines. All arbitration
-   decisions, PRNG draws and delivery orderings happen here, so the wheel
-   and reference engines agree bit-for-bit by construction. *)
+(* The interconnect's two backends, driven by the simulator's memory
+   system ([Vliw_sim.Memsys]) alone. All arbitration decisions, PRNG draws
+   and delivery orderings happen here, so the wheel and reference engines
+   agree bit-for-bit by construction. *)
 
 module M = Vliw_arch.Machine
 module Codec = Vliw_util.Codec
@@ -13,6 +14,8 @@ type guarantees = {
   g_order_under_jitter : bool;
   g_min_remote_latency : int;
 }
+
+let hop_latency (m : M.t) = max 1 m.M.mem_buses.M.bus_latency
 
 let guarantees (m : M.t) =
   match m.M.interconnect with
@@ -32,18 +35,17 @@ let guarantees (m : M.t) =
       (* links are non-overtaking channels: a delayed packet delays its
          followers instead of being passed by them *)
       g_order_under_jitter = true;
-      g_min_remote_latency = max 1 m.M.mem_buses.M.bus_latency;
+      g_min_remote_latency = hop_latency m;
     }
 
 (* ------------------------------------------------------------------ *)
 (* Bus: pool of memory buses draining one global FIFO queue.          *)
 (*                                                                    *)
-(* Extracted verbatim from the engines' previous inline bus logic:    *)
-(* grants scan buses in index order, the queue head is popped when a  *)
+(* Grants scan buses in index order, the queue head is popped when a  *)
 (* bus is free, and the jitter draw happens once per grant after the  *)
 (* pop. The queue is a growable ring over plain int arrays (the       *)
-(* payloads are the engines' int transaction keys), so the            *)
-(* simulation hot path allocates nothing.                             *)
+(* payloads are the memory system's int leg keys), so the simulation  *)
+(* hot path allocates nothing.                                        *)
 (* ------------------------------------------------------------------ *)
 
 module Bus = struct
@@ -186,8 +188,7 @@ end
 
 module Directory = struct
   type delivery =
-    | Request of int
-    | Response of int
+    | Leg of { leg : int; key : int }
     | Invalidate of { subblock : int; home : int }
     | Writeback_ack of { subblock : int; from : int }
 
@@ -260,8 +261,8 @@ module Directory = struct
     if cw <= n - cw then 1 else -1
 
   (* Injection takes effect next cycle: [step] for the current cycle may
-     already have run when the engines inject (module service and issue
-     happen after the network phase), so a same-cycle calendar entry
+     already have run when the memory system injects (module service and
+     issue happen after the network phase), so a same-cycle calendar entry
      would never be stepped. *)
   let inject t ~now ~src ~dst payload =
     let txn = t.txn_counter in
@@ -276,11 +277,7 @@ module Directory = struct
       };
     txn
 
-  let send_request t ~now ~src ~dst payload =
-    inject t ~now ~src ~dst (Request payload)
-
-  let send_response t ~now ~src ~dst payload =
-    inject t ~now ~src ~dst (Response payload)
+  let send t ~now ~src ~dst ~leg key = inject t ~now ~src ~dst (Leg { leg; key })
 
   let mask t subblock =
     Option.value (Int_map.find_opt subblock t.sharers) ~default:0
@@ -339,7 +336,9 @@ module Directory = struct
      order, packets within a cycle in processing (injection) order, each
      with a bool that is true when its entry is an arrival: [p_at] and
      [p_dst] already say so, but the bool keeps keys byte-identical to
-     test/key_digests.txt. Transaction ids are trace-only and excluded.
+     test/key_digests.txt, as does writing a leg's number where requests
+     and responses had their tags (0 and 1). Transaction ids are
+     trace-only and excluded.
      The sharer map holds no empty mask, so it is emitted as it stands,
      in subblock order. The traffic counters are included because they
      surface in the final run stats. *)
@@ -347,12 +346,9 @@ module Directory = struct
     Array.iter (fun f -> Codec.int c (max 0 (f - now))) t.link_free;
     Array.iter (fun f -> Codec.int c (max 0 (f - now))) t.link_last;
     let delivery = function
-      | Request x ->
-        Codec.byte c 0;
-        Codec.int c x
-      | Response x ->
-        Codec.byte c 1;
-        Codec.int c x
+      | Leg { leg; key } ->
+        Codec.byte c leg;
+        Codec.int c key
       | Invalidate { subblock; home } ->
         Codec.byte c 2;
         Codec.int c subblock;

@@ -1,13 +1,14 @@
 (** The interconnect abstraction: how clusters reach remote cache
     modules, as a signature with explicit ordering guarantees plus the
-    two engines implementing it.
+    two backends implementing it.
 
-    Both simulator engines ([Engine_reference] and [Engine_wheel]) drive
-    these components through the same narrow interface — request, grant,
-    transfer — so every arbitration decision and delivery order is made
-    inside this library, not in engine-specific code. The directory's
-    sharer bookkeeping is driven by the simulator's shared memory-system
-    module ([Vliw_sim.Memsys]), never by an engine directly.
+    One module drives these components: the simulator's memory system
+    ([Vliw_sim.Memsys]). It builds the backend the machine declares,
+    sends both legs of every remote access, runs each cycle's network
+    step and keeps the directory's sharer bookkeeping. The simulator
+    engines name no backend: they only keep the calendar that runs a leg
+    when it arrives. Every arbitration decision, jitter draw and delivery
+    order is made inside this library.
 
     {b Bus} is the paper's machine: a pool of shared memory buses
     draining one global FIFO request queue. Ordering guarantee: global
@@ -28,8 +29,8 @@
     still in flight, and a fill confirmed before such an invalidate
     lands keeps its bit after the invalidate kills the copy.
 
-    Both backends carry [int] payloads: the engine's key for the
-    transaction, which the backend never looks inside. *)
+    Both backends carry [int] payloads naming one leg of a transaction,
+    which the backend never looks inside. *)
 
 module M = Vliw_arch.Machine
 
@@ -67,6 +68,11 @@ type guarantees = {
 val guarantees : M.t -> guarantees
 (** The guarantees declared by [machine.interconnect]. *)
 
+val hop_latency : M.t -> int
+(** The nominal latency of one ring hop: the memory buses' transfer
+    latency, at least 1. The one place a hop is priced: the ring the
+    simulator builds and the directory's {!guarantees} both read it. *)
+
 (** {1 Bus: shared memory buses over one global FIFO queue} *)
 
 module Bus : sig
@@ -75,12 +81,12 @@ module Bus : sig
   val create : buses:int -> latency:int -> t
 
   val request : t -> now:int -> int -> int
-  (** Enqueue a transaction with the engine's payload; returns its fresh
+  (** Enqueue a transaction with the sender's payload; returns its fresh
       transaction id. *)
 
   val pending : t -> bool
-  (** Requests queued but not yet granted (the engine main loops must
-      keep running until the queue drains). *)
+  (** Requests queued but not yet granted (a simulation keeps running
+      until the queue drains). *)
 
   val draws : t -> now:int -> bool
   (** The coming {!dispatch} round at [now] consumes at least one jitter
@@ -105,7 +111,7 @@ module Bus : sig
     unit
   (** One arbitration round: every free bus grants the queue head, in
       bus-index order. [jit] is drawn exactly once per grant, after the
-      pop — the call site the engines' PRNG streams are pinned to.
+      pop — the call site the simulator's PRNG streams are pinned to.
       [lat] is the full transfer latency ([latency + jit ()]) and
       [arrival = now + lat]. *)
 
@@ -126,8 +132,10 @@ module Directory : sig
 
   (** What arrives at a cluster when a packet completes its last hop. *)
   type delivery =
-    | Request of int  (** a remote access reaching its home module *)
-    | Response of int  (** fill data reaching the requesting cluster *)
+    | Leg of { leg : int; key : int }
+        (** one leg of a remote access: the request (leg 0) reaching its
+            home module, or the response (leg 1) bringing fill data back
+            to the requester; [key] is the sender's payload *)
     | Invalidate of { subblock : int; home : int }
         (** directory orders this cluster to drop its replica *)
     | Writeback_ack of { subblock : int; from : int }
@@ -144,8 +152,8 @@ module Directory : sig
   val create : clusters:int -> hop_latency:int -> t
 
   val pending : t -> bool
-  (** Packets still in flight (the engine main loops must keep running
-      until the network drains). *)
+  (** Packets still in flight (a simulation keeps running until the
+      network drains). *)
 
   val draws : t -> now:int -> bool
   (** The coming {!step} at [now] consumes at least one jitter draw: a
@@ -163,11 +171,9 @@ module Directory : sig
       ids are trace-only and excluded. Both structures are walked in the
       order they are kept, with no sort. *)
 
-  val send_request : t -> now:int -> src:int -> dst:int -> int -> int
-  (** Inject a request packet carrying the engine's payload; returns its
+  val send : t -> now:int -> src:int -> dst:int -> leg:int -> int -> int
+  (** Inject a [Leg] packet carrying the sender's payload; returns its
       transaction id. *)
-
-  val send_response : t -> now:int -> src:int -> dst:int -> int -> int
 
   val lookup : t -> subblock:int -> int
   (** Record a lookup at [subblock]'s home directory bank; returns the

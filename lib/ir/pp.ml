@@ -113,6 +113,3 @@ let kernel_to_string k =
     k.k_body;
   Buffer.add_string buf "  }\n}\n";
   Buffer.contents buf
-
-let pp_expr ppf e = Format.pp_print_string ppf (expr_to_string e)
-let pp_kernel ppf k = Format.pp_print_string ppf (kernel_to_string k)

@@ -9,5 +9,3 @@ val binop_sym : Ast.binop -> string
 val expr_to_string : Ast.expr -> string
 val stmt_to_string : Ast.stmt -> string
 val kernel_to_string : Ast.kernel -> string
-val pp_kernel : Format.formatter -> Ast.kernel -> unit
-val pp_expr : Format.formatter -> Ast.expr -> unit

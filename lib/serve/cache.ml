@@ -175,17 +175,3 @@ let stats t =
       c_evictions = 0;
     }
     t.shards
-
-let shard_stats t =
-  Array.map
-    (fun sh ->
-      with_shard sh (fun () ->
-          {
-            c_hits = sh.hits;
-            c_coalesced = sh.coalesced;
-            c_misses = sh.misses;
-            c_contended = sh.contended;
-            c_entries = Hashtbl.length sh.tbl;
-            c_evictions = sh.evicted;
-          }))
-    t.shards

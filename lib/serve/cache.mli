@@ -65,4 +65,3 @@ type stats = {
 }
 
 val stats : 'v t -> stats
-val shard_stats : 'v t -> stats array

@@ -172,7 +172,6 @@ let call t rq =
   Option.get !result
 
 let cache_stats t = Cache.stats t.sv_cache
-let cache_shard_stats t = Cache.shard_stats t.sv_cache
 let queue_stats t = Pool.Service.queue_stats t.sv_service
 let minor_collections t = Pool.Service.minor_collections t.sv_service
 

@@ -54,7 +54,6 @@ val call : t -> Protocol.request -> Protocol.reply
 (** Blocking {!submit}, for in-process clients. *)
 
 val cache_stats : t -> Cache.stats
-val cache_shard_stats : t -> Cache.stats array
 val queue_stats : t -> Vliw_util.Pool.Service.queue_stats array
 val minor_collections : t -> int array
 val stats_json : t -> Vliw_util.Json.t

@@ -3,7 +3,7 @@
    (Sim.run ~engine:`Reference). Closure-calendar based: a Hashtbl of
    cycle -> thunk list, functional maps for per-instance state. Slow but
    obviously faithful to the prose spec in sim.mli. The memory system's
-   rules live in [Memsys], shared with the wheel. *)
+   rules and the transport live in [Memsys], shared with the wheel. *)
 
 module G = Vliw_ddg.Graph
 module M = Vliw_arch.Machine
@@ -11,7 +11,6 @@ module S = Vliw_sched.Schedule
 module L = Vliw_lower.Lower
 module Ir = Vliw_ir
 module Tr = Vliw_trace.Trace
-module Icn = Vliw_interconnect.Interconnect
 open Sim_types
 
 type waiter = {
@@ -45,7 +44,6 @@ let run ~lowered ~graph ~schedule ~layout ?trip ?(mode = Execution) ?jitter
   let ii = schedule.S.ii in
   let nclusters = machine.M.clusters in
   let hit_lat = machine.M.cache.M.hit_latency in
-  let mem_buslat = machine.M.mem_buses.M.bus_latency in
   let reg_buslat = machine.M.reg_buses.M.bus_latency in
 
   (* ----- event calendar ----- *)
@@ -71,14 +69,8 @@ let run ~lowered ~graph ~schedule ~layout ?trip ?(mode = Execution) ?jitter
   let nsites = Array.length lowered.L.site_node in
   let seq_of ~site ~iter = (iter * nsites) + site in
 
-  (* ----- interconnect: shared-bus pool or directory-tracked ring -----
-     The interconnect carries int payloads; this engine's are keys into
-     its table of parked continuations, each run once on delivery. *)
-  let dir_mode = machine.M.interconnect = M.Directory in
-  let bus =
-    Icn.Bus.create ~buses:machine.M.mem_buses.M.bus_count ~latency:mem_buslat
-  in
-  let dir = Icn.Directory.create ~clusters:nclusters ~hop_latency:(max 1 mem_buslat) in
+  (* ----- remote legs: this engine names each by a key into its table
+     of parked continuations, each run once when its leg arrives ----- *)
   let parked : (int, int -> unit) Hashtbl.t = Hashtbl.create 64 in
   let next_key = ref 0 in
   let park action =
@@ -96,7 +88,7 @@ let run ~lowered ~graph ~schedule ~layout ?trip ?(mode = Execution) ?jitter
      has no canonical serialization, so exploration runs on the wheel
      engine and this engine only replays recorded draw scripts. *)
   let ms =
-    Memsys.create ~machine ~mem ~sites:nsites ~trip ~mode ~warm ~now ~bus ~dir
+    Memsys.create ~machine ~mem ~sites:nsites ~trip ~mode ~warm ~now
       ~home_of:(fun addr -> M.home_cluster machine ~addr)
       ~subblock_of:(fun addr -> M.subblock_id machine ~addr)
       ~addrs_of:(fun subblock ->
@@ -104,19 +96,7 @@ let run ~lowered ~graph ~schedule ~layout ?trip ?(mode = Execution) ?jitter
       ()
   in
   Memsys.start ms ?jitter ?choices ~trace ();
-  let jit = Memsys.jit ms in
-  let send_bus ~cluster action =
-    let txn = Icn.Bus.request bus ~now:!now (park action) in
-    if tracing then emit ~cluster (Tr.Bus_request { txn; cluster })
-  in
-  let send_request ~src ~dst action =
-    let txn = Icn.Directory.send_request dir ~now:!now ~src ~dst (park action) in
-    if tracing then emit ~cluster:src (Tr.Bus_request { txn; cluster = src })
-  in
-  let send_response ~src ~dst action =
-    let txn = Icn.Directory.send_response dir ~now:!now ~src ~dst (park action) in
-    if tracing then emit ~cluster:src (Tr.Bus_request { txn; cluster = src })
-  in
+  let send ~leg ~src ~dst action = Memsys.send ms ~leg ~src ~dst (park action) in
 
   let mshr : (int, waiter list ref) Hashtbl.t = Hashtbl.create 32 in
   let modq : waiter Queue.t array =
@@ -162,31 +142,15 @@ let run ~lowered ~graph ~schedule ~layout ?trip ?(mode = Execution) ?jitter
       end
   in
 
-  (* ----- network phase: bus arbitration or ring/directory stepping ----- *)
-  let deliver ~dst ~txn:_ payload =
-    match payload with
-    | Icn.Directory.Request k | Icn.Directory.Response k -> unpark k !now
-    | Icn.Directory.Invalidate { subblock; home } ->
-      Memsys.invalidate ms ~cluster:dst ~subblock ~home
-    | Icn.Directory.Writeback_ack { subblock; from = _ } ->
-      Memsys.writeback_ack ms ~cluster:dst ~subblock
+  (* ----- network phase: a granted leg runs at its arrival, a delivered
+     one now ----- *)
+  let granted ~arrival ~txn ~bus ~leg:_ k =
+    let action = unpark k in
+    at arrival (fun () ->
+        if tracing then emit (Tr.Bus_transfer { txn; bus });
+        action arrival)
   in
-  let dispatch_network () =
-    if dir_mode then
-      Icn.Directory.step dir ~now:!now ~jit
-        ~emit_hop:(fun ~txn ~src ~dst ->
-          if tracing then
-            emit (Tr.Packet_hop { txn; from_node = src; to_node = dst }))
-        ~deliver
-    else
-      Icn.Bus.dispatch bus ~now:!now ~jit
-        ~grant:(fun ~txn ~bus:b ~wait ~lat ~arrival k ->
-          if tracing then emit (Tr.Bus_grant { txn; bus = b; wait; lat });
-          let action = unpark k in
-          at arrival (fun () ->
-              if tracing then emit (Tr.Bus_transfer { txn; bus = b });
-              action arrival))
-  in
+  let arrived ~leg:_ k = unpark k !now in
 
   (* ----- register values ----- *)
   let regs : (int * int, int * int64) Hashtbl.t = Hashtbl.create 1024 in
@@ -237,8 +201,7 @@ let run ~lowered ~graph ~schedule ~layout ?trip ?(mode = Execution) ?jitter
               Memsys.ab_fill ms ~own ~addr;
               set_reg node.n_id iter ~ready:arrival ~value:(sign_extend ty v)
             in
-            if dir_mode then send_response ~src:home ~dst:own fill
-            else send_bus ~cluster:own fill)
+            send ~leg:1 ~src:home ~dst:own fill)
     in
     match
       if is_store || local then None
@@ -265,12 +228,9 @@ let run ~lowered ~graph ~schedule ~layout ?trip ?(mode = Execution) ?jitter
         Queue.add w modq.(home))
       else (
         track_load w On_bus;
-        let to_module _arrival =
-          track_load w At_module;
-          Queue.add w modq.(home)
-        in
-        if dir_mode then send_request ~src:own ~dst:home to_module
-        else send_bus ~cluster:own to_module)
+        send ~leg:0 ~src:own ~dst:home (fun _arrival ->
+            track_load w At_module;
+            Queue.add w modq.(home)))
   in
 
   (* ----- issue ----- *)
@@ -429,8 +389,7 @@ let run ~lowered ~graph ~schedule ~layout ?trip ?(mode = Execution) ?jitter
   let pending_work () =
     !vnow < vspan
     || !now <= !max_event
-    || Icn.Bus.pending bus
-    || Icn.Directory.pending dir
+    || Memsys.in_flight ms
     || Array.exists (fun q -> not (Queue.is_empty q)) modq
   in
   let stall_load = ref 0 and stall_copy = ref 0 and stall_bus = ref 0 in
@@ -443,7 +402,7 @@ let run ~lowered ~graph ~schedule ~layout ?trip ?(mode = Execution) ?jitter
       Hashtbl.remove events !now;
       List.iter (fun f -> f ()) (List.rev !l)
     | None -> ());
-    dispatch_network ();
+    Memsys.network ms ~granted ~arrived;
     Array.iter
       (fun q ->
         if not (Queue.is_empty q) then

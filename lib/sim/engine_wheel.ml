@@ -1,10 +1,10 @@
 (* Event-wheel simulator engine: the default hot path behind [Sim.run].
 
-   Both engines run the memory system's rules through [Memsys]; this one
-   stores time and per-instance state without allocating on the
-   per-cycle path, and produces bit-identical results to
-   [Engine_reference] (same stats, same memory image, same trace event
-   stream, same PRNG consumption):
+   Both engines run the memory system's rules and the transport through
+   [Memsys]; this one stores time and per-instance state without
+   allocating on the per-cycle path, and produces bit-identical results
+   to [Engine_reference] (same stats, same memory image, same trace
+   event stream, same PRNG consumption):
 
    - the closure calendar (Hashtbl of cycle -> thunk list) becomes an
      indexed event wheel: per-absolute-cycle intrusive lists of
@@ -14,7 +14,7 @@
      tuple-keyed Hashtbls into flat arrays indexed [node_id * trip + iter];
    - MSHRs become intrusive FIFO lists threaded through the instance
      arrays (combining allocates nothing);
-   - bus and module queues become growable int rings;
+   - module queues become growable int rings;
    - issue bundles and their RF dependences are precompiled into CSR-style
      int arrays, so the per-cycle blocker scan touches only flat memory;
    - address -> home-cluster / subblock mapping is strength-reduced to
@@ -23,10 +23,11 @@
    - the subblock -> member-addresses list is materialised once per
      subblock, making Attraction Buffer installs allocation-free.
 
-   Event insertion order per cycle, bus-grant order, PRNG call sites, and
-   the phase order within a cycle (events, buses, modules, issue) all
-   mirror the reference engine exactly; see test/test_engines.ml for the
-   property test that pins the equivalence.
+   Event insertion order per cycle and the phase order within a cycle
+   (events, network, modules, issue) mirror the reference engine exactly,
+   and [Memsys] makes every grant, hop and draw for both; see
+   test/test_engines.ml for the property test that pins the
+   equivalence.
 
    The engine is built in two steps. [prepare] derives everything that
    depends only on the compiled loop (the tables above, the initial
@@ -45,7 +46,6 @@ module S = Vliw_sched.Schedule
 module L = Vliw_lower.Lower
 module Ir = Vliw_ir
 module Tr = Vliw_trace.Trace
-module Icn = Vliw_interconnect.Interconnect
 module Codec = Vliw_util.Codec
 open Sim_types
 
@@ -63,7 +63,7 @@ let ph_in_mshr = 3
 let ph_resp_bus = 4
 
 (* ----- event kinds ----- *)
-let ev_arrive = 0 (* bus arrival: a = leg (0 req / 1 resp), b = inst, c = txn, d = bus *)
+let ev_arrive = 0 (* granted leg lands: a = leg (0 req / 1 resp), b = inst, c = txn, d = bus *)
 let ev_resp_send = 1 (* remote load data ready at home: b = inst *)
 let ev_mshr_fill = 2 (* next-level fill done: b = subblock, c = cluster *)
 
@@ -418,13 +418,6 @@ let prepare ?(reusable = true) ~lowered ~graph ~schedule ~layout ?trip
     incr pending_events
   in
 
-  (* ----- interconnect: shared-bus pool or directory-tracked ring -----
-     The payload threaded through [Icn.Bus] / [Icn.Directory] packs
-     (inst, leg) into one int: [(inst lsl 1) lor leg]. *)
-  let dir_mode = machine.M.interconnect = M.Directory in
-  let bus = Icn.Bus.create ~buses:nbuses ~latency:mem_buslat in
-  let dir = Icn.Directory.create ~clusters:nclusters ~hop_latency:(max 1 mem_buslat) in
-
   (* ----- subblock tables: member addresses (materialised once per
      subblock) and MSHR waiter lists ----- *)
   let nsb = ref (if msize = 0 then 1 else sb_of (msize - 1) + nclusters) in
@@ -461,27 +454,8 @@ let prepare ?(reusable = true) ~lowered ~graph ~schedule ~layout ?trip
   in
   let mshr_next = Array.make ninst (-1) in
   let ms =
-    Memsys.create ~machine ~mem ~sites:nsites ~trip ~mode ~warm ~now ~bus ~dir
-      ~home_of ~subblock_of:sb_of ~addrs_of:addrs_of_sb ()
-  in
-  let jit = Memsys.jit ms in
-  let send_bus ~cluster ~leg ~inst =
-    let txn = Icn.Bus.request bus ~now:!now ((inst lsl 1) lor leg) in
-    if !tracing then emit ~cluster (Tr.Bus_request { txn; cluster })
-  in
-  let send_dir_request ~src ~dst ~inst =
-    let txn = Icn.Directory.send_request dir ~now:!now ~src ~dst inst in
-    if !tracing then emit ~cluster:src (Tr.Bus_request { txn; cluster = src })
-  in
-  let send_dir_response ~src ~dst ~inst =
-    let txn = Icn.Directory.send_response dir ~now:!now ~src ~dst inst in
-    if !tracing then emit ~cluster:src (Tr.Bus_request { txn; cluster = src })
-  in
-  let dispatch_buses () =
-    Icn.Bus.dispatch bus ~now:!now ~jit
-      ~grant:(fun ~txn ~bus:b ~wait ~lat ~arrival payload ->
-        if !tracing then emit (Tr.Bus_grant { txn; bus = b; wait; lat });
-        schedule_event arrival ev_arrive (payload land 1) (payload lsr 1) txn b)
+    Memsys.create ~machine ~mem ~sites:nsites ~trip ~mode ~warm ~now ~home_of
+      ~subblock_of:sb_of ~addrs_of:addrs_of_sb ()
   in
 
   (* ----- per-cluster module queues: int rings ----- *)
@@ -639,64 +613,41 @@ let prepare ?(reusable = true) ~lowered ~graph ~schedule ~layout ?trip
       end
       else begin
         if not is_store then phase.(inst) <- ph_on_bus;
-        if dir_mode then send_dir_request ~src:own ~dst:home ~inst
-        else send_bus ~cluster:own ~leg:0 ~inst
+        Memsys.send ms ~leg:0 ~src:own ~dst:home inst
       end
   in
 
-  (* ----- arrival handlers, shared by bus events and directory
-     deliveries ----- *)
-  (* request leg lands at the home module *)
-  let request_arrive inst =
+  (* ----- a leg arriving now: the request lands at the home module, the
+     response back at the requesting cluster ----- *)
+  let arrived ~leg inst =
     let n = inst / trip in
-    if kindv.(n) = k_load then phase.(inst) <- ph_at_module;
-    modq_push inst_home.(inst) inst
+    if leg = 0 then begin
+      if kindv.(n) = k_load then phase.(inst) <- ph_at_module;
+      modq_push inst_home.(inst) inst
+    end
+    else begin
+      phase.(inst) <- ph_none;
+      Memsys.ab_fill ms ~own:clusterv.(n) ~addr:inst_addr.(inst);
+      reg_ready_at.(inst) <- !now;
+      reg_val.(inst) <- sign_extend mty.(n) inst_val.(inst)
+    end
   in
-  (* response leg arrives back at the requesting cluster *)
-  let response_arrive inst =
-    let n = inst / trip in
-    let own = clusterv.(n) in
-    phase.(inst) <- ph_none;
-    Memsys.ab_fill ms ~own ~addr:inst_addr.(inst);
-    reg_ready_at.(inst) <- !now;
-    reg_val.(inst) <- sign_extend mty.(n) inst_val.(inst)
-  in
-  (* ----- network phase: bus arbitration or ring/directory stepping ----- *)
-  let deliver ~dst ~txn:_ payload =
-    match payload with
-    | Icn.Directory.Request inst -> request_arrive inst
-    | Icn.Directory.Response inst -> response_arrive inst
-    | Icn.Directory.Invalidate { subblock; home } ->
-      Memsys.invalidate ms ~cluster:dst ~subblock ~home
-    | Icn.Directory.Writeback_ack { subblock; from = _ } ->
-      Memsys.writeback_ack ms ~cluster:dst ~subblock
-  in
-  let dispatch_network () =
-    if dir_mode then
-      Icn.Directory.step dir ~now:!now ~jit
-        ~emit_hop:(fun ~txn ~src ~dst ->
-          if !tracing then
-            emit (Tr.Packet_hop { txn; from_node = src; to_node = dst }))
-        ~deliver
-    else dispatch_buses ()
+  (* a granted leg arrives at a later cycle, as an event *)
+  let granted ~arrival ~txn ~bus ~leg inst =
+    schedule_event arrival ev_arrive leg inst txn bus
   in
 
   (* ----- event execution ----- *)
   let run_event e =
     match !ev_kind.(e) with
     | k when k = ev_arrive ->
-      let leg = !ev_a.(e) and inst = !ev_b.(e) in
       if !tracing then
         emit (Tr.Bus_transfer { txn = !ev_c.(e); bus = !ev_d.(e) });
-      if leg = 0 then request_arrive inst
-      else response_arrive inst
+      arrived ~leg:!ev_a.(e) !ev_b.(e)
     | k when k = ev_resp_send ->
       let inst = !ev_b.(e) in
-      let n = inst / trip in
       phase.(inst) <- ph_resp_bus;
-      if dir_mode then
-        send_dir_response ~src:inst_home.(inst) ~dst:clusterv.(n) ~inst
-      else send_bus ~cluster:clusterv.(n) ~leg:1 ~inst
+      Memsys.send ms ~leg:1 ~src:inst_home.(inst) ~dst:clusterv.(inst / trip) inst
     | _ ->
       (* ev_mshr_fill *)
       let sb = !ev_b.(e) and c = !ev_c.(e) in
@@ -856,8 +807,7 @@ let prepare ?(reusable = true) ~lowered ~graph ~schedule ~layout ?trip
        incr t
      done);
     Memsys.encode_caches ms c;
-    if dir_mode then Icn.Directory.encode_state dir ~now:!now c
-    else Icn.Bus.encode_state bus ~now:!now c;
+    Memsys.encode_network ms c;
     Codec.contents c
   in
   let note_state = ref None and at_note = ref false in
@@ -1014,10 +964,10 @@ let prepare ?(reusable = true) ~lowered ~graph ~schedule ~layout ?trip
          done
        end
      end);
-    (* 2. network: bus arbitration or ring/directory stepping. When an
-       external chooser is observing, offer it the canonical-state encoder
-       first — before the network mutates anything — in exactly the
-       cycles whose network phase consumes a draw ([draws] reads the
+    (* 2. network: bus arbitration or ring stepping. When an external
+       chooser is observing, offer it the canonical-state encoder first —
+       before the network mutates anything — in exactly the cycles whose
+       network phase consumes a draw ([Memsys.network_draws] reads the
        grant / departure condition the phase is about to test). The
        chooser encodes, or takes a checkpoint, only if it needs to.
        Within one cycle the *set* of draws is independent of the values
@@ -1026,16 +976,14 @@ let prepare ?(reusable = true) ~lowered ~graph ~schedule ~layout ?trip
        plus the count of draws since it identifies every branch point of
        the cycle. *)
     match !note_state with
-    | Some note
-      when if dir_mode then Icn.Directory.draws dir ~now:!now
-           else Icn.Bus.draws bus ~now:!now ->
+    | Some note when Memsys.network_draws ms ->
       at_note := true;
       note canonical_state;
       at_note := false
     | _ -> ()
   in
   let second_half () =
-    dispatch_network ();
+    Memsys.network ms ~granted ~arrived;
     (* 3. cache modules: one service per cluster per cycle *)
     for c = 0 to nclusters - 1 do
       if mq_count.(c) > 0 then begin
@@ -1128,8 +1076,8 @@ let prepare ?(reusable = true) ~lowered ~graph ~schedule ~layout ?trip
   (* the rest of the run; a finished run leaves no boxed value behind *)
   let finish_run () =
     while
-      !vnow < vspan || !pending_events > 0 || Icn.Bus.pending bus
-      || Icn.Directory.pending dir || !modq_total > 0
+      !vnow < vspan || !pending_events > 0 || Memsys.in_flight ms
+      || !modq_total > 0
     do
       first_half ();
       second_half ()

@@ -1,9 +1,11 @@
 (* The simulator's memory system, written once for both engines: the
    coherence-order apply, the cache modules, the Attraction Buffers and
-   their MSI/MESI line states, the directory's sharer bookkeeping, the
-   next level's ports, the jitter draws, warm-up and the final stats. An
-   engine keeps only how it stores time and per-instance state, and calls
-   in here at the points where the memory system decides something.
+   their MSI/MESI line states, the interconnect (both legs of a remote
+   access, the network step, the directory's sharer bookkeeping and its
+   invalidate and writeback traffic), the next level's ports, the jitter
+   draws, warm-up and the final stats. An engine keeps only how it stores
+   time and per-instance state, and calls in here at the points where the
+   memory system decides something.
    Accesses are named by their coherence sequence number
    [seq = iter * sites + site], which is program order and unique per
    load (only stores replicate). *)
@@ -15,6 +17,9 @@ module Icn = Vliw_interconnect.Interconnect
 module C = Vliw_coherence.Coherence
 module Codec = Vliw_util.Codec
 open Sim_types
+
+(* the backend the machine declares *)
+type net = Bus of Icn.Bus.t | Ring of Icn.Directory.t
 
 type t = {
   machine : M.t;
@@ -28,10 +33,8 @@ type t = {
   home_of : int -> int;
   subblock_of : int -> int;
   addrs_of : int -> int array;
-  dir_mode : bool;
   prot_on : bool;
-  bus : Icn.Bus.t;
-  dir : Icn.Directory.t;
+  net : net;
   (* memory image (each run works on its own copy, which it returns) and
      coherence order: per byte, the newest store and the newest access
      applied at home *)
@@ -99,8 +102,8 @@ let make_jit t ?jitter ?choices () =
       t.draws <- t.draws + 1;
       v
 
-let create ~machine ~mem ~sites ~trip ~mode ~warm ~now ~bus ~dir ~home_of
-    ~subblock_of ~addrs_of () =
+let create ~machine ~mem ~sites ~trip ~mode ~warm ~now ~home_of ~subblock_of
+    ~addrs_of () =
   let nclusters = machine.M.clusters in
   let msize = Bytes.length mem in
   let oracle = match mode with Oracle r -> Some r | Execution -> None in
@@ -124,10 +127,16 @@ let create ~machine ~mem ~sites ~trip ~mode ~warm ~now ~bus ~dir ~home_of
       home_of;
       subblock_of;
       addrs_of;
-      dir_mode = machine.M.interconnect = M.Directory;
       prot_on;
-      bus;
-      dir;
+      net =
+        (match machine.M.interconnect with
+        | M.Shared_bus ->
+          let b = machine.M.mem_buses in
+          Bus (Icn.Bus.create ~buses:b.M.bus_count ~latency:b.M.bus_latency)
+        | M.Directory ->
+          Ring
+            (Icn.Directory.create ~clusters:nclusters
+               ~hop_latency:(Icn.hop_latency machine)));
       mem = Bytes.copy mem;
       last_store_seq = Array.make msize (-1);
       last_any_seq = Array.make msize (-1);
@@ -168,7 +177,7 @@ let start t ?jitter ?choices ~trace () =
 
 (* ----- checkpoints: everything a run mutates, listed once ----- *)
 
-type net = Bus_net of Icn.Bus.snapshot | Dir_net of Icn.Directory.snapshot
+type net_snapshot = Bus_net of Icn.Bus.snapshot | Dir_net of Icn.Directory.snapshot
 
 type snapshot = {
   k_mem : Bytes.t;
@@ -186,7 +195,7 @@ type snapshot = {
   k_p_lval : int64 Saved.t;
   k_counters : int array;
   k_draws : int;
-  k_net : net;
+  k_net : net_snapshot;
 }
 
 let capture t =
@@ -212,8 +221,9 @@ let capture t =
       |];
     k_draws = t.draws;
     k_net =
-      (if t.dir_mode then Dir_net (Icn.Directory.capture t.dir)
-       else Bus_net (Icn.Bus.capture t.bus));
+      (match t.net with
+      | Bus b -> Bus_net (Icn.Bus.capture b)
+      | Ring d -> Dir_net (Icn.Directory.capture d));
   }
 
 (* The run gets its own copy of the image: the last run's went out with
@@ -245,11 +255,10 @@ let restore t k =
   t.upgrades <- c.(9);
   t.exclusive_hits <- c.(10);
   t.draws <- k.k_draws;
-  match k.k_net with
-  | Bus_net b -> Icn.Bus.restore t.bus b
-  | Dir_net d -> Icn.Directory.restore t.dir d
-
-let jit t () = t.draw ()
+  match (t.net, k.k_net) with
+  | Bus b, Bus_net s -> Icn.Bus.restore b s
+  | Ring d, Dir_net s -> Icn.Directory.restore d s
+  | _ -> invalid_arg "Memsys.restore: a snapshot of another interconnect"
 
 (* ----- coherence order ----- *)
 
@@ -318,11 +327,14 @@ let latch_older t ~seq ~addr ~size =
 (* A subblock's line state in every cluster's buffer. *)
 let states t sb = Array.map (fun ab -> Attraction.line_state ab ~subblock:sb) t.abs
 
-(* A written replica died, or a Modified owner was downgraded: the
-   acknowledgement travels to the subblock's home bank. *)
+(* A written replica died, or a Modified owner was downgraded: on the
+   ring the acknowledgement travels to the subblock's home bank. *)
 let writeback t ~src ~subblock =
-  Icn.Directory.writeback t.dir ~now:!(t.now) ~src
-    ~home:(subblock mod t.machine.M.clusters) ~subblock
+  match t.net with
+  | Ring d ->
+    Icn.Directory.writeback d ~now:!(t.now) ~src
+      ~home:(subblock mod t.machine.M.clusters) ~subblock
+  | Bus _ -> ()
 
 (* Apply one protocol transition: a line that stays valid takes its new
    state (the caller has already invalidated a line dropped to I), the
@@ -346,7 +358,7 @@ let apply_transition t (tr : C.transition) =
   | _, C.I, C.Remote_store -> t.invalidations <- t.invalidations + 1
   | C.S, C.M_, C.Store -> t.upgrades <- t.upgrades + 1
   | C.E, C.M_, C.Store -> t.exclusive_hits <- t.exclusive_hits + 1
-  | C.M_, C.S, C.Remote_read when t.dir_mode -> writeback t ~src:c ~subblock:sb
+  | C.M_, C.S, C.Remote_read -> writeback t ~src:c ~subblock:sb
   | _ -> ()
 
 (* Invalidate a line the [writer]'s protocol store drops at execute. On
@@ -355,10 +367,11 @@ let apply_transition t (tr : C.transition) =
    to invalidate — and a remote sharer's written copy pays a writeback. *)
 let drop t ~writer ~cluster ~subblock =
   let written = Attraction.invalidate t.abs.(cluster) ~subblock = `Written in
-  if t.dir_mode then begin
-    Icn.Directory.drop_replica t.dir ~cluster ~subblock;
+  match t.net with
+  | Ring d ->
+    Icn.Directory.drop_replica d ~cluster ~subblock;
     if written && cluster <> writer then writeback t ~src:cluster ~subblock
-  end
+  | Bus _ -> ()
 
 (* A store executed under MSI/MESI: its upgrade wins the interconnect
    atomically with execution, so every remote AB replica of each touched
@@ -471,11 +484,12 @@ let combine t ~cluster ~subblock ~seq =
 let lookup t ~cluster ~subblock ~seq ~store ~addr ~size ~local =
   (* the home directory bank is consulted once per non-combined access
      (combined requests share the original's lookup) *)
-  if t.dir_mode then begin
-    let sharers = Icn.Directory.lookup t.dir ~subblock in
+  (match t.net with
+  | Ring d ->
+    let sharers = Icn.Directory.lookup d ~subblock in
     if t.tracing then
       emit t ~cluster (Tr.Dir_lookup { cluster; subblock; store; sharers })
-  end;
+  | Bus _ -> ());
   let m = t.modules.(cluster) in
   let hit = Cachemod.present m ~subblock in
   if hit then begin
@@ -504,10 +518,12 @@ let complete t ~cluster ~subblock ~seq ~store ~addr ~size ~value ~requester =
       apply t ~seq ~store ~addr ~size ~value
     end
   in
-  if t.dir_mode && store then
+  (match t.net with
+  | Ring d when store ->
     ignore
-      (Icn.Directory.store_apply t.dir ~now:!(t.now) ~home:cluster ~subblock
-         ~requester);
+      (Icn.Directory.store_apply d ~now:!(t.now) ~home:cluster ~subblock
+         ~requester)
+  | _ -> ());
   v
 
 let l2_fetch t =
@@ -551,21 +567,25 @@ let ab_fill t ~own ~addr =
          Attraction.install t.abs.(own) ~subblock:sb ~addrs ~mem:t.mem ~sync
        with
       | Some (evicted, s) ->
-        if t.dir_mode then
-          Icn.Directory.drop_replica t.dir ~cluster:own ~subblock:evicted;
+        (match t.net with
+        | Ring d -> Icn.Directory.drop_replica d ~cluster:own ~subblock:evicted
+        | Bus _ -> ());
         List.iter (apply_transition t) (C.evict p ~cluster:own ~subblock:evicted s)
       | None -> ());
-      if t.dir_mode then Icn.Directory.confirm_install t.dir ~cluster:own ~subblock:sb;
+      (match t.net with
+      | Ring d -> Icn.Directory.confirm_install d ~cluster:own ~subblock:sb
+      | Bus _ -> ());
       List.iter (apply_transition t) fill;
       if t.tracing then
         emit t ~cluster:own (Tr.Ab_install { cluster = own; subblock = sb; sync })
     end
   end
 
-(* The cluster's present bit is left alone: the bank cleared it when it
-   sent this invalidate, so a set bit belongs to a fill confirmed since,
-   whose copy this invalidate still kills (the mask's lag, DESIGN §12). *)
-let invalidate t ~cluster ~subblock ~home =
+(* A directory invalidate reached [cluster] over ring [d]. The cluster's
+   present bit is left alone: the bank cleared it when it sent this
+   invalidate, so a set bit belongs to a fill confirmed since, whose copy
+   this invalidate still kills (the mask's lag, DESIGN §12). *)
+let invalidate t d ~cluster ~subblock ~home =
   if Array.length t.abs > 0 then
     let ab = t.abs.(cluster) in
     let s = Attraction.line_state ab ~subblock in
@@ -578,10 +598,57 @@ let invalidate t ~cluster ~subblock ~home =
       List.iter (apply_transition t)
         (C.remote_invalidate t.machine.M.protocol ~cluster ~subblock s);
       if written then
-        Icn.Directory.writeback t.dir ~now:!(t.now) ~src:cluster ~home ~subblock
+        Icn.Directory.writeback d ~now:!(t.now) ~src:cluster ~home ~subblock
 
-let writeback_ack t ~cluster ~subblock =
-  if t.tracing then emit t ~cluster (Tr.Dir_writeback { cluster; subblock })
+(* ----- the interconnect ----- *)
+
+(* Legs are numbered 0 (the request, requester to home) and 1 (the
+   response, home to requester). A bus carries a leg as one int,
+   [(key lsl 1) lor leg], and traces it at the requester on both legs; a
+   ring carries it as a [Leg] packet, traced at the cluster sending it. *)
+let send t ~leg ~src ~dst key =
+  let now = !(t.now) in
+  match t.net with
+  | Bus b ->
+    let txn = Icn.Bus.request b ~now ((key lsl 1) lor leg) in
+    if t.tracing then begin
+      let cluster = if leg = 0 then src else dst in
+      emit t ~cluster (Tr.Bus_request { txn; cluster })
+    end
+  | Ring d ->
+    let txn = Icn.Directory.send d ~now ~src ~dst ~leg key in
+    if t.tracing then emit t ~cluster:src (Tr.Bus_request { txn; cluster = src })
+
+let network t ~granted ~arrived =
+  let now = !(t.now) in
+  match t.net with
+  | Bus b ->
+    Icn.Bus.dispatch b ~now ~jit:t.draw
+      ~grant:(fun ~txn ~bus ~wait ~lat ~arrival p ->
+        if t.tracing then emit t ~cluster:(-1) (Tr.Bus_grant { txn; bus; wait; lat });
+        granted ~arrival ~txn ~bus ~leg:(p land 1) (p lsr 1))
+  | Ring d ->
+    Icn.Directory.step d ~now ~jit:t.draw
+      ~emit_hop:(fun ~txn ~src ~dst ->
+        if t.tracing then
+          emit t ~cluster:(-1) (Tr.Packet_hop { txn; from_node = src; to_node = dst }))
+      ~deliver:(fun ~dst ~txn:_ -> function
+        | Icn.Directory.Leg { leg; key } -> arrived ~leg key
+        | Invalidate { subblock; home } ->
+          invalidate t d ~cluster:dst ~subblock ~home
+        | Writeback_ack { subblock; from = _ } ->
+          if t.tracing then
+            emit t ~cluster:dst (Tr.Dir_writeback { cluster = dst; subblock }))
+
+let network_draws t =
+  match t.net with
+  | Bus b -> Icn.Bus.draws b ~now:!(t.now)
+  | Ring d -> Icn.Directory.draws d ~now:!(t.now)
+
+let in_flight t =
+  match t.net with
+  | Bus b -> Icn.Bus.pending b
+  | Ring d -> Icn.Directory.pending d
 
 (* ----- end of run ----- *)
 
@@ -596,7 +663,12 @@ let finish t ~compute ~stall_load ~stall_copy ~stall_bus ~comm_ops =
     t.abs;
   let total = !(t.now) in
   let stall = max 0 (total - compute) in
-  let d = Icn.Directory.stats t.dir in
+  let d =
+    match t.net with
+    | Ring d -> Icn.Directory.stats d
+    | Bus _ ->
+      { Icn.Directory.d_lookups = 0; d_invalidates = 0; d_writebacks = 0; d_hops = 0 }
+  in
   let stats =
     {
       total_cycles = total;
@@ -671,3 +743,8 @@ let encode_l2 t c =
 let encode_caches t c =
   Array.iter (fun m -> Cachemod.encode_state m c) t.modules;
   Array.iter (fun a -> Attraction.encode_state a c) t.abs
+
+let encode_network t c =
+  match t.net with
+  | Bus b -> Icn.Bus.encode_state b ~now:!(t.now) c
+  | Ring d -> Icn.Directory.encode_state d ~now:!(t.now) c

@@ -10,6 +10,13 @@
     geometry stays under the equivalence test. Accesses are named by
     their coherence sequence number [seq = iter * sites + site].
 
+    The transport is decided here too: this module builds the
+    interconnect backend the machine declares
+    ({!Vliw_interconnect.Interconnect}), sends both legs of every remote
+    access, runs each cycle's network step and keeps the ring's
+    invalidate and writeback traffic to itself. An engine names no
+    backend; it only runs a leg when the leg arrives.
+
     Replica state has one owner: the Attraction Buffer lines, each
     carrying its MSI/MESI state. Under a protocol this module reads a
     subblock's states from the buffers, asks
@@ -31,16 +38,15 @@ val create :
   mode:Sim_types.mode ->
   warm:bool ->
   now:int ref ->
-  bus:Vliw_interconnect.Interconnect.Bus.t ->
-  dir:Vliw_interconnect.Interconnect.Directory.t ->
   home_of:(int -> int) ->
   subblock_of:(int -> int) ->
   addrs_of:(int -> int array) ->
   unit ->
   t
 (** [mem] is the initial image (the memory system works on its own
-    copy); [now] the engine's clock; [bus] and [dir] the engine's
-    interconnect, fresh from their [create]. [warm] replays the
+    copy); [now] the engine's clock. The interconnect is built fresh
+    from [machine]: a bus pool, or a ring whose hop takes
+    {!Vliw_interconnect.Interconnect.hop_latency}. [warm] replays the
     oracle's address trace into the cache modules once, here: a
     checkpoint {!capture}d right after [create] is the state every run
     starts from. Call {!start} before each run.
@@ -62,8 +68,8 @@ type snapshot
 (** Everything a run mutates, listed once: the memory image, coherence
     order, cache modules (their occupied sets), Attraction Buffers,
     executed-store marks, next-level ports, protocol latches, counters,
-    the draw count and the active interconnect (traffic counters and
-    transaction ids included). *)
+    the draw count and the interconnect (traffic counters and transaction
+    ids included). *)
 
 val capture : t -> snapshot
 
@@ -71,10 +77,6 @@ val restore : t -> snapshot -> unit
 (** Put the memory system back in the captured state, with a fresh copy
     of the captured image for the run to own. A run abandoned partway
     (an exception from a chooser) leaves nothing that survives this. *)
-
-val jit : t -> unit -> int
-(** The draw for one bus grant or ring hop: 0, a PRNG value in [0, j]
-    under [?jitter], or the chooser's answer (traced as a [Choice]). *)
 
 (** {1 Issue} *)
 
@@ -126,17 +128,43 @@ val fill : t -> cluster:int -> subblock:int -> waiters:int -> unit
 (** The next level filled [subblock] into its module, for [waiters]
     MSHR waiters. *)
 
-(** {1 Responses and the directory} *)
+(** {1 Responses} *)
 
 val ab_fill : t -> own:int -> addr:int -> unit
 (** A remote load's response reached [own]: install the subblock in its
     Attraction Buffer unless that would make a stale copy. *)
 
-val invalidate : t -> cluster:int -> subblock:int -> home:int -> unit
-(** A directory invalidate reached [cluster]. *)
+(** {1 The interconnect}
 
-val writeback_ack : t -> cluster:int -> subblock:int -> unit
-(** A writeback acknowledgement reached its home bank. *)
+    A remote access crosses it twice: leg 0 carries the request from the
+    requester to the home module, leg 1 the response back. [key] is the
+    engine's name for the access, handed back when its leg arrives. *)
+
+val send : t -> leg:int -> src:int -> dst:int -> int -> unit
+(** Send one leg of the access [key] from cluster [src] to [dst] now,
+    traced as a [Bus_request]: at the requester on both bus legs, at
+    [src] on the ring. *)
+
+val network :
+  t ->
+  granted:(arrival:int -> txn:int -> bus:int -> leg:int -> int -> unit) ->
+  arrived:(leg:int -> int -> unit) ->
+  unit
+(** The cycle's network step, drawing once per bus grant or ring hop
+    ([0], a PRNG value in [0, j] under [?jitter], or the chooser's
+    answer, traced as a [Choice]). A bus grant hands [granted] its leg's
+    [arrival] cycle, transaction and bus: the engine runs the leg then,
+    tracing its [Bus_transfer]. A ring packet reaching its cluster is
+    handed to [arrived] now; the directory's invalidates and writeback
+    acknowledgements are delivered here. *)
+
+val network_draws : t -> bool
+(** The coming {!network} step consumes at least one draw: the model
+    checker's branch-point predicate. *)
+
+val in_flight : t -> bool
+(** A leg or a directory packet is still queued or travelling: the run
+    is not over. *)
 
 (** {1 End of run} *)
 
@@ -153,9 +181,10 @@ val finish :
     The wheel engine's canonical state key, in its order: counters
     (protocol traffic included); memory, coherence order and executed
     stores; next-level ports; cache modules and buffers (their lines'
-    protocol states included). *)
+    protocol states included); the interconnect, last. *)
 
 val encode_counters : t -> Vliw_util.Codec.t -> unit
 val encode_memory : t -> Vliw_util.Codec.t -> unit
 val encode_l2 : t -> Vliw_util.Codec.t -> unit
 val encode_caches : t -> Vliw_util.Codec.t -> unit
+val encode_network : t -> Vliw_util.Codec.t -> unit

@@ -269,8 +269,3 @@ let to_int_opt = function Int i -> Some i | _ -> None
 let to_list_opt = function List xs -> Some xs | _ -> None
 let to_string_opt = function String s -> Some s | _ -> None
 let to_bool_opt = function Bool b -> Some b | _ -> None
-
-let to_float_opt = function
-  | Float f -> Some f
-  | Int i -> Some (float_of_int i)
-  | _ -> None

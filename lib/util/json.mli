@@ -37,7 +37,3 @@ val to_int_opt : t -> int option
 val to_list_opt : t -> t list option
 val to_string_opt : t -> string option
 val to_bool_opt : t -> bool option
-
-val to_float_opt : t -> float option
-(** [Int] values widen to float — numeric readback does not distinguish
-    [7] from [7.0] (see {!of_string}). *)

@@ -60,5 +60,3 @@ let derive_named t name =
       h := Int64.add (Int64.mul !h 0x100000001B3L) (Int64.of_int (Char.code c)))
     name;
   { state = mix (Int64.add t.state (mix (Int64.add !h golden_gamma))) }
-
-let seed_of t = Int64.to_int (Int64.shift_right_logical t.state 1)

@@ -72,9 +72,3 @@ val derive_named : t -> string -> t
 (** [derive_named t name] is a child stream keyed by a label (FNV-1a hash of
     [name] mixed into the state); the parent is not advanced.  Use it to
     carve a root seed into per-subsystem domains ("data", "jitter", ...). *)
-
-val seed_of : t -> int
-(** A non-negative integer seed capturing the stream's current state, for
-    interfaces that take an [int] seed.  [create (seed_of t)] does not
-    recreate [t] exactly (the top bit is dropped) but is stable: equal
-    states give equal seeds. *)

@@ -1,5 +1,4 @@
 let sum = List.fold_left ( +. ) 0.
-let sumi = List.fold_left ( + ) 0
 
 let mean = function
   | [] -> 0.

@@ -26,4 +26,3 @@ val speedup : float -> float -> float
 (** [speedup base x] = [base /. x]; infinity-safe (0. when [x = 0.]). *)
 
 val sum : float list -> float
-val sumi : int list -> int

@@ -267,6 +267,20 @@ let test_jitter_zero_single_leaf () =
       Alcotest.(check bool) "exhaustive" true o.Check.k_exhaustive)
     (outcomes r)
 
+(* --- a negative jitter bound is refused before anything runs --- *)
+
+let test_negative_jitter_rejected () =
+  let case = load (Filename.concat litmus_dir "carried.lk") in
+  match Diff.compile case Diff.Mdc with
+  | Error e -> Alcotest.failf "carried unschedulable: %s" e
+  | Ok a ->
+    Alcotest.check_raises "jitter -1"
+      (Invalid_argument "Check.explore: negative jitter") (fun () ->
+        ignore
+          (Check.explore ~lowered:a.Diff.a_lowered ~graph:a.Diff.a_graph
+             ~schedule:a.Diff.a_schedule ~layout:a.Diff.a_layout ~jitter:(-1)
+             ~expected:Bytes.empty ~certified:false ()))
+
 (* --- chooser API: mutually exclusive with ?jitter, bounds checked --- *)
 
 let test_chooser_exclusive_with_jitter () =
@@ -521,6 +535,8 @@ let () =
             test_state_limit_not_refuting;
           Alcotest.test_case "jitter 0 is the nominal execution" `Quick
             test_jitter_zero_single_leaf;
+          Alcotest.test_case "negative jitter is refused" `Quick
+            test_negative_jitter_rejected;
         ] );
       ( "chooser",
         [

@@ -78,41 +78,13 @@ let check_traces_equal tag wa wb =
         Alcotest.failf "%s: trace events diverge at %d" tag i)
     ea
 
-(* run both engines under identical conditions and compare everything *)
-let diff_engines tag ?mode ?jseed ?warm (k, layout, low, graph, schedule) =
-  let jitter_of () =
-    match jseed with
-    | None -> None
-    | Some s -> Some (Prng.derive_named (Prng.create s) "engines", 3)
-  in
-  let mode =
-    match mode with
-    | Some m -> Some m
-    | None -> None
-  in
-  let run engine =
-    let sink = Trace.create () in
-    let stats =
-      Sim.run ~lowered:low ~graph ~schedule ~layout ?mode
-        ?jitter:(jitter_of ()) ?warm ~trace:sink ~engine ()
-    in
-    (stats, sink)
-  in
-  ignore k;
-  let sw, tw = run `Wheel in
-  let sr, tr = run `Reference in
-  check_stats_equal tag sw sr;
-  check_traces_equal tag tw tr
-
-let ncases =
-  try int_of_string (Sys.getenv "VLIW_ENGINE_CASES") with Not_found -> 300
-
 (* ----- frozen memory semantics -----
-   Both engines run one shared memory-system module, so comparing them
-   cannot see a change inside it. engine_digests.txt freezes the sweep's
-   results as they were before that module existed: one MD5 per case over
-   its three jitter runs, each run contributing every stats field, the
-   final memory image and every trace event in emission order. *)
+   Both engines run one shared memory-system module, which also drives
+   the interconnect, so comparing them cannot see a change inside it.
+   engine_digests.txt freezes the sweep's results as they were before
+   that module existed: one MD5 per case over its three jitter runs, each
+   run contributing every stats field, the final memory image and every
+   trace event in emission order. *)
 
 let add_stats buf (s : Sim.stats) =
   List.iter
@@ -176,29 +148,75 @@ let add_event buf (e : Trace.event) =
   List.iter (Printf.bprintf buf " %d") fields;
   Buffer.add_char buf '\n'
 
+(* the MD5 of runs, each given as its stats and trace sink *)
+let runs_digest runs =
+  let buf = Buffer.create 4096 in
+  List.iter
+    (fun (stats, sink) ->
+      add_stats buf stats;
+      Trace.iter sink (add_event buf))
+    runs;
+  Digest.to_hex (Digest.string (Buffer.contents buf))
+
+(* run both engines under identical conditions and compare everything;
+   with [digest], also hold each engine's run to it *)
+let diff_engines tag ?mode ?jseed ?warm ?digest (k, layout, low, graph, schedule) =
+  let jitter_of () =
+    match jseed with
+    | None -> None
+    | Some s -> Some (Prng.derive_named (Prng.create s) "engines", 3)
+  in
+  let mode =
+    match mode with
+    | Some m -> Some m
+    | None -> None
+  in
+  let run engine =
+    let sink = Trace.create () in
+    let stats =
+      Sim.run ~lowered:low ~graph ~schedule ~layout ?mode
+        ?jitter:(jitter_of ()) ?warm ~trace:sink ~engine ()
+    in
+    (stats, sink)
+  in
+  ignore k;
+  let sw, tw = run `Wheel in
+  let sr, tr = run `Reference in
+  check_stats_equal tag sw sr;
+  check_traces_equal tag tw tr;
+  Option.iter
+    (fun d ->
+      List.iter
+        (fun (name, run) ->
+          Alcotest.(check string)
+            (Printf.sprintf "%s: frozen digest on the %s engine" tag name)
+            d (runs_digest [ run ]))
+        [ ("wheel", (sw, tw)); ("reference", (sr, tr)) ])
+    digest
+
+let ncases =
+  try int_of_string (Sys.getenv "VLIW_ENGINE_CASES") with Not_found -> 300
+
 (* the digest of one case's three sweep runs on [engine], or None when the
    case does not compile *)
 let case_digest engine i =
   match compile (Gen.generate ~seed:1 ~budget:24 i) with
   | None -> None
   | Some (_, layout, low, graph, schedule) ->
-    let buf = Buffer.create 4096 in
-    List.iter
-      (fun jseed ->
-        let sink = Trace.create () in
-        let jitter =
-          Option.map
-            (fun s -> (Prng.derive_named (Prng.create s) "engines", 3))
-            jseed
-        in
-        let stats =
-          Sim.run ~lowered:low ~graph ~schedule ~layout ?jitter ~trace:sink
-            ~engine ()
-        in
-        add_stats buf stats;
-        Trace.iter sink (add_event buf))
-      [ None; Some 7; Some 23 ];
-    Some (Digest.to_hex (Digest.string (Buffer.contents buf)))
+    Some
+      (runs_digest
+         (List.map
+            (fun jseed ->
+              let sink = Trace.create () in
+              let jitter =
+                Option.map
+                  (fun s -> (Prng.derive_named (Prng.create s) "engines", 3))
+                  jseed
+              in
+              ( Sim.run ~lowered:low ~graph ~schedule ~layout ?jitter ~trace:sink
+                  ~engine (),
+                sink ))
+            [ None; Some 7; Some 23 ]))
 
 let golden_digests () =
   let ic = open_in "engine_digests.txt" in
@@ -308,10 +326,22 @@ let test_bus_extraction_regression () =
 
 (* deterministic engine-parity spot checks on the directory backend at
    scaled cluster counts (the fuzz sweep also samples these, but this one
-   fails with a named configuration rather than a case index) *)
+   fails with a named configuration rather than a case index). Both
+   engines send and deliver every leg through the one memory system, so
+   parity cannot see a change to the ring's transport: each run is also
+   held to its digest, recorded before the engines shared the transport
+   (the sweep behind engine_digests.txt draws no 32-cluster machine). *)
+let directory_digests =
+  [
+    (4, "00f6494b058a601d9dce72ad6c2cae19");
+    (8, "f7260c173d1797dc17e2e1cfa5c598c1");
+    (16, "31166f29877a1015bf53b069a9f4e04c");
+    (32, "249b2cc9ebe8888ed3b534a9eefdbb08");
+  ]
+
 let test_directory_parity () =
   List.iter
-    (fun n ->
+    (fun (n, digest) ->
       let machine =
         M.with_attraction
           (M.with_interconnect (M.scale_clusters M.table2 n) M.Directory)
@@ -335,9 +365,9 @@ let test_directory_parity () =
         let oracle = Ir.Interp.run ~layout k in
         diff_engines
           (Printf.sprintf "directory %d clusters" n)
-          ~mode:(Sim.Oracle oracle) ~warm:true ~jseed:5
+          ~mode:(Sim.Oracle oracle) ~warm:true ~jseed:5 ~digest
           (k, layout, low, low.Lower.graph, schedule))
-    [ 4; 8; 16; 32 ]
+    directory_digests
 
 (* the wheel engine's traced-off hot path must stay allocation-light:
    compare minor-heap words against the reference engine on an identical
