@@ -89,8 +89,8 @@ type engine = [ `Wheel | `Reference ]
     int-encoded events plus flat preallocated per-instance state arrays —
     the fast path. [`Reference] is the pre-overhaul closure-calendar
     engine, kept as the correctness oracle for how the wheel stores time
-    and per-instance state. Both run the same memory system ([Memsys]);
-    the two produce bit-identical stats, memory images, trace event
+    and per-instance state. Both run the same memory system ([Memsys]),
+    which also drives the interconnect; the two produce bit-identical stats, memory images, trace event
     streams and PRNG consumption for identical inputs (pinned by
     test/test_engines.ml). *)
 
