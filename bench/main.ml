@@ -26,6 +26,7 @@ module Memo = Vliw_harness.Memo
 module Render = Vliw_harness.Render
 module Pool = Vliw_util.Pool
 module Json = Vliw_util.Json
+module Cache = Vliw_util.Cache
 
 (* the fuzz sweep's summary, kept for the --json report when the fuzz
    experiment ran this invocation *)
@@ -227,7 +228,7 @@ let serve_bench () =
         ("minor GCs", T.Right) ]
   in
   List.iter
-    (fun (jobs, clients, (r, (c : Sv.Cache.stats), max_depth, minors)) ->
+    (fun (jobs, clients, (r, (c : Cache.stats), max_depth, minors)) ->
       T.add_row t
         [
           string_of_int jobs;
@@ -235,14 +236,14 @@ let serve_bench () =
           Printf.sprintf "%.0f" r.Sv.Loadgen.g_rps;
           Printf.sprintf "%.2f" r.Sv.Loadgen.g_p50_ms;
           Printf.sprintf "%.2f" r.Sv.Loadgen.g_p99_ms;
-          string_of_int c.Sv.Cache.c_hits;
-          string_of_int c.Sv.Cache.c_coalesced;
-          string_of_int c.Sv.Cache.c_misses;
+          string_of_int c.Cache.c_hits;
+          string_of_int c.Cache.c_coalesced;
+          string_of_int c.Cache.c_misses;
           string_of_int max_depth;
           string_of_int minors;
         ])
     rows;
-  let level_json (jobs, clients, (r, (c : Sv.Cache.stats), max_depth, minors)) =
+  let level_json (jobs, clients, (r, (c : Cache.stats), max_depth, minors)) =
     Json.Obj
       [
         ("jobs", Json.Int jobs);
@@ -257,11 +258,11 @@ let serve_bench () =
         ( "cache",
           Json.Obj
             [
-              ("hits", Json.Int c.Sv.Cache.c_hits);
-              ("coalesced", Json.Int c.Sv.Cache.c_coalesced);
-              ("misses", Json.Int c.Sv.Cache.c_misses);
-              ("contended", Json.Int c.Sv.Cache.c_contended);
-              ("entries", Json.Int c.Sv.Cache.c_entries);
+              ("hits", Json.Int c.Cache.c_hits);
+              ("coalesced", Json.Int c.Cache.c_coalesced);
+              ("misses", Json.Int c.Cache.c_misses);
+              ("contended", Json.Int c.Cache.c_contended);
+              ("entries", Json.Int c.Cache.c_entries);
             ] );
         ("max_queue_depth", Json.Int max_depth);
         ("gc_minor_collections", Json.Int minors);
@@ -409,12 +410,7 @@ let run_one obs (key, title, render) =
 let json_report ~jobs ~total_wall timings =
   let runs = List.map Vliw_harness.Selfcheck.run_json (E.cached_runs ()) in
   let memo = Memo.counters () in
-  let stages = Memo.stage_counters () in
-  let contended =
-    Array.fold_left
-      (fun a s -> a + s.Memo.sh_contended)
-      0 (Memo.shard_stats ())
-  in
+  let parse = Memo.parse_stats () and stage = Memo.stage_stats () in
   Json.Obj
     [
       ("schema", Json.String "vliw-harness/8");
@@ -437,12 +433,12 @@ let json_report ~jobs ~total_wall timings =
             ("hits", Json.Int memo.Memo.hits);
             ("misses", Json.Int memo.Memo.misses);
             ("hit_rate", Json.Float (Memo.hit_rate ()));
-            ("parse_hits", Json.Int stages.Memo.parse_hits);
-            ("parse_misses", Json.Int stages.Memo.parse_misses);
-            ("stage_hits", Json.Int stages.Memo.stage_hits);
-            ("stage_misses", Json.Int stages.Memo.stage_misses);
-            ("shards", Json.Int Memo.shard_count);
-            ("contended", Json.Int contended);
+            ("parse_hits", Json.Int parse.Cache.c_hits);
+            ("parse_misses", Json.Int parse.Cache.c_misses);
+            ("stage_hits", Json.Int stage.Cache.c_hits);
+            ("stage_misses", Json.Int stage.Cache.c_misses);
+            ("shards", Json.Int Cache.shard_count);
+            ("contended", Json.Int (parse.Cache.c_contended + stage.Cache.c_contended));
           ] );
       ( "serve",
         match !serve_summary with Some s -> s | None -> Json.Null );

@@ -149,10 +149,15 @@ let run_socket server path trace =
   Server.shutdown server;
   if Sys.file_exists path then try Sys.remove path with Sys_error _ -> ()
 
-let main socket jobs queue_capacity shards cache_max minor_heap_kw retry_after
-    trace =
+let main socket jobs queue_capacity cache_max minor_heap_kw retry_after trace =
+  let at_least = Flags.at_least ~tool:"vliwd" in
+  Option.iter (at_least ~flag:"jobs" 1) jobs;
+  at_least ~flag:"queue-capacity" 1 queue_capacity;
+  at_least ~flag:"cache-max" 0 cache_max;
+  at_least ~flag:"minor-heap" 1 minor_heap_kw;
+  at_least ~flag:"retry-after" 0 retry_after;
   let server =
-    Server.create ?jobs ~queue_capacity ~shards ~cache_max
+    Server.create ?jobs ~queue_capacity ~cache_max
       ~minor_heap_words:(minor_heap_kw * 1024)
       ~retry_after_ms:retry_after ()
   in
@@ -185,12 +190,6 @@ let queue_capacity =
         ~doc:
           "Bound on each worker's request queue; a full queue answers \
            $(b,retry) (backpressure) instead of queueing unboundedly.")
-
-let shards =
-  Arg.(
-    value & opt int 16
-    & info [ "shards" ] ~docv:"N"
-        ~doc:"Response-cache shards (rounded up to a power of two).")
 
 let cache_max =
   Arg.(
@@ -244,7 +243,7 @@ let cmd =
   Cmd.v
     (Cmd.info "vliwd" ~version:"1.0.0" ~doc ~man)
     Term.(
-      const main $ socket $ jobs $ queue_capacity $ shards $ cache_max
-      $ minor_heap_kw $ retry_after $ trace)
+      const main $ socket $ jobs $ queue_capacity $ cache_max $ minor_heap_kw
+      $ retry_after $ trace)
 
 let () = exit (Cmd.eval cmd)

@@ -6,45 +6,29 @@ module R = Runner
 type scheme = Runner.technique * S.heuristic
 
 module Pool = Vliw_util.Pool
+module Cache = Vliw_util.Cache
 
 (* memo keyed by machine + benchmark + scheme; the machine record is
-   immutable data, so structural hashing is safe. Guarded by a mutex:
-   experiments fan benchmarks out over the domain pool. *)
-let cache : (M.t * string * R.technique * S.heuristic, R.bench_run) Hashtbl.t =
-  Hashtbl.create 64
-
-let lock = Mutex.create ()
+   immutable data, so it is compared by value. Experiments fan benchmarks
+   out over the domain pool, which the cache is safe under. *)
+let cache : (M.t * string * R.technique * S.heuristic, R.bench_run) Cache.t =
+  Cache.create ()
 
 let clear_cache () =
-  Mutex.protect lock (fun () -> Hashtbl.reset cache);
+  Cache.clear cache;
   Memo.clear ()
 
+(* [obs] only adds observability side effects (audit, trace files), never
+   changes results, so the cache is keyed without it: a hit returns the
+   first computed run. Callers wanting every simulation audited must use
+   one obs for the whole process, as bench/main.exe does. *)
 let run ~machine ?obs ((tech, heur) : scheme) (b : W.benchmark) =
-  (* [obs] only adds observability side effects (audit, trace files), never
-     changes results, so the cache is keyed without it: a hit returns the
-     first computed run. Callers wanting every simulation audited must use
-     one obs for the whole process, as bench/main.exe does. *)
-  let key = (machine, b.W.b_name, tech, heur) in
-  match Mutex.protect lock (fun () -> Hashtbl.find_opt cache key) with
-  | Some r -> r
-  | None ->
-    (* computed outside the lock; racing workers duplicate pure work
-       rather than serializing the whole sweep. First insert wins so the
-       physical identity handed out stays stable. *)
-    let r = R.run_bench ~machine ?obs tech heur b in
-    Mutex.protect lock (fun () ->
-        match Hashtbl.find_opt cache key with
-        | Some r0 -> r0
-        | None ->
-          Hashtbl.replace cache key r;
-          r)
+  Cache.find_or_compute cache (machine, b.W.b_name, tech, heur) (fun () ->
+      R.run_bench ~machine ?obs tech heur b)
 
 let cached_runs () =
   let entries =
-    Mutex.protect lock (fun () ->
-        Hashtbl.fold
-          (fun (m, _, _, _) r acc -> (Memo.fingerprint m, m, r) :: acc)
-          cache [])
+    Cache.fold (fun (m, _, _, _) r acc -> (Memo.fingerprint m, m, r) :: acc) cache []
   in
   List.sort
     (fun (fa, _, (a : R.bench_run)) (fb, _, b) ->

@@ -17,13 +17,14 @@ val run :
   scheme ->
   Vliw_workloads.Workloads.benchmark ->
   Runner.bench_run
-(** Memoized {!Runner.run_bench}. Thread-safe: experiments fan their
-    benchmarks out over {!Vliw_util.Pool}, so this may be called from
-    several domains at once. [obs] only adds observability side effects —
-    results are identical with or without it — so it is {e not} part of
-    the cache key; a cache hit returns the first computed run unaudited.
-    Pass one [obs] for the whole process (as [bench/main.exe] does) when
-    every simulation must be audited. *)
+(** Memoized {!Runner.run_bench}, keyed by the machine's value, the
+    benchmark's name and the scheme in a {!Vliw_util.Cache}. Thread-safe:
+    experiments fan their benchmarks out over {!Vliw_util.Pool}, so this
+    may be called from several domains at once. [obs] only adds
+    observability side effects — results are identical with or without
+    it — so it is {e not} part of the cache key; a cache hit returns the
+    first computed run unaudited. Pass one [obs] for the whole process
+    (as [bench/main.exe] does) when every simulation must be audited. *)
 
 val cached_runs :
   unit -> (string * Vliw_arch.Machine.t * Runner.bench_run) list

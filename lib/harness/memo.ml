@@ -3,6 +3,7 @@ module W = Vliw_workloads.Workloads
 module Lower = Vliw_lower.Lower
 module Profile = Vliw_profile.Profile
 module Ir = Vliw_ir
+module Cache = Vliw_util.Cache
 
 type stages = {
   kernel_prof : Ir.Ast.kernel;
@@ -16,76 +17,14 @@ type stages = {
 let fingerprint (m : M.t) =
   Digest.to_hex (Digest.string (Marshal.to_string m []))
 
-(* The cache is split into independently-locked shards selected by key
-   hash: a service workload hammers it from every worker domain for the
-   whole process lifetime, and a single mutex was the measured point of
-   serialization in the PR-1 sweep. 16 shards is comfortably above any
-   realistic domain count on this machine class. *)
-let shard_count = 16
+let parse_tbl : (string * string * int, Ir.Ast.kernel) Cache.t = Cache.create ()
 
-type shard = {
-  lock : Mutex.t;
-  parse_tbl : (string * string * int, Ir.Ast.kernel) Hashtbl.t;
-  stage_tbl : (string * string * int * int * string, stages) Hashtbl.t;
-  (* all counters are mutated under [lock] *)
-  mutable parse_hits : int;
-  mutable parse_misses : int;
-  mutable stage_hits : int;
-  mutable stage_misses : int;
-  mutable contended : int;
-}
-
-let shards =
-  Array.init shard_count (fun _ ->
-      {
-        lock = Mutex.create ();
-        parse_tbl = Hashtbl.create 16;
-        stage_tbl = Hashtbl.create 16;
-        parse_hits = 0;
-        parse_misses = 0;
-        stage_hits = 0;
-        stage_misses = 0;
-        contended = 0;
-      })
-
-let shard_of_hash h = shards.(h land (shard_count - 1))
-
-let with_shard sh f =
-  let waited = not (Mutex.try_lock sh.lock) in
-  if waited then Mutex.lock sh.lock;
-  Fun.protect
-    ~finally:(fun () -> Mutex.unlock sh.lock)
-    (fun () ->
-      if waited then sh.contended <- sh.contended + 1;
-      f ())
-
-(* Cold keys are computed outside the lock: two workers racing on the
-   same key may duplicate (pure) work, but never block each other on a
-   multi-second pipeline. Both count a miss; last insert wins. *)
-let memoize ~count_hit ~count_miss tbl key compute =
-  let sh = shard_of_hash (Hashtbl.hash key) in
-  match with_shard sh (fun () ->
-      match Hashtbl.find_opt (tbl sh) key with
-      | Some v ->
-        count_hit sh;
-        Some v
-      | None ->
-        count_miss sh;
-        None)
-  with
-  | Some v -> v
-  | None ->
-    let v = compute () in
-    with_shard sh (fun () -> Hashtbl.replace (tbl sh) key v);
-    v
+let stage_tbl : (string * string * int * int * M.t, stages) Cache.t =
+  Cache.create ()
 
 let parse ~(bench : W.benchmark) ~seed (loop : W.loop) =
-  memoize
-    ~count_hit:(fun sh -> sh.parse_hits <- sh.parse_hits + 1)
-    ~count_miss:(fun sh -> sh.parse_misses <- sh.parse_misses + 1)
-    (fun sh -> sh.parse_tbl)
-    (bench.W.b_name, loop.W.l_name, seed)
-    (fun () -> W.parse_loop loop ~seed)
+  Cache.find_or_compute parse_tbl (bench.W.b_name, loop.W.l_name, seed) (fun () ->
+      W.parse_loop loop ~seed)
 
 let build ~machine ~kernel_prof ~kernel_exec =
   let layout = Ir.Layout.make kernel_exec in
@@ -105,76 +44,29 @@ let stages ~machine ~(bench : W.benchmark) (loop : W.loop) =
       loop.W.l_name,
       bench.W.b_profile_seed,
       bench.W.b_exec_seed,
-      fingerprint machine )
+      machine )
   in
-  memoize
-    ~count_hit:(fun sh -> sh.stage_hits <- sh.stage_hits + 1)
-    ~count_miss:(fun sh -> sh.stage_misses <- sh.stage_misses + 1)
-    (fun sh -> sh.stage_tbl)
-    key
-    (fun () ->
+  Cache.find_or_compute stage_tbl key (fun () ->
       build ~machine
         ~kernel_prof:(parse ~bench ~seed:bench.W.b_profile_seed loop)
         ~kernel_exec:(parse ~bench ~seed:bench.W.b_exec_seed loop))
 
+let parse_stats () = Cache.stats parse_tbl
+let stage_stats () = Cache.stats stage_tbl
+
 type counters = { hits : int; misses : int }
 
-type stage_counters = {
-  parse_hits : int;
-  parse_misses : int;
-  stage_hits : int;
-  stage_misses : int;
-}
-
-type shard_stat = {
-  sh_hits : int;  (** parse + stage hits of this shard *)
-  sh_misses : int;
-  sh_contended : int;
-  sh_entries : int;  (** resident entries over both tables *)
-}
-
-let stage_counters () =
-  Array.fold_left
-    (fun acc sh ->
-      with_shard sh (fun () ->
-          {
-            parse_hits = acc.parse_hits + sh.parse_hits;
-            parse_misses = acc.parse_misses + sh.parse_misses;
-            stage_hits = acc.stage_hits + sh.stage_hits;
-            stage_misses = acc.stage_misses + sh.stage_misses;
-          }))
-    { parse_hits = 0; parse_misses = 0; stage_hits = 0; stage_misses = 0 }
-    shards
-
-let shard_stats () =
-  Array.map
-    (fun sh ->
-      with_shard sh (fun () ->
-          {
-            sh_hits = sh.parse_hits + sh.stage_hits;
-            sh_misses = sh.parse_misses + sh.stage_misses;
-            sh_contended = sh.contended;
-            sh_entries = Hashtbl.length sh.parse_tbl + Hashtbl.length sh.stage_tbl;
-          }))
-    shards
-
 let counters () =
-  let c = stage_counters () in
-  { hits = c.parse_hits + c.stage_hits; misses = c.parse_misses + c.stage_misses }
+  let p = parse_stats () and s = stage_stats () in
+  {
+    hits = p.Cache.c_hits + s.Cache.c_hits;
+    misses = p.Cache.c_misses + s.Cache.c_misses;
+  }
 
 let hit_rate () =
   let { hits = h; misses = m } = counters () in
   if h + m = 0 then 0. else float_of_int h /. float_of_int (h + m)
 
 let clear () =
-  Array.iter
-    (fun sh ->
-      with_shard sh (fun () ->
-          Hashtbl.reset sh.parse_tbl;
-          Hashtbl.reset sh.stage_tbl;
-          sh.parse_hits <- 0;
-          sh.parse_misses <- 0;
-          sh.stage_hits <- 0;
-          sh.stage_misses <- 0;
-          sh.contended <- 0))
-    shards
+  Cache.clear parse_tbl;
+  Cache.clear stage_tbl

@@ -7,21 +7,19 @@
     two input seeds and the machine configuration. This module shares
     those stages across techniques, heuristics and experiments.
 
-    Keys are [(benchmark name, loop name, profile seed, exec seed,
-    machine fingerprint)]; the fingerprint is a digest of the whole
-    machine record, so any configuration change (interleave, buses,
-    attraction buffers, ...) gets its own entries. All cached values are
-    immutable or treated as read-only by every consumer (the DDGT and
-    specialization transforms copy the graph before mutating), so sharing
-    cannot change results — pooled or sequential.
+    Stage keys are [(benchmark name, loop name, profile seed, exec seed,
+    machine)], the machine record itself compared by value: any
+    configuration change (interleave, buses, attraction buffers, ...) gets
+    its own entries, and equal machines share them however they were
+    built. All cached values are immutable or treated as read-only by
+    every consumer (the DDGT and specialization transforms copy the graph
+    before mutating), so sharing cannot change results — pooled or
+    sequential.
 
-    The cache is synchronized and safe to use from {!Vliw_util.Pool}
-    workers — both batch [map] workers and the compile service's
-    persistent {!Vliw_util.Pool.Service} domains, which share it across
-    requests for the whole process lifetime. Storage is split into
-    {!shard_count} independently-locked shards selected by key hash, so
-    concurrent requests only contend when they hash to the same shard;
-    per-shard and per-stage hit/miss counters are exposed for
+    Both tables are {!Vliw_util.Cache} instances, safe to use from
+    {!Vliw_util.Pool} workers: two workers racing on a cold key both
+    compute it and both count a miss. The harness owns them; the compile
+    service does not use them. Hit/miss counters are exposed for
     observability ([bench/main.exe --json] reports them). *)
 
 type stages = {
@@ -37,8 +35,11 @@ type stages = {
 }
 
 val fingerprint : Vliw_arch.Machine.t -> string
-(** Hex digest of the configuration; structural — equal machines share
-    cache entries. *)
+(** Hex MD5 of the machine's [Marshal] bytes: a label for reports
+    ([bench/main.exe --json] and [--selfcheck] name each run's machine by
+    it) and trace file names, not a cache key. The bytes encode physical
+    sharing, so two equal machines built differently can carry different
+    labels. *)
 
 val parse :
   bench:Vliw_workloads.Workloads.benchmark ->
@@ -66,38 +67,18 @@ val build :
     ablations pass source-rewritten kernels whose identity is not
     captured by the cache key). *)
 
-val shard_count : int
-(** Number of independently-locked shards (a power of two). *)
+val parse_stats : unit -> Vliw_util.Cache.stats
+(** Counters of the kernel-parse table. *)
+
+val stage_stats : unit -> Vliw_util.Cache.stats
+(** Counters of the stage-bundle table. *)
 
 type counters = { hits : int; misses : int }
 
-type stage_counters = {
-  parse_hits : int;
-  parse_misses : int;
-  stage_hits : int;
-  stage_misses : int;
-}
-
-type shard_stat = {
-  sh_hits : int;  (** parse + stage hits of this shard *)
-  sh_misses : int;
-  sh_contended : int;
-      (** lock acquisitions that found the shard lock already held *)
-  sh_entries : int;  (** resident entries over both tables *)
-}
-
 val counters : unit -> counters
-(** Process-wide totals over both the parse and stage caches. Under a
-    pool, two workers racing on the same cold key may both count a miss;
-    the counters are observability, not an invariant. *)
-
-val stage_counters : unit -> stage_counters
-(** The same totals split by pipeline stage: kernel parsing
-    ([parse_*]) vs the full stage bundle ([stage_*]).
-    [counters () = sums of the two]. *)
-
-val shard_stats : unit -> shard_stat array
-(** Per-shard totals, indexed by shard. *)
+(** Process-wide totals over both tables. Under a pool, two workers
+    racing on the same cold key both count a miss; the counters are
+    observability, not an invariant. *)
 
 val hit_rate : unit -> float
 (** [hits / (hits + misses)]; 0 before any lookup. *)

@@ -384,62 +384,6 @@ let orderings rows =
     rows;
   T.render t
 
-(* ---- trace summary (the --trace observability view) ---- *)
-
-let trace_summary (s : Vliw_trace.Summary.t) =
-  let module Sum = Vliw_trace.Summary in
-  let module Tr = Vliw_trace.Trace in
-  let b = Buffer.create 512 in
-  let cl =
-    T.create ~title:"Trace summary: per-cluster cache-module activity"
-      [ ("cluster", T.Left); ("services", T.Right); ("hits", T.Right);
-        ("misses", T.Right); ("combines", T.Right); ("AB hits", T.Right);
-        ("nullified", T.Right) ]
-  in
-  Array.iteri
-    (fun c (r : Sum.cluster_row) ->
-      T.add_row cl
-        [ string_of_int c; string_of_int r.Sum.services;
-          string_of_int r.Sum.hits; string_of_int r.Sum.misses;
-          string_of_int r.Sum.combines; string_of_int r.Sum.ab_hits;
-          string_of_int r.Sum.nullified ])
-    s.Sum.per_cluster;
-  Buffer.add_string b (T.render cl);
-  Buffer.add_char b '\n';
-  let bus =
-    T.create ~title:"Trace summary: memory-bus occupancy"
-      [ ("bus", T.Left); ("transfers", T.Right); ("busy cycles", T.Right);
-        ("occupancy", T.Right); ("queue wait (total)", T.Right);
-        ("queue wait (max)", T.Right) ]
-  in
-  Array.iteri
-    (fun i (r : Sum.bus_row) ->
-      T.add_row bus
-        [ string_of_int i; string_of_int r.Sum.transfers;
-          string_of_int r.Sum.busy_cycles;
-          T.cell_pct (Sum.bus_occupancy s i);
-          string_of_int r.Sum.wait_total; string_of_int r.Sum.wait_max ])
-    s.Sum.per_bus;
-  Buffer.add_string b (T.render bus);
-  Buffer.add_char b '\n';
-  let st =
-    T.create
-      ~title:
-        (Printf.sprintf
-           "Trace summary: %d issues, %d stall episodes over %d cycles"
-           s.Sum.issues s.Sum.stall_episodes s.Sum.total_cycles)
-      [ ("stall cause", T.Left); ("cycles", T.Right); ("of stall", T.Right) ]
-  in
-  let stall_total = max 1 s.Sum.stall_cycles in
-  List.iter
-    (fun (cause, cycles) ->
-      T.add_row st
-        [ Tr.stall_cause_name cause; string_of_int cycles;
-          T.cell_pct (float_of_int cycles /. float_of_int stall_total) ])
-    s.Sum.stall_by_cause;
-  Buffer.add_string b (T.render st);
-  Buffer.contents b
-
 let scale rows =
   let t =
     T.create

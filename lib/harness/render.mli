@@ -28,13 +28,6 @@ val unrolling : Ablations.unroll_row list -> string
 val reg_pressure : Ablations.reg_row list -> string
 val orderings : Ablations.ord_row list -> string
 
-(** {1 Trace observability} *)
-
-val trace_summary : Vliw_trace.Summary.t -> string
-(** Per-cluster cache-module activity, per-bus occupancy, and the
-    stall-cause breakdown of one recorded simulation ([vliwc --trace]'s
-    textual counterpart to the exported Chrome trace). *)
-
 (** {1 N-cluster scaling} *)
 
 val scale : Experiments.scale_row list -> string

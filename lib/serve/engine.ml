@@ -222,8 +222,7 @@ let run_kernel ?artifacts ~buf ~machine ~opts kernel =
       Vliw_trace.Chrome.write_file path s;
       Printf.bprintf buf "wrote %s (%d events)\n" path
         (Vliw_trace.Trace.length s);
-      Buffer.add_string buf
-        (Vliw_harness.Render.trace_summary (Vliw_trace.Summary.of_sink s))
+      Buffer.add_string buf (Vliw_trace.Summary.render (Vliw_trace.Summary.of_sink s))
     | _ -> ());
     (match artifacts with
     | Some f ->

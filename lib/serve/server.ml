@@ -1,5 +1,6 @@
 module Json = Vliw_util.Json
 module Pool = Vliw_util.Pool
+module Cache = Vliw_util.Cache
 
 (* per-request timing span for the server's Chrome trace *)
 type span = {
@@ -13,7 +14,7 @@ type span = {
 
 type t = {
   sv_service : Pool.Service.t;
-  sv_cache : Protocol.outcome Cache.t;
+  sv_cache : (string, Protocol.outcome) Cache.t;
   sv_retry_after_ms : int;
   sv_submitted : int Atomic.t;
   sv_completed : int Atomic.t;
@@ -30,13 +31,13 @@ type t = {
    compiles from constantly dragging each other into them. *)
 let default_minor_heap_words = 8 * 1024 * 1024
 
-let create ?jobs ?(queue_capacity = 64) ?(shards = 16) ?(cache_max = 0)
+let create ?jobs ?(queue_capacity = 64) ?(cache_max = 0)
     ?(minor_heap_words = default_minor_heap_words) ?(retry_after_ms = 5)
     ?(max_spans = 20_000) () =
   {
     sv_service =
       Pool.Service.start ?jobs ~capacity:queue_capacity ~minor_heap_words ();
-    sv_cache = Cache.create ~shards ~max_entries:cache_max ();
+    sv_cache = Cache.create ~max_entries:cache_max ();
     sv_retry_after_ms = retry_after_ms;
     sv_submitted = Atomic.make 0;
     sv_completed = Atomic.make 0;
@@ -117,7 +118,7 @@ let submit t rq ~reply =
     reply (Protocol.Done o)
   | `Joined -> ()
   | `Must_compute ->
-    let queue = Cache.shard_of_key t.sv_cache key in
+    let queue = Cache.shard_of_key key in
     let t_submit = Unix.gettimeofday () in
     let task () =
       let t_start = Unix.gettimeofday () in
@@ -197,7 +198,7 @@ let stats_json t =
             ("entries", Json.Int c.Cache.c_entries);
             ("evictions", Json.Int c.Cache.c_evictions);
             ("capacity", Json.Int (Cache.capacity t.sv_cache));
-            ("shards", Json.Int (Cache.shard_count t.sv_cache));
+            ("shards", Json.Int Cache.shard_count);
           ] );
       ( "queues",
         Json.List

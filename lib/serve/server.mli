@@ -1,9 +1,10 @@
 (** The persistent compilation server behind [vliwd] and the serve
     benchmark.
 
-    Requests are deduplicated and memoized by fingerprint ({!Cache}),
-    then dispatched onto a persistent {!Vliw_util.Pool.Service} worker
-    pool through bounded per-domain queues. Placement is
+    Requests are deduplicated and memoized by fingerprint in a
+    {!Vliw_util.Cache}, then dispatched onto a persistent
+    {!Vliw_util.Pool.Service} worker pool through bounded per-domain
+    queues. Placement is
     fingerprint-affine: a request's cache-shard index selects its worker
     queue, so a repeated kernel always lands on the domain that compiled
     it before (warm shard, no cross-domain traffic). A full queue is
@@ -24,7 +25,6 @@ val default_minor_heap_words : int
 val create :
   ?jobs:int ->
   ?queue_capacity:int ->
-  ?shards:int ->
   ?cache_max:int ->
   ?minor_heap_words:int ->
   ?retry_after_ms:int ->
@@ -33,10 +33,9 @@ val create :
   t
 (** Start the worker pool ([jobs] domains, default {!Vliw_util.Pool.jobs});
     each worker queue holds at most [queue_capacity] requests (default
-    64). [shards] (default 16) sizes the response cache and [cache_max]
-    bounds its completed entries with per-shard LRU eviction (default 0 =
-    unbounded); [max_spans] bounds the retained per-request timing
-    spans. *)
+    64). [cache_max] bounds the response cache's completed entries with
+    per-shard LRU eviction over its 16 shards (default 0 = unbounded);
+    [max_spans] bounds the retained per-request timing spans. *)
 
 val jobs : t -> int
 val queue_capacity : t -> int
@@ -53,7 +52,7 @@ val submit : t -> Protocol.request -> reply:(Protocol.reply -> unit) -> unit
 val call : t -> Protocol.request -> Protocol.reply
 (** Blocking {!submit}, for in-process clients. *)
 
-val cache_stats : t -> Cache.stats
+val cache_stats : t -> Vliw_util.Cache.stats
 val queue_stats : t -> Vliw_util.Pool.Service.queue_stats array
 val minor_collections : t -> int array
 val stats_json : t -> Vliw_util.Json.t

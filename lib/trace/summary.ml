@@ -109,3 +109,57 @@ let of_sink sink =
 let bus_occupancy t b =
   if t.total_cycles = 0 || b < 0 || b >= t.buses then 0.
   else float_of_int t.per_bus.(b).busy_cycles /. float_of_int t.total_cycles
+
+(* the --trace observability view *)
+let render (s : t) =
+  let module T = Vliw_util.Table in
+  let b = Buffer.create 512 in
+  let cl =
+    T.create ~title:"Trace summary: per-cluster cache-module activity"
+      [ ("cluster", T.Left); ("services", T.Right); ("hits", T.Right);
+        ("misses", T.Right); ("combines", T.Right); ("AB hits", T.Right);
+        ("nullified", T.Right) ]
+  in
+  Array.iteri
+    (fun c (r : cluster_row) ->
+      T.add_row cl
+        [ string_of_int c; string_of_int r.services;
+          string_of_int r.hits; string_of_int r.misses;
+          string_of_int r.combines; string_of_int r.ab_hits;
+          string_of_int r.nullified ])
+    s.per_cluster;
+  Buffer.add_string b (T.render cl);
+  Buffer.add_char b '\n';
+  let bus =
+    T.create ~title:"Trace summary: memory-bus occupancy"
+      [ ("bus", T.Left); ("transfers", T.Right); ("busy cycles", T.Right);
+        ("occupancy", T.Right); ("queue wait (total)", T.Right);
+        ("queue wait (max)", T.Right) ]
+  in
+  Array.iteri
+    (fun i (r : bus_row) ->
+      T.add_row bus
+        [ string_of_int i; string_of_int r.transfers;
+          string_of_int r.busy_cycles;
+          T.cell_pct (bus_occupancy s i);
+          string_of_int r.wait_total; string_of_int r.wait_max ])
+    s.per_bus;
+  Buffer.add_string b (T.render bus);
+  Buffer.add_char b '\n';
+  let st =
+    T.create
+      ~title:
+        (Printf.sprintf
+           "Trace summary: %d issues, %d stall episodes over %d cycles"
+           s.issues s.stall_episodes s.total_cycles)
+      [ ("stall cause", T.Left); ("cycles", T.Right); ("of stall", T.Right) ]
+  in
+  let stall_total = max 1 s.stall_cycles in
+  List.iter
+    (fun (cause, cycles) ->
+      T.add_row st
+        [ Trace.stall_cause_name cause; string_of_int cycles;
+          T.cell_pct (float_of_int cycles /. float_of_int stall_total) ])
+    s.stall_by_cause;
+  Buffer.add_string b (T.render st);
+  Buffer.contents b

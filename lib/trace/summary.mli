@@ -1,6 +1,6 @@
 (** Compact numeric digest of a trace: per-cluster cache-module and
     Attraction Buffer activity, per-bus occupancy, and the stall-episode
-    breakdown. Rendering lives in {!Vliw_harness.Render}. *)
+    breakdown, and its textual rendering. *)
 
 type cluster_row = {
   services : int;  (** accesses serviced by this cluster's module *)
@@ -40,3 +40,8 @@ val of_sink : Trace.sink -> t
 
 val bus_occupancy : t -> int -> float
 (** [busy_cycles / total_cycles] of bus [b]; 0 on an empty trace. *)
+
+val render : t -> string
+(** Per-cluster cache-module activity, per-bus occupancy, and the
+    stall-cause breakdown as three tables: [vliwc --trace]'s textual
+    counterpart to the exported Chrome trace. *)

@@ -11,7 +11,8 @@
     Concurrency contract:
     - the task function runs concurrently in several domains; it must not
       touch shared mutable state unless that state is itself synchronized
-      (see {!Vliw_harness.Memo} for the harness's shared cache);
+      (see {!Cache}, the synchronized memo table that the harness's memos
+      and the compile service's response cache are instances of);
     - if a task raises, remaining queued tasks are cancelled (running ones
       finish), and the recorded failure — the one with the smallest task
       index among those that raced — is re-raised in the caller with its

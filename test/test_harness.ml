@@ -170,6 +170,57 @@ let test_memo_fingerprint_distinguishes_machines () =
   Alcotest.(check bool) "bus configuration changes the fingerprint" true
     (Memo.fingerprint M.table2 <> Memo.fingerprint M.nobal_reg)
 
+(* --- the memo's two tables --- *)
+
+module Cache = Vliw_util.Cache
+
+let test_memo_stage_counters () =
+  Memo.clear ();
+  let z = Memo.counters () in
+  Alcotest.(check int) "cleared hits" 0 z.Memo.hits;
+  Alcotest.(check int) "cleared misses" 0 z.Memo.misses;
+  let bench = W.find "g721dec" in
+  let loop = List.hd bench.W.b_loops in
+  let k1 = Memo.parse ~bench ~seed:1 loop in
+  let k2 = Memo.parse ~bench ~seed:1 loop in
+  Alcotest.(check bool) "second parse is the cached kernel" true (k1 == k2);
+  let p = Memo.parse_stats () and s = Memo.stage_stats () in
+  Alcotest.(check int) "one parse miss" 1 p.Cache.c_misses;
+  Alcotest.(check int) "one parse hit" 1 p.Cache.c_hits;
+  let c = Memo.counters () in
+  Alcotest.(check int) "totals sum the tables" (c.Memo.hits + c.Memo.misses)
+    (p.Cache.c_hits + p.Cache.c_misses + s.Cache.c_hits + s.Cache.c_misses)
+
+(* the stage table is keyed by the machine's value: two equal machines
+   whose records share differently (and so marshal, and fingerprint,
+   differently) share one entry *)
+let test_memo_equal_machines_share_stages () =
+  let m1 = M.with_interleave M.table2 4 in
+  let m2 = { m1 with M.mem_buses = { m1.M.mem_buses with M.bus_count = 4 } } in
+  Alcotest.(check bool) "equal machines" true (m1 = m2);
+  Alcotest.(check bool) "labelled differently" true
+    (Memo.fingerprint m1 <> Memo.fingerprint m2);
+  Memo.clear ();
+  let bench = W.find "g721dec" in
+  let loop = List.hd bench.W.b_loops in
+  let a = Memo.stages ~machine:m1 ~bench loop in
+  let b = Memo.stages ~machine:m2 ~bench loop in
+  Alcotest.(check bool) "one shared entry" true (a == b);
+  let s = Memo.stage_stats () in
+  Alcotest.(check int) "one stage miss" 1 s.Cache.c_misses;
+  Alcotest.(check int) "one stage hit" 1 s.Cache.c_hits
+
+(* perfbench's paper op and --selfcheck name every run's machine by its
+   fingerprint, so the label's bytes must not move *)
+let test_memo_fingerprint_pinned () =
+  List.iter
+    (fun (name, m, hex) -> Alcotest.(check string) name hex (Memo.fingerprint m))
+    [
+      ("table2", M.table2, "7b91c62320845f748754fce2d2a6c42f");
+      ("nobal_mem", M.nobal_mem, "718c4a62d158da526c40ca2a0bb21bcb");
+      ("nobal_reg", M.nobal_reg, "0c5a791313c2a2f18b8f801796ba169a");
+    ]
+
 let test_renderers_produce_output () =
   let nonempty name s = Alcotest.(check bool) name true (String.length s > 100) in
   nonempty "table1" (Render.table1 ());
@@ -373,5 +424,13 @@ let () =
             test_memo_fingerprint_distinguishes_machines;
           Alcotest.test_case "pooled fig7 = sequential" `Slow
             test_pooled_fig7_equals_sequential;
+        ] );
+      ( "memo",
+        [
+          Alcotest.test_case "stage counters" `Quick test_memo_stage_counters;
+          Alcotest.test_case "equal machines share stages" `Quick
+            test_memo_equal_machines_share_stages;
+          Alcotest.test_case "fingerprint pinned" `Quick
+            test_memo_fingerprint_pinned;
         ] );
     ]

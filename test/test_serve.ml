@@ -1,16 +1,15 @@
-(* The compile service: wire protocol, dedup/coalescing cache, bounded-
-   queue backpressure, and byte-stable replies at any pool width. *)
+(* The compile service: wire protocol, dedup/coalescing through the
+   response cache, bounded-queue backpressure, and byte-stable replies at
+   any pool width. The cache itself is tested with Vliw_util. *)
 
 module Json = Vliw_util.Json
+module Cache = Vliw_util.Cache
 module Service = Vliw_util.Pool.Service
-module Memo = Vliw_harness.Memo
 module Engine = Vliw_serve.Engine
 module S = Vliw_sched.Schedule
 module Protocol = Vliw_serve.Protocol
-module Cache = Vliw_serve.Cache
 module Server = Vliw_serve.Server
 module Loadgen = Vliw_serve.Loadgen
-module W = Vliw_workloads.Workloads
 
 let check = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
@@ -97,97 +96,6 @@ let test_reply_roundtrip () =
   | Ok (3, Protocol.Retry { after_ms = 7; depth = 2 }) -> ()
   | Ok _ -> Alcotest.fail "wrong retry payload"
   | Error e -> Alcotest.fail e
-
-(* ---- cache ---- *)
-
-let test_cache_claim_join_fill () =
-  let c = Cache.create ~shards:4 () in
-  let got = ref [] in
-  let waiter tag v = got := (tag, v) :: !got in
-  (match Cache.lookup c ~key:"k" ~waiter:(waiter "first") with
-  | `Must_compute -> ()
-  | _ -> Alcotest.fail "cold key must claim");
-  (match Cache.lookup c ~key:"k" ~waiter:(waiter "second") with
-  | `Joined -> ()
-  | _ -> Alcotest.fail "in-flight key must join");
-  (match Cache.lookup c ~key:"k" ~waiter:(waiter "third") with
-  | `Joined -> ()
-  | _ -> Alcotest.fail "in-flight key must join again");
-  let ws = Cache.fill c ~key:"k" 42 in
-  check_int "two joined waiters" 2 (List.length ws);
-  List.iter (fun w -> w (Some 42)) ws;
-  check "waiters fired in arrival order" true
-    (List.rev !got = [ ("second", Some 42); ("third", Some 42) ]);
-  (match Cache.lookup c ~key:"k" ~waiter:(waiter "late") with
-  | `Ready 42 -> ()
-  | _ -> Alcotest.fail "filled key must be ready");
-  let s = Cache.stats c in
-  check_int "hits" 1 s.Cache.c_hits;
-  check_int "coalesced" 2 s.Cache.c_coalesced;
-  check_int "misses" 1 s.Cache.c_misses;
-  check_int "entries" 1 s.Cache.c_entries
-
-let test_cache_abort_releases_claim () =
-  let c = Cache.create () in
-  let fired = ref None in
-  (match Cache.lookup c ~key:"k" ~waiter:(fun v -> fired := Some v) with
-  | `Must_compute -> ()
-  | _ -> Alcotest.fail "cold key must claim");
-  (match Cache.lookup c ~key:"k" ~waiter:(fun v -> fired := Some v) with
-  | `Joined -> ()
-  | _ -> Alcotest.fail "must join");
-  let ws = Cache.abort c ~key:"k" in
-  check_int "waiter handed back" 1 (List.length ws);
-  List.iter (fun w -> w None) ws;
-  check "waiter told to retry" true (!fired = Some None);
-  match Cache.lookup c ~key:"k" ~waiter:(fun _ -> ()) with
-  | `Must_compute -> ()
-  | _ -> Alcotest.fail "aborted key must be claimable again"
-
-(* one shard, capacity 4: filling 8 keys must evict the 4 least recently
-   served, never grow past the cap, and count each eviction *)
-let test_cache_lru_eviction () =
-  let c = Cache.create ~shards:1 ~max_entries:4 () in
-  check_int "capacity" 4 (Cache.capacity c);
-  let fill key v =
-    (match Cache.lookup c ~key ~waiter:(fun _ -> ()) with
-    | `Must_compute -> ()
-    | _ -> Alcotest.failf "key %s should be cold" key);
-    ignore (Cache.fill c ~key v)
-  in
-  List.iter (fun i -> fill (string_of_int i) i) [ 0; 1; 2; 3 ];
-  (* touch 0 and 1 so 2 is the LRU victim when 4 arrives *)
-  (match Cache.lookup c ~key:"0" ~waiter:(fun _ -> ()) with
-  | `Ready 0 -> ()
-  | _ -> Alcotest.fail "0 must be ready");
-  (match Cache.lookup c ~key:"1" ~waiter:(fun _ -> ()) with
-  | `Ready 1 -> ()
-  | _ -> Alcotest.fail "1 must be ready");
-  fill "4" 4;
-  let s = Cache.stats c in
-  check_int "entries bounded" 4 s.Cache.c_entries;
-  check_int "one eviction" 1 s.Cache.c_evictions;
-  (match Cache.lookup c ~key:"2" ~waiter:(fun _ -> ()) with
-  | `Must_compute -> ignore (Cache.abort c ~key:"2")
-  | _ -> Alcotest.fail "LRU key 2 must have been evicted");
-  (match Cache.lookup c ~key:"0" ~waiter:(fun _ -> ()) with
-  | `Ready 0 -> ()
-  | _ -> Alcotest.fail "recently-served 0 must survive");
-  (* fill far past the cap: entries stay bounded, evictions account for
-     every drop *)
-  List.iter (fun i -> fill (string_of_int i) i) [ 10; 11; 12; 13; 14; 15 ];
-  let s = Cache.stats c in
-  check_int "entries still bounded" 4 s.Cache.c_entries;
-  check_int "evictions" 7 s.Cache.c_evictions;
-  (* in-flight claims are not evictable and don't count against the cap *)
-  (match Cache.lookup c ~key:"claimed" ~waiter:(fun _ -> ()) with
-  | `Must_compute -> ()
-  | _ -> Alcotest.fail "cold claim");
-  fill "20" 20;
-  (match Cache.lookup c ~key:"claimed" ~waiter:(fun _ -> ()) with
-  | `Joined -> ()
-  | _ -> Alcotest.fail "claim must survive eviction pressure");
-  check_int "unbounded default" 0 (Cache.capacity (Cache.create ()))
 
 (* ---- Pool.Service backpressure ---- *)
 
@@ -337,33 +245,6 @@ let test_server_reply_matches_oneshot_compile () =
   | Protocol.Retry _ -> Alcotest.fail "unexpected retry");
   Server.shutdown server
 
-(* ---- sharded memo stage counters ---- *)
-
-let test_memo_stage_counters () =
-  Memo.clear ();
-  let z = Memo.counters () in
-  check_int "cleared hits" 0 z.Memo.hits;
-  check_int "cleared misses" 0 z.Memo.misses;
-  let bench = W.find "g721dec" in
-  let loop = List.hd bench.W.b_loops in
-  let k1 = Memo.parse ~bench ~seed:1 loop in
-  let k2 = Memo.parse ~bench ~seed:1 loop in
-  check "second parse is the cached kernel" true (k1 == k2);
-  let sc = Memo.stage_counters () in
-  check_int "one parse miss" 1 sc.Memo.parse_misses;
-  check_int "one parse hit" 1 sc.Memo.parse_hits;
-  let c = Memo.counters () in
-  check_int "totals sum the stages" (c.Memo.hits + c.Memo.misses)
-    (sc.Memo.parse_hits + sc.Memo.parse_misses + sc.Memo.stage_hits
-   + sc.Memo.stage_misses);
-  let shard_sum =
-    Array.fold_left
-      (fun a s -> a + s.Memo.sh_hits + s.Memo.sh_misses)
-      0 (Memo.shard_stats ())
-  in
-  check_int "shard stats sum to the totals" (c.Memo.hits + c.Memo.misses)
-    shard_sum
-
 let () =
   Alcotest.run "serve"
     [
@@ -374,14 +255,6 @@ let () =
             test_request_defaults_mirror_vliwc;
           Alcotest.test_case "key ignores id" `Quick test_key_ignores_id;
           Alcotest.test_case "reply roundtrip" `Quick test_reply_roundtrip;
-        ] );
-      ( "cache",
-        [
-          Alcotest.test_case "claim/join/fill" `Quick test_cache_claim_join_fill;
-          Alcotest.test_case "LRU eviction under --cache-max" `Quick
-            test_cache_lru_eviction;
-          Alcotest.test_case "abort releases claim" `Quick
-            test_cache_abort_releases_claim;
         ] );
       ( "service",
         [
@@ -397,9 +270,5 @@ let () =
             test_server_determinism_across_widths;
           Alcotest.test_case "reply matches one-shot compile" `Quick
             test_server_reply_matches_oneshot_compile;
-        ] );
-      ( "memo",
-        [
-          Alcotest.test_case "stage counters" `Quick test_memo_stage_counters;
         ] );
     ]

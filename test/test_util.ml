@@ -571,6 +571,114 @@ let prop_codec_round_trips =
       && read_ints sa 0 = (a, String.length sa)
       && read_int64s sb 0 = (b, String.length sb))
 
+(* --- Cache --- *)
+
+let test_cache_claim_join_fill () =
+  let c = Cache.create () in
+  let got = ref [] in
+  let waiter tag v = got := (tag, v) :: !got in
+  (match Cache.lookup c ~key:"k" ~waiter:(waiter "first") with
+  | `Must_compute -> ()
+  | _ -> Alcotest.fail "cold key must claim");
+  (match Cache.lookup c ~key:"k" ~waiter:(waiter "second") with
+  | `Joined -> ()
+  | _ -> Alcotest.fail "in-flight key must join");
+  (match Cache.lookup c ~key:"k" ~waiter:(waiter "third") with
+  | `Joined -> ()
+  | _ -> Alcotest.fail "in-flight key must join again");
+  let ws = Cache.fill c ~key:"k" 42 in
+  Alcotest.(check int) "two joined waiters" 2 (List.length ws);
+  List.iter (fun w -> w (Some 42)) ws;
+  Alcotest.(check bool) "waiters fired in arrival order" true
+    (List.rev !got = [ ("second", Some 42); ("third", Some 42) ]);
+  (match Cache.lookup c ~key:"k" ~waiter:(waiter "late") with
+  | `Ready 42 -> ()
+  | _ -> Alcotest.fail "filled key must be ready");
+  let s = Cache.stats c in
+  Alcotest.(check int) "hits" 1 s.Cache.c_hits;
+  Alcotest.(check int) "coalesced" 2 s.Cache.c_coalesced;
+  Alcotest.(check int) "misses" 1 s.Cache.c_misses;
+  Alcotest.(check int) "entries" 1 s.Cache.c_entries
+
+let test_cache_abort_releases_claim () =
+  let c = Cache.create () in
+  let fired = ref None in
+  (match Cache.lookup c ~key:"k" ~waiter:(fun v -> fired := Some v) with
+  | `Must_compute -> ()
+  | _ -> Alcotest.fail "cold key must claim");
+  (match Cache.lookup c ~key:"k" ~waiter:(fun v -> fired := Some v) with
+  | `Joined -> ()
+  | _ -> Alcotest.fail "must join");
+  let ws = Cache.abort c ~key:"k" in
+  Alcotest.(check int) "waiter handed back" 1 (List.length ws);
+  List.iter (fun w -> w None) ws;
+  Alcotest.(check bool) "waiter told to retry" true (!fired = Some None);
+  match Cache.lookup c ~key:"k" ~waiter:(fun _ -> ()) with
+  | `Must_compute -> ()
+  | _ -> Alcotest.fail "aborted key must be claimable again"
+
+(* capacity 4 per shard, over keys that all land in one shard: filling 8
+   of them must evict the 4 least recently served, never grow past the
+   cap, and count each eviction *)
+let test_cache_lru_eviction () =
+  let c = Cache.create ~max_entries:(4 * Cache.shard_count) () in
+  Alcotest.(check int) "capacity" (4 * Cache.shard_count) (Cache.capacity c);
+  let keys =
+    Array.of_list (List.filter (fun k -> Cache.shard_of_key k = 0) (List.init 4096 Fun.id))
+  in
+  let key i = keys.(i) in
+  let lookup i = Cache.lookup c ~key:(key i) ~waiter:(fun _ -> ()) in
+  let fill i =
+    (match lookup i with
+    | `Must_compute -> ()
+    | _ -> Alcotest.failf "key %d should be cold" i);
+    ignore (Cache.fill c ~key:(key i) i)
+  in
+  List.iter fill [ 0; 1; 2; 3 ];
+  (* touch 0 and 1 so 2 is the LRU victim when 4 arrives *)
+  (match lookup 0 with `Ready 0 -> () | _ -> Alcotest.fail "0 must be ready");
+  (match lookup 1 with `Ready 1 -> () | _ -> Alcotest.fail "1 must be ready");
+  fill 4;
+  let s = Cache.stats c in
+  Alcotest.(check int) "entries bounded" 4 s.Cache.c_entries;
+  Alcotest.(check int) "one eviction" 1 s.Cache.c_evictions;
+  (match lookup 2 with
+  | `Must_compute -> ignore (Cache.abort c ~key:(key 2))
+  | _ -> Alcotest.fail "LRU key 2 must have been evicted");
+  (match lookup 0 with
+  | `Ready 0 -> ()
+  | _ -> Alcotest.fail "recently-served 0 must survive");
+  (* fill far past the cap: entries stay bounded, evictions account for
+     every drop *)
+  List.iter fill [ 10; 11; 12; 13; 14; 15 ];
+  let s = Cache.stats c in
+  Alcotest.(check int) "entries still bounded" 4 s.Cache.c_entries;
+  Alcotest.(check int) "evictions" 7 s.Cache.c_evictions;
+  (* in-flight claims are not evictable and don't count against the cap *)
+  (match lookup 21 with `Must_compute -> () | _ -> Alcotest.fail "cold claim");
+  fill 20;
+  (match lookup 21 with
+  | `Joined -> ()
+  | _ -> Alcotest.fail "claim must survive eviction pressure");
+  Alcotest.(check int) "unbounded default" 0 (Cache.capacity (Cache.create ()))
+
+(* a computation that raises drops its claim: the exception reaches the
+   caller, nothing is cached, and the next lookup computes afresh *)
+let test_cache_compute_raises_drops_claim () =
+  let c = Cache.create () in
+  (match Cache.find_or_compute c "k" (fun () -> failwith "boom") with
+  | _ -> Alcotest.fail "the exception must reach the caller"
+  | exception Failure msg -> Alcotest.(check string) "re-raised" "boom" msg);
+  Alcotest.(check int) "claim dropped" 0 (Cache.stats c).Cache.c_entries;
+  let calls = ref 0 in
+  let compute () = incr calls; 7 in
+  Alcotest.(check int) "computed afresh" 7 (Cache.find_or_compute c "k" compute);
+  Alcotest.(check int) "then cached" 7 (Cache.find_or_compute c "k" compute);
+  Alcotest.(check int) "one computation" 1 !calls;
+  let s = Cache.stats c in
+  Alcotest.(check int) "misses" 2 s.Cache.c_misses;
+  Alcotest.(check int) "hits" 1 s.Cache.c_hits
+
 let () =
   Alcotest.run "util"
     [
@@ -630,6 +738,16 @@ let () =
             test_pool_failure_raised_exactly_once;
           Alcotest.test_case "set_jobs validates" `Quick
             test_pool_set_jobs_validates;
+        ] );
+      ( "cache",
+        [
+          Alcotest.test_case "claim/join/fill" `Quick test_cache_claim_join_fill;
+          Alcotest.test_case "LRU eviction under --cache-max" `Quick
+            test_cache_lru_eviction;
+          Alcotest.test_case "abort releases claim" `Quick
+            test_cache_abort_releases_claim;
+          Alcotest.test_case "compute raises drops claim" `Quick
+            test_cache_compute_raises_drops_claim;
         ] );
       ( "json",
         [
