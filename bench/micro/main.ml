@@ -51,6 +51,7 @@ module W = Vliw_workloads.Workloads
 module Gen = Vliw_fuzz.Gen
 module Diff = Vliw_fuzz.Diff
 module Check = Vliw_check.Check
+module P = Vliw_pipeline.Pipeline
 
 type artifact = {
   a_layout : Ir.Layout.t;
@@ -136,7 +137,9 @@ let carried () =
       Gen.g_mconf = Gen.mconf_with ~icn:"directory" ~clusters:4 case.Gen.g_mconf;
     }
   in
-  match Diff.compile case Diff.Mdc with
+  match
+    P.compile ~heuristic:(Diff.heuristic_for case) (Diff.front case) S.Mdc
+  with
   | Ok a -> (case.Gen.g_jitter, a)
   | Error e -> failwith ("micro: carried does not schedule: " ^ e)
 
@@ -156,13 +159,14 @@ let () =
   ignore (simulate ~trace:traced nominal `Wheel);
   let verify_args = (nominal.a_low.Lower.graph, nominal.a_schedule) in
   let loop, ctx, graph, mii, ii = attempts () in
-  let jitter, (c : Diff.artifacts) = carried () in
+  let jitter, (c : P.compiled) = carried () in
+  let cf = c.P.front in
   let zeros =
     { Sim.ch_jitter = jitter; ch_draw = (fun ~bound:_ -> 0); ch_note_state = None }
   in
   let prepared =
-    Sim.prepare ~lowered:c.a_lowered ~graph:c.a_graph ~schedule:c.a_schedule
-      ~layout:c.a_layout ()
+    Sim.prepare ~lowered:cf.P.lowered ~graph:c.P.graph ~schedule:c.P.schedule
+      ~layout:cf.P.layout ()
   in
   let noting note = { zeros with Sim.ch_note_state = Some note } in
   let encoding = noting (fun encode -> ignore (Sys.opaque_identity (encode ()))) in
@@ -219,8 +223,8 @@ let () =
               (Staged.stage (fun () ->
                    ignore
                      (Sys.opaque_identity
-                        (Sim.run ~lowered:c.a_lowered ~graph:c.a_graph
-                           ~schedule:c.a_schedule ~layout:c.a_layout
+                        (Sim.run ~lowered:cf.P.lowered ~graph:c.P.graph
+                           ~schedule:c.P.schedule ~layout:cf.P.layout
                            ~choices:zeros ()))));
             Test.make ~name:"replay-prepared"
               (Staged.stage (fun () ->
@@ -236,8 +240,8 @@ let () =
               (Staged.stage (fun () ->
                    ignore
                      (Sys.opaque_identity
-                        (Check.explore ~lowered:c.a_lowered ~graph:c.a_graph
-                           ~schedule:c.a_schedule ~layout:c.a_layout ~jitter
+                        (Check.explore ~lowered:cf.P.lowered ~graph:c.P.graph
+                           ~schedule:c.P.schedule ~layout:cf.P.layout ~jitter
                            ~expected:Bytes.empty ~certified:false ()))));
           ];
         Test.make_grouped ~name:"verify"

@@ -18,7 +18,7 @@ open Cmdliner
 
 module H = Vliw_arch.Header
 module S = Vliw_sched.Schedule
-module Lower = Vliw_lower.Lower
+module P = Vliw_pipeline.Pipeline
 module Ir = Vliw_ir
 module Sim = Vliw_sim.Sim
 module W = Vliw_workloads.Workloads
@@ -41,11 +41,8 @@ let emit buf result =
    as the one-shot path prepares it *)
 let compare_kernel ~buf ~machine ~(opts : E.opts) kernel =
   let kernel = emit buf (E.prepare ~buf ~machine ~opts kernel) in
-  let heuristic = opts.E.op_heuristic and ordering = opts.E.op_ordering in
-  let layout = Ir.Layout.make ~pad:opts.E.op_pad kernel in
-  let low = Lower.lower kernel in
-  let prof = Vliw_profile.Profile.run ~machine ~layout kernel in
-  let oracle = Ir.Interp.run ~layout kernel in
+  let heuristic = opts.E.op_heuristic in
+  let fe = P.front ~pad:opts.E.op_pad ~machine kernel in
   let module T = Vliw_util.Table in
   let t =
     T.create
@@ -55,14 +52,14 @@ let compare_kernel ~buf ~machine ~(opts : E.opts) kernel =
         ("compute", T.Right); ("stall", T.Right); ("local hit", T.Right);
         ("copies/iter", T.Right); ("MaxLive", T.Right) ]
   in
-  let pref_for = Vliw_profile.Profile.node_pref prof in
-  let trip = kernel.Ir.Ast.k_trip in
-  let row name = function
+  let row (technique, compiled) =
+    let name = S.technique_name technique in
+    match compiled with
     | Error _ -> [ name; "-"; "(no schedule)" ]
-    | Ok { Vliw_sched.Hybrid.c_graph = graph; c_schedule = schedule; _ } ->
+    | Ok { P.graph; schedule; _ } ->
       let st =
-        Sim.run ~lowered:low ~graph ~schedule ~layout ~mode:(Sim.Oracle oracle)
-          ~warm:true ()
+        Sim.run ~lowered:fe.P.lowered ~graph ~schedule ~layout:fe.P.layout
+          ~mode:(Sim.Oracle fe.P.oracle) ~warm:true ()
       in
       let total = max 1 (Sim.accesses_total st) in
       let ml = Vliw_sched.Regpressure.max_live graph schedule in
@@ -78,52 +75,38 @@ let compare_kernel ~buf ~machine ~(opts : E.opts) kernel =
         string_of_int (Array.fold_left max 0 ml);
       ]
   in
-  let arms =
-    (* free, MDC and DDGT are independent compile+simulate pipelines;
-       results come back in technique order regardless of pool width *)
-    Vliw_util.Pool.map
-      (fun technique ->
-        let compiled =
-          Vliw_sched.Hybrid.compile ~machine ~heuristic ~pref_for ~trip ~ordering
-            technique low.Lower.graph
-        in
-        (technique, (compiled, row (S.technique_name technique) compiled)))
-      [ S.Free; S.Mdc; S.Ddgt ]
-  in
-  (* the hybrid is Section 6's choice between the MDC and DDGT schedules
-     in hand; its row is the chosen arm's, whose schedule it is *)
+  (* free, MDC and DDGT are compiled, then simulated, on the domain pool;
+     rows come back in technique order regardless of pool width *)
+  let all = P.compile_all ~ordering:opts.E.op_ordering ~heuristic fe in
+  let arms = List.filter (fun (t, _) -> t <> S.Hybrid) all in
+  let rows = List.combine (List.map snd arms) (Vliw_util.Pool.map row arms) in
+  (* the hybrid's entry is its chosen arm's, so its row is that arm's *)
+  let hybrid = List.assoc S.Hybrid all in
   let hybrid_row =
-    let mdc, mdc_row = List.assoc S.Mdc arms in
-    let ddgt, ddgt_row = List.assoc S.Ddgt arms in
-    let name = S.technique_name S.Hybrid in
-    match Vliw_sched.Hybrid.choose_of ~machine ~pref_for ~trip mdc ddgt with
-    | Error e -> row name (Error e)
-    | Ok { Vliw_sched.Hybrid.choice = Chose_mdc; _ } -> name :: List.tl mdc_row
-    | Ok { Vliw_sched.Hybrid.choice = Chose_ddgt; _ } -> name :: List.tl ddgt_row
+    match List.find_opt (fun (c, _) -> c == hybrid) rows with
+    | Some (_, r) -> S.technique_name S.Hybrid :: List.tl r
+    | None -> row (S.Hybrid, hybrid)
   in
-  let rows = List.map (fun (_, (_, r)) -> r) arms @ [ hybrid_row ] in
-  List.iter (T.add_row t) rows;
+  List.iter (T.add_row t) (List.map snd rows @ [ hybrid_row ]);
   T.print t
 
 (* --check: exhaustively enumerate the schedule's bounded interleaving
    space (see Vliw_check.Check) against the reference interpreter's
    memory and the verifier's certificate. Returns true when the kernel
    must fail the run (counterexample found or space not exhausted). *)
-let model_check ~jitter (a : E.artifacts) =
+let model_check ~jitter ((c : P.compiled), report) =
   let module Check = Vliw_check.Check in
-  let oracle = Ir.Interp.run ~layout:a.E.a_layout a.E.a_kernel in
+  let fe = c.P.front in
   let certified =
-    Option.fold ~none:false
-      ~some:(Vliw_verify.Verify.certifies ~jitter)
-      a.E.a_report
+    Option.fold ~none:false ~some:(Vliw_verify.Verify.certifies ~jitter) report
   in
   let o =
-    Check.explore ~lowered:a.E.a_lowered ~graph:a.E.a_graph
-      ~schedule:a.E.a_schedule ~layout:a.E.a_layout ~jitter
-      ~expected:oracle.Ir.Interp.memory ~certified ()
+    Check.explore ~lowered:fe.P.lowered ~graph:c.P.graph ~schedule:c.P.schedule
+      ~layout:fe.P.layout ~jitter ~expected:fe.P.oracle.Ir.Interp.memory
+      ~certified ()
   in
   Printf.printf "model check %s (jitter<=%d, %s): %s\n"
-    a.E.a_kernel.Ir.Ast.k_name jitter
+    fe.P.kernel_exec.Ir.Ast.k_name jitter
     (if certified then "certified" else "uncertified")
     (Format.asprintf "%a" Check.pp_outcome o);
   match o.Check.k_counterexample with
@@ -135,7 +118,7 @@ let model_check ~jitter (a : E.artifacts) =
         (if x.Check.x_violations = 1 then "" else "s")
         (if x.Check.x_memory_ok then "intact" else "corrupted")
     in
-    (match a.E.a_report with
+    (match report with
     | Some r ->
       Format.printf "%a@." Vliw_util.Diag.pp
         (Vliw_verify.Verify.refutation r ~detail)
@@ -146,7 +129,7 @@ let model_check ~jitter (a : E.artifacts) =
       Printf.printf
         "model check %s: state budget exhausted before the space; rerun with \
          a smaller kernel or jitter bound\n"
-        a.E.a_kernel.Ir.Ast.k_name;
+        fe.P.kernel_exec.Ir.Ast.k_name;
     not o.Check.k_exhaustive
 
 let main file workload technique heuristic ordering machine_name clusters icn
@@ -154,6 +137,17 @@ let main file workload technique heuristic ordering machine_name clusters icn
     check_jitter dump_ddg dot dump_sched execution compare jobs trace_file =
   Option.iter (Flags.at_least ~tool:"vliwc" ~flag:"check-jitter" 0) check_jitter;
   Option.iter (Flags.at_least ~tool:"vliwc" ~flag:"jobs" 1) jobs;
+  (* --compare prints its table and nothing else: a one-shot flag it
+     would drop is refused instead *)
+  if compare then
+    List.iter
+      (fun (flag, given) ->
+        if given then (
+          Printf.eprintf "vliwc: --compare does not take --%s\n" flag;
+          exit 2))
+      [ ("verify", verify); ("check", check); ("trace", trace_file <> None);
+        ("dump-ddg", dump_ddg); ("dot", dot <> None);
+        ("dump-schedule", dump_sched); ("execution", execution) ];
   Option.iter Vliw_util.Pool.set_jobs jobs;
   (* explicit flags win over what the source declares (Vliw_arch.Header) *)
   let flags =
@@ -181,8 +175,8 @@ let main file workload technique heuristic ordering machine_name clusters icn
     }
   in
   let collected = ref [] in
-  let artifacts =
-    if check then Some (fun a -> collected := a :: !collected) else None
+  let compiled =
+    if check then Some (fun c r -> collected := (c, r) :: !collected) else None
   in
   (* --check-jitter, else the header's jitter=, else 1 *)
   let run_checks (h : H.t) =
@@ -208,7 +202,7 @@ let main file workload technique heuristic ordering machine_name clusters icn
     List.iter (compare_kernel ~buf ~machine ~opts) kernels
   | Some path, None ->
     let src = Flags.read_source ~tool:"vliwc" path in
-    ignore (emit buf (E.run_source ?artifacts ~buf ~flags ~opts ~path src));
+    ignore (emit buf (E.run_source ?compiled ~buf ~flags ~opts ~path src));
     (* run_source accepted the header, so it reads back without error *)
     let declared = H.of_directives (H.directives src) in
     run_checks (H.over flags (Result.value declared ~default:H.none))
@@ -232,7 +226,7 @@ let main file workload technique heuristic ordering machine_name clusters icn
         let kernel = W.parse_loop l ~seed:bench.W.b_exec_seed in
         if compare then compare_kernel ~buf ~machine ~opts kernel
         else begin
-          ignore (emit buf (E.run_kernel ?artifacts ~buf ~machine ~opts kernel));
+          ignore (emit buf (E.run_kernel ?compiled ~buf ~machine ~opts kernel));
           run_checks flags
         end)
       bench.W.b_loops

@@ -17,6 +17,7 @@ module Fuzz = Vliw_fuzz.Fuzz
 module Gen = Vliw_fuzz.Gen
 module Diff = Vliw_fuzz.Diff
 module Shrink = Vliw_fuzz.Shrink
+module P = Vliw_pipeline.Pipeline
 
 (* test-only: wrap the real verifier so it certifies everything — the
    differential predicate must then catch real violations as
@@ -162,6 +163,7 @@ let render_case_outcome file (r : Check.case_outcome) =
 
 let check_cmd files clusters icn jitter matrix max_states jobs out weaken =
   Option.iter (at_least ~flag:"jitter" 0) jitter;
+  Option.iter (at_least ~flag:"max-states" 1) max_states;
   Option.iter (at_least ~flag:"jobs" 1) jobs;
   Option.iter Vliw_util.Pool.set_jobs jobs;
   let verifier = verifier_of weaken in
@@ -221,16 +223,17 @@ let check_cmd files clusters icn jitter matrix max_states jobs out weaken =
       (Shrink.node_count small) (stem ^ ".lk");
     let sr = Check.run_case ?verifier ~config ?jitter small in
     print_string (render_case_outcome (stem ^ ".lk") sr);
+    let fe = Diff.front small and heuristic = Diff.heuristic_for small in
     List.iter
       (fun (t : Check.checked) ->
         match t.Check.t_status with
         | Ok (_, { Check.k_counterexample = Some x; _ }) ->
-          (match Diff.compile small t.Check.t_technique with
+          (match P.compile ~heuristic fe t.Check.t_technique with
           | Ok a ->
             let sink = Vliw_trace.Trace.create () in
             ignore
-              (Check.replay ~lowered:a.Diff.a_lowered ~graph:a.Diff.a_graph
-                 ~schedule:a.Diff.a_schedule ~layout:a.Diff.a_layout
+              (Check.replay ~lowered:fe.P.lowered ~graph:a.P.graph
+                 ~schedule:a.P.schedule ~layout:fe.P.layout
                  ~jitter:sr.Check.co_jitter ~script:x.Check.x_script
                  ~trace:sink ());
             let path =

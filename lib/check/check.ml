@@ -14,19 +14,15 @@
    byte-identical final stats under equal future draws, so its whole
    subtree is a duplicate. *)
 
-module G = Vliw_ddg.Graph
-module S = Vliw_sched.Schedule
 module Lower = Vliw_lower.Lower
-module Layout = Vliw_ir.Layout
 module Sim = Vliw_sim.Sim
-module Trace = Vliw_trace.Trace
 module V = Vliw_verify.Verify
 module Diag = Vliw_util.Diag
 module Codec = Vliw_util.Codec
 module Diff = Vliw_fuzz.Diff
 module Gen = Vliw_fuzz.Gen
 module Oracle = Vliw_fuzz.Oracle
-module Interp = Vliw_ir.Interp
+module P = Vliw_pipeline.Pipeline
 
 type config = { c_max_states : int; c_max_leaves : int }
 
@@ -72,7 +68,7 @@ let stats_equal (a : Sim.stats) (b : Sim.stats) =
 exception Pruned
 exception Capped
 
-let replay ~lowered ~graph ~schedule ~layout ?trip ~jitter ~script
+let replay ~lowered ~graph ~schedule ~layout ~jitter ~script
     ?(engine = `Wheel) ?trace () =
   let arr = Array.of_list script in
   let depth = ref 0 in
@@ -87,7 +83,7 @@ let replay ~lowered ~graph ~schedule ~layout ?trip ~jitter ~script
           v);
     }
   in
-  Sim.run ~lowered ~graph ~schedule ~layout ?trip ~mode:Sim.Execution
+  Sim.run ~lowered ~graph ~schedule ~layout ~mode:Sim.Execution
     ~choices:chooser ?trace ~engine ()
 
 (* A visited key: the canonical state of a branch point's cycle and the
@@ -114,7 +110,7 @@ type branch = {
   b_skip : int;
 }
 
-let explore ~lowered ~graph ~schedule ~layout ?trip ~jitter ~expected
+let explore ~lowered ~graph ~schedule ~layout ~jitter ~expected
     ~certified ?(config = default_config) () =
   if jitter < 0 then invalid_arg "Check.explore: negative jitter";
   (* visited key -> the draw prefix that first reached it, newest first *)
@@ -133,7 +129,7 @@ let explore ~lowered ~graph ~schedule ~layout ?trip ~jitter ~expected
   let capped = ref false in
   (* one engine for the whole exploration *)
   let engine =
-    Sim.prepare ~lowered ~graph ~schedule ~layout ?trip ~mode:Sim.Execution ()
+    Sim.prepare ~lowered ~graph ~schedule ~layout ~mode:Sim.Execution ()
   in
   let intra = Codec.create 16 in
   (* Run one branch: resume its cycle's checkpoint (the root runs from
@@ -255,7 +251,7 @@ let explore ~lowered ~graph ~schedule ~layout ?trip ~jitter ~expected
     if (!leaves - 1) mod reference_stride = 0 then begin
       incr agreement_checked;
       let rstats =
-        replay ~lowered ~graph ~schedule ~layout ?trip ~jitter ~script
+        replay ~lowered ~graph ~schedule ~layout ~jitter ~script
           ~engine:`Reference ()
       in
       if not (stats_equal stats rstats) then begin
@@ -338,17 +334,17 @@ let script_string script =
 let run_case ?(verifier = Diff.default_verifier) ?(config = default_config)
     ?jitter (c : Gen.case) =
   let jitter = Option.value jitter ~default:c.Gen.g_jitter in
-  let kernel = c.Gen.g_kernel in
+  let fe = Diff.front c in
+  let lowered = fe.P.lowered and layout = fe.P.layout in
   let failures = ref [] in
   let fail kind detail = failures := (kind, detail) :: !failures in
   (* the two independent reference executors must agree before any
      explored execution is judged against them *)
-  let layout0 = Layout.make kernel in
-  let oracle = Oracle.run ~layout:layout0 kernel in
-  (match Oracle.compare_interp oracle (Interp.run ~layout:layout0 kernel) with
+  let oracle = Oracle.run ~layout fe.P.kernel_exec in
+  (match Oracle.compare_interp oracle fe.P.oracle with
   | Ok () -> ()
   | Error e -> fail "oracle-diverged" ("reference: " ^ e));
-  (* each exploration run, with the artifacts and certificate it ran
+  (* each exploration run, with the compiled loop and certificate it ran
      under *)
   let explored = ref [] in
   let check_tech (tech, compiled) =
@@ -357,14 +353,14 @@ let run_case ?(verifier = Diff.default_verifier) ?(config = default_config)
       { t_technique = tech; t_status = Error e; t_refutation = None }
     | Ok a ->
       let report =
-        verifier ~machine:a.Diff.a_machine ~technique:tech
-          ~base:a.Diff.a_lowered.Lower.graph ~layout:a.Diff.a_layout
-          ~graph:a.Diff.a_graph ~schedule:a.Diff.a_schedule
+        verifier ~machine:fe.P.machine ~technique:tech
+          ~base:lowered.Lower.graph ~layout ~graph:a.P.graph
+          ~schedule:a.P.schedule
       in
       let certified = V.certifies report ~jitter in
-      (* [explore] is a pure function of the artifacts, the certificate
-         and the oracle's memory. The hybrid's artifacts are its chosen
-         arm's own record, so under the arm's certificate its outcome is
+      (* [explore] is a pure function of the compiled loop, the
+         certificate and the oracle's memory. The hybrid's record is its
+         chosen arm's own, so under the arm's certificate its outcome is
          the arm's, and the space is not enumerated twice *)
       let outcome =
         match
@@ -373,9 +369,8 @@ let run_case ?(verifier = Diff.default_verifier) ?(config = default_config)
         | Some (_, _, o) -> o
         | None ->
           let o =
-            explore ~lowered:a.Diff.a_lowered ~graph:a.Diff.a_graph
-              ~schedule:a.Diff.a_schedule ~layout:a.Diff.a_layout ~jitter
-              ~expected:oracle.Oracle.o_memory ~certified ~config ()
+            explore ~lowered ~graph:a.P.graph ~schedule:a.P.schedule ~layout
+              ~jitter ~expected:oracle.Oracle.o_memory ~certified ~config ()
           in
           explored := (a, certified, o) :: !explored;
           o
@@ -418,7 +413,9 @@ let run_case ?(verifier = Diff.default_verifier) ?(config = default_config)
         t_refutation = refutation;
       }
   in
-  let techniques = List.map check_tech (Diff.compile_all c) in
+  let techniques =
+    List.map check_tech (P.compile_all ~heuristic:(Diff.heuristic_for c) fe)
+  in
   {
     co_case = c;
     co_jitter = jitter;

@@ -70,7 +70,6 @@ val explore :
   graph:Vliw_ddg.Graph.t ->
   schedule:Vliw_sched.Schedule.t ->
   layout:Vliw_ir.Layout.t ->
-  ?trip:int ->
   jitter:int ->
   expected:Bytes.t ->
   certified:bool ->
@@ -90,7 +89,6 @@ val replay :
   graph:Vliw_ddg.Graph.t ->
   schedule:Vliw_sched.Schedule.t ->
   layout:Vliw_ir.Layout.t ->
-  ?trip:int ->
   jitter:int ->
   script:int list ->
   ?engine:Vliw_sim.Sim.engine ->
@@ -129,15 +127,13 @@ val run_case :
   ?jitter:int ->
   Vliw_fuzz.Gen.case ->
   case_outcome
-(** Compile the case under every technique through the exact differential
-    pipeline ({!Vliw_fuzz.Diff.compile_all}: one front end, free, MDC and
-    DDGT compiled once each, the hybrid chosen between the two arms),
-    verify each schedule and {!explore} it. The hybrid's artifacts are
-    its chosen arm's, so when its certificate
-    ({!Vliw_verify.Verify.certifies}) equals the arm's, the arm's outcome
-    is reused rather than explored again: exploration depends on nothing
-    else. The hybrid still gets its own report, its own refutation and
-    its own failure lines. [jitter] defaults to the case's declared bound. The
+(** Compile the case as the differential driver does
+    ({!Vliw_pipeline.Pipeline.compile_all} over {!Vliw_fuzz.Diff.front}),
+    verify each schedule and {!explore} it. The hybrid's record is its
+    chosen arm's, so when its certificate ({!Vliw_verify.Verify.certifies})
+    equals the arm's, the arm's outcome is reused: exploration depends on
+    nothing else. The hybrid still gets its own report, refutation and
+    failure lines. [jitter] defaults to the case's declared bound. The
     injectable [verifier] (called once per technique) is the soundness
     test hook: weaken it and the checker must produce the counterexample
     the real verifier's rejection predicted. *)

@@ -2,15 +2,12 @@ module M = Vliw_arch.Machine
 module G = Vliw_ddg.Graph
 module S = Vliw_sched.Schedule
 module Lower = Vliw_lower.Lower
-module Profile = Vliw_profile.Profile
 module Sim = Vliw_sim.Sim
 module Trace = Vliw_trace.Trace
-module Audit = Vliw_trace.Audit
 module V = Vliw_verify.Verify
 module Layout = Vliw_ir.Layout
-module Interp = Vliw_ir.Interp
 module Prng = Vliw_util.Prng
-module Hybrid = Vliw_sched.Hybrid
+module P = Vliw_pipeline.Pipeline
 
 type technique = S.technique = Free | Mdc | Ddgt | Hybrid
 
@@ -81,100 +78,25 @@ let jitter_stream (c : Gen.case) tech =
        "jitter")
     (technique_name tech)
 
-type artifacts = {
-  a_machine : M.t;
-  a_layout : Layout.t;
-  a_heuristic : S.heuristic;
-  a_lowered : Lower.t;
-  a_graph : G.t;
-  a_schedule : S.t;
-}
-
-(* The case's front end (machine, layout, heuristic, lowering, profile),
-   built once and shared by every technique's compile *)
-type front = {
-  fe_machine : M.t;
-  fe_layout : Layout.t;
-  fe_heuristic : S.heuristic;
-  fe_lowered : Lower.t;
-  fe_pref_for : G.t -> int -> int array option;
-  fe_trip : int;
-}
-
-let front_end (c : Gen.case) =
-  let k = c.Gen.g_kernel in
-  let machine = Gen.machine c.Gen.g_mconf in
-  let layout = Layout.make k in
-  {
-    fe_machine = machine;
-    fe_layout = layout;
-    fe_heuristic = heuristic_for c;
-    fe_lowered = Lower.lower k;
-    fe_pref_for = Profile.node_pref (Profile.run ~machine ~layout k);
-    fe_trip = k.Vliw_ir.Ast.k_trip;
-  }
-
-(* Crucially the driver is NOT gated by the verifier: the verdict is
-   collected after the fact and differenced against the dynamic outcome,
-   so a verifier that wrongly certifies is caught instead of obeyed. *)
-let compile_front fe tech =
-  Hybrid.compile ~machine:fe.fe_machine ~heuristic:fe.fe_heuristic
-    ~pref_for:fe.fe_pref_for ~trip:fe.fe_trip tech fe.fe_lowered.Lower.graph
-
-let artifacts fe (c : Hybrid.compiled) =
-  {
-    a_machine = fe.fe_machine;
-    a_layout = fe.fe_layout;
-    a_heuristic = fe.fe_heuristic;
-    a_lowered = fe.fe_lowered;
-    a_graph = c.c_graph;
-    a_schedule = c.c_schedule;
-  }
-
-let compile (c : Gen.case) tech =
-  let fe = front_end c in
-  compile_front fe tech |> Result.map (artifacts fe)
-
-(* free, MDC and DDGT compiled once each; the hybrid is Section 6's choice
-   between the two arms in hand, and its entry is the chosen arm's own
-   artifacts *)
-let compile_all_front fe =
-  let free = compile_front fe Free in
-  let mdc = compile_front fe Mdc in
-  let ddgt = compile_front fe Ddgt in
-  let arm = Result.map (artifacts fe) in
-  let mdc_a = arm mdc and ddgt_a = arm ddgt in
-  let hybrid =
-    match
-      Hybrid.choose_of ~machine:fe.fe_machine ~pref_for:fe.fe_pref_for
-        ~trip:fe.fe_trip mdc ddgt
-    with
-    | Error e -> Error e
-    | Ok { Hybrid.choice = Chose_mdc; _ } -> mdc_a
-    | Ok { Hybrid.choice = Chose_ddgt; _ } -> ddgt_a
-  in
-  [ (Free, arm free); (Mdc, mdc_a); (Ddgt, ddgt_a); (Hybrid, hybrid) ]
-
-let compile_all c = compile_all_front (front_end c)
+let front (c : Gen.case) =
+  P.front ~machine:(Gen.machine c.Gen.g_mconf) c.Gen.g_kernel
 
 let check ?(verifier = default_verifier) (c : Gen.case) =
-  let k = c.Gen.g_kernel in
-  let fe = front_end c in
-  let machine = fe.fe_machine and layout = fe.fe_layout in
-  let heuristic = fe.fe_heuristic and low = fe.fe_lowered in
+  let fe = front c in
+  let heuristic = heuristic_for c in
+  let machine = fe.P.machine and layout = fe.P.layout and low = fe.P.lowered in
   let failure tech kind detail =
     { f_kind = kind; f_technique = tech; f_detail = detail }
   in
   (* two independent reference executors must tell the same story before
      any simulated run is judged against them *)
-  let interp = Interp.run ~layout k in
-  let oracle = Oracle.run ~layout k in
+  let oracle = Oracle.run ~layout fe.P.kernel_exec in
   let reference =
-    match Oracle.compare_interp oracle interp with
+    match Oracle.compare_interp oracle fe.P.oracle with
     | Ok () -> []
     | Error e -> [ failure "reference" "oracle-diverged" e ]
   in
-  (* one prepared engine, for the artifact simulated last: its nominal
+  (* one prepared engine, for the compiled loop simulated last: its nominal
      and jittered runs share it. The previous one is dropped before the
      next is built, so only one is ever alive *)
   let last = ref None in
@@ -184,8 +106,8 @@ let check ?(verifier = default_verifier) (c : Gen.case) =
     | _ ->
       last := None;
       let e =
-        Sim.prepare ~lowered:low ~graph:a.a_graph ~schedule:a.a_schedule ~layout
-          ~mode:Sim.Execution ()
+        Sim.prepare ~lowered:low ~graph:a.P.graph ~schedule:a.P.schedule
+          ~layout ~mode:Sim.Execution ()
       in
       last := Some (a, e);
       e
@@ -196,16 +118,12 @@ let check ?(verifier = default_verifier) (c : Gen.case) =
     let fail kind detail =
       failures := failure (technique_name tech) kind detail :: !failures
     in
-    let simulate tag ?jitter engine =
+    let simulate tag ?jitter a =
       let sink = Trace.create () in
-      let stats = Sim.exec engine ?jitter ~trace:sink () in
+      let stats = Sim.exec (engine_for a) ?jitter ~trace:sink () in
       (* the event stream must independently re-derive the simulator's own
          coherence accounting, on every run, jittered or not *)
-      (match
-         Audit.check sink ~protocol:machine.M.protocol
-           ~prot_invalidations:stats.Sim.prot_invalidations
-           ~violations:stats.Sim.violations ~nullified:stats.Sim.nullified
-       with
+      (match P.audit a sink stats with
       | Ok _ -> ()
       | Error msg -> fail "audit-mismatch" (tag ^ ": " ^ msg));
       {
@@ -227,8 +145,7 @@ let check ?(verifier = default_verifier) (c : Gen.case) =
       match verified with
       | Error e -> Unschedulable e
       | Ok (a, report) ->
-        let engine = engine_for a in
-        let nominal = simulate "nominal" engine in
+        let nominal = simulate "nominal" a in
         judge ~certified:(V.certifies report ~jitter:0) "nominal" nominal;
         let jittered =
           if c.Gen.g_jitter = 0 then None
@@ -236,7 +153,7 @@ let check ?(verifier = default_verifier) (c : Gen.case) =
             let obs =
               simulate "jittered"
                 ~jitter:(jitter_stream c tech, c.Gen.g_jitter)
-                engine
+                a
             in
             judge
               ~certified:(V.certifies report ~jitter:c.Gen.g_jitter)
@@ -255,9 +172,11 @@ let check ?(verifier = default_verifier) (c : Gen.case) =
     ( { d_technique = tech; d_heuristic = heuristic; d_status = status },
       List.rev !failures )
   in
-  (* the same compiles as [compile_all], so the model checker
-     (Vliw_check.Check) explores the very artifacts judged here, each
-     verified in technique order *)
+  (* the model checker (Vliw_check.Check) compiles the same way, so it
+     explores the very records judged here. Crucially the compiles are
+     NOT gated by the verifier: each is verified in technique order after
+     the fact and differenced against the dynamic outcome, so a verifier
+     that wrongly certifies is caught instead of obeyed *)
   let verified =
     List.map
       (fun (tech, compiled) ->
@@ -266,13 +185,13 @@ let check ?(verifier = default_verifier) (c : Gen.case) =
             (fun a ->
               ( a,
                 verifier ~machine ~technique:tech ~base:low.Lower.graph ~layout
-                  ~graph:a.a_graph ~schedule:a.a_schedule ))
+                  ~graph:a.P.graph ~schedule:a.P.schedule ))
             compiled ))
-      (compile_all_front fe)
+      (P.compile_all ~heuristic fe)
   in
-  (* The hybrid's artifacts are its chosen arm's own record, so it runs
-     right after that arm, on the arm's engine: one engine is alive at a
-     time. Runs and failures are still reported in technique order *)
+  (* The hybrid's record is its chosen arm's own, so it runs right after
+     that arm, on the arm's engine: one engine is alive at a time. Runs
+     and failures are still reported in technique order *)
   let hybrid = List.assq Hybrid verified in
   let order =
     List.concat_map

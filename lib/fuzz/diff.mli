@@ -2,11 +2,12 @@
     against the golden oracle.
 
     For a case, the driver compiles the kernel under free / MDC / DDGT /
-    hybrid ({!compile_all}: one front end, three compiles, the hybrid
-    chosen between the MDC and DDGT results; the per-case heuristic is a
-    pure function of the case identity), simulates each schedule in
-    execution mode — nominally and, when the case carries jitter, under
-    adversarial bus jitter — and checks the {e differential predicate}:
+    hybrid ({!Vliw_pipeline.Pipeline.compile_all}: one front end, three
+    compiles, the hybrid chosen between the MDC and DDGT results; the
+    per-case heuristic is a pure function of the case identity),
+    simulates each schedule in execution mode — nominally and, when the
+    case carries jitter, under adversarial bus jitter — and checks the
+    {e differential predicate}:
 
     - the two reference executors ({!Oracle} and {!Vliw_ir.Interp}) must
       agree on memory, scalars and every load value
@@ -88,34 +89,13 @@ type verdict = {
 val failure_kinds : string list
 (** Every [f_kind] the driver can emit, in a fixed order. *)
 
-type artifacts = {
-  a_machine : Vliw_arch.Machine.t;
-  a_layout : Vliw_ir.Layout.t;
-  a_heuristic : Vliw_sched.Schedule.heuristic;
-  a_lowered : Vliw_lower.Lower.t;
-  a_graph : Vliw_ddg.Graph.t;  (** post-transform (MDC/DDGT) graph *)
-  a_schedule : Vliw_sched.Schedule.t;
-}
-(** Everything a simulator or verifier needs about one compiled case. *)
+val heuristic_for : Gen.case -> Vliw_sched.Schedule.heuristic
+(** The case's heuristic: a pure function of its identity. *)
 
-val compile : Gen.case -> technique -> (artifacts, string) result
-(** Compile one case under one technique through the pipeline [check]
-    uses (same front end, same per-case heuristic, same ungated driver).
-    [Hybrid] here is {!Vliw_sched.Hybrid.compile}'s own: both arms are
-    compiled again for it, so its schedule is a reference that
-    {!compile_all}'s reuse must reproduce. [Error] is the scheduler's
-    reason (an [Unschedulable] case). *)
-
-val compile_all : Gen.case -> (technique * (artifacts, string) result) list
-(** Every technique's compile, in {!techniques} order, exactly as
-    [check] judges them, so the model checker ({!Vliw_check.Check})
-    explores the very artifacts the differential driver judges. The
-    front end (machine, layout, heuristic, lowering, profile) is built
-    once; free, MDC and DDGT are compiled once each; the hybrid is
-    {!Vliw_sched.Hybrid.choose_of} over the MDC and DDGT results, and its
-    entry is the chosen arm's artifacts record itself (physically equal),
-    so a caller can reuse work already done on that arm. Its schedule
-    equals [compile c Hybrid]'s. *)
+val front : Gen.case -> Vliw_pipeline.Pipeline.front
+(** The case's front end on its machine. [check] and {!Vliw_check.Check}
+    compile {!Vliw_pipeline.Pipeline.compile_all} over it, ungated, with
+    {!heuristic_for}: the checker explores the very loops [check] judges. *)
 
 val check : ?verifier:verifier -> Gen.case -> verdict
 (** Run the whole differential pipeline on one case. Deterministic: equal

@@ -1,16 +1,15 @@
 module M = Vliw_arch.Machine
 module W = Vliw_workloads.Workloads
-module Lower = Vliw_lower.Lower
-module Profile = Vliw_profile.Profile
 module Ir = Vliw_ir
 module Cache = Vliw_util.Cache
 
-type stages = {
+type stages = Vliw_pipeline.Pipeline.front = {
+  machine : M.t;
   kernel_prof : Ir.Ast.kernel;
   kernel_exec : Ir.Ast.kernel;
   layout : Ir.Layout.t;
-  prof : Profile.t;
-  lowered : Lower.t;
+  prof : Vliw_profile.Profile.t;
+  lowered : Vliw_lower.Lower.t;
   oracle : Ir.Interp.result;
 }
 
@@ -26,18 +25,6 @@ let parse ~(bench : W.benchmark) ~seed (loop : W.loop) =
   Cache.find_or_compute parse_tbl (bench.W.b_name, loop.W.l_name, seed) (fun () ->
       W.parse_loop loop ~seed)
 
-let build ~machine ~kernel_prof ~kernel_exec =
-  let layout = Ir.Layout.make kernel_exec in
-  {
-    kernel_prof;
-    kernel_exec;
-    layout;
-    prof =
-      Profile.run ~machine ~layout:(Ir.Layout.make kernel_prof) kernel_prof;
-    lowered = Lower.lower kernel_exec;
-    oracle = Ir.Interp.run ~layout kernel_exec;
-  }
-
 let stages ~machine ~(bench : W.benchmark) (loop : W.loop) =
   let key =
     ( bench.W.b_name,
@@ -47,9 +34,9 @@ let stages ~machine ~(bench : W.benchmark) (loop : W.loop) =
       machine )
   in
   Cache.find_or_compute stage_tbl key (fun () ->
-      build ~machine
-        ~kernel_prof:(parse ~bench ~seed:bench.W.b_profile_seed loop)
-        ~kernel_exec:(parse ~bench ~seed:bench.W.b_exec_seed loop))
+      Vliw_pipeline.Pipeline.front ~machine
+        ~profile:(parse ~bench ~seed:bench.W.b_profile_seed loop)
+        (parse ~bench ~seed:bench.W.b_exec_seed loop))
 
 let parse_stats () = Cache.stats parse_tbl
 let stage_stats () = Cache.stats stage_tbl

@@ -5,14 +5,12 @@ module Driver = Vliw_sched.Driver
 module Hybrid = Vliw_sched.Hybrid
 module Chains = Vliw_core.Chains
 module Lower = Vliw_lower.Lower
-module Profile = Vliw_profile.Profile
 module Sim = Vliw_sim.Sim
 module W = Vliw_workloads.Workloads
-module Ir = Vliw_ir
 module Trace = Vliw_trace.Trace
-module Audit = Vliw_trace.Audit
 module Chrome = Vliw_trace.Chrome
 module V = Vliw_verify.Verify
+module P = Vliw_pipeline.Pipeline
 
 type technique = S.technique = Free | Mdc | Ddgt | Hybrid
 
@@ -89,14 +87,12 @@ let run_loop ~machine ?(obs = obs_none) ?(lat_policy = Driver.Cache_sensitive)
     match transform with
     | None -> Memo.stages ~machine ~bench loop
     | Some tr ->
-      Memo.build ~machine
-        ~kernel_prof:(tr (Memo.parse ~bench ~seed:bench.b_profile_seed loop))
-        ~kernel_exec:(tr (Memo.parse ~bench ~seed:bench.b_exec_seed loop))
+      P.front ~machine
+        ~profile:(tr (Memo.parse ~bench ~seed:bench.b_profile_seed loop))
+        (tr (Memo.parse ~bench ~seed:bench.b_exec_seed loop))
   in
-  let k_exec = stages.Memo.kernel_exec in
-  let layout = stages.Memo.layout in
-  let prof = stages.Memo.prof in
-  let low = stages.Memo.lowered in
+  let layout = stages.P.layout in
+  let low = stages.P.lowered in
   let fail e =
     failwith
       (Printf.sprintf "%s/%s: cannot schedule (%s, %s): %s" bench.b_name
@@ -113,20 +109,16 @@ let run_loop ~machine ?(obs = obs_none) ?(lat_policy = Driver.Cache_sensitive)
     | Free | Hybrid -> None
   in
   let compiled =
-    match
-      Hybrid.compile ~machine ~heuristic ~pref_for:(Profile.node_pref prof)
-        ~trip:k_exec.Ir.Ast.k_trip ~lat_policy ~ordering ?check technique
-        low.Lower.graph
-    with
+    match P.compile ~lat_policy ~ordering ?check ~heuristic stages technique with
     | Ok c -> c
     | Error e -> fail e
   in
-  let graph = compiled.Hybrid.c_graph in
-  let schedule = compiled.Hybrid.c_schedule in
+  let graph = compiled.P.graph in
+  let schedule = compiled.P.schedule in
   let verify =
     V.check ~machine ~technique ~base:low.Lower.graph ~layout ~graph ~schedule ()
   in
-  let oracle = stages.Memo.oracle in
+  let oracle = stages.P.oracle in
   let sink =
     if obs.obs_audit || obs.obs_trace_dir <> None then Some (Trace.create ())
     else None
@@ -149,11 +141,7 @@ let run_loop ~machine ?(obs = obs_none) ?(lat_policy = Driver.Cache_sensitive)
   | Some s -> (
     (* replay coherence audit: the event stream must independently agree
        with the simulator's own violation/nullification accounting *)
-    (match
-       Audit.check s ~protocol:machine.M.protocol
-         ~prot_invalidations:stats.Sim.prot_invalidations
-         ~violations:stats.Sim.violations ~nullified:stats.Sim.nullified
-     with
+    (match P.audit compiled s stats with
     | Ok _ -> ()
     | Error msg ->
       failwith
@@ -176,13 +164,13 @@ let run_loop ~machine ?(obs = obs_none) ?(lat_policy = Driver.Cache_sensitive)
     lr_loop = loop;
     lr_graph = graph;
     lr_schedule = schedule;
-    lr_choice = Option.map (fun h -> h.Hybrid.choice) compiled.Hybrid.c_hybrid;
+    lr_choice = Option.map (fun h -> h.Hybrid.choice) compiled.P.hybrid;
     lr_stats = stats;
     lr_verify = verify;
     lr_mem_ops = List.length (G.mem_refs low.Lower.graph);
     lr_chain = List.length (Chains.biggest low.Lower.graph);
     lr_nodes = G.node_count low.Lower.graph;
-    lr_trip = k_exec.Ir.Ast.k_trip;
+    lr_trip = stages.P.kernel_exec.Vliw_ir.Ast.k_trip;
   }
 
 let run_bench ~machine ?obs ?lat_policy ?ordering ?transform technique

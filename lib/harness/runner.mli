@@ -1,22 +1,15 @@
-(** The compile-and-simulate pipeline behind every experiment.
+(** The compile-and-simulate run behind every experiment.
 
-    For one benchmark loop:
-    + parse the kernel twice — once with the benchmark's {e profile} seed,
-      once with its {e execution} seed (Table 1's two input columns);
-    + lay out memory, interpret the profile kernel and collect
-      preferred-cluster histograms ({!Vliw_profile.Profile});
-    + lower the execution kernel to a DDG;
-    + apply the requested coherence technique — none (the paper's
-      optimistic {e free} baseline), MDC chain constraints, the DDGT
-      transform, or the per-loop hybrid — and modulo-schedule with the
-      requested heuristic on the requested machine (with the benchmark's
-      interleaving factor applied), through {!Vliw_sched.Hybrid.compile},
-      the step every tool shares;
-    + simulate trace-driven (oracle mode, like the paper's simulator), the
-      oracle being the interpreter run on the execution input.
+    For one benchmark loop: the pipeline's front end ({!Memo.stages}: the
+    kernel parsed with the benchmark's {e execution} seed and profiled on
+    its parse with the {e profile} seed, Table 1's two input columns); the
+    requested technique — the paper's optimistic {e free} baseline, MDC,
+    DDGT or the per-loop hybrid — scheduled with the requested heuristic
+    on the machine with the benchmark's interleave
+    ({!Vliw_pipeline.Pipeline.compile}, the step every tool shares); and a
+    trace-driven simulation (oracle mode, like the paper's simulator)
+    against the interpreter's run of the execution input.
 
-    The technique/heuristic-independent stages (parse, layout, profile,
-    lowering, oracle) are shared across calls through {!Memo};
     {!run_bench} fans its loops out over {!Vliw_util.Pool}. Results are
     identical to a sequential, uncached run: the shared stages are pure
     and every consumer treats them as read-only. *)

@@ -15,8 +15,8 @@ let of_events ~machine ~nsites events =
     events;
   { clusters; site_hist }
 
-let run ~machine ~layout ?trip kernel =
-  let res = Vliw_ir.Interp.run ?trip ~layout kernel in
+let run ~machine ~layout kernel =
+  let res = Vliw_ir.Interp.run ~layout kernel in
   of_events ~machine ~nsites:(Vliw_ir.Sites.count kernel) res.events
 
 let histogram t s =

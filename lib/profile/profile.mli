@@ -18,7 +18,6 @@ val of_events :
 val run :
   machine:Vliw_arch.Machine.t ->
   layout:Vliw_ir.Layout.t ->
-  ?trip:int ->
   Vliw_ir.Ast.kernel ->
   t
 (** Interpret the kernel (typically on the {e profile} input set / layout)

@@ -10,21 +10,21 @@ type request = {
   heuristic : Schedule.heuristic;
   constraints : C.constraints;
   pref : int -> int array option;
-  max_ii : int;
   lat_policy : lat_policy;
   ordering : Ims.ordering;
   check : G.t -> Schedule.t -> (unit, string) result;
 }
 
-let default_max_ii = 512
+(* the II search cap: plenty for loops *)
+let max_ii = 512
 
 let request ?(heuristic = Schedule.Min_coms) ?constraints ?(pref = fun _ -> None)
-    ?(max_ii = default_max_ii) ?(lat_policy = Cache_sensitive)
-    ?(ordering = Ims.Height) ?(check = fun _ _ -> Ok ()) machine =
+    ?(lat_policy = Cache_sensitive) ?(ordering = Ims.Height)
+    ?(check = fun _ _ -> Ok ()) machine =
   let constraints =
     match constraints with Some c -> c | None -> C.no_constraints ()
   in
-  { machine; heuristic; constraints; pref; max_ii; lat_policy; ordering; check }
+  { machine; heuristic; constraints; pref; lat_policy; ordering; check }
 
 let ceil_div a b = (a + b - 1) / b
 
@@ -229,7 +229,7 @@ let run req g =
        mems);
   let start = mii machine g req in
   let rec search ii =
-    if ii > req.max_ii then Error (Printf.sprintf "no schedule up to II=%d" req.max_ii)
+    if ii > max_ii then Error (Printf.sprintf "no schedule up to II=%d" max_ii)
     else
       match Ims.attempt (ctx assumed) g ~ii with
       | Some s when valid s -> Ok s

@@ -37,7 +37,6 @@ type request = {
   heuristic : Schedule.heuristic;
   constraints : Vliw_core.Chains.constraints;
   pref : int -> int array option;
-  max_ii : int;  (** II search cap; {!default_max_ii} is plenty for loops *)
   lat_policy : lat_policy;
   ordering : Ims.ordering;  (** node-ordering/placement strategy *)
   check : Vliw_ddg.Graph.t -> Schedule.t -> (unit, string) result;
@@ -49,20 +48,18 @@ type request = {
           than called directly. *)
 }
 
-val default_max_ii : int
-
 val request :
   ?heuristic:Schedule.heuristic ->
   ?constraints:Vliw_core.Chains.constraints ->
   ?pref:(int -> int array option) ->
-  ?max_ii:int ->
   ?lat_policy:lat_policy ->
   ?ordering:Ims.ordering ->
   ?check:(Vliw_ddg.Graph.t -> Schedule.t -> (unit, string) result) ->
   Vliw_arch.Machine.t ->
   request
-(** Defaults: MinComs, no constraints, no profile, {!default_max_ii},
-    cache-sensitive latency assignment, [Height] ordering, no check. *)
+(** Defaults: MinComs, no constraints, no profile, cache-sensitive
+    latency assignment, [Height] ordering, no check. The II search gives
+    up past II 512. *)
 
 val res_mii : Vliw_arch.Machine.t -> Vliw_ddg.Graph.t -> request -> int
 (** Resource-constrained MII, including the sharpening from cluster pins

@@ -73,14 +73,15 @@ val compile :
   Vliw_ddg.Graph.t ->
   (compiled, string) Stdlib.result
 (** Schedule a lowered loop under one technique — the one step every
-    tool shares. [Free] schedules the graph unconstrained; [Mdc] pins its
-    memory dependent chains ({!Vliw_core.Chains.prefclus} or
-    {!Vliw_core.Chains.mincoms}, after [heuristic]); [Ddgt] schedules
-    {!Vliw_core.Ddgt.transform}'s graph, profiled through [pref_for] of
-    that graph; [Hybrid] is {!choose_of} over this function's own [Mdc]
-    and [Ddgt] results, built with the same options. [lat_policy], [ordering] and [check] go to every
-    {!Driver.request} made ([check] is how callers gate on the static
-    verifier); [trip] only matters to [Hybrid]. The MinComs post-pass may
+    tool shares, through {!Vliw_pipeline.Pipeline.compile}. [Free]
+    schedules the graph unconstrained; [Mdc] pins its memory dependent
+    chains ({!Vliw_core.Chains.prefclus} or {!Vliw_core.Chains.mincoms},
+    after [heuristic]); [Ddgt] schedules {!Vliw_core.Ddgt.transform}'s
+    graph, profiled through [pref_for] of that graph; [Hybrid] is
+    {!choose_of} over this function's own [Mdc] and [Ddgt] results, built
+    with the same options. [lat_policy], [ordering] and [check] go to
+    every {!Driver.request} made ([check] is how callers gate on the
+    static verifier); [trip] only matters to [Hybrid]. The MinComs post-pass may
     rewrite replica pins of [c_graph] ({!Driver.run}), so read the graph
     after this returns. [Error] is the driver's reason, or the hybrid's
     when neither candidate schedules. *)
@@ -97,6 +98,5 @@ val choose_of :
     each candidate that scheduled and keeps the cheaper one, MDC on a
     tie; the result's graph and schedule are the chosen candidate's own
     values, not copies. Errors only if {e both} are errors. [Hybrid]
-    under {!compile} is this choice over two fresh candidates; a caller
-    that already holds both arms (the fuzzer, the model checker, [vliwc
-    --compare]) calls it directly instead of compiling them again. *)
+    under {!compile} is this choice over two fresh candidates;
+    {!Vliw_pipeline.Pipeline.compile_all} makes it over the arms it built. *)

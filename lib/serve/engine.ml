@@ -4,6 +4,7 @@ module S = Vliw_sched.Schedule
 module Hybrid = Vliw_sched.Hybrid
 module Chains = Vliw_core.Chains
 module Lower = Vliw_lower.Lower
+module P = Vliw_pipeline.Pipeline
 module Ir = Vliw_ir
 module Sim = Vliw_sim.Sim
 module V = Vliw_verify.Verify
@@ -51,15 +52,6 @@ type summary = {
   s_stats : Sim.stats;
 }
 
-type artifacts = {
-  a_kernel : Ir.Ast.kernel;
-  a_layout : Ir.Layout.t;
-  a_lowered : Lower.t;
-  a_graph : G.t;
-  a_schedule : S.t;
-  a_report : V.report option;
-}
-
 let schedule_digest schedule =
   Digest.to_hex (Digest.string (Format.asprintf "%a" S.pp schedule))
 
@@ -102,7 +94,7 @@ let prepare ~buf ~machine ~opts kernel =
 (* The one-shot compile+verify+simulate pipeline, verbatim from vliwc.
    Human-readable output goes to [buf] (exactly the bytes vliwc prints on
    stdout). *)
-let run_kernel ?artifacts ~buf ~machine ~opts kernel =
+let run_kernel ?compiled ~buf ~machine ~opts kernel =
   let { op_technique = technique; op_heuristic = heuristic; op_ordering = ordering;
         op_pad = pad; op_verify = verify; op_dump_ddg = dump_ddg; op_dot = dot;
         op_dump_sched = dump_sched; op_execution = execution;
@@ -110,15 +102,10 @@ let run_kernel ?artifacts ~buf ~machine ~opts kernel =
   let ppf = Format.formatter_of_buffer buf in
   try
     let kernel = prepare_exn ~buf ~machine ~opts kernel in
-    let layout = Ir.Layout.make ~pad kernel in
-    let low = Lower.lower kernel in
-    let prof = Vliw_profile.Profile.run ~machine ~layout kernel in
-    let compiled =
-      match
-        Hybrid.compile ~machine ~heuristic
-          ~pref_for:(Vliw_profile.Profile.node_pref prof)
-          ~trip:kernel.Ir.Ast.k_trip ~ordering technique low.Lower.graph
-      with
+    let fe = P.front ~pad ~machine kernel in
+    let layout = fe.P.layout and low = fe.P.lowered in
+    let c =
+      match P.compile ~ordering ~heuristic fe technique with
       | Ok c -> c
       | Error e ->
         let step =
@@ -132,9 +119,8 @@ let run_kernel ?artifacts ~buf ~machine ~opts kernel =
           "hybrid choice: %s (estimates: MDC %d cycles, DDGT %d cycles)\n"
           (Hybrid.choice_name h.Hybrid.choice)
           h.Hybrid.mdc_estimate h.Hybrid.ddgt_estimate)
-      compiled.Hybrid.c_hybrid;
-    let graph = compiled.Hybrid.c_graph in
-    let schedule = compiled.Hybrid.c_schedule in
+      c.P.hybrid;
+    let graph = c.P.graph and schedule = c.P.schedule in
     (* dumped as scheduled: the MinComs post-pass rewrites replica pins *)
     if dump_ddg then Format.fprintf ppf "%a@." G.pp graph;
     (match dot with
@@ -167,7 +153,7 @@ let run_kernel ?artifacts ~buf ~machine ~opts kernel =
        Format.fprintf ppf "%a@." V.pp_report r;
        report := Some r;
        if not r.V.r_verified then raise (Fail None)));
-    let oracle = Ir.Interp.run ~layout kernel in
+    let oracle = fe.P.oracle in
     let mode = if execution then Sim.Execution else Sim.Oracle oracle in
     let warm = not execution in
     let sink =
@@ -208,11 +194,7 @@ let run_kernel ?artifacts ~buf ~machine ~opts kernel =
     | Some path, Some s ->
       (* replay audit before exporting: the event stream must re-derive
          the simulator's own coherence accounting *)
-      (match
-         Vliw_trace.Audit.check s ~protocol:machine.M.protocol
-           ~prot_invalidations:st.Sim.prot_invalidations
-           ~violations:st.Sim.violations ~nullified:st.Sim.nullified
-       with
+      (match P.audit c s st with
       | Ok r ->
         Printf.bprintf buf
           "  audit: %d applies replayed, %d violations, %d nullified (match)\n"
@@ -224,18 +206,7 @@ let run_kernel ?artifacts ~buf ~machine ~opts kernel =
         (Vliw_trace.Trace.length s);
       Buffer.add_string buf (Vliw_trace.Summary.render (Vliw_trace.Summary.of_sink s))
     | _ -> ());
-    (match artifacts with
-    | Some f ->
-      f
-        {
-          a_kernel = kernel;
-          a_layout = layout;
-          a_lowered = low;
-          a_graph = graph;
-          a_schedule = schedule;
-          a_report = !report;
-        }
-    | None -> ());
+    Option.iter (fun f -> f c !report) compiled;
     Ok
       {
         s_name = kernel.Ir.Ast.k_name;
@@ -259,12 +230,12 @@ let load_source ~flags ~path src =
     | exception (Ir.Parser.Error (msg, pos) | Ir.Lexer.Error (msg, pos)) ->
       parse_error msg pos)
 
-let run_source ?artifacts ~buf ~flags ~opts ~path src =
+let run_source ?compiled ~buf ~flags ~opts ~path src =
   Result.bind (load_source ~flags ~path src) (fun (machine, kernels) ->
       let rec go acc = function
         | [] -> Ok (List.rev acc)
         | k :: rest -> (
-          match run_kernel ?artifacts ~buf ~machine ~opts k with
+          match run_kernel ?compiled ~buf ~machine ~opts k with
           | Ok s -> go (s :: acc) rest
           | Error _ as e -> e)
       in

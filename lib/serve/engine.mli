@@ -38,18 +38,6 @@ type summary = {
 
 val schedule_digest : Vliw_sched.Schedule.t -> string
 
-type artifacts = {
-  a_kernel : Vliw_ir.Ast.kernel;  (** post-CSE/unroll, as scheduled *)
-  a_layout : Vliw_ir.Layout.t;
-  a_lowered : Vliw_lower.Lower.t;
-  a_graph : Vliw_ddg.Graph.t;  (** post-transform graph the schedule covers *)
-  a_schedule : Vliw_sched.Schedule.t;
-  a_report : Vliw_verify.Verify.report option;  (** when [op_verify] *)
-}
-(** The compiled pipeline state of one kernel, observable via the
-    [?artifacts] callback — what [vliwc --check] hands to the model
-    checker without re-deriving the pipeline. *)
-
 val prepare :
   buf:Buffer.t ->
   machine:Vliw_arch.Machine.t ->
@@ -63,7 +51,8 @@ val prepare :
     in {!run_kernel}. *)
 
 val run_kernel :
-  ?artifacts:(artifacts -> unit) ->
+  ?compiled:
+    (Vliw_pipeline.Pipeline.compiled -> Vliw_verify.Verify.report option -> unit) ->
   buf:Buffer.t ->
   machine:Vliw_arch.Machine.t ->
   opts:opts ->
@@ -73,9 +62,10 @@ val run_kernel :
     [buf] exactly the bytes vliwc prints on stdout. [Error (1, msg)]
     means vliwc would exit 1, after printing [msg] on stderr ([None]
     when the failure's diagnostics — lint, verification — are already in
-    [buf]). [artifacts] fires once per successful kernel, after
-    verification and simulation, with the exact pipeline state the run
-    used; no callback, no behavior change. *)
+    [buf]). [compiled] fires once per successful kernel, after
+    simulation, with the compiled loop the run used (its kernel is the
+    prepared one) and the report when [op_verify]: what [vliwc --check]
+    hands to the model checker. No callback, no behavior change. *)
 
 val load_source :
   flags:Vliw_arch.Header.t ->
@@ -89,7 +79,8 @@ val load_source :
     (prefixed by [path]). *)
 
 val run_source :
-  ?artifacts:(artifacts -> unit) ->
+  ?compiled:
+    (Vliw_pipeline.Pipeline.compiled -> Vliw_verify.Verify.report option -> unit) ->
   buf:Buffer.t ->
   flags:Vliw_arch.Header.t ->
   opts:opts ->
@@ -97,5 +88,5 @@ val run_source :
   string ->
   (summary list, int * string option) result
 (** {!load_source}, then run each kernel in order, stopping at the first
-    failure. [artifacts] is passed through to each kernel's
+    failure. [compiled] is passed through to each kernel's
     {!run_kernel}. *)

@@ -33,13 +33,11 @@ type item = Op of G.node * int | Cp of S.copy * int
    than one blocked on a module/MSHR in service. *)
 type load_phase = On_bus | At_module | In_mshr | Resp_bus
 
-let run ~lowered ~graph ~schedule ~layout ?trip ?(mode = Execution) ?jitter
-    ?choices ?(warm = false) ?trace () =
+let run ~lowered ~graph ~schedule ~layout ?(mode = Execution) ?jitter ?choices
+    ?(warm = false) ?trace () =
   let machine = schedule.S.machine in
   let kernel = lowered.L.kernel in
-  let trip = Option.value trip ~default:kernel.Ir.Ast.k_trip in
-  if trip > kernel.Ir.Ast.k_trip then
-    invalid_arg "Sim.run: trip exceeds the trip count the kernel was compiled for";
+  let trip = kernel.Ir.Ast.k_trip in
   if trip <= 0 then invalid_arg "Sim.run: non-positive trip";
   let ii = schedule.S.ii in
   let nclusters = machine.M.clusters in

@@ -120,13 +120,11 @@ let next_id = Atomic.make 0
 
 (* [reusable:false] builds an engine for one run, which needs no
    checkpoint of its initial state *)
-let prepare ?(reusable = true) ~lowered ~graph ~schedule ~layout ?trip
+let prepare ?(reusable = true) ~lowered ~graph ~schedule ~layout
     ?(mode = Execution) ?(warm = false) () =
   let machine = schedule.S.machine in
   let kernel = lowered.L.kernel in
-  let trip = Option.value trip ~default:kernel.Ir.Ast.k_trip in
-  if trip > kernel.Ir.Ast.k_trip then
-    invalid_arg "Sim.run: trip exceeds the trip count the kernel was compiled for";
+  let trip = kernel.Ir.Ast.k_trip in
   if trip <= 0 then invalid_arg "Sim.run: non-positive trip";
   let ii = schedule.S.ii in
   let nclusters = machine.M.clusters in

@@ -57,15 +57,15 @@ type checkpoint = Engine_wheel.checkpoint
 let checkpoint (p : prepared) = p.Engine_wheel.capture ()
 let resume (p : prepared) k ?choices () = p.Engine_wheel.resume k ~choices
 
-let run ~lowered ~graph ~schedule ~layout ?trip ?mode ?jitter ?choices ?warm
-    ?trace ?(engine = `Wheel) () =
+let run ~lowered ~graph ~schedule ~layout ?mode ?jitter ?choices ?warm ?trace
+    ?(engine = `Wheel) () =
   exclusive "Sim.run" jitter choices;
   match engine with
   | `Wheel ->
     exec
       (Engine_wheel.prepare ~reusable:false ~lowered ~graph ~schedule ~layout
-         ?trip ?mode ?warm ())
+         ?mode ?warm ())
       ?jitter ?choices ?trace ()
   | `Reference ->
-    Engine_reference.run ~lowered ~graph ~schedule ~layout ?trip ?mode ?jitter
+    Engine_reference.run ~lowered ~graph ~schedule ~layout ?mode ?jitter
       ?choices ?warm ?trace ()

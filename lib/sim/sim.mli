@@ -129,7 +129,6 @@ val run :
   graph:Vliw_ddg.Graph.t ->
   schedule:Vliw_sched.Schedule.t ->
   layout:Vliw_ir.Layout.t ->
-  ?trip:int ->
   ?mode:mode ->
   ?jitter:Vliw_util.Prng.t * int ->
   ?choices:chooser ->
@@ -138,14 +137,13 @@ val run :
   ?engine:engine ->
   unit ->
   stats
-(** Simulate the scheduled loop for [trip] iterations (default: the
-    kernel's declared trip count; must not exceed it when the schedule was
-    built for the declared trip). [graph]/[schedule] may be the transformed
-    (MDC/DDGT) versions; [lowered] supplies operand semantics, which
-    replicas resolve through their original node. [mode] defaults to
-    [Execution]. [jitter = (prng, j)] adds 0..j extra cycles to every bus
-    transfer — the unmodeled traffic (replacements, other engines) of the
-    paper's footnote 2; defaults to none.
+(** Simulate the scheduled loop for the kernel's declared trip count
+    ([Invalid_argument] when it is not positive). [graph]/[schedule] may
+    be the transformed (MDC/DDGT) versions; [lowered] supplies operand
+    semantics, which replicas resolve through their original node. [mode]
+    defaults to [Execution]. [jitter = (prng, j)] adds 0..j extra cycles
+    to every bus transfer — the unmodeled traffic (replacements, other
+    engines) of the paper's footnote 2; defaults to none.
 
     [warm] (default false, requires [Oracle] mode) pre-populates the cache
     modules by replaying the oracle's address trace before timing starts:
@@ -185,7 +183,6 @@ val prepare :
   graph:Vliw_ddg.Graph.t ->
   schedule:Vliw_sched.Schedule.t ->
   layout:Vliw_ir.Layout.t ->
-  ?trip:int ->
   ?mode:mode ->
   ?warm:bool ->
   unit ->

@@ -6,12 +6,17 @@
 
 module Check = Vliw_check.Check
 module Diff = Vliw_fuzz.Diff
+module P = Vliw_pipeline.Pipeline
 module Gen = Vliw_fuzz.Gen
 module Shrink = Vliw_fuzz.Shrink
 module Sim = Vliw_sim.Sim
 module V = Vliw_verify.Verify
 module Diag = Vliw_util.Diag
 module Pool = Vliw_util.Pool
+
+(* a case's compiles, as Diff.check and Check.run_case make them *)
+let compile c = P.compile ~heuristic:(Diff.heuristic_for c) (Diff.front c)
+let compile_all c = P.compile_all ~heuristic:(Diff.heuristic_for c) (Diff.front c)
 
 (* dune runtest's cwd is _build/default/test (the kernels are declared
    as (deps (glob_files litmus/*.lk))); a bare `dune exec` runs from the
@@ -89,20 +94,20 @@ let merge_pair_stats file =
       | Error _ -> []
       | Ok a ->
         let o =
-          Check.explore ~lowered:a.Diff.a_lowered ~graph:a.Diff.a_graph
-            ~schedule:a.Diff.a_schedule ~layout:a.Diff.a_layout ~jitter
+          Check.explore ~lowered:a.P.front.P.lowered ~graph:a.P.graph
+            ~schedule:a.P.schedule ~layout:a.P.front.P.layout ~jitter
             ~expected:Bytes.empty ~certified:false ()
         in
         List.map
           (fun (first, pruned) ->
             let run script =
-              Check.replay ~lowered:a.Diff.a_lowered ~graph:a.Diff.a_graph
-                ~schedule:a.Diff.a_schedule ~layout:a.Diff.a_layout ~jitter
+              Check.replay ~lowered:a.P.front.P.lowered ~graph:a.P.graph
+                ~schedule:a.P.schedule ~layout:a.P.front.P.layout ~jitter
                 ~script ()
             in
             (run first, run pruned))
           o.Check.k_merge_samples)
-    (Diff.compile_all case)
+    (compile_all case)
 
 let test_merge_samples_stats_identical () =
   let pairs =
@@ -124,14 +129,14 @@ let test_merge_samples_stats_identical () =
 
 let test_replay_engines_agree () =
   let case = load (Filename.concat litmus_dir "mf_dist1.lk") in
-  match Diff.compile case Diff.Free with
+  match compile case Diff.Free with
   | Error e -> Alcotest.failf "free unschedulable: %s" e
   | Ok a ->
     List.iter
       (fun script ->
         let run engine =
-          Check.replay ~lowered:a.Diff.a_lowered ~graph:a.Diff.a_graph
-            ~schedule:a.Diff.a_schedule ~layout:a.Diff.a_layout ~jitter:1
+          Check.replay ~lowered:a.P.front.P.lowered ~graph:a.P.graph
+            ~schedule:a.P.schedule ~layout:a.P.front.P.layout ~jitter:1
             ~script ~engine ()
         in
         Alcotest.(check bool)
@@ -217,12 +222,12 @@ let test_weakened_verifier_refuted () =
    with
   | None -> Alcotest.fail "free has no counterexample"
   | Some x ->
-    (match Diff.compile case Diff.Free with
+    (match compile case Diff.Free with
     | Error e -> Alcotest.failf "free unschedulable: %s" e
     | Ok a ->
       let st =
-        Check.replay ~lowered:a.Diff.a_lowered ~graph:a.Diff.a_graph
-          ~schedule:a.Diff.a_schedule ~layout:a.Diff.a_layout
+        Check.replay ~lowered:a.P.front.P.lowered ~graph:a.P.graph
+          ~schedule:a.P.schedule ~layout:a.P.front.P.layout
           ~jitter:forged.Check.co_jitter ~script:x.Check.x_script ()
       in
       Alcotest.(check int) "script reproduces the violation"
@@ -271,21 +276,21 @@ let test_jitter_zero_single_leaf () =
 
 let test_negative_jitter_rejected () =
   let case = load (Filename.concat litmus_dir "carried.lk") in
-  match Diff.compile case Diff.Mdc with
+  match compile case Diff.Mdc with
   | Error e -> Alcotest.failf "carried unschedulable: %s" e
   | Ok a ->
     Alcotest.check_raises "jitter -1"
       (Invalid_argument "Check.explore: negative jitter") (fun () ->
         ignore
-          (Check.explore ~lowered:a.Diff.a_lowered ~graph:a.Diff.a_graph
-             ~schedule:a.Diff.a_schedule ~layout:a.Diff.a_layout ~jitter:(-1)
+          (Check.explore ~lowered:a.P.front.P.lowered ~graph:a.P.graph
+             ~schedule:a.P.schedule ~layout:a.P.front.P.layout ~jitter:(-1)
              ~expected:Bytes.empty ~certified:false ()))
 
 (* --- chooser API: mutually exclusive with ?jitter, bounds checked --- *)
 
 let test_chooser_exclusive_with_jitter () =
   let case = load (Filename.concat litmus_dir "mf_dist1.lk") in
-  match Diff.compile case Diff.Free with
+  match compile case Diff.Free with
   | Error e -> Alcotest.failf "free unschedulable: %s" e
   | Ok a ->
     let choices =
@@ -295,8 +300,8 @@ let test_chooser_exclusive_with_jitter () =
       (Invalid_argument "Sim.run: ?jitter and ?choices are mutually exclusive")
       (fun () ->
         ignore
-          (Sim.run ~lowered:a.Diff.a_lowered ~graph:a.Diff.a_graph
-             ~schedule:a.Diff.a_schedule ~layout:a.Diff.a_layout
+          (Sim.run ~lowered:a.P.front.P.lowered ~graph:a.P.graph
+             ~schedule:a.P.schedule ~layout:a.P.front.P.layout
              ~mode:Sim.Execution
              ~jitter:(Vliw_util.Prng.create 7, 1)
              ~choices ()))
@@ -309,7 +314,7 @@ let test_encoder_reads_only () =
   List.iter
     (fun name ->
       let case = load (Filename.concat litmus_dir name) in
-      match Diff.compile case Diff.Free with
+      match compile case Diff.Free with
       | Error e -> Alcotest.failf "%s: free unschedulable: %s" name e
       | Ok a ->
         let script = [| 1; 0; 1; 1; 0; 1; 0; 1 |] in
@@ -328,8 +333,8 @@ let test_encoder_reads_only () =
               ch_note_state = Some note;
             }
           in
-          Sim.run ~lowered:a.Diff.a_lowered ~graph:a.Diff.a_graph
-            ~schedule:a.Diff.a_schedule ~layout:a.Diff.a_layout
+          Sim.run ~lowered:a.P.front.P.lowered ~graph:a.P.graph
+            ~schedule:a.P.schedule ~layout:a.P.front.P.layout
             ~mode:Sim.Execution ~choices ()
         in
         let encodes = ref 0 in
@@ -391,18 +396,18 @@ let test_notes_draw () =
                   }
                 in
                 ignore
-                  (Sim.run ~lowered:a.Diff.a_lowered ~graph:a.Diff.a_graph
-                     ~schedule:a.Diff.a_schedule ~layout:a.Diff.a_layout
+                  (Sim.run ~lowered:a.P.front.P.lowered ~graph:a.P.graph
+                     ~schedule:a.P.schedule ~layout:a.P.front.P.layout
                      ~choices ());
                 if !since = 0 then Alcotest.failf "%s: last note drew nothing" tag)
-            (Diff.compile_all case))
+            (compile_all case))
         [ "bus"; "directory" ])
     (litmus_files ());
   Alcotest.(check bool) "notes seen" true (!notes_total > 0)
 
 (* --- frozen keys: key_digests.txt pins the state-key bytes. Every litmus
    kernel at {bus, directory} x {4, 8} clusters, under every schedule
-   Diff.compile_all returns, runs three draw scripts (every draw 0, every
+   compile_all returns, runs three draw scripts (every draw 0, every
    draw bound - 1, alternating) encoding a key at every note. One MD5 per
    schedule covers the keys in order and each run's final stats, memory
    included. A change to what a key holds fails here and names the
@@ -423,7 +428,7 @@ let add_stats buf (s : Sim.stats) =
   Buffer.add_bytes buf s.memory;
   Buffer.add_char buf '\n'
 
-let key_digest ~jitter (a : Diff.artifacts) =
+let key_digest ~jitter (a : P.compiled) =
   let buf = Buffer.create 4096 in
   List.iter
     (fun pick ->
@@ -444,8 +449,8 @@ let key_digest ~jitter (a : Diff.artifacts) =
         }
       in
       add_stats buf
-        (Sim.run ~lowered:a.Diff.a_lowered ~graph:a.Diff.a_graph
-           ~schedule:a.Diff.a_schedule ~layout:a.Diff.a_layout ~choices ()))
+        (Sim.run ~lowered:a.P.front.P.lowered ~graph:a.P.graph
+           ~schedule:a.P.schedule ~layout:a.P.front.P.layout ~choices ()))
     [
       (fun _ _ -> 0);
       (fun _ bound -> bound - 1);
@@ -478,7 +483,7 @@ let key_digest_lines () =
                   match compiled with
                   | Error e -> Alcotest.failf "%s: unschedulable: %s" name e
                   | Ok a -> (name, key_digest ~jitter a))
-                (Diff.compile_all case))
+                (compile_all case))
             [ 4; 8 ])
         [ "bus"; "directory" ])
     (litmus_files ())

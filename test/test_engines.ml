@@ -609,15 +609,17 @@ let test_resume_equivalence () =
               (fun (tech, compiled) ->
                 match compiled with
                 | Error _ -> ()
-                | Ok (a : Vliw_fuzz.Diff.artifacts) ->
+                | Ok (a : Vliw_pipeline.Pipeline.compiled) ->
                   resumed :=
                     !resumed
                     + check_resumes
                         (Printf.sprintf "%s at %s x4, %s" file icn
                            (Vliw_fuzz.Diff.technique_name tech))
-                        ~keys:max_int ~lowered:a.a_lowered ~graph:a.a_graph
-                        ~schedule:a.a_schedule ~layout:a.a_layout)
-              (Vliw_fuzz.Diff.compile_all case))
+                        ~keys:max_int ~lowered:a.front.lowered ~graph:a.graph
+                        ~schedule:a.schedule ~layout:a.front.layout)
+              (Vliw_pipeline.Pipeline.compile_all
+                 ~heuristic:(Vliw_fuzz.Diff.heuristic_for case)
+                 (Vliw_fuzz.Diff.front case)))
           [ "bus"; "directory" ])
     (Sys.readdir litmus_dir);
   if !resumed < 10_000 then
@@ -626,12 +628,16 @@ let test_resume_equivalence () =
 (* a checkpoint is taken only at a note, and resumed only where taken *)
 let test_checkpoint_misuse () =
   let case = Gen.load (Filename.concat litmus_dir "carried.lk") in
-  match Vliw_fuzz.Diff.compile case Vliw_fuzz.Diff.Mdc with
+  match
+    Vliw_pipeline.Pipeline.compile
+      ~heuristic:(Vliw_fuzz.Diff.heuristic_for case) (Vliw_fuzz.Diff.front case)
+      S.Mdc
+  with
   | Error e -> Alcotest.failf "carried does not schedule: %s" e
   | Ok a ->
     let prepare () =
-      Sim.prepare ~lowered:a.Vliw_fuzz.Diff.a_lowered ~graph:a.a_graph
-        ~schedule:a.a_schedule ~layout:a.a_layout ()
+      Sim.prepare ~lowered:a.Vliw_pipeline.Pipeline.front.lowered ~graph:a.graph
+        ~schedule:a.schedule ~layout:a.front.layout ()
     in
     let engine = prepare () in
     Alcotest.check_raises "outside a note"
@@ -665,12 +671,16 @@ let test_prepared_major_heap () =
       Gen.g_mconf = Gen.mconf_with ~icn:"directory" ~clusters:4 case.Gen.g_mconf;
     }
   in
-  match Vliw_fuzz.Diff.compile case Vliw_fuzz.Diff.Mdc with
+  match
+    Vliw_pipeline.Pipeline.compile
+      ~heuristic:(Vliw_fuzz.Diff.heuristic_for case) (Vliw_fuzz.Diff.front case)
+      S.Mdc
+  with
   | Error e -> Alcotest.failf "carried does not schedule: %s" e
   | Ok a ->
     let engine =
-      Sim.prepare ~lowered:a.Vliw_fuzz.Diff.a_lowered ~graph:a.a_graph
-        ~schedule:a.a_schedule ~layout:a.a_layout ()
+      Sim.prepare ~lowered:a.Vliw_pipeline.Pipeline.front.lowered ~graph:a.graph
+        ~schedule:a.schedule ~layout:a.front.layout ()
     in
     ignore (Sim.exec engine ());
     let direct () =

@@ -6,6 +6,7 @@
 module Gen = Vliw_fuzz.Gen
 module Oracle = Vliw_fuzz.Oracle
 module Diff = Vliw_fuzz.Diff
+module P = Vliw_pipeline.Pipeline
 module Shrink = Vliw_fuzz.Shrink
 module Fuzz = Vliw_fuzz.Fuzz
 module Ir = Vliw_ir
@@ -183,9 +184,9 @@ let test_diff_deterministic () =
     (render (Diff.check c)) (render (Diff.check c))
 
 (* Diff.check compiles each arm once and takes the hybrid from the MDC
-   and DDGT results in hand. What its verifier hook is shown must print
-   exactly as one-technique compiles do, the hybrid's own compile of both
-   arms included *)
+   and DDGT results in hand (Pipeline.compile_all). What its verifier hook
+   is shown must print exactly as the pipeline's one-technique compiles
+   do, the hybrid's own compile of both arms included *)
 let test_shared_compiles_match_reference () =
   let pp s = Format.asprintf "%a" Vliw_sched.Schedule.pp s in
   for i = 0 to 99 do
@@ -196,11 +197,12 @@ let test_shared_compiles_match_reference () =
       Diff.default_verifier ~machine ~technique ~base ~layout ~graph ~schedule
     in
     ignore (Diff.check ~verifier c);
+    let fe = Diff.front c and heuristic = Diff.heuristic_for c in
     let reference =
       List.filter_map
         (fun tech ->
-          match Diff.compile c tech with
-          | Ok a -> Some (Diff.technique_name tech, pp a.Diff.a_schedule)
+          match P.compile ~heuristic fe tech with
+          | Ok a -> Some (Diff.technique_name tech, pp a.P.schedule)
           | Error _ -> None)
         Diff.techniques
     in

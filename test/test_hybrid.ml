@@ -3,6 +3,7 @@ module M = Vliw_arch.Machine
 module S = Vliw_sched.Schedule
 module Driver = Vliw_sched.Driver
 module Hybrid = Vliw_sched.Hybrid
+module P = Vliw_pipeline.Pipeline
 module Lower = Vliw_lower.Lower
 module Ir = Vliw_ir
 module R = Vliw_harness.Runner
@@ -176,6 +177,30 @@ let test_compile_lat_policy_reaches_hybrid () =
          Alcotest.(check int) "assumed = remote miss" remote_miss
            (S.assumed_of c.Hybrid.c_schedule n.n_id))
 
+let src_chain_free =
+  "kernel k { array a : i32[512] = zero array b : i32[512] = zero trip 128 \
+   body { b[4*i] = a[4*i] + 1 } }"
+
+(* Pipeline.compile_all's hybrid entry is the record of the arm it picks:
+   Diff.check's engine reuse and Check.run_case's exploration reuse rely on
+   that sharing, and its schedule is the hybrid's own *)
+let test_compile_all_shares_the_arm () =
+  List.iter
+    (fun (src, arm) ->
+      let fe = P.front ~machine:M.table2 (Ir.Parser.parse_kernel src) in
+      let all = P.compile_all ~heuristic:S.Pref_clus fe in
+      let own = Result.get_ok (P.compile ~heuristic:S.Pref_clus fe S.Hybrid) in
+      let name = S.technique_name arm in
+      Alcotest.(check (option string)) "the hybrid's own choice" (Some name)
+        (Option.map (fun h -> Hybrid.choice_name h.Hybrid.choice) own.P.hybrid);
+      let hybrid = Result.get_ok (List.assoc S.Hybrid all) in
+      Alcotest.(check bool) (name ^ "'s record, physically") true
+        (hybrid == Result.get_ok (List.assoc arm all));
+      Alcotest.(check string) "the hybrid's own schedule"
+        (Format.asprintf "%a" S.pp own.P.schedule)
+        (Format.asprintf "%a" S.pp hybrid.P.schedule))
+    [ (src_chain_free, S.Mdc); (src_chain_heavy, S.Ddgt) ]
+
 let test_technique_names () =
   List.iter
     (fun t ->
@@ -247,6 +272,11 @@ let () =
           Alcotest.test_case "lat policy reaches hybrid" `Quick
             test_compile_lat_policy_reaches_hybrid;
           Alcotest.test_case "technique names" `Quick test_technique_names;
+        ] );
+      ( "pipeline",
+        [
+          Alcotest.test_case "compile_all shares the chosen arm" `Quick
+            test_compile_all_shares_the_arm;
         ] );
       ( "latency policy",
         [

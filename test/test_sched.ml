@@ -696,13 +696,14 @@ let test_phase2_skip_premise () =
   Alcotest.(check bool) "some nodes checked" true (!checked > 0)
 
 (* --- frozen schedules ---
-   sched_digests.txt freezes what Diff.compile scheduled, one technique at
+   sched_digests.txt freezes what the fuzzer scheduled, one technique at
    a time and the hybrid by its own compile of both arms, for seed-1 fuzz
    cases 0-99 (the perfbench fuzz population) and case 186: one MD5 per
    case over every technique's II, length, place bindings in fold order,
    copies in list order and assumed latencies. The digests are taken from
-   Diff.compile_all, which compiles each arm once and takes the hybrid
-   from their results, so they also pin that reuse. The cram identity blocks
+   Pipeline.compile_all over the case's front, which compiles each arm
+   once and takes the hybrid from their results, so they also pin that
+   reuse. The cram identity blocks
    print no assumed latencies and cover neither PrefClus beyond 4 clusters
    nor NOBAL-mem at 16 clusters (case 186). *)
 
@@ -715,7 +716,7 @@ let schedule_digest i =
       match compiled with
       | Error e -> Printf.bprintf buf "error %s\n" e
       | Ok a ->
-        let s = a.Vliw_fuzz.Diff.a_schedule in
+        let s = a.Vliw_pipeline.Pipeline.schedule in
         Printf.bprintf buf "ii %d length %d\n" s.S.ii s.S.length;
         Hashtbl.iter
           (fun id (t, c) -> Printf.bprintf buf "place %d %d %d\n" id t c)
@@ -729,7 +730,9 @@ let schedule_digest i =
           (fun (id, lat) -> Printf.bprintf buf "assumed %d %d\n" id lat)
           (List.sort compare
              (Hashtbl.fold (fun id lat acc -> (id, lat) :: acc) s.S.assumed [])))
-    (Vliw_fuzz.Diff.compile_all case);
+    (Vliw_pipeline.Pipeline.compile_all
+       ~heuristic:(Vliw_fuzz.Diff.heuristic_for case)
+       (Vliw_fuzz.Diff.front case));
   Digest.to_hex (Digest.string (Buffer.contents buf))
 
 let test_schedule_digests () =

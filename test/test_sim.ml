@@ -17,11 +17,11 @@ module Audit = Vliw_trace.Audit
 module Sim = struct
   include Vliw_sim.Sim
 
-  let run ~lowered ~graph ~schedule ~layout ?trip ?mode ?jitter ?warm
+  let run ~lowered ~graph ~schedule ~layout ?mode ?jitter ?warm
       ?(trace = Trace.create ()) () =
     let st =
-      Vliw_sim.Sim.run ~lowered ~graph ~schedule ~layout ?trip ?mode ?jitter
-        ?warm ~trace ()
+      Vliw_sim.Sim.run ~lowered ~graph ~schedule ~layout ?mode ?jitter ?warm
+        ~trace ()
     in
     (match
        Audit.check trace ~violations:st.Vliw_sim.Sim.violations
@@ -45,9 +45,9 @@ let compile ?heuristic ?constraints ?pref ?(machine = M.table2) src =
   in
   (k, low, layout, s)
 
-let simulate ?trip ?mode ?jitter (_k, low, layout, s) =
-  Sim.run ~lowered:low ~graph:low.Lower.graph ~schedule:s ~layout ?trip ?mode
-    ?jitter ()
+let simulate ?mode ?jitter (_k, low, layout, s) =
+  Sim.run ~lowered:low ~graph:low.Lower.graph ~schedule:s ~layout ?mode ?jitter
+    ()
 
 (* --- cachemod unit tests --- *)
 
@@ -813,12 +813,20 @@ let test_sim_warm_reduces_misses_never_hits () =
   Alcotest.(check bool) "warm not slower" true
     (warm.Sim.total_cycles <= cold.Sim.total_cycles)
 
+(* the parser accepts [trip 0] and only Typecheck rejects it, so the
+   simulator refuses the kernel's own non-positive trip. Lowering
+   typechecks, so the zero-trip kernel rides on its trip-16 twin's
+   lowering and schedule *)
 let test_sim_rejects_bad_trip () =
-  let c = compile "kernel k { array a : i32[64] = zero trip 16 body { a[4*i] = 1 } }" in
-  Alcotest.(check bool) "trip beyond compilation rejected" true
-    (try ignore (simulate ~trip:32 c); false with Invalid_argument _ -> true);
+  let src trip =
+    Printf.sprintf
+      "kernel k { array a : i32[64] = zero trip %d body { a[4*i] = 1 } }" trip
+  in
+  let _, low, layout, s = compile (src 16) in
+  let k0 = Ir.Parser.parse_kernel (src 0) in
+  let c = (k0, { low with Lower.kernel = k0 }, layout, s) in
   Alcotest.(check bool) "zero trip rejected" true
-    (try ignore (simulate ~trip:0 c); false with Invalid_argument _ -> true)
+    (try ignore (simulate c); false with Invalid_argument _ -> true)
 
 (* --- property: simulated memory always matches the interpreter under MDC
    across random simple kernels --- *)
