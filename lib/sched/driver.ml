@@ -69,6 +69,68 @@ let mii machine g req =
   max (res_mii machine g req)
     (A.rec_mii g ~edge_lat:(base_edge_lat machine g))
 
+(* Ims places a node in its replica instance's cluster, else in its hard
+   pin, and a grouped chain's other members all in the cluster its first
+   placed member took (the last chain listing a node wins, as in Ims). So
+   an RF edge between nodes fixed in two clusters needs a copy (the graph
+   holds each (src, dst, kind, dist) edge once, and copies are keyed by
+   (src, dst, dist)); and a free node, or a chain's free members
+   together, keeps local only its RF edges to nodes fixed in the one
+   cluster it lands in, so the rest of its edges to fixed nodes need
+   copies too. *)
+let forced_copies g req =
+  let ns = G.nodes g in
+  let nmax = List.fold_left (fun acc (n : G.node) -> max acc (n.n_id + 1)) 0 ns in
+  let pinned = req.constraints.C.pinned in
+  let fixed = Array.make nmax (-1) in
+  List.iter
+    (fun (n : G.node) ->
+      fixed.(n.n_id) <-
+        (match n.n_replica with
+        | Some c -> c
+        | None -> Option.value (Hashtbl.find_opt pinned n.n_id) ~default:(-1)))
+    ns;
+  (* the unit a free node lands with: its chain, else itself *)
+  let unit_of = Array.init nmax (fun id -> -1 - id) in
+  List.iteri
+    (fun gi ids ->
+      List.iter (fun id -> if id >= 0 && id < nmax then unit_of.(id) <- gi) ids)
+    req.constraints.C.grouped;
+  let count tbl k = Option.value (Hashtbl.find_opt tbl k) ~default:0 in
+  (* (unit, cluster) -> the unit's RF edges to nodes fixed there *)
+  let per_cluster = Hashtbl.create 16 in
+  let to_fixed id c =
+    let k = (unit_of.(id), c) in
+    Hashtbl.replace per_cluster k (1 + count per_cluster k)
+  in
+  let across = ref 0 in
+  List.iter
+    (fun (n : G.node) ->
+      List.iter
+        (fun (e : G.edge) ->
+          if e.e_kind = G.RF && e.e_src <> e.e_dst then (
+            let cs = fixed.(e.e_src) and cd = fixed.(e.e_dst) in
+            if cs >= 0 && cd >= 0 then (if cs <> cd then incr across)
+            else if cs >= 0 then to_fixed e.e_dst cs
+            else if cd >= 0 then to_fixed e.e_src cd))
+        (G.succs g n.n_id))
+    ns;
+  (* a unit keeps local at most its largest count *)
+  let kept = Hashtbl.create 16 in
+  Hashtbl.iter (fun (u, _) n -> Hashtbl.replace kept u (max n (count kept u))) per_cluster;
+  let sum tbl = Hashtbl.fold (fun _ n acc -> acc + n) tbl 0 in
+  !across + sum per_cluster - sum kept
+
+(* A copy holds one register bus for [bus_latency] consecutive slots of
+   the II-slot ring, and Mrt books a bus slot once: a bus holds [II /
+   bus_latency] copies, and one when the window covers the whole ring. *)
+let bus_mii machine g req =
+  let { M.bus_count; bus_latency } = machine.M.reg_buses in
+  let forced = forced_copies g req in
+  if bus_latency <= 0 || forced <= bus_count then 1
+  else if bus_count <= 0 then max_int
+  else ceil_div forced bus_count * bus_latency
+
 let best_permutation weight =
   let n = Array.length weight in
   let score perm =
@@ -227,7 +289,8 @@ let run req g =
      List.iter
        (fun ((nd : G.node), _) -> Hashtbl.replace assumed nd.n_id l)
        mems);
-  let start = mii machine g req in
+  (* no attempt below [bus_mii] can hold the copies the pins force *)
+  let start = max (mii machine g req) (bus_mii machine g req) in
   let rec search ii =
     if ii > max_ii then Error (Printf.sprintf "no schedule up to II=%d" max_ii)
     else

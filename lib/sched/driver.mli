@@ -66,7 +66,31 @@ val res_mii : Vliw_arch.Machine.t -> Vliw_ddg.Graph.t -> request -> int
     (a chain pinned to one cluster can only use that cluster's FUs). *)
 
 val mii : Vliw_arch.Machine.t -> Vliw_ddg.Graph.t -> request -> int
-(** [max res_mii rec_mii] (recurrences computed at local-hit latency). *)
+(** [max res_mii rec_mii] (recurrences computed at local-hit latency). It
+    ignores the register buses: {!run} starts its II search at
+    [max mii bus_mii], but reports of II over MII read this value. *)
+
+val forced_copies : Vliw_ddg.Graph.t -> request -> int
+(** The register copies the pins alone force on every schedule. A node
+    is fixed to its replica instance's cluster, else to its hard pin.
+    Counted: every distinct [(src, dst, dist)] register-flow edge, not a
+    self-edge, between nodes fixed in different clusters; and for each
+    free node, or each grouped chain's free members together (they share
+    one cluster), its register-flow edges to fixed nodes minus the most
+    of them that any one cluster keeps local. *)
+
+val bus_mii : Vliw_arch.Machine.t -> Vliw_ddg.Graph.t -> request -> int
+(** The least II whose register buses can hold {!forced_copies}: at II a
+    bus holds [max 1 (II / bus_latency)] copies. [1] when [bus_latency <=
+    0], [max_int] when copies are forced and there is no bus. The bound is
+    exact: a successful {!Ims.attempt} holds a copy for every
+    cross-cluster register-flow edge ([try_place] reserves one per placed
+    neighbour, [force_place] reserves one or ejects the neighbour, an
+    ejection drops a node's copies), each copy holds one bus for
+    [bus_latency] consecutive slots, the reservation table never books a
+    bus slot twice, and pins hold through an attempt. So no attempt below
+    it returns a schedule, and starting the search there changes no
+    result. *)
 
 val best_permutation : int array array -> int array
 (** The MinComs post-pass's search. [weight.(v).(p)] scores mapping
@@ -78,8 +102,9 @@ val best_permutation : int array array -> int array
     identity. *)
 
 val run : request -> Vliw_ddg.Graph.t -> (Schedule.t, string) result
-(** Schedule the graph. May rewrite replica pin labels on [g] (see the
-    post-pass note above). Every returned schedule passes
-    {!Schedule.validate}. *)
+(** Schedule the graph. Phase 1 tries IIs upward from [max (mii ...)
+    (bus_mii ...)], the first that schedules fixing the II, and gives up
+    past II 512. May rewrite replica pin labels on [g] (see the post-pass
+    note above). Every returned schedule passes {!Schedule.validate}. *)
 
 val run_exn : request -> Vliw_ddg.Graph.t -> Schedule.t

@@ -328,8 +328,7 @@ let check ~machine ~technique ?guarantees ~base ?layout ~graph ~schedule () =
     r_jitter_robust = (not (D.has_errors diags)) && !robust;
   }
 
-let gate ~machine ~technique ~base ?layout () g s =
-  let r = check ~machine ~technique ~base ?layout ~graph:g ~schedule:s () in
+let verdict r =
   if r.r_verified then Ok ()
   else
     Error
@@ -337,6 +336,9 @@ let gate ~machine ~technique ~base ?layout () g s =
          (List.map
             (fun d -> Format.asprintf "%a" D.pp d)
             (D.errors r.r_diags)))
+
+let gate ~machine ~technique ~base ?layout () g s =
+  verdict (check ~machine ~technique ~base ?layout ~graph:g ~schedule:s ())
 
 let certifies r ~jitter = r.r_verified && (jitter = 0 || r.r_jitter_robust)
 

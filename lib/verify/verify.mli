@@ -152,7 +152,10 @@ val gate :
   Vliw_sched.Schedule.t ->
   (unit, string) result
 (** {!check} packaged for {!Vliw_sched.Driver.request}'s [check] hook:
-    [Ok ()] when verified, otherwise the error diagnostics on one line. *)
+    {!verdict} of its report. *)
+
+val verdict : report -> (unit, string) result
+(** [Ok ()] when verified, otherwise the error diagnostics on one line. *)
 
 val refutation : report -> detail:string -> Vliw_util.Diag.t
 (** Build the [verify-refuted] diagnostic for a dynamic counterexample

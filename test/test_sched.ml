@@ -695,6 +695,206 @@ let test_phase2_skip_premise () =
     (workload_compiles ());
   Alcotest.(check bool) "some nodes checked" true (!checked > 0)
 
+(* --- the register-bus bound on II ---
+   Driver.run starts its II search at Driver.bus_mii, the least II whose
+   register buses hold the copies the pins force (Driver.forced_copies).
+   The bound skips attempts only if none of them could succeed. *)
+
+(* three nodes fixed apart and a grouped pair fed from both sides *)
+let test_bus_bound_counts () =
+  let g = G.create () in
+  let a = G.add_node g (arith "a") in
+  let b = G.add_node g (arith "b") in
+  let c = G.add_node g ~replica:2 (arith "c") in
+  let x = G.add_node g (arith "x") in
+  let y = G.add_node g (arith "y") in
+  let rf src dst = G.add_edge g G.RF ~src ~dst in
+  (* a->b and a->c cross clusters *)
+  rf a.n_id b.n_id;
+  rf a.n_id c.n_id;
+  (* the free chain {x, y} reads from clusters 0 and 3: wherever it
+     lands, one of the two edges crosses *)
+  rf a.n_id x.n_id;
+  rf b.n_id y.n_id;
+  let pinned = Hashtbl.create 2 in
+  Hashtbl.replace pinned a.n_id 0;
+  Hashtbl.replace pinned b.n_id 3;
+  let constraints = { Chains.pinned; grouped = [ [ x.n_id; y.n_id ] ] } in
+  let machine = with_reg_buses ~count:1 ~latency:2 in
+  let req = Driver.request ~constraints machine in
+  Alcotest.(check int) "forced copies" 3 (Driver.forced_copies g req);
+  Alcotest.(check int) "MII ignores the buses" 2 (Driver.mii machine g req);
+  (* one bus holds one copy per 2 slots: three need II 6 *)
+  Alcotest.(check int) "bus MII" 6 (Driver.bus_mii machine g req);
+  let s = sched ~constraints ~machine g in
+  assert_valid ~pinned ~grouped:constraints.grouped g s;
+  Alcotest.(check int) "II at the bound" 6 s.S.ii;
+  Alcotest.(check int) "copies held" 3 (S.comm_ops s);
+  (* ungrouped, x and y each land beside their producer *)
+  let req = Driver.request ~constraints:{ constraints with grouped = [] } machine in
+  Alcotest.(check int) "free nodes apart" 2 (Driver.forced_copies g req);
+  let free = { Chains.pinned = Hashtbl.create 0; grouped = [] } in
+  Alcotest.(check int) "replica alone forces none" 0
+    (Driver.forced_copies g (Driver.request ~constraints:free machine));
+  Alcotest.(check int) "no bound without bus latency" 1
+    (Driver.bus_mii (with_reg_buses ~count:1 ~latency:0) g req)
+
+type pin = Unpinned | Replica of int | Hard of int
+
+(* a random DDG with replica pins, hard pins and grouped chains (fixed
+   members included), on 2-16 clusters with 1-8 register buses of
+   latency 1-6 *)
+let gen_bus_bound_case =
+  QCheck.Gen.(
+    let* spec = gen_spec in
+    let n = List.length (fst spec) in
+    let* clusters = oneofl [ 2; 4; 8; 16 ] in
+    let* pins =
+      list_repeat n
+        (frequency
+           [
+             (3, return Unpinned);
+             (2, map (fun c -> Replica c) (int_bound (clusters - 1)));
+             (2, map (fun c -> Hard c) (int_bound (clusters - 1)));
+           ])
+    in
+    let* chain_of = list_repeat n (int_range (-1) 2) in
+    let* count = int_range 1 8 in
+    let* latency = int_range 1 6 in
+    let* heuristic = oneofl S.heuristics in
+    let* ordering = oneofl Ims.orderings in
+    return (spec, clusters, pins, chain_of, count, latency, heuristic, ordering))
+
+let print_bus_bound_case
+    (spec, clusters, pins, chain_of, count, latency, heuristic, ordering) =
+  let kinds, edges = spec in
+  let ints l = String.concat ";" (List.map string_of_int l) in
+  let pin = function
+    | Unpinned -> "-"
+    | Replica c -> Printf.sprintf "r%d" c
+    | Hard c -> Printf.sprintf "h%d" c
+  in
+  Printf.sprintf
+    "kinds=[%s] edges=[%s] clusters=%d pins=[%s] chains=[%s] buses=%dx%d %s %s"
+    (ints kinds)
+    (String.concat ";" (List.map (fun (a, b) -> Printf.sprintf "%d>%d" a b) edges))
+    clusters
+    (String.concat ";" (List.map pin pins))
+    (ints chain_of) count latency (S.heuristic_name heuristic)
+    (Ims.ordering_name ordering)
+
+let prop_bus_bound_sound =
+  QCheck.Test.make
+    ~name:"no attempt below bus_mii schedules, and every schedule holds the forced copies"
+    ~count:300
+    (QCheck.make ~print:print_bus_bound_case gen_bus_bound_case)
+    (fun (spec, clusters, pins, chain_of, count, latency, heuristic, ordering) ->
+      let g = build_spec spec in
+      QCheck.assume (G.validate g = Ok ());
+      let n = List.length pins in
+      let pinned = Hashtbl.create 8 in
+      List.iteri
+        (fun id -> function
+          | Unpinned -> ()
+          | Replica c -> G.set_replica g id (Some c)
+          | Hard c -> Hashtbl.replace pinned id c)
+        pins;
+      let grouped =
+        List.filter_map
+          (fun k ->
+            match
+              List.filter (fun id -> List.nth chain_of id = k) (List.init n Fun.id)
+            with
+            | [] -> None
+            | ids -> Some ids)
+          [ 0; 1; 2 ]
+      in
+      let machine =
+        let m = M.scale_clusters M.table2 clusters in
+        { m with M.reg_buses = { M.bus_count = count; bus_latency = latency } }
+      in
+      let constraints = { Chains.pinned; grouped } in
+      let req = Driver.request ~heuristic ~ordering ~constraints machine in
+      let forced = Driver.forced_copies g req
+      and bound = Driver.bus_mii machine g req in
+      let ctx =
+        { Ims.machine; heuristic; ordering; pinned; grouped;
+          pref = (fun _ -> None); assumed = Hashtbl.create 1 }
+      in
+      (* IIs below and above the bus latency, and past the bound *)
+      let top = max (latency + 2) (min 24 (bound + 2)) in
+      List.for_all
+        (fun ii ->
+          match Ims.attempt ctx g ~ii with
+          | None -> true
+          | Some s -> ii >= bound && List.length s.S.copies >= forced)
+        (List.init top (fun i -> i + 1)))
+
+(* The graph and request of each arm Hybrid.compile schedules (the
+   hybrid's arms are MDC's and DDGT's), as Driver.run's phase 1 sees
+   them. *)
+let phase1_inputs ~machine ~heuristic ~pref_for g =
+  let req constraints pref = Driver.request ~heuristic ~constraints ~pref machine in
+  let pref = pref_for g in
+  let mdc =
+    match heuristic with
+    | S.Pref_clus -> Chains.prefclus g ~pref
+    | S.Min_coms -> Chains.mincoms g
+  in
+  let t = (Ddgt.transform ~clusters:machine.M.clusters g).Ddgt.graph in
+  [
+    ("free", g, req (Chains.no_constraints ()) pref);
+    ("MDC", g, req mdc pref);
+    ("DDGT", t, req (Chains.no_constraints ()) (pref_for t));
+  ]
+
+(* Every II the search no longer tries, from the MII up to the bus
+   bound, fails in Ims.attempt: over seed-1 fuzz cases 0-99 and 186 and
+   every workload loop on the three machines under both heuristics. *)
+let test_bus_bound_premise () =
+  let skipped = ref 0 in
+  let check label (fe : Vliw_pipeline.Pipeline.front) heuristic =
+    let machine = fe.Vliw_pipeline.Pipeline.machine in
+    List.iter
+      (fun (tech, g, (req : Driver.request)) ->
+        let ctx =
+          { Ims.machine; heuristic; ordering = Ims.Height;
+            pinned = req.constraints.Chains.pinned;
+            grouped = req.constraints.Chains.grouped; pref = req.pref;
+            assumed = Hashtbl.create 1 }
+        in
+        for ii = Driver.mii machine g req to Driver.bus_mii machine g req - 1 do
+          incr skipped;
+          if Ims.attempt ctx g ~ii <> None then
+            Alcotest.failf "%s/%s/%s: II %d below the bus bound schedules" label
+              tech (S.heuristic_name heuristic) ii
+        done)
+      (phase1_inputs ~machine ~heuristic
+         ~pref_for:(Vliw_profile.Profile.node_pref fe.Vliw_pipeline.Pipeline.prof)
+         fe.Vliw_pipeline.Pipeline.lowered.Lower.graph)
+  in
+  List.iter
+    (fun i ->
+      let case = Vliw_fuzz.Gen.generate ~seed:1 ~budget:30 i in
+      check (Printf.sprintf "case %d" i) (Vliw_fuzz.Diff.front case)
+        (Vliw_fuzz.Diff.heuristic_for case))
+    (List.init 100 Fun.id @ [ 186 ]);
+  List.iter
+    (fun (b : W.benchmark) ->
+      List.iter
+        (fun (l : W.loop) ->
+          List.iter
+            (fun (mname, base) ->
+              let machine = M.with_interleave base b.W.b_interleave in
+              let fe = Vliw_harness.Memo.stages ~machine ~bench:b l in
+              List.iter
+                (check (Printf.sprintf "%s/%s/%s" mname b.W.b_name l.W.l_name) fe)
+                S.heuristics)
+            [ ("table2", M.table2); ("nobal-mem", M.nobal_mem); ("nobal-reg", M.nobal_reg) ])
+        b.W.b_loops)
+    W.all;
+  Alcotest.(check bool) "some IIs skipped" true (!skipped > 0)
+
 (* --- frozen schedules ---
    sched_digests.txt freezes what the fuzzer scheduled, one technique at
    a time and the hybrid by its own compile of both arms, for seed-1 fuzz
@@ -910,6 +1110,12 @@ let () =
             test_latency_assignment_respects_recurrence;
           Alcotest.test_case "no-RF-source skip premise" `Slow
             test_phase2_skip_premise;
+        ] );
+      ( "bus bound",
+        [
+          Alcotest.test_case "forced copies" `Quick test_bus_bound_counts;
+          QCheck_alcotest.to_alcotest prop_bus_bound_sound;
+          Alcotest.test_case "skipped IIs fail" `Slow test_bus_bound_premise;
         ] );
       ( "end to end",
         [
