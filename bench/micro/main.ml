@@ -12,7 +12,9 @@
    - verify/discharge             the static verifier proving one schedule
    - sched/attempt-{fail,ok}      one modulo-scheduling attempt on the DDGT
                                   graph of an epicdec loop on NOBAL-mem
-                                  under PrefClus: at its MII, where the
+                                  under PrefClus: at the II the driver
+                                  starts from (the larger of the MII and
+                                  the register-bus bound), where the
                                   attempt exhausts its ejection budget, and
                                   at the II the driver settles on, where it
                                   succeeds
@@ -35,13 +37,10 @@
    Usage: bench/micro/main.exe (from the project root) *)
 
 module M = Vliw_arch.Machine
-module Ir = Vliw_ir
 module S = Vliw_sched.Schedule
 module Driver = Vliw_sched.Driver
-module Hybrid = Vliw_sched.Hybrid
 module Ims = Vliw_sched.Ims
 module Chains = Vliw_core.Chains
-module Lower = Vliw_lower.Lower
 module Profile = Vliw_profile.Profile
 module Sim = Vliw_sim.Sim
 module Trace = Vliw_trace.Trace
@@ -53,57 +52,36 @@ module Diff = Vliw_fuzz.Diff
 module Check = Vliw_check.Check
 module P = Vliw_pipeline.Pipeline
 
-type artifact = {
-  a_layout : Ir.Layout.t;
-  a_low : Lower.t;
-  a_schedule : S.t;
-  a_oracle : Ir.Interp.result;
-}
+(* a benchmark loop's front end on [machine], profiled on its execution
+   input *)
+let front machine (b : W.benchmark) (l : W.loop) =
+  P.front ~machine (W.parse_loop l ~seed:b.W.b_exec_seed)
 
+(* the first figure benchmark's first loop, MDC under PrefClus *)
 let compile machine =
   let b = List.hd W.figures in
-  let l = List.hd b.W.b_loops in
-  let k = W.parse_loop l ~seed:b.W.b_exec_seed in
-  let layout = Ir.Layout.make k in
-  let low = Lower.lower k in
-  let prof = Profile.run ~machine ~layout k in
-  let pref = Profile.node_pref prof low.Lower.graph in
-  let constraints = Chains.prefclus low.Lower.graph ~pref in
-  match
-    Driver.run
-      (Driver.request ~heuristic:S.Pref_clus ~constraints ~pref machine)
-      low.Lower.graph
-  with
+  let fe = front machine b (List.hd b.W.b_loops) in
+  match P.compile ~heuristic:S.Pref_clus fe S.Mdc with
+  | Ok c -> c
   | Error e -> failwith ("micro: loop does not schedule: " ^ e)
-  | Ok schedule ->
-    {
-      a_layout = layout;
-      a_low = low;
-      a_schedule = schedule;
-      a_oracle = Ir.Interp.run ~layout k;
-    }
 
 (* a phase-1 attempt that fails and one that succeeds: the first epicdec
-   loop whose attempt at its MII fails, with its context, graph, MII and
-   the II the driver settled on *)
+   loop whose attempt at the driver's starting II fails, with its context,
+   graph, MII, register-bus bound, starting II and the II the driver
+   settled on *)
 let attempts () =
   let b = W.find "epicdec" in
   let machine = M.with_interleave M.nobal_mem b.W.b_interleave in
   let pick (l : W.loop) =
-    let k = W.parse_loop l ~seed:b.W.b_exec_seed in
-    let layout = Ir.Layout.make k in
-    let low = Lower.lower k in
-    let prof = Profile.run ~machine ~layout k in
-    match
-      Hybrid.compile ~machine ~heuristic:S.Pref_clus
-        ~pref_for:(Profile.node_pref prof) ~trip:k.Ir.Ast.k_trip S.Ddgt
-        low.Lower.graph
-    with
+    let fe = front machine b l in
+    match P.compile ~heuristic:S.Pref_clus fe S.Ddgt with
     | Error _ -> None
     | Ok c ->
-      let g = c.Hybrid.c_graph in
-      let pref = Profile.node_pref prof g in
-      let constraints = c.Hybrid.c_constraints in
+      let g = c.P.graph in
+      let pref = Profile.node_pref fe.P.prof g in
+      (* DDGT's arm has no chain constraints: its replicas carry their
+         clusters in the graph *)
+      let constraints = Chains.no_constraints () in
       let ctx =
         {
           Ims.machine;
@@ -115,18 +93,16 @@ let attempts () =
           assumed = Hashtbl.create 16;
         }
       in
-      let mii =
-        Driver.mii machine g
-          (Driver.request ~heuristic:S.Pref_clus ~constraints ~pref machine)
-      in
-      let ii = c.Hybrid.c_schedule.S.ii in
-      if Ims.attempt ctx g ~ii:mii = None && Ims.attempt ctx g ~ii <> None then
-        Some (l.W.l_name, ctx, g, mii, ii)
+      let req = Driver.request ~heuristic:S.Pref_clus ~constraints ~pref machine in
+      let mii = Driver.mii machine g req and bus = Driver.bus_mii machine g req in
+      let start = max mii bus and ii = c.P.schedule.S.ii in
+      if Ims.attempt ctx g ~ii:start = None && Ims.attempt ctx g ~ii <> None then
+        Some (l.W.l_name, ctx, g, (mii, bus, start, ii))
       else None
   in
   match List.find_map pick b.W.b_loops with
   | Some a -> a
-  | None -> failwith "micro: no epicdec loop fails at its MII"
+  | None -> failwith "micro: no epicdec loop fails at its starting II"
 
 (* test/litmus/carried.lk moved to directory x4, and its MDC compile *)
 let carried () =
@@ -143,9 +119,10 @@ let carried () =
   | Ok a -> (case.Gen.g_jitter, a)
   | Error e -> failwith ("micro: carried does not schedule: " ^ e)
 
-let simulate ?trace a engine =
-  Sim.run ~lowered:a.a_low ~graph:a.a_low.Lower.graph ~schedule:a.a_schedule
-    ~layout:a.a_layout ~mode:(Sim.Oracle a.a_oracle) ?trace ~engine ()
+let simulate ?trace (c : P.compiled) engine =
+  let fe = c.P.front in
+  Sim.run ~lowered:fe.P.lowered ~graph:c.P.graph ~schedule:c.P.schedule
+    ~layout:fe.P.layout ~mode:(Sim.Oracle fe.P.oracle) ?trace ~engine ()
 
 let () =
   let open Bechamel in
@@ -155,10 +132,10 @@ let () =
   let contended =
     compile { M.table2 with M.mem_buses = { M.bus_count = 1; bus_latency = 2 } }
   in
+  let nf = nominal.P.front in
   let traced = Trace.create () in
   ignore (simulate ~trace:traced nominal `Wheel);
-  let verify_args = (nominal.a_low.Lower.graph, nominal.a_schedule) in
-  let loop, ctx, graph, mii, ii = attempts () in
+  let loop, ctx, graph, (mii, bus, start, ii) = attempts () in
   let jitter, (c : P.compiled) = carried () in
   let cf = c.P.front in
   let zeros =
@@ -184,9 +161,9 @@ let () =
     Option.get !k
   in
   Printf.printf
-    "sched/attempt-*: epicdec/%s, NOBAL-mem, DDGT, PrefClus: II %d (MII) \
-     fails, II %d succeeds\n"
-    loop mii ii;
+    "sched/attempt-*: epicdec/%s, NOBAL-mem, DDGT, PrefClus: MII %d, bus \
+     bound %d; II %d (start) fails, II %d (final) succeeds\n"
+    loop mii bus start ii;
   let attempt_test name ii =
     Test.make ~name
       (Staged.stage (fun () ->
@@ -216,7 +193,7 @@ let () =
                    ignore (Sys.opaque_identity (Audit.run traced))));
           ];
         Test.make_grouped ~name:"sched"
-          [ attempt_test "attempt-fail" mii; attempt_test "attempt-ok" ii ];
+          [ attempt_test "attempt-fail" start; attempt_test "attempt-ok" ii ];
         Test.make_grouped ~name:"check"
           [
             Test.make ~name:"replay-fresh"
@@ -248,12 +225,12 @@ let () =
           [
             Test.make ~name:"discharge"
               (Staged.stage (fun () ->
-                   let graph, schedule = verify_args in
                    ignore
                      (Sys.opaque_identity
                         (Verify.check ~machine:M.table2 ~technique:Verify.Free
-                           ~base:graph ~layout:nominal.a_layout ~graph
-                           ~schedule ()))));
+                           ~base:nf.P.lowered.Vliw_lower.Lower.graph
+                           ~layout:nf.P.layout ~graph:nominal.P.graph
+                           ~schedule:nominal.P.schedule ()))));
           ];
       ]
   in

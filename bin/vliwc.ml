@@ -137,6 +137,8 @@ let main file workload technique heuristic ordering machine_name clusters icn
     check_jitter dump_ddg dot dump_sched execution compare jobs trace_file =
   Option.iter (Flags.at_least ~tool:"vliwc" ~flag:"check-jitter" 0) check_jitter;
   Option.iter (Flags.at_least ~tool:"vliwc" ~flag:"jobs" 1) jobs;
+  Flags.at_least ~tool:"vliwc" ~flag:"pad" 0 pad;
+  Option.iter (Flags.at_least ~tool:"vliwc" ~flag:"unroll" 0) unroll;
   (* the jitter bound only bounds --check's exploration: without it the
      flag would be dropped, so it is refused instead *)
   if check_jitter <> None && not check then (

@@ -20,6 +20,8 @@ let req_main files technique heuristic ordering machine interleave ab pad
     Printf.eprintf "vliwload req: pass at least one .lk FILE (- for stdin)\n";
     exit 2
   end;
+  Flags.at_least ~tool:"vliwload" ~flag:"pad" 0 pad;
+  Option.iter (Flags.at_least ~tool:"vliwload" ~flag:"unroll" 0) unroll;
   let sources = List.map (Flags.read_source ~tool:"vliwload") files in
   let id = ref 0 in
   for _ = 1 to max 1 repeat do

@@ -240,130 +240,67 @@ let table5 ?obs () =
       })
     [ "epicdec"; "pgpdec"; "rasta" ]
 
-(* --------- N-cluster scaling: bus vs directory (not in the paper) --------- *)
+(* ------ machine grids: N-cluster scaling and coherence protocols ------ *)
 
-type scale_row = {
-  sc_clusters : int;
-  sc_icn : M.interconnect;
-  sc_cycles : (R.technique * float) list;
-  sc_hops : int;
-  sc_lookups : int;
-  sc_invalidates : int;
-  sc_writebacks : int;
-  sc_violations : int;
-  sc_loops : int;
-  sc_verified : int;
-}
+type grid_row = { g_machine : M.t; g_runs : R.bench_run list }
 
 (* a representative size mix rather than all figure benchmarks: the
    32-cluster points cost real wall clock and the sweep's job is coverage
-   of the (clusters, interconnect) grid, not another full reproduction *)
-let scale_benches = [ "epicdec"; "g721dec"; "rasta" ]
-let scale_points = [ 4; 8; 16; 32 ]
+   of the machine grid, not another full reproduction *)
+let grid_benches = [ "epicdec"; "g721dec"; "rasta" ]
+let grid_techniques = [ R.Mdc; R.Ddgt; R.Hybrid ]
 
-(* ABs on: without replicas the directory never forms sharers, so its
-   invalidate/writeback paths would go unexercised by the sweep *)
-let scale_machine n icn =
+(* every grid technique under PrefClus on every grid benchmark, one row
+   per machine *)
+let grid ?obs machines =
+  let benches = List.map W.find grid_benches in
+  Pool.map
+    (fun machine ->
+      {
+        g_machine = machine;
+        g_runs =
+          List.concat_map
+            (fun tech ->
+              List.map (fun b -> run ~machine ?obs (tech, S.Pref_clus) b) benches)
+            grid_techniques;
+      })
+    machines
+
+let grid_cycles tech row =
+  List.fold_left
+    (fun a r -> if r.R.br_technique = tech then a +. r.R.br_cycles else a)
+    0. row.g_runs
+
+let grid_total f row = List.fold_left (fun a r -> a + f r) 0 row.g_runs
+
+(* ABs on: without replicas the directory never forms sharers and the
+   protocols have nothing to keep coherent *)
+let grid_machine n icn =
   M.with_attraction
     (M.with_interconnect (M.scale_clusters M.table2 n) icn)
     (Some M.default_attraction)
 
 let scale ?obs () =
-  let benches = List.map W.find scale_benches in
-  let grid =
-    List.concat_map
-      (fun n -> [ (n, M.Shared_bus); (n, M.Directory) ])
-      scale_points
-  in
-  Pool.map
-    (fun (n, icn) ->
-      let machine = scale_machine n icn in
-      let by_tech =
-        List.map
-          (fun tech ->
-            (tech, List.map (fun b -> run ~machine ?obs (tech, S.Pref_clus) b) benches))
-          [ R.Mdc; R.Ddgt; R.Hybrid ]
-      in
-      let all = List.concat_map snd by_tech in
-      let isum f = List.fold_left (fun a r -> a + f r) 0 all in
-      {
-        sc_clusters = n;
-        sc_icn = icn;
-        sc_cycles =
-          List.map
-            (fun (t, rs) ->
-              (t, List.fold_left (fun a r -> a +. r.R.br_cycles) 0. rs))
-            by_tech;
-        sc_hops = isum (fun r -> r.R.br_packet_hops);
-        sc_lookups = isum (fun r -> r.R.br_dir_lookups);
-        sc_invalidates = isum (fun r -> r.R.br_dir_invalidates);
-        sc_writebacks = isum (fun r -> r.R.br_dir_writebacks);
-        sc_violations = isum (fun r -> r.R.br_violations);
-        sc_loops = isum (fun r -> List.length r.R.br_loops);
-        sc_verified = isum (fun r -> r.R.br_verified);
-      })
-    grid
-
-(* ------- coherence protocols: install/flush vs MSI vs MESI ------- *)
-
-type prot_row = {
-  p_clusters : int;
-  p_icn : M.interconnect;
-  p_protocol : M.protocol;
-  p_cycles : (R.technique * float) list;
-  p_invalidations : int;
-  p_upgrades : int;
-  p_exclusive_hits : int;
-  p_violations : int;
-  p_loops : int;
-  p_verified : int;
-}
+  grid ?obs
+    (List.concat_map
+       (fun n -> [ grid_machine n M.Shared_bus; grid_machine n M.Directory ])
+       [ 4; 8; 16; 32 ])
 
 (* the protocol/backend pairings Machine.validate accepts: MSI snoops the
    shared buses, MESI routes ownership handoffs through the directory *)
-let protocol_grid =
-  List.concat_map
-    (fun n ->
-      [
-        (n, M.Shared_bus, M.Install_flush);
-        (n, M.Shared_bus, M.Msi);
-        (n, M.Directory, M.Install_flush);
-        (n, M.Directory, M.Mesi);
-      ])
-    [ 4; 8 ]
-
 let protocol ?obs () =
-  let benches = List.map W.find scale_benches in
-  Pool.map
-    (fun (n, icn, prot) ->
-      let machine = M.with_protocol (scale_machine n icn) prot in
-      let by_tech =
-        List.map
-          (fun tech ->
-            ( tech,
-              List.map (fun b -> run ~machine ?obs (tech, S.Pref_clus) b) benches
-            ))
-          [ R.Mdc; R.Ddgt; R.Hybrid ]
-      in
-      let all = List.concat_map snd by_tech in
-      let isum f = List.fold_left (fun a r -> a + f r) 0 all in
-      {
-        p_clusters = n;
-        p_icn = icn;
-        p_protocol = prot;
-        p_cycles =
-          List.map
-            (fun (t, rs) ->
-              (t, List.fold_left (fun a r -> a +. r.R.br_cycles) 0. rs))
-            by_tech;
-        p_invalidations = isum (fun r -> r.R.br_prot_invalidations);
-        p_upgrades = isum (fun r -> r.R.br_prot_upgrades);
-        p_exclusive_hits = isum (fun r -> r.R.br_prot_exclusive_hits);
-        p_violations = isum (fun r -> r.R.br_violations);
-        p_loops = isum (fun r -> List.length r.R.br_loops);
-        p_verified = isum (fun r -> r.R.br_verified);
-      })
-    protocol_grid
+  grid ?obs
+    (List.concat_map
+       (fun n ->
+         List.map
+           (fun (icn, prot) -> M.with_protocol (grid_machine n icn) prot)
+           [
+             (M.Shared_bus, M.Install_flush);
+             (M.Shared_bus, M.Msi);
+             (M.Directory, M.Install_flush);
+             (M.Directory, M.Mesi);
+           ])
+       [ 4; 8 ])
 
 (* ------- static coherence verification coverage (not in the paper) ------- *)
 

@@ -119,59 +119,49 @@ val table5 : ?obs:Runner.obs -> unit -> t5_row list
 (** epicdec, pgpdec and rasta, like the paper (pgpenc is excluded there as
     "similar to pgpdec"). *)
 
-(** {1 N-cluster scaling sweep (beyond the paper)} *)
+(** {1 Machine grids: N-cluster scaling and coherence protocols (beyond
+    the paper)}
 
-type scale_row = {
-  sc_clusters : int;
-  sc_icn : Vliw_arch.Machine.interconnect;
-  sc_cycles : (Runner.technique * float) list;
-      (** per technique (MDC, DDGT, hybrid under PrefClus), total cycles
-          summed over the sweep benchmarks *)
-  sc_hops : int;  (** directory-packet hops (0 under the shared bus) *)
-  sc_lookups : int;
-  sc_invalidates : int;
-  sc_writebacks : int;
-  sc_violations : int;  (** must be 0: every scheme here is certified *)
-  sc_loops : int;
-  sc_verified : int;
+    {!scale} and {!protocol} are one sweep over two machine lists. Each
+    machine runs MDC, DDGT and the hybrid under PrefClus on a
+    representative benchmark subset (epicdec, g721dec, rasta) with
+    16-entry ABs: ABs create the replicas whose coherence the directory
+    tracks and the protocols keep, so the directory's invalidate and
+    writeback paths and the protocols' transitions are exercised. A row
+    keeps its runs, and every column is derived from them; all runs also
+    land in {!cached_runs}, so the machine-readable report carries every
+    point of both grids. Every scheme here is certified, so every row must
+    show 0 violations and all its loops certified. *)
+
+type grid_row = {
+  g_machine : Vliw_arch.Machine.t;  (** the base machine of the row *)
+  g_runs : Runner.bench_run list;
+      (** one run per (technique, benchmark), in {!grid_techniques}
+          order *)
 }
 
-val scale : ?obs:Runner.obs -> unit -> scale_row list
-(** One row per (cluster count, interconnect) over the grid
-    [{4,8,16,32} x {bus, directory}], each running MDC/DDGT/hybrid under
-    PrefClus on a representative benchmark subset (epicdec, g721dec,
-    rasta) with 16-entry ABs — ABs create the replicas whose coherence
-    the directory must track, so its invalidate and writeback paths are
-    exercised. All runs land in {!cached_runs}, so the machine-readable
-    report carries every point of the grid with per-run interconnect,
-    cluster-count and directory-traffic fields. *)
+val grid_techniques : Runner.technique list
+(** MDC, DDGT and the hybrid. *)
 
-(** {1 Coherence protocols: install/flush vs MSI vs MESI (beyond the paper)} *)
+val grid_cycles : Runner.technique -> grid_row -> float
+(** The technique's total cycles summed over the row's benchmarks. *)
 
-type prot_row = {
-  p_clusters : int;
-  p_icn : Vliw_arch.Machine.interconnect;
-  p_protocol : Vliw_arch.Machine.protocol;
-  p_cycles : (Runner.technique * float) list;
-      (** per technique (MDC, DDGT, hybrid under PrefClus), total cycles
-          summed over the sweep benchmarks *)
-  p_invalidations : int;  (** replicas snooped/directed to Invalid *)
-  p_upgrades : int;  (** S -> M store upgrades *)
-  p_exclusive_hits : int;  (** silent E -> M upgrades (MESI rows only) *)
-  p_violations : int;  (** must be 0: every scheme here is certified *)
-  p_loops : int;
-  p_verified : int;
-}
+val grid_total : (Runner.bench_run -> int) -> grid_row -> int
+(** A per-run count summed over the row's runs, e.g.
+    [grid_total (Runner.total (fun s -> s.Sim.packet_hops))] or
+    [grid_total Runner.verified]. *)
 
-val protocol : ?obs:Runner.obs -> unit -> prot_row list
+val scale : ?obs:Runner.obs -> unit -> grid_row list
+(** One row per (cluster count, interconnect) over
+    [{4,8,16,32} x {bus, directory}], all under install/flush. *)
+
+val protocol : ?obs:Runner.obs -> unit -> grid_row list
 (** One row per (cluster count, backend, protocol) over
     [{4,8} x {(bus, install-flush), (bus, MSI), (directory,
     install-flush), (directory, MESI)}] — the pairings
-    {!Vliw_arch.Machine.validate} accepts — each running MDC/DDGT/hybrid
-    under PrefClus on the {!scale} benchmark subset with 16-entry ABs
-    (the replicas are what the protocols keep coherent). The
-    install-flush rows are the controls: identical cycles to the same
-    backend's {!scale} point, zero protocol traffic. *)
+    {!Vliw_arch.Machine.validate} accepts. The install-flush rows are the
+    controls: the same cycles per technique as the same backend's
+    {!scale} row, zero protocol traffic. *)
 
 (** {1 Static coherence verification coverage (beyond the paper)} *)
 

@@ -4,6 +4,7 @@ module M = Vliw_arch.Machine
 module W = Vliw_workloads.Workloads
 module E = Experiments
 module R = Runner
+module Sim = Vliw_sim.Sim
 
 let table1 () =
   let t =
@@ -384,82 +385,73 @@ let orderings rows =
     rows;
   T.render t
 
-let scale rows =
+(* one table for both machine grids: the [machine] columns, cycles per
+   technique, the [traffic] counters, violations and certified/loops *)
+let grid ~title ~machine ~traffic rows =
+  let right h = (h, T.Right) in
   let t =
-    T.create
-      ~title:
-        "N-cluster scaling: shared bus vs directory (PrefClus, 16-entry \
-         ABs; cycles summed over epicdec/g721dec/rasta)"
-      [
-        ("clusters", T.Right); ("interconnect", T.Left); ("mdc", T.Right);
-        ("ddgt", T.Right); ("hybrid", T.Right); ("hops", T.Right);
-        ("lookups", T.Right); ("invalidates", T.Right);
-        ("writebacks", T.Right); ("violations", T.Right);
-        ("certified", T.Right);
-      ]
+    T.create ~title
+      (List.map (fun (h, align, _) -> (h, align)) machine
+      @ List.map
+          (fun tech -> right (String.lowercase_ascii (R.technique_name tech)))
+          E.grid_techniques
+      @ List.map (fun (h, _) -> right h) traffic
+      @ List.map right [ "violations"; "certified" ])
   in
   List.iter
-    (fun (r : E.scale_row) ->
-      let cyc tech =
-        match List.assoc_opt tech r.E.sc_cycles with
-        | Some c -> Printf.sprintf "%.0f" c
-        | None -> "-"
-      in
+    (fun (r : E.grid_row) ->
+      let count f = string_of_int (E.grid_total (R.total f) r) in
       T.add_row t
-        [
-          string_of_int r.E.sc_clusters;
-          M.interconnect_name r.E.sc_icn;
-          cyc R.Mdc;
-          cyc R.Ddgt;
-          cyc R.Hybrid;
-          string_of_int r.E.sc_hops;
-          string_of_int r.E.sc_lookups;
-          string_of_int r.E.sc_invalidates;
-          string_of_int r.E.sc_writebacks;
-          string_of_int r.E.sc_violations;
-          Printf.sprintf "%d/%d" r.E.sc_verified r.E.sc_loops;
-        ])
+        (List.map (fun (_, _, cell) -> cell r.E.g_machine) machine
+        @ List.map
+            (fun tech -> Printf.sprintf "%.0f" (E.grid_cycles tech r))
+            E.grid_techniques
+        @ List.map (fun (_, f) -> count f) traffic
+        @ [
+            count (fun s -> s.Sim.violations);
+            Printf.sprintf "%d/%d" (E.grid_total R.verified r)
+              (E.grid_total (fun b -> List.length b.R.br_loops) r);
+          ]))
     rows;
   T.render t
 
-let protocol rows =
-  let t =
-    T.create
-      ~title:
-        "Coherence protocols: install/flush vs MSI (bus) vs MESI \
-         (directory) (PrefClus, 16-entry ABs; cycles summed over \
-         epicdec/g721dec/rasta)"
+let clusters = ("clusters", T.Right, fun m -> string_of_int m.M.clusters)
+
+let interconnect name =
+  (name, T.Left, fun m -> M.interconnect_name m.M.interconnect)
+
+let scale =
+  grid
+    ~title:
+      "N-cluster scaling: shared bus vs directory (PrefClus, 16-entry ABs; \
+       cycles summed over epicdec/g721dec/rasta)"
+    ~machine:[ clusters; interconnect "interconnect" ]
+    ~traffic:
       [
-        ("clusters", T.Right); ("backend", T.Left); ("protocol", T.Left);
-        ("mdc", T.Right); ("ddgt", T.Right); ("hybrid", T.Right);
-        ("invalidations", T.Right); ("upgrades", T.Right);
-        ("excl. hits", T.Right); ("violations", T.Right);
-        ("certified", T.Right);
+        ("hops", fun s -> s.Sim.packet_hops);
+        ("lookups", fun s -> s.Sim.dir_lookups);
+        ("invalidates", fun s -> s.Sim.dir_invalidates);
+        ("writebacks", fun s -> s.Sim.dir_writebacks);
       ]
-  in
-  List.iter
-    (fun (r : E.prot_row) ->
-      let cyc tech =
-        match List.assoc_opt tech r.E.p_cycles with
-        | Some c -> Printf.sprintf "%.0f" c
-        | None -> "-"
-      in
-      T.add_row t
-        [
-          string_of_int r.E.p_clusters;
-          M.interconnect_name r.E.p_icn;
-          M.protocol_name r.E.p_protocol;
-          cyc R.Mdc;
-          cyc R.Ddgt;
-          cyc R.Hybrid;
-          string_of_int r.E.p_invalidations;
-          string_of_int r.E.p_upgrades;
-          string_of_int r.E.p_exclusive_hits;
-          string_of_int r.E.p_violations;
-          Printf.sprintf "%d/%d" r.E.p_verified r.E.p_loops;
-        ])
-    rows;
-  T.render t
+
+let protocol rows =
+  grid
+    ~title:
+      "Coherence protocols: install/flush vs MSI (bus) vs MESI (directory) \
+       (PrefClus, 16-entry ABs; cycles summed over epicdec/g721dec/rasta)"
+    ~machine:
+      [
+        clusters;
+        interconnect "backend";
+        ("protocol", T.Left, fun m -> M.protocol_name m.M.protocol);
+      ]
+    ~traffic:
+      [
+        ("invalidations", fun s -> s.Sim.prot_invalidations);
+        ("upgrades", fun s -> s.Sim.prot_upgrades);
+        ("excl. hits", fun s -> s.Sim.prot_exclusive_hits);
+      ]
+    rows
   ^ "(install-flush rows are controls: same cycles as the matching scale \
      point, zero protocol traffic)\n"
 

@@ -30,13 +30,13 @@ val orderings : Ablations.ord_row list -> string
 
 (** {1 N-cluster scaling} *)
 
-val scale : Experiments.scale_row list -> string
+val scale : Experiments.grid_row list -> string
 (** Per-(clusters, interconnect) cycle totals for MDC/DDGT/hybrid with the
     directory-traffic counters beside them. *)
 
 (** {1 Coherence protocols} *)
 
-val protocol : Experiments.prot_row list -> string
+val protocol : Experiments.grid_row list -> string
 (** Per-(clusters, backend, protocol) cycle totals for MDC/DDGT/hybrid with
     the protocol-traffic counters (invalidations, upgrades, exclusive
     hits) beside them; install-flush rows are the zero-traffic controls. *)

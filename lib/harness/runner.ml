@@ -42,18 +42,6 @@ type bench_run = {
   br_stall_bus : float;
   br_stall_drain : float;
   br_comm : float;
-  br_violations : int;
-  br_nullified : int;
-  br_ab_hits : int;
-  br_ab_flushed : int;
-  br_verified : int;
-  br_dir_lookups : int;
-  br_dir_invalidates : int;
-  br_dir_writebacks : int;
-  br_packet_hops : int;
-  br_prot_invalidations : int;
-  br_prot_upgrades : int;
-  br_prot_exclusive_hits : int;
 }
 
 let machine_for base (b : W.benchmark) = M.with_interleave base b.b_interleave
@@ -185,6 +173,13 @@ let run_loop ~machine ?(obs = obs_none) ?(lat_policy = Driver.Cache_sensitive)
     lr_trip = stages.P.kernel_exec.Vliw_ir.Ast.k_trip;
   }
 
+(* one counter over the loops, each weighted by its [l_weight] *)
+let weighted f loops =
+  List.fold_left
+    (fun acc lr ->
+      acc +. (float_of_int lr.lr_loop.W.l_weight *. float_of_int (f lr.lr_stats)))
+    0. loops
+
 let run_bench ~machine ?obs ?lat_policy ?ordering ?transform technique
     heuristic (bench : W.benchmark) =
   let machine = machine_for machine bench in
@@ -194,41 +189,26 @@ let run_bench ~machine ?obs ?lat_policy ?ordering ?transform technique
          heuristic ~bench)
       bench.b_loops
   in
-  let wsum f =
-    List.fold_left
-      (fun acc lr -> acc +. (float_of_int lr.lr_loop.W.l_weight *. f lr))
-      0. loops
-  in
-  let isum f = List.fold_left (fun acc lr -> acc + f lr.lr_stats) 0 loops in
+  let wsum f = weighted f loops in
   {
     br_bench = bench;
     br_technique = technique;
     br_heuristic = heuristic;
     br_loops = loops;
-    br_cycles = wsum (fun lr -> float_of_int lr.lr_stats.Sim.total_cycles);
-    br_compute = wsum (fun lr -> float_of_int lr.lr_stats.Sim.compute_cycles);
-    br_stall = wsum (fun lr -> float_of_int lr.lr_stats.Sim.stall_cycles);
-    br_stall_load = wsum (fun lr -> float_of_int lr.lr_stats.Sim.stall_load_cycles);
-    br_stall_copy = wsum (fun lr -> float_of_int lr.lr_stats.Sim.stall_copy_cycles);
-    br_stall_bus = wsum (fun lr -> float_of_int lr.lr_stats.Sim.stall_bus_cycles);
-    br_stall_drain = wsum (fun lr -> float_of_int lr.lr_stats.Sim.stall_drain_cycles);
-    br_comm = wsum (fun lr -> float_of_int lr.lr_stats.Sim.comm_ops);
-    br_violations = isum (fun s -> s.Sim.violations);
-    br_nullified = isum (fun s -> s.Sim.nullified);
-    br_ab_hits = isum (fun s -> s.Sim.ab_hits);
-    br_ab_flushed = isum (fun s -> s.Sim.ab_flushed);
-    br_verified =
-      List.fold_left
-        (fun acc lr -> if lr.lr_verify.V.r_verified then acc + 1 else acc)
-        0 loops;
-    br_dir_lookups = isum (fun s -> s.Sim.dir_lookups);
-    br_dir_invalidates = isum (fun s -> s.Sim.dir_invalidates);
-    br_dir_writebacks = isum (fun s -> s.Sim.dir_writebacks);
-    br_packet_hops = isum (fun s -> s.Sim.packet_hops);
-    br_prot_invalidations = isum (fun s -> s.Sim.prot_invalidations);
-    br_prot_upgrades = isum (fun s -> s.Sim.prot_upgrades);
-    br_prot_exclusive_hits = isum (fun s -> s.Sim.prot_exclusive_hits);
+    br_cycles = wsum (fun s -> s.Sim.total_cycles);
+    br_compute = wsum (fun s -> s.Sim.compute_cycles);
+    br_stall = wsum (fun s -> s.Sim.stall_cycles);
+    br_stall_load = wsum (fun s -> s.Sim.stall_load_cycles);
+    br_stall_copy = wsum (fun s -> s.Sim.stall_copy_cycles);
+    br_stall_bus = wsum (fun s -> s.Sim.stall_bus_cycles);
+    br_stall_drain = wsum (fun s -> s.Sim.stall_drain_cycles);
+    br_comm = wsum (fun s -> s.Sim.comm_ops);
   }
+
+let total f br = List.fold_left (fun acc lr -> acc + f lr.lr_stats) 0 br.br_loops
+
+let verified br =
+  List.length (List.filter (fun lr -> lr.lr_verify.V.r_verified) br.br_loops)
 
 type access_mix = {
   f_local_hit : float;
@@ -239,12 +219,7 @@ type access_mix = {
 }
 
 let access_mix br =
-  let wsum f =
-    List.fold_left
-      (fun acc lr ->
-        acc +. (float_of_int lr.lr_loop.W.l_weight *. float_of_int (f lr.lr_stats)))
-      0. br.br_loops
-  in
+  let wsum f = weighted f br.br_loops in
   let total = wsum Sim.accesses_total in
   let frac f = if total = 0. then 0. else wsum f /. total in
   {

@@ -49,22 +49,10 @@ type bench_run = {
   br_stall_bus : float;
   br_stall_drain : float;
   br_comm : float;  (** weighted dynamic communication (copy) operations *)
-  br_violations : int;  (** unweighted coherence-counter totals over loops *)
-  br_nullified : int;
-  br_ab_hits : int;
-  br_ab_flushed : int;
-  br_verified : int;  (** loops whose schedule the static verifier certified *)
-  br_dir_lookups : int;  (** directory-backend traffic totals over loops
-                             (all zero under the shared-bus backend) *)
-  br_dir_invalidates : int;
-  br_dir_writebacks : int;
-  br_packet_hops : int;
-  br_prot_invalidations : int;
-      (** coherence-protocol traffic totals over loops (all zero under
-          the default install/flush machine) *)
-  br_prot_upgrades : int;
-  br_prot_exclusive_hits : int;
 }
+(** The eight weighted totals are the figures' currency; every other
+    counter of a run is read from its loops through {!total} and
+    {!verified}. *)
 
 (** {1 Observability configuration}
 
@@ -134,6 +122,15 @@ val run_bench :
     {!Vliw_ir.Unroll.unroll}) applied to both the profile and execution
     kernels before compilation. Loop statistics are weighted by each
     loop's [l_weight]. *)
+
+val total : (Vliw_sim.Sim.stats -> int) -> bench_run -> int
+(** [total counter br] sums one simulator counter over the run's loops,
+    unweighted (e.g. [total (fun s -> s.Sim.violations) br]). The
+    directory-traffic counters are all zero under the shared bus, the
+    protocol-traffic ones under install/flush. *)
+
+val verified : bench_run -> int
+(** Loops whose schedule the static verifier certified. *)
 
 (** {1 Aggregate access-class ratios (Figure 6)} *)
 

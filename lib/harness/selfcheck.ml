@@ -1,11 +1,13 @@
 module Json = Vliw_util.Json
 module W = Vliw_workloads.Workloads
 module M = Vliw_arch.Machine
+module Sim = Vliw_sim.Sim
 
 (* One benchmark run as the machine-readable report records it. This is the
    single source of truth for bench/main.exe --json and for the drift
    check: both sides of the comparison go through this encoding. *)
 let run_json (fp, (m : M.t), (r : Runner.bench_run)) =
+  let total f = Json.Int (Runner.total f r) in
   Json.Obj
     [
       ("machine", Json.String fp);
@@ -25,19 +27,19 @@ let run_json (fp, (m : M.t), (r : Runner.bench_run)) =
       ("stall_bus", Json.Float r.Runner.br_stall_bus);
       ("stall_drain", Json.Float r.Runner.br_stall_drain);
       ("comm", Json.Float r.Runner.br_comm);
-      ("violations", Json.Int r.Runner.br_violations);
-      ("nullified", Json.Int r.Runner.br_nullified);
-      ("ab_hits", Json.Int r.Runner.br_ab_hits);
-      ("ab_flushed", Json.Int r.Runner.br_ab_flushed);
+      ("violations", total (fun s -> s.Sim.violations));
+      ("nullified", total (fun s -> s.Sim.nullified));
+      ("ab_hits", total (fun s -> s.Sim.ab_hits));
+      ("ab_flushed", total (fun s -> s.Sim.ab_flushed));
       ("loops", Json.Int (List.length r.Runner.br_loops));
-      ("verified_loops", Json.Int r.Runner.br_verified);
-      ("dir_lookups", Json.Int r.Runner.br_dir_lookups);
-      ("dir_invalidates", Json.Int r.Runner.br_dir_invalidates);
-      ("dir_writebacks", Json.Int r.Runner.br_dir_writebacks);
-      ("packet_hops", Json.Int r.Runner.br_packet_hops);
-      ("prot_invalidations", Json.Int r.Runner.br_prot_invalidations);
-      ("prot_upgrades", Json.Int r.Runner.br_prot_upgrades);
-      ("prot_exclusive_hits", Json.Int r.Runner.br_prot_exclusive_hits);
+      ("verified_loops", Json.Int (Runner.verified r));
+      ("dir_lookups", total (fun s -> s.Sim.dir_lookups));
+      ("dir_invalidates", total (fun s -> s.Sim.dir_invalidates));
+      ("dir_writebacks", total (fun s -> s.Sim.dir_writebacks));
+      ("packet_hops", total (fun s -> s.Sim.packet_hops));
+      ("prot_invalidations", total (fun s -> s.Sim.prot_invalidations));
+      ("prot_upgrades", total (fun s -> s.Sim.prot_upgrades));
+      ("prot_exclusive_hits", total (fun s -> s.Sim.prot_exclusive_hits));
     ]
 
 type drift = {

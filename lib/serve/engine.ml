@@ -86,6 +86,12 @@ let prepare_exn ~buf ~machine ~opts kernel =
     let f = Lower.best_unroll_factor ~nxi_bytes:nxi ~max_factor:8 kernel in
     if f > 1 then Printf.bprintf buf "unrolling by %d (NxI = %d bytes)\n" f nxi;
     Ir.Unroll.unroll ~factor:f kernel
+  | Some f when kernel.Ir.Ast.k_trip mod f <> 0 ->
+    raise
+      (Fail
+         (Some
+            (Printf.sprintf "unroll: factor %d does not divide trip %d" f
+               kernel.Ir.Ast.k_trip)))
   | Some f -> Ir.Unroll.unroll ~factor:f kernel
 
 let prepare ~buf ~machine ~opts kernel =

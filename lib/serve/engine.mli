@@ -48,7 +48,8 @@ val prepare :
     loads ([op_cse]) and unroll ([op_unroll]): the kernel as
     {!run_kernel} schedules it, and as [vliwc --compare] tabulates it.
     The diagnostics and the CSE/unroll notes go to [buf]; errors are as
-    in {!run_kernel}. *)
+    in {!run_kernel}, and an unroll factor that does not divide the trip
+    count is [Error (1, Some "unroll: factor F does not divide trip T")]. *)
 
 val run_kernel :
   ?compiled:

@@ -86,6 +86,9 @@ let request_of_json j =
       | None -> Error (Printf.sprintf "field %S must be %s" k what))
   in
   let int k = opt k "an integer" Json.to_int_opt
+  and nat k =
+    opt k "a non-negative integer" (fun v ->
+        Option.bind (Json.to_int_opt v) (fun n -> if n < 0 then None else Some n))
   and bool k = opt k "a boolean" Json.to_bool_opt
   and str k = opt k "a string" Json.to_string_opt in
   let named k of_name =
@@ -104,8 +107,8 @@ let request_of_json j =
     let* machine = str "machine" in
     let* interleave = int "interleave" in
     let* ab = bool "ab" in
-    let* pad = int "pad" in
-    let* unroll = int "unroll" in
+    let* pad = nat "pad" in
+    let* unroll = nat "unroll" in
     let* cse = bool "cse" in
     let* verify = bool "verify" in
     let* execution = bool "execution" in

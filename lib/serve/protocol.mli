@@ -54,8 +54,9 @@ val key : request -> string
 val request_to_json : request -> Vliw_util.Json.t
 val request_of_json : Vliw_util.Json.t -> (request, string) result
 (** Missing optional fields take their defaults (machine fields stay
-    unset); only ["kernel"] is required. {!request_to_json} writes a
-    machine field only when it is set. *)
+    unset); only ["kernel"] is required. A negative ["pad"] or ["unroll"]
+    is an [Error] naming the field, as vliwc refuses the flag.
+    {!request_to_json} writes a machine field only when it is set. *)
 
 type outcome = {
   o_output : string;  (** vliwc's stdout, byte for byte *)

@@ -1,42 +1,8 @@
-type mode = Sim_types.mode = Oracle of Vliw_ir.Interp.result | Execution
-
-type stats = Sim_types.stats = {
-  total_cycles : int;
-  compute_cycles : int;
-  stall_cycles : int;
-  stall_load_cycles : int;
-  stall_copy_cycles : int;
-  stall_bus_cycles : int;
-  stall_drain_cycles : int;
-  local_hits : int;
-  remote_hits : int;
-  local_misses : int;
-  remote_misses : int;
-  combined : int;
-  ab_hits : int;
-  ab_flushed : int;
-  violations : int;
-  nullified : int;
-  comm_ops : int;
-  dir_lookups : int;
-  dir_invalidates : int;
-  dir_writebacks : int;
-  packet_hops : int;
-  prot_invalidations : int;
-  prot_upgrades : int;
-  prot_exclusive_hits : int;
-  memory : Bytes.t;
-}
+(* the run's types and counters are spelled once, in Sim_types; sim.mli
+   documents them and hides the engines' helpers *)
+include Sim_types
 
 type engine = [ `Wheel | `Reference ]
-
-type chooser = Sim_types.chooser = {
-  ch_jitter : int;
-  ch_draw : bound:int -> int;
-  ch_note_state : ((unit -> string) -> unit) option;
-}
-
-let accesses_total = Sim_types.accesses_total
 
 type prepared = Engine_wheel.t
 

@@ -311,12 +311,15 @@ let test_bus_extraction_regression () =
       ckf "stall" stall r.R.br_stall;
       ckf "stall_bus" stall_bus r.R.br_stall_bus;
       ckf "comm" comm r.R.br_comm;
-      Alcotest.(check int) (name ^ " violations") viol r.R.br_violations;
-      Alcotest.(check int) (name ^ " nullified") null r.R.br_nullified;
-      Alcotest.(check int) (name ^ " verified") verified r.R.br_verified;
+      let ck field expected f =
+        Alcotest.(check int) (name ^ " " ^ field) expected (R.total f r)
+      in
+      ck "violations" viol (fun s -> s.Sim.violations);
+      ck "nullified" null (fun s -> s.Sim.nullified);
+      Alcotest.(check int) (name ^ " verified") verified (R.verified r);
       (* the bus backend must not report directory traffic *)
-      Alcotest.(check int) (name ^ " hops") 0 r.R.br_packet_hops;
-      Alcotest.(check int) (name ^ " lookups") 0 r.R.br_dir_lookups)
+      ck "hops" 0 (fun s -> s.Sim.packet_hops);
+      ck "lookups" 0 (fun s -> s.Sim.dir_lookups))
     [
       (R.Mdc, "mdc", 22141., 9829., 12312., 9408., 7808., 0, 0, 3);
       (R.Ddgt, "ddgt", 18056., 10868., 7188., 5312., 11008., 0, 1152, 3);

@@ -14,6 +14,8 @@ module E = struct
   let fig7 () = fig7 ~obs ()
   let table3 () = table3 ~obs ()
   let table5 () = table5 ~obs ()
+  let scale () = scale ~obs ()
+  let protocol () = protocol ~obs ()
 end
 
 module Render = Vliw_harness.Render
@@ -119,6 +121,57 @@ let test_fig6_headline_shape () =
   and ddgt = mean (fun r -> r.E.f6_ddgt) in
   Alcotest.(check bool) "MDC below free" true (mdc < free);
   Alcotest.(check bool) "DDGT above MDC" true (ddgt > mdc)
+
+(* the machine grids' documented invariants: an install-flush protocol row
+   is a control, equal per technique to the scale row of the same cluster
+   count and backend and free of protocol traffic, and every scheme of
+   either grid runs clean and certified *)
+let test_grid_invariants () =
+  let module Sim = Vliw_sim.Sim in
+  let scale = E.scale () and protocol = E.protocol () in
+  let label (r : E.grid_row) =
+    let m = r.E.g_machine in
+    Printf.sprintf "%d/%s/%s" m.M.clusters (M.interconnect_name m.M.interconnect)
+      (M.protocol_name m.M.protocol)
+  in
+  let total f r = E.grid_total (R.total f) r in
+  let controls =
+    List.filter (fun r -> r.E.g_machine.M.protocol = M.Install_flush) protocol
+  in
+  Alcotest.(check int) "install-flush controls" 4 (List.length controls);
+  List.iter
+    (fun (p : E.grid_row) ->
+      let m = p.E.g_machine in
+      let s =
+        List.find
+          (fun (s : E.grid_row) ->
+            s.E.g_machine.M.clusters = m.M.clusters
+            && s.E.g_machine.M.interconnect = m.M.interconnect)
+          scale
+      in
+      List.iter
+        (fun tech ->
+          close ~eps:0.
+            (label p ^ " " ^ R.technique_name tech ^ " cycles = scale's")
+            (E.grid_cycles tech s) (E.grid_cycles tech p))
+        E.grid_techniques;
+      List.iter
+        (fun (what, f) ->
+          Alcotest.(check int) (label p ^ " " ^ what) 0 (total f p))
+        [
+          ("prot_invalidations", fun s -> s.Sim.prot_invalidations);
+          ("prot_upgrades", fun s -> s.Sim.prot_upgrades);
+          ("prot_exclusive_hits", fun s -> s.Sim.prot_exclusive_hits);
+        ])
+    controls;
+  List.iter
+    (fun r ->
+      Alcotest.(check int) (label r ^ " violations") 0
+        (total (fun s -> s.Sim.violations) r);
+      Alcotest.(check int) (label r ^ " certified")
+        (E.grid_total (fun b -> List.length b.R.br_loops) r)
+        (E.grid_total R.verified r))
+    (scale @ protocol)
 
 (* --- pool + memo determinism --- *)
 
@@ -407,6 +460,7 @@ let () =
           Alcotest.test_case "table5 shrinks" `Quick test_table5_specialization_shrinks;
           Alcotest.test_case "fig7 sanity" `Slow test_fig7_normalization_sane;
           Alcotest.test_case "fig6 headline" `Slow test_fig6_headline_shape;
+          Alcotest.test_case "grid invariants" `Slow test_grid_invariants;
           Alcotest.test_case "renderers" `Quick test_renderers_produce_output;
         ] );
       ( "selfcheck",
