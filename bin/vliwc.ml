@@ -56,11 +56,8 @@ let compare_kernel ~buf ~machine ~(opts : E.opts) kernel =
     let name = S.technique_name technique in
     match compiled with
     | Error _ -> [ name; "-"; "(no schedule)" ]
-    | Ok { P.graph; schedule; _ } ->
-      let st =
-        Sim.run ~lowered:fe.P.lowered ~graph ~schedule ~layout:fe.P.layout
-          ~mode:(Sim.Oracle fe.P.oracle) ~warm:true ()
-      in
+    | Ok ({ P.graph; schedule; _ } as c) ->
+      let st = P.simulate c in
       let total = max 1 (Sim.accesses_total st) in
       let ml = Vliw_sched.Regpressure.max_live graph schedule in
       [

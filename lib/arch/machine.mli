@@ -59,7 +59,6 @@ val interconnect_of_string : string -> interconnect option
 type protocol = Install_flush | Msi | Mesi
 
 val protocol_name : protocol -> string
-val protocol_of_string : string -> protocol option
 
 val supported_clusters : int list
 (** Cluster counts the machine model is validated for: 4, 8, 16, 32. *)
@@ -119,9 +118,6 @@ val scale_clusters : t -> int -> t
 
 val home_cluster : t -> addr:int -> int
 (** Home cluster of a byte address. *)
-
-val block_number : t -> addr:int -> int
-(** Index of the cache block containing [addr]. *)
 
 val subblock_bytes : t -> int
 (** Bytes of a block mapped to one cluster ([block_bytes / clusters]). *)

@@ -14,7 +14,6 @@
    byte-identical final stats under equal future draws, so its whole
    subtree is a duplicate. *)
 
-module Lower = Vliw_lower.Lower
 module Sim = Vliw_sim.Sim
 module V = Vliw_verify.Verify
 module Diag = Vliw_util.Diag
@@ -331,8 +330,7 @@ let refuting_kinds =
 let script_string script =
   "[" ^ String.concat "," (List.map string_of_int script) ^ "]"
 
-let run_case ?(verifier = Diff.default_verifier) ?(config = default_config)
-    ?jitter (c : Gen.case) =
+let run_case ?verifier ?(config = default_config) ?jitter (c : Gen.case) =
   let jitter = Option.value jitter ~default:c.Gen.g_jitter in
   let fe = Diff.front c in
   let lowered = fe.P.lowered and layout = fe.P.layout in
@@ -352,11 +350,7 @@ let run_case ?(verifier = Diff.default_verifier) ?(config = default_config)
     | Error e ->
       { t_technique = tech; t_status = Error e; t_refutation = None }
     | Ok a ->
-      let report =
-        verifier ~machine:fe.P.machine ~technique:tech
-          ~base:lowered.Lower.graph ~layout ~graph:a.P.graph
-          ~schedule:a.P.schedule
-      in
+      let report = P.verify ?verifier tech a in
       let certified = V.certifies report ~jitter in
       (* [explore] is a pure function of the compiled loop, the
          certificate and the oracle's memory. The hybrid's record is its

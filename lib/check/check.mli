@@ -129,7 +129,8 @@ val run_case :
   case_outcome
 (** Compile the case as the differential driver does
     ({!Vliw_pipeline.Pipeline.compile_all} over {!Vliw_fuzz.Diff.front}),
-    verify each schedule and {!explore} it. The hybrid's record is its
+    verify each schedule ({!Vliw_pipeline.Pipeline.verify}) and
+    {!explore} it. The hybrid's record is its
     chosen arm's, so when its certificate ({!Vliw_verify.Verify.certifies})
     equals the arm's, the arm's outcome is reused: exploration depends on
     nothing else. The hybrid still gets its own report, refutation and

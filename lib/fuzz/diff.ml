@@ -1,11 +1,9 @@
-module M = Vliw_arch.Machine
 module G = Vliw_ddg.Graph
 module S = Vliw_sched.Schedule
 module Lower = Vliw_lower.Lower
 module Sim = Vliw_sim.Sim
 module Trace = Vliw_trace.Trace
 module V = Vliw_verify.Verify
-module Layout = Vliw_ir.Layout
 module Prng = Vliw_util.Prng
 module P = Vliw_pipeline.Pipeline
 
@@ -15,17 +13,9 @@ let technique_name = S.technique_name
 let techniques = S.techniques
 let verify_technique = Fun.id
 
-type verifier =
-  machine:M.t ->
-  technique:V.technique ->
-  base:G.t ->
-  layout:Layout.t ->
-  graph:G.t ->
-  schedule:S.t ->
-  V.report
+type verifier = P.verifier
 
-let default_verifier ~machine ~technique ~base ~layout ~graph ~schedule =
-  V.check ~machine ~technique ~base ~layout ~graph ~schedule ()
+let default_verifier = P.default_verifier
 
 type sim_obs = {
   so_violations : int;
@@ -81,16 +71,16 @@ let jitter_stream (c : Gen.case) tech =
 let front (c : Gen.case) =
   P.front ~machine:(Gen.machine c.Gen.g_mconf) c.Gen.g_kernel
 
-let check ?(verifier = default_verifier) (c : Gen.case) =
+let check ?verifier (c : Gen.case) =
   let fe = front c in
   let heuristic = heuristic_for c in
-  let machine = fe.P.machine and layout = fe.P.layout and low = fe.P.lowered in
+  let low = fe.P.lowered in
   let failure tech kind detail =
     { f_kind = kind; f_technique = tech; f_detail = detail }
   in
   (* two independent reference executors must tell the same story before
      any simulated run is judged against them *)
-  let oracle = Oracle.run ~layout fe.P.kernel_exec in
+  let oracle = Oracle.run ~layout:fe.P.layout fe.P.kernel_exec in
   let reference =
     match Oracle.compare_interp oracle fe.P.oracle with
     | Ok () -> []
@@ -105,10 +95,7 @@ let check ?(verifier = default_verifier) (c : Gen.case) =
     | Some (a', e) when a' == a -> e
     | _ ->
       last := None;
-      let e =
-        Sim.prepare ~lowered:low ~graph:a.P.graph ~schedule:a.P.schedule
-          ~layout ~mode:Sim.Execution ()
-      in
+      let e = P.prepare a in
       last := Some (a, e);
       e
   in
@@ -180,13 +167,7 @@ let check ?(verifier = default_verifier) (c : Gen.case) =
   let verified =
     List.map
       (fun (tech, compiled) ->
-        ( tech,
-          Result.map
-            (fun a ->
-              ( a,
-                verifier ~machine ~technique:tech ~base:low.Lower.graph ~layout
-                  ~graph:a.P.graph ~schedule:a.P.schedule ))
-            compiled ))
+        (tech, Result.map (fun a -> (a, P.verify ?verifier tech a)) compiled))
       (P.compile_all ~heuristic fe)
   in
   (* The hybrid's record is its chosen arm's own, so it runs right after

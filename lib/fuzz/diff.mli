@@ -24,9 +24,11 @@
     free baseline is the paper's unsafe reference point) and recorded,
     not flagged. Compilation failures are recorded as [Unschedulable].
 
-    Schedules are deliberately built {e without} the verifier gate the
-    harness uses, and the verifier itself is injectable ([?verifier]), so
-    tests can weaken it and prove the predicate catches the lie. *)
+    Every compiled loop is verified ({!Vliw_pipeline.Pipeline.verify})
+    and simulated whatever the verdict, where the harness refuses an
+    uncertified MDC or DDGT loop, and the verifier itself is injectable
+    ([?verifier]), so tests can weaken it and prove the predicate catches
+    the lie. *)
 
 type technique = Vliw_sched.Schedule.technique = Free | Mdc | Ddgt | Hybrid
 
@@ -40,17 +42,10 @@ val techniques : technique list
 val verify_technique : technique -> Vliw_verify.Verify.technique
 (** The identity: the verifier takes the same technique type. *)
 
-type verifier =
-  machine:Vliw_arch.Machine.t ->
-  technique:Vliw_verify.Verify.technique ->
-  base:Vliw_ddg.Graph.t ->
-  layout:Vliw_ir.Layout.t ->
-  graph:Vliw_ddg.Graph.t ->
-  schedule:Vliw_sched.Schedule.t ->
-  Vliw_verify.Verify.report
+type verifier = Vliw_pipeline.Pipeline.verifier
 
 val default_verifier : verifier
-(** {!Vliw_verify.Verify.check}. *)
+(** {!Vliw_pipeline.Pipeline.default_verifier}: {!Vliw_verify.Verify.check}. *)
 
 type sim_obs = {
   so_violations : int;
@@ -94,7 +89,7 @@ val heuristic_for : Gen.case -> Vliw_sched.Schedule.heuristic
 
 val front : Gen.case -> Vliw_pipeline.Pipeline.front
 (** The case's front end on its machine. [check] and {!Vliw_check.Check}
-    compile {!Vliw_pipeline.Pipeline.compile_all} over it, ungated, with
+    compile {!Vliw_pipeline.Pipeline.compile_all} over it with
     {!heuristic_for}: the checker explores the very loops [check] judges. *)
 
 val check : ?verifier:verifier -> Gen.case -> verdict

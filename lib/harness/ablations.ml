@@ -2,6 +2,7 @@ module M = Vliw_arch.Machine
 module S = Vliw_sched.Schedule
 module Driver = Vliw_sched.Driver
 module Hybrid = Vliw_sched.Hybrid
+module P = Vliw_pipeline.Pipeline
 module W = Vliw_workloads.Workloads
 module R = Runner
 module Ir = Vliw_ir
@@ -66,7 +67,9 @@ let hybrid ?obs () =
       let choices =
         (Experiments.run ~machine ?obs (R.Hybrid, S.Pref_clus) b).R.br_loops
         |> List.map (fun (lr : R.loop_run) ->
-               Option.fold ~none:"?" ~some:Hybrid.choice_name lr.R.lr_choice)
+               Option.fold ~none:"?"
+                 ~some:(fun h -> Hybrid.choice_name h.Hybrid.choice)
+                 lr.R.lr_compiled.P.hybrid)
         |> String.concat ","
       in
       {
@@ -150,35 +153,27 @@ let specialization ?obs () =
       let before = (Experiments.run ~machine ?obs (R.Mdc, S.Pref_clus) b).R.br_cycles in
       let ddgt = (Experiments.run ~machine ?obs (R.Ddgt, S.Pref_clus) b).R.br_cycles in
       (* the aggressive versions: per loop, drop the never-materialising
-         ambiguous dependences, rebuild MDC constraints on the pruned
-         graph, schedule and simulate; charge the entry checks *)
+         ambiguous dependences, compile the pruned graph under MDC on the
+         loop's front and simulate it; charge the entry checks *)
       let after =
         List.fold_left
           (fun acc (l : W.loop) ->
             let st = Memo.stages ~machine:m ~bench:b l in
-            let k_prof = st.Memo.kernel_prof in
-            let layout = st.Memo.layout in
-            let low = st.Memo.lowered in
+            let k_prof = st.P.kernel_prof in
             let profile =
               Ir.Interp.run ~layout:(Ir.Layout.make k_prof) k_prof
             in
-            let sp = Vliw_core.Specialize.specialize low ~profile in
-            let prof = st.Memo.prof in
-            let pref =
-              Vliw_profile.Profile.node_pref prof sp.Vliw_core.Specialize.graph
+            let sp = Vliw_core.Specialize.specialize st.P.lowered ~profile in
+            let pruned =
+              { st with
+                P.lowered =
+                  { st.P.lowered with
+                    Vliw_lower.Lower.graph = sp.Vliw_core.Specialize.graph } }
             in
-            let constraints =
-              Vliw_core.Chains.prefclus sp.Vliw_core.Specialize.graph ~pref
-            in
-            let schedule =
-              Driver.run_exn
-                (Driver.request ~heuristic:S.Pref_clus ~constraints ~pref m)
-                sp.Vliw_core.Specialize.graph
-            in
-            let oracle = st.Memo.oracle in
             let stats =
-              Vliw_sim.Sim.run ~lowered:low ~graph:sp.Vliw_core.Specialize.graph
-                ~schedule ~layout ~mode:(Vliw_sim.Sim.Oracle oracle) ~warm:true ()
+              match P.compile ~heuristic:S.Pref_clus pruned R.Mdc with
+              | Ok c -> P.simulate c
+              | Error e -> failwith (name ^ "/" ^ l.W.l_name ^ ": " ^ e)
             in
             let check_overhead = 2 * sp.Vliw_core.Specialize.checks in
             acc
@@ -282,7 +277,8 @@ let reg_pressure ?obs () =
           List.map
             (fun (lr : R.loop_run) ->
               let ml =
-                Vliw_sched.Regpressure.max_live lr.R.lr_graph lr.R.lr_schedule
+                Vliw_sched.Regpressure.max_live lr.R.lr_compiled.P.graph
+                  lr.R.lr_schedule
               in
               ( float_of_int (Array.fold_left ( + ) 0 ml),
                 float_of_int (Array.fold_left max 0 ml) ))
@@ -326,7 +322,8 @@ let orderings ?obs () =
       per_loop (fun (lr : R.loop_run) ->
           float_of_int
             (Array.fold_left max 0
-               (Vliw_sched.Regpressure.max_live lr.R.lr_graph lr.R.lr_schedule))),
+               (Vliw_sched.Regpressure.max_live lr.R.lr_compiled.P.graph
+                  lr.R.lr_schedule))),
       per_loop (fun (lr : R.loop_run) ->
           float_of_int lr.R.lr_schedule.Vliw_sched.Schedule.ii) )
   in

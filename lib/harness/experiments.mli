@@ -178,6 +178,7 @@ val verification : ?obs:Runner.obs -> unit -> verif_row list
 (** One row per (technique, heuristic) over the figure benchmarks: how many
     loop schedules the static verifier certifies, and the dynamic
     violation count beside it. MDC/DDGT rows must be fully certified (the
-    runner gates them); the free rows report the verifier's flag rate on
-    naive schedules — a completeness metric, since a flagged-but-clean run
-    only means the proof rules could not discharge it statically. *)
+    runner refuses an uncertified loop); the free rows report the
+    verifier's flag rate on naive schedules — a completeness metric,
+    since a flagged-but-clean run only means the proof rules could not
+    discharge it statically. *)

@@ -2,7 +2,6 @@ module M = Vliw_arch.Machine
 module G = Vliw_ddg.Graph
 module S = Vliw_sched.Schedule
 module Driver = Vliw_sched.Driver
-module Hybrid = Vliw_sched.Hybrid
 module Chains = Vliw_core.Chains
 module Lower = Vliw_lower.Lower
 module Sim = Vliw_sim.Sim
@@ -18,15 +17,10 @@ let technique_name = S.technique_name
 
 type loop_run = {
   lr_loop : W.loop;
-  lr_graph : G.t;
+  lr_compiled : P.compiled;
   lr_schedule : S.t;
-  lr_choice : Hybrid.choice option;
   lr_stats : Sim.stats;
   lr_verify : V.report;
-  lr_mem_ops : int;
-  lr_chain : int;
-  lr_nodes : int;
-  lr_trip : int;
 }
 
 type bench_run = {
@@ -79,54 +73,29 @@ let run_loop ~machine ?(obs = obs_none) ?(lat_policy = Driver.Cache_sensitive)
         ~profile:(tr (Memo.parse ~bench ~seed:bench.b_profile_seed loop))
         (tr (Memo.parse ~bench ~seed:bench.b_exec_seed loop))
   in
-  let layout = stages.P.layout in
-  let low = stages.P.lowered in
   let fail e =
     failwith
       (Printf.sprintf "%s/%s: cannot schedule (%s, %s): %s" bench.b_name
          loop.l_name (technique_name technique) (S.heuristic_name heuristic) e)
   in
-  let verify_of graph schedule =
-    V.check ~machine ~technique ~base:low.Lower.graph ~layout ~graph ~schedule ()
-  in
-  (* MDC and DDGT promise coherence by construction: make the driver
-     prove it, failing the compilation rather than emitting an unsafe
-     schedule (free and hybrid are verified after the fact — free is the
-     paper's unsafe baseline). The driver gates only the schedule it
-     returns, and the check is deterministic, so the gate's report is
-     kept as the run's. *)
-  let gated = ref None in
-  let check =
-    match technique with
-    | Mdc | Ddgt ->
-      Some
-        (fun graph schedule ->
-          let r = verify_of graph schedule in
-          gated := Some (schedule, r);
-          V.verdict r)
-    | Free | Hybrid -> None
-  in
   let compiled =
-    match P.compile ~lat_policy ~ordering ?check ~heuristic stages technique with
+    match P.compile ~lat_policy ~ordering ~heuristic stages technique with
     | Ok c -> c
     | Error e -> fail e
   in
-  let graph = compiled.P.graph in
-  let schedule = compiled.P.schedule in
-  let verify =
-    match !gated with
-    | Some (s, r) when s == schedule -> r
-    | _ -> verify_of graph schedule
-  in
-  let oracle = stages.P.oracle in
+  let verify = P.verify technique compiled in
+  (* MDC and DDGT promise coherence by construction: a schedule the
+     verifier cannot certify fails the run rather than being reported
+     (free is the paper's unsafe baseline and the hybrid an estimate's
+     pick, so their verdicts are reported, not enforced) *)
+  (match (technique, V.verdict verify) with
+  | (Mdc | Ddgt), Error e -> fail ("rejected by post-schedule check: " ^ e)
+  | _ -> ());
   let sink =
     if obs.obs_audit || obs.obs_trace_dir <> None then Some (Trace.create ())
     else None
   in
-  let stats =
-    Sim.run ~lowered:low ~graph ~schedule ~layout ~mode:(Sim.Oracle oracle)
-      ~warm:true ?trace:sink ()
-  in
+  let stats = P.simulate ?trace:sink compiled in
   (* soundness cross-check: a certificate with dynamic violations means the
      verifier's rule system is wrong — abort, never report around it *)
   if verify.V.r_verified && stats.Sim.violations > 0 then
@@ -162,15 +131,10 @@ let run_loop ~machine ?(obs = obs_none) ?(lat_policy = Driver.Cache_sensitive)
     | _ -> ()));
   {
     lr_loop = loop;
-    lr_graph = graph;
-    lr_schedule = schedule;
-    lr_choice = Option.map (fun h -> h.Hybrid.choice) compiled.P.hybrid;
+    lr_compiled = compiled;
+    lr_schedule = compiled.P.schedule;
     lr_stats = stats;
     lr_verify = verify;
-    lr_mem_ops = List.length (G.mem_refs low.Lower.graph);
-    lr_chain = List.length (Chains.biggest low.Lower.graph);
-    lr_nodes = G.node_count low.Lower.graph;
-    lr_trip = stages.P.kernel_exec.Vliw_ir.Ast.k_trip;
   }
 
 (* one counter over the loops, each weighted by its [l_weight] *)
@@ -230,16 +194,21 @@ let access_mix br =
     f_combined = frac (fun s -> s.Sim.combined);
   }
 
+(* Table 3's counts are of the pre-transform graph, read off the front
+   only here: no other table needs the biggest chain *)
 let cmr_car br =
   let wsum f =
     List.fold_left
       (fun acc lr ->
+        let fe = lr.lr_compiled.P.front in
         acc
-        +. float_of_int (lr.lr_loop.W.l_weight * lr.lr_trip * f lr))
+        +. float_of_int
+             (lr.lr_loop.W.l_weight * fe.P.kernel_exec.Vliw_ir.Ast.k_trip
+             * f fe.P.lowered.Lower.graph))
       0. br.br_loops
   in
-  let chain = wsum (fun lr -> lr.lr_chain) in
-  let mems = wsum (fun lr -> lr.lr_mem_ops) in
-  let nodes = wsum (fun lr -> lr.lr_nodes) in
+  let chain = wsum (fun g -> List.length (Chains.biggest g)) in
+  let mems = wsum (fun g -> List.length (G.mem_refs g)) in
+  let nodes = wsum G.node_count in
   ( (if mems = 0. then 0. else chain /. mems),
     if nodes = 0. then 0. else chain /. nodes )

@@ -6,9 +6,11 @@
     requested technique — the paper's optimistic {e free} baseline, MDC,
     DDGT or the per-loop hybrid — scheduled with the requested heuristic
     on the machine with the benchmark's interleave
-    ({!Vliw_pipeline.Pipeline.compile}, the step every tool shares); and a
-    trace-driven simulation (oracle mode, like the paper's simulator)
-    against the interpreter's run of the execution input.
+    ({!Vliw_pipeline.Pipeline.compile}, the step every tool shares); its
+    static verification; and a trace-driven simulation (oracle mode, like
+    the paper's simulator) against the interpreter's run of the execution
+    input ({!Vliw_pipeline.Pipeline.verify} and
+    {!Vliw_pipeline.Pipeline.simulate}).
 
     {!run_bench} fans its loops out over {!Vliw_util.Pool}. Results are
     identical to a sequential, uncached run: the shared stages are pure
@@ -21,18 +23,14 @@ val technique_name : technique -> string
 
 type loop_run = {
   lr_loop : Vliw_workloads.Workloads.loop;
-  lr_graph : Vliw_ddg.Graph.t;  (** the graph actually scheduled (post-transform) *)
-  lr_schedule : Vliw_sched.Schedule.t;
-  lr_choice : Vliw_sched.Hybrid.choice option;
-      (** hybrid runs only: the technique the loop chose (not in the JSON
-          report) *)
+  lr_compiled : Vliw_pipeline.Pipeline.compiled;
+      (** the loop as compiled: its front, the graph actually scheduled
+          (post-transform), and for a hybrid the choice and both
+          estimates (not in the JSON report) *)
+  lr_schedule : Vliw_sched.Schedule.t;  (** [lr_compiled]'s schedule *)
   lr_stats : Vliw_sim.Sim.stats;
   lr_verify : Vliw_verify.Verify.report;
       (** static coherence verdict on the schedule that ran *)
-  lr_mem_ops : int;  (** static memory operations in the pre-transform DDG *)
-  lr_chain : int;  (** size of the biggest (>= 2) memory dependent chain *)
-  lr_nodes : int;  (** static DDG operations (pre-transform) *)
-  lr_trip : int;
 }
 
 type bench_run = {
@@ -97,14 +95,15 @@ val run_loop :
   loop_run
 (** Raises [Failure] if the loop cannot be compiled — a workload bug.
 
-    Every run is statically verified ({!Vliw_verify.Verify}): MDC and DDGT
-    compilations are {e gated} — the driver rejects any schedule the
-    verifier cannot certify — while free and hybrid schedules are verified
-    after the fact (the free baseline is the paper's unsafe reference
-    point, so its verdict is reported, not enforced). In every case the
-    soundness cross-check runs after simulation: a certified schedule that
-    exhibits dynamic coherence violations raises [Failure] — that would
-    mean the verifier's rule system is wrong. *)
+    Every run is statically verified once ({!Vliw_verify.Verify}). An MDC
+    or DDGT schedule the verifier cannot certify raises [Failure]
+    ([<bench>/<loop>: cannot schedule (MDC, PrefClus): rejected by
+    post-schedule check: ...]); free and hybrid verdicts are reported,
+    not enforced (the free baseline is the paper's unsafe reference
+    point). In every case the soundness cross-check runs after
+    simulation: a certified schedule that exhibits dynamic coherence
+    violations raises [Failure] — that would mean the verifier's rule
+    system is wrong. *)
 
 val run_bench :
   machine:Vliw_arch.Machine.t ->
@@ -147,4 +146,5 @@ val access_mix : bench_run -> access_mix
     that performs memory accesses. *)
 
 val cmr_car : bench_run -> float * float
-(** The benchmark's dynamic CMR and CAR (Table 3), weighted across loops. *)
+(** The benchmark's dynamic CMR and CAR (Table 3), weighted across loops,
+    counted on each loop's pre-transform graph. *)

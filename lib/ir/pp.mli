@@ -7,5 +7,4 @@ val binop_sym : Ast.binop -> string
 (** Operator symbol ("+", "<<", ...; "min"/"max" for the call forms). *)
 
 val expr_to_string : Ast.expr -> string
-val stmt_to_string : Ast.stmt -> string
 val kernel_to_string : Ast.kernel -> string

@@ -24,12 +24,16 @@ let unroll ~factor (k : kernel) =
     List.iter
       (fun st -> match st with Let (v, _) -> Hashtbl.replace taken v () | _ -> ())
       k.k_body;
+    (* a generated name the kernel already declares takes the first free
+       [_<n>] suffix; names that do not collide stay as they are *)
     let fresh base =
-      if Hashtbl.mem taken base then
-        invalid_arg ("Unroll.unroll: generated name collides: " ^ base)
-      else (
-        Hashtbl.replace taken base ();
-        base)
+      let rec free n =
+        let name = if n = 0 then base else Printf.sprintf "%s_%d" base n in
+        if Hashtbl.mem taken name then free (n + 1) else name
+      in
+      let name = free 0 in
+      Hashtbl.replace taken name ();
+      name
     in
     let scalars = List.map (fun s -> s.sc_name) k.k_scalars in
     (* an Assign truncates to the scalar's type; the intermediate Lets that

@@ -17,6 +17,7 @@
     results before and after. *)
 
 val unroll : factor:int -> Ast.kernel -> Ast.kernel
-(** @raise Invalid_argument if [factor] does not divide the kernel's trip
-    count, is not positive, or if generated names would collide with
-    existing declarations. The input must typecheck; the output does. *)
+(** Each copy's temporaries are named [<name>_u<copy>]; one that the
+    kernel already declares gets the first free [_<n>] suffix instead.
+    @raise Invalid_argument if [factor] does not divide the kernel's trip
+    count or is not positive. The input must typecheck; the output does. *)

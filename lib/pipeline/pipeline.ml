@@ -2,6 +2,8 @@ module S = Vliw_sched.Schedule
 module Hybrid = Vliw_sched.Hybrid
 module Profile = Vliw_profile.Profile
 module Ir = Vliw_ir
+module Sim = Vliw_sim.Sim
+module V = Vliw_verify.Verify
 
 type front = {
   machine : Vliw_arch.Machine.t;
@@ -37,17 +39,17 @@ type compiled = {
 let pref_for fe = Profile.node_pref fe.prof
 let trip fe = fe.kernel_exec.Ir.Ast.k_trip
 
-let schedule ?lat_policy ?ordering ?check ~heuristic fe technique =
+let schedule ?lat_policy ?ordering ~heuristic fe technique =
   Hybrid.compile ~machine:fe.machine ~heuristic ~pref_for:(pref_for fe)
-    ~trip:(trip fe) ?lat_policy ?ordering ?check technique
+    ~trip:(trip fe) ?lat_policy ?ordering technique
     fe.lowered.Vliw_lower.Lower.graph
 
 let compiled fe heuristic (c : Hybrid.compiled) =
   { front = fe; heuristic; graph = c.c_graph; schedule = c.c_schedule;
     hybrid = c.c_hybrid }
 
-let compile ?lat_policy ?ordering ?check ~heuristic fe technique =
-  schedule ?lat_policy ?ordering ?check ~heuristic fe technique
+let compile ?lat_policy ?ordering ~heuristic fe technique =
+  schedule ?lat_policy ?ordering ~heuristic fe technique
   |> Result.map (compiled fe heuristic)
 
 (* the hybrid is Section 6's choice between the two arms in hand, and its
@@ -69,6 +71,34 @@ let compile_all ?ordering ~heuristic fe =
     in
     [ (S.Free, arm free); (S.Mdc, mdc_c); (S.Ddgt, ddgt_c); (S.Hybrid, hybrid) ]
   | _ -> assert false
+
+type verifier =
+  machine:Vliw_arch.Machine.t ->
+  technique:V.technique ->
+  base:Vliw_ddg.Graph.t ->
+  layout:Ir.Layout.t ->
+  graph:Vliw_ddg.Graph.t ->
+  schedule:S.t ->
+  V.report
+
+let default_verifier ~machine ~technique ~base ~layout ~graph ~schedule =
+  V.check ~machine ~technique ~base ~layout ~graph ~schedule ()
+
+let verify ?(verifier = default_verifier) technique c =
+  let fe = c.front in
+  verifier ~machine:fe.machine ~technique ~base:fe.lowered.Vliw_lower.Lower.graph
+    ~layout:fe.layout ~graph:c.graph ~schedule:c.schedule
+
+let simulate ?(execution = false) ?trace c =
+  let fe = c.front in
+  let mode = if execution then Sim.Execution else Sim.Oracle fe.oracle in
+  Sim.run ~lowered:fe.lowered ~graph:c.graph ~schedule:c.schedule
+    ~layout:fe.layout ~mode ~warm:(not execution) ?trace ()
+
+let prepare c =
+  let fe = c.front in
+  Sim.prepare ~lowered:fe.lowered ~graph:c.graph ~schedule:c.schedule
+    ~layout:fe.layout ~mode:Sim.Execution ()
 
 let audit c sink (st : Vliw_sim.Sim.stats) =
   Vliw_trace.Audit.check sink ~protocol:c.front.machine.protocol

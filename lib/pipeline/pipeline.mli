@@ -1,7 +1,8 @@
 (** One loop's way through the compiler, below every tool: its front end,
-    one technique's compile or all four, and the replay audit of a traced
-    run. The harness, fuzzer, model checker, compile service and [vliwc
-    --compare] call these steps only here, and differ only in options. *)
+    one technique's compile or all four, the static verifier's report, a
+    simulation, and the replay audit of a traced run. The harness, fuzzer,
+    model checker, compile service and [vliwc --compare] call these steps
+    only here, and differ only in options. *)
 
 type front = {
   machine : Vliw_arch.Machine.t;
@@ -34,7 +35,6 @@ type compiled = {
 val compile :
   ?lat_policy:Vliw_sched.Driver.lat_policy ->
   ?ordering:Vliw_sched.Ims.ordering ->
-  ?check:(Vliw_ddg.Graph.t -> Vliw_sched.Schedule.t -> (unit, string) result) ->
   heuristic:Vliw_sched.Schedule.heuristic ->
   front -> Vliw_sched.Schedule.technique -> (compiled, string) result
 (** {!Vliw_sched.Hybrid.compile} over the front's graph, profile and trip
@@ -48,6 +48,40 @@ val compile_all :
     and DDGT compiled once each on {!Vliw_util.Pool}, and the hybrid chosen
     by {!Vliw_sched.Hybrid.choose_of}. Its entry is the chosen arm's own
     (physically equal), its schedule [compile]'s [Hybrid] one. *)
+
+type verifier =
+  machine:Vliw_arch.Machine.t ->
+  technique:Vliw_verify.Verify.technique ->
+  base:Vliw_ddg.Graph.t ->
+  layout:Vliw_ir.Layout.t ->
+  graph:Vliw_ddg.Graph.t ->
+  schedule:Vliw_sched.Schedule.t ->
+  Vliw_verify.Verify.report
+(** The static verifier as {!verify} calls it; injectable so that a test
+    can weaken it and prove that the fuzzer and the checker catch the
+    lie. *)
+
+val default_verifier : verifier
+(** {!Vliw_verify.Verify.check}. *)
+
+val verify :
+  ?verifier:verifier -> Vliw_sched.Schedule.technique -> compiled ->
+  Vliw_verify.Verify.report
+(** [verifier] (default {!default_verifier}) of the compiled loop on its
+    machine, against the front's lowered graph and layout, under
+    [technique]: the one the loop was compiled under, or [Hybrid] for
+    {!compile_all}'s hybrid entry, which is its arm's record. *)
+
+val simulate :
+  ?execution:bool -> ?trace:Vliw_trace.Trace.sink -> compiled ->
+  Vliw_sim.Sim.stats
+(** One run of the compiled loop: trace-driven against the front's
+    reference run, on warm caches (the paper's simulator); with
+    [~execution:true], execution-driven on cold caches. *)
+
+val prepare : compiled -> Vliw_sim.Sim.prepared
+(** An execution-driven engine for {!Vliw_sim.Sim.exec} runs of the
+    compiled loop, nominal or jittered. *)
 
 val audit :
   compiled -> Vliw_trace.Trace.sink -> Vliw_sim.Sim.stats ->

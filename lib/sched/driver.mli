@@ -41,11 +41,12 @@ type request = {
   ordering : Ims.ordering;  (** node-ordering/placement strategy *)
   check : Vliw_ddg.Graph.t -> Schedule.t -> (unit, string) result;
       (** post-schedule acceptance check, run once on the final schedule
-          (after the MinComs post-pass). [Error] fails the whole request.
-          This is how the static coherence verifier
-          ({!Vliw_verify.Verify.gate}) gates compilation — it lives above
-          this library in the dependency order, so it is injected rather
-          than called directly. *)
+          (after the MinComs post-pass). [Error] fails the whole request
+          with ["rejected by post-schedule check: "] and its text. No
+          tool gates through it: they verify a compiled loop afterwards
+          ({!Vliw_pipeline.Pipeline.verify}). perfbench's traced rebuild
+          of the harness and the verifier's tests still pass
+          {!Vliw_verify.Verify.gate} here. *)
 }
 
 val request :

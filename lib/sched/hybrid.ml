@@ -72,12 +72,11 @@ let choose_of ~machine ~pref_for ~trip mdc ddgt =
     if em <= ed then chose Chose_mdc m ~mdc_estimate:em ~ddgt_estimate:ed
     else chose Chose_ddgt d ~mdc_estimate:em ~ddgt_estimate:ed
 
-let rec compile ~machine ~heuristic ~pref_for ~trip ?lat_policy ?ordering ?check
+let rec compile ~machine ~heuristic ~pref_for ~trip ?lat_policy ?ordering
     technique g =
   let run graph constraints pref =
     Driver.run
-      (Driver.request ~heuristic ~constraints ~pref ?lat_policy ?ordering ?check
-         machine)
+      (Driver.request ~heuristic ~constraints ~pref ?lat_policy ?ordering machine)
       graph
     |> Result.map (fun s ->
            { c_graph = graph; c_constraints = constraints; c_schedule = s;
@@ -99,16 +98,16 @@ let rec compile ~machine ~heuristic ~pref_for ~trip ?lat_policy ?ordering ?check
     let t = (Ddgt.transform ~clusters:machine.M.clusters g).Ddgt.graph in
     run t (Chains.no_constraints ()) (pref_for t)
   | Schedule.Hybrid ->
-    choose_with ~machine ~heuristic ~pref_for ~trip ?lat_policy ?ordering ?check g
+    choose_with ~machine ~heuristic ~pref_for ~trip ?lat_policy ?ordering g
     |> Result.map (fun h ->
            { c_graph = h.graph; c_constraints = h.constraints;
              c_schedule = h.schedule; c_hybrid = Some h })
 
 (* Section 6's choice, its two candidates built by [compile]'s MDC and
    DDGT arms *)
-and choose_with ~machine ~heuristic ~pref_for ~trip ?lat_policy ?ordering ?check g =
+and choose_with ~machine ~heuristic ~pref_for ~trip ?lat_policy ?ordering g =
   let arm tech =
-    compile ~machine ~heuristic ~pref_for ~trip ?lat_policy ?ordering ?check tech g
+    compile ~machine ~heuristic ~pref_for ~trip ?lat_policy ?ordering tech g
   in
   choose_of ~machine ~pref_for ~trip (arm Schedule.Mdc) (arm Schedule.Ddgt)
 

@@ -68,7 +68,6 @@ val compile :
   trip:int ->
   ?lat_policy:Driver.lat_policy ->
   ?ordering:Ims.ordering ->
-  ?check:(Vliw_ddg.Graph.t -> Schedule.t -> (unit, string) Stdlib.result) ->
   Schedule.technique ->
   Vliw_ddg.Graph.t ->
   (compiled, string) Stdlib.result
@@ -79,12 +78,11 @@ val compile :
     after [heuristic]); [Ddgt] schedules {!Vliw_core.Ddgt.transform}'s
     graph, profiled through [pref_for] of that graph; [Hybrid] is
     {!choose_of} over this function's own [Mdc] and [Ddgt] results, built
-    with the same options. [lat_policy], [ordering] and [check] go to
-    every {!Driver.request} made ([check] is how callers gate on the
-    static verifier); [trip] only matters to [Hybrid]. The MinComs post-pass may
-    rewrite replica pins of [c_graph] ({!Driver.run}), so read the graph
-    after this returns. [Error] is the driver's reason, or the hybrid's
-    when neither candidate schedules. *)
+    with the same options. [lat_policy] and [ordering] go to every
+    {!Driver.request} made; [trip] only matters to [Hybrid]. The MinComs
+    post-pass may rewrite replica pins of [c_graph] ({!Driver.run}), so
+    read the graph after this returns. [Error] is the driver's reason,
+    or the hybrid's when neither candidate schedules. *)
 
 val choose_of :
   machine:Vliw_arch.Machine.t ->

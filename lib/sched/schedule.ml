@@ -57,6 +57,11 @@ let assumed_of t id =
 let stage_count t = max 1 ((t.length + t.ii - 1) / t.ii)
 let comm_ops t = List.length t.copies
 
+(* The latency an edge imposes on the schedule: assumed latency for RF
+   edges out of memory ops, opcode latency for other RF edges, 1 for
+   memory-dependence edges (issue-order serialization — the coherence
+   guarantee comes from the MDC/DDGT placement, not from timing), 0 for
+   SYNC. *)
 let edge_latency t g (e : G.edge) =
   match e.e_kind with
   | G.SYNC -> 0

@@ -72,13 +72,6 @@ val comm_ops : t -> int
 val find_copy : t -> Vliw_ddg.Graph.edge -> copy option
 (** The copy covering a cross-cluster register-flow edge, if any. *)
 
-val edge_latency : t -> Vliw_ddg.Graph.t -> Vliw_ddg.Graph.edge -> int
-(** The latency an edge imposes on the schedule: assumed latency for RF
-    edges out of memory ops, opcode latency for other RF edges, 1 for
-    memory-dependence edges (issue-order serialization — the coherence
-    guarantee comes from the MDC/DDGT placement, not from timing), 0 for
-    SYNC. *)
-
 val validate :
   Vliw_ddg.Graph.t ->
   ?pinned:(int, int) Hashtbl.t ->

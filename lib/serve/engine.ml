@@ -109,7 +109,7 @@ let run_kernel ?compiled ~buf ~machine ~opts kernel =
   try
     let kernel = prepare_exn ~buf ~machine ~opts kernel in
     let fe = P.front ~pad ~machine kernel in
-    let layout = fe.P.layout and low = fe.P.lowered in
+    let low = fe.P.lowered in
     let c =
       match P.compile ~ordering ~heuristic fe technique with
       | Ok c -> c
@@ -151,31 +151,23 @@ let run_kernel ?compiled ~buf ~machine ~opts kernel =
       (String.concat " " (Array.to_list (Array.map string_of_int ml)));
     let report = ref None in
     (if verify then (
-       let r =
-         V.check ~machine ~technique ~base:low.Lower.graph ~layout ~graph
-           ~schedule ()
-       in
+       let r = P.verify technique c in
        List.iter (fun d -> Format.fprintf ppf "%a@." Diag.pp d) r.V.r_diags;
        Format.fprintf ppf "%a@." V.pp_report r;
        report := Some r;
        if not r.V.r_verified then raise (Fail None)));
-    let oracle = fe.P.oracle in
-    let mode = if execution then Sim.Execution else Sim.Oracle oracle in
-    let warm = not execution in
     let sink =
       match trace_file with
       | Some _ -> Some (Vliw_trace.Trace.create ())
       | None -> None
     in
-    let st =
-      Sim.run ~lowered:low ~graph ~schedule ~layout ~mode ~warm ?trace:sink ()
-    in
+    let st = P.simulate ~execution ?trace:sink c in
     let total = max 1 (Sim.accesses_total st) in
     let pct n = 100. *. float_of_int n /. float_of_int total in
     Printf.bprintf buf "simulated %d iterations (%s, %s caches):\n"
       kernel.Ir.Ast.k_trip
       (if execution then "execution-driven" else "trace-driven")
-      (if warm then "warm" else "cold");
+      (if execution then "cold" else "warm");
     Printf.bprintf buf "  cycles %d = compute %d + stall %d\n"
       st.Sim.total_cycles st.Sim.compute_cycles st.Sim.stall_cycles;
     Printf.bprintf buf
@@ -191,7 +183,7 @@ let run_kernel ?compiled ~buf ~machine ~opts kernel =
       Printf.bprintf buf "  nullified store instances: %d\n" st.Sim.nullified;
     Printf.bprintf buf "  coherence violations: %d\n" st.Sim.violations;
     if execution then
-      if Bytes.equal st.Sim.memory oracle.Ir.Interp.memory then
+      if Bytes.equal st.Sim.memory fe.P.oracle.Ir.Interp.memory then
         Buffer.add_string buf "  final memory matches the reference interpreter\n"
       else
         Buffer.add_string buf

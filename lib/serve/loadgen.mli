@@ -3,12 +3,11 @@
 
 type named_kernel = { nk_name : string; nk_source : string }
 
-val synth_kernel : int -> named_kernel
-(** Deterministic synthetic kernel [i]: one of four shapes (stream,
-    in-place chain, FIR, data-dependent scatter) with per-index parameter
-    variation. Compiles and simulates cleanly under all four techniques. *)
-
 val synth_kernels : int -> named_kernel list
+(** Deterministic synthetic kernels [0 .. n-1]: kernel [i] is one of four
+    shapes (stream, in-place chain, FIR, data-dependent scatter) with
+    per-index parameter variation. Each compiles and simulates cleanly
+    under all four techniques. *)
 
 val requests :
   kernels:named_kernel list ->

@@ -10,12 +10,6 @@
     [(cycle, cluster, seq)] order, so the output is byte-identical for
     identical runs. *)
 
-val machine_track : int
-(** [tid] of the issue/stall track. *)
-
-val bus_track : int -> int
-(** [tid] of memory bus [b]. *)
-
 val to_json : Trace.sink -> Vliw_util.Json.t
 
 val to_string : Trace.sink -> string

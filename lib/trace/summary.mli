@@ -38,9 +38,6 @@ type t = {
 val of_sink : Trace.sink -> t
 (** @raise Invalid_argument if the trace has no [Meta] header. *)
 
-val bus_occupancy : t -> int -> float
-(** [busy_cycles / total_cycles] of bus [b]; 0 on an empty trace. *)
-
 val render : t -> string
 (** Per-cluster cache-module activity, per-bus occupancy, and the
     stall-cause breakdown as three tables: [vliwc --trace]'s textual

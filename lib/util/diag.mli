@@ -9,9 +9,6 @@
 
 type severity = Error | Warning | Info
 
-val severity_name : severity -> string
-(** ["error"], ["warning"], ["info"]. *)
-
 type t = {
   d_severity : severity;
   d_code : string;  (** stable identifier, e.g. ["unused-temp"] *)

@@ -33,18 +33,10 @@ type benchmark = {
   b_data_size : int;  (** dominant access width in bytes (Table 1) *)
   b_data_pct : int;  (** share of dynamic accesses with that width (Table 1) *)
   b_in_figures : bool;
-  b_profile_seed : int;  (** assigned from {!data_seeds} by position in {!all} *)
-  b_exec_seed : int;  (** assigned from {!data_seeds} by position in {!all} *)
+  b_profile_seed : int;  (** [1001 + i] for benchmark [i] of {!all} *)
+  b_exec_seed : int;  (** [2001 + i] for benchmark [i] of {!all} *)
   b_loops : loop list;
 }
-
-val data_seeds : int -> int * int
-(** [(profile, exec)] data-input seeds of benchmark [i] in {!all} — the
-    single derivation point for every workload seed.  The scheme is affine
-    ([1001+i], [2001+i]) rather than [Prng]-derived so the calibrated
-    figures stay bit-identical to the historical hand-assigned seeds; new
-    randomized consumers should derive child streams from a root with
-    [Vliw_util.Prng.derive] instead (see the scheme in prng.mli). *)
 
 val all : benchmark list
 (** Table 1 order. *)

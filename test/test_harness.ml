@@ -73,6 +73,58 @@ let test_weights_scale_cycles () =
   in
   close "weighted sum" manual br.R.br_cycles
 
+(* split_widths' aliased pair straddles interleave units, so the verifier
+   rejects every schedule of it (split-access): the runner refuses MDC
+   and DDGT, which promise coherence, and reports free and the hybrid.
+   dune runtest's cwd is _build/default/test; a bare `dune exec` runs
+   from the project root *)
+let split_widths =
+  let path =
+    if Sys.file_exists "litmus" then "litmus/split_widths.lk"
+    else "test/litmus/split_widths.lk"
+  in
+  let src = In_channel.with_open_bin path In_channel.input_all in
+  {
+    W.b_name = "split_widths";
+    b_interleave = 4;
+    b_data_size = 8;
+    b_data_pct = 100;
+    b_in_figures = false;
+    b_profile_seed = 1;
+    b_exec_seed = 2;
+    b_loops =
+      [
+        { W.l_name = "split_widths"; l_weight = 1; l_source = (fun ~seed:_ -> src) };
+      ];
+  }
+
+let test_runner_refuses_uncertified () =
+  let run tech =
+    R.run_bench ~machine:M.table2 ~obs:E.obs tech S.Pref_clus split_widths
+  in
+  List.iter
+    (fun tech ->
+      let expected =
+        Printf.sprintf
+          "split_widths/split_widths: cannot schedule (%s, PrefClus): rejected \
+           by post-schedule check: "
+          (R.technique_name tech)
+      in
+      match run tech with
+      | _ -> Alcotest.failf "%s ran" (R.technique_name tech)
+      | exception Failure msg ->
+        Alcotest.(check string) "refusal" expected
+          (String.sub msg 0 (min (String.length msg) (String.length expected))))
+    [ R.Mdc; R.Ddgt ];
+  List.iter
+    (fun tech ->
+      let br = run tech in
+      Alcotest.(check (pair int int))
+        (R.technique_name tech ^ ": 0 of 1 loops certified")
+        (0, 1)
+        (R.verified br, List.length br.R.br_loops))
+    [ R.Free; R.Hybrid ]
+
 let test_amean_mix () =
   let mk lh rh =
     { R.f_local_hit = lh; f_remote_hit = rh; f_local_miss = 0.;
@@ -445,6 +497,8 @@ let () =
           Alcotest.test_case "pgp ratios" `Quick test_cmr_car_positive_for_pgp;
           Alcotest.test_case "memoization" `Quick test_memoization_returns_same_run;
           Alcotest.test_case "weights" `Quick test_weights_scale_cycles;
+          Alcotest.test_case "uncertified MDC/DDGT refused" `Quick
+            test_runner_refuses_uncertified;
         ] );
       ( "profile",
         [

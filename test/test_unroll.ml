@@ -64,6 +64,26 @@ let test_unroll_in_place_chain () =
   Alcotest.(check bool) "in-place identical" true
     (Bytes.equal r.Ir.Interp.memory r4.Ir.Interp.memory)
 
+let test_unroll_name_collision () =
+  (* copy 0's carrier for [s] would be named [s_u0], which the kernel
+     already declares: it takes a free name and both scalars keep their
+     own values *)
+  let k =
+    parse
+      "kernel c { array a : i32[64] = ramp(1,1) array out : i32[64] = zero \
+       scalar s : i32 = 0 scalar s_u0 : i32 = 5 trip 32 body { s = s + a[i] \
+       s_u0 = s_u0 + s out[i] = s_u0 } }"
+  in
+  let k2 = Unroll.unroll ~factor:2 k in
+  (match Ir.Typecheck.check k2 with
+  | Ok _ -> ()
+  | Error e -> Alcotest.fail e);
+  let r = run_mem k and r2 = run_mem k2 in
+  Alcotest.(check bool) "memory identical" true
+    (Bytes.equal r.Ir.Interp.memory r2.Ir.Interp.memory);
+  Alcotest.(check (list (pair string int64))) "scalars identical"
+    r.Ir.Interp.final_scalars r2.Ir.Interp.final_scalars
+
 let test_best_factor_stream () =
   (* stride-1 i32 under 4B interleave, 4 clusters: NxI = 16B; factor 4
      makes every access 16B-strided *)
@@ -180,6 +200,7 @@ let () =
           Alcotest.test_case "factor 1" `Quick test_unroll_factor_one_identity;
           Alcotest.test_case "bad factors" `Quick test_unroll_rejects_bad_factor;
           Alcotest.test_case "in-place chain" `Quick test_unroll_in_place_chain;
+          Alcotest.test_case "name collision" `Quick test_unroll_name_collision;
         ] );
       ( "factor search",
         [
