@@ -12,12 +12,14 @@
    - verify/discharge             the static verifier proving one schedule
    - sched/attempt-{fail,ok}      one modulo-scheduling attempt on the DDGT
                                   graph of an epicdec loop on NOBAL-mem
-                                  under PrefClus: at the II the driver
-                                  starts from (the larger of the MII and
-                                  the register-bus bound), where the
-                                  attempt exhausts its ejection budget, and
-                                  at the II the driver settles on, where it
-                                  succeeds
+                                  under PrefClus, on a view of the graph
+                                  built once as Driver.run builds it: at
+                                  the II the driver starts from (the
+                                  larger of the MII and the register-bus
+                                  bound), where the attempt exhausts its
+                                  ejection budget, and at the II the driver
+                                  settles on, where it succeeds
+   - sched/view                   building that view (once per Driver.run)
    - check/replay-{fresh,prepared} one all-zero-draw replay of the MDC
                                   schedule of test/litmus/carried.lk at
                                   directory x4 (the model checker's unit of
@@ -37,6 +39,7 @@
    Usage: bench/micro/main.exe (from the project root) *)
 
 module M = Vliw_arch.Machine
+module G = Vliw_ddg.Graph
 module S = Vliw_sched.Schedule
 module Driver = Vliw_sched.Driver
 module Ims = Vliw_sched.Ims
@@ -67,8 +70,8 @@ let compile machine =
 
 (* a phase-1 attempt that fails and one that succeeds: the first epicdec
    loop whose attempt at the driver's starting II fails, with its context,
-   graph, MII, register-bus bound, starting II and the II the driver
-   settled on *)
+   graph, view, MII, register-bus bound, starting II and the II the driver
+   settled on. The profile is read once per node, as Driver.run reads it. *)
 let attempts () =
   let b = W.find "epicdec" in
   let machine = M.with_interleave M.nobal_mem b.W.b_interleave in
@@ -78,7 +81,10 @@ let attempts () =
     | Error _ -> None
     | Ok c ->
       let g = c.P.graph in
-      let pref = Profile.node_pref fe.P.prof g in
+      let pref =
+        let tab = Array.init (G.node_count g) (Profile.node_pref fe.P.prof g) in
+        fun id -> tab.(id)
+      in
       (* DDGT's arm has no chain constraints: its replicas carry their
          clusters in the graph *)
       let constraints = Chains.no_constraints () in
@@ -96,8 +102,9 @@ let attempts () =
       let req = Driver.request ~heuristic:S.Pref_clus ~constraints ~pref machine in
       let mii = Driver.mii machine g req and bus = Driver.bus_mii machine g req in
       let start = max mii bus and ii = c.P.schedule.S.ii in
-      if Ims.attempt ctx g ~ii:start = None && Ims.attempt ctx g ~ii <> None then
-        Some (l.W.l_name, ctx, g, (mii, bus, start, ii))
+      let view = Ims.view g in
+      if Ims.attempt_view ctx view ~ii:start = None && Ims.attempt_view ctx view ~ii <> None
+      then Some (l.W.l_name, ctx, g, view, (mii, bus, start, ii))
       else None
   in
   match List.find_map pick b.W.b_loops with
@@ -135,7 +142,7 @@ let () =
   let nf = nominal.P.front in
   let traced = Trace.create () in
   ignore (simulate ~trace:traced nominal `Wheel);
-  let loop, ctx, graph, (mii, bus, start, ii) = attempts () in
+  let loop, ctx, graph, view, (mii, bus, start, ii) = attempts () in
   let jitter, (c : P.compiled) = carried () in
   let cf = c.P.front in
   let zeros =
@@ -167,7 +174,7 @@ let () =
   let attempt_test name ii =
     Test.make ~name
       (Staged.stage (fun () ->
-           ignore (Sys.opaque_identity (Ims.attempt ctx graph ~ii))))
+           ignore (Sys.opaque_identity (Ims.attempt_view ctx view ~ii))))
   in
   let sim_test name art engine =
     Test.make ~name
@@ -193,7 +200,12 @@ let () =
                    ignore (Sys.opaque_identity (Audit.run traced))));
           ];
         Test.make_grouped ~name:"sched"
-          [ attempt_test "attempt-fail" start; attempt_test "attempt-ok" ii ];
+          [
+            attempt_test "attempt-fail" start;
+            attempt_test "attempt-ok" ii;
+            Test.make ~name:"view"
+              (Staged.stage (fun () -> ignore (Sys.opaque_identity (Ims.view graph))));
+          ];
         Test.make_grouped ~name:"check"
           [
             Test.make ~name:"replay-fresh"

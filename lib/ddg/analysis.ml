@@ -109,19 +109,19 @@ let topo_order g =
   List.rev !order
 
 (* The successor edges of every node, flattened in node-id order and then
-   [Graph.succs] order, with [edge_lat] read once per edge. Every
-   relaxation round below visits them in that order; [test_ddg] checks the
-   results against per-node hashtable rounds over the same order. *)
+   [Graph.succs] order. Every relaxation round below visits them in that
+   order, reading each edge's [edge_lat] once per call; [test_ddg] checks
+   the results against per-node hashtable rounds over the same order. *)
 type flat = {
   nv : int;  (** node count *)
   nmax : int;  (** 1 + largest node id: the value arrays' length *)
+  edges : Graph.edge array;
   src : int array;
   dst : int array;
-  lat : int array;
   dist : int array;
 }
 
-let flatten g ~edge_lat =
+let flatten g =
   let ns = Graph.nodes g in
   let es =
     Array.of_list (List.concat_map (fun (n : Graph.node) -> Graph.succs g n.n_id) ns)
@@ -129,9 +129,9 @@ let flatten g ~edge_lat =
   {
     nv = List.length ns;
     nmax = List.fold_left (fun acc (n : Graph.node) -> max acc (n.n_id + 1)) 0 ns;
+    edges = es;
     src = Array.map (fun (e : Graph.edge) -> e.e_src) es;
     dst = Array.map (fun (e : Graph.edge) -> e.e_dst) es;
-    lat = Array.map edge_lat es;
     dist = Array.map (fun (e : Graph.edge) -> e.e_dist) es;
   }
 
@@ -146,12 +146,13 @@ let relax_rounds ~rounds round =
   !changed
 
 (* One round raising [v] along every edge at [ii]: edge [i] raises
-   [v.(into.(i))] to [v.(from.(i))] plus its weight. [from]/[into] are
-   [src]/[dst] for depths and the reverse for heights. *)
-let relax f v ~ii ~from ~into () =
+   [v.(into.(i))] to [v.(from.(i))] plus its weight [lat.(i) - ii *
+   dist]. [from]/[into] are [src]/[dst] for depths and the reverse for
+   heights. *)
+let relax f lat v ~ii ~from ~into () =
   let changed = ref false in
   for i = 0 to Array.length from - 1 do
-    let cand = v.(from.(i)) + f.lat.(i) - (ii * f.dist.(i)) in
+    let cand = v.(from.(i)) + lat.(i) - (ii * f.dist.(i)) in
     if cand > v.(into.(i)) then (
       v.(into.(i)) <- cand;
       changed := true)
@@ -163,17 +164,18 @@ let relax f v ~ii ~from ~into () =
    positive cycle the fixpoint is reached within |V| rounds; with one some
    height grows in every round, so a change in the last round means one
    exists. *)
-let longest_path_lengths g ~ii ~edge_lat =
-  let f = flatten g ~edge_lat in
+let heights f ~ii ~edge_lat =
+  let lat = Array.map edge_lat f.edges in
   let h = Array.make f.nmax 0 in
-  if relax_rounds ~rounds:(f.nv + 2) (relax f h ~ii ~from:f.dst ~into:f.src) then None
-  else Some (fun id -> h.(id))
+  if relax_rounds ~rounds:(f.nv + 2) (relax f lat h ~ii ~from:f.dst ~into:f.src)
+  then None
+  else Some h
 
-let longest_path_depths g ~ii ~edge_lat =
-  let f = flatten g ~edge_lat in
+let depths f ~ii ~edge_lat =
+  let lat = Array.map edge_lat f.edges in
   let d = Array.make f.nmax 0 in
-  ignore (relax_rounds ~rounds:(f.nv + 2) (relax f d ~ii ~from:f.src ~into:f.dst));
-  fun id -> d.(id)
+  ignore (relax_rounds ~rounds:(f.nv + 2) (relax f lat d ~ii ~from:f.src ~into:f.dst));
+  d
 
 (* A cycle has positive weight at ii iff sum(lat) - ii * sum(dist) > 0.
    Scan ii upward from 1; detect positive cycles with Bellman-Ford over
@@ -181,12 +183,13 @@ let longest_path_depths g ~ii ~edge_lat =
    means one exists. Loop recurrences are short, so the scan terminates
    quickly; the upper bound is sum of all latencies. *)
 let rec_mii g ~edge_lat =
-  let f = flatten g ~edge_lat in
-  let ub = 1 + Array.fold_left (fun acc l -> acc + max 1 l) 0 f.lat in
+  let f = flatten g in
+  let lat = Array.map edge_lat f.edges in
+  let ub = 1 + Array.fold_left (fun acc l -> acc + max 1 l) 0 lat in
   let dist = Array.make f.nmax 0 in
   let has_positive_cycle ii =
     Array.fill dist 0 f.nmax 0;
-    relax_rounds ~rounds:(f.nv + 1) (relax f dist ~ii ~from:f.src ~into:f.dst)
+    relax_rounds ~rounds:(f.nv + 1) (relax f lat dist ~ii ~from:f.src ~into:f.dst)
   in
   let rec go ii =
     if ii >= ub then ub else if has_positive_cycle ii then go (ii + 1) else ii

@@ -21,21 +21,25 @@ val topo_order : Graph.t -> int list
 (** Topological order of the distance-0 subgraph (valid for any DDG that
     passes {!Graph.validate}). *)
 
-val longest_path_lengths :
-  Graph.t -> ii:int -> edge_lat:(Graph.edge -> int) -> (int -> int) option
-(** Height of each node: the longest weighted path from the node to any
-    sink, where an edge weighs [edge_lat e - ii * dist]. Heights are the
-    classic modulo-scheduling priority. [None] when some cycle has positive
-    weight at this [ii]: then no heights exist, and no schedule at this
-    [ii] satisfies every edge. [Some] whenever [ii >= rec_mii] for the
-    same [edge_lat]. *)
+type flat
+(** A graph's edges, read once for the longest-path rounds: a caller that
+    runs them at many IIs or latencies on one graph flattens it once. *)
 
-val longest_path_depths :
-  Graph.t -> ii:int -> edge_lat:(Graph.edge -> int) -> (int -> int)
-(** Dual of {!longest_path_lengths}: the longest weighted path {e into}
-    each node from any source (its ASAP time at this II, up to an additive
-    constant). Requires that no cycle has positive weight at this [ii]
-    ({!longest_path_lengths} returns [Some]). *)
+val flatten : Graph.t -> flat
+
+val heights : flat -> ii:int -> edge_lat:(Graph.edge -> int) -> int array option
+(** Height of each node, indexed by node id: the longest weighted path
+    from the node to any sink, where an edge weighs [edge_lat e - ii *
+    dist]. Heights are the classic modulo-scheduling priority. [None]
+    when some cycle has positive weight at this [ii]: then no heights
+    exist, and no schedule at this [ii] satisfies every edge. [Some]
+    whenever [ii >= rec_mii] for the same [edge_lat]. *)
+
+val depths : flat -> ii:int -> edge_lat:(Graph.edge -> int) -> int array
+(** Dual of {!heights}: the longest weighted path {e into} each node from
+    any source (its ASAP time at this II, up to an additive constant).
+    Requires that no cycle has positive weight at this [ii] ({!heights}
+    returns [Some]). *)
 
 val rec_mii : Graph.t -> edge_lat:(Graph.edge -> int) -> int
 (** Smallest II at which no dependence cycle has positive weight

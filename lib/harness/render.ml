@@ -502,7 +502,7 @@ let verification rows =
   ^ Printf.sprintf
       "obligations discharged across all schemes: %s\n\
        (a flagged free/hybrid schedule is not proven unsafe, only not \
-       provably safe; MDC and DDGT runs are compile-time gated)\n"
+       provably safe; MDC and DDGT runs are refused unless certified)\n"
       (match histogram with [] -> "none" | h -> String.concat ", " h)
 
 let fuzz s = Vliw_fuzz.Fuzz.render s

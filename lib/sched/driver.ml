@@ -273,8 +273,9 @@ let run req g =
       assumed;
     }
   in
-  (* one staged validator for every attempt: [g] does not change until the
-     post-pass *)
+  (* one view and one staged validator for every attempt: [g] does not
+     change until the post-pass *)
+  let view = Ims.view g in
   let valid =
     let check = Schedule.validator g ~pinned ~grouped in
     fun s -> Result.is_ok (check s)
@@ -294,7 +295,7 @@ let run req g =
   let rec search ii =
     if ii > max_ii then Error (Printf.sprintf "no schedule up to II=%d" max_ii)
     else
-      match Ims.attempt (ctx assumed) g ~ii with
+      match Ims.attempt_view (ctx assumed) view ~ii with
       | Some s when valid s -> Ok s
       | _ -> search (ii + 1)
   in
@@ -321,7 +322,7 @@ let run req g =
           let attempt =
             if List.exists (fun (e : G.edge) -> e.e_kind = G.RF) (G.succs g nd.n_id)
             then fun () ->
-              match Ims.attempt (ctx assumed) g ~ii:ii0 with
+              match Ims.attempt_view (ctx assumed) view ~ii:ii0 with
               | Some s when valid s -> Some s
               | _ -> None
             else fun () -> Some { !best with assumed = Hashtbl.copy assumed }

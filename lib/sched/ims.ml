@@ -23,22 +23,27 @@ type ctx = {
    placing anything. *)
 exception Positive_recurrence
 
-(* The inner loop probes placements thousands of times per attempt, so the
-   per-node facts (latency under the current assumption, height, FU kind,
-   adjacency) are snapshotted into dense arrays up front and the mutable
-   placement state is mirrored in flat [place_t]/[place_c] arrays (-1 =
-   unplaced). The [place] hashtable is still maintained op-for-op: its
-   iteration order picks force_place victims and it is the [Schedule.place]
-   the caller receives, so every replace/remove happens exactly as before —
-   the arrays only accelerate reads. *)
-let place_all ctx g ~ii =
-  let m = ctx.machine in
-  let nclusters = m.M.clusters in
-  let buslat = m.M.reg_buses.M.bus_latency in
-  let local_hit = M.latency m M.Local_hit in
-  let assumed id =
-    Option.value (Hashtbl.find_opt ctx.assumed id) ~default:local_hit
-  in
+(* What an attempt reads of the graph, in dense arrays indexed by node id
+   (or by copy slot): built once per graph, so that the attempts of one
+   Driver.run share it. Every cross-node register-flow edge owns one copy
+   slot, which its source's [succ_slot] and its sink's [pred_slot] entry
+   both name. *)
+type view = {
+  nmax : int;  (** 1 + the largest node id: per-node arrays' length *)
+  ids : int array;  (** node ids, ascending *)
+  node : G.node array;
+  preds : G.edge array array;  (** [Graph.preds] order *)
+  succs : G.edge array array;  (** [Graph.succs] order *)
+  pred_slot : int array array;  (** beside [preds]: copy slot, or -1 *)
+  succ_slot : int array array;
+  slot_edge : G.edge array;
+  kind : M.fu_kind array;
+  mem : bool array;
+  maxdeg : int;
+  flat : A.flat;  (** the longest-path rounds' edges *)
+}
+
+let view g =
   let ns = G.nodes g in
   let nmax = List.fold_left (fun acc (n : G.node) -> max acc (n.G.n_id + 1)) 0 ns in
   let dummy =
@@ -46,112 +51,200 @@ let place_all ctx g ~ii =
     | n :: _ -> n
     | [] -> { G.n_id = 0; n_op = G.Fake; n_seq = 0; n_orig = 0; n_replica = None }
   in
-  let node_arr = Array.make nmax dummy in
-  List.iter (fun (n : G.node) -> node_arr.(n.G.n_id) <- n) ns;
-  let oplat = Array.make nmax 0 in
+  let node = Array.make nmax dummy in
+  List.iter (fun (n : G.node) -> node.(n.G.n_id) <- n) ns;
+  let preds = Array.init nmax (fun id -> Array.of_list (G.preds g id)) in
+  let succs = Array.init nmax (fun id -> Array.of_list (G.succs g id)) in
+  let slots = Hashtbl.create 64 and slot_edges = ref [] in
+  let slot_of (e : G.edge) =
+    if e.e_kind <> G.RF || e.e_src = e.e_dst then -1
+    else
+      match Hashtbl.find_opt slots e with
+      | Some s -> s
+      | None ->
+        let s = Hashtbl.length slots in
+        Hashtbl.replace slots e s;
+        slot_edges := e :: !slot_edges;
+        s
+  in
+  let succ_slot = Array.map (Array.map slot_of) succs in
+  let pred_slot = Array.map (Array.map slot_of) preds in
+  let kind = Array.make nmax M.Int_fu and mem = Array.make nmax false in
   List.iter
-    (fun (n : G.node) -> oplat.(n.G.n_id) <- G.op_latency n ~assumed)
+    (fun (n : G.node) ->
+      kind.(n.G.n_id) <- G.fu_kind n;
+      mem.(n.G.n_id) <- G.mem_node g n.G.n_id)
     ns;
+  {
+    nmax;
+    ids = Array.of_list (List.map (fun (n : G.node) -> n.G.n_id) ns);
+    node;
+    preds;
+    succs;
+    pred_slot;
+    succ_slot;
+    slot_edge = Array.of_list (List.rev !slot_edges);
+    kind;
+    mem;
+    maxdeg =
+      Array.fold_left max 0
+        (Array.init nmax (fun id -> Array.length preds.(id) + Array.length succs.(id)));
+    flat = A.flatten g;
+  }
+
+(* The smallest power-of-two bucket count from [b] that a table whose
+   size peaked at [peak] has grown to: OCaml's Hashtbl doubles its
+   buckets when an insertion takes its size past twice their count. *)
+let rec buckets b ~peak = if peak > 2 * b then buckets (2 * b) ~peak else b
+
+(* One attempt over flat state. Placements live in [place_t]/[place_c]
+   (-1 = unplaced) and copies in their RF edge's slot; every placement and
+   every copy also takes an insertion stamp. The [place] and [copies]
+   hashtables of a successful attempt are built once at its end, oldest
+   stamp first, in tables of the bucket count the loop's peaks would have
+   grown them to. Those are the tables writing them through the loop
+   would leave: an absent key's insertion conses it at the head of its
+   bucket, a removal unlinks without reordering, a resize keeps each
+   bucket's order, and the loop only ever writes absent keys (a node is
+   placed only while unplaced; a copy only while both its endpoints are
+   placed, and ejecting either drops it). So both fold, bucket by bucket
+   and newest first, exactly as tables written op for op did. A
+   force-placement's victim is the first placed node such a fold meets
+   holding the slot: the holder in the least bucket, newest first (with
+   one FU of the kind per cluster, the slot's one holder). *)
+let place_all ctx v ~ii =
+  let m = ctx.machine in
+  let nclusters = m.M.clusters in
+  let buslat = m.M.reg_buses.M.bus_latency in
+  let local_hit = M.latency m M.Local_hit in
+  let assumed id =
+    Option.value (Hashtbl.find_opt ctx.assumed id) ~default:local_hit
+  in
+  let nmax = v.nmax and nnodes = Array.length v.ids and node_arr = v.node in
+  let preds_arr = v.preds and succs_arr = v.succs in
+  let fukindv = v.kind and memv = v.mem in
+  let oplat = Array.make nmax 0 in
+  Array.iter (fun id -> oplat.(id) <- G.op_latency node_arr.(id) ~assumed) v.ids;
   let elat (e : G.edge) =
     match e.e_kind with
     | G.SYNC -> 0
     | G.MF | G.MA | G.MO -> 1
     | G.RF -> oplat.(e.e_src)
   in
-  let preds_arr = Array.init nmax (fun id -> Array.of_list (G.preds g id)) in
-  let succs_arr = Array.init nmax (fun id -> Array.of_list (G.succs g id)) in
-  let fukindv = Array.make nmax M.Int_fu in
-  let memv = Array.make nmax false in
-  List.iter
-    (fun (n : G.node) ->
-      fukindv.(n.G.n_id) <- G.fu_kind n;
-      memv.(n.G.n_id) <- G.mem_node g n.G.n_id)
-    ns;
-  let height =
-    match A.longest_path_lengths g ~ii ~edge_lat:elat with
+  let heightv =
+    match A.heights v.flat ~ii ~edge_lat:elat with
     | Some h -> h
     | None -> raise_notrace Positive_recurrence
   in
-  let heightv = Array.make nmax 0 in
-  List.iter (fun (n : G.node) -> heightv.(n.G.n_id) <- height n.G.n_id) ns;
-  (* Swing-style order: start from the least-mobile node, then grow the
-     ordered set through graph adjacency, always taking the least-mobile
-     candidate (critical recurrences first, neighbours kept together). *)
-  let swing_rank =
-    match ctx.ordering with
-    | Height -> None
-    | Swing ->
-      let depth = A.longest_path_depths g ~ii ~edge_lat:elat in
-      let depthv = Array.make nmax 0 in
-      List.iter (fun (n : G.node) -> depthv.(n.G.n_id) <- depth n.G.n_id) ns;
-      let cp =
-        List.fold_left
-          (fun acc (n : G.node) ->
-            max acc (depthv.(n.G.n_id) + heightv.(n.G.n_id)))
-          0 ns
+  (* the pick order: [order.(r)] is the node of rank [r], [rank] its
+     inverse, and each pick takes the unplaced node of least rank *)
+  let order = Array.copy v.ids in
+  let rank = Array.make nmax 0 in
+  (match ctx.ordering with
+  | Height ->
+    (* classic IMS priority: greatest height, then earliest in program
+       order, then least id *)
+    Array.sort
+      (fun a b ->
+        if heightv.(a) <> heightv.(b) then Int.compare heightv.(b) heightv.(a)
+        else if node_arr.(a).G.n_seq <> node_arr.(b).G.n_seq then
+          Int.compare node_arr.(a).G.n_seq node_arr.(b).G.n_seq
+        else Int.compare a b)
+      order;
+    Array.iteri (fun r id -> rank.(id) <- r) order
+  | Swing ->
+    (* start from the least-mobile node, then grow the ordered set
+       through graph adjacency, always taking the least-mobile candidate
+       (critical recurrences first, neighbours kept together) *)
+    let depthv = A.depths v.flat ~ii ~edge_lat:elat in
+    let cp =
+      Array.fold_left (fun acc id -> max acc (depthv.(id) + heightv.(id))) 0 v.ids
+    in
+    let mobility id = cp - heightv.(id) - depthv.(id) in
+    let ranked = Array.make nmax false and remainingv = Array.make nmax false in
+    Array.iter (fun id -> remainingv.(id) <- true) v.ids;
+    let touches id =
+      Array.exists (fun (e : G.edge) -> ranked.(e.e_src)) preds_arr.(id)
+      || Array.exists (fun (e : G.edge) -> ranked.(e.e_dst)) succs_arr.(id)
+    in
+    for r = 0 to nnodes - 1 do
+      (* least-mobile candidate adjacent to the ordered set, falling back
+         to all remaining nodes; the minimum is unique (the key embeds the
+         node id) so scan order does not matter *)
+      let best = ref (-1) and bm = ref 0 and bh = ref 0 in
+      let consider id =
+        let mo = mobility id and h = heightv.(id) in
+        if
+          !best < 0
+          || mo < !bm
+          || (mo = !bm && (h > !bh || (h = !bh && id < !best)))
+        then (
+          best := id;
+          bm := mo;
+          bh := h)
       in
-      let mobility id = cp - heightv.(id) - depthv.(id) in
-      let rankv = Array.make nmax max_int in
-      let remainingv = Array.make nmax false in
-      List.iter (fun (n : G.node) -> remainingv.(n.G.n_id) <- true) ns;
-      let nrem = ref (List.length ns) in
-      let next_rank = ref 0 in
-      let ranked id = rankv.(id) <> max_int in
-      let touches id =
-        Array.exists (fun (e : G.edge) -> ranked e.e_src) preds_arr.(id)
-        || Array.exists (fun (e : G.edge) -> ranked e.e_dst) succs_arr.(id)
-      in
-      while !nrem > 0 do
-        (* least-mobile candidate adjacent to the ordered set, falling back
-           to all remaining nodes; the minimum is unique (the key embeds the
-           node id) so scan order does not matter *)
-        let best = ref (-1) and bm = ref 0 and bh = ref 0 in
-        let consider id =
-          let mo = mobility id and h = heightv.(id) in
-          if
-            !best < 0
-            || mo < !bm
-            || (mo = !bm && (h > !bh || (h = !bh && id < !best)))
-          then (
-            best := id;
-            bm := mo;
-            bh := h)
-        in
-        for id = 0 to nmax - 1 do
-          if remainingv.(id) && touches id then consider id
-        done;
-        if !best < 0 then
-          for id = 0 to nmax - 1 do
-            if remainingv.(id) then consider id
-          done;
-        if !best >= 0 then (
-          rankv.(!best) <- !next_rank;
-          incr next_rank;
-          remainingv.(!best) <- false;
-          decr nrem)
+      for id = 0 to nmax - 1 do
+        if remainingv.(id) && touches id then consider id
       done;
-      Some rankv
+      if !best < 0 then
+        for id = 0 to nmax - 1 do
+          if remainingv.(id) then consider id
+        done;
+      order.(r) <- !best;
+      rank.(!best) <- r;
+      ranked.(!best) <- true;
+      remainingv.(!best) <- false
+    done);
+  (* the unplaced nodes' ranks, a binary min-heap in [heap.(0 .. !hsize -
+     1)]; ranks in ascending order already are one *)
+  let heap = Array.init nnodes Fun.id and hsize = ref nnodes in
+  let push r =
+    let i = ref !hsize in
+    incr hsize;
+    while !i > 0 && heap.((!i - 1) / 2) > r do
+      heap.(!i) <- heap.((!i - 1) / 2);
+      i := (!i - 1) / 2
+    done;
+    heap.(!i) <- r
   in
+  let pick () =
+    if !hsize = 0 then -1
+    else (
+      let top = heap.(0) in
+      decr hsize;
+      let last = heap.(!hsize) and i = ref 0 and sifting = ref true in
+      while !sifting do
+        let l = (2 * !i) + 1 in
+        let c = if l + 1 < !hsize && heap.(l + 1) < heap.(l) then l + 1 else l in
+        if c < !hsize && heap.(c) < last then (
+          heap.(!i) <- heap.(c);
+          i := c)
+        else sifting := false
+      done;
+      heap.(!i) <- last;
+      order.(top))
+  in
+
   let mrt = Mrt.create m ~ii in
-  let place : (int, int * int) Hashtbl.t = Hashtbl.create 64 in
-  let place_t = Array.make nmax (-1) in
-  let place_c = Array.make nmax (-1) in
-  let unschedv = Array.make nmax false in
-  let copies : (int * int * int, Schedule.copy) Hashtbl.t = Hashtbl.create 16 in
-  (* the keys of [copies] by endpoint: each added copy's key goes on both
-     its endpoints' lists, and an entry whose copy is gone is skipped *)
-  let copies_at = Array.make nmax [] in
+  let place_t = Array.make nmax (-1) and place_c = Array.make nmax (-1) in
+  let stamp = Array.make nmax 0 and clock = ref 0 in
+  let nplaced = ref 0 and peak = ref 0 in
+  let nslots = Array.length v.slot_edge in
+  let cp_cycle = Array.make nslots 0 and cp_bus = Array.make nslots 0 in
+  let cp_from = Array.make nslots 0 and cp_to = Array.make nslots 0 in
+  let cp_stamp = Array.make nslots (-1) in
+  let live = ref 0 and cpeak = ref 0 in
   (* a node's pin that does not move during the attempt (its replica
      instance's cluster, else its hard pin), its chain, and each chain's
      cluster once its first member is placed; -1 = none *)
   let fixed_pin = Array.make nmax (-1) in
-  List.iter
-    (fun (n : G.node) ->
-      fixed_pin.(n.G.n_id) <-
-        (match n.n_replica with
+  Array.iter
+    (fun id ->
+      fixed_pin.(id) <-
+        (match node_arr.(id).G.n_replica with
         | Some c -> c
-        | None -> Option.value (Hashtbl.find_opt ctx.pinned n.n_id) ~default:(-1)))
-    ns;
+        | None -> Option.value (Hashtbl.find_opt ctx.pinned id) ~default:(-1)))
+    v.ids;
   let group_of = Array.make nmax (-1) in
   List.iteri
     (fun gi chain ->
@@ -167,38 +260,8 @@ let place_all ctx g ~ii =
     let gi = group_of.(id) in
     if gi >= 0 && group_pin.(gi) < 0 then group_pin.(gi) <- c
   in
-  List.iter (fun (n : G.node) -> unschedv.(n.G.n_id) <- true) ns;
   let last_forced = Array.make nmax (-1) in
-  let budget = ref (12 * G.node_count g) in
-
-  (* argmax / argmin over the unscheduled set, or -1; the keys are unique
-     (they embed the node id) so a plain ascending scan finds the same node
-     the old hashtable folds did *)
-  let pick () =
-    match swing_rank with
-    | Some rankv ->
-      let best = ref (-1) and br = ref max_int in
-      for id = 0 to nmax - 1 do
-        if unschedv.(id) && rankv.(id) < !br then (
-          best := id;
-          br := rankv.(id))
-      done;
-      !best
-    | None ->
-      let best = ref (-1) and bh = ref min_int and bs = ref min_int in
-      for id = 0 to nmax - 1 do
-        if unschedv.(id) then (
-          let h = heightv.(id) and s = -node_arr.(id).G.n_seq in
-          (* key (height, -seq, -id): under an ascending id scan a strict
-             improvement on the first two components suffices, since the
-             -id component prefers the earliest id at equal (h, s) *)
-          if !best < 0 || h > !bh || (h = !bh && s > !bs) then (
-            best := id;
-            bh := h;
-            bs := s))
-      done;
-      !best
-  in
+  let budget = ref (12 * nnodes) in
 
   (* Earliest start assuming same-cluster placement relative to scheduled
      predecessors. *)
@@ -267,27 +330,26 @@ let place_all ctx g ~ii =
       sort_by_key ())
   in
 
+  (* take node [id]'s FU slot and place it *)
   let do_place id t c =
-    Hashtbl.replace place id (t, c);
+    Mrt.fu_take mrt ~cycle:t ~cluster:c fukindv.(id);
     place_t.(id) <- t;
     place_c.(id) <- c;
-    unschedv.(id) <- false
+    stamp.(id) <- !clock;
+    incr clock;
+    incr nplaced;
+    if !nplaced > !peak then peak := !nplaced
   in
 
-  let add_copy (e : G.edge) ~from ~to_ ~cycle ~bus =
-    let key = (e.e_src, e.e_dst, e.e_dist) in
-    Hashtbl.replace copies key
-      {
-        Schedule.cp_src = e.e_src;
-        cp_dst = e.e_dst;
-        cp_dist = e.e_dist;
-        cp_from = from;
-        cp_to = to_;
-        cp_cycle = cycle;
-        cp_bus = bus;
-      };
-    copies_at.(e.e_src) <- key :: copies_at.(e.e_src);
-    copies_at.(e.e_dst) <- key :: copies_at.(e.e_dst)
+  let add_copy slot ~from ~to_ ~cycle ~bus =
+    cp_cycle.(slot) <- cycle;
+    cp_bus.(slot) <- bus;
+    cp_from.(slot) <- from;
+    cp_to.(slot) <- to_;
+    cp_stamp.(slot) <- !clock;
+    incr clock;
+    incr live;
+    if !live > !cpeak then cpeak := !live
   in
 
   (* A scan tries one node at successive cycles of one cluster. A failed
@@ -299,27 +361,20 @@ let place_all ctx g ~ii =
   let raise_lo b = if b > !lo_b then lo_b := b in
   let lower_hi b = if b < !hi_b then hi_b := b in
   (* the copies a probe has reserved, in reservation order *)
-  let maxdeg =
-    Array.fold_left max 0
-      (Array.init nmax (fun id ->
-           Array.length preds_arr.(id) + Array.length succs_arr.(id)))
-  in
-  let taken_e =
-    Array.make maxdeg { G.e_src = 0; e_dst = 0; e_kind = G.SYNC; e_dist = 0 }
-  in
-  let taken_cycle = Array.make maxdeg 0 and taken_bus = Array.make maxdeg 0 in
+  let taken_slot = Array.make v.maxdeg 0 in
+  let taken_cycle = Array.make v.maxdeg 0 and taken_bus = Array.make v.maxdeg 0 in
   let ntaken = ref 0 in
-  let take e cycle =
+  let take slot cycle =
     let bus = Mrt.bus_lowest mrt ~cycle in
     Mrt.bus_take mrt ~cycle ~bus;
-    taken_e.(!ntaken) <- e;
+    taken_slot.(!ntaken) <- slot;
     taken_cycle.(!ntaken) <- cycle;
     taken_bus.(!ntaken) <- bus;
     incr ntaken
   in
   (* a cross-cluster RF edge's copy leaves once the value is ready and
      arrives by the consumer's issue: ready + bus_latency <= deadline,
-     which Mrt.bus_find requires of any window it returns *)
+     the window Mrt.bus_find searches *)
   let bus_extra (e : G.edge) other c =
     if e.e_kind = G.RF && other <> c then buslat else 0
   in
@@ -383,7 +438,7 @@ let place_all ctx g ~ii =
           if t < need then (
             ok := false;
             raise_lo need)
-          else take e s);
+          else take v.pred_slot.(id).(!i) s);
         incr i
       done;
       let pred_copies = !ntaken in
@@ -392,21 +447,22 @@ let place_all ctx g ~ii =
         let e = succs.(!i) in
         let td = place_t.(e.e_dst) in
         if td >= 0 && bus_extra e place_c.(e.e_dst) c > 0 then (
-          let s = Mrt.bus_earliest mrt ~lo:(t + elat e) in
-          if s = max_int || s + buslat > td + (ii * e.e_dist) then (
+          let s =
+            Mrt.bus_find mrt ~lo:(t + elat e) ~hi:(td + (ii * e.e_dist) - 1)
+          in
+          if s = max_int then (
             ok := false;
             if !ntaken = pred_copies then lower_hi (t - 1))
-          else take e s);
+          else take v.succ_slot.(id).(!i) s);
         incr i
       done;
       if !ok then (
-        Mrt.fu_take mrt ~cycle:t ~cluster:c kind;
         do_place id t c;
-        (* copies enter the table latest reservation first, as the list the
-           probe used to build did *)
+        (* copies take their stamps latest reservation first: the
+           insertion order every recorded schedule's copy list holds *)
         for k = !ntaken - 1 downto 0 do
-          let e = taken_e.(k) in
-          add_copy e ~from:place_c.(e.e_src) ~to_:place_c.(e.e_dst)
+          let e = v.slot_edge.(taken_slot.(k)) in
+          add_copy taken_slot.(k) ~from:place_c.(e.e_src) ~to_:place_c.(e.e_dst)
             ~cycle:taken_cycle.(k) ~bus:taken_bus.(k)
         done;
         pin_group id c)
@@ -417,90 +473,92 @@ let place_all ctx g ~ii =
       !ok)
   in
 
-  (* drop every copy whose key is listed; the order of removals does not
-     change the iteration order of the bindings that survive *)
-  let rec drop_copies = function
-    | [] -> ()
-    | key :: rest ->
-      if Hashtbl.mem copies key then (
-        let (cp : Schedule.copy) = Hashtbl.find copies key in
-        Mrt.bus_release mrt ~cycle:cp.cp_cycle ~bus:cp.cp_bus;
-        Hashtbl.remove copies key);
-      drop_copies rest
+  (* free a copy slot, if it holds a copy *)
+  let drop slot =
+    if slot >= 0 && cp_stamp.(slot) >= 0 then (
+      Mrt.bus_release mrt ~cycle:cp_cycle.(slot) ~bus:cp_bus.(slot);
+      cp_stamp.(slot) <- -1;
+      decr live)
   in
   let eject id =
     if place_t.(id) >= 0 then (
       let t = place_t.(id) and c = place_c.(id) in
       Mrt.fu_release mrt ~cycle:t ~cluster:c fukindv.(id);
-      Hashtbl.remove place id;
       place_t.(id) <- -1;
       place_c.(id) <- -1;
-      unschedv.(id) <- true;
-      drop_copies copies_at.(id);
-      copies_at.(id) <- [];
+      decr nplaced;
+      push rank.(id);
+      Array.iter drop v.pred_slot.(id);
+      Array.iter drop v.succ_slot.(id);
       decr budget)
+  in
+  (* the placed node holding (cycle [t]'s slot, [c], [kind]) that a fold
+     of the [place] table meets first: least bucket, newest first *)
+  let first_holder t c kind =
+    let mask = buckets 64 ~peak:!peak - 1 and slot = t mod ii in
+    let best = ref (-1) and bb = ref max_int and bs = ref 0 in
+    for w = 0 to nmax - 1 do
+      if
+        place_t.(w) >= 0 && place_c.(w) = c && fukindv.(w) = kind
+        && place_t.(w) mod ii = slot
+      then (
+        let b = Hashtbl.hash w land mask in
+        if b < !bb || (b = !bb && stamp.(w) > !bs) then (
+          best := w;
+          bb := b;
+          bs := stamp.(w)))
+    done;
+    !best
+  in
+
+  (* Fix up the edge [e] between node [id], just force-placed at cycle
+     [t] in cluster [c], and a placed neighbour: reserve its copy, or
+     eject the neighbour when the dependence cannot hold. *)
+  let fix_edge id t c (e : G.edge) slot ~n_is_src =
+    let other = if n_is_src then e.e_dst else e.e_src in
+    if other = id then (
+      (* self edge: check directly; ejecting n would not help *)
+      if elat e > ii * e.e_dist then decr budget)
+    else if place_t.(other) >= 0 then (
+      let to_ = place_t.(other) and co = place_c.(other) in
+      let ready = (if n_is_src then t else to_) + elat e in
+      let deadline = (if n_is_src then to_ else t) + (ii * e.e_dist) in
+      let ok =
+        if e.e_kind <> G.RF || co = c then ready <= deadline
+        else (
+          let cycle = Mrt.bus_find mrt ~lo:ready ~hi:(deadline - 1) in
+          if cycle = max_int then false
+          else (
+            let bus = Mrt.bus_lowest mrt ~cycle in
+            Mrt.bus_take mrt ~cycle ~bus;
+            if n_is_src then add_copy slot ~from:c ~to_:co ~cycle ~bus
+            else add_copy slot ~from:co ~to_:c ~cycle ~bus;
+            true))
+      in
+      if not ok then eject other)
   in
 
   (* Force-place n at cycle t cluster c, ejecting whatever stands in the
-     way: FU conflictors in the same slot, then any placed neighbour whose
+     way: the FU slot's holders, then any placed neighbour whose
      dependence with n cannot be satisfied. *)
   let force_place id t c =
     let kind = fukindv.(id) in
-    (* eject FU conflictors *)
     while not (Mrt.fu_free mrt ~cycle:t ~cluster:c kind) do
-      let victim =
-        Hashtbl.fold
-          (fun v (tv, cv) acc ->
-            if
-              acc = None && v <> id && cv = c
-              && tv mod ii = t mod ii
-              && fukindv.(v) = kind
-            then Some v
-            else acc)
-          place None
-      in
-      match victim with
-      | Some v -> eject v
-      | None -> assert false (* slot busy implies a holder exists *)
+      let w = first_holder t c kind in
+      (* slot busy implies a holder exists *)
+      assert (w >= 0);
+      eject w
     done;
-    Mrt.fu_take mrt ~cycle:t ~cluster:c kind;
     do_place id t c;
     pin_group id c;
-    (* fix up edges to placed neighbours *)
-    let fix_edge (e : G.edge) ~n_is_src =
-      let other = if n_is_src then e.e_dst else e.e_src in
-      if other = id then (
-        (* self edge: check directly; ejecting n would not help *)
-        let lat = elat e in
-        if lat > ii * e.e_dist then decr budget)
-      else if place_t.(other) >= 0 then (
-        let to_ = place_t.(other) and co = place_c.(other) in
-        let ok =
-          if n_is_src then
-            let deadline = to_ + (ii * e.e_dist) in
-            if e.e_kind <> G.RF || co = c then t + elat e <= deadline
-            else
-              match Mrt.bus_find mrt ~lo:(t + elat e) ~hi:(deadline - 1) with
-              | None -> false
-              | Some (cycle, bus) ->
-                Mrt.bus_take mrt ~cycle ~bus;
-                add_copy e ~from:c ~to_:co ~cycle ~bus;
-                true
-          else
-            let deadline = t + (ii * e.e_dist) in
-            if e.e_kind <> G.RF || co = c then to_ + elat e <= deadline
-            else
-              match Mrt.bus_find mrt ~lo:(to_ + elat e) ~hi:(deadline - 1) with
-              | None -> false
-              | Some (cycle, bus) ->
-                Mrt.bus_take mrt ~cycle ~bus;
-                add_copy e ~from:co ~to_:c ~cycle ~bus;
-                true
-        in
-        if not ok then eject other)
-    in
-    Array.iter (fun e -> fix_edge e ~n_is_src:false) preds_arr.(id);
-    Array.iter (fun e -> fix_edge e ~n_is_src:true) succs_arr.(id)
+    let es = preds_arr.(id) and slots = v.pred_slot.(id) in
+    for i = 0 to Array.length es - 1 do
+      fix_edge id t c es.(i) slots.(i) ~n_is_src:false
+    done;
+    let es = succs_arr.(id) and slots = v.succ_slot.(id) in
+    for i = 0 to Array.length es - 1 do
+      fix_edge id t c es.(i) slots.(i) ~n_is_src:true
+    done
   in
 
   let ok = ref true in
@@ -573,9 +631,32 @@ let place_all ctx g ~ii =
   done;
   if not !ok then None
   else (
-    let length =
-      1 + Hashtbl.fold (fun _ (t, _) acc -> max acc t) place 0
+    (* every node is placed; the tables, oldest stamp first *)
+    let by_stamp stamps ids =
+      Array.sort (fun a b -> Int.compare stamps.(a) stamps.(b)) ids;
+      ids
     in
+    let place = Hashtbl.create (buckets 64 ~peak:!peak) in
+    Array.iter
+      (fun id -> Hashtbl.add place id (place_t.(id), place_c.(id)))
+      (by_stamp stamp (Array.copy v.ids));
+    let copies = Hashtbl.create (buckets 16 ~peak:!cpeak) in
+    Array.iter
+      (fun s ->
+        let e = v.slot_edge.(s) in
+        Hashtbl.add copies (e.e_src, e.e_dst, e.e_dist)
+          {
+            Schedule.cp_src = e.e_src;
+            cp_dst = e.e_dst;
+            cp_dist = e.e_dist;
+            cp_from = cp_from.(s);
+            cp_to = cp_to.(s);
+            cp_cycle = cp_cycle.(s);
+            cp_bus = cp_bus.(s);
+          })
+      (by_stamp cp_stamp
+         (Array.of_list
+            (List.filter (fun s -> cp_stamp.(s) >= 0) (List.init nslots Fun.id))));
     Some
       {
         Schedule.ii;
@@ -583,8 +664,10 @@ let place_all ctx g ~ii =
         place;
         assumed = Hashtbl.copy ctx.assumed;
         copies = Hashtbl.fold (fun _ c acc -> c :: acc) copies [];
-        length;
+        length = 1 + Array.fold_left (fun acc id -> max acc place_t.(id)) 0 v.ids;
       })
 
-let attempt ctx g ~ii =
-  try place_all ctx g ~ii with Positive_recurrence -> None
+let attempt_view ctx v ~ii =
+  try place_all ctx v ~ii with Positive_recurrence -> None
+
+let attempt ctx g ~ii = attempt_view ctx (view g) ~ii

@@ -28,8 +28,18 @@
     no start is free; the first successor copy that finds no bus rules out
     every later cycle. The scan jumps past ruled-out cycles, upward or (a
     Swing node with only placed successors) downward, so it makes the
-    same first successful probe as a cycle-by-cycle scan. A failed probe,
-    the sort of candidate clusters and an ejection allocate nothing. *)
+    same first successful probe as a cycle-by-cycle scan.
+
+    An attempt runs on flat state: placements in per-node arrays, copies
+    in one slot per register-flow edge and the pick order in a heap of
+    ranks, so the placement loop performs no [Hashtbl] operation and
+    allocates nothing beyond what [pref] returns. Every placement and
+    copy takes an insertion stamp, and a successful attempt builds its
+    [place] and [copies] tables once, oldest stamp first, in tables of
+    the size the loop's peaks would have grown them to: they fold
+    exactly as tables written op for op through the loop did, and a
+    force-placement ejects the holder such a fold would have met
+    first. *)
 
 (** Node-ordering strategy. [Height] is classic IMS priority (longest path
     to a sink). [Swing] approximates Swing Modulo Scheduling (Llosa et
@@ -59,7 +69,22 @@ type ctx = {
   assumed : (int, int) Hashtbl.t;  (** memory node -> assumed latency *)
 }
 
-val attempt : ctx -> Vliw_ddg.Graph.t -> ii:int -> Schedule.t option
+type view
+(** What every attempt reads of a graph and never writes: its nodes, their
+    edge arrays in [Graph] order, each register-flow edge's copy slot, FU
+    kinds, memory flags and the successor edges flattened for the
+    longest-path rounds. *)
+
+val view : Vliw_ddg.Graph.t -> view
+(** Read the graph once. Attempts on the view see the graph as it was
+    then: take a fresh view after changing it. *)
+
+val attempt_view : ctx -> view -> ii:int -> Schedule.t option
 (** One scheduling attempt at the given II. [None] on budget exhaustion,
     and at once, before placing anything, when a recurrence is positive at
-    this II under the assumed latencies (no valid schedule exists). *)
+    this II under the assumed latencies (no valid schedule exists). An
+    attempt computes only its latencies, heights (and Swing ranks) and its
+    own state: the attempts of one {!Driver.run} share one view. *)
+
+val attempt : ctx -> Vliw_ddg.Graph.t -> ii:int -> Schedule.t option
+(** [attempt_view ctx (view g) ~ii]. *)

@@ -104,10 +104,8 @@ let bus_lowest t ~cycle =
 
 let bus_find t ~lo ~hi =
   let hi_start = hi - t.buslat + 1 in
-  if lo > hi_start then None
-  else
-    let cycle = first_start t ~lo ~last:(min hi_start (lo + t.ii - 1)) in
-    if cycle = max_int then None else Some (cycle, bus_lowest t ~cycle)
+  if lo > hi_start then max_int
+  else first_start t ~lo ~last:(min hi_start (lo + t.ii - 1))
 
 let bus_update t ~cycle ~bus delta =
   let bit = 1 lsl bus in

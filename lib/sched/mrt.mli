@@ -24,10 +24,12 @@ val fu_load : t -> cluster:int -> int
 (** Total FU reservations currently held in a cluster (workload-balance
     signal for MinComs). *)
 
-val bus_find : t -> lo:int -> hi:int -> (int * int) option
-(** Earliest [(cycle, bus)] with [lo <= cycle] and [cycle + bus_latency - 1
-    <= hi] whose slots are all free, lowest-numbered bus first at that
-    cycle. Scans at most II distinct start cycles (occupancy is
+val bus_find : t -> lo:int -> hi:int -> int
+(** Earliest [cycle] with [lo <= cycle] and [cycle + bus_latency - 1 <=
+    hi] at which some bus is free for all [bus_latency] slots, or
+    [max_int] when none is: a copy's window, from its value's ready cycle
+    to the last cycle before its consumer issues. {!bus_lowest} names
+    the bus. Scans at most II distinct start cycles (occupancy is
     periodic). *)
 
 val bus_earliest : t -> lo:int -> int
@@ -40,8 +42,7 @@ val bus_earliest : t -> lo:int -> int
 
 val bus_lowest : t -> cycle:int -> int
 (** The lowest-numbered bus free for all [bus_latency] slots of a
-    transfer starting at [cycle] (the bus {!bus_find} pairs with that
-    cycle), or [-1] when none is. *)
+    transfer starting at [cycle], or [-1] when none is. *)
 
 val bus_take : t -> cycle:int -> bus:int -> unit
 val bus_release : t -> cycle:int -> bus:int -> unit

@@ -209,13 +209,13 @@ let test_rec_mii_distance_two () =
 
 let test_longest_paths () =
   let g, a, b, c, d = diamond () in
-  match A.longest_path_lengths g ~ii:1 ~edge_lat:(fun _ -> 1) with
+  match A.heights (A.flatten g) ~ii:1 ~edge_lat:(fun _ -> 1) with
   | None -> Alcotest.fail "an acyclic graph has heights at any II"
   | Some h ->
-    Alcotest.(check int) "sink height" 0 (h d.n_id);
-    Alcotest.(check int) "mid height" 1 (h b.n_id);
-    Alcotest.(check int) "mid height c" 1 (h c.n_id);
-    Alcotest.(check int) "source height" 2 (h a.n_id)
+    Alcotest.(check int) "sink height" 0 h.(d.n_id);
+    Alcotest.(check int) "mid height" 1 h.(b.n_id);
+    Alcotest.(check int) "mid height c" 1 h.(c.n_id);
+    Alcotest.(check int) "source height" 2 h.(a.n_id)
 
 (* heights exist exactly from RecMII up: one below it the recurrence is a
    positive cycle *)
@@ -227,13 +227,13 @@ let test_longest_paths_rec_mii () =
       Alcotest.(check bool)
         (Printf.sprintf "dist %d: none at II %d" dist (r - 1))
         true
-        (Option.is_none (A.longest_path_lengths g ~ii:(r - 1) ~edge_lat));
-      match A.longest_path_lengths g ~ii:r ~edge_lat with
+        (Option.is_none (A.heights (A.flatten g) ~ii:(r - 1) ~edge_lat));
+      match A.heights (A.flatten g) ~ii:r ~edge_lat with
       | None -> Alcotest.failf "dist %d: no heights at RecMII %d" dist r
       | Some h ->
         (* a -> b weighs 2 and the back edge is not positive at RecMII *)
         Alcotest.(check int) (Printf.sprintf "dist %d: height of a" dist) 2
-          (h a.n_id))
+          h.(a.n_id))
     [ 1; 2 ]
 
 let test_dot_output () =
@@ -438,16 +438,15 @@ let prop_bellman_ford_model =
     (fun ((n, _, ii) as spec) ->
       let g, edge_lat = build_weighted spec in
       let ids = List.init n Fun.id in
-      let same f f' = List.for_all (fun id -> f id = f' id) ids in
+      let same a f' = List.for_all (fun id -> a.(id) = f' id) ids in
+      let f = A.flatten g in
       (match
-         ( A.longest_path_lengths g ~ii ~edge_lat,
-           Reference.longest_path_lengths g ~ii ~edge_lat )
+         (A.heights f ~ii ~edge_lat, Reference.longest_path_lengths g ~ii ~edge_lat)
        with
       | None, None -> true
       | Some h, Some h' ->
         same h h'
-        && same
-             (A.longest_path_depths g ~ii ~edge_lat)
+        && same (A.depths f ~ii ~edge_lat)
              (Reference.longest_path_depths g ~ii ~edge_lat)
       | _ -> false)
       && A.rec_mii g ~edge_lat = Reference.rec_mii g ~edge_lat)

@@ -40,14 +40,20 @@ let test_mrt_fu_capacity () =
   Mrt.fu_release mrt ~cycle:0 ~cluster:0 M.Int_fu;
   Alcotest.(check bool) "released" true (Mrt.fu_free mrt ~cycle:0 ~cluster:0 M.Int_fu)
 
+(* the copy Ims reserves in a window: bus_find's cycle and the lowest
+   bus free there *)
+let bus_found mrt ~lo ~hi =
+  let cycle = Mrt.bus_find mrt ~lo ~hi in
+  if cycle = max_int then None else Some (cycle, Mrt.bus_lowest mrt ~cycle)
+
 let test_mrt_bus_occupancy () =
   let mrt = Mrt.create M.table2 ~ii:4 in
   (* bus transfers take 2 cycles; 4 buses *)
-  (match Mrt.bus_find mrt ~lo:0 ~hi:3 with
+  (match bus_found mrt ~lo:0 ~hi:3 with
   | Some (0, 0) -> ()
   | _ -> Alcotest.fail "expected earliest slot on bus 0");
   Mrt.bus_take mrt ~cycle:0 ~bus:0;
-  (match Mrt.bus_find mrt ~lo:0 ~hi:1 with
+  (match bus_found mrt ~lo:0 ~hi:1 with
   | Some (0, 1) -> ()
   | other ->
     Alcotest.failf "expected bus 1, got %s"
@@ -56,16 +62,16 @@ let test_mrt_bus_occupancy () =
       | None -> "none"));
   (* window too narrow for the 2-cycle transfer *)
   Alcotest.(check bool) "narrow window fails" true
-    (Mrt.bus_find mrt ~lo:3 ~hi:3 = None)
+    (bus_found mrt ~lo:3 ~hi:3 = None)
 
 let test_mrt_bus_modulo_conflict () =
   let m = { M.table2 with M.reg_buses = { M.bus_count = 1; bus_latency = 2 } } in
   let mrt = Mrt.create m ~ii:2 in
   Mrt.bus_take mrt ~cycle:0 ~bus:0;
   (* ii=2 and a 2-cycle transfer saturate the single bus entirely *)
-  Alcotest.(check bool) "bus saturated" true (Mrt.bus_find mrt ~lo:0 ~hi:20 = None);
+  Alcotest.(check bool) "bus saturated" true (bus_found mrt ~lo:0 ~hi:20 = None);
   Mrt.bus_release mrt ~cycle:0 ~bus:0;
-  Alcotest.(check bool) "free again" true (Mrt.bus_find mrt ~lo:0 ~hi:20 <> None)
+  Alcotest.(check bool) "free again" true (bus_found mrt ~lo:0 ~hi:20 <> None)
 
 let with_reg_buses ~count ~latency =
   { M.table2 with M.reg_buses = { M.bus_count = count; bus_latency = latency } }
@@ -77,10 +83,10 @@ let test_mrt_bus_mask_width () =
     Mrt.bus_take mrt ~cycle:0 ~bus
   done;
   Alcotest.(check (option (pair int int))) "top bus" (Some (0, Mrt.max_buses - 1))
-    (Mrt.bus_find mrt ~lo:0 ~hi:5);
+    (bus_found mrt ~lo:0 ~hi:5);
   Mrt.bus_take mrt ~cycle:0 ~bus:(Mrt.max_buses - 1);
   Alcotest.(check (option (pair int int))) "all taken" None
-    (Mrt.bus_find mrt ~lo:0 ~hi:5);
+    (bus_found mrt ~lo:0 ~hi:5);
   match Mrt.create (with_reg_buses ~count:(Mrt.max_buses + 1) ~latency:2) ~ii:1 with
   | _ -> Alcotest.fail "a pool wider than the mask was accepted"
   | exception Invalid_argument _ -> ()
@@ -89,7 +95,7 @@ let test_mrt_bus_mask_width () =
 
 type bus_op =
   | Take of int * int  (** reserve (cycle, bus), free or not *)
-  | Take_found of int * int  (** reserve what bus_find returns, as Ims does *)
+  | Take_found of int * int  (** reserve the window's copy, as Ims does *)
   | Release of int  (** release the i-th live reservation (mod count) *)
   | Find of int * int
 
@@ -168,7 +174,7 @@ let prop_bus_find_model =
             take ~cycle ~bus;
             true
           | Take_found (lo, hi) ->
-            let r = Mrt.bus_find mrt ~lo ~hi in
+            let r = bus_found mrt ~lo ~hi in
             let agree = r = reference ~lo ~hi in
             Option.iter (fun (cycle, bus) -> take ~cycle ~bus) r;
             agree
@@ -187,7 +193,7 @@ let prop_bus_find_model =
                successful bus_find is the deadline-free lookup from lo,
                with the lowest bus free there, and that lookup never
                decreases as lo grows *)
-            let r = Mrt.bus_find mrt ~lo ~hi in
+            let r = bus_found mrt ~lo ~hi in
             let s = Mrt.bus_earliest mrt ~lo in
             r = reference ~lo ~hi
             && r
@@ -895,6 +901,58 @@ let test_bus_bound_premise () =
     W.all;
   Alcotest.(check bool) "some IIs skipped" true (!skipped > 0)
 
+(* --- a failing attempt's churn allocates nothing ---
+   bench/micro's epicdec loops (NOBAL-mem, DDGT, PrefClus) whose attempt
+   at the driver's starting II exhausts its ejection budget: that attempt
+   places, ejects and copies for its whole budget, yet must allocate
+   fewer minor words than the attempt that succeeds at the final II,
+   which allocates the same per-attempt arrays plus its result tables.
+   Both run on one view, as in Driver.run, with the profile read once
+   per node, as Driver.run reads it. *)
+let test_failing_attempt_allocation () =
+  let module P = Vliw_pipeline.Pipeline in
+  let b = W.find "epicdec" in
+  let machine = M.with_interleave M.nobal_mem b.W.b_interleave in
+  let checked =
+    List.filter_map
+      (fun (l : W.loop) ->
+        let fe = P.front ~machine (W.parse_loop l ~seed:b.W.b_exec_seed) in
+        match P.compile ~heuristic:S.Pref_clus fe S.Ddgt with
+        | Error e -> Alcotest.failf "%s: %s" l.W.l_name e
+        | Ok c ->
+          let g = c.P.graph in
+          let pref =
+            let tab = Array.init (G.node_count g) (Vliw_profile.Profile.node_pref fe.P.prof g) in
+            fun id -> tab.(id)
+          in
+          let constraints = Chains.no_constraints () in
+          let ctx =
+            { Ims.machine; heuristic = S.Pref_clus; ordering = Ims.Height;
+              pinned = constraints.Chains.pinned; grouped = constraints.Chains.grouped;
+              pref; assumed = Hashtbl.create 16 }
+          in
+          let req = Driver.request ~heuristic:S.Pref_clus ~constraints ~pref machine in
+          let start = max (Driver.mii machine g req) (Driver.bus_mii machine g req) in
+          let view = Ims.view g in
+          let words ii =
+            let w0 = Gc.minor_words () in
+            let r = Ims.attempt_view ctx view ~ii in
+            (Gc.minor_words () -. w0, r)
+          in
+          let fail_w, fail = words start and ok_w, ok = words c.P.schedule.S.ii in
+          if fail <> None then None
+          else (
+            if ok = None then Alcotest.failf "%s: the final II fails" l.W.l_name;
+            if fail_w >= ok_w then
+              Alcotest.failf "%s: failing attempt at II %d allocates %.0f words, \
+                              the successful one at II %d %.0f"
+                l.W.l_name start fail_w c.P.schedule.S.ii ok_w;
+            Some l.W.l_name))
+      b.W.b_loops
+  in
+  Alcotest.(check (list string)) "loops that fail at the starting II"
+    [ "wavelet"; "pyramid"; "unquant" ] checked
+
 (* --- frozen schedules ---
    sched_digests.txt freezes what the fuzzer scheduled, one technique at
    a time and the hybrid by its own compile of both arms, for seed-1 fuzz
@@ -907,8 +965,9 @@ let test_bus_bound_premise () =
    print no assumed latencies and cover neither PrefClus beyond 4 clusters
    nor NOBAL-mem at 16 clusters (case 186). *)
 
-let schedule_digest i =
-  let case = Vliw_fuzz.Gen.generate ~seed:1 ~budget:30 i in
+(* one MD5 over each compile's II, length, place bindings in fold order,
+   copies in list order and assumed latencies *)
+let digest_compiles compiles =
   let buf = Buffer.create 4096 in
   List.iter
     (fun (technique, compiled) ->
@@ -930,27 +989,103 @@ let schedule_digest i =
           (fun (id, lat) -> Printf.bprintf buf "assumed %d %d\n" id lat)
           (List.sort compare
              (Hashtbl.fold (fun id lat acc -> (id, lat) :: acc) s.S.assumed [])))
-    (Vliw_pipeline.Pipeline.compile_all
-       ~heuristic:(Vliw_fuzz.Diff.heuristic_for case)
-       (Vliw_fuzz.Diff.front case));
+    compiles;
   Digest.to_hex (Digest.string (Buffer.contents buf))
 
-let test_schedule_digests () =
-  let ic = open_in "sched_digests.txt" in
+let schedule_digest i =
+  let case = Vliw_fuzz.Gen.generate ~seed:1 ~budget:30 i in
+  digest_compiles
+    (Vliw_pipeline.Pipeline.compile_all
+       ~heuristic:(Vliw_fuzz.Diff.heuristic_for case)
+       (Vliw_fuzz.Diff.front case))
+
+(* the lines of a digest file: everything before the last field names
+   the entry *)
+let read_digests file =
+  let ic = open_in file in
   let rec read acc =
     match input_line ic with
-    | line -> read (Scanf.sscanf line "case %d %s" (fun i d -> (i, d)) :: acc)
+    | line ->
+      let cut = String.rindex line ' ' in
+      read
+        ((String.sub line 0 cut, String.sub line (cut + 1) (String.length line - cut - 1))
+        :: acc)
     | exception End_of_file ->
       close_in ic;
       List.rev acc
   in
-  let golden = read [] in
+  read []
+
+let test_schedule_digests () =
+  let golden = read_digests "sched_digests.txt" in
   Alcotest.(check int) "one digest per frozen case" 101 (List.length golden);
   List.iter
-    (fun (i, expected) ->
-      Alcotest.(check string)
-        (Printf.sprintf "case %d schedules" i)
-        expected (schedule_digest i))
+    (fun (name, expected) ->
+      Alcotest.(check string) (name ^ " schedules") expected
+        (schedule_digest (Scanf.sscanf name "case %d" Fun.id)))
+    golden
+
+(* Two populations the fuzz cases miss, recorded before Ims kept its
+   placements and copies in arrays. sched_digests_wide.txt: every
+   workload loop on table2, nobal-mem and nobal-reg with two FUs of each
+   kind per cluster, where a force-placement's slot has two holders to
+   eject. sched_digests_unrolled.txt: loops unrolled x8 past 128 nodes,
+   where the place table doubles its buckets (and copies past 32 double
+   theirs). Each digest covers compile_all under both heuristics. *)
+
+let wide_fus (m : M.t) =
+  { m with M.fus_per_cluster = List.map (fun (k, _) -> (k, 2)) m.M.fus_per_cluster }
+
+let both_heuristics fe =
+  List.concat_map
+    (fun heuristic -> Vliw_pipeline.Pipeline.compile_all ~heuristic fe)
+    S.heuristics
+
+let loop_named name =
+  match String.split_on_char '/' name with
+  | [ bench; loop ] ->
+    let b = W.find bench in
+    (b, List.find (fun (l : W.loop) -> l.W.l_name = loop) b.W.b_loops)
+  | _ -> Alcotest.failf "bad loop name %s" name
+
+let test_wide_fu_digests () =
+  let golden = read_digests "sched_digests_wide.txt" in
+  Alcotest.(check int) "every loop on three machines"
+    (3 * List.fold_left (fun n (b : W.benchmark) -> n + List.length b.W.b_loops) 0 W.all)
+    (List.length golden);
+  List.iter
+    (fun (name, expected) ->
+      let mname, loop = Scanf.sscanf name "%s %s" (fun m l -> (m, l)) in
+      let base =
+        List.assoc mname
+          [ ("table2", M.table2); ("nobal-mem", M.nobal_mem); ("nobal-reg", M.nobal_reg) ]
+      in
+      let b, l = loop_named loop in
+      let machine = M.with_interleave (wide_fus base) b.W.b_interleave in
+      Alcotest.(check string) (name ^ " schedules") expected
+        (digest_compiles (both_heuristics (Vliw_harness.Memo.stages ~machine ~bench:b l))))
+    golden
+
+let test_unrolled_digests () =
+  let golden = read_digests "sched_digests_unrolled.txt" in
+  Alcotest.(check int) "six unrolled loops" 6 (List.length golden);
+  List.iter
+    (fun (name, expected) ->
+      let b, l = loop_named name in
+      let parse seed = Vliw_ir.Unroll.unroll ~factor:8 (W.parse_loop l ~seed) in
+      let fe =
+        Vliw_pipeline.Pipeline.front
+          ~machine:(M.with_interleave M.table2 b.W.b_interleave)
+          ~profile:(parse b.W.b_profile_seed) (parse b.W.b_exec_seed)
+      in
+      let compiles = both_heuristics fe in
+      let placed = function
+        | _, Ok c -> Hashtbl.length c.Vliw_pipeline.Pipeline.schedule.S.place
+        | _, Error _ -> 0
+      in
+      if not (List.exists (fun c -> placed c > 128) compiles) then
+        Alcotest.failf "%s: no schedule places more than 128 nodes" name;
+      Alcotest.(check string) (name ^ " schedules") expected (digest_compiles compiles))
     golden
 
 (* --- the MinComs search against every permutation --- *)
@@ -1117,12 +1252,19 @@ let () =
           QCheck_alcotest.to_alcotest prop_bus_bound_sound;
           Alcotest.test_case "skipped IIs fail" `Slow test_bus_bound_premise;
         ] );
+      ( "allocation",
+        [
+          Alcotest.test_case "failing attempt allocates less than success" `Quick
+            test_failing_attempt_allocation;
+        ] );
       ( "end to end",
         [
           Alcotest.test_case "figure 5 schedules" `Quick test_schedule_fig5_ddgt_graph;
           Alcotest.test_case "MDC raises II" `Quick test_schedule_mdc_vs_free_ii;
           Alcotest.test_case "lowered kernel" `Quick test_schedule_lowered_kernel;
           Alcotest.test_case "frozen fuzz-case digests" `Slow test_schedule_digests;
+          Alcotest.test_case "frozen two-FU digests" `Quick test_wide_fu_digests;
+          Alcotest.test_case "frozen unrolled digests" `Slow test_unrolled_digests;
         ] );
       ( "properties",
         List.map QCheck_alcotest.to_alcotest
